@@ -38,7 +38,7 @@ from .constants import TheoreticalConstants, compute_constants
 from .model import build_model, validate_assumptions
 from .presets import PRESETS, preset
 from .scenario import Scenario, ScenarioError, load_scenario, parse_row
-from .simulator import run_batch, run_replicate
+from .simulator import run_batch
 from .spectral import spectral_decompose
 from .stats import lln_check, studentized, verify_dichotomy
 
@@ -350,16 +350,7 @@ def _cmd_star_check(args) -> int:
     worst = 0.0
     ez = complex(expected_process(phi, model, n))
     scale = 1.0 + abs(ez)
-    for idx in range(reps):
-        r = run_replicate(
-            model,
-            [phi, star.characteristic],
-            n,
-            N,
-            np.random.SeedSequence(entropy=seed, spawn_key=(idx,)),
-            ns=[n],
-            index=idx,
-        )
+    for r in run_batch(model, [phi, star.characteristic], n, N, reps, seed, ns=[n]).replicates:
         resid = abs(r.zphi[(1, n)] - (r.zphi[(0, n)] - ez)) / scale
         worst = max(worst, resid)
     tol = 1e-8

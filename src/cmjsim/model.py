@@ -69,14 +69,18 @@ class OffspringLaw:
     def __post_init__(self):
         if len(self.probs) != len(self.counts):
             raise ValueError("offspring law: probs and counts length mismatch")
+        # built once: the simulator reads it at every generation step
+        outcomes = np.asarray(self.counts, dtype=np.int64)
+        outcomes.flags.writeable = False
+        object.__setattr__(self, "_outcomes", outcomes)
 
     @property
     def n_outcomes(self) -> int:
         return len(self.probs)
 
     def outcome_matrix(self) -> np.ndarray:
-        """All outcome columns stacked as an (n_outcomes, J) int64 array."""
-        return np.asarray(self.counts, dtype=np.int64)
+        """All outcome columns stacked as a read-only (n_outcomes, J) int64 array."""
+        return self._outcomes
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,13 +7,25 @@ generation vector and the characteristic contributions, so the aggregated
 process has exactly the law of the per-individual construction:
 
 * the value's linear term needs only the sum of centered offspring columns
-  over the type class, which is a linear image of the same multinomial draw;
+  over the generation, which is ``Z_{g+1} - A Z_g`` for the same draws that
+  produced the next generation;
 * additive noise is i.i.d. across (individual, age) cells, so the noise sum
   over a class of c individuals is a multinomial functional with c trials,
   drawn once per requested observation time.
 
-Counts are int64 throughout with an overflow guard that aborts a replicate
-before any intermediate product can wrap.
+Replicates are simulated in blocks of ``BLOCK``.  Each generation step makes
+one multinomial call per parent type over the block's ``(B, J)`` count
+array, and every value is an array product over the block.  Block ``b``
+(replicates ``b*BLOCK`` to ``(b+1)*BLOCK - 1``) draws from
+``SeedSequence(master_seed, spawn_key=(b,))`` and is always simulated whole,
+then cut to ``R``; so replicate k depends only on ``(master_seed, k)`` and
+workers, which split whole blocks, never change a result.  A given
+(scenario, seed) draws differently than in v0.1.0, where each replicate had
+its own stream.
+
+Counts are int64 throughout with a per-replicate overflow guard: a
+replicate whose next generation could exceed the cap is aborted, and its
+counts are zeroed before any intermediate product can wrap.
 """
 
 from __future__ import annotations
@@ -39,18 +51,21 @@ __all__ = [
     "run_batch",
     "normalization",
     "OVERFLOW_CAP",
+    "BLOCK",
 ]
 
 OVERFLOW_CAP = 2**62
+BLOCK = 256
 CSV_COLUMNS = ("index", "survived", "W_hat", "zphi_re", "zphi_im", "T_re", "T_im")
 
 
 @dataclass(frozen=True)
 class GenerationState:
-    """Type counts of one generation."""
+    """Type counts of one generation: ``(J,)`` for one replicate or
+    ``(B, J)`` for a block of replicates."""
 
     generation: int
-    counts: np.ndarray  # (J,) int64
+    counts: np.ndarray  # int64
 
     @property
     def total(self) -> int:
@@ -92,15 +107,16 @@ def _max_offspring_total(model: BranchingModel) -> int:
 def step_generation(
     model: BranchingModel, state: GenerationState, rng: np.random.Generator
 ) -> tuple[GenerationState, dict]:
-    """Advance one generation; returns the new state and, per parent type,
-    the multinomial outcome counts that produced it (the coupling handle)."""
-    next_counts = np.zeros(model.J, dtype=np.int64)
+    """Advance one generation of one replicate (``(J,)`` counts) or of a
+    block (``(B, J)`` counts); returns the new state and, per parent type
+    present, the multinomial outcome counts that produced it (the coupling
+    handle), shaped ``(n_outcomes,)`` or ``(B, n_outcomes)``."""
+    next_counts = np.zeros(state.counts.shape, dtype=np.int64)
     draws: dict[int, np.ndarray] = {}
-    for j in range(model.J):
-        c = int(state.counts[j])
-        if c == 0:
+    for j, law in enumerate(model.laws):
+        c = state.counts[..., j]
+        if not c.any():
             continue
-        law = model.laws[j]
         nj = rng.multinomial(c, law.probs)
         draws[j] = nj
         next_counts += nj @ law.outcome_matrix()
@@ -129,6 +145,142 @@ def _validate_windows(phis: Sequence[Characteristic], ns: Sequence[int], N: int)
                     )
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """Everything a block needs that does not change across replicates."""
+
+    model: BranchingModel
+    phis: tuple[Characteristic, ...]
+    ns: tuple[int, ...]
+    N: int
+    total_limit: int  # a replicate with more individuals is aborted before its next draw
+    noise: tuple  # (p, t, k, j, probs, values) per in-window cell, in canonical order
+    S: SpectralData | None
+    w1_power: np.ndarray | None  # projected_power(S, 1, -N)
+    T_terms: dict  # t -> (x1 projected_power(S, 1, t-N), x2 pi2 A^t pi2 z0, r_t)
+
+
+def _plan(model, phis, n, N, ns, S, constants, overflow_cap) -> _Plan:
+    phis = (phis,) if isinstance(phis, Characteristic) else tuple(phis)
+    ns = tuple(sorted({int(t) for t in (ns if ns is not None else [n])}))
+    if not ns or ns[-1] > N or ns[0] < 0:
+        raise ValueError(f"requested times {ns} must be nonempty and lie within 0..{N}")
+    _validate_windows(phis, ns, N)
+    # Noise: one multinomial per (characteristic, time, age, type) cell, in
+    # canonical order so the stream is reproducible.
+    noise = tuple(
+        (p, t, k, j, law.probs, np.asarray(law.values, dtype=complex))
+        for p, phi in enumerate(phis)
+        for t in ns
+        for (k, j), law in sorted(phi.noise.items())
+        if 0 <= t - k <= N
+    )
+    w1_power = None
+    T_terms = {}
+    if S is not None:
+        w1_power = projected_power(S, 1, -N)
+        if constants is not None:
+            z0 = model.z0().astype(complex)
+            for t in ns:
+                T_terms[t] = (
+                    constants.x1 @ projected_power(S, 1, t - N),
+                    complex(constants.x2 @ (projected_power(S, 2, t) @ z0)),
+                    normalization(t, constants.case, constants.l_star, S.rho),
+                )
+    return _Plan(
+        model, phis, ns, N, overflow_cap // _max_offspring_total(model), noise, S, w1_power, T_terms
+    )
+
+
+def _simulate_block(
+    plan: _Plan, rng: np.random.Generator, B: int, first: int, keep: int, record_cells: bool
+) -> list[ReplicateResult]:
+    """Simulate B replicates together; return the first ``keep`` of them,
+    numbered from ``first``."""
+    model, N = plan.model, plan.N
+    states = np.zeros((N + 1, B, model.J), dtype=np.int64)
+    states[0] = model.z0()
+    aborted = np.zeros(B, dtype=bool)
+    draws_by_g = []
+    for g in range(N):
+        over = states[g].sum(axis=1) > plan.total_limit
+        if over.any():
+            aborted |= over
+            states[g, over] = 0
+        state, draws = step_generation(model, GenerationState(g, states[g]), rng)
+        states[g + 1] = state.counts
+        draws_by_g.append(draws)
+
+    X = states.astype(float)
+    if any(phi.coeff for phi in plan.phis):
+        # per-(generation, replicate) sum of centered offspring columns
+        dev = X[1:] - X[:-1] @ model.A.T
+    zphi: dict[tuple[int, int], np.ndarray] = {}
+    for p, phi in enumerate(plan.phis):
+        for t in plan.ns:
+            total = np.zeros(B, dtype=complex)
+            for k, row in phi.base.items():
+                if 0 <= t - k <= N:
+                    total += X[t - k] @ row
+            for k, row in phi.coeff.items():
+                if 0 <= t - k <= N - 1:
+                    total += dev[t - k] @ row
+            zphi[(p, t)] = total
+    noise_draws = []
+    for p, t, k, j, probs, values in plan.noise:
+        c = states[t - k, :, j]
+        if not c.any():
+            continue
+        counts = rng.multinomial(c, probs)
+        zphi[(p, t)] += counts @ values
+        noise_draws.append(((p, t, k, j), counts))
+
+    z_final = states[N].copy()
+    survived = (z_final.sum(axis=1) > 0).tolist()
+    w_hat = [None] * B
+    w1_hat = [None] * B
+    T: dict[tuple[int, int], list] = {}
+    if plan.S is not None:
+        zf = X[N]
+        w_hat = (np.real(zf @ plan.S.v) * plan.S.rho ** (-N)).tolist()
+        w1_hat = zf.astype(complex) @ plan.w1_power.T
+        for (p, t), z in zphi.items():
+            if t in plan.T_terms:
+                mart_row, critical, r_t = plan.T_terms[t]
+                T[(p, t)] = ((z - zf @ mart_row - critical) / r_t).tolist()
+    zphi_cols = {key: z.tolist() for key, z in zphi.items()}
+
+    out = []
+    for b in range(keep):
+        if aborted[b]:
+            out.append(ReplicateResult(
+                index=first + b, survived=True, aborted=True, z_final=None,
+                w_hat=None, w1_hat=None, zphi={}, T={}, cells=None,
+            ))
+            continue
+        cells = None
+        if record_cells:
+            cells = {
+                "offspring": {
+                    (g, j): nj[b] for g, draws in enumerate(draws_by_g)
+                    for j, nj in draws.items() if nj[b].any()
+                },
+                "noise": {key: counts[b] for key, counts in noise_draws if counts[b].any()},
+            }
+        out.append(ReplicateResult(
+            index=first + b,
+            survived=survived[b],
+            aborted=False,
+            z_final=z_final[b],
+            w_hat=w_hat[b],
+            w1_hat=w1_hat[b],
+            zphi={key: col[b] for key, col in zphi_cols.items()},
+            T={key: col[b] for key, col in T.items()},
+            cells=cells,
+        ))
+    return out
+
+
 def run_replicate(
     model: BranchingModel,
     phis: Characteristic | Sequence[Characteristic],
@@ -146,122 +298,18 @@ def run_replicate(
     """Simulate one replicate to generation N and evaluate every requested
     characteristic at every requested time (default: just ``n``).
 
-    ``seed`` may be an int, a SeedSequence or a Generator.  When spectral
-    data is supplied the replicate also carries the martingale estimates
+    ``seed`` may be an int, a SeedSequence or a Generator, which drives this
+    replicate alone (a block of one).  When spectral data is supplied the
+    replicate also carries the martingale estimates
     ``W_hat = <v, Z_N> rho^{-N}`` and ``W1_hat = A1^{-N} pi1 Z_N``; with
     constants as well, the recentered normalized statistic T at each time.
     """
-    if isinstance(phis, Characteristic):
-        phis = [phis]
-    phis = list(phis)
-    ns = sorted({int(t) for t in (ns if ns is not None else [n])})
-    if not ns or ns[-1] > N or ns[0] < 0:
-        raise ValueError(f"requested times {ns} must be nonempty and lie within 0..{N}")
-    _validate_windows(phis, ns, N)
-
+    plan = _plan(model, phis, n, N, ns, S, constants, overflow_cap)
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
-
-    J = model.J
-    worst_litter = _max_offspring_total(model)
-    states = np.zeros((N + 1, J), dtype=np.int64)
-    states[0] = model.z0()
-    draws_by_g: list[dict] = []
-    state = GenerationState(0, states[0])
-    for g in range(N):
-        if state.total * worst_litter > overflow_cap:
-            return ReplicateResult(
-                index=index, survived=True, aborted=True, z_final=None,
-                w_hat=None, w1_hat=None, zphi={}, T={}, cells=None,
-            )
-        state, draws = step_generation(model, state, rng)
-        states[g + 1] = state.counts
-        draws_by_g.append(draws)
-
-    # Per-(generation, type) sums of centered offspring columns: the exact
-    # aggregate of (l_u - A e_j) over the class, from the same draws that
-    # produced the next generation.
-    any_coeff = any(phi.coeff for phi in phis)
-    dev_sums = np.zeros((N, J, J), dtype=float)
-    if any_coeff:
-        for g, draws in enumerate(draws_by_g):
-            for j, nj in draws.items():
-                law = model.laws[j]
-                dev_sums[g, j] = nj @ law.outcome_matrix() - states[g, j] * model.A[:, j]
-
-    cells = None
-    if record_cells:
-        cells = {"offspring": {}, "noise": {}}
-        for g, draws in enumerate(draws_by_g):
-            for j, nj in draws.items():
-                cells["offspring"][(g, j)] = nj.copy()
-
-    zphi: dict[tuple[int, int], complex] = {}
-    for p, phi in enumerate(phis):
-        for t in ns:
-            total = 0.0 + 0.0j
-            for k, row in phi.base.items():
-                g = t - k
-                if 0 <= g <= N:
-                    total += complex(row @ states[g].astype(float))
-            for k, c_row in phi.coeff.items():
-                g = t - k
-                if 0 <= g <= N - 1:
-                    total += complex(c_row @ dev_sums[g].sum(axis=0))
-            zphi[(p, t)] = total
-
-    # Noise: one multinomial per (characteristic, time, age, type) cell, in
-    # canonical order so the stream is reproducible.
-    for p, phi in enumerate(phis):
-        if not phi.noise:
-            continue
-        for t in ns:
-            for (k, j), law in sorted(phi.noise.items()):
-                g = t - k
-                if not (0 <= g <= N):
-                    continue
-                c = int(states[g, j])
-                if c == 0:
-                    continue
-                counts = rng.multinomial(c, law.probs)
-                contrib = complex(sum(int(m) * v for m, v in zip(counts, law.values)))
-                zphi[(p, t)] += contrib
-                if record_cells:
-                    cells["noise"][(p, t, k, j)] = counts
-
-    z_final = states[N].copy()
-    survived = bool(z_final.sum() > 0)
-    w_hat = None
-    w1_hat = None
-    T: dict[tuple[int, int], complex] = {}
-    if S is not None:
-        zf = z_final.astype(float)
-        w_hat = float(np.real(S.v @ zf)) * S.rho ** (-N)
-        w1_hat = projected_power(S, 1, -N) @ zf.astype(complex)
-        if constants is not None:
-            z0 = states[0].astype(complex)
-            for p in range(len(phis)):
-                for t in ns:
-                    martingale_part = complex(
-                        constants.x1 @ (projected_power(S, 1, t - N) @ zf.astype(complex))
-                    )
-                    critical_part = complex(constants.x2 @ (projected_power(S, 2, t) @ z0))
-                    r_t = normalization(t, constants.case, constants.l_star, S.rho)
-                    T[(p, t)] = (zphi[(p, t)] - martingale_part - critical_part) / r_t
-
-    return ReplicateResult(
-        index=index,
-        survived=survived,
-        aborted=False,
-        z_final=z_final,
-        w_hat=w_hat,
-        w1_hat=w1_hat,
-        zphi=zphi,
-        T=T,
-        cells=cells,
-    )
+    return _simulate_block(plan, rng, 1, index, 1, record_cells)[0]
 
 
 @dataclass(frozen=True)
@@ -307,6 +355,10 @@ class BatchResult:
             "N": self.N,
             "times": list(self.ns),
             "master_seed": self.master_seed,
+            "stream_layout": {
+                "block": BLOCK,
+                "seed": "SeedSequence(master_seed, spawn_key=(block,))",
+            },
         }
         ws = [r.w_hat for r in self.replicates if r.w_hat is not None and not r.aborted]
         if ws:
@@ -339,22 +391,15 @@ def _fmt(x) -> str:
     return "nan" if x is None else format(float(x), ".17g")
 
 
-def _replicate_seed(master_seed: int, idx: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(idx,))
-
-
-def _run_chunk(args) -> list[ReplicateResult]:
-    (lo, hi, model, phis, n, N, master_seed, S, constants, ns, record_cells, cap) = args
+def _run_blocks(args) -> list[ReplicateResult]:
+    """Blocks lo..hi-1 of a batch of R replicates, each simulated whole."""
+    plan, master_seed, lo, hi, R, record_cells = args
     out = []
-    for idx in range(lo, hi):
-        rng = np.random.Generator(np.random.PCG64(_replicate_seed(master_seed, idx)))
-        out.append(
-            run_replicate(
-                model, phis, n, N, rng,
-                S=S, constants=constants, ns=ns, index=idx,
-                record_cells=record_cells, overflow_cap=cap,
-            )
-        )
+    for b in range(lo, hi):
+        seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(b,))
+        rng = np.random.Generator(np.random.PCG64(seed))
+        first = b * BLOCK
+        out.extend(_simulate_block(plan, rng, BLOCK, first, min(BLOCK, R - first), record_cells))
     return out
 
 
@@ -373,40 +418,32 @@ def run_batch(
     record_cells: bool = False,
     overflow_cap: int = OVERFLOW_CAP,
 ) -> BatchResult:
-    """R independent replicates with per-index seed streams.
+    """R independent replicates, simulated in whole blocks of ``BLOCK``.
 
-    Replicate i always uses SeedSequence(master_seed, spawn_key=(i,)), so the
+    Block b always uses SeedSequence(master_seed, spawn_key=(b,)), so the
     result is byte-identical for any worker count; workers only split the
-    index range.
+    block range, and run in-process below two blocks per worker.
     """
-    if isinstance(phis, Characteristic):
-        phis = [phis]
-    phis = list(phis)
-    ns_eff = tuple(sorted({int(t) for t in (ns if ns is not None else [n])}))
+    plan = _plan(model, phis, n, N, ns, S, constants, overflow_cap)
+    n_blocks = -(-R // BLOCK)
     workers = max(1, int(workers))
-    if workers == 1 or R < 2 * workers:
-        results = _run_chunk(
-            (0, R, model, phis, n, N, master_seed, S, constants, ns_eff, record_cells, overflow_cap)
-        )
+    if workers == 1 or n_blocks < 2 * workers:
+        results = _run_blocks((plan, master_seed, 0, n_blocks, R, record_cells))
     else:
-        n_chunks = min(R, workers * 4)
-        bounds = np.linspace(0, R, n_chunks + 1, dtype=int)
+        bounds = np.linspace(0, n_blocks, min(n_blocks, workers * 4) + 1, dtype=int)
         tasks = [
-            (int(lo), int(hi), model, phis, n, N, master_seed, S, constants, ns_eff,
-             record_cells, overflow_cap)
+            (plan, master_seed, int(lo), int(hi), R, record_cells)
             for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
         ]
         results = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_run_chunk, tasks):
+            for chunk in pool.map(_run_blocks, tasks):
                 results.extend(chunk)
-    results.sort(key=lambda r: r.index)
     return BatchResult(
         replicates=tuple(results),
         n=n,
         N=N,
-        ns=ns_eff,
+        ns=plan.ns,
         master_seed=master_seed,
-        n_phis=len(phis),
+        n_phis=len(plan.phis),
     )

@@ -14,7 +14,7 @@ from cmjsim import (
     star_transform,
 )
 from cmjsim.characteristics import NoiseLaw, make_table_characteristic
-from cmjsim.simulator import GenerationState, normalization, step_generation
+from cmjsim.simulator import BLOCK, GenerationState, normalization, step_generation
 from cmjsim.spectral import projected_power
 
 from oracles import naive_process_value, replay_states
@@ -54,27 +54,79 @@ def test_one_step_conditional_mean(mirror):
         assert abs(acc[i] / trials - expect[i]) < 4 * se + 1e-9
 
 
-def test_aggregated_values_equal_per_individual_replay(mirror):
-    """The multinomial aggregation must reproduce, exactly, the sum over
-    individuals of base + centered-litter + noise contributions."""
-    model, S = mirror.model, mirror.S
-    star = star_transform(make_indicator_characteristic([1.0, -1.0]), S, model=model, n_max=10)
+def _mirror_replay_phis(mirror):
+    """A star characteristic and a table with base, coeff and noise cells."""
+    star = star_transform(
+        make_indicator_characteristic([1.0, -1.0]), mirror.S, model=mirror.model, n_max=10
+    )
     noisy = make_table_characteristic(
         2,
         base={0: np.array([1.0, 2.0]), 1: np.array([0.5, 0.0])},
         coeff={0: np.array([1.0, -1.0]), 2: np.array([0.25, 0.5])},
         noise={(0, 0): NoiseLaw((0.5, 0.5), (0.0, 2.0)), (1, 1): NoiseLaw((0.2, 0.8), (1.0, -1.0))},
     )
-    phis = [star.characteristic, noisy]
+    return [star.characteristic, noisy]
+
+
+def _assert_replays(model, phis, rep, times, N):
+    """The replicate's values equal the per-individual replay of its cells."""
+    states = replay_states(model, rep.cells, N)
+    assert np.array_equal(states[N], rep.z_final), rep.index
+    for p, phi in enumerate(phis):
+        for t in times:
+            naive = naive_process_value(model, phi, rep.cells, states, t, N, phi_index=p)
+            fast = rep.zphi[(p, t)]
+            assert abs(fast - naive) < 1e-9 * max(1.0, abs(naive)), (rep.index, p, t)
+
+
+def test_aggregated_values_equal_per_individual_replay(mirror):
+    """The multinomial aggregation must reproduce, exactly, the sum over
+    individuals of base + centered-litter + noise contributions."""
+    phis = _mirror_replay_phis(mirror)
     for seed in range(6):
-        rep = run_replicate(model, phis, n=8, N=10, seed=seed, ns=[4, 8], record_cells=True)
-        states = replay_states(model, rep.cells, 10)
-        for p, phi in enumerate(phis):
-            for t in (4, 8):
-                naive = naive_process_value(model, phi, rep.cells, states, t, 10, phi_index=p)
-                fast = rep.zphi[(p, t)]
-                scale = max(1.0, abs(naive))
-                assert abs(fast - naive) < 1e-9 * scale, (seed, p, t)
+        rep = run_replicate(mirror.model, phis, n=8, N=10, seed=seed, ns=[4, 8], record_cells=True)
+        assert rep.cells["noise"]
+        _assert_replays(mirror.model, phis, rep, (4, 8), 10)
+
+
+def test_block_replicates_replay_per_individual(mirror):
+    """Replicates from the middle of the second block replay exactly, coeff
+    and noise cells included."""
+    phis = _mirror_replay_phis(mirror)
+    batch = run_batch(
+        mirror.model, phis, n=8, N=10, R=2 * BLOCK, master_seed=8_128, ns=[4, 8],
+        record_cells=True,
+    )
+    mid = BLOCK + BLOCK // 2
+    for rep in batch.replicates[mid - 3 : mid + 3]:
+        assert rep.cells["noise"]
+        _assert_replays(mirror.model, phis, rep, (4, 8), 10)
+
+
+def test_overflow_aborts_part_of_a_block(single_type):
+    """The overflow guard is per replicate: aborted replicates carry no
+    values, and the rest of the block still replays exactly."""
+    model = single_type.model
+    noisy = make_table_characteristic(
+        1,
+        base={0: np.array([1.0]), 2: np.array([-0.5])},
+        coeff={0: np.array([2.0]), 1: np.array([0.5])},
+        noise={(0, 0): NoiseLaw((0.25, 0.75), (3.0, -1.0))},
+    )
+    batch = run_batch(
+        model, noisy, n=8, N=9, R=BLOCK, master_seed=77, S=single_type.S,
+        record_cells=True, overflow_cap=600,
+    )
+    aborted = [r for r in batch.replicates if r.aborted]
+    kept = [r for r in batch.replicates if not r.aborted]
+    assert aborted and kept
+    for rep in aborted:
+        assert rep.z_final is None and rep.w_hat is None and rep.zphi == {}
+    for rep in kept:
+        # litters are 1 or 3, so a kept replicate never had more than 600 // 3
+        # individuals before its last draw
+        assert rep.z_final.sum() <= 600
+        _assert_replays(model, [noisy], rep, (8,), 9)
 
 
 def test_replayed_states_match_final_count(single_type):
@@ -109,6 +161,32 @@ def test_batch_results_independent_of_worker_count(mirror):
             assert np.array_equal(r_ref.z_final, r_b.z_final)
             assert r_ref.zphi == r_b.zphi
             assert r_ref.w_hat == r_b.w_hat
+
+
+def test_csv_identical_across_workers_over_many_blocks(tmp_path, mirror):
+    """Workers split whole blocks: eight blocks (the last one cut) run in a
+    pool at two and four workers and give the in-process bytes."""
+    kw = dict(
+        n=8, N=10, R=7 * BLOCK + 5, master_seed=60_013, S=mirror.S, constants=mirror.constants
+    )
+    texts = []
+    for w in (1, 2, 4):
+        path = tmp_path / f"w{w}.csv"
+        run_batch(mirror.model, mirror.phi, workers=w, **kw).to_csv(path)
+        texts.append(path.read_bytes())
+    assert texts[0].count(b"\n") == 1 + kw["R"]
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
+@pytest.mark.parametrize("R", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_batch_prefix_stability_across_block_boundaries(mirror, R):
+    kw = dict(n=6, N=8, master_seed=4_243, S=mirror.S)
+    large = run_batch(mirror.model, mirror.phi, R=3 * BLOCK, **kw)
+    small = run_batch(mirror.model, mirror.phi, R=R, **kw)
+    assert [r.index for r in small.replicates] == list(range(R))
+    for r_s, r_l in zip(small.replicates, large.replicates):
+        assert r_s.zphi == r_l.zphi and r_s.w_hat == r_l.w_hat
+        assert np.array_equal(r_s.z_final, r_l.z_final)
 
 
 def test_batch_prefix_stability(mirror):
