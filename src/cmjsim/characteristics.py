@@ -27,8 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import BranchingModel
-from .spectral import SpectralData, projected_power
+from .model import BranchingModel, mixing_covariance
+from .spectral import SpectralData, m_norm2, power_scaled, projected_power, scaled_tail, unscaled
 
 __all__ = [
     "NoiseLaw",
@@ -37,15 +37,11 @@ __all__ = [
     "Phi1Characteristic",
     "make_indicator_characteristic",
     "make_table_characteristic",
-    "characteristic_mean",
-    "characteristic_variance",
     "star_transform",
     "make_phi1",
     "expected_process",
     "assumption_sums",
 ]
-
-_MAX_TAIL_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -230,25 +226,13 @@ def make_table_characteristic(J, base=None, coeff=None, noise=None, label="table
     return Characteristic(J=J, base=base or {}, coeff=coeff or {}, noise=noise or {}, label=label)
 
 
-def characteristic_mean(phi: Characteristic, k: int) -> np.ndarray:
-    return phi.mean(k)
-
-
-def characteristic_variance(phi: Characteristic, k: int, model: BranchingModel) -> np.ndarray:
-    return phi.variance(k, model)
-
-
 def _summability_sum(rows: dict, S: SpectralData, model: BranchingModel, tail_keys) -> tuple[float, float, bool]:
     """Partial sum of rho^{-k} u-weighted variances plus a tail-ratio certificate."""
-    total = 0.0
-    terms = {}
-    for k, row in rows.items():
-        var_u = 0.0
-        for j in range(model.J):
-            var_u += float(S.u[j]) * float(np.real(row @ model.covs[j] @ row.conj()))
-        t = S.rho ** (-k) * var_u
-        terms[k] = t
-        total += t
+    M = mixing_covariance(model, S.u)
+    ks = list(rows)
+    scaled = power_scaled(np.array([rows[k] for k in ks]).reshape(-1, S.J), S.rho, np.array(ks) / 2)
+    terms = dict(zip(ks, m_norm2(M, scaled).tolist()))
+    total = sum(terms.values())
     ratio = 0.0
     tail = [k for k in tail_keys if terms.get(k, 0.0) > 0.0]
     if len(tail) >= 2:
@@ -378,45 +362,28 @@ def make_phi1(
     the generation increments); with the full tail it is the gap to the
     martingale limit itself.
 
-    The infinite tail is truncated at the first k where the term's weighted
-    variance contribution ``rho^{-k} |coeff(k)|^2 max_j |Cov L^(j)|`` drops
-    below ``eps_tail`` (geometric certificate reported as ``discarded_mass``);
-    passing ``k_min`` forces a hard window ``[k_min, 0]`` instead.
+    The rows come from ``scaled_tail`` with the descending step, which also
+    decides where the infinite tail stops and certifies the discarded part
+    (``discarded_mass``); passing ``k_min`` forces a hard window
+    ``[k_min, 0]`` instead, and certifies nothing.  A row that underflows to
+    zero before its tail certifies raises a bare ``ArithmeticError``: dropping
+    it would change the characteristic.  Without a model the terms use the
+    plain norm ``|row|^2`` in place of ``|row|_M^2``.
     """
     x1 = np.asarray(x1, dtype=complex).reshape(-1)
     J = x1.shape[0]
-    cov_scale = 1.0
-    if model is not None:
-        cov_scale = max(1e-300, max(float(np.linalg.norm(c, 2)) for c in model.covs))
-    row = x1 @ projected_power(S, 1, -1)  # A1^{k-1} at k = 0
-    if not np.any(np.abs(row) > 0):
+    w = x1 @ projected_power(S, 1, -1)  # A1^{k-1} at k = 0
+    if not np.any(np.abs(w) > 0):
         return Phi1Characteristic(J=J, label="phi1", k_low=0, discarded_mass=0.0)
 
-    step_back = S.step(1, -1)
-    coeff: dict[int, np.ndarray] = {}
-    k = 0
-    prev_term = None
-    ratio = 0.0
-    while True:
-        term = S.rho ** (-k) * float(np.linalg.norm(row) ** 2) * cov_scale
-        if prev_term is not None and prev_term > 0:
-            ratio = term / prev_term
-        if k_min is not None:
-            if k < k_min:
-                break
-        elif k < 0 and term < eps_tail:
-            break
-        coeff[k] = row
-        prev_term = term
-        row = row @ step_back
-        k -= 1
-        if -k > _MAX_TAIL_ITER:
-            raise ArithmeticError("phi1 tail did not reach the truncation threshold")
-    if ratio <= 0.0 or ratio >= 1.0:
-        # fall back to the spectral bound rho / s1^2 < 1
-        ratio = min(0.5, S.rho ** (-S.delta)) if S.delta > 0 else 0.5
-    last_term = S.rho ** (-k) * float(np.linalg.norm(row) ** 2) * cov_scale
-    discarded = last_term / max(1e-300, 1.0 - ratio)
+    M = mixing_covariance(model, S.u) if model is not None else np.eye(J)
+    count = None if k_min is None else max(0, 1 - k_min)
+    scaled, _, discarded = scaled_tail(S, M, w, -1, "phi1 tail", eps_tail, count)
+    coeff = {}
+    for m, row in enumerate(unscaled(S, scaled, -np.arange(len(scaled)))):
+        if row is None:
+            raise ArithmeticError(f"phi1 row at k={-m} underflows float64 before its tail certifies")
+        coeff[-m] = row
     return Phi1Characteristic(
         J=J,
         coeff=coeff,
@@ -452,11 +419,10 @@ def assumption_sums(phi: Characteristic, S: SpectralData, model: BranchingModel)
     Records ``sum_k |E phi(k)| (rho^{-k} + theta^{-k})`` and
     ``sum_k |Var phi(k)| rho^{-k}``; both are finite for finite tables.
     """
-    mean_sum = 0.0
-    var_sum = 0.0
-    for k in phi.value_keys:
-        m = float(np.linalg.norm(phi.mean(k)))
-        var = float(np.linalg.norm(phi.variance(k, model)))
-        mean_sum += m * (S.rho ** (-k) + S.theta ** (-k))
-        var_sum += var * S.rho ** (-k)
-    return {"mean_weighted_sum": mean_sum, "variance_weighted_sum": var_sum}
+    ks = np.array(phi.value_keys)
+    mean = np.array([np.linalg.norm(phi.mean(k)) for k in phi.value_keys])
+    var = np.array([np.linalg.norm(phi.variance(k, model)) for k in phi.value_keys])
+    return {
+        "mean_weighted_sum": float(np.sum(power_scaled(mean, S.rho, ks) + power_scaled(mean, S.theta, ks))),
+        "variance_weighted_sum": float(np.sum(power_scaled(var, S.rho, ks))),
+    }

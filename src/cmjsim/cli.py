@@ -151,7 +151,6 @@ def _spectral_report(S) -> dict:
         "v": S.v,
         "theta": S.theta,
         "delta": S.delta,
-        "decay_C": S.decay_C,
         "clusters": [
             {
                 "eigenvalue": complex(cl.eigenvalue),

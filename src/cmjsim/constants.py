@@ -12,7 +12,8 @@ enumerated column covariances:
   finitely supported mean table every branch is an exact finite sum.
 * ``sigma2`` — the case-i variance, a two-sided series with geometric tails
   (ratio rho/s1^2 below, theta^2/rho above); partial sums are monotone
-  because every term is a nonnegative weighted variance.
+  because every term is a nonnegative weighted variance.  The tails go
+  through the one scaled engine ``spectral.scaled_tail``.
 * ``sigma_star2`` — the same quantity reached through the direct row-power
   route, kept as an independent implementation so the two paths can be
   compared rather than collapsed.
@@ -27,8 +28,8 @@ from typing import Mapping
 import numpy as np
 
 from .characteristics import Characteristic, assumption_sums, make_indicator_characteristic
-from .model import BranchingModel
-from .spectral import SpectralData, projected_power
+from .model import BranchingModel, mixing_covariance
+from .spectral import SpectralData, m_norm2, power_scaled, projected_power, scaled_tail, unscaled
 
 __all__ = [
     "TheoreticalConstants",
@@ -43,7 +44,6 @@ __all__ = [
 ]
 
 L_STAR_TOL = 1e-12
-_MAX_WINDOW = 10_000
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,7 @@ def compute_sigma_l(x2: np.ndarray, S: SpectralData, model: BranchingModel, l: i
     with N_lambda the nilpotent part of the cluster at lambda.  Exact finite
     linear algebra (the nilpotent powers terminate)."""
     x2 = np.asarray(x2, dtype=complex).reshape(-1)
+    M = mixing_covariance(model, S.u)
     total = 0.0
     for cl in S.clusters:
         if cl.label != "critical":
@@ -103,8 +104,7 @@ def compute_sigma_l(x2: np.ndarray, S: SpectralData, model: BranchingModel, l: i
         lam = cl.eigenvalue
         for _ in range(l):
             row = row @ (S.A - lam * np.eye(S.J)) @ cl.projection
-        for j in range(model.J):
-            total += float(S.u[j]) * float(np.real(row @ model.covs[j] @ row.conj()))
+        total += float(m_norm2(M, row))
     scale = S.rho ** (-(l + 1)) / ((2 * l + 1) * factorial(l) ** 2)
     return scale * total
 
@@ -120,13 +120,12 @@ def find_l_star(sigma_l: tuple[float, ...], tol: float = L_STAR_TOL) -> int | No
     return max(hits) if hits else None
 
 
-def compute_B(source, S: SpectralData, k: int, eps_tail: float = 1e-14) -> np.ndarray:
+def compute_B(source, S: SpectralData, k: int) -> np.ndarray:
     """Centering row B(k) = sum_l E phi(k-l-1) A^l P(k,l), where the piecewise
     projector P picks -pi1 on l < 0 and pi2 + pi3 on l >= 0 when k <= 0, and
     -(pi1 + pi2) on l < 0 and pi3 on l >= 0 when k > 0.  Negative powers act
     on the corresponding invariant subspace.  For a finite mean table every
-    branch is a finite sum, so ``eps_tail`` is unused (kept for signature
-    stability)."""
+    branch is a finite sum."""
     mt = _as_mean_table(source)
     row = np.zeros(S.J, dtype=complex)
     for m, phi_row in mt.items():
@@ -144,104 +143,64 @@ def compute_B(source, S: SpectralData, k: int, eps_tail: float = 1e-14) -> np.nd
     return row
 
 
-def _u_weighted_variance(row: np.ndarray, S: SpectralData, model: BranchingModel) -> float:
-    total = 0.0
-    for j in range(model.J):
-        total += float(S.u[j]) * float(np.real(row @ model.covs[j] @ row.conj()))
-    return total
-
-
-def _tail_ratios(S: SpectralData) -> tuple[float, float]:
-    """Structural geometric ratios: (descending tail, ascending tail)."""
-    supers = [abs(cl.eigenvalue) for cl in S.clusters if cl.label == "super"]
-    s1 = min(supers) if supers else S.rho
-    r_down = S.rho / (s1 * s1)  # < 1 whenever the supercritical gap is real
-    r_up = (S.theta**2) / S.rho  # < 1 by the choice of theta
-    return min(r_down, 1.0 - 1e-12), min(r_up, 1.0 - 1e-12)
-
-
 def compute_sigma2(
     phi: Characteristic,
     S: SpectralData,
     model: BranchingModel,
     eps_tail: float = 1e-14,
-    eps_report: float = 1e-10,
     window: tuple[int, int] | None = None,
     return_details: bool = False,
 ):
     """Case-i variance sigma^2 = sum_k rho^{-k} u-weighted Var[phi(k) + psi(k)],
     where psi(k) = B(k) . (own column - its mean) recenters the counted
     process.  Returns ``(value, error)`` with ``error`` a certified bound on
-    the discarded two-sided tail (geometric on both sides).  A hard ``window``
-    truncates without tail extension (partial sums are monotone in the
-    window, every term being nonnegative)."""
+    the discarded two-sided tail (geometric on both sides).
+
+    ``B`` is evaluated directly on the window where its piecewise projector
+    changes, ``min(min age, 0) <= k <= max(max age + 1, 1)`` widened to the
+    coeff and noise keys.  Beyond it ``B(k+1) = B(k) pi3 A pi3`` and
+    ``B(k-1) = B(k) pi1 A1^{-1} pi1``, so both tails go to ``scaled_tail``.
+    A hard ``window`` sums the same rows between fixed ends, without tail
+    extension (partial sums are monotone in the window, every term being
+    nonnegative).  With ``return_details`` a third item maps every summed k
+    to the unscaled ``B(k)``, or to None where that row lies outside float64
+    range."""
     mt = phi.mean_table()
+    M = mixing_covariance(model, S.u)
     noise_u: dict[int, float] = {}
     for (k, j), law in phi.noise.items():
         noise_u[k] = noise_u.get(k, 0.0) + float(S.u[j]) * law.variance()
 
-    b_cache: dict[int, np.ndarray] = {}
-
-    def b_row(k: int) -> np.ndarray:
-        if k not in b_cache:
-            b_cache[k] = compute_B(mt, S, k, eps_tail)
-        return b_cache[k]
-
-    def term(k: int) -> float:
-        row = b_row(k)
-        c = phi.coeff.get(k)
-        if c is not None:
-            row = row + c
-        t = S.rho ** (-k) * _u_weighted_variance(row, S, model)
-        return t + S.rho ** (-k) * noise_u.get(k, 0.0)
-
-    keys = set(phi.value_keys)
+    keys = set(phi.value_keys) | {0, 1}
     if mt:
-        keys |= {min(mt), max(mt) + 1}
-    if not keys:
-        result = (0.0, 0.0)
-        return (result[0], result[1], {}) if return_details else result
+        keys.add(max(mt) + 1)
+    lo, hi = min(keys), max(keys)
+    ks = np.arange(lo, hi + 1)
+    B = np.array([compute_B(mt, S, k) for k in ks])
+    coeff = np.array([phi.coeff.get(k, np.zeros(S.J)) for k in ks])
+    noise = np.array([noise_u.get(k, 0.0) for k in ks])
+    k_parts = [ks]
+    t_parts = [m_norm2(M, power_scaled(B + coeff, S.rho, ks / 2)) + power_scaled(noise, S.rho, ks)]
+    table = list(B)
 
-    if window is not None:
-        k_lo, k_hi = window
-        value = sum(term(k) for k in range(k_lo, k_hi + 1))
+    up, down = (None, None) if window is None else (max(0, window[1] - hi), max(0, lo - window[0]))
+    error = 0.0
+    for first, sign, count in ((hi + 1, 1, up), (lo - 1, -1, down)):
+        w = power_scaled(compute_B(mt, S, first), S.rho, first / 2)
+        rows, terms, tail_error = scaled_tail(S, M, w, sign, "sigma2 tail", eps_tail, count)
+        ks = first + sign * np.arange(len(terms))
+        error += tail_error
+        k_parts.append(ks)
+        t_parts.append(terms)
         if return_details:
-            return value, float("inf"), {k: b_cache[k] for k in sorted(b_cache)}
-        return value, float("inf")
-
-    base_lo, base_hi = min(keys), max(keys)
-    r_down, r_up = _tail_ratios(S)
-    # Periodic mean matrices interleave exact zeros into the series, so a
-    # single small term does not certify the tail: require a streak longer
-    # than any possible period before stopping.
-    streak_needed = 2 * S.J + 2
-    value = 0.0
-    k = base_lo
-    streak = 0
-    while k <= base_hi or streak < streak_needed:
-        t = term(k)
-        value += t
-        streak = streak + 1 if t < eps_tail else 0
-        k += 1
-        if k - base_hi > _MAX_WINDOW:
-            raise ArithmeticError("sigma2 upper tail failed to certify")
-    k_hi = k - 1
-    err_up = eps_tail * streak_needed * r_up / (1.0 - r_up)
-    k = base_lo - 1
-    streak = 0
-    while streak < streak_needed:
-        t = term(k)
-        value += t
-        streak = streak + 1 if t < eps_tail else 0
-        k -= 1
-        if base_lo - k > _MAX_WINDOW:
-            raise ArithmeticError("sigma2 lower tail failed to certify")
-    k_lo = k + 1
-    err_down = eps_tail * streak_needed * r_down / (1.0 - r_down)
-    error = err_up + err_down
+            table += unscaled(S, rows, ks)
+    ks, terms = np.concatenate(k_parts), np.concatenate(t_parts)
+    keep = np.full(len(ks), True) if window is None else (ks >= window[0]) & (ks <= window[1])
+    value = float(np.sum(terms[keep]))
+    if not np.isfinite(value):
+        raise ArithmeticError("sigma2 lies outside float64 range")
     if return_details:
-        table = {kk: b_cache[kk] for kk in sorted(b_cache) if k_lo <= kk <= k_hi}
-        return value, error, table
+        return value, error, {int(ks[i]): table[i] for i in np.argsort(ks) if keep[i]}
     return value, error
 
 
@@ -250,15 +209,15 @@ def compute_sigma_star2(
     S: SpectralData,
     model: BranchingModel,
     eps_tail: float = 1e-14,
-    eps_report: float = 1e-10,
 ) -> tuple[float, float]:
     """Direct-route variance for an age-0 indicator row with a . u = 0:
 
         sigma*^2 = sum_{k>=1} rho^{-k} |a A^{k-1} pi3|_M^2
                  + sum_{k<=0} rho^{-k} |a A1^{k-1} pi1|_M^2,
 
-    with M = sum_j u_j Cov L^(j) and |w|_M^2 = w M w^H.  Rejects rows whose
-    Perron component does not vanish."""
+    with M = sum_j u_j Cov L^(j) and |w|_M^2 = w M w^H.  The rows start at
+    ``a pi3`` (k = 1) and ``a pi1 A1^{-1}`` (k = 0), with no mean table and no
+    ``B``.  Rejects rows whose Perron component does not vanish."""
     a = np.asarray(a, dtype=complex).reshape(-1)
     au = complex(a @ S.u.astype(complex))
     scale = max(1.0, float(np.linalg.norm(a)) * float(np.linalg.norm(S.u)))
@@ -266,51 +225,12 @@ def compute_sigma_star2(
         raise ValueError(
             f"sigma_star2 requires a Perron-orthogonal row (|a.u| = {abs(au):.3e})"
         )
-    M = np.zeros((S.J, S.J), dtype=float)
-    for j in range(model.J):
-        M = M + float(S.u[j]) * model.covs[j]
-    r_down, r_up = _tail_ratios(S)
-
-    def m_norm(w: np.ndarray) -> float:
-        return float(np.real(w @ M @ w.conj()))
-
-    # see compute_sigma2: a streak longer than any period is required before
-    # a tail may be declared negligible
-    streak_needed = 2 * S.J + 2
-    value = 0.0
-    # ascending series: rows a pi3 (pi3 A pi3)^{k-1}, k >= 1
-    row = a @ S.pi3
-    err_up = 0.0
-    if np.linalg.norm(row) > 0:
-        step = S.step(3, +1)
-        k = 1
-        streak = 0
-        while streak < streak_needed:
-            t = S.rho ** (-k) * m_norm(row)
-            value += t
-            streak = streak + 1 if t < eps_tail else 0
-            row = row @ step
-            k += 1
-            if k > _MAX_WINDOW:
-                raise ArithmeticError("sigma_star2 ascending tail failed to certify")
-        err_up = eps_tail * streak_needed * r_up / (1.0 - r_up)
-    # descending series: rows a pi1 A1^{k-1}, k <= 0
-    row = a @ projected_power(S, 1, -1)
-    err_down = 0.0
-    if np.linalg.norm(row) > 0:
-        step = S.step(1, -1)
-        k = 0
-        streak = 0
-        while streak < streak_needed:
-            t = S.rho ** (-k) * m_norm(row)
-            value += t
-            streak = streak + 1 if t < eps_tail else 0
-            row = row @ step
-            k -= 1
-            if -k > _MAX_WINDOW:
-                raise ArithmeticError("sigma_star2 descending tail failed to certify")
-        err_down = eps_tail * streak_needed * r_down / (1.0 - r_down)
-    return value, err_up + err_down
+    M = mixing_covariance(model, S.u)
+    _, up, err_up = scaled_tail(S, M, a @ S.pi3 / S.sqrt_rho, 1, "sigma_star2 ascending tail", eps_tail)
+    _, down, err_down = scaled_tail(
+        S, M, a @ projected_power(S, 1, -1), -1, "sigma_star2 descending tail", eps_tail
+    )
+    return float(np.sum(up) + np.sum(down)), err_up + err_down
 
 
 def compute_constants(
@@ -335,7 +255,7 @@ def compute_constants(
     sigma_l = compute_sigma_l_table(x2, S, model)
     l_star = find_l_star(sigma_l)
     sigma2, sigma2_err, b_table = compute_sigma2(
-        phi, S, model, eps_tail=eps_tail, eps_report=eps_report, return_details=True
+        phi, S, model, eps_tail=eps_tail, return_details=True
     )
 
     sigma_star2 = None
@@ -343,9 +263,7 @@ def compute_constants(
     notes: dict = {"assumption_sums": assumption_sums(phi, S, model)}
     if a_row is not None:
         try:
-            sigma_star2, sigma_star2_err = compute_sigma_star2(
-                a_row, S, model, eps_tail=eps_tail, eps_report=eps_report
-            )
+            sigma_star2, sigma_star2_err = compute_sigma_star2(a_row, S, model, eps_tail=eps_tail)
         except ValueError as exc:
             notes["sigma_star2_skipped"] = str(exc)
 

@@ -28,7 +28,6 @@ __all__ = [
     "enumerate_column_outcomes",
     "perron_root",
     "is_primitive",
-    "row_variance",
     "mixing_covariance",
 ]
 
@@ -290,12 +289,6 @@ def enumerate_column_outcomes(model: BranchingModel, j: int) -> list[tuple[objec
         (law.probs_exact[m], np.asarray(law.counts[m], dtype=np.int64))
         for m in range(law.n_outcomes)
     ]
-
-
-def row_variance(model: BranchingModel, w: np.ndarray, j: int) -> float:
-    """Var[w . L^(j)] for a complex row w, via the enumerated covariance."""
-    w = np.asarray(w, dtype=complex)
-    return float(np.real(w @ model.covs[j] @ w.conj()))
 
 
 def mixing_covariance(model: BranchingModel, weights: np.ndarray) -> np.ndarray:

@@ -25,10 +25,18 @@ and is then amplified by ``rho^k``, which destroys the (much smaller)
 restricted component.  Instead every restricted power iterates with the
 re-projected one-step matrix ``pi A pi`` (or ``pi A1^{-1} pi`` for negative
 powers), which re-annihilates the leakage at every step.
+
+The limit constants are two-sided series of ``rho^{-k} |R(k)|_M^2``.  Their
+infinite tails all go through ``scaled_tail``, which iterates the rows
+scaled by ``rho^{-k/2}`` with the steps ``rho^{-1/2} pi3 A pi3`` (ascending)
+and ``rho^{1/2} pi1 A1^{-1} pi1`` (descending).  Neither ``rho^{-k}`` nor the
+unscaled row is formed, so near-critical spectral gaps, whose tails run to
+thousands of terms, stay inside float64 range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,16 +48,21 @@ __all__ = [
     "spectral_decompose",
     "matrix_power_restricted",
     "projected_power",
+    "power_scaled",
+    "unscaled",
+    "m_norm2",
+    "scaled_tail",
     "DEFAULT_TOL",
 ]
 
 DEFAULT_TOL = 1e-9
+_MAX_WINDOW = 10_000
+_MAX_BLOCK = 256
+_LOG_RANGE = 700.0  # |log| of a float64 comfortably inside the normal range
 
 SUPER = "super"
 CRITICAL = "critical"
 SUB = "sub"
-
-_DECAY_HORIZON = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +84,7 @@ class SpectralData:
     ``A1``/``A2`` act as ``A`` on the super/critical invariant subspace and as
     the identity on the complement; both are invertible.  ``D`` and ``N`` are
     the diagonalizable and nilpotent parts of ``pi2 A``.  ``theta`` is a decay
-    bound with ``|pi3 A^n| <= C theta^n`` (C reported as ``decay_C``);
+    rate with ``|pi3 A^n| <= C theta^n`` for some unreported constant C;
     ``delta`` quantifies the gap ``|A1^{-n}|^2 <= C rho^{-(1+delta) n}``.
     """
 
@@ -93,7 +106,6 @@ class SpectralData:
     N: np.ndarray
     theta: float
     delta: float
-    decay_C: float
     residuals: dict
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -316,16 +328,6 @@ def spectral_decompose(A: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralData:
     else:
         delta = 0.0
 
-    # measured decay constant sup_n |pi3 A^n| / theta^n over the check horizon
-    decay_C = 0.0
-    if np.linalg.norm(pi3) > tol:
-        step3 = pi3 @ Ac @ pi3
-        M = pi3
-        decay_C = float(np.linalg.norm(M, 2))
-        for k in range(1, _DECAY_HORIZON + 1):
-            M = step3 @ M
-            decay_C = max(decay_C, float(np.linalg.norm(M, 2)) / theta**k)
-
     residuals = _invariant_residuals(
         A, clusters, pi1, pi2, pi3, A1, A1_inv, D, N, u, v, rho
     )
@@ -355,7 +357,6 @@ def spectral_decompose(A: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralData:
         N=N,
         theta=theta,
         delta=delta,
-        decay_C=decay_C,
         residuals=residuals,
     )
 
@@ -398,23 +399,22 @@ def projected_power(S: SpectralData, i: int, k: int) -> np.ndarray:
     """The restricted power ``pi_i A^k pi_i`` for any integer k (i in {1, 2}).
 
     Negative powers use the invertibility of A on the super/critical
-    subspaces.  For i = 3 only k >= 0 is defined.  Results are cached on the
-    SpectralData instance.
+    subspaces.  For i = 3 only k >= 0 is defined.  Every power up to |k| is
+    cached on the SpectralData instance; a power outside float64 range
+    raises a bare ``ArithmeticError``.
     """
-    key = ("pp", i, k)
-    cache = S._cache
-    if key in cache:
-        return cache[key]
-    if k == 0:
-        out = S.pi(i)
-    else:
-        sign = 1 if k > 0 else -1
-        prev = projected_power(S, i, k - sign)
-        out = S.step(i, sign) @ prev
-        if not np.all(np.isfinite(out)):
-            raise OverflowError(f"restricted power overflowed at k={k}")
-    cache[key] = out
-    return out
+    sign = 1 if k >= 0 else -1
+    powers = S._cache.setdefault(("pp", i, sign), [S.pi(i)])
+    if len(powers) <= abs(k):
+        step = S.step(i, sign)
+        while len(powers) <= abs(k):
+            out = step @ powers[-1]
+            if not np.all(np.isfinite(out)):
+                raise ArithmeticError(
+                    f"pi{i} A^k pi{i} is not representable in float64 at k={sign * len(powers)}"
+                )
+            powers.append(out)
+    return powers[abs(k)]
 
 
 def matrix_power_restricted(S: SpectralData, which, k: int) -> np.ndarray:
@@ -431,3 +431,114 @@ def matrix_power_restricted(S: SpectralData, which, k: int) -> np.ndarray:
     if k == 0:
         return eye
     return projected_power(S, name, k) + (eye - S.pi(name))
+
+
+def power_scaled(x, base: float, e) -> np.ndarray:
+    """``x[i] * base**(-e[i])`` for rows or scalars ``x[i]`` (or one ``x`` and
+    one ``e``).
+
+    Where the weight alone would leave float64 range, which happens long
+    before the product does (a row of size ``s1^k`` meets ``rho^{-k}`` at
+    k = -3000), it is formed through logarithms; inside that range it is
+    formed directly, so exact powers stay exact.  A product beyond float64
+    range comes back non-finite.
+    """
+    x = np.asarray(x)
+    e = np.asarray(e, dtype=float)
+    e_rows = e.reshape(e.shape + (1,) * (x.ndim - e.ndim))
+    log_base = math.log(base)
+    weight = np.array(
+        [base ** -v if abs(v * log_base) < _LOG_RANGE else math.nan for v in e.ravel().tolist()]
+    ).reshape(e_rows.shape)
+    far = np.isnan(weight)
+    if not far.any():
+        return x * weight
+    with np.errstate(all="ignore"):
+        peak = np.max(np.abs(x), axis=tuple(range(e.ndim, x.ndim)), keepdims=True)
+        via_log = np.where(peak > 0, x / peak * np.exp(np.log(peak) - e_rows * log_base), 0.0)
+        return np.where(far, via_log, x * weight)
+
+
+def unscaled(S: SpectralData, W: np.ndarray, ks) -> list:
+    """The rows ``rho^{k/2} W[i]`` behind rows scaled by ``rho^{-k/2}``, with
+    None where a row lies outside float64 range: it overflows, or a nonzero
+    row underflows to zero."""
+    R = power_scaled(W, S.rho, -np.asarray(ks) / 2)
+    ok = np.all(np.isfinite(R), axis=1) & (np.any(R != 0, axis=1) | ~np.any(W != 0, axis=1))
+    return [r if good else None for r, good in zip(R, ok.tolist())]
+
+
+def m_norm2(M: np.ndarray, w: np.ndarray):
+    """``|w|_M^2 = w M w^H`` for a row, or for each row of a stack; with
+    ``M = sum_j u_j Cov L^(j)`` this is the u-weighted variance of ``w . L``."""
+    return np.real(np.sum((w @ M) * w.conj(), axis=-1))
+
+
+def scaled_tail(
+    S: SpectralData,
+    M: np.ndarray,
+    w: np.ndarray,
+    sign: int,
+    what: str,
+    eps_tail: float,
+    count: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The one engine behind every ``rho^{-k}``-weighted series tail.
+
+    Tail rows obey ``R(k+1) = R(k) pi3 A pi3`` (``sign = +1``) or
+    ``R(k-1) = R(k) pi1 A1^{-1} pi1`` (``sign = -1``) and add
+    ``rho^{-k} |R(k)|_M^2``.  The engine steps ``w = rho^{-k/2} R(k)``
+    instead, from the first row ``w``, with ``T = rho^{-1/2} pi3 A pi3`` or
+    ``rho^{1/2} pi1 A1^{-1} pi1``: both have spectral radius below one, so
+    nothing leaves float64 range, and each term is ``|w|_M^2``.  Rows come
+    a block ``w T^0 .. w T^{c-1}`` at a time, the block doubling up to
+    ``_MAX_BLOCK``.
+
+    With ``count`` it stops after that many rows and certifies nothing
+    (error inf).  Otherwise it stops after 2J+2 consecutive terms below
+    ``eps_tail``, a streak longer than any period of the exact zeros that
+    periodic mean matrices interleave, and the error bound is geometric:
+    ``eps_tail (2J+2) r / (1 - r)`` with r = theta^2/rho ascending and
+    rho/s1^2 descending.  Returns ``(rows, terms, error)``; past
+    ``_MAX_WINDOW`` terms, or at a term outside float64 range, it raises a
+    bare ``ArithmeticError`` naming ``what``.
+    """
+    if sign > 0:
+        step = S.step(3, 1) / S.sqrt_rho
+        ratio = S.theta**2 / S.rho
+    else:
+        step = S.step(1, -1) * S.sqrt_rho
+        supers = [abs(cl.eigenvalue) for cl in S.clusters if cl.label == SUPER]
+        s1 = min(supers) if supers else S.rho
+        ratio = S.rho / (s1 * s1)
+    ratio = min(ratio, 1.0 - 1e-12)
+    needed = 2 * S.J + 2
+    rows, terms = [], []
+    total = streak = 0
+    block = np.eye(S.J, dtype=complex)[None]
+    while True:
+        W = np.asarray(w) @ block
+        t = m_norm2(M, W)
+        stop = None
+        if count is not None:
+            stop = count - total if count - total <= len(t) else None
+        else:
+            for i, small in enumerate((t < eps_tail).tolist()):
+                streak = streak + 1 if small else 0
+                if streak == needed:
+                    stop = i + 1
+                    break
+        rows.append(W[:stop])
+        terms.append(t[:stop])
+        if not np.all(np.isfinite(terms[-1])):
+            raise ArithmeticError(f"{what} has a term outside float64 range")
+        total += len(terms[-1])
+        if stop is not None:
+            break
+        if total >= _MAX_WINDOW:
+            raise ArithmeticError(f"{what} failed to certify within {_MAX_WINDOW} terms")
+        w = W[-1] @ step
+        if len(block) < _MAX_BLOCK:
+            block = np.concatenate([block, block @ (block[-1] @ step)])
+    error = math.inf if count is not None else eps_tail * needed * ratio / (1.0 - ratio)
+    return np.concatenate(rows), np.concatenate(terms), error

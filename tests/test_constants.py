@@ -4,6 +4,7 @@ rational moment recursion."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmjsim import (
+    build_model,
     compute_B,
     compute_constants,
     compute_sigma2,
@@ -20,8 +22,11 @@ from cmjsim import (
     compute_sigma_l,
     find_l_star,
     make_indicator_characteristic,
+    make_phi1,
+    spectral_decompose,
 )
 from cmjsim.constants import compute_sigma_l_table
+from cmjsim.presets import _bernoulli_column
 
 from conftest import bundle
 from oracles import exact_linear_variance
@@ -269,3 +274,83 @@ def test_case_two_variance_ladder_matches_recursion_asymptotics(jordan):
     gaps = [abs(v - target) for v in vals]
     assert gaps[2] < gaps[1] < gaps[0]
     assert gaps[2] / target < 0.5
+
+
+# -- near-critical gaps and long windows ----------------------------------------
+
+
+def _symmetric_pair(rho: float, lam2: float):
+    """Two-type symmetric model with eigenvalues rho and lam2, its columns
+    Bernoulli-rounded as in the presets."""
+    a = Fraction((rho + lam2) / 2.0).limit_denominator(10**4)
+    b = Fraction(rho).limit_denominator(10**4) - a
+    fa, fb = math.floor(a), math.floor(b)
+    col1 = _bernoulli_column([fa, fb], [a - fa, b - fb])
+    col2 = _bernoulli_column([fb, fa], [b - fb, a - fa])
+    model = build_model({"types": 2, "initial_type": 1, "offspring": {1: col1, 2: col2}})
+    return model, spectral_decompose(model.A)
+
+
+def _certified_or_refused(compute):
+    """Run ``compute``; it must return constants whose routes agree within
+    their certificates plus 1e-9 relative, or raise a bare ArithmeticError
+    (so no OverflowError or ZeroDivisionError, both ArithmeticError
+    subclasses, and no RecursionError).  Returns the constants or None."""
+    try:
+        c = compute()
+    except ArithmeticError as exc:
+        assert type(exc) is ArithmeticError and str(exc), repr(exc)
+        return None
+    assert np.isfinite(c.sigma2) and np.isfinite(c.sigma2_error)
+    if c.sigma_star2 is not None:
+        gap = abs(c.sigma2 - c.sigma_star2)
+        assert gap <= c.sigma2_error + c.sigma_star2_error + 1e-9 * max(c.sigma2, c.sigma_star2)
+    return c
+
+
+def _perron_orthogonal(S, row=(1.0, 2.0)):
+    a = np.asarray(row, dtype=float)
+    return a - (a @ S.u) * S.v
+
+
+def test_hard_window_far_beyond_the_certified_tails(asym_leak):
+    S, model, phi = asym_leak.S, asym_leak.model, asym_leak.phi
+    full, full_err = compute_sigma2(phi, S, model)
+    value, err = compute_sigma2(phi, S, model, window=(-3000, 3000))
+    assert np.isfinite(value) and err == float("inf")
+    assert abs(value - full) <= full_err
+
+
+@pytest.mark.parametrize("lam2", [2.01, 1.99])
+def test_near_critical_pair_certifies(lam2):
+    model, S = _symmetric_pair(4.0, lam2)
+    c = _certified_or_refused(lambda: compute_constants(_perron_orthogonal(S), S, model))
+    assert c is not None and c.case == "i"
+    assert c.sigma_star2 is not None
+
+
+@pytest.mark.parametrize("rho, lam2", [(4.0, 2.0101), (1.5, 1.2309)])
+def test_gap_characteristic_with_ratio_near_one(rho, lam2):
+    # rho / s1^2 ~ 0.99: the phi1 tail runs to k ~ -3000, where rho^{-k}
+    # alone leaves float64 range; at rho = 4 its rows underflow first
+    model, S = _symmetric_pair(rho, lam2)
+    s1 = min(abs(cl.eigenvalue) for cl in S.clusters if cl.label == "super")
+    assert S.rho / s1**2 == pytest.approx(0.99, abs=1e-3)
+    x1 = np.array([1.0, -1.0])
+    c = _certified_or_refused(lambda: compute_constants(make_phi1(S, x1, model=model), S, model))
+    if rho < 2:
+        assert c is not None and c.B_window[0] < -2000
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.floats(-2.0, 0.0),
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, -1]),
+)
+def test_near_critical_gaps_certify_or_refuse(log_gap, side, sign):
+    lam2 = sign * (2.0 + side * 10.0**log_gap)
+    model, S = _symmetric_pair(4.0, lam2)
+    row = _perron_orthogonal(S)
+    _certified_or_refused(lambda: compute_constants(row, S, model))
+    _certified_or_refused(lambda: compute_constants(make_phi1(S, row, model=model), S, model))
