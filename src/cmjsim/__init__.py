@@ -36,7 +36,6 @@ from .presets import PRESETS, preset, preset_names, write_scenario_files
 from .scenario import Scenario, ScenarioError, load_scenario, loads_scenario, save_scenario
 from .simulator import (
     BatchResult,
-    GenerationState,
     ReplicateResult,
     run_batch,
     run_replicate,
@@ -52,7 +51,6 @@ __all__ = [
     "BatchResult",
     "BranchingModel",
     "Characteristic",
-    "GenerationState",
     "NoiseLaw",
     "OffspringLaw",
     "PRESETS",

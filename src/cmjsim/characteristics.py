@@ -417,12 +417,22 @@ def assumption_sums(phi: Characteristic, S: SpectralData, model: BranchingModel)
     """The standing-assumption sums over the characteristic's window.
 
     Records ``sum_k |E phi(k)| (rho^{-k} + theta^{-k})`` and
-    ``sum_k |Var phi(k)| rho^{-k}``; both are finite for finite tables.
+    ``sum_k |Var phi(k)| rho^{-k}``; both are finite for finite tables.  Coeff
+    rows are scaled by ``rho^{-k/2}`` before they are squared, so the far
+    rows of a long table do not underflow.
     """
     ks = np.array(phi.value_keys)
     mean = np.array([np.linalg.norm(phi.mean(k)) for k in phi.value_keys])
-    var = np.array([np.linalg.norm(phi.variance(k, model)) for k in phi.value_keys])
+    pos = {k: i for i, k in enumerate(phi.value_keys)}
+    var = np.zeros((len(ks), S.J))
+    for (k, j), law in phi.noise.items():
+        var[pos[k], j] += law.variance()
+    var = power_scaled(var, S.rho, ks)
+    if phi.coeff:
+        rows = power_scaled(np.array(list(phi.coeff.values())), S.rho, np.array(list(phi.coeff)) / 2)
+        covs = np.array(model.covs)
+        var[[pos[k] for k in phi.coeff]] += np.einsum("ia,jab,ib->ij", rows, covs, rows.conj()).real
     return {
         "mean_weighted_sum": float(np.sum(power_scaled(mean, S.rho, ks) + power_scaled(mean, S.theta, ks))),
-        "variance_weighted_sum": float(np.sum(power_scaled(var, S.rho, ks))),
+        "variance_weighted_sum": float(np.sum(np.linalg.norm(var, axis=1))),
     }

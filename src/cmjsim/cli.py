@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -199,15 +200,56 @@ def _constants_report(const: TheoreticalConstants) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
+class _Pipeline:
+    """One scenario taken through load -> build_model -> validate_assumptions
+    -> spectral_decompose -> build_characteristic -> compute_constants.
+
+    Each stage runs on first use, so a subcommand runs only the stages it
+    reads, in that order."""
+
+    def __init__(self, args):
+        self.args = args
+        self.scn = _load(args.scenario)
+        self.model = build_model(self.scn.model)
+
+    @cached_property
+    def assumptions(self):
+        return validate_assumptions(self.model)
+
+    @cached_property
+    def S(self):
+        return spectral_decompose(self.model.A)
+
+    @cached_property
+    def characteristic(self) -> tuple[Characteristic, np.ndarray | None]:
+        return build_characteristic(self.scn, self.model, self.S)
+
+    @cached_property
+    def const(self) -> TheoreticalConstants:
+        phi, a_row = self.characteristic
+        return compute_constants(
+            a_row if a_row is not None else phi, self.S, self.model, eps_tail=self.scn.run["eps_tail"]
+        )
+
+    def batch(self):
+        scn, args = self.scn, self.args
+        seed = scn.run["seed"] if args.seed is None else args.seed
+        workers = scn.run["workers"] if args.workers is None else args.workers
+        return run_batch(
+            self.model, [self.characteristic[0]], scn.n, scn.N, scn.run["replicates"], seed,
+            S=self.S, constants=self.const, ns=scn.times, workers=workers,
+        )
+
+
 def _cmd_analyze(args) -> int:
-    scn = _load(args.scenario)
-    model = build_model(scn.model)
-    assumptions = validate_assumptions(model)
-    report: dict = {"scenario": scn.to_dict()["model"], "assumptions": _assumption_report(assumptions)}
-    code = EXIT_OK if assumptions.all_ok else EXIT_ASSUMPTION
+    run = _Pipeline(args)
+    report: dict = {
+        "scenario": run.scn.to_dict()["model"],
+        "assumptions": _assumption_report(run.assumptions),
+    }
+    code = EXIT_OK if run.assumptions.all_ok else EXIT_ASSUMPTION
     try:
-        S = spectral_decompose(model.A)
-        report["spectral"] = _spectral_report(S)
+        report["spectral"] = _spectral_report(run.S)
     except ArithmeticError as exc:
         report["spectral_error"] = str(exc)
         code = EXIT_ASSUMPTION
@@ -216,57 +258,27 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    scn = _load(args.scenario)
-    model = build_model(scn.model)
-    assumptions = validate_assumptions(model)
-    S = spectral_decompose(model.A)
-    phi, a_row = build_characteristic(scn, model, S)
-    const = compute_constants(
-        a_row if a_row is not None else phi, S, model, eps_tail=scn.run["eps_tail"]
-    )
+    run = _Pipeline(args)
     report = {
-        "assumptions": _assumption_report(assumptions),
-        "spectral": _spectral_report(S),
-        "constants": _constants_report(const),
+        "assumptions": _assumption_report(run.assumptions),
+        "spectral": _spectral_report(run.S),
+        "constants": _constants_report(run.const),
     }
     _emit(report, args.out)
-    return EXIT_OK if assumptions.all_ok else EXIT_ASSUMPTION
-
-
-def _run_batch_from(scn: Scenario, model, S, phi, const, args):
-    seed = scn.run["seed"] if args.seed is None else args.seed
-    workers = scn.run["workers"] if args.workers is None else args.workers
-    return run_batch(
-        model,
-        [phi],
-        scn.n,
-        scn.N,
-        scn.run["replicates"],
-        seed,
-        S=S,
-        constants=const,
-        ns=scn.times,
-        workers=workers,
-    )
+    return EXIT_OK if run.assumptions.all_ok else EXIT_ASSUMPTION
 
 
 def _cmd_simulate(args) -> int:
-    scn = _load(args.scenario)
-    model = build_model(scn.model)
-    S = spectral_decompose(model.A)
-    phi, a_row = build_characteristic(scn, model, S)
-    const = compute_constants(
-        a_row if a_row is not None else phi, S, model, eps_tail=scn.run["eps_tail"]
-    )
-    batch = _run_batch_from(scn, model, S, phi, const, args)
+    run = _Pipeline(args)
+    batch = run.batch()
     out = args.out
     if out is None:
-        os.makedirs(scn.output["dir"], exist_ok=True)
-        out = os.path.join(scn.output["dir"], "simulate.csv")
+        os.makedirs(run.scn.output["dir"], exist_ok=True)
+        out = os.path.join(run.scn.output["dir"], "simulate.csv")
     else:
         parent = os.path.dirname(os.path.abspath(out))
         os.makedirs(parent, exist_ok=True)
-    batch.to_csv(out, phi_index=0, t=scn.n)
+    batch.to_csv(out, phi_index=0, t=run.scn.n)
     summary = batch.summary()
     summary["csv"] = out
     print(json.dumps(_to_jsonable(summary), indent=2, sort_keys=True))
@@ -277,49 +289,32 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    scn = _load(args.scenario)
-    model = build_model(scn.model)
-    assumptions = validate_assumptions(model)
-    if not assumptions.all_ok:
-        _emit({"assumptions": _assumption_report(assumptions), "verdict": "REFUSED"}, args.out)
+    run = _Pipeline(args)
+    scn = run.scn
+    assumptions = _assumption_report(run.assumptions)
+    if not run.assumptions.all_ok:
+        _emit({"assumptions": assumptions, "verdict": "REFUSED"}, args.out)
         return EXIT_ASSUMPTION
-    S = spectral_decompose(model.A)
-    phi, a_row = build_characteristic(scn, model, S)
-    const = compute_constants(
-        a_row if a_row is not None else phi, S, model, eps_tail=scn.run["eps_tail"]
-    )
-    batch = _run_batch_from(scn, model, S, phi, const, args)
+    const = run.const
+    batch = run.batch()
+    reports = {"assumptions": assumptions, "constants": _constants_report(const)}
     try:
         report = verify_dichotomy(
-            batch,
-            const,
-            S,
-            w_min=scn.run["w_min"],
-            requested_case=scn.run["case"],
+            batch, const, run.S, w_min=scn.run["w_min"], requested_case=scn.run["case"]
         )
     except (ValueError, RuntimeError) as exc:
-        _emit(
-            {
-                "assumptions": _assumption_report(assumptions),
-                "constants": _constants_report(const),
-                "verdict": "REFUSED",
-                "reason": str(exc),
-            },
-            args.out,
-        )
+        _emit({**reports, "verdict": "REFUSED", "reason": str(exc)}, args.out)
         return EXIT_ASSUMPTION
-    lln = lln_check(batch, phi, model, S, w_min=scn.run["w_min"])
     payload = {
-        "assumptions": _assumption_report(assumptions),
-        "constants": _constants_report(const),
+        **reports,
         "verification": report.to_dict(),
-        "lln": lln,
+        "lln": lln_check(batch, run.characteristic[0], run.model, run.S, w_min=scn.run["w_min"]),
         "verdict": "PASS" if report.passed else "FAIL",
     }
     _emit(payload, args.out)
     if args.emit_hist:
         eps, _ = studentized(batch, const, phi_index=0, t=scn.n, w_min=scn.run["w_min"])
-        vals = np.asarray([e.real for e in eps], dtype=float)
+        vals = eps.real
         counts, edges = np.histogram(vals, bins=max(10, int(math.sqrt(max(vals.size, 1)) * 2)))
         hist = {
             "bin_edges": edges,
@@ -336,22 +331,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_star_check(args) -> int:
-    scn = _load(args.scenario)
-    model = build_model(scn.model)
-    S = spectral_decompose(model.A)
-    phi, _ = build_characteristic(scn, model, S)
+    run = _Pipeline(args)
+    model, (phi, _) = run.model, run.characteristic
     if not phi.is_deterministic:
         raise ScenarioError("characteristic.kind: star-check needs a deterministic characteristic")
-    n, N = scn.n, scn.N
-    star = star_transform(phi, S, None, model=model, n_max=n)
-    seed = scn.run["seed"] if args.seed is None else args.seed
-    reps = min(scn.run["replicates"], 64)
-    worst = 0.0
+    n, N = run.scn.n, run.scn.N
+    star = star_transform(phi, run.S, None, model=model, n_max=n)
+    seed = run.scn.run["seed"] if args.seed is None else args.seed
+    reps = min(run.scn.run["replicates"], 64)
     ez = complex(expected_process(phi, model, n))
     scale = 1.0 + abs(ez)
-    for r in run_batch(model, [phi, star.characteristic], n, N, reps, seed, ns=[n]).replicates:
-        resid = abs(r.zphi[(1, n)] - (r.zphi[(0, n)] - ez)) / scale
-        worst = max(worst, resid)
+    batch = run_batch(model, [phi, star.characteristic], n, N, reps, seed, ns=[n])
+    keep = ~batch.aborted
+    resid = np.abs(batch.zphi[(1, n)][keep] - (batch.zphi[(0, n)][keep] - ez)) / scale
+    worst = float(resid.max(initial=0.0))
     tol = 1e-8
     passed = worst <= tol
     report = {

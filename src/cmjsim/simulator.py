@@ -23,6 +23,9 @@ workers, which split whole blocks, never change a result.  A given
 (scenario, seed) draws differently than in v0.1.0, where each replicate had
 its own stream.
 
+The block's arrays are the result: blocks are concatenated whole into a
+columnar ``BatchResult``.
+
 Counts are int64 throughout with a per-replicate overflow guard: a
 replicate whose next generation could exceed the cap is aborted, and its
 counts are zeroed before any intermediate product can wrap.
@@ -31,8 +34,10 @@ counts are zeroed before any intermediate product can wrap.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +48,6 @@ from .model import BranchingModel
 from .spectral import SpectralData, projected_power
 
 __all__ = [
-    "GenerationState",
     "ReplicateResult",
     "BatchResult",
     "step_generation",
@@ -57,31 +61,18 @@ __all__ = [
 OVERFLOW_CAP = 2**62
 BLOCK = 256
 CSV_COLUMNS = ("index", "survived", "W_hat", "zphi_re", "zphi_im", "T_re", "T_im")
-
-
-@dataclass(frozen=True)
-class GenerationState:
-    """Type counts of one generation: ``(J,)`` for one replicate or
-    ``(B, J)`` for a block of replicates."""
-
-    generation: int
-    counts: np.ndarray  # int64
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+_NAN = complex(math.nan, math.nan)
 
 
 @dataclass(frozen=True)
 class ReplicateResult:
-    """One replicate: per-(characteristic, time) totals plus limit estimates."""
+    """One row of a batch: per-(characteristic, time) totals plus limit estimates."""
 
     index: int
     survived: bool
     aborted: bool
     z_final: np.ndarray | None
     w_hat: float | None
-    w1_hat: np.ndarray | None
     zphi: dict  # (phi_index, t) -> complex
     T: dict  # (phi_index, t) -> complex
     cells: dict | None = None
@@ -105,22 +96,22 @@ def _max_offspring_total(model: BranchingModel) -> int:
 
 
 def step_generation(
-    model: BranchingModel, state: GenerationState, rng: np.random.Generator
-) -> tuple[GenerationState, dict]:
-    """Advance one generation of one replicate (``(J,)`` counts) or of a
-    block (``(B, J)`` counts); returns the new state and, per parent type
-    present, the multinomial outcome counts that produced it (the coupling
-    handle), shaped ``(n_outcomes,)`` or ``(B, n_outcomes)``."""
-    next_counts = np.zeros(state.counts.shape, dtype=np.int64)
+    model: BranchingModel, counts: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, dict]:
+    """Advance one generation of int64 type counts, ``(J,)`` for one
+    replicate or ``(B, J)`` for a block; returns the next counts and, per
+    parent type present, the multinomial outcome counts that produced them
+    (the coupling handle), shaped ``(n_outcomes,)`` or ``(B, n_outcomes)``."""
+    next_counts = np.zeros(counts.shape, dtype=np.int64)
     draws: dict[int, np.ndarray] = {}
     for j, law in enumerate(model.laws):
-        c = state.counts[..., j]
+        c = counts[..., j]
         if not c.any():
             continue
         nj = rng.multinomial(c, law.probs)
         draws[j] = nj
         next_counts += nj @ law.outcome_matrix()
-    return GenerationState(state.generation + 1, next_counts), draws
+    return next_counts, draws
 
 
 def _validate_windows(phis: Sequence[Characteristic], ns: Sequence[int], N: int) -> None:
@@ -156,7 +147,6 @@ class _Plan:
     total_limit: int  # a replicate with more individuals is aborted before its next draw
     noise: tuple  # (p, t, k, j, probs, values) per in-window cell, in canonical order
     S: SpectralData | None
-    w1_power: np.ndarray | None  # projected_power(S, 1, -N)
     T_terms: dict  # t -> (x1 projected_power(S, 1, t-N), x2 pi2 A^t pi2 z0, r_t)
 
 
@@ -175,28 +165,22 @@ def _plan(model, phis, n, N, ns, S, constants, overflow_cap) -> _Plan:
         for (k, j), law in sorted(phi.noise.items())
         if 0 <= t - k <= N
     )
-    w1_power = None
     T_terms = {}
-    if S is not None:
-        w1_power = projected_power(S, 1, -N)
-        if constants is not None:
-            z0 = model.z0().astype(complex)
-            for t in ns:
-                T_terms[t] = (
-                    constants.x1 @ projected_power(S, 1, t - N),
-                    complex(constants.x2 @ (projected_power(S, 2, t) @ z0)),
-                    normalization(t, constants.case, constants.l_star, S.rho),
-                )
+    if S is not None and constants is not None:
+        z0 = model.z0().astype(complex)
+        for t in ns:
+            T_terms[t] = (
+                constants.x1 @ projected_power(S, 1, t - N),
+                complex(constants.x2 @ (projected_power(S, 2, t) @ z0)),
+                normalization(t, constants.case, constants.l_star, S.rho),
+            )
     return _Plan(
-        model, phis, ns, N, overflow_cap // _max_offspring_total(model), noise, S, w1_power, T_terms
+        model, phis, ns, N, overflow_cap // _max_offspring_total(model), noise, S, T_terms
     )
 
 
-def _simulate_block(
-    plan: _Plan, rng: np.random.Generator, B: int, first: int, keep: int, record_cells: bool
-) -> list[ReplicateResult]:
-    """Simulate B replicates together; return the first ``keep`` of them,
-    numbered from ``first``."""
+def _simulate_block(plan: _Plan, rng: np.random.Generator, B: int, record_cells: bool) -> dict:
+    """The columns of B replicates simulated together."""
     model, N = plan.model, plan.N
     states = np.zeros((N + 1, B, model.J), dtype=np.int64)
     states[0] = model.z0()
@@ -207,8 +191,7 @@ def _simulate_block(
         if over.any():
             aborted |= over
             states[g, over] = 0
-        state, draws = step_generation(model, GenerationState(g, states[g]), rng)
-        states[g + 1] = state.counts
+        states[g + 1], draws = step_generation(model, states[g], rng)
         draws_by_g.append(draws)
 
     X = states.astype(float)
@@ -226,59 +209,158 @@ def _simulate_block(
                 if 0 <= t - k <= N - 1:
                     total += dev[t - k] @ row
             zphi[(p, t)] = total
-    noise_draws = []
+    noise_draws = {}
     for p, t, k, j, probs, values in plan.noise:
         c = states[t - k, :, j]
         if not c.any():
             continue
         counts = rng.multinomial(c, probs)
         zphi[(p, t)] += counts @ values
-        noise_draws.append(((p, t, k, j), counts))
+        noise_draws[(p, t, k, j)] = counts
 
-    z_final = states[N].copy()
-    survived = (z_final.sum(axis=1) > 0).tolist()
-    w_hat = [None] * B
-    w1_hat = [None] * B
-    T: dict[tuple[int, int], list] = {}
+    w_hat = np.full(B, np.nan)
+    T: dict[tuple[int, int], np.ndarray] = {}
     if plan.S is not None:
         zf = X[N]
-        w_hat = (np.real(zf @ plan.S.v) * plan.S.rho ** (-N)).tolist()
-        w1_hat = zf.astype(complex) @ plan.w1_power.T
+        w_hat = np.real(zf @ plan.S.v) * plan.S.rho ** (-N)
         for (p, t), z in zphi.items():
             if t in plan.T_terms:
                 mart_row, critical, r_t = plan.T_terms[t]
-                T[(p, t)] = ((z - zf @ mart_row - critical) / r_t).tolist()
-    zphi_cols = {key: z.tolist() for key, z in zphi.items()}
+                T[(p, t)] = (z - zf @ mart_row - critical) / r_t
+    w_hat[aborted] = np.nan
+    for col in (*zphi.values(), *T.values()):
+        col[aborted] = _NAN
 
-    out = []
-    for b in range(keep):
-        if aborted[b]:
-            out.append(ReplicateResult(
-                index=first + b, survived=True, aborted=True, z_final=None,
-                w_hat=None, w1_hat=None, zphi={}, T={}, cells=None,
-            ))
-            continue
-        cells = None
-        if record_cells:
-            cells = {
-                "offspring": {
-                    (g, j): nj[b] for g, draws in enumerate(draws_by_g)
-                    for j, nj in draws.items() if nj[b].any()
-                },
-                "noise": {key: counts[b] for key, counts in noise_draws if counts[b].any()},
-            }
-        out.append(ReplicateResult(
-            index=first + b,
-            survived=survived[b],
-            aborted=False,
-            z_final=z_final[b],
-            w_hat=w_hat[b],
-            w1_hat=w1_hat[b],
-            zphi={key: col[b] for key, col in zphi_cols.items()},
-            T={key: col[b] for key, col in T.items()},
-            cells=cells,
-        ))
-    return out
+    cells = None
+    if record_cells:
+        # zeros where nothing was drawn, so every block has every key
+        def zeros(probs):
+            return np.zeros((B, len(probs)), dtype=np.int64)
+
+        offspring = {
+            (g, j): draws.get(j, zeros(law.probs))
+            for g, draws in enumerate(draws_by_g)
+            for j, law in enumerate(model.laws)
+        }
+        noise = {
+            (p, t, k, j): noise_draws.get((p, t, k, j), zeros(probs))
+            for p, t, k, j, probs, _ in plan.noise
+        }
+        cells = {"offspring": offspring, "noise": noise}
+    return {"aborted": aborted, "z_final": states[N], "w_hat": w_hat, "zphi": zphi, "T": T, "cells": cells}
+
+
+def _join(parts: list, stop: int | None = None):
+    """Concatenate block columns in block order, through nested dicts, and
+    keep the first ``stop`` rows."""
+    head = parts[0]
+    if isinstance(head, dict):
+        return {key: _join([part[key] for part in parts], stop) for key in head}
+    return None if head is None else np.concatenate(parts)[:stop]
+
+
+@dataclass(frozen=True, eq=False)
+class BatchResult:
+    """An index-ordered batch of R replicates held as columns: row i is
+    replicate i.
+
+    ``aborted`` is ``(R,)`` bool, ``z_final`` ``(R, J)`` int64 and ``w_hat``
+    ``(R,)``; ``zphi`` and ``T`` (only given constants) map ``(phi_index,
+    t)`` to ``(R,)`` complex columns.  Aborted rows hold zero counts and NaN,
+    in both parts, in every float column; without spectral data ``w_hat``
+    is all NaN.  Only under ``record_cells``, ``cells`` holds the
+    ``(R, n_outcomes)`` multinomial counts per ``(generation, type)``
+    ("offspring") and per ``(p, t, k, j)`` noise cell ("noise").
+    """
+
+    n: int
+    N: int
+    ns: tuple[int, ...]
+    master_seed: int | None
+    aborted: np.ndarray
+    z_final: np.ndarray
+    w_hat: np.ndarray
+    zphi: dict
+    T: dict
+    cells: dict | None = None
+
+    @property
+    def R(self) -> int:
+        return self.aborted.shape[0]
+
+    @property
+    def survived(self) -> np.ndarray:
+        """Alive at generation N; an aborted replicate, which outgrew the cap,
+        counts as alive."""
+        return self.aborted | self.z_final.any(axis=1)
+
+    @property
+    def abort_rate(self) -> float:
+        return int(self.aborted.sum()) / self.R if self.R else 0.0
+
+    def usable(self, w_min: float = 0.0) -> np.ndarray:
+        """Rows that are alive at N and not aborted, with W_hat above
+        ``w_min`` when it is positive."""
+        keep = ~self.aborted & self.z_final.any(axis=1)
+        if w_min > 0.0:
+            keep &= self.w_hat > w_min
+        return keep
+
+    @cached_property
+    def replicates(self) -> tuple[ReplicateResult, ...]:
+        """The batch as rows, built on first use."""
+        return tuple(self._row(i) for i in range(self.R))
+
+    def _row(self, i: int) -> ReplicateResult:
+        if self.aborted[i]:
+            return ReplicateResult(i, True, True, None, None, {}, {})
+        cells = self.cells and {
+            part: {key: col[i] for key, col in table.items() if col[i].any()}
+            for part, table in self.cells.items()
+        }
+        w = float(self.w_hat[i])
+        zphi = {key: complex(col[i]) for key, col in self.zphi.items()}
+        T = {key: complex(col[i]) for key, col in self.T.items()}
+        survived = bool(self.z_final[i].any())
+        return ReplicateResult(
+            i, survived, False, self.z_final[i], None if math.isnan(w) else w, zphi, T, cells
+        )
+
+    def summary(self) -> dict:
+        out = {
+            "replicates": self.R,
+            "aborted": int(self.aborted.sum()),
+            "abort_rate": self.abort_rate,
+            "survived": int(self.usable().sum()),
+            "n": self.n,
+            "N": self.N,
+            "times": list(self.ns),
+            "master_seed": self.master_seed,
+            "stream_layout": {
+                "block": BLOCK,
+                "seed": "SeedSequence(master_seed, spawn_key=(block,))",
+            },
+        }
+        ws = self.w_hat[~np.isnan(self.w_hat)]
+        if ws.size:
+            out["w_hat_mean"] = float(np.mean(ws))
+        return out
+
+    def to_csv(self, path, phi_index: int = 0, t: int | None = None) -> None:
+        """One row per replicate for one (characteristic, time) pair; a value
+        the batch does not hold is written as nan."""
+        t = self.n if t is None else t
+        missing = np.full(self.R, _NAN)
+        z = self.zphi.get((phi_index, t), missing)
+        tv = self.T.get((phi_index, t), missing)
+        floats = (self.w_hat, z.real, z.imag, tv.real, tv.imag)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            for index, survived, *xs in zip(
+                range(self.R), self.survived.tolist(), *(col.tolist() for col in floats)
+            ):
+                writer.writerow([index, int(survived), *(format(x, ".17g") for x in xs)])
 
 
 def run_replicate(
@@ -299,108 +381,29 @@ def run_replicate(
     characteristic at every requested time (default: just ``n``).
 
     ``seed`` may be an int, a SeedSequence or a Generator, which drives this
-    replicate alone (a block of one).  When spectral data is supplied the
-    replicate also carries the martingale estimates
-    ``W_hat = <v, Z_N> rho^{-N}`` and ``W1_hat = A1^{-N} pi1 Z_N``; with
-    constants as well, the recentered normalized statistic T at each time.
+    replicate alone: it is row 0 of a block of one, numbered ``index``.
+    When spectral data is supplied the replicate also carries the martingale
+    estimate ``W_hat = <v, Z_N> rho^{-N}``; with constants as well, the
+    recentered normalized statistic T at each time.
     """
     plan = _plan(model, phis, n, N, ns, S, constants, overflow_cap)
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
-    return _simulate_block(plan, rng, 1, index, 1, record_cells)[0]
+    batch = BatchResult(n, N, plan.ns, None, **_simulate_block(plan, rng, 1, record_cells))
+    return replace(batch.replicates[0], index=index)
 
 
-@dataclass(frozen=True)
-class BatchResult:
-    """An index-ordered collection of replicates with shared run metadata."""
-
-    replicates: tuple[ReplicateResult, ...]
-    n: int
-    N: int
-    ns: tuple[int, ...]
-    master_seed: int
-    n_phis: int
-
-    @property
-    def R(self) -> int:
-        return len(self.replicates)
-
-    @property
-    def abort_rate(self) -> float:
-        if not self.replicates:
-            return 0.0
-        return sum(1 for r in self.replicates if r.aborted) / len(self.replicates)
-
-    def survivors(self, w_min: float = 0.0) -> list[ReplicateResult]:
-        out = []
-        for r in self.replicates:
-            if r.aborted or not r.survived:
-                continue
-            if w_min > 0.0 and (r.w_hat is None or r.w_hat <= w_min):
-                continue
-            out.append(r)
-        return out
-
-    def summary(self) -> dict:
-        aborted = sum(1 for r in self.replicates if r.aborted)
-        survived = sum(1 for r in self.replicates if (not r.aborted) and r.survived)
-        out = {
-            "replicates": self.R,
-            "aborted": aborted,
-            "abort_rate": self.abort_rate,
-            "survived": survived,
-            "n": self.n,
-            "N": self.N,
-            "times": list(self.ns),
-            "master_seed": self.master_seed,
-            "stream_layout": {
-                "block": BLOCK,
-                "seed": "SeedSequence(master_seed, spawn_key=(block,))",
-            },
-        }
-        ws = [r.w_hat for r in self.replicates if r.w_hat is not None and not r.aborted]
-        if ws:
-            out["w_hat_mean"] = float(np.mean(ws))
-        return out
-
-    def to_csv(self, path, phi_index: int = 0, t: int | None = None) -> None:
-        """One row per replicate for one (characteristic, time) pair."""
-        t = self.n if t is None else t
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for r in self.replicates:
-                z = r.zphi.get((phi_index, t))
-                tv = r.T.get((phi_index, t))
-                writer.writerow(
-                    [
-                        r.index,
-                        int(r.survived),
-                        _fmt(r.w_hat),
-                        _fmt(None if z is None else z.real),
-                        _fmt(None if z is None else z.imag),
-                        _fmt(None if tv is None else tv.real),
-                        _fmt(None if tv is None else tv.imag),
-                    ]
-                )
-
-
-def _fmt(x) -> str:
-    return "nan" if x is None else format(float(x), ".17g")
-
-
-def _run_blocks(args) -> list[ReplicateResult]:
-    """Blocks lo..hi-1 of a batch of R replicates, each simulated whole."""
-    plan, master_seed, lo, hi, R, record_cells = args
-    out = []
+def _run_blocks(args) -> dict:
+    """Columns of blocks lo..hi-1 of a batch, each block simulated whole."""
+    plan, master_seed, lo, hi, record_cells = args
+    parts = []
     for b in range(lo, hi):
         seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(b,))
         rng = np.random.Generator(np.random.PCG64(seed))
-        first = b * BLOCK
-        out.extend(_simulate_block(plan, rng, BLOCK, first, min(BLOCK, R - first), record_cells))
-    return out
+        parts.append(_simulate_block(plan, rng, BLOCK, record_cells))
+    return _join(parts)
 
 
 def run_batch(
@@ -425,25 +428,17 @@ def run_batch(
     block range, and run in-process below two blocks per worker.
     """
     plan = _plan(model, phis, n, N, ns, S, constants, overflow_cap)
-    n_blocks = -(-R // BLOCK)
+    n_blocks = max(1, -(-R // BLOCK))
     workers = max(1, int(workers))
     if workers == 1 or n_blocks < 2 * workers:
-        results = _run_blocks((plan, master_seed, 0, n_blocks, R, record_cells))
+        chunks = [_run_blocks((plan, master_seed, 0, n_blocks, record_cells))]
     else:
         bounds = np.linspace(0, n_blocks, min(n_blocks, workers * 4) + 1, dtype=int)
         tasks = [
-            (plan, master_seed, int(lo), int(hi), R, record_cells)
+            (plan, master_seed, int(lo), int(hi), record_cells)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
-        results = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_run_blocks, tasks):
-                results.extend(chunk)
-    return BatchResult(
-        replicates=tuple(results),
-        n=n,
-        N=N,
-        ns=plan.ns,
-        master_seed=master_seed,
-        n_phis=len(plan.phis),
-    )
+            chunks = list(pool.map(_run_blocks, tasks))
+    # the last block is simulated whole, then cut to R
+    return BatchResult(n, N, plan.ns, master_seed, **_join(chunks, R))

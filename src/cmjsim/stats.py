@@ -20,7 +20,7 @@ a flatness check of the per-time variances under the case-ii normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -138,42 +138,38 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "case": self.case,
-            "sample_size": self.m,
-            "passed": bool(self.passed),
-            "reasons": list(self.reasons),
-            "ks_D": self.ks_D,
-            "ks_p": self.ks_p,
-            "mean_eps": self.mean_eps,
-            "var_eps": self.var_eps,
-            "var_se": self.var_se,
-            "corr_r": self.corr_r,
-            "corr_covers_zero": self.corr_covers_zero,
-            "thresholds": dict(self.thresholds),
-            "marginals": self.marginals,
-            "flatness": self.flatness,
-            "decay": self.decay,
-            "details": dict(self.details),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "m"}
+        out.update(
+            sample_size=self.m,
+            passed=bool(self.passed),
+            reasons=list(self.reasons),
+            thresholds=dict(self.thresholds),
+            details=dict(self.details),
+        )
         return out
+
+
+def _usable_column(batch, table: dict, phi_index: int, t: int, w_min: float):
+    """(values, W_hat) of one (characteristic, time) column over the usable
+    rows; both empty when the batch holds no such column."""
+    col = table.get((phi_index, t))
+    if col is None:
+        return np.zeros(0, dtype=complex), np.zeros(0)
+    keep = batch.usable(w_min)
+    return col[keep], batch.w_hat[keep]
 
 
 def studentized(batch, constants, *, phi_index: int, t: int, w_min: float):
     """(eps, w) over surviving replicates with W_hat above the floor."""
     sigma = math.sqrt(max(constants.sigma_case2, 0.0))
-    eps = []
-    ws = []
-    for r in batch.survivors(w_min):
-        tv = r.T.get((phi_index, t))
-        if tv is None or r.w_hat is None:
-            continue
-        ws.append(r.w_hat)
-        if sigma > 0:
-            eps.append(tv / (sigma * math.sqrt(r.w_hat)))
-        else:
-            eps.append(tv)
-    return np.asarray(eps, dtype=complex), np.asarray(ws, dtype=float)
+    eps, ws = _usable_column(batch, batch.T, phi_index, t, w_min)
+    if sigma > 0:
+        # part by part, as Python's complex / float rounds; numpy's complex
+        # division multiplies by a reciprocal (eps is a fresh copy)
+        scale = sigma * np.sqrt(ws)
+        eps.real /= scale
+        eps.imag /= scale
+    return eps, ws
 
 
 def verify_dichotomy(
@@ -301,8 +297,8 @@ def _decay_check(batch, phi_index: int) -> dict:
     ts = list(batch.ns)
     means = []
     for t in ts:
-        vals = [abs(r.T[(phi_index, t)]) for r in batch.survivors() if (phi_index, t) in r.T]
-        means.append(float(np.mean(vals)) if vals else float("nan"))
+        vals, _ = _usable_column(batch, batch.T, phi_index, t, 0.0)
+        means.append(float(np.mean(np.abs(vals))) if vals.size else float("nan"))
     finite = [v for v in means if not math.isnan(v)]
     decreasing = all(b <= a * 1.05 + 1e-12 for a, b in zip(finite, finite[1:]))
     small = bool(finite) and finite[-1] < max(0.05 * finite[0], 1e-6)
@@ -339,18 +335,13 @@ def lln_check(
         row = phi.mean(k)
         c += S.rho ** (-k) * complex(row @ S.u.astype(complex))
         scale += S.rho ** (-k) * float(np.abs(row) @ S.u)
-    survivors = batch.survivors(w_min)
-    vals = [r.zphi[(phi_index, t)] for r in survivors if (phi_index, t) in r.zphi]
-    ws = [r.w_hat for r in survivors if (phi_index, t) in r.zphi]
-    out = {"t": t, "m": len(vals), "limit_constant": complex(c), "scale": scale}
-    if not vals:
+    vals, ws = _usable_column(batch, batch.zphi, phi_index, t, w_min)
+    out = {"t": t, "m": int(vals.size), "limit_constant": complex(c), "scale": scale}
+    if not vals.size:
         out.update({"mode": "empty", "passed": False})
         return out
     if abs(c) > 1e-9 * max(scale, 1e-300):
-        ratios = [
-            float(np.real(z / (S.rho**t * w * c))) for z, w in zip(vals, ws)
-        ]
-        med = float(np.median(ratios))
+        med = float(np.median(_real_quotient(vals, S.rho**t * ws * c)))
         out.update(
             {
                 "mode": "ratio",
@@ -360,7 +351,7 @@ def lln_check(
             }
         )
     else:
-        normalized = [abs(z) * S.rho ** (-t) / max(scale, 1e-300) / max(w, w_min) for z, w in zip(vals, ws)]
+        normalized = np.abs(vals) * S.rho ** (-t) / max(scale, 1e-300) / np.maximum(ws, w_min)
         med = float(np.median(normalized))
         out.update({"mode": "vanishing", "median_abs": med, "tol": zero_tol, "passed": bool(med < zero_tol)})
     return out
@@ -383,10 +374,7 @@ def flatness_check(
     hi_q = 100 - lo_q
     rows = []
     for t in batch.ns:
-        vals = np.asarray(
-            [r.T[(phi_index, t)].real for r in batch.survivors(w_min) if (phi_index, t) in r.T],
-            dtype=float,
-        )
+        vals = _usable_column(batch, batch.T, phi_index, t, w_min)[0].real
         if vals.shape[0] < 10:
             continue
         m = vals.shape[0]
@@ -407,3 +395,14 @@ def flatness_check(
     wmean = float((weights * values).sum() / weights.sum())
     passed = all(r["ci"][0] <= wmean <= r["ci"][1] for r in rows)
     return {"rows": rows, "weighted_mean": wmean, "passed": bool(passed)}
+
+
+def _real_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a / b) elementwise, rounded as Python's complex division rounds it
+    (numpy's multiplies by a reciprocal)."""
+    wide = np.abs(b.real) >= np.abs(b.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(wide, b.imag / b.real, b.real / b.imag)
+        num = np.where(wide, a.real + a.imag * q, a.real * q + a.imag)
+        den = np.where(wide, b.real + b.imag * q, b.real * q + b.imag)
+    return num / den

@@ -2,7 +2,8 @@
 
 Everything in this module is deliberately written the *slow, obvious* way:
 exact rational first/second moment recursions, per-individual replay of the
-recorded multinomial cells, and a reference KS tail from scipy.  None of it
+recorded multinomial cells, a reference KS tail from scipy, and the
+replicate-by-replicate studentization that the columnar one must equal.  None of it
 shares code with the package internals, so agreement is evidence rather than
 tautology.
 """
@@ -17,6 +18,7 @@ import scipy.stats
 
 from cmjsim import BranchingModel
 from cmjsim.characteristics import Characteristic
+from cmjsim.simulator import BatchResult
 
 
 # ---------------------------------------------------------------------------
@@ -223,3 +225,55 @@ def sample_variance_se(sample: np.ndarray) -> float:
     var = float(np.mean(c**2))
     m4 = float(np.mean(c**4))
     return math.sqrt(max(m4 - var**2, 0.0) / m)
+
+
+def reference_studentized(batch, constants, *, phi_index: int, t: int, w_min: float):
+    """(eps, w) row by row: each usable replicate's T divided by
+    sigma sqrt(W_hat) with Python's complex / float."""
+    sigma = math.sqrt(max(constants.sigma_case2, 0.0))
+    eps = []
+    ws = []
+    for r in batch.replicates:
+        if r.aborted or not r.survived:
+            continue
+        if w_min > 0.0 and (r.w_hat is None or r.w_hat <= w_min):
+            continue
+        tv = r.T.get((phi_index, t))
+        if tv is None or r.w_hat is None:
+            continue
+        ws.append(r.w_hat)
+        eps.append(tv / (sigma * math.sqrt(r.w_hat)) if sigma > 0 else tv)
+    return np.asarray(eps, dtype=complex), np.asarray(ws, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# Synthetic batches
+# ---------------------------------------------------------------------------
+
+
+def batch_from_rows(rows, *, n: int, N: int, ns, master_seed: int = 0) -> BatchResult:
+    """The columnar batch whose rows are ``rows``, in order: an aborted row
+    gets zero counts and NaN values, and a value a row lacks is NaN."""
+    J = next(len(r.z_final) for r in rows if not r.aborted)
+    nan = complex(math.nan, math.nan)
+
+    def columns(name):
+        keys = sorted({key for r in rows for key in getattr(r, name)})
+        return {
+            key: np.array([getattr(r, name).get(key, nan) for r in rows], dtype=complex)
+            for key in keys
+        }
+
+    return BatchResult(
+        n=n,
+        N=N,
+        ns=tuple(ns),
+        master_seed=master_seed,
+        aborted=np.array([r.aborted for r in rows], dtype=bool),
+        z_final=np.array(
+            [np.zeros(J, dtype=np.int64) if r.aborted else r.z_final for r in rows], dtype=np.int64
+        ),
+        w_hat=np.array([math.nan if r.w_hat is None else r.w_hat for r in rows], dtype=float),
+        zphi=columns("zphi"),
+        T=columns("T"),
+    )

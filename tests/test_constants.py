@@ -25,6 +25,7 @@ from cmjsim import (
     make_phi1,
     spectral_decompose,
 )
+from cmjsim.characteristics import assumption_sums
 from cmjsim.constants import compute_sigma_l_table
 from cmjsim.presets import _bernoulli_column
 
@@ -340,6 +341,21 @@ def test_gap_characteristic_with_ratio_near_one(rho, lam2):
     c = _certified_or_refused(lambda: compute_constants(make_phi1(S, x1, model=model), S, model))
     if rho < 2:
         assert c is not None and c.B_window[0] < -2000
+
+
+def test_variance_sum_keeps_rows_that_underflow_when_squared():
+    # the phi1 table of the rho = 1.5 pair runs to k = -3143, where
+    # |coeff(k)| < 1e-154 squares to zero unless rho^{-k/2} scales it first
+    model, S = _symmetric_pair(1.5, 1.2309)
+    phi = make_phi1(S, np.array([1.0, -1.0]), model=model)
+    assert min(phi.coeff) == -3143
+    direct = 0.0
+    for k, c in phi.coeff.items():
+        scaled = c * math.exp(-0.5 * k * math.log(S.rho))
+        direct += float(np.linalg.norm([np.real(scaled @ cov @ scaled.conj()) for cov in model.covs]))
+    got = assumption_sums(phi, S, model)["variance_weighted_sum"]
+    assert got == pytest.approx(direct, rel=1e-12)
+    assert got == pytest.approx(32.59247, abs=1e-5)
 
 
 @settings(max_examples=30, deadline=None)

@@ -14,7 +14,7 @@ from cmjsim import (
     star_transform,
 )
 from cmjsim.characteristics import NoiseLaw, make_table_characteristic
-from cmjsim.simulator import BLOCK, GenerationState, normalization, step_generation
+from cmjsim.simulator import BLOCK, normalization, step_generation
 from cmjsim.spectral import projected_power
 
 from oracles import naive_process_value, replay_states
@@ -38,18 +38,17 @@ def test_deterministic_doubling_counts():
 def test_one_step_conditional_mean(mirror):
     model = mirror.model
     rng = np.random.default_rng(2_718)
-    start = GenerationState(0, np.array([5, 3], dtype=np.int64))
-    assert start.total == 8
+    start = np.array([5, 3], dtype=np.int64)
     trials = 4_000
     acc = np.zeros(2)
     for _ in range(trials):
         nxt, draws = step_generation(model, start, rng)
-        acc += nxt.counts
-        assert nxt.generation == 1
+        acc += nxt
+        assert nxt.dtype == np.int64 and nxt.shape == start.shape
         assert sum(int(nj.sum()) for nj in draws.values()) == 8
     expect = model.A @ np.array([5.0, 3.0])
     for i in range(2):
-        var_i = sum(start.counts[j] * model.covs[j][i, i] for j in range(2))
+        var_i = sum(start[j] * model.covs[j][i, i] for j in range(2))
         se = np.sqrt(var_i / trials)
         assert abs(acc[i] / trials - expect[i]) < 4 * se + 1e-9
 
@@ -261,11 +260,11 @@ def test_survivor_filter_and_summary(single_type):
     batch = run_batch(
         single_type.model, single_type.phi, n=6, N=6, R=200, master_seed=17, S=single_type.S
     )
-    kept = batch.survivors(w_min=1e-3)
-    assert all(r.w_hat > 1e-3 for r in kept)
+    kept = batch.usable(w_min=1e-3)
+    assert kept.any() and (batch.w_hat[kept] > 1e-3).all()
     # binary-split processes die only by hitting zero, visible in w_hat = 0
-    dead = [r for r in batch.replicates if not r.survived]
-    assert all(r.w_hat == 0.0 for r in dead)
+    dead = ~batch.survived
+    assert (batch.w_hat[dead] == 0.0).all()
     s = batch.summary()
     assert s["replicates"] == 200
     assert 0.0 <= s["abort_rate"] <= 1.0
@@ -283,6 +282,37 @@ def test_csv_output_is_stable(tmp_path, single_type):
     header = text.splitlines()[0].split(",")
     assert header == ["index", "survived", "W_hat", "zphi_re", "zphi_im", "T_re", "T_im"]
     assert len(text.splitlines()) == 11
+
+
+def test_csv_without_constants_writes_nan_statistic(tmp_path, single_type):
+    batch = run_batch(
+        single_type.model, single_type.phi, n=6, N=8, R=12, master_seed=29, S=single_type.S
+    )
+    assert batch.T == {}
+    path = tmp_path / "no_constants.csv"
+    batch.to_csv(path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 12
+    assert all(row[5:] == ["nan", "nan"] and row[2] != "nan" for row in rows)
+
+
+def test_aborted_rows_hold_nan_in_every_float_column(tmp_path, single_type):
+    model, S, c = single_type.model, single_type.S, single_type.constants
+    batch = run_batch(
+        model, single_type.phi, n=8, N=9, R=BLOCK, master_seed=77, S=S, constants=c,
+        overflow_cap=600,
+    )
+    aborted = batch.aborted
+    assert aborted.any() and not aborted.all()
+    for col in (*batch.zphi.values(), *batch.T.values()):
+        assert np.isnan(col.real[aborted]).all() and np.isnan(col.imag[aborted]).all()
+        assert np.isfinite(col[~aborted]).all()
+    assert np.isnan(batch.w_hat[aborted]).all() and not batch.z_final[aborted].any()
+    path = tmp_path / "aborted.csv"
+    batch.to_csv(path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    for row, gone in zip(rows, aborted):
+        assert (row[2:] == ["nan"] * 5) == gone, row
 
 
 def test_multiple_observation_times(mirror):

@@ -10,8 +10,9 @@ import pytest
 import scipy.special
 
 from cmjsim import run_batch, verify_dichotomy
-from cmjsim.simulator import BatchResult, ReplicateResult
+from cmjsim.simulator import BLOCK, ReplicateResult
 from cmjsim.stats import (
+    _real_quotient,
     bootstrap_variance_se,
     fisher_corr_z,
     flatness_check,
@@ -23,7 +24,7 @@ from cmjsim.stats import (
     studentized,
 )
 
-from oracles import reference_ks_pvalue
+from oracles import batch_from_rows, reference_ks_pvalue, reference_studentized
 
 
 def test_normal_cdf_landmarks():
@@ -149,7 +150,6 @@ def synth_batch(
                 aborted=False,
                 z_final=np.array([1], dtype=np.int64),
                 w_hat=w,
-                w1_hat=None,
                 zphi={(0, t): T[(0, t)] for t in ns},
                 T=T,
                 cells=None,
@@ -159,12 +159,10 @@ def synth_batch(
         reps.append(
             ReplicateResult(
                 index=m + i, survived=True, aborted=True, z_final=None,
-                w_hat=None, w1_hat=None, zphi={}, T={}, cells=None,
+                w_hat=None, zphi={}, T={}, cells=None,
             )
         )
-    return BatchResult(
-        replicates=tuple(reps), n=n, N=N, ns=tuple(ns), master_seed=seed, n_phis=1
-    )
+    return batch_from_rows(reps, n=n, N=N, ns=ns, master_seed=seed)
 
 
 def test_studentized_unwinds_the_scale(single_type):
@@ -175,6 +173,26 @@ def test_studentized_unwinds_the_scale(single_type):
     r = batch.replicates[0]
     expect = r.T[(0, 10)] / (math.sqrt(c.sigma_case2) * math.sqrt(r.w_hat))
     assert eps[0] == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("preset_fixture, cap", [("single_type", 2_000), ("cyclic", 350_000)])
+def test_columnar_studentized_equals_row_reference(request, preset_fixture, cap):
+    """The columnar studentization equals the row-by-row one bit for bit on
+    a simulated batch with aborted rows and rows cut by the W_hat floor
+    (cyclic_three's T is complex)."""
+    b = request.getfixturevalue(preset_fixture)
+    batch = run_batch(
+        b.model, b.phi, n=8, N=10, R=BLOCK + 40, master_seed=5_309, S=b.S,
+        constants=b.constants, ns=[6, 8], overflow_cap=cap,
+    )
+    w_min = float(np.nanquantile(batch.w_hat, 0.2))
+    assert batch.aborted.any() and not batch.aborted.all()
+    assert (batch.usable() & ~batch.usable(w_min)).any()
+    for t in (6, 8):
+        eps, ws = studentized(batch, b.constants, phi_index=0, t=t, w_min=w_min)
+        ref_eps, ref_ws = reference_studentized(batch, b.constants, phi_index=0, t=t, w_min=w_min)
+        assert eps.size and eps.tobytes() == ref_eps.tobytes()
+        assert ws.tobytes() == ref_ws.tobytes()
 
 
 def test_verifier_passes_well_specified_batches(single_type):
@@ -255,23 +273,23 @@ def test_degenerate_scale_uses_decay_branch(degenerate):
         reps.append(
             ReplicateResult(
                 index=i, survived=True, aborted=False,
-                z_final=np.array([1, 1], dtype=np.int64), w_hat=1.0, w1_hat=None,
+                z_final=np.array([1, 1], dtype=np.int64), w_hat=1.0,
                 zphi=dict(T), T=T, cells=None,
             )
         )
-    batch = BatchResult(replicates=tuple(reps), n=12, N=16, ns=ns, master_seed=0, n_phis=1)
+    batch = batch_from_rows(reps, n=12, N=16, ns=ns)
     rep = verify_dichotomy(batch, c, degenerate.S)
     assert rep.case == "degenerate" and rep.passed and rep.decay["monotone"]
 
     bad = tuple(
         ReplicateResult(
             index=r.index, survived=True, aborted=False, z_final=r.z_final,
-            w_hat=1.0, w1_hat=None, zphi=r.zphi,
+            w_hat=1.0, zphi=r.zphi,
             T={(0, t): complex(2.0**t) for t in ns}, cells=None,
         )
         for r in reps
     )
-    batch_bad = BatchResult(replicates=bad, n=12, N=16, ns=ns, master_seed=0, n_phis=1)
+    batch_bad = batch_from_rows(bad, n=12, N=16, ns=ns)
     rep_bad = verify_dichotomy(batch_bad, c, degenerate.S)
     assert not rep_bad.passed
 
@@ -287,11 +305,11 @@ def test_complex_statistics_gate_on_scaled_real_part(single_type):
         reps.append(
             ReplicateResult(
                 index=i, survived=True, aborted=False, z_final=np.array([1], dtype=np.int64),
-                w_hat=w, w1_hat=None, zphi={(0, 10): sigma * math.sqrt(w) * g},
+                w_hat=w, zphi={(0, 10): sigma * math.sqrt(w) * g},
                 T={(0, 10): sigma * math.sqrt(w) * g}, cells=None,
             )
         )
-    batch = BatchResult(replicates=tuple(reps), n=10, N=14, ns=(10,), master_seed=0, n_phis=1)
+    batch = batch_from_rows(reps, n=10, N=14, ns=(10,))
     rep = verify_dichotomy(batch, c, S)
     assert rep.marginals is not None
     assert rep.passed
@@ -319,3 +337,12 @@ def test_lln_vanishing_mode(cross_feed):
     out = lln_check(batch, cross_feed.phi, cross_feed.model, cross_feed.S)
     assert out["mode"] == "vanishing"
     assert out["passed"], out
+
+
+def test_lln_ratio_divides_as_python_complex_division():
+    # both branches of the division: |Re b| >= |Im b| and the reverse
+    rng = np.random.default_rng(90)
+    a = rng.normal(size=400) + 1j * rng.normal(size=400)
+    b = rng.normal(size=400) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=400))
+    want = np.array([(complex(x) / complex(y)).real for x, y in zip(a, b)])
+    assert _real_quotient(a, b).tobytes() == want.tobytes()
