@@ -422,11 +422,17 @@ def assumption_sums(phi: Characteristic, S: SpectralData, model: BranchingModel)
     rows of a long table do not underflow.
     """
     ks = np.array(phi.value_keys)
-    mean = np.array([np.linalg.norm(phi.mean(k)) for k in phi.value_keys])
     pos = {k: i for i, k in enumerate(phi.value_keys)}
+    means = np.zeros((len(ks), S.J), dtype=complex)
+    if phi.base:
+        means[[pos[k] for k in phi.base]] = list(phi.base.values())
     var = np.zeros((len(ks), S.J))
     for (k, j), law in phi.noise.items():
+        means[pos[k], j] += law.mean()
         var[pos[k], j] += law.variance()
+    # |E phi(k)| row by row as np.linalg.norm forms it: vecdot makes the same
+    # strided dot call per row, so the sum equals a per-key norm bit for bit
+    mean = np.sqrt(np.vecdot(means.real, means.real) + np.vecdot(means.imag, means.imag))
     var = power_scaled(var, S.rho, ks)
     if phi.coeff:
         rows = power_scaled(np.array(list(phi.coeff.values())), S.rho, np.array(list(phi.coeff)) / 2)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
-import yaml
-
 from .model import _parse_number
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "loads_scenario", "save_scenario"]
@@ -281,6 +279,8 @@ def scenario_from_dict(data) -> Scenario:
 
 
 def loads_scenario(text: str) -> Scenario:
+    import yaml  # here, not at module level: a preset run never reads YAML
+
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -294,6 +294,8 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(scn: Scenario, path) -> None:
+    import yaml
+
     with open(path, "w") as fh:
         yaml.safe_dump(scn.to_dict(), fh, sort_keys=False)
 

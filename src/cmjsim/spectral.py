@@ -7,16 +7,22 @@ against the critical circle of radius ``sqrt(rho)``:
 * critical:        |lambda| == sqrt(rho) (within ``tol``),
 * sub-critical:    |lambda| <  sqrt(rho).
 
-Per-cluster spectral (oblique) projections are computed from a complex Schur
-form: the cluster is sorted to the leading block and the invariant-subspace
-splitting ``T11 Y - Y T22 = T12`` is solved, giving
+Spectral (oblique) projections come from an ordered complex Schur form built
+by deflation in plain numpy: one eigenvalue of the cluster at a time, the
+null vector of the shifted trailing block is reflected onto the leading
+coordinate, so the cluster fills the leading block of ``T = Q* A Q``.  The
+invariant-subspace splitting ``T11 Y - Y T22 = T12`` is one small linear
+solve, giving
 
     pi = Q [[I, Y], [0, 0]] Q*.
 
-This is better conditioned than powering ``(A - lambda I)`` and rank-probing
-its kernel, and all stated invariants (partition of unity, idempotency,
-commutation, mutual orthogonality) are verified on every decomposition;
-residuals above ``100 * tol`` raise.
+Each cluster gets its projection, and each of the three classes one
+projection of its own (the union of its clusters), so close clusters inside
+one class cost the class projections no accuracy.  This is better
+conditioned than powering ``(A - lambda I)`` and rank-probing its kernel, and
+all stated invariants (partition of unity, idempotency, commutation, mutual
+orthogonality) are verified on every decomposition; residuals above
+``100 * tol`` raise.
 
 Numerical-stability rule used throughout the package: powers of ``A``
 restricted to an invariant subspace are NEVER formed by powering a full
@@ -40,7 +46,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = [
     "EigenCluster",
@@ -165,28 +170,60 @@ def _cluster_values(eigs: np.ndarray, radius: float) -> list[list[int]]:
     return sorted(groups.values(), key=sort_key)
 
 
-def _cluster_projection(A: np.ndarray, members: np.ndarray, radius: float) -> np.ndarray:
-    """Spectral projection onto the generalized eigenspace of one cluster."""
+def _cluster_projection(A: np.ndarray, eigs: np.ndarray, idxs: list[int]) -> np.ndarray:
+    """Spectral projection onto the generalized eigenspace of ``eigs[idxs]``
+    (one cluster, or every cluster of a class), from an ordered Schur form
+    built by deflation.
+
+    With ``T = A`` and ``Q = I``, each of the s members in turn takes
+    the eigenvalue ``lam`` of the trailing block ``T[i:, i:]`` nearest the
+    members, the null vector of ``T[i:, i:] - lam I`` (its last right-singular
+    vector) and a Householder reflection ``H`` that maps it onto ``e_i``;
+    ``T <- H T H`` and ``Q <- Q H`` leave column i upper triangular.  The
+    leading ``s x s`` block then carries the cluster, and the splitting
+    ``T11 Y - Y T22 = T12`` is one solve of the ``s (J - s)`` Kronecker system,
+    giving ``pi = Q [[I, Y], [0, 0]] Q*``.
+
+    An eigenvalue is accepted when it is nearer the members than the other
+    eigenvalues.  A tighter test would refuse genuine Jordan blocks: the
+    trailing eigenvalues of a deflated m-fold block spread by about
+    ``eps^(1/m)``.  Otherwise the clustering is inconsistent and it raises
+    ``ArithmeticError``.
+    """
     n = A.shape[0]
-    if len(members) == n:
+    s = len(idxs)
+    if s == n:
         return np.eye(n, dtype=complex)
-
-    # Any two eigenvalues in different single-linkage clusters are more than
-    # `radius` apart, while re-computed Schur diagonal values sit within
-    # rounding error of the originals, so half the radius separates cleanly.
-    def inside(x):
-        return bool(np.min(np.abs(x - members)) <= 0.5 * radius)
-
-    T, Q, sdim = sla.schur(A.astype(complex), output="complex", sort=inside)
-    if sdim != len(members):
-        raise ArithmeticError(
-            f"eigenvalue clustering is inconsistent: sorted {sdim} values into a "
-            f"cluster of size {len(members)}; the Jordan structure is too "
-            f"ill-conditioned for the requested tolerance"
-        )
-    s = sdim
+    members = eigs[idxs]
+    others = np.delete(eigs, idxs)
+    T = A.astype(complex)
+    Q = np.eye(n, dtype=complex)
+    vals = eigs
+    for i in range(s):
+        if i:
+            vals = np.linalg.eigvals(T[i:, i:])
+        near = np.min(np.abs(vals[:, None] - members), axis=1)
+        lam = vals[np.argmin(near)]
+        if near.min() >= np.min(np.abs(lam - others)):
+            raise ArithmeticError(
+                f"eigenvalue clustering is inconsistent: after {i} of {s} deflations "
+                f"the nearest remaining value {lam:.6g} lies nearer an eigenvalue "
+                f"outside the cluster; the Jordan structure is too ill-conditioned "
+                f"for the requested tolerance"
+            )
+        x = np.linalg.svd(T[i:, i:] - lam * np.eye(n - i))[2][-1].conj()
+        # H = I - 2 w w* / |w|^2 with w = x + phase(x_0) e_0: no cancellation
+        w = x.copy()
+        w[0] += x[0] / abs(x[0]) if x[0] != 0 else 1.0
+        H = np.eye(n - i) - np.outer(w, w.conj()) * (2.0 / np.vdot(w, w).real)
+        T[:, i:] = T[:, i:] @ H
+        T[i:, :] = H @ T[i:, :]
+        Q[:, i:] = Q[:, i:] @ H
     T11, T12, T22 = T[:s, :s], T[:s, s:], T[s:, s:]
-    Y = sla.solve_sylvester(T11, -T22, T12)
+    # kron(I, T11) - kron(T22^T, I), which acts on Y stacked column by column
+    K = np.eye(n - s)[:, None, :, None] * T11[None, :, None, :]
+    K = (K - T22.T[:, None, :, None] * np.eye(s)[None, :, None, :]).reshape(s * (n - s), -1)
+    Y = np.linalg.solve(K, T12.reshape(-1, order="F")).reshape(s, n - s, order="F")
     P = np.zeros((n, n), dtype=complex)
     P[:s, :s] = np.eye(s)
     P[:s, s:] = Y
@@ -263,7 +300,7 @@ def spectral_decompose(A: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralData:
         lam = complex(np.mean(members))
         if abs(lam.imag) <= radius:
             lam = complex(lam.real, 0.0)
-        proj = _cluster_projection(A, members, radius)
+        proj = _cluster_projection(A, eigs, idxs)
         nil = _nilpotent_index(A, lam, proj, tol)
         dist = abs(abs(lam) - sqrt_rho)
         if abs(lam) > sqrt_rho + tol:
@@ -283,16 +320,18 @@ def spectral_decompose(A: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralData:
             )
         )
 
-    pi1 = np.zeros((n, n), dtype=complex)
-    pi2 = np.zeros((n, n), dtype=complex)
-    pi3 = np.zeros((n, n), dtype=complex)
-    for c in clusters:
-        if c.label == SUPER:
-            pi1 = pi1 + c.projection
-        elif c.label == CRITICAL:
-            pi2 = pi2 + c.projection
+    # A class of several clusters is projected in one piece: close clusters
+    # have large projections whose rounding errors do not cancel in a sum.
+    pis = []
+    for label in (SUPER, CRITICAL, SUB):
+        in_class = [(c, idxs) for c, idxs in zip(clusters, groups) if c.label == label]
+        if not in_class:
+            pis.append(np.zeros((n, n), dtype=complex))
+        elif len(in_class) == 1:
+            pis.append(in_class[0][0].projection)
         else:
-            pi3 = pi3 + c.projection
+            pis.append(_cluster_projection(A, eigs, [i for _, idxs in in_class for i in idxs]))
+    pi1, pi2, pi3 = pis
 
     A1 = Ac @ pi1 + (eye - pi1)
     A2 = Ac @ pi2 + (eye - pi2)

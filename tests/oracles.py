@@ -2,10 +2,11 @@
 
 Everything in this module is deliberately written the *slow, obvious* way:
 exact rational first/second moment recursions, per-individual replay of the
-recorded multinomial cells, a reference KS tail from scipy, and the
-replicate-by-replicate studentization that the columnar one must equal.  None of it
-shares code with the package internals, so agreement is evidence rather than
-tautology.
+recorded multinomial cells, a reference KS tail from scipy, the
+replicate-by-replicate studentization that the columnar one must equal, and
+LAPACK's ordered-Schur spectral projector that the deflation one must equal.
+None of it shares code with the package internals, so agreement is evidence
+rather than tautology.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 import scipy.stats
 
 from cmjsim import BranchingModel
 from cmjsim.characteristics import Characteristic
 from cmjsim.simulator import BatchResult
+from cmjsim.spectral import DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +247,40 @@ def reference_studentized(batch, constants, *, phi_index: int, t: int, w_min: fl
         ws.append(r.w_hat)
         eps.append(tv / (sigma * math.sqrt(r.w_hat)) if sigma > 0 else tv)
     return np.asarray(eps, dtype=complex), np.asarray(ws, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# Reference spectral projector
+# ---------------------------------------------------------------------------
+
+
+def schur_cluster_projection(A: np.ndarray, eigs: np.ndarray, idxs) -> np.ndarray:
+    """Spectral projection onto ``eigs[idxs]`` from LAPACK's ordered complex
+    Schur form and Bartels-Stewart, a drop-in for
+    ``cmjsim.spectral._cluster_projection`` at ``DEFAULT_TOL``.
+
+    The sort keeps a Schur diagonal value within half the clustering radius
+    of a member: LAPACK reorders without re-computing the eigenvalues, so its
+    diagonal sits within rounding error of ``eigs``.
+    """
+    n = A.shape[0]
+    members = eigs[idxs]
+    if len(members) == n:
+        return np.eye(n, dtype=complex)
+    radius = max(DEFAULT_TOL, 64.0 * np.sqrt(np.finfo(float).eps) * float(np.linalg.norm(A, 2)))
+
+    def inside(x):
+        return bool(np.min(np.abs(x - members)) <= 0.5 * radius)
+
+    T, Q, sdim = scipy.linalg.schur(A.astype(complex), output="complex", sort=inside)
+    if sdim != len(members):
+        raise ArithmeticError(f"sorted {sdim} values into a cluster of size {len(members)}")
+    s = sdim
+    Y = scipy.linalg.solve_sylvester(T[:s, :s], -T[s:, s:], T[:s, s:])
+    P = np.zeros((n, n), dtype=complex)
+    P[:s, :s] = np.eye(s)
+    P[:s, s:] = Y
+    return Q @ P @ Q.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Every test drives the real argument parser and dispatch table; only the
 statistical-FAIL test replaces the verifier, so that its failure does not
-depend on a lucky seed.  Exit-code contract under test:
+depend on a lucky seed, and one test calls ``main`` in a fresh interpreter
+to see which modules a run imports.  Exit-code contract under test:
 
     0  success / statistical PASS
     1  usage or schema error
@@ -13,6 +14,8 @@ depend on a lucky seed.  Exit-code contract under test:
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -304,3 +307,23 @@ def test_every_preset_analyzes_without_crashing(capsys):
         rc, out, _ = run_cli(["analyze", "--scenario", name], capsys)
         assert rc in (EXIT_OK, EXIT_ASSUMPTION), name
         json_payload(out)  # report must always be well-formed JSON
+
+
+_IMPORT_PROBE = """
+import sys
+from cmjsim.cli import main
+code = main(["verify", "--scenario", "two_type_mirror", "--workers", "1"])
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml"))
+print(code, heavy, file=sys.stderr)
+sys.exit(1 if heavy else 0)
+"""
+
+
+def test_preset_verify_imports_neither_scipy_nor_yaml():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == f"{EXIT_OK} []"

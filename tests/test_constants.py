@@ -25,9 +25,11 @@ from cmjsim import (
     make_phi1,
     spectral_decompose,
 )
-from cmjsim.characteristics import assumption_sums
+from cmjsim.characteristics import Characteristic, assumption_sums
+from cmjsim.cli import build_characteristic
 from cmjsim.constants import compute_sigma_l_table
-from cmjsim.presets import _bernoulli_column
+from cmjsim.presets import _bernoulli_column, preset_names
+from cmjsim.spectral import power_scaled
 
 from conftest import bundle
 from oracles import exact_linear_variance
@@ -356,6 +358,52 @@ def test_variance_sum_keeps_rows_that_underflow_when_squared():
     got = assumption_sums(phi, S, model)["variance_weighted_sum"]
     assert got == pytest.approx(direct, rel=1e-12)
     assert got == pytest.approx(32.59247, abs=1e-5)
+
+
+def _per_key_mean_sum(phi, S):
+    """``mean_weighted_sum`` as a loop of one ``np.linalg.norm`` per key."""
+    ks = np.array(phi.value_keys)
+    mean = np.array([np.linalg.norm(phi.mean(k)) for k in phi.value_keys])
+    return float(np.sum(power_scaled(mean, S.rho, ks) + power_scaled(mean, S.theta, ks)))
+
+
+def _random_tables(S, count=100, seed=7):
+    """One-key tables first: the sum is then one weighted norm, so a last-bit
+    change in it shows.  Then one table over sixty keys, for the stacking of
+    base rows and the scatter of noise means."""
+    rng = np.random.default_rng(seed)
+
+    def row():
+        return rng.standard_normal(S.J) + 1j * rng.standard_normal(S.J)
+
+    def law():
+        return (0.3, 0.7), (complex(rng.standard_normal()), 2.5j)
+
+    for i in range(count):
+        k = int(rng.integers(-5, 6))
+        noise = {(k, int(rng.integers(S.J))): law()} if i % 2 else {}
+        yield Characteristic(J=S.J, base={k: row()}, noise=noise)
+    base = {k: row() * S.theta**k for k in range(60)}
+    noise = {(k, int(rng.integers(S.J))): law() for k in range(0, 60, 2)}
+    yield Characteristic(J=S.J, base=base, noise=noise)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_mean_weighted_sum_equals_per_key_norms_on_presets(name):
+    b = bundle(name)
+    phi, _ = build_characteristic(b.scenario, b.model, b.S)
+    for table in (phi, *_random_tables(b.S)):
+        assert assumption_sums(table, b.S, b.model)["mean_weighted_sum"] == _per_key_mean_sum(table, b.S)
+
+
+def test_mean_weighted_sum_equals_per_key_norms_on_a_long_table():
+    model, S = _symmetric_pair(1.5, 1.2309)
+    phi = make_phi1(S, np.array([1.0, -1.0]), model=model)
+    long_table = Characteristic(
+        J=2, base={k: np.array([1.0, -1.0]) * 0.9 ** -k for k in phi.coeff}, coeff=phi.coeff
+    )
+    for table in (phi, long_table):
+        assert assumption_sums(table, S, model)["mean_weighted_sum"] == _per_key_mean_sum(table, S)
 
 
 @settings(max_examples=30, deadline=None)

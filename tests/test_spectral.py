@@ -3,7 +3,9 @@
 The invariant battery runs over a dozen hand-picked mean matrices covering
 one type, symmetric pairs, a true Jordan block on the half-power circle, a
 complex critical triple, reducible/triangular cases, repeated roots, and the
-spectral-radius-one boundary.
+spectral-radius-one boundary.  The projections are also compared with
+LAPACK's ordered Schur form (``oracles.schur_cluster_projection``) on that
+suite and on a seeded sweep of random non-negative matrices.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from cmjsim import spectral
 from cmjsim.spectral import (
     CRITICAL,
     SUB,
@@ -331,3 +335,83 @@ def test_random_nonnegative_matrices_satisfy_invariants(rows):
         assert np.max(np.abs(A @ p - p @ A)) < 1e-8
     assert np.max(np.abs(S.A1 @ S.A1_inv - eye)) < 1e-8
     assert float(S.u @ S.v) == pytest.approx(1.0, abs=1e-8)
+
+
+# -- agreement with the LAPACK ordered-Schur projector --------------------------
+
+
+def _oracle_matrices(seed: int, count: int):
+    """Non-negative 1-6 type matrices, in turn: small integers, sparse floats
+    with three decimals (exact zeros and tiny entries), and upper triangular
+    with repeated diagonals (Jordan blocks)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        J = int(rng.integers(1, 7))
+        kind = len(out) % 3
+        if kind == 0:
+            A = rng.integers(0, 5, (J, J)).astype(float)
+        elif kind == 1:
+            A = np.round(4 * rng.random((J, J)) * (rng.random((J, J)) < 0.5), 3)
+        else:
+            A = np.triu(rng.integers(0, 3, (J, J)).astype(float), 1)
+            A[np.diag_indices(J)] = rng.choice([1.0, 2.0, 3.0], size=J)
+        if np.any(A):
+            out.append(A)
+    return out
+
+
+def _decompose_or_refusal(A):
+    try:
+        return spectral_decompose(A)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+
+
+def _against_oracle(A, monkeypatch):
+    """(library result, result with the projector swapped for the oracle)."""
+    ours = _decompose_or_refusal(A)
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_cluster_projection", oracles.schur_cluster_projection)
+        ref = _decompose_or_refusal(A)
+    return ours, ref
+
+
+def _pi_gap(ours, ref):
+    return max(float(np.max(np.abs(ours.pi(i) - ref.pi(i)))) for i in (1, 2, 3))
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_projectors_match_lapack_oracle_on_suite(name, monkeypatch):
+    ours, ref = _against_oracle(np.array(SUITE[name], dtype=float), monkeypatch)
+    assert isinstance(ours, SpectralData) and isinstance(ref, SpectralData)
+    assert _pi_gap(ours, ref) <= 1e-9
+    for a, b in zip(ours.clusters, ref.clusters):
+        assert np.max(np.abs(a.projection - b.projection)) <= 1e-9
+
+
+def test_projectors_match_lapack_oracle_on_seeded_sweep(monkeypatch):
+    accepted = 0
+    for A in _oracle_matrices(seed=2026, count=500):
+        ours, ref = _against_oracle(A, monkeypatch)
+        if isinstance(ref, SpectralData):
+            assert isinstance(ours, SpectralData), (A.tolist(), ours)
+            assert _pi_gap(ours, ref) <= 1e-9, A.tolist()
+            accepted += 1
+        else:
+            assert ours is ref, (A.tolist(), ours, ref)
+    assert accepted >= 350
+
+
+def test_fourfold_jordan_block_decomposes(monkeypatch):
+    # the trailing eigenvalues of a deflated m-fold block spread by about
+    # eps^(1/m), so a cluster test at half the clustering radius refuses this
+    A = np.array(
+        [[2, 1, 1, 2, 1], [0, 1, 1, 1, 2], [0, 0, 1, 2, 2], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]],
+        dtype=float,
+    )
+    ours, ref = _against_oracle(A, monkeypatch)
+    assert isinstance(ours, SpectralData) and isinstance(ref, SpectralData)
+    assert _pi_gap(ours, ref) <= 1e-9
+    sub = ours.classes()[SUB]
+    assert len(sub) == 1 and sub[0].multiplicity == 4 and sub[0].nilpotent_index == 4
