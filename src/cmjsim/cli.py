@@ -167,6 +167,13 @@ def _spectral_report(S) -> dict:
     }
 
 
+_ASSUMPTION_FAILURES = (
+    ("supercritical", "not supercritical"),
+    ("positively_regular", "not positively regular"),
+    ("nondegenerate", "degenerate"),
+)
+
+
 def _assumption_report(rep) -> dict:
     return {
         "supercritical": rep.gw1_supercritical,
@@ -293,7 +300,9 @@ def _cmd_verify(args) -> int:
     scn = run.scn
     assumptions = _assumption_report(run.assumptions)
     if not run.assumptions.all_ok:
-        _emit({"assumptions": assumptions, "verdict": "REFUSED"}, args.out)
+        failed = [text for key, text in _ASSUMPTION_FAILURES if not assumptions[key]]
+        reason = "standing assumptions fail: " + ", ".join(failed)
+        _emit({"assumptions": assumptions, "verdict": "REFUSED", "reason": reason}, args.out)
         return EXIT_ASSUMPTION
     const = run.const
     batch = run.batch()

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
@@ -438,6 +437,10 @@ def run_batch(
             (plan, master_seed, int(lo), int(hi), record_cells)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
+        # imported here: multiprocessing costs ~15 ms of import, and a batch
+        # under two blocks per worker never starts the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_blocks, tasks))
     # the last block is simulated whole, then cut to R

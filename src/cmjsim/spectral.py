@@ -335,8 +335,14 @@ def spectral_decompose(A: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralData:
 
     A1 = Ac @ pi1 + (eye - pi1)
     A2 = Ac @ pi2 + (eye - pi2)
-    A1_inv = np.linalg.inv(A1)
-    A2_inv = np.linalg.inv(A2)
+    try:
+        A1_inv = np.linalg.inv(A1)
+        A2_inv = np.linalg.inv(A2)
+    except np.linalg.LinAlgError:
+        # only a zero eigenvalue on the sqrt(rho) circle, i.e. rho = 0
+        raise ArithmeticError(
+            "A is nilpotent (spectral radius 0): its critical part A pi2 is singular"
+        ) from None
 
     D = np.zeros((n, n), dtype=complex)
     for c in clusters:

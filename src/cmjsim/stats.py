@@ -46,6 +46,11 @@ KS_MAX_TERMS = 100
 KS_P_MIN = 0.01
 W_MIN_DEFAULT = 1e-3
 ABORT_RATE_MAX = 0.10
+# resampled values drawn and reduced per block: the block's index, gather and
+# deviation arrays (8 bytes a value) stay under 128 KiB, glibc's default mmap
+# and trim thresholds, so they reuse heap pages; blocks of 1 << 15 values
+# fault ~1,500 fresh pages per call inside a batch loop
+_BLOCK_ITEMS = 16_000
 
 
 def normal_cdf(x: float) -> float:
@@ -91,12 +96,25 @@ def ks_test(sample, cdf=normal_cdf) -> tuple[float, float]:
 
 def bootstrap_variance_se(sample, B: int = 500, seed: int = 20240 + 17) -> float:
     """Standard error of the sample variance by seeded nonparametric bootstrap."""
-    xs = np.asarray(sample, dtype=float)
-    m = xs.shape[0]
     rng = np.random.Generator(np.random.PCG64(seed))
-    idx = rng.integers(0, m, size=(B, m))
-    boot = xs[idx].var(axis=1, ddof=1)
-    return float(boot.std(ddof=1))
+    return float(_resampled_variances(np.asarray(sample, dtype=float), rng, B).std(ddof=1))
+
+
+def _resampled_variances(xs: np.ndarray, rng: np.random.Generator, B: int) -> np.ndarray:
+    """Sample variances (ddof=1) of B resamples of ``xs`` with replacement.
+
+    The rows are drawn and reduced a block at a time, yet the result has the
+    bits of one ``(B, m)`` index matrix: PCG64 keeps its spare 32-bit half in
+    the generator's state, so bounded draws below 2**32 do not depend on how
+    they are split, and ``var(axis=1)`` reduces each row on its own.
+    """
+    m = xs.shape[0]
+    rows = max(1, _BLOCK_ITEMS // m)
+    out = np.empty(B)
+    for lo in range(0, B, rows):
+        hi = min(lo + rows, B)
+        out[lo:hi] = xs[rng.integers(0, m, size=(hi - lo, m))].var(axis=1, ddof=1)
+    return out
 
 
 def fisher_corr_z(x, y) -> tuple[float, float, float]:
@@ -341,7 +359,7 @@ def lln_check(
         out.update({"mode": "empty", "passed": False})
         return out
     if abs(c) > 1e-9 * max(scale, 1e-300):
-        med = float(np.median(_real_quotient(vals, S.rho**t * ws * c)))
+        med = _median(_real_quotient(vals, S.rho**t * ws * c))
         out.update(
             {
                 "mode": "ratio",
@@ -352,7 +370,7 @@ def lln_check(
         )
     else:
         normalized = np.abs(vals) * S.rho ** (-t) / max(scale, 1e-300) / np.maximum(ws, w_min)
-        med = float(np.median(normalized))
+        med = _median(normalized)
         out.update({"mode": "vanishing", "median_abs": med, "tol": zero_tol, "passed": bool(med < zero_tol)})
     return out
 
@@ -377,9 +395,7 @@ def flatness_check(
         vals = _usable_column(batch, batch.T, phi_index, t, w_min)[0].real
         if vals.shape[0] < 10:
             continue
-        m = vals.shape[0]
-        idx = rng.integers(0, m, size=(B, m))
-        boot = vals[idx].var(axis=1, ddof=1)
+        boot = _resampled_variances(vals, rng, B)
         rows.append(
             {
                 "t": int(t),
@@ -395,6 +411,17 @@ def flatness_check(
     wmean = float((weights * values).sum() / weights.sum())
     passed = all(r["ci"][0] <= wmean <= r["ci"][1] for r in rows)
     return {"rows": rows, "weighted_mean": wmean, "passed": bool(passed)}
+
+
+def _median(xs: np.ndarray) -> float:
+    """``np.median`` of a 1-d float array, by sorting: the same bits, NaN
+    included, without the ``numpy.ma`` import that ``np.median`` pulls in."""
+    s = np.sort(xs)
+    k = s.shape[0] // 2
+    # the mean of the middle one or two, as np.median takes it (a sum from
+    # +0.0, so an all -0.0 middle gives +0.0)
+    mid = s[k : k + 1] if s.shape[0] % 2 else s[k - 1 : k + 1]
+    return float("nan") if np.isnan(s[-1]) else float(mid.mean())
 
 
 def _real_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Everything in this module is deliberately written the *slow, obvious* way:
 exact rational first/second moment recursions, per-individual replay of the
-recorded multinomial cells, a reference KS tail from scipy, the
+recorded multinomial cells, a reference KS tail from scipy, the one-shot
+bootstrap resample that the blocked one must equal, the
 replicate-by-replicate studentization that the columnar one must equal, and
 LAPACK's ordered-Schur spectral projector that the deflation one must equal.
 None of it shares code with the package internals, so agreement is evidence
@@ -228,6 +229,14 @@ def sample_variance_se(sample: np.ndarray) -> float:
     var = float(np.mean(c**2))
     m4 = float(np.mean(c**4))
     return math.sqrt(max(m4 - var**2, 0.0) / m)
+
+
+def one_shot_resampled_variances(xs: np.ndarray, rng: np.random.Generator, B: int) -> np.ndarray:
+    """Sample variances (ddof=1) of B resamples of ``xs``, drawn as one
+    ``(B, m)`` index matrix: the form the blocked kernel
+    ``cmjsim.stats._resampled_variances`` must equal bit for bit."""
+    m = xs.shape[0]
+    return xs[rng.integers(0, m, size=(B, m))].var(axis=1, ddof=1)
 
 
 def reference_studentized(batch, constants, *, phi_index: int, t: int, w_min: float):

@@ -2,7 +2,7 @@
 
 Every test drives the real argument parser and dispatch table; only the
 statistical-FAIL test replaces the verifier, so that its failure does not
-depend on a lucky seed, and one test calls ``main`` in a fresh interpreter
+depend on a lucky seed, and two tests call ``main`` in a fresh interpreter
 to see which modules a run imports.  Exit-code contract under test:
 
     0  success / statistical PASS
@@ -236,6 +236,21 @@ def test_verify_refuses_before_simulating_when_assumptions_fail(capsys):
     assert "verification" not in rep  # nothing was simulated
 
 
+@pytest.mark.parametrize(
+    "name,reason",
+    [
+        ("cyclic_three", "standing assumptions fail: not positively regular"),
+        ("cross_feed_deterministic", "standing assumptions fail: degenerate"),
+    ],
+)
+def test_assumption_refusal_names_each_failed_assumption(name, reason, capsys):
+    rc, out, _ = run_cli(["verify", "--scenario", name], capsys)
+    assert rc == EXIT_ASSUMPTION
+    rep = json_payload(out)
+    assert rep["verdict"] == "REFUSED"
+    assert rep["reason"] == reason
+
+
 def test_verify_emit_hist_writes_histogram(tmp_path, capsys):
     hist_path = tmp_path / "hist.json"
     rc, out, _ = run_cli(
@@ -324,6 +339,27 @@ def test_preset_verify_imports_neither_scipy_nor_yaml():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == f"{EXIT_OK} []"
+
+
+_LAZY_PROBE = """
+import sys
+from cmjsim.cli import main
+code = main(["verify", "--scenario", "two_type_mirror", "--workers", "1"])
+loaded = [m for m in ("concurrent.futures.process", "numpy.ma") if m in sys.modules]
+print(code, loaded, file=sys.stderr)
+sys.exit(1 if loaded else 0)
+"""
+
+
+def test_preset_verify_imports_neither_the_pool_nor_numpy_ma():
+    # a preset-sized batch runs in-process, and lln_check takes its median by sorting
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_PROBE], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == f"{EXIT_OK} []"

@@ -337,6 +337,14 @@ def test_random_nonnegative_matrices_satisfy_invariants(rows):
     assert float(S.u @ S.v) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("A", [[[0, 1], [0, 0]], [[0, 2, 1], [0, 0, 3], [0, 0, 0]]])
+def test_nilpotent_matrix_is_refused_as_arithmetic_error(A):
+    # numpy's singular-matrix error is a ValueError; the refusal must not be
+    with pytest.raises(ArithmeticError, match="nilpotent") as info:
+        spectral_decompose(np.array(A, dtype=float))
+    assert type(info.value) is ArithmeticError
+
+
 # -- agreement with the LAPACK ordered-Schur projector --------------------------
 
 

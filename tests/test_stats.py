@@ -3,16 +3,22 @@ pre-registered verifier on synthetic batches with known ground truth."""
 
 from __future__ import annotations
 
+import argparse
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
 
-from cmjsim import run_batch, verify_dichotomy
+from cmjsim import cli, run_batch, stats, verify_dichotomy
+from cmjsim.presets import PRESETS
 from cmjsim.simulator import BLOCK, ReplicateResult
 from cmjsim.stats import (
+    W_MIN_DEFAULT,
+    _median,
     _real_quotient,
+    _resampled_variances,
     bootstrap_variance_se,
     fisher_corr_z,
     flatness_check,
@@ -24,7 +30,12 @@ from cmjsim.stats import (
     studentized,
 )
 
-from oracles import batch_from_rows, reference_ks_pvalue, reference_studentized
+from oracles import (
+    batch_from_rows,
+    one_shot_resampled_variances,
+    reference_ks_pvalue,
+    reference_studentized,
+)
 
 
 def test_normal_cdf_landmarks():
@@ -96,6 +107,112 @@ def test_bootstrap_variance_se_scale():
     # asymptotically sqrt(2/m) for the unit normal
     assert 0.6 * math.sqrt(2 / 500) < se < 1.6 * math.sqrt(2 / 500)
     assert bootstrap_variance_se(xs, B=500, seed=11) == se  # seeded determinism
+
+
+# -- the blocked resample against the one-shot (B, m) draw ----------------------
+
+# around one row per block (16,000 values) and around 2**15
+_SIZES = (50, 51, 999, 1000, 1001, 15999, 16000, 16001, 32767, 32768, 32769, 70001)
+_REPLICATES = (2, 7, 400, 500)
+# the one-shot oracle holds four (B, m) temporaries, so pairs above 2**20
+# resampled items are left out; B = 2 and 7 still reach every m
+_ORACLE_ITEMS = 1 << 20
+
+
+def _pcg(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+@pytest.mark.parametrize(
+    "m,B", [(m, B) for m in _SIZES for B in _REPLICATES if m * B <= _ORACLE_ITEMS]
+)
+def test_bootstrap_variance_se_equals_one_shot_oracle(m, B):
+    xs = np.random.default_rng(m + B).standard_normal(m)
+    seed = 7 * m + B
+    ref = float(one_shot_resampled_variances(xs, _pcg(seed), B).std(ddof=1))
+    assert bootstrap_variance_se(xs, B=B, seed=seed) == ref
+
+
+@pytest.mark.parametrize(
+    "draws",
+    [
+        ((1000, 500), (51, 7), (32769, 7)),
+        ((999, 400), (999, 400), (999, 400)),
+        ((70001, 2), (50, 500), (1001, 500)),
+        ((32767, 7), (32768, 2), (1000, 400)),
+        ((16000, 7), (15999, 2), (16001, 7)),
+    ],
+)
+def test_sequential_resamples_from_one_generator_equal_one_shot_oracle(draws):
+    ours, ref = _pcg(77_201), _pcg(77_201)
+    for m, B in draws:
+        xs = np.random.default_rng(m).standard_normal(m)
+        got = _resampled_variances(xs, ours, B)
+        assert got.tobytes() == one_shot_resampled_variances(xs, ref, B).tobytes()
+
+
+@pytest.mark.parametrize("m", [50, 51, 999, 1000, 1001])
+@pytest.mark.parametrize("B", _REPLICATES)
+def test_flatness_check_equals_one_shot_oracle(m, B):
+    ns = (8, 10, 12)
+    batch = synth_batch(ns=ns, m=m, seed=m)
+    out = flatness_check(batch, B=B, seed=41)
+    assert [r["t"] for r in out["rows"]] == list(ns)
+    rng = _pcg(41)
+    lo_q = 100 * (1 - 0.99) / 2
+    for row, t in zip(out["rows"], ns):
+        vals = batch.T[(0, t)][batch.usable(W_MIN_DEFAULT)].real
+        boot = one_shot_resampled_variances(vals, rng, B)
+        assert row["se"] == float(boot.std(ddof=1))
+        assert row["ci"] == [float(np.percentile(boot, lo_q)), float(np.percentile(boot, 100 - lo_q))]
+
+
+def test_bootstrap_resamples_in_cache_sized_blocks():
+    xs = np.random.default_rng(8).standard_normal(1000)
+    tracemalloc.start()
+    try:
+        bootstrap_variance_se(xs, B=500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (500, 1000) draw makes four 4 MB temporaries and peaks at ~12 MB
+    assert peak < 1 << 20, peak
+
+
+# -- the sort-based median ----------------------------------------------------
+
+
+def _same_float(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (math.isnan(a) and math.isnan(b))
+
+
+def test_sort_median_equals_np_median():
+    rng = np.random.default_rng(31)
+    cases = [rng.standard_normal(m) for m in (1, 2, 7, 8, 999, 1000)]
+    with_nan = rng.standard_normal(9)
+    with_nan[3] = np.nan
+    even_nan = rng.standard_normal(10)
+    even_nan[0] = np.nan
+    cases += [with_nan, even_nan, np.array([-0.0, -0.0]), np.array([-0.0]), np.array([np.inf, 1.0])]
+    for xs in cases:
+        assert _same_float(_median(xs), float(np.median(xs))), xs
+    assert math.isnan(_median(with_nan)) and math.isnan(_median(even_nan))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_lln_check_on_presets_equals_np_median(name, monkeypatch):
+    run = cli._Pipeline(argparse.Namespace(scenario=name, seed=None, workers=1))
+    batch = run.batch()
+    args = (batch, run.characteristic[0], run.model, run.S)
+    ours = lln_check(*args, w_min=run.scn.run["w_min"])
+    monkeypatch.setattr(stats, "_median", lambda xs: float(np.median(xs)))
+    ref = lln_check(*args, w_min=run.scn.run["w_min"])
+    assert ours.keys() == ref.keys()
+    for key in ours:
+        if isinstance(ours[key], float):
+            assert _same_float(ours[key], ref[key]), (key, ours[key], ref[key])
+        else:
+            assert ours[key] == ref[key], key
 
 
 def test_fisher_correlation_gate():
