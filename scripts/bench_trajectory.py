@@ -7,9 +7,10 @@ Runs ``perfbench/run.py`` untraced on one workload in ``--tree`` (a checkout
 of the program, by default this repository) and appends a point to
 ``BENCH_<workload>.json`` at this repository's root.  A point holds the
 commit (suffixed ``+dirty`` when ``src/`` has uncommitted changes) and the
-hash of the sources the run measured, ``nproc``, the seed, ``--seconds``,
-the repeat count (the timed operations behind the per-operation metrics) and
-the six end-to-end metrics.  Alternate parent and change runs on fresh seeds
+hash of the sources the run measured, ``src_lines`` (the lines in the
+tree's ``src/cmjsim/*.py``), ``nproc``, the seed, ``--seconds``, the repeat
+count (the timed operations behind the per-operation metrics) and the six
+end-to-end metrics.  Alternate parent and change runs on fresh seeds
 to compare two trees on the same machine.
 """
 
@@ -43,6 +44,7 @@ def run_point(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         # "+dirty": the measured sources differ from that commit; the hash names them
         "commit": f"{prov['git_commit']}+dirty" if dirty else prov["git_commit"],
         "source_sha256": prov["source_sha256"],
+        "src_lines": sum(len(p.read_bytes().splitlines()) for p in (tree / "src" / "cmjsim").glob("*.py")),
         "nproc": prov["nproc"],
         "seed": seed,
         "seconds": seconds,

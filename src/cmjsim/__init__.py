@@ -41,7 +41,7 @@ from .simulator import (
     run_replicate,
     step_generation,
 )
-from .spectral import SpectralData, matrix_power_restricted, projected_power, spectral_decompose
+from .spectral import SpectralData, projected_power, spectral_decompose
 from .stats import VerificationReport, ks_test, lln_check, verify_dichotomy
 
 __version__ = "0.1.0"
@@ -78,7 +78,6 @@ __all__ = [
     "loads_scenario",
     "make_indicator_characteristic",
     "make_phi1",
-    "matrix_power_restricted",
     "preset",
     "preset_names",
     "projected_power",

@@ -38,7 +38,7 @@ from .characteristics import (
 from .constants import TheoreticalConstants, compute_constants
 from .model import build_model, validate_assumptions
 from .presets import PRESETS, preset
-from .scenario import Scenario, ScenarioError, load_scenario, parse_row
+from .scenario import Scenario, ScenarioError, _canon_run, load_scenario, parse_row
 from .simulator import run_batch
 from .spectral import spectral_decompose
 from .stats import lln_check, studentized, verify_dichotomy
@@ -215,8 +215,10 @@ class _Pipeline:
     reads, in that order."""
 
     def __init__(self, args):
-        self.args = args
-        self.scn = _load(args.scenario)
+        scn = _load(args.scenario)
+        # --seed and --workers override the file's run section and meet its rules
+        overrides = {k: v for k in ("seed", "workers") if (v := getattr(args, k)) is not None}
+        self.scn = dataclasses.replace(scn, run=_canon_run({**scn.run, **overrides}))
         self.model = build_model(self.scn.model)
 
     @cached_property
@@ -239,12 +241,10 @@ class _Pipeline:
         )
 
     def batch(self):
-        scn, args = self.scn, self.args
-        seed = scn.run["seed"] if args.seed is None else args.seed
-        workers = scn.run["workers"] if args.workers is None else args.workers
+        scn = self.scn
         return run_batch(
-            self.model, [self.characteristic[0]], scn.n, scn.N, scn.run["replicates"], seed,
-            S=self.S, constants=self.const, ns=scn.times, workers=workers,
+            self.model, [self.characteristic[0]], scn.n, scn.N, scn.run["replicates"], scn.run["seed"],
+            S=self.S, constants=self.const, ns=scn.times, workers=scn.run["workers"],
         )
 
 
@@ -346,11 +346,10 @@ def _cmd_star_check(args) -> int:
         raise ScenarioError("characteristic.kind: star-check needs a deterministic characteristic")
     n, N = run.scn.n, run.scn.N
     star = star_transform(phi, run.S, None, model=model, n_max=n)
-    seed = run.scn.run["seed"] if args.seed is None else args.seed
     reps = min(run.scn.run["replicates"], 64)
     ez = complex(expected_process(phi, model, n))
     scale = 1.0 + abs(ez)
-    batch = run_batch(model, [phi, star.characteristic], n, N, reps, seed, ns=[n])
+    batch = run_batch(model, [phi, star.characteristic], n, N, reps, run.scn.run["seed"], ns=[n])
     keep = ~batch.aborted
     resid = np.abs(batch.zphi[(1, n)][keep] - (batch.zphi[(0, n)][keep] - ez)) / scale
     worst = float(resid.max(initial=0.0))

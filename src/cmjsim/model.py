@@ -7,17 +7,21 @@ matrix ``A`` has column j equal to the mean of ``L^(j)``, so the type-count
 process satisfies ``E[Z_{n+1} | Z_n] = A Z_n``.
 
 All moments used downstream (means, per-column covariances, variances of
-arbitrary linear functionals of a column) are computed by exact enumeration
-of the outcome tables — never by sampling.
+arbitrary linear functionals of a column) are computed by enumerating the
+outcome tables in float64 — never by sampling.  The laws keep their exact
+probabilities for the test oracles.  This module does not validate input:
+``build_model`` takes the outcome tables that ``scenario.check_model`` has
+validated and parsed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
+
+from .scenario import PROB_TOL, check_model
 
 __all__ = [
     "OffspringLaw",
@@ -30,26 +34,6 @@ __all__ = [
     "is_primitive",
     "mixing_covariance",
 ]
-
-PROB_TOL = 1e-12
-
-
-def _parse_number(x, path: str):
-    """Parse a probability entry: int, float, Fraction or a string like '3/8'."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
-        raise ValueError(f"{path}: expected a number, got a boolean")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return float(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{path}: cannot parse number {x!r}") from exc
-    raise ValueError(f"{path}: cannot parse number of type {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -121,88 +105,25 @@ class AssumptionReport:
         return self.gw1_supercritical and self.gw2_positively_regular and self.gw3_nondegenerate
 
 
-def _parse_law(entries, J: int, path: str) -> OffspringLaw:
-    if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)):
-        raise ValueError(f"{path}: expected a list of outcomes")
-    if len(entries) == 0:
-        raise ValueError(f"{path}: outcome list is empty")
-    probs_exact = []
-    counts = []
-    for idx, item in enumerate(entries):
-        ipath = f"{path}.{idx}"
-        if not isinstance(item, Mapping):
-            raise ValueError(f"{ipath}: expected a mapping with keys 'p' and 'counts'")
-        if "p" not in item:
-            raise ValueError(f"{ipath}.p: missing")
-        if "counts" not in item:
-            raise ValueError(f"{ipath}.counts: missing")
-        p = _parse_number(item["p"], f"{ipath}.p")
-        if not (0 <= float(p) <= 1):
-            raise ValueError(f"{ipath}.p: probability {float(p)} outside [0, 1]")
-        raw_counts = item["counts"]
-        if isinstance(raw_counts, int) and J == 1:
-            raw_counts = [raw_counts]
-        if not isinstance(raw_counts, Sequence) or isinstance(raw_counts, (str, bytes)):
-            raise ValueError(f"{ipath}.counts: expected a list of {J} integers")
-        if len(raw_counts) != J:
-            raise ValueError(f"{ipath}.counts: expected length {J}, got {len(raw_counts)}")
-        vec = []
-        for c in raw_counts:
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise ValueError(f"{ipath}.counts: entries must be integers, got {c!r}")
-            if c < 0:
-                raise ValueError(f"{ipath}.counts: negative count {c}")
-            vec.append(int(c))
-        probs_exact.append(p)
-        counts.append(tuple(vec))
-    total = sum(Fraction(p) if isinstance(p, (Fraction, int)) else Fraction(repr(p)) for p in probs_exact)
-    if abs(float(total) - 1.0) > PROB_TOL:
-        raise ValueError(f"{path}: probabilities sum to {float(total)!r}, not 1")
-    return OffspringLaw(
-        probs=tuple(float(p) for p in probs_exact),
-        counts=tuple(counts),
-        probs_exact=tuple(probs_exact),
-    )
-
-
 def build_model(data: Mapping) -> BranchingModel:
-    """Build a :class:`BranchingModel` from a declarative description.
-
-    ``data`` uses the scenario-file model schema::
+    """Build a :class:`BranchingModel` from a model mapping in the
+    scenario-file schema::
 
         {"types": J,
          "initial_type": 1,                       # one-based in input
          "offspring": {1: [{"p": "1/2", "counts": [2, 2]}, ...], ...}}
 
-    Moments are computed by exact enumeration of the outcome tables.
-    Raises ``ValueError`` naming the offending key path on malformed input.
+    The input is validated by :func:`cmjsim.scenario.check_model`, which
+    raises ``ScenarioError`` (a ``ValueError``) naming the offending key path.
+    The laws keep the exact probabilities it parsed; ``A`` and the
+    covariances are formed from their float64 values.
     """
-    if not isinstance(data, Mapping):
-        raise ValueError("model: expected a mapping")
-    if "types" not in data:
-        raise ValueError("model.types: missing")
-    J = data["types"]
-    if isinstance(J, bool) or not isinstance(J, int) or J < 1:
-        raise ValueError(f"model.types: expected a positive integer, got {J!r}")
-    if "offspring" not in data:
-        raise ValueError("model.offspring: missing")
-    offspring = data["offspring"]
-    if not isinstance(offspring, Mapping):
-        raise ValueError("model.offspring: expected a mapping keyed by type")
-    laws = []
-    for j in range(1, J + 1):
-        entry = offspring.get(j, offspring.get(str(j)))
-        if entry is None:
-            raise ValueError(f"model.offspring.{j}: missing")
-        laws.append(_parse_law(entry, J, f"model.offspring.{j}"))
-    extra = set(str(k) for k in offspring) - set(str(j) for j in range(1, J + 1))
-    if extra:
-        raise ValueError(f"model.offspring.{sorted(extra)[0]}: type label outside 1..{J}")
-
-    init = data.get("initial_type", 1)
-    if isinstance(init, bool) or not isinstance(init, int) or not (1 <= init <= J):
-        raise ValueError(f"model.initial_type: expected an integer in 1..{J}, got {init!r}")
-
+    canon, tables = check_model(data)
+    J = canon["types"]
+    laws = tuple(
+        OffspringLaw(probs=tuple(float(p) for p in probs), counts=counts, probs_exact=probs)
+        for probs, counts in tables
+    )
     A = np.zeros((J, J), dtype=float)
     covs = []
     var_entries = np.zeros((J, J), dtype=float)
@@ -218,8 +139,8 @@ def build_model(data: Mapping) -> BranchingModel:
         var_entries[:, j] = np.diag(cov)
     return BranchingModel(
         J=J,
-        laws=tuple(laws),
-        initial_type=init - 1,
+        laws=laws,
+        initial_type=canon["initial_type"] - 1,
         A=A,
         covs=tuple(covs),
         var_entries=var_entries,
@@ -231,14 +152,13 @@ def perron_root(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(A, dtype=float)))))
 
 
-def is_primitive(A: np.ndarray, max_power: int | None = None) -> bool:
+def is_primitive(A: np.ndarray) -> bool:
     """True when some power ``A^n`` (n <= J*J) is entrywise strictly positive."""
     A = np.asarray(A)
     J = A.shape[0]
-    limit = max_power if max_power is not None else J * J
     P = (A > 0)
     step = P.copy()
-    for _ in range(limit):
+    for _ in range(J * J):
         if P.all():
             return True
         P = (P.astype(np.int64) @ step.astype(np.int64)) > 0

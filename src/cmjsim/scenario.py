@@ -1,22 +1,27 @@
 """Scenario files: a small YAML schema binding model, characteristic and run.
 
+This is the one validator of model input: ``scenario_from_dict`` and
+``model.build_model`` both call :func:`check_model`, so one set of rules and
+messages holds on either road in (README, "Scenario files", lists them).
 Rational inputs may be written as "p/q" strings so scenarios stay exact;
-they are canonicalized (never silently converted to floats) and survive a
-save/load round trip unchanged.  All validation errors carry the full key
-path of the offending entry.
+they are canonicalized (never silently converted to floats), parsed once,
+and survive a save/load round trip unchanged.  Every validation error starts
+with the full key path of the offending entry.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
-from .model import _parse_number
-
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "loads_scenario", "save_scenario"]
+__all__ = [
+    "Scenario", "ScenarioError", "check_model", "load_scenario", "loads_scenario", "save_scenario"
+]
 
 SCHEMA_VERSION = 1
+PROB_TOL = 1e-12
 
 _RUN_DEFAULTS = {
     "delta": 6,
@@ -47,29 +52,47 @@ def _require(mapping, key, path: str):
     return mapping[key]
 
 
-def _canon_number(x, path: str):
+def _number(x, path: str) -> tuple[Any, Any]:
+    """(canonical form, exact value) of a number entry.  Ints and floats keep
+    their form; rationals (a Fraction or a string such as "3/8") become a
+    canonical "p/q" string and a Fraction."""
     if isinstance(x, bool):
         _fail(path, "booleans are not numbers")
     if isinstance(x, int):
-        return x
+        return x, Fraction(x)
     if isinstance(x, float):
-        return x
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, str):
+        return x, x
+    if isinstance(x, (Fraction, str)):
         try:
-            return str(Fraction(x.strip()))
+            q = Fraction(x)
         except (ValueError, ZeroDivisionError):
             _fail(path, f"cannot parse {x!r} as a rational")
+        return str(q), q
     _fail(path, f"expected a number, got {type(x).__name__}")
 
 
-def _canon_row(x, path: str, length: int | None = None) -> list:
+def _prob(x, path: str) -> tuple[Any, Any]:
+    canon, p = _number(x, path)
+    if not 0 <= float(p) <= 1:
+        _fail(path, f"probability {float(p)} outside [0, 1]")
+    return canon, p
+
+
+def _check_total(probs, path: str) -> None:
+    # a float counts as the decimal it prints as, so 0.1 and 0.9 sum to 1
+    total = sum(p if isinstance(p, Fraction) else Fraction(repr(p)) for p in probs)
+    if abs(float(total) - 1.0) > PROB_TOL:
+        _fail(path, f"probabilities sum to {float(total)!r}, not 1")
+
+
+def _canon_row(x, path: str, length: int | None = None, parse=_number) -> tuple[list, list]:
+    """(canonical entries, exact values) of a list of numbers."""
     if not isinstance(x, (list, tuple)):
         _fail(path, "expected a list")
     if length is not None and len(x) != length:
         _fail(path, f"expected {length} entries, got {len(x)}")
-    return [_canon_number(v, f"{path}[{i}]") for i, v in enumerate(x)]
+    pairs = [parse(v, f"{path}[{i}]") for i, v in enumerate(x)]
+    return [c for c, _ in pairs], [v for _, v in pairs]
 
 
 def _int_ge(x, path: str, lo: int) -> int:
@@ -86,7 +109,13 @@ def _check_keys(section: Mapping, allowed, path: str):
             _fail(f"{path}.{key}", "unknown key")
 
 
-def _canon_model(raw, path="model") -> dict:
+def check_model(raw, path="model") -> tuple[dict, tuple]:
+    """Validate a model mapping.
+
+    Returns its canonical form, the one a scenario stores, and for each
+    parent type in order the pair (exact probabilities, count vectors) of its
+    outcomes: the parsed values ``build_model`` turns into laws.
+    """
     types = _int_ge(_require(raw, "types", path), f"{path}.types", 1)
     initial = _int_ge(_require(raw, "initial_type", path), f"{path}.initial_type", 1)
     if initial > types:
@@ -95,30 +124,44 @@ def _canon_model(raw, path="model") -> dict:
     _check_keys(raw, ("types", "initial_type", "offspring"), path)
     if not isinstance(offspring_raw, Mapping):
         _fail(f"{path}.offspring", "expected a mapping of parent type -> outcome list")
-    offspring = {}
+    laws = {}
+    for key, entries in offspring_raw.items():
+        lpath = f"{path}.offspring.{key}"
+        j = int(key) if isinstance(key, str) and key.isascii() and key.isdigit() else key
+        if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= types:
+            _fail(lpath, f"parent type out of range 1..{types}")
+        if j in laws:
+            _fail(lpath, f"parent type {j} is given twice")
+        laws[j] = _canon_law(entries, types, lpath)
     for j in range(1, types + 1):
-        if j not in offspring_raw:
+        if j not in laws:
             _fail(f"{path}.offspring.{j}", "missing")
-        entries = offspring_raw[j]
-        if not isinstance(entries, (list, tuple)) or not entries:
-            _fail(f"{path}.offspring.{j}", "expected a nonempty list of outcomes")
-        canon_entries = []
-        for i, entry in enumerate(entries):
-            epath = f"{path}.offspring.{j}[{i}]"
-            if not isinstance(entry, Mapping):
-                _fail(epath, "expected a mapping with keys p, counts")
-            _check_keys(entry, ("p", "counts"), epath)
-            p = _canon_number(_require(entry, "p", epath), f"{epath}.p")
-            counts = _require(entry, "counts", epath)
-            if not isinstance(counts, (list, tuple)) or len(counts) != types:
-                _fail(f"{epath}.counts", f"expected {types} nonnegative integers")
-            counts = [_int_ge(c, f"{epath}.counts[{ci}]", 0) for ci, c in enumerate(counts)]
-            canon_entries.append({"p": p, "counts": counts})
-        offspring[j] = canon_entries
-    for extra in offspring_raw:
-        if not (isinstance(extra, int) and 1 <= extra <= types):
-            _fail(f"{path}.offspring.{extra}", f"parent type out of range 1..{types}")
-    return {"types": types, "initial_type": initial, "offspring": offspring}
+    offspring = {j: laws[j][0] for j in range(1, types + 1)}
+    tables = tuple(laws[j][1] for j in range(1, types + 1))
+    return {"types": types, "initial_type": initial, "offspring": offspring}, tables
+
+
+def _canon_law(entries, types: int, path: str) -> tuple[list, tuple]:
+    """(canonical outcome list, (exact probabilities, count vectors)) of one
+    parent type; outcome i has the key path ``<path>.i``."""
+    if not isinstance(entries, (list, tuple)) or not entries:
+        _fail(path, "expected a nonempty list of outcomes")
+    canon, probs, counts = [], [], []
+    for i, entry in enumerate(entries):
+        epath = f"{path}.{i}"
+        if not isinstance(entry, Mapping):
+            _fail(epath, "expected a mapping with keys p, counts")
+        _check_keys(entry, ("p", "counts"), epath)
+        p_canon, p = _prob(_require(entry, "p", epath), f"{epath}.p")
+        vec = _require(entry, "counts", epath)
+        if not isinstance(vec, (list, tuple)) or len(vec) != types:
+            _fail(f"{epath}.counts", f"expected length {types} list of integers >= 0, got {vec!r}")
+        vec = [_int_ge(c, f"{epath}.counts[{ci}]", 0) for ci, c in enumerate(vec)]
+        canon.append({"p": p_canon, "counts": vec})
+        probs.append(p)
+        counts.append(tuple(vec))
+    _check_total(probs, path)
+    return canon, (tuple(probs), tuple(counts))
 
 
 def _canon_characteristic(raw, types: int, path="characteristic") -> dict:
@@ -129,14 +172,14 @@ def _canon_characteristic(raw, types: int, path="characteristic") -> dict:
     allowed = {"kind"}
     if kind in ("indicator", "kesten_stigum"):
         allowed |= {"row"}
-        out["row"] = _canon_row(_require(raw, "row", path), f"{path}.row", types)
+        out["row"] = _canon_row(_require(raw, "row", path), f"{path}.row", types)[0]
     if kind in ("table", "custom"):
         allowed |= {"base"}
         base = raw.get("base") or {}
         if not isinstance(base, Mapping):
             _fail(f"{path}.base", "expected a mapping of age -> row")
         out["base"] = {
-            _int_age(k, f"{path}.base"): _canon_row(v, f"{path}.base.{k}", types)
+            _int_age(k, f"{path}.base"): _canon_row(v, f"{path}.base.{k}", types)[0]
             for k, v in base.items()
         }
     if kind == "custom":
@@ -145,7 +188,7 @@ def _canon_characteristic(raw, types: int, path="characteristic") -> dict:
         if not isinstance(coeff, Mapping):
             _fail(f"{path}.coeff", "expected a mapping of age -> row")
         out["coeff"] = {
-            _int_age(k, f"{path}.coeff"): _canon_row(v, f"{path}.coeff.{k}", types)
+            _int_age(k, f"{path}.coeff"): _canon_row(v, f"{path}.coeff.{k}", types)[0]
             for k, v in coeff.items()
         }
         noise = raw.get("noise") or []
@@ -161,8 +204,9 @@ def _canon_characteristic(raw, types: int, path="characteristic") -> dict:
             tj = _int_ge(_require(cell, "type", cpath), f"{cpath}.type", 1)
             if tj > types:
                 _fail(f"{cpath}.type", f"must be in 1..{types}")
-            probs = _canon_row(_require(cell, "probs", cpath), f"{cpath}.probs")
-            values = _canon_row(_require(cell, "values", cpath), f"{cpath}.values")
+            probs, exact = _canon_row(_require(cell, "probs", cpath), f"{cpath}.probs", parse=_prob)
+            _check_total(exact, f"{cpath}.probs")
+            values = _canon_row(_require(cell, "values", cpath), f"{cpath}.values")[0]
             if len(probs) != len(values):
                 _fail(f"{cpath}.values", "length must match probs")
             cells.append({"age": age, "type": tj, "probs": probs, "values": values})
@@ -263,7 +307,7 @@ def scenario_from_dict(data) -> Scenario:
     if schema != SCHEMA_VERSION:
         _fail("scenario.schema", f"unsupported version {schema!r} (expected {SCHEMA_VERSION})")
     _check_keys(data, ("schema", "model", "characteristic", "run", "output"), "scenario")
-    model = _canon_model(_require(data, "model", "scenario"))
+    model = check_model(_require(data, "model", "scenario"))[0]
     characteristic = _canon_characteristic(
         _require(data, "characteristic", "scenario"), model["types"]
     )
@@ -301,6 +345,6 @@ def save_scenario(scn: Scenario, path) -> None:
 
 
 def parse_row(row) -> list:
-    """Canonical row entries back to numbers (Fractions become floats exactly
-    where possible via fraction parsing)."""
-    return [_parse_number(v, "row") for v in row]
+    """Exact values of row entries: a Fraction for an int or a rational, a
+    float for a float."""
+    return [_number(v, "row")[1] for v in row]

@@ -51,7 +51,6 @@ __all__ = [
     "EigenCluster",
     "SpectralData",
     "spectral_decompose",
-    "matrix_power_restricted",
     "projected_power",
     "power_scaled",
     "unscaled",
@@ -460,22 +459,6 @@ def projected_power(S: SpectralData, i: int, k: int) -> np.ndarray:
                 )
             powers.append(out)
     return powers[abs(k)]
-
-
-def matrix_power_restricted(S: SpectralData, which, k: int) -> np.ndarray:
-    """``A1^k`` or ``A2^k`` for any signed integer k.
-
-    ``which`` is "A1"/"A2" (or 1/2).  Assembled as the projected power plus
-    the identity on the complementary subspace, never by powering the full
-    operator (see module docstring).
-    """
-    name = {"A1": 1, "A2": 2, 1: 1, 2: 2}.get(which)
-    if name is None:
-        raise ValueError(f"which must be 'A1' or 'A2', got {which!r}")
-    eye = np.eye(S.J, dtype=complex)
-    if k == 0:
-        return eye
-    return projected_power(S, name, k) + (eye - S.pi(name))
 
 
 def power_scaled(x, base: float, e) -> np.ndarray:

@@ -46,6 +46,10 @@ KS_MAX_TERMS = 100
 KS_P_MIN = 0.01
 W_MIN_DEFAULT = 1e-3
 ABORT_RATE_MAX = 0.10
+BOOTSTRAP_B = 500
+BOOTSTRAP_SEED = 2024_017
+LLN_BAND = (0.95, 1.05)
+LLN_ZERO_TOL = 0.05
 # resampled values drawn and reduced per block: the block's index, gather and
 # deviation arrays (8 bytes a value) stay under 128 KiB, glibc's default mmap
 # and trim thresholds, so they reuse heap pages; blocks of 1 << 15 values
@@ -57,12 +61,12 @@ def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def ks_statistic(sample, cdf=normal_cdf) -> float:
+def ks_statistic(sample) -> float:
     xs = np.sort(np.asarray(sample, dtype=float))
     m = xs.shape[0]
     if m == 0:
         raise ValueError("empty sample")
-    F = np.array([cdf(x) for x in xs])
+    F = np.array([normal_cdf(x) for x in xs])
     grid_hi = np.arange(1, m + 1) / m
     grid_lo = np.arange(0, m) / m
     return float(max(np.max(grid_hi - F), np.max(F - grid_lo)))
@@ -85,12 +89,12 @@ def ks_pvalue(D: float, m: int) -> float:
     return float(min(1.0, max(0.0, p)))
 
 
-def ks_test(sample, cdf=normal_cdf) -> tuple[float, float]:
+def ks_test(sample) -> tuple[float, float]:
     sample = np.asarray(sample, dtype=float)
     m = sample.shape[0]
     if m < MIN_SAMPLE:
         raise ValueError(f"KS test needs at least {MIN_SAMPLE} points, got {m}")
-    D = ks_statistic(sample, cdf)
+    D = ks_statistic(sample)
     return D, ks_pvalue(D, m)
 
 
@@ -199,9 +203,6 @@ def verify_dichotomy(
     t: int | None = None,
     w_min: float = W_MIN_DEFAULT,
     requested_case: str | None = None,
-    bootstrap_B: int = 500,
-    bootstrap_seed: int = 2024_017,
-    check_flatness: bool | None = None,
 ) -> VerificationReport:
     """Run the pre-registered acceptance battery on one batch.
 
@@ -256,7 +257,7 @@ def verify_dichotomy(
     ks_D, ks_p = ks_test(eps)
     mean_eps = float(eps.mean())
     var_eps = float(eps.var(ddof=1))
-    var_se = bootstrap_variance_se(eps, B=bootstrap_B, seed=bootstrap_seed)
+    var_se = bootstrap_variance_se(eps, B=BOOTSTRAP_B, seed=BOOTSTRAP_SEED)
     corr_r, corr_z, z_crit = fisher_corr_z(np.abs(eps_c) ** 2, ws)
     covers = bool(corr_z < z_crit)
 
@@ -269,8 +270,8 @@ def verify_dichotomy(
         "mean_tol": mean_tol,
         "var_tol": var_tol,
         "corr_z_crit": z_crit,
-        "bootstrap_B": bootstrap_B,
-        "bootstrap_seed": bootstrap_seed,
+        "bootstrap_B": BOOTSTRAP_B,
+        "bootstrap_seed": BOOTSTRAP_SEED,
     }
     reasons = []
     if not (ks_p > KS_P_MIN):
@@ -283,10 +284,8 @@ def verify_dichotomy(
         reasons.append(f"corr(eps^2, W_hat) z {corr_z:.4g} >= {z_crit:.4g}")
 
     flatness = None
-    if check_flatness is None:
-        check_flatness = case == "ii" and len(batch.ns) > 1
-    if check_flatness and len(batch.ns) > 1:
-        flatness = flatness_check(batch, phi_index=phi_index, w_min=w_min, seed=bootstrap_seed)
+    if case == "ii" and len(batch.ns) > 1:
+        flatness = flatness_check(batch, phi_index=phi_index, w_min=w_min, seed=BOOTSTRAP_SEED)
         if not flatness["passed"]:
             reasons.append("per-time variances not flat under the case normalization")
 
@@ -337,8 +336,6 @@ def lln_check(
     phi_index: int = 0,
     t: int | None = None,
     w_min: float = W_MIN_DEFAULT,
-    band: tuple[float, float] = (0.95, 1.05),
-    zero_tol: float = 0.05,
 ) -> dict:
     """Law-of-large-numbers check: Z_t^phi / (rho^t W_hat) against the limit
     constant c = sum_k rho^{-k} E phi(k) . u.
@@ -364,14 +361,16 @@ def lln_check(
             {
                 "mode": "ratio",
                 "median_ratio": med,
-                "band": list(band),
-                "passed": bool(band[0] <= med <= band[1]),
+                "band": list(LLN_BAND),
+                "passed": bool(LLN_BAND[0] <= med <= LLN_BAND[1]),
             }
         )
     else:
         normalized = np.abs(vals) * S.rho ** (-t) / max(scale, 1e-300) / np.maximum(ws, w_min)
         med = _median(normalized)
-        out.update({"mode": "vanishing", "median_abs": med, "tol": zero_tol, "passed": bool(med < zero_tol)})
+        out.update(
+            {"mode": "vanishing", "median_abs": med, "tol": LLN_ZERO_TOL, "passed": bool(med < LLN_ZERO_TOL)}
+        )
     return out
 
 

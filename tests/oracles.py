@@ -4,8 +4,9 @@ Everything in this module is deliberately written the *slow, obvious* way:
 exact rational first/second moment recursions, per-individual replay of the
 recorded multinomial cells, a reference KS tail from scipy, the one-shot
 bootstrap resample that the blocked one must equal, the
-replicate-by-replicate studentization that the columnar one must equal, and
-LAPACK's ordered-Schur spectral projector that the deflation one must equal.
+replicate-by-replicate studentization that the columnar one must equal,
+LAPACK's ordered-Schur spectral projector that the deflation one must equal,
+and full-operator powers that the projected ones must equal.
 None of it shares code with the package internals, so agreement is evidence
 rather than tautology.
 """
@@ -290,6 +291,13 @@ def schur_cluster_projection(A: np.ndarray, eigs: np.ndarray, idxs) -> np.ndarra
     P[:s, :s] = np.eye(s)
     P[:s, s:] = Y
     return Q @ P @ Q.conj().T
+
+
+def matrix_power_restricted(S, which: str, k: int) -> np.ndarray:
+    """``A1^k`` or ``A2^k`` for any signed integer k, by powering the stored
+    full operator: the route the package avoids for long powers, and an
+    independent check of its projected ones at small k."""
+    return np.linalg.matrix_power({"A1": S.A1, "A2": S.A2}[which], k)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,32 @@ def test_unparseable_yaml_is_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("probs", [["-1/2", "3/2"], ["1/2", "2/5"]])
+def test_bad_noise_probabilities_name_the_noise_cell(probs, tmp_path, capsys):
+    # each probability in [0, 1], and the cell's probabilities summing to 1
+    d = preset("cross_feed").to_dict()
+    d["characteristic"] = {
+        "kind": "custom",
+        "base": {0: [1, 0]},
+        "noise": [{"age": 0, "type": 1, "probs": probs, "values": [0, 2]}],
+    }
+    path = write_yaml(tmp_path, "noise.yaml", d)
+    rc, out, err = run_cli(["constants", "--scenario", path], capsys)
+    assert rc == EXIT_USAGE
+    assert "characteristic.noise[0].probs" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag, value, key", [("--workers", "0", "run.workers"),
+                                              ("--workers", "-3", "run.workers"),
+                                              ("--seed", "-5", "run.seed")])
+def test_run_overrides_meet_the_run_rules(flag, value, key, capsys):
+    rc, out, err = run_cli(["verify", "--scenario", "cross_feed", flag, value], capsys)
+    assert rc == EXIT_USAGE
+    assert key in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

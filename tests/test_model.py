@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmjsim import build_model, validate_assumptions
+from cmjsim import PRESETS, build_model, preset, validate_assumptions
 from cmjsim.model import enumerate_column_outcomes, is_primitive, perron_root
+from cmjsim.scenario import ScenarioError, check_model, scenario_from_dict
 
 from oracles import exact_mean_matrix, exact_offspring_cov
 
@@ -42,26 +43,73 @@ def test_string_and_float_probabilities_coexist():
     assert model.A[0, 0] == 3.0
 
 
-@pytest.mark.parametrize(
-    "mutate, fragment",
-    [
-        (lambda d: d.pop("types"), "model.types"),
-        (lambda d: d.__setitem__("types", 0), "model.types"),
-        (lambda d: d.pop("offspring"), "model.offspring"),
-        (lambda d: d["offspring"].pop("1"), "model.offspring.1"),
-        (lambda d: d["offspring"]["1"][0].pop("p"), "model.offspring.1.0.p"),
-        (lambda d: d["offspring"]["1"][0].pop("counts"), "model.offspring.1.0.counts"),
-        (lambda d: d["offspring"]["1"][0].__setitem__("counts", [-1]), "counts"),
-        (lambda d: d["offspring"]["1"][0].__setitem__("p", "2/3"), "sum"),
-        (lambda d: d.__setitem__("initial_type", 5), "model.initial_type"),
-    ],
-)
+KEY_PATH_MUTATIONS = [
+    (lambda d: d.pop("types"), "model.types"),
+    (lambda d: d.__setitem__("types", 0), "model.types"),
+    (lambda d: d.pop("offspring"), "model.offspring"),
+    (lambda d: d["offspring"].pop("1"), "model.offspring.1"),
+    (lambda d: d["offspring"]["1"][0].pop("p"), "model.offspring.1.0.p"),
+    (lambda d: d["offspring"]["1"][0].pop("counts"), "model.offspring.1.0.counts"),
+    (lambda d: d["offspring"]["1"][0].__setitem__("counts", [-1]), "counts"),
+    (lambda d: d["offspring"]["1"][0].__setitem__("p", "2/3"), "sum"),
+    (lambda d: d.__setitem__("initial_type", 5), "model.initial_type"),
+]
+
+
+@pytest.mark.parametrize("mutate, fragment", KEY_PATH_MUTATIONS)
 def test_build_model_errors_name_the_key_path(mutate, fragment):
     data = doubling_data()
     mutate(data)
     with pytest.raises(ValueError) as err:
         build_model(data)
     assert fragment in str(err.value)
+
+
+MALFORMED = [
+    pytest.param(mutate, id=f"{fragment}-{i}") for i, (mutate, fragment) in enumerate(KEY_PATH_MUTATIONS)
+] + [
+    pytest.param(lambda d: d.__setitem__("colour", "red"), id="unknown_model_key"),
+    pytest.param(lambda d: d["offspring"]["1"][0].__setitem__("weight", 1), id="unknown_outcome_key"),
+    pytest.param(lambda d: d["offspring"]["1"][0].__setitem__("p", "-1/2"), id="negative_p"),
+    pytest.param(lambda d: d["offspring"]["1"][0].__setitem__("p", True), id="boolean_p"),
+    pytest.param(lambda d: d["offspring"]["1"][0].__setitem__("p", "one half"), id="unparseable_p"),
+    pytest.param(lambda d: d.pop("initial_type"), id="no_initial_type"),
+    pytest.param(lambda d: d["offspring"]["1"][0].__setitem__("counts", 1), id="bare_int_counts"),
+    pytest.param(lambda d: d["offspring"]["1"][0].__setitem__("counts", [1.5]), id="float_count"),
+    pytest.param(lambda d: d["offspring"].__setitem__("1", []), id="no_outcomes"),
+    pytest.param(lambda d: d["offspring"].__setitem__("2", d["offspring"]["1"]), id="label_out_of_range"),
+    pytest.param(lambda d: d["offspring"].__setitem__(1, d["offspring"]["1"]), id="label_given_twice"),
+    pytest.param(lambda d: d.__setitem__("offspring", [1, 2]), id="offspring_not_a_mapping"),
+]
+
+
+@pytest.mark.parametrize("mutate", MALFORMED)
+def test_scenario_files_and_build_model_share_one_validator(mutate):
+    data = doubling_data()
+    mutate(data)
+    document = {
+        "schema": 1,
+        "model": data,
+        "characteristic": {"kind": "indicator", "row": [1]},
+        "run": {"n": 8},
+    }
+    with pytest.raises(ScenarioError) as via_file:
+        scenario_from_dict(document)
+    with pytest.raises(ScenarioError) as via_build:
+        build_model(data)
+    assert str(via_build.value) == str(via_file.value)
+    assert str(via_build.value).startswith("model")
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_int_and_digit_string_type_labels_build_equal_models(name):
+    data = preset(name).to_dict()["model"]
+    labelled = {**data, "offspring": {str(j): law for j, law in data["offspring"].items()}}
+    assert check_model(labelled)[0] == data
+    a, b = build_model(data), build_model(labelled)
+    assert np.array_equal(a.A, b.A)
+    assert all(np.array_equal(x, y) for x, y in zip(a.covs, b.covs))
+    assert a.laws == b.laws
 
 
 def test_two_type_law_requires_full_count_vectors():

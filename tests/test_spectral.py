@@ -26,10 +26,10 @@ from cmjsim.spectral import (
     SUPER,
     EigenCluster,
     SpectralData,
-    matrix_power_restricted,
     projected_power,
     spectral_decompose,
 )
+from oracles import matrix_power_restricted
 
 SUITE = {
     "one_type_doubling": [[2.0]],
