@@ -17,6 +17,7 @@ validated and parsed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -83,6 +84,19 @@ class BranchingModel:
     A: np.ndarray
     covs: tuple[np.ndarray, ...]
     var_entries: np.ndarray
+
+    @cached_property
+    def padded_laws(self) -> tuple[np.ndarray, np.ndarray]:
+        """The laws front-padded with zero-probability outcomes to one length
+        K: ``(J, 1, K)`` probabilities and the ``(J, K, J)`` outcome table."""
+        K = max(law.n_outcomes for law in self.laws)
+        P = np.zeros((self.J, 1, K))
+        M = np.zeros((self.J, K, self.J), dtype=np.int64)
+        for j, law in enumerate(self.laws):
+            P[j, 0, K - law.n_outcomes :] = law.probs
+            M[j, K - law.n_outcomes :] = law.outcome_matrix()
+        P.flags.writeable = M.flags.writeable = False
+        return P, M
 
     def z0(self) -> np.ndarray:
         z = np.zeros(self.J, dtype=np.int64)

@@ -11,6 +11,7 @@ with the full key path of the offending entry.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,20 +56,27 @@ def _require(mapping, key, path: str):
 def _number(x, path: str) -> tuple[Any, Any]:
     """(canonical form, exact value) of a number entry.  Ints and floats keep
     their form; rationals (a Fraction or a string such as "3/8") become a
-    canonical "p/q" string and a Fraction."""
+    canonical "p/q" string and a Fraction.  The float64 value must be finite."""
     if isinstance(x, bool):
         _fail(path, "booleans are not numbers")
     if isinstance(x, int):
-        return x, Fraction(x)
-    if isinstance(x, float):
-        return x, x
-    if isinstance(x, (Fraction, str)):
+        canon, q = x, Fraction(x)
+    elif isinstance(x, float):
+        canon, q = x, x
+    elif isinstance(x, (Fraction, str)):
         try:
             q = Fraction(x)
         except (ValueError, ZeroDivisionError):
             _fail(path, f"cannot parse {x!r} as a rational")
-        return str(q), q
-    _fail(path, f"expected a number, got {type(x).__name__}")
+        canon = str(q)
+    else:
+        _fail(path, f"expected a number, got {type(x).__name__}")
+    try:
+        if math.isfinite(q):
+            return canon, q
+    except OverflowError:  # an int or a rational beyond float64
+        pass
+    _fail(path, f"{x!r} is not a finite float64 number")
 
 
 def _prob(x, path: str) -> tuple[Any, Any]:

@@ -13,17 +13,20 @@ process has exactly the law of the per-individual construction:
   over a class of c individuals is a multinomial functional with c trials,
   drawn once per requested observation time.
 
-Replicates are simulated in blocks of ``BLOCK``.  Each generation step makes
-one multinomial call per parent type over the block's ``(B, J)`` count
-array, and every value is an array product over the block.  Block ``b``
-(replicates ``b*BLOCK`` to ``(b+1)*BLOCK - 1``) draws from
+Replicates are simulated in blocks of ``BLOCK``.  Block ``b`` (replicates
+``b*BLOCK`` to ``(b+1)*BLOCK - 1``) draws from
 ``SeedSequence(master_seed, spawn_key=(b,))`` and is always simulated whole,
 then cut to ``R``; so replicate k depends only on ``(master_seed, k)`` and
 workers, which split whole blocks, never change a result.  A given
 (scenario, seed) draws differently than in v0.1.0, where each replicate had
 its own stream.
 
-The block's arrays are the result: blocks are concatenated whole into a
+A worker steps its blocks together, up to ``_CHUNK`` at a time, in one
+``(N+1, rows, J)`` count array.  Per generation each block makes one
+multinomial call over all its parent types and the front-padded laws
+(``BranchingModel.padded_laws``); numpy draws nothing for a zero
+probability, so a block draws what J per-type calls would.  Every value is
+an array product over the chunk, and chunks are concatenated into a
 columnar ``BatchResult``.
 
 Counts are int64 throughout with a per-replicate overflow guard: a
@@ -59,6 +62,7 @@ __all__ = [
 
 OVERFLOW_CAP = 2**62
 BLOCK = 256
+_CHUNK = 8  # blocks stepped together; caps the memory of a chunk's arrays
 CSV_COLUMNS = ("index", "survived", "W_hat", "zphi_re", "zphi_im", "T_re", "T_im")
 _NAN = complex(math.nan, math.nan)
 
@@ -87,11 +91,10 @@ def normalization(t: int, case: str, l_star: int | None, rho: float) -> float:
     return r
 
 
-def _max_offspring_total(model: BranchingModel) -> int:
-    worst = 1
-    for law in model.laws:
-        worst = max(worst, int(law.outcome_matrix().sum(axis=1).max(initial=0)))
-    return worst
+def _draw(model: BranchingModel, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``(J, B, K)`` padded outcome counts of all parents in ``(B, J)`` counts,
+    in one call that draws what one call per type present would."""
+    return rng.multinomial(counts.T, model.padded_laws[0])
 
 
 def step_generation(
@@ -101,16 +104,15 @@ def step_generation(
     replicate or ``(B, J)`` for a block; returns the next counts and, per
     parent type present, the multinomial outcome counts that produced them
     (the coupling handle), shaped ``(n_outcomes,)`` or ``(B, n_outcomes)``."""
-    next_counts = np.zeros(counts.shape, dtype=np.int64)
-    draws: dict[int, np.ndarray] = {}
-    for j, law in enumerate(model.laws):
-        c = counts[..., j]
-        if not c.any():
-            continue
-        nj = rng.multinomial(c, law.probs)
-        draws[j] = nj
-        next_counts += nj @ law.outcome_matrix()
-    return next_counts, draws
+    rows = counts.reshape(-1, model.J)
+    draws = _draw(model, rows, rng)
+    K = draws.shape[-1]
+    present = {
+        j: draws[j, :, K - law.n_outcomes :].reshape(*counts.shape[:-1], law.n_outcomes)
+        for j, law in enumerate(model.laws)
+        if rows[:, j].any()
+    }
+    return (draws @ model.padded_laws[1]).sum(axis=0).reshape(counts.shape), present
 
 
 def _validate_windows(phis: Sequence[Characteristic], ns: Sequence[int], N: int) -> None:
@@ -137,7 +139,7 @@ def _validate_windows(phis: Sequence[Characteristic], ns: Sequence[int], N: int)
 
 @dataclass(frozen=True)
 class _Plan:
-    """Everything a block needs that does not change across replicates."""
+    """Everything a chunk needs that does not change across replicates."""
 
     model: BranchingModel
     phis: tuple[Characteristic, ...]
@@ -173,25 +175,30 @@ def _plan(model, phis, n, N, ns, S, constants, overflow_cap) -> _Plan:
                 complex(constants.x2 @ (projected_power(S, 2, t) @ z0)),
                 normalization(t, constants.case, constants.l_star, S.rho),
             )
-    return _Plan(
-        model, phis, ns, N, overflow_cap // _max_offspring_total(model), noise, S, T_terms
-    )
+    largest_litter = max(1, int(model.padded_laws[1].sum(axis=2).max()))
+    return _Plan(model, phis, ns, N, overflow_cap // largest_litter, noise, S, T_terms)
 
 
-def _simulate_block(plan: _Plan, rng: np.random.Generator, B: int, record_cells: bool) -> dict:
-    """The columns of B replicates simulated together."""
+def _simulate_chunk(plan: _Plan, rngs: list, B: int, record_cells: bool) -> dict:
+    """The columns of ``len(rngs)`` blocks of B replicates stepped together;
+    block i draws from ``rngs[i]`` alone, and what it would draw alone."""
     model, N = plan.model, plan.N
+    P, M = model.padded_laws
+    rows = [slice(i * B, (i + 1) * B) for i in range(len(rngs))]
+    B *= len(rngs)
     states = np.zeros((N + 1, B, model.J), dtype=np.int64)
     states[0] = model.z0()
     aborted = np.zeros(B, dtype=bool)
-    draws_by_g = []
+    draws_by_g = []  # kept only to record cells
     for g in range(N):
         over = states[g].sum(axis=1) > plan.total_limit
         if over.any():
             aborted |= over
             states[g, over] = 0
-        states[g + 1], draws = step_generation(model, states[g], rng)
-        draws_by_g.append(draws)
+        draws = np.concatenate([_draw(model, states[g, sl], rng) for rng, sl in zip(rngs, rows)], 1)
+        states[g + 1] = (draws @ M).sum(axis=0)
+        if record_cells:
+            draws_by_g.append(draws)
 
     X = states.astype(float)
     if any(phi.coeff for phi in plan.phis):
@@ -210,10 +217,11 @@ def _simulate_block(plan: _Plan, rng: np.random.Generator, B: int, record_cells:
             zphi[(p, t)] = total
     noise_draws = {}
     for p, t, k, j, probs, values in plan.noise:
-        c = states[t - k, :, j]
-        if not c.any():
-            continue
-        counts = rng.multinomial(c, probs)
+        counts = np.zeros((B, len(probs)), dtype=np.int64)
+        for rng, sl in zip(rngs, rows):
+            c = states[t - k, sl, j]
+            if c.any():
+                counts[sl] = rng.multinomial(c, probs)
         zphi[(p, t)] += counts @ values
         noise_draws[(p, t, k, j)] = counts
 
@@ -232,21 +240,15 @@ def _simulate_block(plan: _Plan, rng: np.random.Generator, B: int, record_cells:
 
     cells = None
     if record_cells:
-        # zeros where nothing was drawn, so every block has every key
-        def zeros(probs):
-            return np.zeros((B, len(probs)), dtype=np.int64)
-
+        K = P.shape[-1]
         offspring = {
-            (g, j): draws.get(j, zeros(law.probs))
-            for g, draws in enumerate(draws_by_g)
+            (g, j): d[j, :, K - law.n_outcomes :]
+            for g, d in enumerate(draws_by_g)
             for j, law in enumerate(model.laws)
         }
-        noise = {
-            (p, t, k, j): noise_draws.get((p, t, k, j), zeros(probs))
-            for p, t, k, j, probs, _ in plan.noise
-        }
-        cells = {"offspring": offspring, "noise": noise}
-    return {"aborted": aborted, "z_final": states[N], "w_hat": w_hat, "zphi": zphi, "T": T, "cells": cells}
+        cells = {"offspring": offspring, "noise": noise_draws}
+    # a copy, so the result does not hold the whole count array alive
+    return {"aborted": aborted, "z_final": states[N].copy(), "w_hat": w_hat, "zphi": zphi, "T": T, "cells": cells}
 
 
 def _join(parts: list, stop: int | None = None):
@@ -390,18 +392,20 @@ def run_replicate(
         rng = seed
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
-    batch = BatchResult(n, N, plan.ns, None, **_simulate_block(plan, rng, 1, record_cells))
+    batch = BatchResult(n, N, plan.ns, None, **_simulate_chunk(plan, [rng], 1, record_cells))
     return replace(batch.replicates[0], index=index)
 
 
 def _run_blocks(args) -> dict:
-    """Columns of blocks lo..hi-1 of a batch, each block simulated whole."""
+    """Columns of blocks lo..hi-1 of a batch, each block simulated whole,
+    stepped together in chunks of at most ``_CHUNK`` blocks."""
     plan, master_seed, lo, hi, record_cells = args
     parts = []
-    for b in range(lo, hi):
-        seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(b,))
-        rng = np.random.Generator(np.random.PCG64(seed))
-        parts.append(_simulate_block(plan, rng, BLOCK, record_cells))
+    for first in range(lo, hi, _CHUNK):
+        blocks = range(first, min(first + _CHUNK, hi))
+        seeds = [np.random.SeedSequence(entropy=master_seed, spawn_key=(b,)) for b in blocks]
+        rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+        parts.append(_simulate_chunk(plan, rngs, BLOCK, record_cells))
     return _join(parts)
 
 

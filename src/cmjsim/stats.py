@@ -399,7 +399,7 @@ def flatness_check(
             {
                 "t": int(t),
                 "var": float(vals.var(ddof=1)),
-                "ci": [float(np.percentile(boot, lo_q)), float(np.percentile(boot, hi_q))],
+                "ci": [_percentile(boot, lo_q), _percentile(boot, hi_q)],
                 "se": float(boot.std(ddof=1)),
             }
         )
@@ -421,6 +421,18 @@ def _median(xs: np.ndarray) -> float:
     # +0.0, so an all -0.0 middle gives +0.0)
     mid = s[k : k + 1] if s.shape[0] % 2 else s[k - 1 : k + 1]
     return float("nan") if np.isnan(s[-1]) else float(mid.mean())
+
+
+def _percentile(xs: np.ndarray, q: float) -> float:
+    """``np.percentile(xs, q)`` of a 1-d array of finite floats, by sorting
+    and without its ``numpy.ma`` import: numpy's "linear" rule, interpolated
+    from the nearer end as its ``_lerp`` rounds it."""
+    s = np.sort(xs)
+    vi = (s.shape[0] - 1) * (q / 100)
+    i = math.floor(vi)
+    gamma = vi - i
+    a, b = float(s[i]), float(s[min(i + 1, s.shape[0] - 1)])
+    return a + (b - a) * gamma if gamma < 0.5 else b - (b - a) * (1 - gamma)
 
 
 def _real_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ recorded multinomial cells, a reference KS tail from scipy, the one-shot
 bootstrap resample that the blocked one must equal, the
 replicate-by-replicate studentization that the columnar one must equal,
 LAPACK's ordered-Schur spectral projector that the deflation one must equal,
-and full-operator powers that the projected ones must equal.
+full-operator powers that the projected ones must equal, and the
+block-by-block simulator with one multinomial call per parent type that the
+chunk-stepped one must equal.
 None of it shares code with the package internals, so agreement is evidence
 rather than tautology.
 """
@@ -22,7 +24,7 @@ import scipy.stats
 
 from cmjsim import BranchingModel
 from cmjsim.characteristics import Characteristic
-from cmjsim.simulator import BatchResult
+from cmjsim.simulator import BLOCK, BatchResult
 from cmjsim.spectral import DEFAULT_TOL
 
 
@@ -331,3 +333,96 @@ def batch_from_rows(rows, *, n: int, N: int, ns, master_seed: int = 0) -> BatchR
         zphi=columns("zphi"),
         T=columns("T"),
     )
+
+
+# ---------------------------------------------------------------------------
+# Block-by-block simulation
+# ---------------------------------------------------------------------------
+
+
+def per_block_columns(plan, master_seed: int, R: int, record_cells: bool = False) -> dict:
+    """The batch columns of R replicates simulated one block at a time, with one
+    multinomial call per parent type present and generation: the form the
+    chunk-stepped ``cmjsim.simulator`` must equal bit for bit.  ``plan`` is
+    ``cmjsim.simulator._plan(...)``, which only gathers the inputs."""
+    blocks = []
+    for b in range(-(-R // BLOCK)):
+        seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(b,))
+        blocks.append(_one_block(plan, np.random.Generator(np.random.PCG64(seed)), record_cells))
+
+    def join(parts):
+        if isinstance(parts[0], dict):
+            return {key: join([part[key] for part in parts]) for key in parts[0]}
+        return None if parts[0] is None else np.concatenate(parts)[:R]
+
+    return join(blocks)
+
+
+def _one_block(plan, rng: np.random.Generator, record_cells: bool) -> dict:
+    model, N, B = plan.model, plan.N, BLOCK
+    states = np.zeros((N + 1, B, model.J), dtype=np.int64)
+    states[0] = model.z0()
+    aborted = np.zeros(B, dtype=bool)
+    draws_by_g = []
+    for g in range(N):
+        over = states[g].sum(axis=1) > plan.total_limit
+        if over.any():
+            aborted |= over
+            states[g, over] = 0
+        draws = {}
+        for j, law in enumerate(model.laws):
+            c = states[g, :, j]
+            if c.any():
+                draws[j] = rng.multinomial(c, law.probs)
+                states[g + 1] += draws[j] @ np.asarray(law.counts, dtype=np.int64)
+        draws_by_g.append(draws)
+
+    X = states.astype(float)
+    if any(phi.coeff for phi in plan.phis):
+        dev = X[1:] - X[:-1] @ model.A.T
+    zphi = {}
+    for p, phi in enumerate(plan.phis):
+        for t in plan.ns:
+            total = np.zeros(B, dtype=complex)
+            for k, row in phi.base.items():
+                if 0 <= t - k <= N:
+                    total += X[t - k] @ row
+            for k, row in phi.coeff.items():
+                if 0 <= t - k <= N - 1:
+                    total += dev[t - k] @ row
+            zphi[(p, t)] = total
+    noise_draws = {}
+    for p, t, k, j, probs, values in plan.noise:
+        c = states[t - k, :, j]
+        if c.any():
+            noise_draws[(p, t, k, j)] = rng.multinomial(c, probs)
+            zphi[(p, t)] += noise_draws[(p, t, k, j)] @ values
+
+    w_hat = np.full(B, np.nan)
+    T = {}
+    if plan.S is not None:
+        zf = X[N]
+        w_hat = np.real(zf @ plan.S.v) * plan.S.rho ** (-N)
+        for (p, t), z in zphi.items():
+            if t in plan.T_terms:
+                mart_row, critical, r_t = plan.T_terms[t]
+                T[(p, t)] = (z - zf @ mart_row - critical) / r_t
+    nan = complex(math.nan, math.nan)
+    w_hat[aborted] = np.nan
+    for col in (*zphi.values(), *T.values()):
+        col[aborted] = nan
+
+    cells = None
+    if record_cells:
+        cells = {
+            "offspring": {
+                (g, j): draws.get(j, np.zeros((B, law.n_outcomes), dtype=np.int64))
+                for g, draws in enumerate(draws_by_g)
+                for j, law in enumerate(model.laws)
+            },
+            "noise": {
+                (p, t, k, j): noise_draws.get((p, t, k, j), np.zeros((B, len(probs)), dtype=np.int64))
+                for p, t, k, j, probs, _ in plan.noise
+            },
+        }
+    return {"aborted": aborted, "z_final": states[N], "w_hat": w_hat, "zphi": zphi, "T": T, "cells": cells}

@@ -2,7 +2,7 @@
 
 Every test drives the real argument parser and dispatch table; only the
 statistical-FAIL test replaces the verifier, so that its failure does not
-depend on a lucky seed, and two tests call ``main`` in a fresh interpreter
+depend on a lucky seed, and three tests call ``main`` in a fresh interpreter
 to see which modules a run imports.  Exit-code contract under test:
 
     0  success / statistical PASS
@@ -95,6 +95,32 @@ def test_bad_noise_probabilities_name_the_noise_cell(probs, tmp_path, capsys):
     rc, out, err = run_cli(["constants", "--scenario", path], capsys)
     assert rc == EXIT_USAGE
     assert "characteristic.noise[0].probs" in err
+    assert out == ""
+
+
+def _too_large_for_a_float(d, where):
+    if where == "offspring":
+        d["model"]["offspring"][1][0]["p"] = "1e400"
+    elif where == "row":
+        d["characteristic"]["row"][0] = "1e400"
+    else:
+        d["characteristic"] = {
+            "kind": "custom",
+            "base": {0: [1, 0]},
+            "noise": [{"age": 0, "type": 1, "probs": ["1e400", "1/2"], "values": [0, 2]}],
+        }
+
+
+@pytest.mark.parametrize("where, key", [("offspring", "model.offspring.1.0.p"),
+                                        ("row", "characteristic.row[0]"),
+                                        ("noise", "characteristic.noise[0].probs[0]")])
+def test_numbers_too_large_for_a_float_name_their_key(where, key, tmp_path, capsys):
+    d = preset("cross_feed").to_dict()
+    _too_large_for_a_float(d, where)
+    path = write_yaml(tmp_path, "huge.yaml", d)
+    rc, out, err = run_cli(["constants", "--scenario", path], capsys)
+    assert rc == EXIT_USAGE
+    assert key in err and "finite" in err
     assert out == ""
 
 
@@ -389,3 +415,22 @@ def test_preset_verify_imports_neither_the_pool_nor_numpy_ma():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == f"{EXIT_OK} []"
+
+
+_CASE_II_PROBE = """
+import sys
+from cmjsim.cli import main
+code = main(["verify", "--scenario", "jordan_critical"])
+print(code, "numpy.ma" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_case_ii_verify_does_not_import_numpy_ma():
+    # flatness_check takes its percentiles by sorting
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CASE_II_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == f"{EXIT_STAT_FAIL} False"

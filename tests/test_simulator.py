@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,12 @@ from cmjsim import (
     run_replicate,
     star_transform,
 )
+from cmjsim import simulator
 from cmjsim.characteristics import NoiseLaw, make_table_characteristic
 from cmjsim.simulator import BLOCK, normalization, step_generation
 from cmjsim.spectral import projected_power
 
-from oracles import naive_process_value, replay_states
+from oracles import naive_process_value, per_block_columns, replay_states
 
 
 def test_deterministic_doubling_counts():
@@ -325,3 +328,180 @@ def test_requested_times_must_fit_horizon(mirror):
         run_replicate(mirror.model, mirror.phi, n=12, N=10, seed=0)
     with pytest.raises(ValueError):
         run_replicate(mirror.model, mirror.phi, n=8, N=10, seed=0, ns=[-1, 8])
+
+
+# ---------------------------------------------------------------------------
+# chunk stepping: the same draws as one call per type, block by block
+# ---------------------------------------------------------------------------
+
+
+def _mixed_laws_model():
+    """Three types whose laws have 1, 4 and 2 outcomes."""
+    return build_model({"types": 3, "initial_type": 2, "offspring": {
+        "1": [{"p": 1, "counts": [1, 1, 0]}],
+        "2": [
+            {"p": "1/4", "counts": [0, 0, 0]},
+            {"p": "1/4", "counts": [2, 0, 1]},
+            {"p": "1/8", "counts": [0, 3, 0]},
+            {"p": "3/8", "counts": [1, 1, 1]},
+        ],
+        "3": [{"p": "1/3", "counts": [0, 0, 2]}, {"p": "2/3", "counts": [1, 0, 0]}],
+    }})
+
+
+def _mixed_laws_phi():
+    return make_table_characteristic(
+        3,
+        base={0: np.array([1.0, -2.0, 0.5]), 2: np.array([0.0, 1.0, 1.0])},
+        coeff={1: np.array([0.5, 0.25, -1.0])},
+        noise={(0, 1): NoiseLaw((0.25, 0.5, 0.25), (1.0, 0.0, -3.0)), (1, 2): NoiseLaw((1.0,), (2.0,))},
+    )
+
+
+def test_padded_draw_equals_per_type_calls(three_scale):
+    """One multinomial call over the front-padded laws draws what one call
+    per type present draws in type order: the same counts, the same stream."""
+    gen = np.random.default_rng(2_026)
+    for model in (_mixed_laws_model(), three_scale.model):
+        K = model.padded_laws[0].shape[-1]
+        for _ in range(100):
+            B = int(gen.integers(1, 300))
+            counts = gen.integers(0, 40, size=(B, model.J))
+            counts[:, gen.random(model.J) < 0.3] = 0
+            seed = int(gen.integers(2**32))
+            padded, stepped, per_type = (np.random.default_rng(seed) for _ in range(3))
+            draws = simulator._draw(model, counts, padded)
+            nxt, present = step_generation(model, counts, stepped)
+            want_next = np.zeros_like(counts)
+            for j, law in enumerate(model.laws):
+                n_out = law.n_outcomes
+                if counts[:, j].any():
+                    want = per_type.multinomial(counts[:, j], law.probs)
+                    assert np.array_equal(present[j], want)
+                    want_next += want @ law.outcome_matrix()
+                else:
+                    want = np.zeros((B, n_out), dtype=np.int64)
+                    assert j not in present
+                assert np.array_equal(draws[j, :, K - n_out :], want)
+                assert not draws[j, :, : K - n_out].any()
+            assert np.array_equal(nxt, want_next)
+            assert padded.bit_generator.state == per_type.bit_generator.state
+            assert stepped.bit_generator.state == per_type.bit_generator.state
+
+
+def test_step_generation_on_one_replicate_draws_per_type():
+    model = _mixed_laws_model()
+    for seed in range(20):
+        counts = np.array([seed % 3, 5, seed], dtype=np.int64)
+        stepped, per_type = np.random.default_rng(seed), np.random.default_rng(seed)
+        nxt, present = step_generation(model, counts, stepped)
+        assert nxt.shape == (3,) and sorted(present) == [j for j in range(3) if counts[j]]
+        for j in sorted(present):
+            want = per_type.multinomial(counts[j], model.laws[j].probs)
+            assert present[j].shape == want.shape and np.array_equal(present[j], want)
+        assert stepped.bit_generator.state == per_type.bit_generator.state
+
+
+def _assert_columns_equal(batch, want):
+    got = {
+        "aborted": batch.aborted, "z_final": batch.z_final, "w_hat": batch.w_hat,
+        "zphi": batch.zphi, "T": batch.T, "cells": batch.cells,
+    }
+
+    def walk(a, b, path):
+        if isinstance(b, dict):
+            assert a.keys() == b.keys(), path
+            for key in b:
+                walk(a[key], b[key], f"{path}/{key}")
+        elif b is None:
+            assert a is None, path
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape, path
+            assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), path
+
+    walk(got, want, "")
+
+
+# 9 * BLOCK + 7 spans two chunks
+CHUNK_RS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 1000, 1797, 9 * BLOCK + 7]
+
+
+@pytest.mark.parametrize("R", CHUNK_RS)
+def test_chunks_equal_the_per_block_oracle(mirror, R):
+    """Every column, and every recorded cell, has the bits of the batch
+    simulated block by block with one multinomial call per type."""
+    phis = _mirror_replay_phis(mirror)
+    kw = dict(S=mirror.S, constants=mirror.constants, ns=[4, 8])
+    plan = simulator._plan(
+        mirror.model, phis, 8, 10, [4, 8], mirror.S, mirror.constants, simulator.OVERFLOW_CAP
+    )
+    for record_cells in (False, True):
+        batch = run_batch(mirror.model, phis, 8, 10, R, 31_337, record_cells=record_cells, **kw)
+        _assert_columns_equal(batch, per_block_columns(plan, 31_337, R, record_cells))
+
+
+def _capped_case(single_type):
+    noisy = make_table_characteristic(
+        1,
+        base={0: np.array([1.0]), 2: np.array([-0.5])},
+        coeff={0: np.array([2.0]), 1: np.array([0.5])},
+        noise={(0, 0): NoiseLaw((0.25, 0.75), (3.0, -1.0))},
+    )
+    plan = simulator._plan(
+        single_type.model, noisy, 8, 10, None, single_type.S, single_type.constants, 1500
+    )
+    return noisy, plan
+
+
+@pytest.mark.parametrize("R", CHUNK_RS)
+def test_chunks_with_overflow_aborts_equal_the_per_block_oracle(single_type, R):
+    """The cap aborts about half of each block (litters of 1 or 3, so some
+    replicates pass 1500 // 3 individuals before generation 10)."""
+    noisy, plan = _capped_case(single_type)
+    kw = dict(S=single_type.S, constants=single_type.constants, overflow_cap=1500)
+    for record_cells in (False, True):
+        batch = run_batch(single_type.model, noisy, 8, 10, R, 31_337, record_cells=record_cells, **kw)
+        _assert_columns_equal(batch, per_block_columns(plan, 31_337, R, record_cells))
+    if R >= BLOCK:
+        assert 0 < batch.aborted[:BLOCK].sum() < BLOCK
+
+
+@pytest.mark.parametrize("R", CHUNK_RS)
+def test_chunks_of_mixed_length_laws_equal_the_per_block_oracle(R):
+    model, phi = _mixed_laws_model(), _mixed_laws_phi()
+    plan = simulator._plan(model, phi, 6, 7, [5, 6], None, None, simulator.OVERFLOW_CAP)
+    batch = run_batch(model, phi, 6, 7, R, 4_099, ns=[5, 6], record_cells=True)
+    assert batch.cells["noise"][(0, 6, 1, 2)].any()
+    _assert_columns_equal(batch, per_block_columns(plan, 4_099, R, True))
+
+
+@pytest.mark.parametrize("R", [1797, 9 * BLOCK + 7])
+def test_chunks_in_a_pool_equal_the_per_block_oracle(mirror, single_type, R):
+    phis = _mirror_replay_phis(mirror)
+    plan = simulator._plan(
+        mirror.model, phis, 8, 10, [4, 8], mirror.S, mirror.constants, simulator.OVERFLOW_CAP
+    )
+    batch = run_batch(
+        mirror.model, phis, 8, 10, R, 27_183, S=mirror.S, constants=mirror.constants,
+        ns=[4, 8], workers=2, record_cells=True,
+    )
+    _assert_columns_equal(batch, per_block_columns(plan, 27_183, R, True))
+    noisy, plan = _capped_case(single_type)
+    batch = run_batch(
+        single_type.model, noisy, 8, 10, R, 27_183, S=single_type.S,
+        constants=single_type.constants, workers=2, overflow_cap=1500,
+    )
+    _assert_columns_equal(batch, per_block_columns(plan, 27_183, R))
+
+
+def test_chunk_cap_bounds_batch_memory(mirror):
+    """A worker steps at most ``_CHUNK`` blocks at once: a 20,000-replicate
+    batch peaks at ~3.4 MB here, and at ~17 MB stepped as one chunk."""
+    S, constants, scn = mirror.S, mirror.constants, mirror.scenario
+    tracemalloc.start()
+    try:
+        run_batch(mirror.model, mirror.phi, scn.n, scn.N, 20_000, 5, S=S, constants=constants)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, peak

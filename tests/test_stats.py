@@ -17,6 +17,7 @@ from cmjsim.simulator import BLOCK, ReplicateResult
 from cmjsim.stats import (
     W_MIN_DEFAULT,
     _median,
+    _percentile,
     _real_quotient,
     _resampled_variances,
     bootstrap_variance_se,
@@ -197,6 +198,18 @@ def test_sort_median_equals_np_median():
     for xs in cases:
         assert _same_float(_median(xs), float(np.median(xs))), xs
     assert math.isnan(_median(with_nan)) and math.isnan(_median(even_nan))
+
+
+def test_sort_percentile_equals_np_percentile():
+    # positive arrays, as bootstrap variances are: np.percentile orders by
+    # partition, so on ties of +0.0 and -0.0 it may pick the other zero
+    rng = np.random.default_rng(47)
+    lo_q = 100 * (1 - 0.99) / 2
+    for i in range(3000):
+        m = int(rng.integers(1, 700))
+        xs = (rng.exponential(size=m), rng.integers(1, 6, size=m).astype(float))[i % 2]
+        for q in (lo_q, 100 - lo_q, 0.0, 50.0, 100.0, float(rng.uniform(0, 100))):
+            assert _same_float(_percentile(xs, q), float(np.percentile(xs, q))), (m, q)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
