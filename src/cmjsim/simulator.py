@@ -91,28 +91,31 @@ def normalization(t: int, case: str, l_star: int | None, rho: float) -> float:
     return r
 
 
-def _draw(model: BranchingModel, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``(J, B, K)`` padded outcome counts of all parents in ``(B, J)`` counts,
-    in one call that draws what one call per type present would."""
-    return rng.multinomial(counts.T, model.padded_laws[0])
-
-
 def step_generation(
-    model: BranchingModel, counts: np.ndarray, rng: np.random.Generator
+    model: BranchingModel, counts: np.ndarray, rng: np.random.Generator | list
 ) -> tuple[np.ndarray, dict]:
     """Advance one generation of int64 type counts, ``(J,)`` for one
     replicate or ``(B, J)`` for a block; returns the next counts and, per
     parent type present, the multinomial outcome counts that produced them
-    (the coupling handle), shaped ``(n_outcomes,)`` or ``(B, n_outcomes)``."""
+    (the coupling handle), shaped ``(n_outcomes,)`` or ``(B, n_outcomes)``.
+
+    ``rng`` may be a list of generators, which splits the rows into as many
+    equal blocks, block i drawing from ``rng[i]``.  A block makes one call
+    over the front-padded laws, which draws what one call per type present
+    would, in type order."""
+    P, M = model.padded_laws
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     rows = counts.reshape(-1, model.J)
-    draws = _draw(model, rows, rng)
-    K = draws.shape[-1]
+    B = len(rows) // len(rngs)
+    parts = [g.multinomial(rows[i * B : (i + 1) * B].T, P) for i, g in enumerate(rngs)]
+    draws = np.concatenate(parts, axis=1)
+    K = P.shape[-1]
     present = {
         j: draws[j, :, K - law.n_outcomes :].reshape(*counts.shape[:-1], law.n_outcomes)
         for j, law in enumerate(model.laws)
         if rows[:, j].any()
     }
-    return (draws @ model.padded_laws[1]).sum(axis=0).reshape(counts.shape), present
+    return (draws @ M).sum(axis=0).reshape(counts.shape), present
 
 
 def _validate_windows(phis: Sequence[Characteristic], ns: Sequence[int], N: int) -> None:
@@ -183,7 +186,6 @@ def _simulate_chunk(plan: _Plan, rngs: list, B: int, record_cells: bool) -> dict
     """The columns of ``len(rngs)`` blocks of B replicates stepped together;
     block i draws from ``rngs[i]`` alone, and what it would draw alone."""
     model, N = plan.model, plan.N
-    P, M = model.padded_laws
     rows = [slice(i * B, (i + 1) * B) for i in range(len(rngs))]
     B *= len(rngs)
     states = np.zeros((N + 1, B, model.J), dtype=np.int64)
@@ -195,8 +197,7 @@ def _simulate_chunk(plan: _Plan, rngs: list, B: int, record_cells: bool) -> dict
         if over.any():
             aborted |= over
             states[g, over] = 0
-        draws = np.concatenate([_draw(model, states[g, sl], rng) for rng, sl in zip(rngs, rows)], 1)
-        states[g + 1] = (draws @ M).sum(axis=0)
+        states[g + 1], draws = step_generation(model, states[g], rngs)
         if record_cells:
             draws_by_g.append(draws)
 
@@ -240,10 +241,10 @@ def _simulate_chunk(plan: _Plan, rngs: list, B: int, record_cells: bool) -> dict
 
     cells = None
     if record_cells:
-        K = P.shape[-1]
+        # zeros where nothing was drawn, so every chunk has every key
         offspring = {
-            (g, j): d[j, :, K - law.n_outcomes :]
-            for g, d in enumerate(draws_by_g)
+            (g, j): draws.get(j, np.zeros((B, law.n_outcomes), dtype=np.int64))
+            for g, draws in enumerate(draws_by_g)
             for j, law in enumerate(model.laws)
         }
         cells = {"offspring": offspring, "noise": noise_draws}

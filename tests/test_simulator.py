@@ -360,46 +360,42 @@ def _mixed_laws_phi():
 
 def test_padded_draw_equals_per_type_calls(three_scale):
     """One multinomial call over the front-padded laws draws what one call
-    per type present draws in type order: the same counts, the same stream."""
+    per type present draws in type order: the same counts, the same stream,
+    for ``(B, J)`` and ``(J,)`` counts alike."""
     gen = np.random.default_rng(2_026)
     for model in (_mixed_laws_model(), three_scale.model):
-        K = model.padded_laws[0].shape[-1]
         for _ in range(100):
             B = int(gen.integers(1, 300))
             counts = gen.integers(0, 40, size=(B, model.J))
             counts[:, gen.random(model.J) < 0.3] = 0
             seed = int(gen.integers(2**32))
-            padded, stepped, per_type = (np.random.default_rng(seed) for _ in range(3))
-            draws = simulator._draw(model, counts, padded)
-            nxt, present = step_generation(model, counts, stepped)
-            want_next = np.zeros_like(counts)
-            for j, law in enumerate(model.laws):
-                n_out = law.n_outcomes
-                if counts[:, j].any():
-                    want = per_type.multinomial(counts[:, j], law.probs)
-                    assert np.array_equal(present[j], want)
-                    want_next += want @ law.outcome_matrix()
-                else:
-                    want = np.zeros((B, n_out), dtype=np.int64)
-                    assert j not in present
-                assert np.array_equal(draws[j, :, K - n_out :], want)
-                assert not draws[j, :, : K - n_out].any()
-            assert np.array_equal(nxt, want_next)
-            assert padded.bit_generator.state == per_type.bit_generator.state
-            assert stepped.bit_generator.state == per_type.bit_generator.state
+            for shaped in (counts, counts[0]):
+                stepped, per_type = np.random.default_rng(seed), np.random.default_rng(seed)
+                nxt, present = step_generation(model, shaped, stepped)
+                want_next = np.zeros_like(shaped)
+                for j, law in enumerate(model.laws):
+                    if shaped[..., j].any():
+                        want = per_type.multinomial(shaped[..., j], law.probs)
+                        assert present[j].shape == want.shape and np.array_equal(present[j], want)
+                        want_next += want @ law.outcome_matrix()
+                    else:
+                        assert j not in present
+                assert np.array_equal(nxt, want_next)
+                assert stepped.bit_generator.state == per_type.bit_generator.state
 
 
-def test_step_generation_on_one_replicate_draws_per_type():
-    model = _mixed_laws_model()
-    for seed in range(20):
-        counts = np.array([seed % 3, 5, seed], dtype=np.int64)
-        stepped, per_type = np.random.default_rng(seed), np.random.default_rng(seed)
-        nxt, present = step_generation(model, counts, stepped)
-        assert nxt.shape == (3,) and sorted(present) == [j for j in range(3) if counts[j]]
-        for j in sorted(present):
-            want = per_type.multinomial(counts[j], model.laws[j].probs)
-            assert present[j].shape == want.shape and np.array_equal(present[j], want)
-        assert stepped.bit_generator.state == per_type.bit_generator.state
+def test_step_generation_splits_rows_between_generators():
+    """With a list of generators, equal row blocks step as if each were
+    stepped alone on its own generator."""
+    model, gen = _mixed_laws_model(), np.random.default_rng(7)
+    counts = gen.integers(0, 30, size=(3 * 50, model.J))
+    counts[50:100, 1] = 0
+    nxt, present = step_generation(model, counts, [np.random.default_rng(s) for s in (4, 5, 6)])
+    alone = [step_generation(model, counts[i * 50 : (i + 1) * 50], np.random.default_rng(4 + i)) for i in range(3)]
+    assert np.array_equal(nxt, np.concatenate([part[0] for part in alone]))
+    for j in range(model.J):
+        zeros = np.zeros((50, model.laws[j].n_outcomes), dtype=np.int64)
+        assert np.array_equal(present[j], np.concatenate([part[1].get(j, zeros) for part in alone]))
 
 
 def _assert_columns_equal(batch, want):
@@ -426,72 +422,53 @@ def _assert_columns_equal(batch, want):
 CHUNK_RS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 1000, 1797, 9 * BLOCK + 7]
 
 
+def _oracle_case(case, request):
+    """``(seed, model, phis, n, N, ns, S, constants, overflow_cap)``."""
+    if case == "mirror":
+        m = request.getfixturevalue("mirror")
+        return 31_337, m.model, _mirror_replay_phis(m), 8, 10, [4, 8], m.S, m.constants, simulator.OVERFLOW_CAP
+    if case == "capped":
+        # litters of 1 or 3, so some replicates pass 1500 // 3 individuals
+        # before generation 10: the cap aborts about half of each block
+        s = request.getfixturevalue("single_type")
+        noisy = make_table_characteristic(
+            1,
+            base={0: np.array([1.0]), 2: np.array([-0.5])},
+            coeff={0: np.array([2.0]), 1: np.array([0.5])},
+            noise={(0, 0): NoiseLaw((0.25, 0.75), (3.0, -1.0))},
+        )
+        return 31_337, s.model, noisy, 8, 10, None, s.S, s.constants, 1500
+    return 4_099, _mixed_laws_model(), _mixed_laws_phi(), 6, 7, [5, 6], None, None, simulator.OVERFLOW_CAP
+
+
+def _assert_equals_oracle(case, R, request, workers=1):
+    seed, model, phis, n, N, ns, S, constants, cap = _oracle_case(case, request)
+    plan = simulator._plan(model, phis, n, N, ns, S, constants, cap)
+    for record_cells in (False, True):
+        batch = run_batch(
+            model, phis, n, N, R, seed, S=S, constants=constants, ns=ns, workers=workers,
+            record_cells=record_cells, overflow_cap=cap,
+        )
+        _assert_columns_equal(batch, per_block_columns(plan, seed, R, record_cells))
+    return batch
+
+
 @pytest.mark.parametrize("R", CHUNK_RS)
-def test_chunks_equal_the_per_block_oracle(mirror, R):
+@pytest.mark.parametrize("case", ["mirror", "capped", "mixed"])
+def test_chunks_equal_the_per_block_oracle(case, R, request):
     """Every column, and every recorded cell, has the bits of the batch
     simulated block by block with one multinomial call per type."""
-    phis = _mirror_replay_phis(mirror)
-    kw = dict(S=mirror.S, constants=mirror.constants, ns=[4, 8])
-    plan = simulator._plan(
-        mirror.model, phis, 8, 10, [4, 8], mirror.S, mirror.constants, simulator.OVERFLOW_CAP
-    )
-    for record_cells in (False, True):
-        batch = run_batch(mirror.model, phis, 8, 10, R, 31_337, record_cells=record_cells, **kw)
-        _assert_columns_equal(batch, per_block_columns(plan, 31_337, R, record_cells))
-
-
-def _capped_case(single_type):
-    noisy = make_table_characteristic(
-        1,
-        base={0: np.array([1.0]), 2: np.array([-0.5])},
-        coeff={0: np.array([2.0]), 1: np.array([0.5])},
-        noise={(0, 0): NoiseLaw((0.25, 0.75), (3.0, -1.0))},
-    )
-    plan = simulator._plan(
-        single_type.model, noisy, 8, 10, None, single_type.S, single_type.constants, 1500
-    )
-    return noisy, plan
-
-
-@pytest.mark.parametrize("R", CHUNK_RS)
-def test_chunks_with_overflow_aborts_equal_the_per_block_oracle(single_type, R):
-    """The cap aborts about half of each block (litters of 1 or 3, so some
-    replicates pass 1500 // 3 individuals before generation 10)."""
-    noisy, plan = _capped_case(single_type)
-    kw = dict(S=single_type.S, constants=single_type.constants, overflow_cap=1500)
-    for record_cells in (False, True):
-        batch = run_batch(single_type.model, noisy, 8, 10, R, 31_337, record_cells=record_cells, **kw)
-        _assert_columns_equal(batch, per_block_columns(plan, 31_337, R, record_cells))
-    if R >= BLOCK:
+    batch = _assert_equals_oracle(case, R, request)
+    if case == "capped" and R >= BLOCK:
         assert 0 < batch.aborted[:BLOCK].sum() < BLOCK
-
-
-@pytest.mark.parametrize("R", CHUNK_RS)
-def test_chunks_of_mixed_length_laws_equal_the_per_block_oracle(R):
-    model, phi = _mixed_laws_model(), _mixed_laws_phi()
-    plan = simulator._plan(model, phi, 6, 7, [5, 6], None, None, simulator.OVERFLOW_CAP)
-    batch = run_batch(model, phi, 6, 7, R, 4_099, ns=[5, 6], record_cells=True)
-    assert batch.cells["noise"][(0, 6, 1, 2)].any()
-    _assert_columns_equal(batch, per_block_columns(plan, 4_099, R, True))
+    if case == "mixed":
+        assert batch.cells["noise"][(0, 6, 1, 2)].any()
 
 
 @pytest.mark.parametrize("R", [1797, 9 * BLOCK + 7])
-def test_chunks_in_a_pool_equal_the_per_block_oracle(mirror, single_type, R):
-    phis = _mirror_replay_phis(mirror)
-    plan = simulator._plan(
-        mirror.model, phis, 8, 10, [4, 8], mirror.S, mirror.constants, simulator.OVERFLOW_CAP
-    )
-    batch = run_batch(
-        mirror.model, phis, 8, 10, R, 27_183, S=mirror.S, constants=mirror.constants,
-        ns=[4, 8], workers=2, record_cells=True,
-    )
-    _assert_columns_equal(batch, per_block_columns(plan, 27_183, R, True))
-    noisy, plan = _capped_case(single_type)
-    batch = run_batch(
-        single_type.model, noisy, 8, 10, R, 27_183, S=single_type.S,
-        constants=single_type.constants, workers=2, overflow_cap=1500,
-    )
-    _assert_columns_equal(batch, per_block_columns(plan, 27_183, R))
+@pytest.mark.parametrize("case", ["mirror", "capped"])
+def test_chunks_in_a_pool_equal_the_per_block_oracle(case, R, request):
+    _assert_equals_oracle(case, R, request, workers=2)
 
 
 def test_chunk_cap_bounds_batch_memory(mirror):
