@@ -1,0 +1,102 @@
+"""Print one sha256 over every limit constant the program computes.
+
+    python3 scripts/constants_digest.py [--tree DIR] [--seeds N]
+
+Hashes the raw bytes of every ``TheoreticalConstants`` field for each preset,
+taken through ``build_model``, ``spectral_decompose``, its characteristic and
+``compute_constants`` as ``cmjsim constants`` does, and for a seeded
+population of ``constants_sweep`` models (``perfbench/constants_sweep.inputs``
+at seeds 0 to N-1, 200 models each, N = 5 by default).  An input the program
+refuses or fails on adds its exception's type and message.  Two trees that print the same digest
+computed the same constants bit for bit.  ``--tree`` measures another
+checkout of the program (default: this one); nothing is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import itertools
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODELS_PER_SEED = 200
+
+
+def _feed(h, obj) -> None:
+    """Add ``obj`` to the hash: arrays and numbers by their raw bytes,
+    containers item by item, everything else by its repr."""
+    import numpy as np
+
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        h.update(b"{")
+        for key, value in obj.items():
+            _feed(h, key)
+            _feed(h, value)
+        h.update(b"}")
+    elif isinstance(obj, (tuple, list)):
+        h.update(b"(")
+        for value in obj:
+            _feed(h, value)
+        h.update(b")")
+    elif isinstance(obj, (np.ndarray, np.generic, float, complex)):
+        arr = np.asarray(obj)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    else:
+        h.update(repr(obj).encode())
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except Exception as exc:  # a refusal or crash is part of the output
+        return f"{type(exc).__name__}: {exc}"
+
+
+def digest(tree: Path, seeds: int) -> tuple[str, int]:
+    """(sha256 hex digest, number of inputs hashed) for the program in ``tree``."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    from cmjsim.cli import build_characteristic
+    from cmjsim.constants import compute_constants
+    from cmjsim.model import build_model
+    from cmjsim.presets import preset, preset_names
+    from cmjsim.spectral import spectral_decompose
+
+    import constants_sweep
+
+    def preset_constants(name):
+        scn = preset(name)
+        m = build_model(scn.model)
+        S = spectral_decompose(m.A)
+        phi, a_row = build_characteristic(scn, m, S)
+        return compute_constants(a_row if a_row is not None else phi, S, m, eps_tail=scn.run["eps_tail"])
+
+    h = hashlib.sha256()
+    n = 0
+    for name in preset_names():
+        _feed(h, (name, _outcome(lambda: preset_constants(name))))
+        n += 1
+    for seed in range(seeds):
+        for (inp,) in itertools.islice(constants_sweep.inputs(seed), MODELS_PER_SEED):
+            _feed(h, (seed, inp["family"], _outcome(lambda: constants_sweep.compute(inp))))
+            n += 1
+    return h.hexdigest(), n
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", type=Path, default=ROOT, help="checkout to measure (default: this one)")
+    parser.add_argument("--seeds", type=int, default=5, help="constants_sweep seeds 0..N-1 (default 5)")
+    args = parser.parse_args(argv)
+    value, n = digest(args.tree.resolve(), args.seeds)
+    print(f"{value}  {n} inputs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

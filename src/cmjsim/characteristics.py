@@ -66,17 +66,16 @@ class NoiseLaw:
 
 
 def _freeze_rows(rows: Mapping[int, np.ndarray] | None, J: int, what: str) -> dict:
-    out = {}
-    if rows:
-        for k, row in rows.items():
-            r = np.asarray(row, dtype=complex).reshape(-1)
-            if r.shape != (J,):
-                raise ValueError(f"{what}[{k}]: expected a row of length {J}")
-            if np.any(r != 0):
-                r = r.copy()
-                r.flags.writeable = False
-                out[int(k)] = r
-    return out
+    """The nonzero rows as read-only views of one fresh table, keyed by int."""
+    if not rows:
+        return {}
+    flat = [np.asarray(row, dtype=complex).reshape(-1) for row in rows.values()]
+    for k, r in zip(rows, flat):
+        if r.shape != (J,):
+            raise ValueError(f"{what}[{k}]: expected a row of length {J}")
+    table = np.array(flat)
+    table.flags.writeable = False
+    return {int(k): r for k, r, keep in zip(rows, table, np.any(table != 0, axis=1).tolist()) if keep}
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +142,7 @@ class Characteristic:
 
     def mean_table(self) -> dict:
         out = {}
-        for k in self.value_keys:
+        for k in sorted(set(self.base) | {k for (k, _) in self.noise}):
             row = self.mean(k)
             if np.any(row != 0):
                 out[k] = row

@@ -86,6 +86,23 @@ def compute_x1_x2(source, S: SpectralData) -> tuple[np.ndarray, np.ndarray]:
     return x1, x2
 
 
+def _sigma_l_ladder(x2: np.ndarray, S: SpectralData, model: BranchingModel, rungs: int) -> tuple[float, ...]:
+    """sigma_l^2 for l = 0..rungs-1, from one walk up each critical cluster's
+    chain ``x2 pi_lambda, x2 N_lambda pi_lambda, ...``."""
+    x2 = np.asarray(x2, dtype=complex).reshape(-1)
+    M = mixing_covariance(model, S.u)
+    totals = [0.0] * rungs
+    for cl in S.clusters:
+        if cl.label != "critical":
+            continue
+        row = x2 @ cl.projection
+        shifted = S.A - cl.eigenvalue * np.eye(S.J)
+        for l in range(rungs):
+            totals[l] += float(m_norm2(M, row))
+            row = row @ shifted @ cl.projection
+    return tuple(S.rho ** (-(l + 1)) / ((2 * l + 1) * factorial(l) ** 2) * t for l, t in enumerate(totals))
+
+
 def compute_sigma_l(x2: np.ndarray, S: SpectralData, model: BranchingModel, l: int) -> float:
     """Critical variance at ladder rung l:
 
@@ -94,24 +111,12 @@ def compute_sigma_l(x2: np.ndarray, S: SpectralData, model: BranchingModel, l: i
 
     with N_lambda the nilpotent part of the cluster at lambda.  Exact finite
     linear algebra (the nilpotent powers terminate)."""
-    x2 = np.asarray(x2, dtype=complex).reshape(-1)
-    M = mixing_covariance(model, S.u)
-    total = 0.0
-    for cl in S.clusters:
-        if cl.label != "critical":
-            continue
-        row = x2 @ cl.projection
-        lam = cl.eigenvalue
-        for _ in range(l):
-            row = row @ (S.A - lam * np.eye(S.J)) @ cl.projection
-        total += float(m_norm2(M, row))
-    scale = S.rho ** (-(l + 1)) / ((2 * l + 1) * factorial(l) ** 2)
-    return scale * total
+    return _sigma_l_ladder(x2, S, model, l + 1)[l]
 
 
 def compute_sigma_l_table(x2: np.ndarray, S: SpectralData, model: BranchingModel) -> tuple[float, ...]:
     """sigma_l^2 for l = 0..J (entries beyond the nilpotency index are exactly 0)."""
-    return tuple(compute_sigma_l(x2, S, model, l) for l in range(S.J + 1))
+    return _sigma_l_ladder(x2, S, model, S.J + 1)
 
 
 def find_l_star(sigma_l: tuple[float, ...], tol: float = L_STAR_TOL) -> int | None:
@@ -176,9 +181,11 @@ def compute_sigma2(
         keys.add(max(mt) + 1)
     lo, hi = min(keys), max(keys)
     ks = np.arange(lo, hi + 1)
-    B = np.array([compute_B(mt, S, k) for k in ks])
-    coeff = np.array([phi.coeff.get(k, np.zeros(S.J)) for k in ks])
-    noise = np.array([noise_u.get(k, 0.0) for k in ks])
+    B = np.array([compute_B(mt, S, k) for k in ks]) if mt else np.zeros((len(ks), S.J), dtype=complex)
+    coeff = np.zeros((len(ks), S.J), dtype=complex)
+    coeff[[k - lo for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
+    noise = np.zeros(len(ks))
+    noise[[k - lo for k in noise_u]] = list(noise_u.values())
     k_parts = [ks]
     t_parts = [m_norm2(M, power_scaled(B + coeff, S.rho, ks / 2)) + power_scaled(noise, S.rho, ks)]
     table = list(B)
@@ -200,7 +207,9 @@ def compute_sigma2(
     if not np.isfinite(value):
         raise ArithmeticError("sigma2 lies outside float64 range")
     if return_details:
-        return value, error, {int(ks[i]): table[i] for i in np.argsort(ks) if keep[i]}
+        order = np.argsort(ks)
+        order = order[keep[order]].tolist()
+        return value, error, dict(zip(ks[order].tolist(), [table[i] for i in order]))
     return value, error
 
 

@@ -103,11 +103,13 @@ def _canon_row(x, path: str, length: int | None = None, parse=_number) -> tuple[
     return [c for c, _ in pairs], [v for _, v in pairs]
 
 
-def _int_ge(x, path: str, lo: int) -> int:
+def _int_ge(x, path: str, lo: int, hi: float = math.inf) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         _fail(path, f"expected an integer, got {x!r}")
     if x < lo:
         _fail(path, f"must be >= {lo}, got {x}")
+    if x > hi:
+        _fail(path, f"must be <= {hi}, got {x}")
     return x
 
 
@@ -164,7 +166,8 @@ def _canon_law(entries, types: int, path: str) -> tuple[list, tuple]:
         vec = _require(entry, "counts", epath)
         if not isinstance(vec, (list, tuple)) or len(vec) != types:
             _fail(f"{epath}.counts", f"expected length {types} list of integers >= 0, got {vec!r}")
-        vec = [_int_ge(c, f"{epath}.counts[{ci}]", 0) for ci, c in enumerate(vec)]
+        # counts are stored as int64
+        vec = [_int_ge(c, f"{epath}.counts[{ci}]", 0, 2**63 - 1) for ci, c in enumerate(vec)]
         canon.append({"p": p_canon, "counts": vec})
         probs.append(p)
         counts.append(tuple(vec))

@@ -42,6 +42,7 @@ thousands of terms, stay inside float64 range.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -229,11 +230,11 @@ def _cluster_projection(A: np.ndarray, eigs: np.ndarray, idxs: list[int]) -> np.
     return Q @ P @ Q.conj().T
 
 
-def _nilpotent_index(A: np.ndarray, lam: complex, proj: np.ndarray, tol: float) -> int:
-    """Smallest m with (A - lambda I)^m pi = 0 (the largest Jordan block size)."""
+def _nilpotent_index(A: np.ndarray, lam: complex, proj: np.ndarray, tol: float, norm_A: float) -> int:
+    """Smallest m with (A - lambda I)^m pi = 0, the largest Jordan block size (norm_A = |A|_2)."""
     n = A.shape[0]
     shifted = A.astype(complex) - lam * np.eye(n)
-    scale = max(1.0, float(np.linalg.norm(A, 2)))
+    scale = max(1.0, norm_A)
     B = proj
     for m in range(1, n + 1):
         B = shifted @ B
@@ -300,7 +301,7 @@ def spectral_decompose(A: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralData:
         if abs(lam.imag) <= radius:
             lam = complex(lam.real, 0.0)
         proj = _cluster_projection(A, eigs, idxs)
-        nil = _nilpotent_index(A, lam, proj, tol)
+        nil = _nilpotent_index(A, lam, proj, tol, norm_A)
         dist = abs(abs(lam) - sqrt_rho)
         if abs(lam) > sqrt_rho + tol:
             label = SUPER
@@ -475,12 +476,13 @@ def power_scaled(x, base: float, e) -> np.ndarray:
     e = np.asarray(e, dtype=float)
     e_rows = e.reshape(e.shape + (1,) * (x.ndim - e.ndim))
     log_base = math.log(base)
-    weight = np.array(
-        [base ** -v if abs(v * log_base) < _LOG_RANGE else math.nan for v in e.ravel().tolist()]
-    ).reshape(e_rows.shape)
-    far = np.isnan(weight)
-    if not far.any():
-        return x * weight
+    # Python float pow, term by term: np.power may differ from it in the last bit
+    exponents = (-e).ravel().tolist()
+    if abs(max(map(abs, exponents), default=0.0) * log_base) < _LOG_RANGE:  # grows with |e|
+        return x * np.array(list(map(pow, itertools.repeat(base), exponents))).reshape(e_rows.shape)
+    far = ~(np.abs(e_rows * log_base) < _LOG_RANGE)
+    weight = np.ones(e_rows.shape)
+    weight[~far] = list(map(pow, itertools.repeat(base), (-e_rows[~far]).tolist()))
     with np.errstate(all="ignore"):
         peak = np.max(np.abs(x), axis=tuple(range(e.ndim, x.ndim)), keepdims=True)
         via_log = np.where(peak > 0, x / peak * np.exp(np.log(peak) - e_rows * log_base), 0.0)
@@ -493,13 +495,16 @@ def unscaled(S: SpectralData, W: np.ndarray, ks) -> list:
     row underflows to zero."""
     R = power_scaled(W, S.rho, -np.asarray(ks) / 2)
     ok = np.all(np.isfinite(R), axis=1) & (np.any(R != 0, axis=1) | ~np.any(W != 0, axis=1))
-    return [r if good else None for r, good in zip(R, ok.tolist())]
+    rows = list(R)
+    for i in np.flatnonzero(~ok).tolist():
+        rows[i] = None
+    return rows
 
 
 def m_norm2(M: np.ndarray, w: np.ndarray):
     """``|w|_M^2 = w M w^H`` for a row, or for each row of a stack; with
     ``M = sum_j u_j Cov L^(j)`` this is the u-weighted variance of ``w . L``."""
-    return np.real(np.sum((w @ M) * w.conj(), axis=-1))
+    return ((w @ M) * w.conj()).sum(axis=-1).real
 
 
 def scaled_tail(
@@ -520,7 +525,9 @@ def scaled_tail(
     ``rho^{1/2} pi1 A1^{-1} pi1``: both have spectral radius below one, so
     nothing leaves float64 range, and each term is ``|w|_M^2``.  Rows come
     a block ``w T^0 .. w T^{c-1}`` at a time, the block doubling up to
-    ``_MAX_BLOCK``.
+    ``_MAX_BLOCK``.  The powers ``T^0 .. T^{c-1}`` of each block are cached
+    on ``S`` under the step's sign (at most nine blocks per sign), so every
+    tail with the same step shares them.
 
     With ``count`` it stops after that many rows and certifies nothing
     (error inf).  Otherwise it stops after 2J+2 consecutive terms below
@@ -543,22 +550,26 @@ def scaled_tail(
     needed = 2 * S.J + 2
     rows, terms = [], []
     total = streak = 0
-    block = np.eye(S.J, dtype=complex)[None]
-    while True:
+    blocks = S._cache.setdefault(("tail", sign), [np.eye(S.J, dtype=complex)[None]])
+    for n in itertools.count():
+        block = blocks[min(n, len(blocks) - 1)]
         W = np.asarray(w) @ block
         t = m_norm2(M, W)
         stop = None
         if count is not None:
             stop = count - total if count - total <= len(t) else None
+        elif (small := t < eps_tail).any():
+            # run[i]: consecutive small terms ending at i, the streak carried in
+            i = np.arange(len(t))
+            run = i - np.maximum.accumulate(np.where(small, -1 - streak, i))
+            hits = np.flatnonzero(run >= needed)
+            stop = int(hits[0]) + 1 if len(hits) else None
+            streak = int(run[-1])
         else:
-            for i, small in enumerate((t < eps_tail).tolist()):
-                streak = streak + 1 if small else 0
-                if streak == needed:
-                    stop = i + 1
-                    break
+            streak = 0
         rows.append(W[:stop])
         terms.append(t[:stop])
-        if not np.all(np.isfinite(terms[-1])):
+        if not np.isfinite(terms[-1]).all():
             raise ArithmeticError(f"{what} has a term outside float64 range")
         total += len(terms[-1])
         if stop is not None:
@@ -566,7 +577,7 @@ def scaled_tail(
         if total >= _MAX_WINDOW:
             raise ArithmeticError(f"{what} failed to certify within {_MAX_WINDOW} terms")
         w = W[-1] @ step
-        if len(block) < _MAX_BLOCK:
-            block = np.concatenate([block, block @ (block[-1] @ step)])
+        if n + 1 == len(blocks) and len(block) < _MAX_BLOCK:
+            blocks.append(np.concatenate([block, block @ (block[-1] @ step)]))
     error = math.inf if count is not None else eps_tail * needed * ratio / (1.0 - ratio)
     return np.concatenate(rows), np.concatenate(terms), error

@@ -66,7 +66,8 @@ def ks_statistic(sample) -> float:
     m = xs.shape[0]
     if m == 0:
         raise ValueError("empty sample")
-    F = np.array([normal_cdf(x) for x in xs])
+    # normal_cdf bit for bit, with one erf call per point and no other Python
+    F = 0.5 * (1.0 + np.array(list(map(math.erf, (xs / math.sqrt(2.0)).tolist()))))
     grid_hi = np.arange(1, m + 1) / m
     grid_lo = np.arange(0, m) / m
     return float(max(np.max(grid_hi - F), np.max(F - grid_lo)))

@@ -6,9 +6,10 @@ recorded multinomial cells, a reference KS tail from scipy, the one-shot
 bootstrap resample that the blocked one must equal, the
 replicate-by-replicate studentization that the columnar one must equal,
 LAPACK's ordered-Schur spectral projector that the deflation one must equal,
-full-operator powers that the projected ones must equal, and the
+full-operator powers that the projected ones must equal, the
 block-by-block simulator with one multinomial call per parent type that the
-chunk-stepped one must equal.
+chunk-stepped one must equal, and the series engine's weights, stopping
+streak, mean tables and normal CDF taken one term at a time.
 None of it shares code with the package internals, so agreement is evidence
 rather than tautology.
 """
@@ -223,6 +224,15 @@ def reference_ks_pvalue(sample: np.ndarray) -> float:
     return float(res.pvalue)
 
 
+def per_point_ks_statistic(sample) -> float:
+    """One-sample KS distance to N(0,1), with the CDF taken one point at a
+    time through ``math.erf``."""
+    xs = sorted(float(x) for x in sample)
+    m = len(xs)
+    F = np.array([0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in xs])
+    return float(max(np.max(np.arange(1, m + 1) / m - F), np.max(F - np.arange(0, m) / m)))
+
+
 def sample_variance_se(sample: np.ndarray) -> float:
     """Plain asymptotic standard error of the sample variance (no bootstrap):
     SE^2 = (m4 - var^2) / m with m4 the fourth central moment."""
@@ -426,3 +436,63 @@ def _one_block(plan, rng: np.random.Generator, record_cells: bool) -> dict:
             },
         }
     return {"aborted": aborted, "z_final": states[N], "w_hat": w_hat, "zphi": zphi, "T": T, "cells": cells}
+
+
+# ---------------------------------------------------------------------------
+# The series engine, one term at a time
+# ---------------------------------------------------------------------------
+
+
+def per_term_power_scaled(x, base: float, e) -> np.ndarray:
+    """``x[i] * base**(-e[i])`` row by row, where ``x`` has the shape of ``e``
+    plus a row shape: the weight by Python's float pow while
+    ``|e[i] log base| < 700``, else through the logarithm of the row's peak
+    modulus (a zero row stays zero)."""
+    x = np.asarray(x)
+    e = np.asarray(e, dtype=float)
+    log_base = math.log(base)
+    out = []
+    for row, v in zip(x.reshape(e.size, -1), e.ravel().tolist()):
+        if abs(v * log_base) < 700.0:
+            out.append(row * base**-v)
+            continue
+        peak = np.max(np.abs(row))
+        out.append(row / peak * np.exp(np.log(peak) - v * log_base) if peak > 0 else np.zeros_like(row))
+    return np.array(out).reshape(x.shape)
+
+
+def per_term_unscaled(rho: float, W, ks) -> list:
+    """``rho^{k/2} W[i]`` row by row, None where the row overflows or a
+    nonzero row underflows to zero."""
+    out = []
+    for w, r in zip(W, per_term_power_scaled(W, rho, -np.asarray(ks) / 2)):
+        fits = bool(np.all(np.isfinite(r))) and (bool(np.any(r != 0)) or not np.any(w != 0))
+        out.append(r if fits else None)
+    return out
+
+
+def reference_tail_stop(terms, eps_tail: float, needed: int) -> int | None:
+    """Terms a series tail keeps: one past the first run of ``needed``
+    consecutive terms below ``eps_tail`` (a NaN breaks a run), or None."""
+    streak = 0
+    for i, t in enumerate(np.asarray(terms).tolist()):
+        streak = streak + 1 if t < eps_tail else 0
+        if streak == needed:
+            return i + 1
+    return None
+
+
+def reference_mean_table(phi: Characteristic) -> dict:
+    """``E phi(k)`` at every value key (coeff keys included), nonzero rows
+    only, keyed in increasing age."""
+    out = {}
+    for k in phi.value_keys:
+        row = np.zeros(phi.J, dtype=complex)
+        if k in phi.base:
+            row = row + phi.base[k]
+        for (kk, j), law in phi.noise.items():
+            if kk == k:
+                row[j] += complex(sum(p * v for p, v in zip(law.probs, law.values)))
+        if np.any(row != 0):
+            out[k] = row
+    return out

@@ -17,7 +17,7 @@ from cmjsim.characteristics import (
 )
 from cmjsim.spectral import projected_power
 
-from oracles import exact_moment_tables
+from oracles import exact_moment_tables, reference_mean_table
 
 
 def test_noise_law_moments():
@@ -67,6 +67,37 @@ def test_mean_table_drops_all_zero_rows():
     assert phi.value_keys == (0, 1)
     assert phi.coeff_k_min == 1
     assert phi.static_k_min == 0
+
+
+def test_mean_table_equals_the_walk_over_every_value_key():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        J = int(rng.integers(1, 5))
+
+        def rows():
+            keys = rng.choice(np.arange(-6, 7), size=int(rng.integers(0, 6)), replace=False)
+            # integer entries: some rows are all zero, some cancel a noise mean
+            return {int(k): rng.integers(-1, 2, J) + 1j * rng.integers(-1, 2, J) for k in keys}
+
+        noise = {}
+        for _ in range(int(rng.integers(0, 5))):
+            v = float(rng.integers(-2, 3))
+            law = ((0.5, 0.5), (-v, v)) if rng.random() < 0.5 else ((0.25, 0.75), (v, 1.0 + 0.5j))
+            noise[(int(rng.integers(-6, 7)), int(rng.integers(J)))] = law
+        phi = Characteristic(J=J, base=rows(), coeff=rows(), noise=noise)
+        got, want = phi.mean_table(), reference_mean_table(phi)
+        assert list(got) == list(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+
+def test_frozen_rows_are_read_only_copies_and_a_bad_row_names_its_key():
+    src = np.array([1.0, 2.0])
+    phi = make_table_characteristic(2, base={0: src, 4: [0, 0]}, coeff={2: [3, 4j]})
+    src[0] = 9.0
+    assert list(phi.base) == [0] and phi.base[0].tolist() == [1, 2]
+    assert not phi.base[0].flags.writeable and not phi.coeff[2].flags.writeable
+    with pytest.raises(ValueError, match=r"coeff\[5\]: expected a row of length 2"):
+        make_table_characteristic(2, coeff={0: [1, 2], 5: [1, 2, 3]})
 
 
 def test_scaling_by_complex_factor(mirror):

@@ -124,6 +124,17 @@ def test_numbers_too_large_for_a_float_name_their_key(where, key, tmp_path, caps
     assert out == ""
 
 
+@pytest.mark.parametrize("count", [2**63, 10**30])
+def test_offspring_count_beyond_int64_names_its_key(count, tmp_path, capsys):
+    d = preset("cross_feed").to_dict()
+    d["model"]["offspring"][1][0]["counts"][0] = count
+    path = write_yaml(tmp_path, "huge_count.yaml", d)
+    rc, out, err = run_cli(["constants", "--scenario", path], capsys)
+    assert rc == EXIT_USAGE
+    assert "model.offspring.1.0.counts[0]" in err and str(2**63 - 1) in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("flag, value, key", [("--workers", "0", "run.workers"),
                                               ("--workers", "-3", "run.workers"),
                                               ("--seed", "-5", "run.seed")])

@@ -4,6 +4,8 @@ rational moment recursion."""
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -418,3 +420,34 @@ def test_near_critical_gaps_certify_or_refuse(log_gap, side, sign):
     row = _perron_orthogonal(S)
     _certified_or_refused(lambda: compute_constants(row, S, model))
     _certified_or_refused(lambda: compute_constants(make_phi1(S, row, model=model), S, model))
+
+
+def _tail_outputs(S, model, a, order) -> dict:
+    """The raw bytes of each constant in ``order``, computed on ``S`` in turn."""
+    phi = make_indicator_characteristic(a)
+    out = {}
+    for what in order:
+        if what == "sigma_star2":
+            out[what] = np.array(compute_sigma_star2(a, S, model)).tobytes()
+        elif what == "sigma2":
+            value, err, table = compute_sigma2(phi, S, model, return_details=True)
+            out[what] = (np.array([value, err]).tobytes(), list(table), np.array(list(table.values())).tobytes())
+        else:
+            phi1 = make_phi1(S, a, model=model)
+            out[what] = (list(phi1.coeff), np.array(list(phi1.coeff.values())).tobytes(), phi1.discarded_mass)
+    return out
+
+
+@pytest.mark.parametrize("lam2", [2.03, 1.97, -2.03])
+def test_cached_tail_blocks_do_not_depend_on_call_order(lam2):
+    model, S = _symmetric_pair(4.0, lam2)
+    a = _perron_orthogonal(S)
+    whats = ("sigma_star2", "sigma2", "phi1")
+    alone = {w: _tail_outputs(dataclasses.replace(S, _cache={}), model, a, [w])[w] for w in whats}
+    for order in itertools.permutations(whats):
+        fresh = dataclasses.replace(S, _cache={})
+        assert _tail_outputs(fresh, model, a, order) == alone, order
+        tails = {key: blocks for key, blocks in fresh._cache.items() if key[0] == "tail"}
+        assert sorted(tails) == [("tail", -1), ("tail", 1)]
+        # blocks of 1, 2, 4, ..., 256 terms, and one long tail reaches the last
+        assert max(len(blocks) for blocks in tails.values()) == 9

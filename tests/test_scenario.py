@@ -141,6 +141,14 @@ def test_run_value_bounds():
     assert "run.trajectory" in str(err.value)
 
 
+def test_offspring_counts_run_up_to_int64_max():
+    top = MINIMAL.replace("counts: [3]", f"counts: [{2**63 - 1}]")
+    assert loads_scenario(top).model["offspring"][1][1]["counts"] == [2**63 - 1]
+    with pytest.raises(ScenarioError) as err:
+        loads_scenario(MINIMAL.replace("counts: [3]", f"counts: [{2**63}]"))
+    assert "model.offspring.1.1.counts[0]" in str(err.value)
+
+
 def test_invalid_yaml_is_a_scenario_error():
     with pytest.raises(ScenarioError) as err:
         loads_scenario("schema: [unclosed")

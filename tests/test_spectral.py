@@ -10,6 +10,7 @@ suite and on a seeded sweep of random non-negative matrices.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -423,3 +424,97 @@ def test_fourfold_jordan_block_decomposes(monkeypatch):
     assert _pi_gap(ours, ref) <= 1e-9
     sub = ours.classes()[SUB]
     assert len(sub) == 1 and sub[0].multiplicity == 4 and sub[0].nilpotent_index == 4
+
+
+# ---------------------------------------------------------------------------
+# The series engine against its one-term-at-a-time references
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("base", [4.0, 2.5, 1.37, 0.6])
+def test_power_scaled_matches_python_pow_term_by_term(base):
+    # rho-sized and theta-sized bases; |e log base| runs from 0 far past 700
+    rng = np.random.default_rng(17)
+    e = np.arange(-6000, 6001) / 2
+    rows = rng.standard_normal((e.size, 3)) + 1j * rng.standard_normal((e.size, 3))
+    rows[::7] *= 1e-200
+    rows[5] = 0.0
+    scalars = rng.standard_normal(e.size) * 10.0 ** rng.integers(-30, 30, e.size)
+    far = e.size - 1  # |e log base| beyond 700 for every base
+    cases = [(rows, e), (rows[:6000], e[:6000]), (rows[6001:], e[6001:]), (scalars, e),
+             (scalars[6001:], e[6001:]), (rows[3], e[3]), (rows[3], e[far]), (rows[5], e[far]),
+             (scalars[0], e[0]), (scalars[0], e[far]), (scalars[6000], e[6000])]
+    for x, ee in cases:
+        with np.errstate(over="ignore"):  # products past float64 range are inf on both sides
+            got = spectral.power_scaled(x, base, ee)
+            want = oracles.per_term_power_scaled(x, base, ee)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_unscaled_matches_per_term_rows(cross_feed):
+    S = cross_feed.S  # rho = 3: its half powers are not exact
+    rng = np.random.default_rng(5)
+    ks = np.arange(-2500, 2501)
+    W = rng.standard_normal((ks.size, S.J)) * 10.0 ** rng.integers(-300, 300, (ks.size, 1)) + 0j
+    W[::11] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # rows past float64 range are dropped
+        got = spectral.unscaled(S, W, ks)
+        want = oracles.per_term_unscaled(S.rho, W, ks)
+    dropped = [g is None for g in got]
+    assert dropped == [w is None for w in want]
+    assert 0 < sum(dropped) < len(dropped)
+    for g, w in zip(got, want):
+        if g is not None:
+            assert g.tobytes() == w.tobytes()
+
+
+def _synthetic_tail(S, terms, monkeypatch, eps_tail):
+    """scaled_tail's kept terms when its k-th term is ``terms[k]``.
+
+    The step ``[[1, 1], [0, 1]]`` maps the first row ``(1, 0)`` to
+    ``(1, k)`` exactly, so the patched norm can read k off each row."""
+    T = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    S = dataclasses.replace(S, rho=1.0, sqrt_rho=1.0, theta=0.5, _cache={("step", 3, 1): T})
+    monkeypatch.setattr(spectral, "m_norm2", lambda M, W: terms[W[:, 1].real.astype(int)])
+    return spectral.scaled_tail(S, np.eye(2), np.array([1.0, 0.0]), 1, "synthetic", eps_tail)[1]
+
+
+def test_tail_streak_matches_the_term_by_term_loop(mirror, monkeypatch):
+    eps, needed = 1e-14, 2 * mirror.S.J + 2
+    length = spectral._MAX_WINDOW + spectral._MAX_BLOCK
+    # block ends for blocks of 1, 2, 4, ..., 256 terms, then 256 at a time
+    ends = np.cumsum([2**i for i in range(9)] + [256] * 4).tolist()
+    sequences = []
+    for end in ends:
+        for before in range(1, min(needed, end + 1)):  # a run of exactly `needed` across the end
+            seq = np.ones(length)
+            seq[end - before:end - before + needed] = 0.0
+            sequences.append(seq)
+        broken = np.ones(length)  # a run cut by a large term at the block end
+        broken[max(0, end - needed + 1):end + 2 * needed] = 1e-20
+        broken[end] = 1.0
+        sequences.append(broken)
+    rng = np.random.default_rng(11)
+    for p_small in (0.5, 0.8, 0.95):
+        for _ in range(20):
+            sequences.append(np.where(rng.random(length) < p_small, 0.0, 1.0))
+    for seq in sequences:
+        stop = oracles.reference_tail_stop(seq, eps, needed)
+        assert stop is not None
+        got = _synthetic_tail(mirror.S, seq, monkeypatch, eps)
+        assert got.tobytes() == seq[:stop].tobytes()
+
+
+def test_tail_streak_broken_by_nan_refuses(mirror, monkeypatch):
+    eps, needed = 1e-14, 2 * mirror.S.J + 2
+    for end in (3, 7, 255, 511):
+        seq = np.ones(2048)
+        seq[end - 2:end + needed + 1] = 0.0
+        seq[end] = np.nan  # breaks the run before it reaches `needed`
+        stop = oracles.reference_tail_stop(seq, eps, needed)
+        assert stop == end + needed + 1
+        with pytest.raises(ArithmeticError, match="synthetic has a term outside float64 range"):
+            _synthetic_tail(mirror.S, seq, monkeypatch, eps)
+        seq[end] = 0.0
+        seq[end + needed + 1] = np.nan  # after the stop: never summed
+        assert _synthetic_tail(mirror.S, seq, monkeypatch, eps).tobytes() == seq[:end - 2 + needed].tobytes()

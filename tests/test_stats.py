@@ -34,6 +34,7 @@ from cmjsim.stats import (
 from oracles import (
     batch_from_rows,
     one_shot_resampled_variances,
+    per_point_ks_statistic,
     reference_ks_pvalue,
     reference_studentized,
 )
@@ -52,6 +53,18 @@ def test_ks_statistic_hand_cases():
     m = 40
     qs = [scipy.special.ndtri((i - 0.5) / m) for i in range(1, m + 1)]
     assert ks_statistic(np.array(qs)) == pytest.approx(0.5 / m, abs=1e-9)
+
+
+def test_ks_statistic_matches_the_per_point_normal_cdf():
+    rng = np.random.default_rng(41)
+    edges = [0.0, -0.0, 1e-310, -1e-310, 8.0, -8.0, 40.0, -40.0, np.inf, -np.inf]
+    xs = np.concatenate([edges, rng.standard_normal(20_000), 10.0 * rng.standard_normal(2_000)])
+    # on one point at x >= 0, D = max(Phi(x), 1 - Phi(x)) is Phi(x) itself
+    for x in xs[xs >= 0]:
+        assert ks_statistic([x]) == normal_cdf(x)
+    for m in (1, 2, 7, 100, 5_000, xs.size):
+        sample = rng.permutation(xs)[:m]
+        assert ks_statistic(sample) == per_point_ks_statistic(sample)
 
 
 def test_ks_pvalue_against_scipy_tail():
