@@ -478,7 +478,7 @@ def power_scaled(x, base: float, e) -> np.ndarray:
     log_base = math.log(base)
     # Python float pow, term by term: np.power may differ from it in the last bit
     exponents = (-e).ravel().tolist()
-    if abs(max(map(abs, exponents), default=0.0) * log_base) < _LOG_RANGE:  # grows with |e|
+    if abs(max(map(abs, exponents), default=0.0) * log_base) < _LOG_RANGE:  # |e log base| grows with |e|
         return x * np.array(list(map(pow, itertools.repeat(base), exponents))).reshape(e_rows.shape)
     far = ~(np.abs(e_rows * log_base) < _LOG_RANGE)
     weight = np.ones(e_rows.shape)
