@@ -29,7 +29,6 @@ from .model import (
     BranchingModel,
     OffspringLaw,
     build_model,
-    enumerate_column_outcomes,
     validate_assumptions,
 )
 from .presets import PRESETS, preset, preset_names, write_scenario_files
@@ -69,7 +68,6 @@ __all__ = [
     "compute_sigma_l",
     "compute_sigma_star2",
     "compute_x1_x2",
-    "enumerate_column_outcomes",
     "expected_process",
     "find_l_star",
     "ks_test",

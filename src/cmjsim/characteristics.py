@@ -1,4 +1,4 @@
-"""Random characteristics: finite tables, exact moments, star transforms.
+"""Random characteristics: finite tables, exact moments, the star transform.
 
 A characteristic assigns to an individual of type j at age k the scalar
 
@@ -16,8 +16,7 @@ characteristic
 
     phi*(k) = sum_{l >= 0} phi(k - 1 - l) A^l (L - A),
 
-whose counted process recenters ``Z_n^phi`` at its mean pathwise.  Projected
-variants replace ``A^l`` by restricted powers; see ``star_transform``.
+whose counted process recenters ``Z_n^phi`` at its mean pathwise.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "StarCharacteristic",
     "Phi1Characteristic",
     "make_indicator_characteristic",
-    "make_table_characteristic",
     "star_transform",
     "make_phi1",
     "expected_process",
@@ -108,26 +106,8 @@ class Characteristic:
         return tuple(sorted(ks))
 
     @property
-    def coeff_k_min(self) -> int | None:
-        return min(self.coeff) if self.coeff else None
-
-    @property
-    def static_k_min(self) -> int | None:
-        ks = set(self.base) | {k for (k, _) in self.noise}
-        return min(ks) if ks else None
-
-    @property
     def is_deterministic(self) -> bool:
         return not self.coeff and not self.noise
-
-    @property
-    def is_real(self) -> bool:
-        rows = list(self.base.values()) + list(self.coeff.values())
-        if any(np.any(np.abs(r.imag) > 0) for r in rows):
-            return False
-        return all(
-            all(abs(complex(v).imag) == 0 for v in law.values) for law in self.noise.values()
-        )
 
     # -- exact moments ------------------------------------------------------
     def mean(self, k: int) -> np.ndarray:
@@ -160,14 +140,6 @@ class Characteristic:
                 var[j] += law.variance()
         return var
 
-    def column_covariance(self, k: int, w: np.ndarray, j: int, model: BranchingModel) -> complex:
-        """Cov(phi(k) e_j, w . L^(j)) — exact, from the enumerated column covariance."""
-        c = self.coeff.get(k)
-        if c is None:
-            return 0.0 + 0.0j
-        w = np.asarray(w, dtype=complex)
-        return complex(c @ model.covs[j] @ w.conj())
-
     def scaled(self, factor: complex) -> "Characteristic":
         """The characteristic ``factor * phi`` (all tables scaled)."""
         return Characteristic(
@@ -186,7 +158,6 @@ class Characteristic:
 class Phi1Characteristic(Characteristic):
     """Martingale-gap characteristic with its truncation certificate."""
 
-    k_low: int = 0
     discarded_mass: float = 0.0
 
 
@@ -202,17 +173,11 @@ class StarCharacteristic:
     """
 
     characteristic: Characteristic
-    selector: int | None
     k_lo: int
     k_hi: int
     sum_sq: float
     sum_sq_ratio: float
     sum_sq_converged: bool
-    discarded_mass: float
-
-    @property
-    def rows(self) -> dict:
-        return self.characteristic.coeff
 
 
 def make_indicator_characteristic(row) -> Characteristic:
@@ -221,11 +186,7 @@ def make_indicator_characteristic(row) -> Characteristic:
     return Characteristic(J=row.shape[0], base={0: row}, label="indicator")
 
 
-def make_table_characteristic(J, base=None, coeff=None, noise=None, label="table") -> Characteristic:
-    return Characteristic(J=J, base=base or {}, coeff=coeff or {}, noise=noise or {}, label=label)
-
-
-def _summability_sum(rows: dict, S: SpectralData, model: BranchingModel, tail_keys) -> tuple[float, float, bool]:
+def _summability_sum(rows: dict, S: SpectralData, model: BranchingModel) -> tuple[float, float, bool]:
     """Partial sum of rho^{-k} u-weighted variances plus a tail-ratio certificate."""
     M = mixing_covariance(model, S.u)
     ks = list(rows)
@@ -233,7 +194,7 @@ def _summability_sum(rows: dict, S: SpectralData, model: BranchingModel, tail_ke
     terms = dict(zip(ks, m_norm2(M, scaled).tolist()))
     total = sum(terms.values())
     ratio = 0.0
-    tail = [k for k in tail_keys if terms.get(k, 0.0) > 0.0]
+    tail = [k for k in sorted(rows) if terms[k] > 0.0]
     if len(tail) >= 2:
         ratio = terms[tail[-1]] / terms[tail[-2]]
     return total, ratio, bool(ratio < 1.0)
@@ -242,26 +203,17 @@ def _summability_sum(rows: dict, S: SpectralData, model: BranchingModel, tail_ke
 def star_transform(
     phi: Characteristic,
     S: SpectralData,
-    projection_selector: int | None = None,
     model: BranchingModel | None = None,
     n_max: int = 40,
 ) -> StarCharacteristic:
-    """Star transform of a deterministic characteristic.
+    """Star transform of a deterministic characteristic:
+    ``R(k) = sum_{l>=0} Ephi(k-1-l) A^l``, materialized for ages up to
+    ``n_max``.  It satisfies the pathwise recentering
+    ``Z_n^{phi*} = Z_n^phi - E Z_n^phi`` for every ``n <= n_max``.
 
-    ``projection_selector`` chooses the variant:
-
-    * ``None`` — the plain transform ``R(k) = sum_{l>=0} Ephi(k-1-l) A^l``;
-      satisfies the pathwise recentering ``Z_n^{phi*} = Z_n^phi - E Z_n^phi``.
-    * ``1`` or ``2`` — the piecewise projected variant:
-      ``R(k) = sum_{l>=0} Ephi(k-l-1) pi_i A^l`` for k <= 0 and
-      ``R(k) = -sum_{l<=-1} Ephi(k-l-1) pi_i A^l`` for k > 0 (negative powers
-      act on the invariant subspace, where A is invertible).  For a finitely
-      supported mean table both branches are finite sums.
-    * ``3`` — ``R(k) = sum_{l>=0} Ephi(k-1-l) pi3 A^l`` for all k.
-
-    All sums are exact (finite); ``n_max`` caps the materialized ages for the
-    variants whose support is unbounded above.  Every produced characteristic
-    has mean zero identically, by construction (coeff-only tables).
+    All sums are exact (finite).  The produced characteristic has mean zero
+    identically, by construction (a coeff-only table).  With a model, the
+    summability sum and its tail ratio are certified as well.
     """
     if not phi.is_deterministic:
         raise ValueError("star_transform requires a deterministic characteristic")
@@ -269,80 +221,42 @@ def star_transform(
     if not mt:
         return StarCharacteristic(
             characteristic=Characteristic(J=phi.J, label="star"),
-            selector=projection_selector,
             k_lo=0,
             k_hi=0,
             sum_sq=0.0,
             sum_sq_ratio=0.0,
             sum_sq_converged=True,
-            discarded_mass=0.0,
         )
     supp = sorted(mt)
-    k_min, k_max = supp[0], supp[-1]
+    k_min = supp[0]
     J = phi.J
     rows: dict[int, np.ndarray] = {}
-
-    if projection_selector is None:
-        powers = [np.eye(J, dtype=complex)]
-        for _ in range(max(0, n_max - 1 - k_min)):
-            powers.append(powers[-1] @ S.A.astype(complex))
-        for k in range(k_min + 1, n_max + 1):
-            row = np.zeros(J, dtype=complex)
-            for m in supp:
-                l = k - 1 - m
-                if l >= 0:
-                    row = row + mt[m] @ powers[l]
-            if np.any(row != 0):
-                rows[k] = row
-        tail_keys = sorted(rows)
-    elif projection_selector in (1, 2):
-        i = projection_selector
-        # k <= 0 rows can start at k_min + 1; k > 0 rows can start at 1
-        # whenever the mean table has support at ages >= k.
-        for k in range(min(k_min + 1, 1), max(k_max, 0) + 1):
-            row = np.zeros(J, dtype=complex)
-            if k <= 0:
-                for m in supp:
-                    l = k - 1 - m
-                    if l >= 0:
-                        row = row + mt[m] @ projected_power(S, i, l)
-            else:
-                for m in supp:
-                    l = k - 1 - m
-                    if l <= -1:
-                        row = row - mt[m] @ projected_power(S, i, l)
-            if np.any(row != 0):
-                rows[k] = row
-        tail_keys = []  # finite window: nothing to certify
-    elif projection_selector == 3:
-        for k in range(k_min + 1, n_max + 1):
-            row = np.zeros(J, dtype=complex)
-            for m in supp:
-                l = k - 1 - m
-                if l >= 0:
-                    row = row + mt[m] @ projected_power(S, 3, l)
-            if np.any(row != 0):
-                rows[k] = row
-        tail_keys = sorted(rows)
-    else:
-        raise ValueError(f"projection_selector must be None, 1, 2 or 3, got {projection_selector!r}")
+    powers = [np.eye(J, dtype=complex)]
+    for _ in range(max(0, n_max - 1 - k_min)):
+        powers.append(powers[-1] @ S.A.astype(complex))
+    for k in range(k_min + 1, n_max + 1):
+        row = np.zeros(J, dtype=complex)
+        for m in supp:
+            l = k - 1 - m
+            if l >= 0:
+                row = row + mt[m] @ powers[l]
+        if np.any(row != 0):
+            rows[k] = row
 
     sum_sq = float("nan")
     ratio = 0.0
     converged = True
     if model is not None:
-        sum_sq, ratio, converged = _summability_sum(rows, S, model, tail_keys)
+        sum_sq, ratio, converged = _summability_sum(rows, S, model)
 
     ks = sorted(rows) or [0]
     return StarCharacteristic(
-        characteristic=Characteristic(J=J, coeff=rows, label=f"star[{projection_selector}]"),
-        selector=projection_selector,
+        characteristic=Characteristic(J=J, coeff=rows, label="star"),
         k_lo=ks[0],
         k_hi=ks[-1],
         sum_sq=sum_sq,
         sum_sq_ratio=ratio,
         sum_sq_converged=converged,
-        discarded_mass=0.0,
     )
 
 
@@ -373,7 +287,7 @@ def make_phi1(
     J = x1.shape[0]
     w = x1 @ projected_power(S, 1, -1)  # A1^{k-1} at k = 0
     if not np.any(np.abs(w) > 0):
-        return Phi1Characteristic(J=J, label="phi1", k_low=0, discarded_mass=0.0)
+        return Phi1Characteristic(J=J, label="phi1", discarded_mass=0.0)
 
     M = mixing_covariance(model, S.u) if model is not None else np.eye(J)
     count = None if k_min is None else max(0, 1 - k_min)
@@ -387,7 +301,6 @@ def make_phi1(
         J=J,
         coeff=coeff,
         label="phi1",
-        k_low=min(coeff) if coeff else 0,
         discarded_mass=float(discarded),
     )
 

@@ -41,7 +41,7 @@ from .presets import PRESETS, preset
 from .scenario import Scenario, ScenarioError, _canon_run, load_scenario, parse_row
 from .simulator import run_batch
 from .spectral import spectral_decompose
-from .stats import lln_check, studentized, verify_dichotomy
+from .stats import ABORT_RATE_MAX, lln_check, studentized, verify_dichotomy
 
 __all__ = ["main", "build_characteristic"]
 
@@ -289,8 +289,8 @@ def _cmd_simulate(args) -> int:
     summary = batch.summary()
     summary["csv"] = out
     print(json.dumps(_to_jsonable(summary), indent=2, sort_keys=True))
-    if batch.abort_rate > 0.10:
-        print(f"abort rate {batch.abort_rate:.1%} exceeds 10%", file=sys.stderr)
+    if batch.abort_rate > ABORT_RATE_MAX:
+        print(f"abort rate {batch.abort_rate:.1%} exceeds {ABORT_RATE_MAX:.0%}", file=sys.stderr)
         return EXIT_ASSUMPTION
     return EXIT_OK
 
@@ -345,7 +345,7 @@ def _cmd_star_check(args) -> int:
     if not phi.is_deterministic:
         raise ScenarioError("characteristic.kind: star-check needs a deterministic characteristic")
     n, N = run.scn.n, run.scn.N
-    star = star_transform(phi, run.S, None, model=model, n_max=n)
+    star = star_transform(phi, run.S, model=model, n_max=n)
     reps = min(run.scn.run["replicates"], 64)
     ez = complex(expected_process(phi, model, n))
     scale = 1.0 + abs(ez)
@@ -422,16 +422,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _DISPATCH[args.command](args)
-    except (ScenarioError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTION
-    except RuntimeError as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
 

@@ -35,7 +35,6 @@ __all__ = [
     "TheoreticalConstants",
     "compute_x1_x2",
     "compute_sigma_l",
-    "compute_sigma_l_table",
     "find_l_star",
     "compute_B",
     "compute_sigma2",
@@ -44,6 +43,7 @@ __all__ = [
 ]
 
 L_STAR_TOL = 1e-12
+EPS_REPORT = 1e-10  # sigma2 at or below this is degenerate; an error above it is noted
 
 
 @dataclass(frozen=True)
@@ -86,37 +86,28 @@ def compute_x1_x2(source, S: SpectralData) -> tuple[np.ndarray, np.ndarray]:
     return x1, x2
 
 
-def _sigma_l_ladder(x2: np.ndarray, S: SpectralData, model: BranchingModel, rungs: int) -> tuple[float, ...]:
-    """sigma_l^2 for l = 0..rungs-1, from one walk up each critical cluster's
-    chain ``x2 pi_lambda, x2 N_lambda pi_lambda, ...``."""
+def compute_sigma_l(x2: np.ndarray, S: SpectralData, model: BranchingModel) -> tuple[float, ...]:
+    """Critical variance ladder sigma_l^2 for l = 0..J:
+
+        rho^{-(l+1)} / ((2l+1) (l!)^2) * sum_{|lambda|^2 = rho}
+            sum_j u_j | x2 N_lambda^l pi_lambda |_{C_j}^2,
+
+    with N_lambda the nilpotent part of the cluster at lambda, from one walk
+    up each critical cluster's chain ``x2 pi_lambda, x2 N_lambda pi_lambda,
+    ...``.  Exact finite linear algebra: entries beyond the nilpotency index
+    are exactly 0."""
     x2 = np.asarray(x2, dtype=complex).reshape(-1)
     M = mixing_covariance(model, S.u)
-    totals = [0.0] * rungs
+    totals = [0.0] * (S.J + 1)
     for cl in S.clusters:
         if cl.label != "critical":
             continue
         row = x2 @ cl.projection
         shifted = S.A - cl.eigenvalue * np.eye(S.J)
-        for l in range(rungs):
+        for l in range(S.J + 1):
             totals[l] += float(m_norm2(M, row))
             row = row @ shifted @ cl.projection
     return tuple(S.rho ** (-(l + 1)) / ((2 * l + 1) * factorial(l) ** 2) * t for l, t in enumerate(totals))
-
-
-def compute_sigma_l(x2: np.ndarray, S: SpectralData, model: BranchingModel, l: int) -> float:
-    """Critical variance at ladder rung l:
-
-        rho^{-(l+1)} / ((2l+1) (l!)^2) * sum_{|lambda|^2 = rho}
-            sum_j u_j | x2 N_lambda^l pi_lambda |_{C_j}^2,
-
-    with N_lambda the nilpotent part of the cluster at lambda.  Exact finite
-    linear algebra (the nilpotent powers terminate)."""
-    return _sigma_l_ladder(x2, S, model, l + 1)[l]
-
-
-def compute_sigma_l_table(x2: np.ndarray, S: SpectralData, model: BranchingModel) -> tuple[float, ...]:
-    """sigma_l^2 for l = 0..J (entries beyond the nilpotency index are exactly 0)."""
-    return _sigma_l_ladder(x2, S, model, S.J + 1)
 
 
 def find_l_star(sigma_l: tuple[float, ...], tol: float = L_STAR_TOL) -> int | None:
@@ -154,12 +145,13 @@ def compute_sigma2(
     model: BranchingModel,
     eps_tail: float = 1e-14,
     window: tuple[int, int] | None = None,
-    return_details: bool = False,
-):
+) -> tuple[float, float, dict]:
     """Case-i variance sigma^2 = sum_k rho^{-k} u-weighted Var[phi(k) + psi(k)],
     where psi(k) = B(k) . (own column - its mean) recenters the counted
-    process.  Returns ``(value, error)`` with ``error`` a certified bound on
-    the discarded two-sided tail (geometric on both sides).
+    process.  Returns ``(value, error, table)`` with ``error`` a certified
+    bound on the discarded two-sided tail (geometric on both sides) and
+    ``table`` mapping every summed k to the unscaled ``B(k)``, or to None
+    where that row lies outside float64 range.
 
     ``B`` is evaluated directly on the window where its piecewise projector
     changes, ``min(min age, 0) <= k <= max(max age + 1, 1)`` widened to the
@@ -167,9 +159,7 @@ def compute_sigma2(
     ``B(k-1) = B(k) pi1 A1^{-1} pi1``, so both tails go to ``scaled_tail``.
     A hard ``window`` sums the same rows between fixed ends, without tail
     extension (partial sums are monotone in the window, every term being
-    nonnegative).  With ``return_details`` a third item maps every summed k
-    to the unscaled ``B(k)``, or to None where that row lies outside float64
-    range."""
+    nonnegative)."""
     mt = phi.mean_table()
     M = mixing_covariance(model, S.u)
     noise_u: dict[int, float] = {}
@@ -199,18 +189,15 @@ def compute_sigma2(
         error += tail_error
         k_parts.append(ks)
         t_parts.append(terms)
-        if return_details:
-            table += unscaled(S, rows, ks)
+        table += unscaled(S, rows, ks)
     ks, terms = np.concatenate(k_parts), np.concatenate(t_parts)
     keep = np.full(len(ks), True) if window is None else (ks >= window[0]) & (ks <= window[1])
     value = float(np.sum(terms[keep]))
     if not np.isfinite(value):
         raise ArithmeticError("sigma2 lies outside float64 range")
-    if return_details:
-        order = np.argsort(ks)
-        order = order[keep[order]].tolist()
-        return value, error, dict(zip(ks[order].tolist(), [table[i] for i in order]))
-    return value, error
+    order = np.argsort(ks)
+    order = order[keep[order]].tolist()
+    return value, error, dict(zip(ks[order].tolist(), [table[i] for i in order]))
 
 
 def compute_sigma_star2(
@@ -247,7 +234,6 @@ def compute_constants(
     S: SpectralData,
     model: BranchingModel,
     eps_tail: float = 1e-14,
-    eps_report: float = 1e-10,
 ) -> TheoreticalConstants:
     """Assemble every limit constant for a characteristic (or an age-0
     indicator row, which also unlocks the independent sigma*^2 route)."""
@@ -261,11 +247,9 @@ def compute_constants(
         phi = make_indicator_characteristic(a_row)
 
     x1, x2 = compute_x1_x2(phi, S)
-    sigma_l = compute_sigma_l_table(x2, S, model)
+    sigma_l = compute_sigma_l(x2, S, model)
     l_star = find_l_star(sigma_l)
-    sigma2, sigma2_err, b_table = compute_sigma2(
-        phi, S, model, eps_tail=eps_tail, return_details=True
-    )
+    sigma2, sigma2_err, b_table = compute_sigma2(phi, S, model, eps_tail=eps_tail)
 
     sigma_star2 = None
     sigma_star2_err = None
@@ -279,13 +263,13 @@ def compute_constants(
     if l_star is not None:
         case = "ii"
         sigma_case2 = sigma_l[l_star]
-    elif sigma2 > eps_report:
+    elif sigma2 > EPS_REPORT:
         case = "i"
         sigma_case2 = sigma2
     else:
         case = "degenerate"
         sigma_case2 = 0.0
-    if sigma2_err > eps_report:
+    if sigma2_err > EPS_REPORT:
         notes["sigma2_error_above_report"] = sigma2_err
 
     ks = sorted(b_table) or [0]

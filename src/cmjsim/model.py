@@ -30,7 +30,6 @@ __all__ = [
     "AssumptionReport",
     "build_model",
     "validate_assumptions",
-    "enumerate_column_outcomes",
     "perron_root",
     "is_primitive",
     "mixing_covariance",
@@ -207,22 +206,6 @@ def validate_assumptions(model: BranchingModel) -> AssumptionReport:
             "variances_finite": finite,
         },
     )
-
-
-def enumerate_column_outcomes(model: BranchingModel, j: int) -> list[tuple[object, np.ndarray]]:
-    """The exact finite support of ``L^(j)`` with probabilities.
-
-    Probabilities are returned exactly as given (Fractions survive), making
-    this the substrate for every exact moment computation downstream.
-    ``j`` is a zero-based type index.
-    """
-    if not (0 <= j < model.J):
-        raise IndexError(f"type index {j} out of range for J={model.J}")
-    law = model.laws[j]
-    return [
-        (law.probs_exact[m], np.asarray(law.counts[m], dtype=np.int64))
-        for m in range(law.n_outcomes)
-    ]
 
 
 def mixing_covariance(model: BranchingModel, weights: np.ndarray) -> np.ndarray:

@@ -150,7 +150,8 @@ class _Plan:
     N: int
     total_limit: int  # a replicate with more individuals is aborted before its next draw
     noise: tuple  # (p, t, k, j, probs, values) per in-window cell, in canonical order
-    S: SpectralData | None
+    v: np.ndarray | None  # S.v and S.rho, for W_hat; not S, whose cache every task would pickle
+    rho: float | None
     T_terms: dict  # t -> (x1 projected_power(S, 1, t-N), x2 pi2 A^t pi2 z0, r_t)
 
 
@@ -179,7 +180,8 @@ def _plan(model, phis, n, N, ns, S, constants, overflow_cap) -> _Plan:
                 normalization(t, constants.case, constants.l_star, S.rho),
             )
     largest_litter = max(1, int(model.padded_laws[1].sum(axis=2).max()))
-    return _Plan(model, phis, ns, N, overflow_cap // largest_litter, noise, S, T_terms)
+    v, rho = (None, None) if S is None else (S.v, S.rho)
+    return _Plan(model, phis, ns, N, overflow_cap // largest_litter, noise, v, rho, T_terms)
 
 
 def _simulate_chunk(plan: _Plan, rngs: list, B: int, record_cells: bool) -> dict:
@@ -228,9 +230,9 @@ def _simulate_chunk(plan: _Plan, rngs: list, B: int, record_cells: bool) -> dict
 
     w_hat = np.full(B, np.nan)
     T: dict[tuple[int, int], np.ndarray] = {}
-    if plan.S is not None:
+    if plan.v is not None:
         zf = X[N]
-        w_hat = np.real(zf @ plan.S.v) * plan.S.rho ** (-N)
+        w_hat = np.real(zf @ plan.v) * plan.rho ** (-N)
         for (p, t), z in zphi.items():
             if t in plan.T_terms:
                 mart_row, critical, r_t = plan.T_terms[t]

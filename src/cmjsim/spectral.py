@@ -135,12 +135,6 @@ class SpectralData:
                 self._cache[key] = p @ inv @ p
         return self._cache[key]
 
-    def classes(self) -> dict:
-        out = {SUPER: [], CRITICAL: [], SUB: []}
-        for c in self.clusters:
-            out[c.label].append(c)
-        return out
-
 
 def _cluster_values(eigs: np.ndarray, radius: float) -> list[list[int]]:
     """Single-linkage clustering of eigenvalues at the given radius."""

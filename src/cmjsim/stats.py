@@ -46,6 +46,7 @@ KS_MAX_TERMS = 100
 KS_P_MIN = 0.01
 W_MIN_DEFAULT = 1e-3
 ABORT_RATE_MAX = 0.10
+Z_99 = 2.5758293035489004  # two-sided 99% normal quantile, Phi^{-1}(0.995)
 BOOTSTRAP_B = 500
 BOOTSTRAP_SEED = 2024_017
 LLN_BAND = (0.95, 1.05)
@@ -129,14 +130,15 @@ def fisher_corr_z(x, y) -> tuple[float, float, float]:
     m = x.shape[0]
     if m < 4:
         raise ValueError("correlation test needs at least 4 points")
+    z_crit = Z_99 / math.sqrt(m - 3)
     sx = x.std(ddof=0)
     sy = y.std(ddof=0)
     if sx == 0.0 or sy == 0.0:
-        return 0.0, 0.0, 2.5758293035489004 / math.sqrt(m - 3)
+        return 0.0, 0.0, z_crit
     r = float(np.corrcoef(x, y)[0, 1])
     r = max(-0.999999999, min(0.999999999, r))
     z = abs(math.atanh(r))
-    return r, z, 2.5758293035489004 / math.sqrt(m - 3)
+    return r, z, z_crit
 
 
 @dataclass(frozen=True)

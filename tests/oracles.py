@@ -410,9 +410,9 @@ def _one_block(plan, rng: np.random.Generator, record_cells: bool) -> dict:
 
     w_hat = np.full(B, np.nan)
     T = {}
-    if plan.S is not None:
+    if plan.v is not None:
         zf = X[N]
-        w_hat = np.real(zf @ plan.S.v) * plan.S.rho ** (-N)
+        w_hat = np.real(zf @ plan.v) * plan.rho ** (-N)
         for (p, t), z in zphi.items():
             if t in plan.T_terms:
                 mart_row, critical, r_t = plan.T_terms[t]

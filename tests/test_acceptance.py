@@ -108,7 +108,7 @@ def test_a02_recentering_identity_pathwise(single_type, mirror):
         J = model.J
         base = {0: np.arange(1.0, J + 1.0), 1: 0.5 * np.ones(J)}
         phi = Characteristic(J=J, base=base, label="two-age table")
-        star = star_transform(phi, S, None, model=model, n_max=n)
+        star = star_transform(phi, S, model=model, n_max=n)
         ez = complex(expected_process(phi, model, n))
         scale = 1.0 + abs(ez)
         batch = run_batch(

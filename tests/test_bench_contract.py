@@ -3,9 +3,11 @@
 Its traced run wraps library functions by name, with ``getattr`` on the
 module where each caller looks the name up, so every ``(module,
 attribute)`` it lists must resolve.  Its calibration workload reads the
-batch API after each timed batch, so one batch per case must complete.  A
-renamed function or a changed batch API would otherwise surface only when
-the benchmark runs."""
+batch API after each timed batch, so one batch per case must complete.  Its
+constants sweep and the verify workload's set-up call the library directly,
+not through the tracer, so one round of each must run.  A renamed function
+or a changed batch API would otherwise surface only when the benchmark
+runs."""
 
 from __future__ import annotations
 
@@ -47,3 +49,20 @@ def test_calibration_batch_completes_on_every_case(monkeypatch):
         op = calibration.batch_op(case, 1)
         assert op.status == "completed", (case.name, op.detail)
         assert not op.wrong and op.items == calibration.R, (case.name, op.detail)
+
+
+def test_constants_sweep_round_is_never_wrong(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    sweep = _load("constants_sweep")
+    stream = sweep.inputs(0)
+    ops = [sweep.model_op(*next(stream)) for _ in sweep.FAMILIES]
+    assert [op.stratum for op in ops] == list(sweep.FAMILIES)
+    for op in ops:
+        assert op.status in ("completed", "refused") and not op.wrong, (op.stratum, op.kind, op.detail)
+
+
+def test_verify_cli_setup_runs_on_every_preset(monkeypatch):
+    # unpacks cli.build_characteristic as (phi, row) and passes the row, when
+    # there is one, to compute_constants
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    _load("verify_cli").setup(0)

@@ -1,4 +1,4 @@
-"""Characteristic tables: exact moments, star transforms, gap characteristic."""
+"""Characteristic tables: exact moments, the star transform, gap characteristic."""
 
 from __future__ import annotations
 
@@ -13,9 +13,7 @@ from cmjsim.characteristics import (
     NoiseLaw,
     assumption_sums,
     expected_process,
-    make_table_characteristic,
 )
-from cmjsim.spectral import projected_power
 
 from oracles import exact_moment_tables, reference_mean_table
 
@@ -37,7 +35,7 @@ def test_indicator_characteristic_shape():
     phi = make_indicator_characteristic([2.0, -1.0])
     assert phi.J == 2
     assert phi.value_keys == (0,)
-    assert phi.is_deterministic and phi.is_real
+    assert phi.is_deterministic and not np.any(phi.base[0].imag)
     assert np.allclose(phi.mean(0), [2.0, -1.0])
     assert np.allclose(phi.mean(3), [0.0, 0.0])
 
@@ -45,7 +43,7 @@ def test_indicator_characteristic_shape():
 def test_mean_includes_noise_and_variance_splits(mirror):
     model = mirror.model
     c_row = np.array([1.0, -1.0])
-    phi = make_table_characteristic(
+    phi = Characteristic(
         2,
         base={0: np.array([5.0, 0.0])},
         coeff={0: c_row},
@@ -59,14 +57,14 @@ def test_mean_includes_noise_and_variance_splits(mirror):
 
 
 def test_mean_table_drops_all_zero_rows():
-    phi = make_table_characteristic(
+    phi = Characteristic(
         1, base={0: np.array([1.0]), 3: np.array([0.0])}, coeff={1: np.array([2.0])}
     )
     assert sorted(phi.mean_table()) == [0]
     # the all-zero base row at age 3 is canonicalized away entirely
     assert phi.value_keys == (0, 1)
-    assert phi.coeff_k_min == 1
-    assert phi.static_k_min == 0
+    assert min(phi.coeff) == 1
+    assert min(phi.base) == 0
 
 
 def test_mean_table_equals_the_walk_over_every_value_key():
@@ -92,17 +90,17 @@ def test_mean_table_equals_the_walk_over_every_value_key():
 
 def test_frozen_rows_are_read_only_copies_and_a_bad_row_names_its_key():
     src = np.array([1.0, 2.0])
-    phi = make_table_characteristic(2, base={0: src, 4: [0, 0]}, coeff={2: [3, 4j]})
+    phi = Characteristic(2, base={0: src, 4: [0, 0]}, coeff={2: [3, 4j]})
     src[0] = 9.0
     assert list(phi.base) == [0] and phi.base[0].tolist() == [1, 2]
     assert not phi.base[0].flags.writeable and not phi.coeff[2].flags.writeable
     with pytest.raises(ValueError, match=r"coeff\[5\]: expected a row of length 2"):
-        make_table_characteristic(2, coeff={0: [1, 2], 5: [1, 2, 3]})
+        Characteristic(2, coeff={0: [1, 2], 5: [1, 2, 3]})
 
 
 def test_scaling_by_complex_factor(mirror):
     model = mirror.model
-    phi = make_table_characteristic(
+    phi = Characteristic(
         2,
         base={0: np.array([1.0, 2.0])},
         coeff={1: np.array([1.0, -1.0])},
@@ -113,7 +111,7 @@ def test_scaling_by_complex_factor(mirror):
     for k in (0, 1):
         assert np.allclose(scaled.mean(k), z * phi.mean(k))
         assert np.allclose(scaled.variance(k, model), abs(z) ** 2 * phi.variance(k, model))
-    assert not scaled.is_real
+    assert np.any(scaled.base[0].imag) and np.any(scaled.coeff[1].imag)
 
 
 def test_empirical_single_individual_moments(mirror):
@@ -122,7 +120,7 @@ def test_empirical_single_individual_moments(mirror):
     rng = np.random.default_rng(40_127)
     c_row = np.array([1.0, -1.0])
     noise = NoiseLaw((0.25, 0.75), (0.0, 4.0))
-    phi = make_table_characteristic(
+    phi = Characteristic(
         2, base={0: np.array([5.0, -2.0])}, coeff={0: c_row}, noise={(0, 1): noise}
     )
     R = 100_000
@@ -142,22 +140,7 @@ def test_empirical_single_individual_moments(mirror):
         assert abs(c.var() - exact_var) < 4 * se_var + 1e-12
 
 
-def test_column_covariance_matches_enumeration(mirror):
-    model = mirror.model
-    c_row = np.array([1.0, -1.0])
-    phi = make_table_characteristic(2, coeff={0: c_row})
-    w = np.array([2.0, 1.0])
-    for j in range(2):
-        # brute force over the enumerated outcomes of column j
-        law = model.laws[j]
-        mean = model.A[:, j]
-        acc = 0.0
-        for p, counts in zip(law.probs, law.outcome_matrix()):
-            acc += p * (c_row @ (counts - mean)) * (w @ (counts - mean))
-        assert phi.column_covariance(0, w, j, model) == pytest.approx(acc, abs=1e-12)
-
-
-# -- star transforms ---------------------------------------------------------
+# -- the star transform ------------------------------------------------------
 
 
 def test_plain_star_rows_are_powers_of_the_mean_matrix(mirror):
@@ -167,59 +150,19 @@ def test_plain_star_rows_are_powers_of_the_mean_matrix(mirror):
     A = S.A
     for k in range(1, 13):
         expect = a @ np.linalg.matrix_power(A, k - 1)
-        assert np.allclose(star.rows[k], expect, atol=1e-9), k
+        assert np.allclose(star.characteristic.coeff[k], expect, atol=1e-9), k
     assert star.k_lo == 1 and star.k_hi == 12
     # mean-zero by construction: coeff-only tables have no static part
     assert not star.characteristic.mean_table()
-    assert star.characteristic.coeff_k_min == 1
+    assert min(star.characteristic.coeff) == 1
 
 
 def test_star_transform_requires_deterministic_input(mirror):
-    noisy = make_table_characteristic(
+    noisy = Characteristic(
         2, base={0: np.array([1.0, 1.0])}, noise={(0, 0): NoiseLaw((0.5, 0.5), (0.0, 1.0))}
     )
     with pytest.raises(ValueError):
         star_transform(noisy, mirror.S)
-
-
-def test_projected_star_piecewise_window(mirror):
-    S = mirror.S
-    r0 = np.array([1.0, 2.0])
-    r_neg = np.array([0.0, 1.0])
-    phi = make_table_characteristic(2, base={-2: r_neg, 0: r0})
-    for sel in (1, 2):
-        star = star_transform(phi, S, projection_selector=sel)
-        # k <= 0: sum over l >= 0 of mt[k-1-l] pi A^l; k > 0: minus the l <= -1 part
-        for k in (-1, 0):
-            expect = np.zeros(2, dtype=complex)
-            for m in (-2, 0):
-                l = k - 1 - m
-                if l >= 0:
-                    expect += phi.mean(m) @ projected_power(S, sel, l)
-            got = star.rows.get(k, np.zeros(2))
-            assert np.allclose(got, expect, atol=1e-10), (sel, k)
-        assert all(k <= 0 for k in star.rows)
-
-
-def test_projected_star_covers_positive_support(mirror):
-    S = mirror.S
-    r = np.array([1.0, 2.0])
-    phi = make_table_characteristic(2, base={1: r})
-    for sel in (1, 2):
-        star = star_transform(phi, S, projection_selector=sel)
-        assert sorted(star.rows) == [1]
-        assert np.allclose(star.rows[1], -r @ projected_power(S, sel, -1), atol=1e-12)
-
-
-def test_sub_star_uses_decaying_powers(three_scale):
-    S = three_scale.S
-    a = three_scale.row
-    star = star_transform(make_indicator_characteristic(a), S, projection_selector=3, n_max=15)
-    for k in sorted(star.rows):
-        expect = a @ projected_power(S, 3, k - 1)
-        assert np.allclose(star.rows[k], expect, atol=1e-10)
-    # geometric decay of the summability terms
-    assert star.sum_sq_ratio < 1.0 or np.isnan(star.sum_sq)
 
 
 def test_summability_sum_matches_brute_force_and_flags_critical_divergence(mirror):
@@ -227,7 +170,7 @@ def test_summability_sum_matches_brute_force_and_flags_critical_divergence(mirro
     a = np.array([1.0, -1.0])  # eigenvector of the half-power eigenvalue 2
     star = star_transform(make_indicator_characteristic(a), S, model=model, n_max=25)
     brute = 0.0
-    for k, row in star.rows.items():
+    for k, row in star.characteristic.coeff.items():
         for j in range(2):
             var_j = float(np.real(row @ model.covs[j] @ row.conj()))
             brute += S.rho ** (-k) * S.u[j] * var_j
@@ -257,7 +200,7 @@ def test_gap_characteristic_rows_for_doubling(single_type):
     for k in sorted(phi1.coeff):
         assert phi1.coeff[k][0] == pytest.approx(2.0 ** (k - 1), rel=1e-12)
     assert max(phi1.coeff) == 0
-    assert phi1.k_low < -40  # auto-truncation reaches the 1e-14 threshold
+    assert min(phi1.coeff) < -40  # auto-truncation reaches the 1e-14 threshold
     assert 0 < phi1.discarded_mass < 1e-12
 
 
@@ -265,7 +208,7 @@ def test_gap_characteristic_hard_window(single_type):
     S = single_type.S
     phi1 = make_phi1(S, np.array([1.0]), k_min=-5)
     assert sorted(phi1.coeff) == list(range(-5, 1))
-    assert phi1.k_low == -5
+    assert min(phi1.coeff) == -5
 
 
 def test_gap_characteristic_zero_row_short_circuits(cross_feed):
@@ -292,7 +235,7 @@ def test_expected_process_matches_exact_recursion(name):
     b = bundle(name)
     model = b.model
     means, _ = exact_moment_tables(model, 8)
-    phi = make_table_characteristic(
+    phi = Characteristic(
         model.J,
         base={0: b.row, 2: 0.5 * b.row},
     )
@@ -315,7 +258,7 @@ def test_assumption_sums_are_finite_and_positive(mirror):
     st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
 )
 def test_scaling_composes(row, k, z):
-    phi = make_table_characteristic(2, base={k: np.array(row, dtype=float)})
+    phi = Characteristic(2, base={k: np.array(row, dtype=float)})
     twice = phi.scaled(z).scaled(z)
     once = phi.scaled(z * z)
     assert np.allclose(twice.mean(k), once.mean(k), atol=1e-9)
@@ -324,7 +267,7 @@ def test_scaling_composes(row, k, z):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-2, 2), min_size=3, max_size=3))
 def test_row_canonicalization_accepts_lists(row):
-    phi = make_table_characteristic(3, base={0: row})
+    phi = Characteristic(3, base={0: row})
     if not any(row):
         assert 0 not in phi.base  # all-zero rows are dropped
         return

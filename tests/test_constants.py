@@ -29,7 +29,6 @@ from cmjsim import (
 )
 from cmjsim.characteristics import Characteristic, assumption_sums
 from cmjsim.cli import build_characteristic
-from cmjsim.constants import compute_sigma_l_table
 from cmjsim.presets import _bernoulli_column, preset_names
 from cmjsim.spectral import power_scaled
 
@@ -131,11 +130,10 @@ def test_x_rows_are_projections_for_indicators(asym_leak):
 
 def test_x_rows_shift_with_age(mirror):
     S = mirror.S
-    from cmjsim.characteristics import make_table_characteristic
     from cmjsim.spectral import projected_power
 
     r = np.array([1.0, 2.0])
-    phi = make_table_characteristic(2, base={2: r})
+    phi = Characteristic(2, base={2: r})
     x1, x2 = compute_x1_x2(phi, S)
     assert np.allclose(x1, r @ projected_power(S, 1, -2), atol=1e-12)
     assert np.allclose(x2, r @ projected_power(S, 2, -2), atol=1e-12)
@@ -167,8 +165,8 @@ def test_sigma_l_closed_form_on_mirror(mirror):
     S, model = mirror.S, mirror.model
     x2 = np.array([1.0, -1.0])
     # rho^{-1} * sum_j u_j (x2 C_j x2) = (1/4) * (1*4 + 1*4) = 2
-    assert compute_sigma_l(x2, S, model, 0) == pytest.approx(2.0, abs=1e-10)
-    assert compute_sigma_l(x2, S, model, 1) == pytest.approx(0.0, abs=1e-12)
+    assert compute_sigma_l(x2, S, model)[0] == pytest.approx(2.0, abs=1e-10)
+    assert compute_sigma_l(x2, S, model)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_l_star_picks_highest_live_rung():
@@ -179,7 +177,7 @@ def test_l_star_picks_highest_live_rung():
 
 
 def test_sigma_l_table_length(jordan):
-    table = compute_sigma_l_table(np.asarray(jordan.constants.x2), jordan.S, jordan.model)
+    table = compute_sigma_l(np.asarray(jordan.constants.x2), jordan.S, jordan.model)
     assert len(table) == jordan.model.J + 1
     assert table[2] == pytest.approx(0.0, abs=1e-12)
 
@@ -189,11 +187,11 @@ def test_sigma_l_table_length(jordan):
 
 def test_sigma2_error_certificate_honest(asym_leak):
     S, model, phi = asym_leak.S, asym_leak.model, asym_leak.phi
-    full, full_err = compute_sigma2(phi, S, model)
+    full, full_err, _ = compute_sigma2(phi, S, model)
     assert full_err >= 0
     prev_gap = None
     for w in (4, 8, 16, 32):
-        val, err = compute_sigma2(phi, S, model, window=(-w, w))
+        val, err, _ = compute_sigma2(phi, S, model, window=(-w, w))
         gap = abs(val - full)
         assert gap <= err + full_err + 1e-12, w
         if prev_gap is not None:
@@ -320,8 +318,8 @@ def _perron_orthogonal(S, row=(1.0, 2.0)):
 
 def test_hard_window_far_beyond_the_certified_tails(asym_leak):
     S, model, phi = asym_leak.S, asym_leak.model, asym_leak.phi
-    full, full_err = compute_sigma2(phi, S, model)
-    value, err = compute_sigma2(phi, S, model, window=(-3000, 3000))
+    full, full_err, _ = compute_sigma2(phi, S, model)
+    value, err, _ = compute_sigma2(phi, S, model, window=(-3000, 3000))
     assert np.isfinite(value) and err == float("inf")
     assert abs(value - full) <= full_err
 
@@ -430,7 +428,7 @@ def _tail_outputs(S, model, a, order) -> dict:
         if what == "sigma_star2":
             out[what] = np.array(compute_sigma_star2(a, S, model)).tobytes()
         elif what == "sigma2":
-            value, err, table = compute_sigma2(phi, S, model, return_details=True)
+            value, err, table = compute_sigma2(phi, S, model)
             out[what] = (np.array([value, err]).tobytes(), list(table), np.array(list(table.values())).tobytes())
         else:
             phi1 = make_phi1(S, a, model=model)

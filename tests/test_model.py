@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cmjsim import PRESETS, build_model, preset, validate_assumptions
-from cmjsim.model import enumerate_column_outcomes, is_primitive, perron_root
+from cmjsim.model import is_primitive, perron_root
 from cmjsim.scenario import ScenarioError, check_model, scenario_from_dict
 
 from oracles import exact_mean_matrix, exact_offspring_cov
@@ -150,13 +150,6 @@ def test_var_entries_are_cov_diagonals(mirror):
     model = mirror.model
     for j in range(model.J):
         assert np.allclose(model.var_entries[:, j], np.diag(model.covs[j]))
-
-
-def test_enumerate_column_outcomes_lists_every_outcome(mirror):
-    outcomes = enumerate_column_outcomes(mirror.model, 0)
-    assert len(outcomes) == len(mirror.model.laws[0].probs)
-    total = sum(Fraction(p) for p, _ in outcomes)
-    assert total == 1
 
 
 def test_empirical_litter_moments_within_four_se(mirror):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from cmjsim import (
     build_model,
+    compute_constants,
     make_phi1,
     make_indicator_characteristic,
     run_batch,
@@ -16,7 +19,7 @@ from cmjsim import (
     star_transform,
 )
 from cmjsim import simulator
-from cmjsim.characteristics import NoiseLaw, make_table_characteristic
+from cmjsim.characteristics import Characteristic, NoiseLaw
 from cmjsim.simulator import BLOCK, normalization, step_generation
 from cmjsim.spectral import projected_power
 
@@ -61,7 +64,7 @@ def _mirror_replay_phis(mirror):
     star = star_transform(
         make_indicator_characteristic([1.0, -1.0]), mirror.S, model=mirror.model, n_max=10
     )
-    noisy = make_table_characteristic(
+    noisy = Characteristic(
         2,
         base={0: np.array([1.0, 2.0]), 1: np.array([0.5, 0.0])},
         coeff={0: np.array([1.0, -1.0]), 2: np.array([0.25, 0.5])},
@@ -109,7 +112,7 @@ def test_overflow_aborts_part_of_a_block(single_type):
     """The overflow guard is per replicate: aborted replicates carry no
     values, and the rest of the block still replays exactly."""
     model = single_type.model
-    noisy = make_table_characteristic(
+    noisy = Characteristic(
         1,
         base={0: np.array([1.0]), 2: np.array([-0.5])},
         coeff={0: np.array([2.0]), 1: np.array([0.5])},
@@ -203,13 +206,13 @@ def test_batch_prefix_stability(mirror):
 
 
 def test_window_validation_names_the_characteristic(mirror):
-    deep = make_table_characteristic(2, coeff={-3: np.array([1.0, 0.0])}, label="deep-coeff")
+    deep = Characteristic(2, coeff={-3: np.array([1.0, 0.0])}, label="deep-coeff")
     with pytest.raises(ValueError) as err:
         run_replicate(mirror.model, deep, n=8, N=10, seed=0)
     assert "deep-coeff" in str(err.value)
     assert "horizon" in str(err.value)
 
-    static = make_table_characteristic(2, base={-4: np.array([1.0, 0.0])}, label="old-base")
+    static = Characteristic(2, base={-4: np.array([1.0, 0.0])}, label="old-base")
     with pytest.raises(ValueError) as err:
         run_replicate(mirror.model, static, n=8, N=10, seed=0)
     assert "old-base" in str(err.value)
@@ -217,7 +220,7 @@ def test_window_validation_names_the_characteristic(mirror):
 
 def test_window_validation_boundaries(mirror):
     # coeff at exactly k = t - N + 1 is allowed; base at exactly k = t - N too
-    edge = make_table_characteristic(
+    edge = Characteristic(
         2, base={-2: np.array([1.0, 0.0])}, coeff={-1: np.array([1.0, 0.0])}
     )
     rep = run_replicate(mirror.model, edge, n=8, N=10, seed=3)
@@ -350,7 +353,7 @@ def _mixed_laws_model():
 
 
 def _mixed_laws_phi():
-    return make_table_characteristic(
+    return Characteristic(
         3,
         base={0: np.array([1.0, -2.0, 0.5]), 2: np.array([0.0, 1.0, 1.0])},
         coeff={1: np.array([0.5, 0.25, -1.0])},
@@ -431,7 +434,7 @@ def _oracle_case(case, request):
         # litters of 1 or 3, so some replicates pass 1500 // 3 individuals
         # before generation 10: the cap aborts about half of each block
         s = request.getfixturevalue("single_type")
-        noisy = make_table_characteristic(
+        noisy = Characteristic(
             1,
             base={0: np.array([1.0]), 2: np.array([-0.5])},
             coeff={0: np.array([2.0]), 1: np.array([0.5])},
@@ -469,6 +472,22 @@ def test_chunks_equal_the_per_block_oracle(case, R, request):
 @pytest.mark.parametrize("case", ["mirror", "capped"])
 def test_chunks_in_a_pool_equal_the_per_block_oracle(case, R, request):
     _assert_equals_oracle(case, R, request, workers=2)
+
+
+def test_plan_pickle_does_not_carry_the_spectral_cache(asym_leak):
+    """Every pool task pickles the plan; filling the spectral data's cache of
+    projected powers and tail blocks must not make that pickle grow."""
+    b, scn = asym_leak, asym_leak.scenario
+    S = dataclasses.replace(b.S, _cache={})
+
+    def pickled_plan() -> int:
+        plan = simulator._plan(b.model, b.phi, scn.n, scn.N, None, S, b.constants, simulator.OVERFLOW_CAP)
+        return len(pickle.dumps(plan))
+
+    before = pickled_plan()
+    compute_constants(b.phi, S, b.model)
+    assert S._cache
+    assert pickled_plan() == before
 
 
 def test_chunk_cap_bounds_batch_memory(mirror):

@@ -153,8 +153,7 @@ def test_residual_certificates_are_small(decomposed):
 def test_expected_labels_on_landmark_matrices():
     def labels(name):
         S = spectral_decompose(np.array(SUITE[name]))
-        cls = S.classes()
-        return {k: len(v) for k, v in cls.items()}
+        return {k: sum(c.label == k for c in S.clusters) for k in (SUPER, CRITICAL, SUB)}
 
     assert labels("one_type_doubling") == {SUPER: 1, CRITICAL: 0, SUB: 0}
     assert labels("symmetric_mirror") == {SUPER: 1, CRITICAL: 1, SUB: 0}
@@ -183,7 +182,7 @@ def test_jordan_block_frozen_decomposition():
     assert np.max(np.abs(S.N @ S.N)) < 1e-12
     assert np.allclose(S.u, [0.75, 0.75, 1.5], atol=1e-9)
     assert np.allclose(S.v, [1 / 3, 1 / 3, 1 / 3], atol=1e-9)
-    crit = S.classes()[CRITICAL]
+    crit = [c for c in S.clusters if c.label == CRITICAL]
     assert len(crit) == 1 and crit[0].nilpotent_index == 2
     assert crit[0].eigenvalue == pytest.approx(2.0, abs=1e-9)
 
@@ -422,7 +421,7 @@ def test_fourfold_jordan_block_decomposes(monkeypatch):
     ours, ref = _against_oracle(A, monkeypatch)
     assert isinstance(ours, SpectralData) and isinstance(ref, SpectralData)
     assert _pi_gap(ours, ref) <= 1e-9
-    sub = ours.classes()[SUB]
+    sub = [c for c in ours.clusters if c.label == SUB]
     assert len(sub) == 1 and sub[0].multiplicity == 4 and sub[0].nilpotent_index == 4
 
 
