@@ -95,7 +95,7 @@ class Characteristic:
             if not (0 <= j < self.J):
                 raise ValueError(f"noise[{key}]: type index out of range")
             if not isinstance(law, NoiseLaw):
-                law = NoiseLaw(tuple(law[0]), tuple(law[1]))
+                raise ValueError(f"noise[{key}]: expected a NoiseLaw")
             nz[(int(k), int(j))] = law
         object.__setattr__(self, "noise", nz)
 
@@ -203,7 +203,7 @@ def _summability_sum(rows: dict, S: SpectralData, model: BranchingModel) -> tupl
 def star_transform(
     phi: Characteristic,
     S: SpectralData,
-    model: BranchingModel | None = None,
+    model: BranchingModel,
     n_max: int = 40,
 ) -> StarCharacteristic:
     """Star transform of a deterministic characteristic:
@@ -212,8 +212,8 @@ def star_transform(
     ``Z_n^{phi*} = Z_n^phi - E Z_n^phi`` for every ``n <= n_max``.
 
     All sums are exact (finite).  The produced characteristic has mean zero
-    identically, by construction (a coeff-only table).  With a model, the
-    summability sum and its tail ratio are certified as well.
+    identically, by construction (a coeff-only table).  The summability sum
+    and its tail ratio are certified as well.
     """
     if not phi.is_deterministic:
         raise ValueError("star_transform requires a deterministic characteristic")
@@ -243,12 +243,7 @@ def star_transform(
         if np.any(row != 0):
             rows[k] = row
 
-    sum_sq = float("nan")
-    ratio = 0.0
-    converged = True
-    if model is not None:
-        sum_sq, ratio, converged = _summability_sum(rows, S, model)
-
+    sum_sq, ratio, converged = _summability_sum(rows, S, model)
     ks = sorted(rows) or [0]
     return StarCharacteristic(
         characteristic=Characteristic(J=J, coeff=rows, label="star"),
@@ -263,8 +258,7 @@ def star_transform(
 def make_phi1(
     S: SpectralData,
     x1: np.ndarray,
-    model: BranchingModel | None = None,
-    eps_tail: float = 1e-14,
+    model: BranchingModel,
     k_min: int | None = None,
 ) -> Phi1Characteristic:
     """The martingale-gap characteristic, premultiplied by ``x1``.
@@ -280,8 +274,8 @@ def make_phi1(
     (``discarded_mass``); passing ``k_min`` forces a hard window
     ``[k_min, 0]`` instead, and certifies nothing.  A row that underflows to
     zero before its tail certifies raises a bare ``ArithmeticError``: dropping
-    it would change the characteristic.  Without a model the terms use the
-    plain norm ``|row|^2`` in place of ``|row|_M^2``.
+    it would change the characteristic.  The tail target is 1e-14, the
+    default of ``compute_sigma2``.
     """
     x1 = np.asarray(x1, dtype=complex).reshape(-1)
     J = x1.shape[0]
@@ -289,9 +283,9 @@ def make_phi1(
     if not np.any(np.abs(w) > 0):
         return Phi1Characteristic(J=J, label="phi1", discarded_mass=0.0)
 
-    M = mixing_covariance(model, S.u) if model is not None else np.eye(J)
+    M = mixing_covariance(model, S.u)
     count = None if k_min is None else max(0, 1 - k_min)
-    scaled, _, discarded = scaled_tail(S, M, w, -1, "phi1 tail", eps_tail, count)
+    scaled, _, discarded = scaled_tail(S, M, w, -1, "phi1 tail", 1e-14, count)
     coeff = {}
     for m, row in enumerate(unscaled(S, scaled, -np.arange(len(scaled)))):
         if row is None:
@@ -305,14 +299,12 @@ def make_phi1(
     )
 
 
-def expected_process(phi: Characteristic, model: BranchingModel, n: int, z0=None) -> complex:
+def expected_process(phi: Characteristic, model: BranchingModel, n: int) -> complex:
     """E Z_n^phi = sum_g E phi(n - g) A^g Z_0, exact for finite mean tables."""
     mt = phi.mean_table()
     if not mt:
         return 0.0 + 0.0j
-    if z0 is None:
-        z0 = model.z0()
-    ez = np.asarray(z0, dtype=float)
+    ez = np.asarray(model.z0(), dtype=float)
     total = 0.0 + 0.0j
     g_max = n - min(mt)
     for g in range(0, max(g_max, -1) + 1):

@@ -186,21 +186,7 @@ def _assumption_report(rep) -> dict:
 
 
 def _constants_report(const: TheoreticalConstants) -> dict:
-    return {
-        "x1": const.x1,
-        "x2": const.x2,
-        "sigma_l": list(const.sigma_l),
-        "l_star": const.l_star,
-        "sigma2": const.sigma2,
-        "sigma2_error": const.sigma2_error,
-        "sigma_star2": const.sigma_star2,
-        "sigma_star2_error": const.sigma_star2_error,
-        "case": const.case,
-        "sigma_case2": const.sigma_case2,
-        "B_window": list(const.B_window),
-        "B_table": {str(k): v for k, v in const.B_table.items()},
-        "notes": const.notes,
-    }
+    return {f.name: getattr(const, f.name) for f in dataclasses.fields(const)}
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +271,7 @@ def _cmd_simulate(args) -> int:
     else:
         parent = os.path.dirname(os.path.abspath(out))
         os.makedirs(parent, exist_ok=True)
-    batch.to_csv(out, phi_index=0, t=run.scn.n)
+    batch.to_csv(out, t=run.scn.n)
     summary = batch.summary()
     summary["csv"] = out
     print(json.dumps(_to_jsonable(summary), indent=2, sort_keys=True))
@@ -306,7 +292,10 @@ def _cmd_verify(args) -> int:
         return EXIT_ASSUMPTION
     const = run.const
     batch = run.batch()
-    reports = {"assumptions": assumptions, "constants": _constants_report(const)}
+    # B_table is the constants subcommand's: here it would be most of the output
+    constants = _constants_report(const)
+    del constants["B_table"]
+    reports = {"assumptions": assumptions, "constants": constants}
     try:
         report = verify_dichotomy(
             batch, const, run.S, w_min=scn.run["w_min"], requested_case=scn.run["case"]
@@ -322,7 +311,7 @@ def _cmd_verify(args) -> int:
     }
     _emit(payload, args.out)
     if args.emit_hist:
-        eps, _ = studentized(batch, const, phi_index=0, t=scn.n, w_min=scn.run["w_min"])
+        eps, _ = studentized(batch, const, t=scn.n, w_min=scn.run["w_min"])
         vals = eps.real
         counts, edges = np.histogram(vals, bins=max(10, int(math.sqrt(max(vals.size, 1)) * 2)))
         hist = {

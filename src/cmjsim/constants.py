@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Mapping
 
 import numpy as np
 
@@ -65,18 +64,9 @@ class TheoreticalConstants:
     notes: dict = field(default_factory=dict)
 
 
-def _as_mean_table(source, J: int | None = None) -> dict:
-    if isinstance(source, Characteristic):
-        return source.mean_table()
-    if isinstance(source, Mapping):
-        return {int(k): np.asarray(row, dtype=complex).reshape(-1) for k, row in source.items()}
-    raise TypeError("expected a Characteristic or a mean table mapping")
-
-
-def compute_x1_x2(source, S: SpectralData) -> tuple[np.ndarray, np.ndarray]:
-    """x_i = sum_k E phi(k) pi_i A_i^{-k}; for an age-0 indicator row a this is
-    (a pi1, a pi2)."""
-    mt = _as_mean_table(source)
+def compute_x1_x2(mt: dict, S: SpectralData) -> tuple[np.ndarray, np.ndarray]:
+    """x_i = sum_k E phi(k) pi_i A_i^{-k} over the mean table ``mt = {k: E
+    phi(k)}``; for an age-0 indicator row a this is (a pi1, a pi2)."""
     J = S.J
     x1 = np.zeros(J, dtype=complex)
     x2 = np.zeros(J, dtype=complex)
@@ -110,19 +100,20 @@ def compute_sigma_l(x2: np.ndarray, S: SpectralData, model: BranchingModel) -> t
     return tuple(S.rho ** (-(l + 1)) / ((2 * l + 1) * factorial(l) ** 2) * t for l, t in enumerate(totals))
 
 
-def find_l_star(sigma_l: tuple[float, ...], tol: float = L_STAR_TOL) -> int | None:
-    """Largest l with sigma_l^2 above tol, or None when the whole ladder vanishes."""
-    hits = [l for l, v in enumerate(sigma_l) if v > tol]
+def find_l_star(sigma_l: tuple[float, ...]) -> int | None:
+    """Largest l with sigma_l^2 above L_STAR_TOL, or None when the whole
+    ladder vanishes."""
+    hits = [l for l, v in enumerate(sigma_l) if v > L_STAR_TOL]
     return max(hits) if hits else None
 
 
-def compute_B(source, S: SpectralData, k: int) -> np.ndarray:
-    """Centering row B(k) = sum_l E phi(k-l-1) A^l P(k,l), where the piecewise
-    projector P picks -pi1 on l < 0 and pi2 + pi3 on l >= 0 when k <= 0, and
-    -(pi1 + pi2) on l < 0 and pi3 on l >= 0 when k > 0.  Negative powers act
-    on the corresponding invariant subspace.  For a finite mean table every
-    branch is a finite sum."""
-    mt = _as_mean_table(source)
+def compute_B(mt: dict, S: SpectralData, k: int) -> np.ndarray:
+    """Centering row B(k) = sum_l E phi(k-l-1) A^l P(k,l) over the mean table
+    ``mt = {k: E phi(k)}``, where the piecewise projector P picks -pi1 on
+    l < 0 and pi2 + pi3 on l >= 0 when k <= 0, and -(pi1 + pi2) on l < 0 and
+    pi3 on l >= 0 when k > 0.  Negative powers act on the corresponding
+    invariant subspace.  For a finite mean table every branch is a finite
+    sum."""
     row = np.zeros(S.J, dtype=complex)
     for m, phi_row in mt.items():
         l = k - 1 - m
@@ -246,7 +237,7 @@ def compute_constants(
         a_row = np.asarray(source, dtype=complex).reshape(-1)
         phi = make_indicator_characteristic(a_row)
 
-    x1, x2 = compute_x1_x2(phi, S)
+    x1, x2 = compute_x1_x2(phi.mean_table(), S)
     sigma_l = compute_sigma_l(x2, S, model)
     l_star = find_l_star(sigma_l)
     sigma2, sigma2_err, b_table = compute_sigma2(phi, S, model, eps_tail=eps_tail)

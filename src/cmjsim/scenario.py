@@ -256,9 +256,11 @@ def _canon_run(raw, path="run") -> dict:
         traj = raw["trajectory"]
         if not isinstance(traj, (list, tuple)) or not traj:
             _fail(f"{path}.trajectory", "expected a nonempty list of times")
-        out["trajectory"] = sorted(
-            {_int_ge(t, f"{path}.trajectory[{i}]", 1) for i, t in enumerate(traj)}
-        )
+        horizon = out["n"] + out["delta"]
+        for i, t in enumerate(traj):
+            if _int_ge(t, f"{path}.trajectory[{i}]", 1) > horizon:
+                _fail(f"{path}.trajectory[{i}]", f"must be <= n + delta = {horizon}, got {t}")
+        out["trajectory"] = sorted(set(traj))
     if raw.get("case") is not None:
         if raw["case"] not in ("i", "ii"):
             _fail(f"{path}.case", f"must be 'i' or 'ii', got {raw['case']!r}")

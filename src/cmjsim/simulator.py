@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -92,19 +92,17 @@ def normalization(t: int, case: str, l_star: int | None, rho: float) -> float:
 
 
 def step_generation(
-    model: BranchingModel, counts: np.ndarray, rng: np.random.Generator | list
+    model: BranchingModel, counts: np.ndarray, rngs: list[np.random.Generator]
 ) -> tuple[np.ndarray, dict]:
     """Advance one generation of int64 type counts, ``(J,)`` for one
     replicate or ``(B, J)`` for a block; returns the next counts and, per
     parent type present, the multinomial outcome counts that produced them
     (the coupling handle), shaped ``(n_outcomes,)`` or ``(B, n_outcomes)``.
 
-    ``rng`` may be a list of generators, which splits the rows into as many
-    equal blocks, block i drawing from ``rng[i]``.  A block makes one call
-    over the front-padded laws, which draws what one call per type present
-    would, in type order."""
+    The rows split into ``len(rngs)`` equal blocks, block i drawing from
+    ``rngs[i]``.  A block makes one call over the front-padded laws, which
+    draws what one call per type present would, in type order."""
     P, M = model.padded_laws
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     rows = counts.reshape(-1, model.J)
     B = len(rows) // len(rngs)
     parts = [g.multinomial(rows[i * B : (i + 1) * B].T, P) for i, g in enumerate(rngs)]
@@ -350,13 +348,13 @@ class BatchResult:
             out["w_hat_mean"] = float(np.mean(ws))
         return out
 
-    def to_csv(self, path, phi_index: int = 0, t: int | None = None) -> None:
-        """One row per replicate for one (characteristic, time) pair; a value
-        the batch does not hold is written as nan."""
+    def to_csv(self, path, t: int | None = None) -> None:
+        """One row per replicate for characteristic 0 at time t (default
+        ``n``); a value the batch does not hold is written as nan."""
         t = self.n if t is None else t
         missing = np.full(self.R, _NAN)
-        z = self.zphi.get((phi_index, t), missing)
-        tv = self.T.get((phi_index, t), missing)
+        z = self.zphi.get((0, t), missing)
+        tv = self.T.get((0, t), missing)
         floats = (self.w_hat, z.real, z.imag, tv.real, tv.imag)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -372,31 +370,26 @@ def run_replicate(
     phis: Characteristic | Sequence[Characteristic],
     n: int,
     N: int,
-    seed,
+    seed: int,
     *,
     S: SpectralData | None = None,
     constants: TheoreticalConstants | None = None,
     ns: Sequence[int] | None = None,
-    index: int = 0,
     record_cells: bool = False,
     overflow_cap: int = OVERFLOW_CAP,
 ) -> ReplicateResult:
     """Simulate one replicate to generation N and evaluate every requested
     characteristic at every requested time (default: just ``n``).
 
-    ``seed`` may be an int, a SeedSequence or a Generator, which drives this
-    replicate alone: it is row 0 of a block of one, numbered ``index``.
+    ``seed`` drives this replicate alone: it is row 0 of a block of one.
     When spectral data is supplied the replicate also carries the martingale
     estimate ``W_hat = <v, Z_N> rho^{-N}``; with constants as well, the
     recentered normalized statistic T at each time.
     """
     plan = _plan(model, phis, n, N, ns, S, constants, overflow_cap)
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     batch = BatchResult(n, N, plan.ns, None, **_simulate_chunk(plan, [rng], 1, record_cells))
-    return replace(batch.replicates[0], index=index)
+    return batch.replicates[0]
 
 
 def _run_blocks(args) -> dict:

@@ -4,7 +4,7 @@ Eigenvalues of ``A`` are clustered into generalized eigenspaces and classified
 against the critical circle of radius ``sqrt(rho)``:
 
 * super-critical:  |lambda| >  sqrt(rho),
-* critical:        |lambda| == sqrt(rho) (within ``tol``),
+* critical:        |lambda| == sqrt(rho) (within ``DEFAULT_TOL``),
 * sub-critical:    |lambda| <  sqrt(rho).
 
 Spectral (oblique) projections come from an ordered complex Schur form built
@@ -22,7 +22,7 @@ one class cost the class projections no accuracy.  This is better
 conditioned than powering ``(A - lambda I)`` and rank-probing its kernel, and
 all stated invariants (partition of unity, idempotency, commutation, mutual
 orthogonality) are verified on every decomposition; residuals above
-``100 * tol`` raise.
+``100 * DEFAULT_TOL`` raise.
 
 Numerical-stability rule used throughout the package: powers of ``A``
 restricted to an invariant subspace are NEVER formed by powering a full
@@ -94,7 +94,6 @@ class SpectralData:
     """
 
     A: np.ndarray
-    tol: float
     rho: float
     sqrt_rho: float
     u: np.ndarray
@@ -257,8 +256,9 @@ def _perron_vectors(pi_perron: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
     return u, v
 
 
-def spectral_decompose(A: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralData:
-    """Full spectral data for a non-negative square matrix.
+def spectral_decompose(A: np.ndarray) -> SpectralData:
+    """Full spectral data for a non-negative square matrix, at the tolerance
+    ``tol = DEFAULT_TOL``.
 
     Eigenvalues whose mutual distance is below the clustering radius are
     merged into one generalized eigenspace.  The radius is the larger of
@@ -267,11 +267,10 @@ def spectral_decompose(A: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralData:
     Jordan blocks.  Classification margins against sqrt(rho) still use
     ``tol`` itself.
     """
+    tol = DEFAULT_TOL
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if np.any(A < 0):
         raise ValueError("A must be entrywise non-negative")
     n = A.shape[0]
@@ -379,7 +378,6 @@ def spectral_decompose(A: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralData:
 
     return SpectralData(
         A=A,
-        tol=tol,
         rho=rho,
         sqrt_rho=sqrt_rho,
         u=u,

@@ -51,6 +51,7 @@ BOOTSTRAP_B = 500
 BOOTSTRAP_SEED = 2024_017
 LLN_BAND = (0.95, 1.05)
 LLN_ZERO_TOL = 0.05
+FLAT_Q = 100 * (1 - 0.99) / 2  # lower percentile of the 99% flatness CIs; not 0.5's bits
 # resampled values drawn and reduced per block: the block's index, gather and
 # deviation arrays (8 bytes a value) stay under 128 KiB, glibc's default mmap
 # and trim thresholds, so they reuse heap pages; blocks of 1 << 15 values
@@ -174,20 +175,20 @@ class VerificationReport:
         return out
 
 
-def _usable_column(batch, table: dict, phi_index: int, t: int, w_min: float):
-    """(values, W_hat) of one (characteristic, time) column over the usable
+def _usable_column(batch, table: dict, t: int, w_min: float):
+    """(values, W_hat) of characteristic 0's column at time t over the usable
     rows; both empty when the batch holds no such column."""
-    col = table.get((phi_index, t))
+    col = table.get((0, t))
     if col is None:
         return np.zeros(0, dtype=complex), np.zeros(0)
     keep = batch.usable(w_min)
     return col[keep], batch.w_hat[keep]
 
 
-def studentized(batch, constants, *, phi_index: int, t: int, w_min: float):
+def studentized(batch, constants, *, t: int, w_min: float):
     """(eps, w) over surviving replicates with W_hat above the floor."""
     sigma = math.sqrt(max(constants.sigma_case2, 0.0))
-    eps, ws = _usable_column(batch, batch.T, phi_index, t, w_min)
+    eps, ws = _usable_column(batch, batch.T, t, w_min)
     if sigma > 0:
         # part by part, as Python's complex / float rounds; numpy's complex
         # division multiplies by a reciprocal (eps is a fresh copy)
@@ -202,12 +203,11 @@ def verify_dichotomy(
     constants: TheoreticalConstants,
     S: SpectralData,
     *,
-    phi_index: int = 0,
-    t: int | None = None,
     w_min: float = W_MIN_DEFAULT,
     requested_case: str | None = None,
 ) -> VerificationReport:
-    """Run the pre-registered acceptance battery on one batch.
+    """Run the pre-registered acceptance battery on characteristic 0 of one
+    batch at its time ``batch.n``.
 
     ``requested_case`` (\"i\" or \"ii\") is validated against the constants:
     asking for the polynomial case when no polynomial index exists is an
@@ -223,13 +223,13 @@ def verify_dichotomy(
         raise RuntimeError(
             f"abort rate {batch.abort_rate:.1%} exceeds {ABORT_RATE_MAX:.0%}; results unusable"
         )
-    t = batch.n if t is None else t
+    t = batch.n
     case = constants.case
-    eps_c, ws = studentized(batch, constants, phi_index=phi_index, t=t, w_min=w_min)
+    eps_c, ws = studentized(batch, constants, t=t, w_min=w_min)
     m = eps_c.shape[0]
 
     if case == "degenerate":
-        decay = _decay_check(batch, phi_index)
+        decay = _decay_check(batch)
         passed = decay["passed"]
         reasons = () if passed else ("degenerate scale: |T| did not decay",)
         return VerificationReport(
@@ -288,7 +288,7 @@ def verify_dichotomy(
 
     flatness = None
     if case == "ii" and len(batch.ns) > 1:
-        flatness = flatness_check(batch, phi_index=phi_index, w_min=w_min, seed=BOOTSTRAP_SEED)
+        flatness = flatness_check(batch, w_min=w_min, seed=BOOTSTRAP_SEED)
         if not flatness["passed"]:
             reasons.append("per-time variances not flat under the case normalization")
 
@@ -311,13 +311,13 @@ def verify_dichotomy(
     )
 
 
-def _decay_check(batch, phi_index: int) -> dict:
+def _decay_check(batch) -> dict:
     """For vanishing scale: mean |T| should decrease along the requested times
     and end small."""
     ts = list(batch.ns)
     means = []
     for t in ts:
-        vals, _ = _usable_column(batch, batch.T, phi_index, t, 0.0)
+        vals, _ = _usable_column(batch, batch.T, t, 0.0)
         means.append(float(np.mean(np.abs(vals))) if vals.size else float("nan"))
     finite = [v for v in means if not math.isnan(v)]
     decreasing = all(b <= a * 1.05 + 1e-12 for a, b in zip(finite, finite[1:]))
@@ -336,24 +336,22 @@ def lln_check(
     model,
     S: SpectralData,
     *,
-    phi_index: int = 0,
-    t: int | None = None,
     w_min: float = W_MIN_DEFAULT,
 ) -> dict:
-    """Law-of-large-numbers check: Z_t^phi / (rho^t W_hat) against the limit
-    constant c = sum_k rho^{-k} E phi(k) . u.
+    """Law-of-large-numbers check at t = ``batch.n``: Z_t^phi / (rho^t W_hat)
+    against the limit constant c = sum_k rho^{-k} E phi(k) . u.
 
     When c vanishes the ratio is meaningless; the check switches to absolute
     smallness of |Z_t^phi| rho^{-t} relative to the characteristic's scale.
     """
-    t = batch.n if t is None else t
+    t = batch.n
     c = 0.0 + 0.0j
     scale = 0.0
     for k in phi.value_keys:
         row = phi.mean(k)
         c += S.rho ** (-k) * complex(row @ S.u.astype(complex))
         scale += S.rho ** (-k) * float(np.abs(row) @ S.u)
-    vals, ws = _usable_column(batch, batch.zphi, phi_index, t, w_min)
+    vals, ws = _usable_column(batch, batch.zphi, t, w_min)
     out = {"t": t, "m": int(vals.size), "limit_constant": complex(c), "scale": scale}
     if not vals.size:
         out.update({"mode": "empty", "passed": False})
@@ -380,21 +378,17 @@ def lln_check(
 def flatness_check(
     batch,
     *,
-    phi_index: int = 0,
     w_min: float = W_MIN_DEFAULT,
     B: int = 400,
     seed: int = 77_201,
-    conf: float = 0.99,
 ) -> dict:
     """Bootstrap CIs of Var[T_t] per requested time must all cover their
     precision-weighted mean: under the correct normalization the profile is
     flat in t."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    lo_q = 100 * (1 - conf) / 2
-    hi_q = 100 - lo_q
     rows = []
     for t in batch.ns:
-        vals = _usable_column(batch, batch.T, phi_index, t, w_min)[0].real
+        vals = _usable_column(batch, batch.T, t, w_min)[0].real
         if vals.shape[0] < 10:
             continue
         boot = _resampled_variances(vals, rng, B)
@@ -402,7 +396,7 @@ def flatness_check(
             {
                 "t": int(t),
                 "var": float(vals.var(ddof=1)),
-                "ci": [_percentile(boot, lo_q), _percentile(boot, hi_q)],
+                "ci": [_percentile(boot, FLAT_Q), _percentile(boot, 100 - FLAT_Q)],
                 "se": float(boot.std(ddof=1)),
             }
         )

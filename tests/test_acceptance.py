@@ -225,7 +225,7 @@ def test_a06_case_i_clt(single_type):
     assert const.sigma2 == pytest.approx(0.5, abs=1e-12)  # derived, not fitted
     n, N, R = 12, 18, 2_000
     batch = run_batch(model, b.phi, n, N, R, SEED + 500, S=S, constants=const, ns=[n])
-    eps, ws = studentized(batch, const, phi_index=0, t=n, w_min=1e-3)
+    eps, ws = studentized(batch, const, t=n, w_min=1e-3)
     eps = np.asarray([e.real for e in eps])
     ws = np.asarray(ws, dtype=float)
     D, p = ks_test(eps)
@@ -410,7 +410,7 @@ def test_a10_deterministic_csv_across_workers(tmp_path, jordan):
             model, jordan.phi, 8, 12, 40, SEED + 900, S=S, ns=[6, 8], workers=workers
         )
         path = tmp_path / f"w{workers}.csv"
-        batch.to_csv(path, phi_index=0, t=8)
+        batch.to_csv(path, t=8)
         blobs.append(path.read_bytes())
     record(
         "A10",

@@ -3,11 +3,12 @@
 Its traced run wraps library functions by name, with ``getattr`` on the
 module where each caller looks the name up, so every ``(module,
 attribute)`` it lists must resolve.  Its calibration workload reads the
-batch API after each timed batch, so one batch per case must complete.  Its
-constants sweep and the verify workload's set-up call the library directly,
-not through the tracer, so one round of each must run.  A renamed function
-or a changed batch API would otherwise surface only when the benchmark
-runs."""
+batch API after each timed batch, so one batch per case must complete, and
+its contract checks write CSVs through ``to_csv``, so every check must
+pass.  Its constants sweep and the verify workload's set-up call the
+library directly, not through the tracer, so one round of each must run.
+A renamed function or a changed batch API would otherwise surface only when
+the benchmark runs."""
 
 from __future__ import annotations
 
@@ -49,6 +50,18 @@ def test_calibration_batch_completes_on_every_case(monkeypatch):
         op = calibration.batch_op(case, 1)
         assert op.status == "completed", (case.name, op.detail)
         assert not op.wrong and op.items == calibration.R, (case.name, op.detail)
+
+
+def test_calibration_contract_checks_complete_on_every_case(monkeypatch, tmp_path):
+    # the benchmark's one call of BatchResult.to_csv(path, t=...)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    calibration = _load("calibration")
+    monkeypatch.setattr(calibration, "OUT", tmp_path)
+    ops = calibration.contract_checks(calibration.setup(0), 0)
+    assert len(ops) == 2 * len(calibration.SCENARIOS)
+    for op in ops:
+        assert op.status == "completed" and not op.wrong, (op.stratum, op.kind, op.detail)
+    assert not list(tmp_path.iterdir())
 
 
 def test_constants_sweep_round_is_never_wrong(monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,7 +83,7 @@ def test_mean_table_equals_the_walk_over_every_value_key():
         for _ in range(int(rng.integers(0, 5))):
             v = float(rng.integers(-2, 3))
             law = ((0.5, 0.5), (-v, v)) if rng.random() < 0.5 else ((0.25, 0.75), (v, 1.0 + 0.5j))
-            noise[(int(rng.integers(-6, 7)), int(rng.integers(J)))] = law
+            noise[(int(rng.integers(-6, 7)), int(rng.integers(J)))] = NoiseLaw(*law)
         phi = Characteristic(J=J, base=rows(), coeff=rows(), noise=noise)
         got, want = phi.mean_table(), reference_mean_table(phi)
         assert list(got) == list(want)
@@ -96,6 +98,11 @@ def test_frozen_rows_are_read_only_copies_and_a_bad_row_names_its_key():
     assert not phi.base[0].flags.writeable and not phi.coeff[2].flags.writeable
     with pytest.raises(ValueError, match=r"coeff\[5\]: expected a row of length 2"):
         Characteristic(2, coeff={0: [1, 2], 5: [1, 2, 3]})
+
+
+def test_a_noise_cell_must_be_a_noise_law():
+    with pytest.raises(ValueError, match=re.escape("noise[(0, 1)]: expected a NoiseLaw")):
+        Characteristic(2, noise={(0, 1): ((0.5, 0.5), (0.0, 2.0))})
 
 
 def test_scaling_by_complex_factor(mirror):
@@ -162,7 +169,7 @@ def test_star_transform_requires_deterministic_input(mirror):
         2, base={0: np.array([1.0, 1.0])}, noise={(0, 0): NoiseLaw((0.5, 0.5), (0.0, 1.0))}
     )
     with pytest.raises(ValueError):
-        star_transform(noisy, mirror.S)
+        star_transform(noisy, mirror.S, model=mirror.model)
 
 
 def test_summability_sum_matches_brute_force_and_flags_critical_divergence(mirror):
@@ -206,14 +213,14 @@ def test_gap_characteristic_rows_for_doubling(single_type):
 
 def test_gap_characteristic_hard_window(single_type):
     S = single_type.S
-    phi1 = make_phi1(S, np.array([1.0]), k_min=-5)
+    phi1 = make_phi1(S, np.array([1.0]), model=single_type.model, k_min=-5)
     assert sorted(phi1.coeff) == list(range(-5, 1))
     assert min(phi1.coeff) == -5
 
 
 def test_gap_characteristic_zero_row_short_circuits(cross_feed):
     S = cross_feed.S
-    phi1 = make_phi1(S, np.zeros(2))
+    phi1 = make_phi1(S, np.zeros(2), model=cross_feed.model)
     assert not phi1.coeff
     assert phi1.discarded_mass == 0.0
     # a pi1 for the sub-aligned row is zero up to rounding dust; whatever

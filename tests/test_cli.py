@@ -74,6 +74,16 @@ def test_schema_error_names_the_offending_key(tmp_path, capsys):
     assert "run.replicates" in err
 
 
+def test_trajectory_past_the_horizon_is_a_schema_error(tmp_path, capsys):
+    d = preset("cross_feed").to_dict()
+    d["run"].update(n=10, delta=2, trajectory=[4, 30])
+    path = write_yaml(tmp_path, "late.yaml", d)
+    for command in ("analyze", "verify"):
+        rc, out, err = run_cli([command, "--scenario", path], capsys)
+        assert rc == EXIT_USAGE and not out
+        assert err == "error: run.trajectory[1]: must be <= n + delta = 12, got 30\n"
+
+
 def test_unparseable_yaml_is_usage_error(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("model: [unclosed\n")
@@ -276,6 +286,16 @@ def test_verify_passes_on_healthy_preset(capsys):
     assert rep["verification"]["passed"] is True
     assert rep["verification"]["reasons"] == []
     assert "lln" in rep
+
+
+@pytest.mark.parametrize("name", ["cross_feed", "two_type_mirror"])
+def test_verify_constants_block_is_the_constants_one_without_the_B_table(name, capsys):
+    _, out, _ = run_cli(["constants", "--scenario", name], capsys)
+    want = json_payload(out)["constants"]
+    assert want.pop("B_table")
+    rc, out, _ = run_cli(["verify", "--scenario", name], capsys)
+    assert rc == EXIT_OK
+    assert json_payload(out)["constants"] == want
 
 
 def test_verify_requested_case_mismatch_is_refused(tmp_path, capsys):

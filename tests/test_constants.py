@@ -27,7 +27,7 @@ from cmjsim import (
     make_phi1,
     spectral_decompose,
 )
-from cmjsim.characteristics import Characteristic, assumption_sums
+from cmjsim.characteristics import Characteristic, NoiseLaw, assumption_sums
 from cmjsim.cli import build_characteristic
 from cmjsim.presets import _bernoulli_column, preset_names
 from cmjsim.spectral import power_scaled
@@ -123,7 +123,7 @@ def test_dual_routes_agree_on_all_eligible_presets():
 def test_x_rows_are_projections_for_indicators(asym_leak):
     S = asym_leak.S
     a = asym_leak.row
-    x1, x2 = compute_x1_x2(make_indicator_characteristic(a), S)
+    x1, x2 = compute_x1_x2(make_indicator_characteristic(a).mean_table(), S)
     assert np.allclose(x1, a @ S.pi1, atol=1e-12)
     assert np.allclose(x2, a @ S.pi2, atol=1e-12)
 
@@ -134,7 +134,7 @@ def test_x_rows_shift_with_age(mirror):
 
     r = np.array([1.0, 2.0])
     phi = Characteristic(2, base={2: r})
-    x1, x2 = compute_x1_x2(phi, S)
+    x1, x2 = compute_x1_x2(phi.mean_table(), S)
     assert np.allclose(x1, r @ projected_power(S, 1, -2), atol=1e-12)
     assert np.allclose(x2, r @ projected_power(S, 2, -2), atol=1e-12)
 
@@ -144,9 +144,9 @@ def test_centering_rows_single_type(single_type):
     phi = single_type.phi
     # no sub part: B vanishes for k >= 1; B(k) = -2^{k-1} for k <= 0
     for k in (1, 2, 5):
-        assert np.allclose(compute_B(phi, S, k), [0.0], atol=1e-14)
+        assert np.allclose(compute_B(phi.mean_table(), S, k), [0.0], atol=1e-14)
     for k in (0, -1, -3):
-        assert compute_B(phi, S, k)[0] == pytest.approx(-(2.0 ** (k - 1)), abs=1e-14)
+        assert compute_B(phi.mean_table(), S, k)[0] == pytest.approx(-(2.0 ** (k - 1)), abs=1e-14)
 
 
 def test_centering_rows_pure_leak(asym_leak):
@@ -156,9 +156,9 @@ def test_centering_rows_pure_leak(asym_leak):
     # a pi1 = 0 here, so the descending branch vanishes and the ascending
     # branch rides the sub eigenvalue 1: B(k) = a for every k >= 1
     for k in (1, 2, 6):
-        assert np.allclose(compute_B(phi, S, k), a, atol=1e-10), k
+        assert np.allclose(compute_B(phi.mean_table(), S, k), a, atol=1e-10), k
     for k in (0, -2):
-        assert np.allclose(compute_B(phi, S, k), [0.0, 0.0], atol=1e-10), k
+        assert np.allclose(compute_B(phi.mean_table(), S, k), [0.0, 0.0], atol=1e-10), k
 
 
 def test_sigma_l_closed_form_on_mirror(mirror):
@@ -235,8 +235,8 @@ def test_scaled_centering_rows(mirror):
     S = mirror.S
     phi = mirror.phi
     for k in (-2, 0, 1, 3):
-        b1 = compute_B(phi, S, k)
-        b3 = compute_B(phi.scaled(3.0), S, k)
+        b1 = compute_B(phi.mean_table(), S, k)
+        b3 = compute_B(phi.scaled(3.0).mean_table(), S, k)
         assert np.allclose(b3, 3.0 * b1, atol=1e-10)
 
 
@@ -377,7 +377,7 @@ def _random_tables(S, count=100, seed=7):
         return rng.standard_normal(S.J) + 1j * rng.standard_normal(S.J)
 
     def law():
-        return (0.3, 0.7), (complex(rng.standard_normal()), 2.5j)
+        return NoiseLaw((0.3, 0.7), (complex(rng.standard_normal()), 2.5j))
 
     for i in range(count):
         k = int(rng.integers(-5, 6))

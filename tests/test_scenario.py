@@ -61,6 +61,14 @@ def test_trajectory_merges_with_terminal_time():
     assert scn.run["trajectory"] == [4, 6, 8]
 
 
+def test_trajectory_time_past_the_horizon_names_its_key():
+    text = MINIMAL.replace("  n: 8\n", "  n: 10\n  delta: 2\n  trajectory: [4, 30]\n")
+    with pytest.raises(ScenarioError) as err:
+        loads_scenario(text)
+    assert str(err.value) == "run.trajectory[1]: must be <= n + delta = 12, got 30"
+    assert loads_scenario(text.replace("30", "12")).times == (4, 10, 12)
+
+
 def test_round_trip_through_yaml(tmp_path):
     for name in preset_names():
         scn = preset(name)

@@ -48,7 +48,7 @@ def test_one_step_conditional_mean(mirror):
     trials = 4_000
     acc = np.zeros(2)
     for _ in range(trials):
-        nxt, draws = step_generation(model, start, rng)
+        nxt, draws = step_generation(model, start, [rng])
         acc += nxt
         assert nxt.dtype == np.int64 and nxt.shape == start.shape
         assert sum(int(nj.sum()) for nj in draws.values()) == 8
@@ -374,7 +374,7 @@ def test_padded_draw_equals_per_type_calls(three_scale):
             seed = int(gen.integers(2**32))
             for shaped in (counts, counts[0]):
                 stepped, per_type = np.random.default_rng(seed), np.random.default_rng(seed)
-                nxt, present = step_generation(model, shaped, stepped)
+                nxt, present = step_generation(model, shaped, [stepped])
                 want_next = np.zeros_like(shaped)
                 for j, law in enumerate(model.laws):
                     if shaped[..., j].any():
@@ -394,7 +394,7 @@ def test_step_generation_splits_rows_between_generators():
     counts = gen.integers(0, 30, size=(3 * 50, model.J))
     counts[50:100, 1] = 0
     nxt, present = step_generation(model, counts, [np.random.default_rng(s) for s in (4, 5, 6)])
-    alone = [step_generation(model, counts[i * 50 : (i + 1) * 50], np.random.default_rng(4 + i)) for i in range(3)]
+    alone = [step_generation(model, counts[i * 50 : (i + 1) * 50], [np.random.default_rng(4 + i)]) for i in range(3)]
     assert np.array_equal(nxt, np.concatenate([part[0] for part in alone]))
     for j in range(model.J):
         zeros = np.zeros((50, model.laws[j].n_outcomes), dtype=np.int64)

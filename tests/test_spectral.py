@@ -140,14 +140,14 @@ def test_labels_respect_half_power_circle(decomposed):
         else:
             assert c.label == CRITICAL
             assert abs(mod - S.sqrt_rho) <= 0.5 * max(
-                S.tol, 64 * np.finfo(float).eps * np.linalg.norm(A)
+                spectral.DEFAULT_TOL, 64 * np.finfo(float).eps * np.linalg.norm(A)
             ) + 1e-12
 
 
 def test_residual_certificates_are_small(decomposed):
     _, A, S = decomposed
     assert S.residuals
-    assert max(S.residuals.values()) <= 100 * S.tol
+    assert max(S.residuals.values()) <= 100 * spectral.DEFAULT_TOL
 
 
 def test_expected_labels_on_landmark_matrices():

@@ -311,7 +311,7 @@ def synth_batch(
 def test_studentized_unwinds_the_scale(single_type):
     c = single_type.constants
     batch = synth_batch(sigma2=c.sigma_case2, m=80, seed=3)
-    eps, ws = studentized(batch, c, phi_index=0, t=10, w_min=1e-3)
+    eps, ws = studentized(batch, c, t=10, w_min=1e-3)
     assert eps.shape == ws.shape == (80,)
     r = batch.replicates[0]
     expect = r.T[(0, 10)] / (math.sqrt(c.sigma_case2) * math.sqrt(r.w_hat))
@@ -332,7 +332,7 @@ def test_columnar_studentized_equals_row_reference(request, preset_fixture, cap)
     assert batch.aborted.any() and not batch.aborted.all()
     assert (batch.usable() & ~batch.usable(w_min)).any()
     for t in (6, 8):
-        eps, ws = studentized(batch, b.constants, phi_index=0, t=t, w_min=w_min)
+        eps, ws = studentized(batch, b.constants, t=t, w_min=w_min)
         ref_eps, ref_ws = reference_studentized(batch, b.constants, phi_index=0, t=t, w_min=w_min)
         assert eps.size and eps.tobytes() == ref_eps.tobytes()
         assert ws.tobytes() == ref_ws.tobytes()
@@ -398,11 +398,9 @@ def test_verifier_refuses_high_abort_rate(single_type):
 
 def test_flatness_check_flags_trends():
     ns = (8, 10, 12, 14)
-    flat = flatness_check(synth_batch(ns=ns, m=400, seed=15), phi_index=0)
+    flat = flatness_check(synth_batch(ns=ns, m=400, seed=15))
     assert flat["passed"]
-    trending = flatness_check(
-        synth_batch(ns=ns, m=400, seed=16, var_trend=0.6), phi_index=0
-    )
+    trending = flatness_check(synth_batch(ns=ns, m=400, seed=16, var_trend=0.6))
     assert not trending["passed"]
 
 
