@@ -5,7 +5,10 @@
 Runs ``cmjsim.cli.main`` in-process on every preset for ``analyze``,
 ``constants``, ``star-check``, and ``verify`` (with ``--emit-hist``) and
 ``simulate`` at ``--workers 1`` and ``2``, each with ``--out`` in a fresh
-directory.  Each line hashes the run's stdout, stderr, exit code and every
+directory.  Every preset is at most three blocks, which two workers run
+in-process, so ``simulate`` also runs at both worker counts on a scenario
+file of ``asym_leak`` with ``run.replicates: 1100``: five blocks, which two
+workers run in the process pool (lines named ``asym_leak@1100``).  Each line hashes the run's stdout, stderr, exit code and every
 file it wrote (name and bytes), with the output directory's path masked,
 and ends with the run's name and exit code.  Two trees that print the same
 line ran that command with the same output byte for byte.  ``--tree``
@@ -33,15 +36,17 @@ RUNS = (
     ("simulate", ("--workers", "1")),
     ("simulate", ("--workers", "2")),
 )
+POOLED = ("asym_leak", 1100)
 MASK = "<out>"
 
 
-def _run(main, preset: str, command: str, extra: tuple) -> tuple[str, int]:
-    """(sha256 hex digest, exit code) of one command on one preset."""
+def _run(main, scenario: str, command: str, extra: tuple) -> tuple[str, int]:
+    """(sha256 hex digest, exit code) of one command on one preset or
+    scenario file."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         target = out / ("report.csv" if command == "simulate" else "report.json")
-        argv = [command, "--scenario", preset, *extra, "--out", str(target)]
+        argv = [command, "--scenario", scenario, *extra, "--out", str(target)]
         if command == "verify":
             argv += ["--emit-hist", str(out / "hist.json")]
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -57,24 +62,36 @@ def _run(main, preset: str, command: str, extra: tuple) -> tuple[str, int]:
 
 
 def digests(tree: Path):
-    """Yield ``(digest, preset, command, extra, exit code)`` for the program
-    in ``tree``, presets in ``PRESETS`` order."""
+    """Yield ``(digest, name, command, extra, exit code)`` for the program
+    in ``tree``, presets in ``PRESETS`` order, then the pooled ``simulate``
+    runs."""
     sys.path.insert(0, str(tree / "src"))
     from cmjsim.cli import main
-    from cmjsim.presets import PRESETS
+    from cmjsim.presets import PRESETS, preset
+    from cmjsim.scenario import save_scenario, scenario_from_dict
 
-    for preset in PRESETS:
+    for name in PRESETS:
         for command, extra in RUNS:
-            value, code = _run(main, preset, command, extra)
-            yield value, preset, command, extra, code
+            value, code = _run(main, name, command, extra)
+            yield value, name, command, extra, code
+    name, replicates = POOLED
+    doc = preset(name).to_dict()
+    doc["run"] = {**doc["run"], "replicates": replicates}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.yaml"
+        save_scenario(scenario_from_dict(doc), path)
+        for command, extra in RUNS:
+            if command == "simulate":
+                value, code = _run(main, str(path), command, extra)
+                yield value, f"{name}@{replicates}", command, extra, code
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", type=Path, default=ROOT, help="checkout to measure (default: this one)")
     args = parser.parse_args(argv)
-    for value, preset, command, extra, code in digests(args.tree.resolve()):
-        print(f"{value}  {preset} {' '.join((command, *extra))}  exit {code}", flush=True)
+    for value, name, command, extra, code in digests(args.tree.resolve()):
+        print(f"{value}  {name} {' '.join((command, *extra))}  exit {code}", flush=True)
     return 0
 
 

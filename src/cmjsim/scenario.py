@@ -271,6 +271,8 @@ def _canon_run(raw, path="run") -> dict:
 def _canon_output(raw, path="output") -> dict:
     if raw is None:
         return {"dir": "out"}
+    if not isinstance(raw, Mapping):
+        _fail(path, "expected a mapping")
     _check_keys(raw, ("dir",), path)
     d = raw.get("dir", "out")
     if not isinstance(d, str) or not d:

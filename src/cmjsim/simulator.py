@@ -77,8 +77,7 @@ class ReplicateResult:
     z_final: np.ndarray | None
     w_hat: float | None
     zphi: dict  # (phi_index, t) -> complex
-    T: dict  # (phi_index, t) -> complex
-    cells: dict | None = None
+    T: dict  # (0, t) -> complex
 
 
 def normalization(t: int, case: str, l_star: int | None, rho: float) -> float:
@@ -150,7 +149,7 @@ class _Plan:
     noise: tuple  # (p, t, k, j, probs, values) per in-window cell, in canonical order
     v: np.ndarray | None  # S.v and S.rho, for W_hat; not S, whose cache every task would pickle
     rho: float | None
-    T_terms: dict  # t -> (x1 projected_power(S, 1, t-N), x2 pi2 A^t pi2 z0, r_t)
+    T_terms: dict  # t -> (x1 projected_power(S, 1, t-N), x2 pi2 A^t pi2 z0, r_t) of characteristic 0
 
 
 def _plan(model, phis, n, N, ns, S, constants, overflow_cap) -> _Plan:
@@ -182,7 +181,7 @@ def _plan(model, phis, n, N, ns, S, constants, overflow_cap) -> _Plan:
     return _Plan(model, phis, ns, N, overflow_cap // largest_litter, noise, v, rho, T_terms)
 
 
-def _simulate_chunk(plan: _Plan, rngs: list, B: int, record_cells: bool) -> dict:
+def _simulate_chunk(plan: _Plan, rngs: list, B: int) -> dict:
     """The columns of ``len(rngs)`` blocks of B replicates stepped together;
     block i draws from ``rngs[i]`` alone, and what it would draw alone."""
     model, N = plan.model, plan.N
@@ -191,15 +190,12 @@ def _simulate_chunk(plan: _Plan, rngs: list, B: int, record_cells: bool) -> dict
     states = np.zeros((N + 1, B, model.J), dtype=np.int64)
     states[0] = model.z0()
     aborted = np.zeros(B, dtype=bool)
-    draws_by_g = []  # kept only to record cells
     for g in range(N):
         over = states[g].sum(axis=1) > plan.total_limit
         if over.any():
             aborted |= over
             states[g, over] = 0
-        states[g + 1], draws = step_generation(model, states[g], rngs)
-        if record_cells:
-            draws_by_g.append(draws)
+        states[g + 1], _ = step_generation(model, states[g], rngs)
 
     X = states.astype(float)
     if any(phi.coeff for phi in plan.phis):
@@ -216,7 +212,6 @@ def _simulate_chunk(plan: _Plan, rngs: list, B: int, record_cells: bool) -> dict
                 if 0 <= t - k <= N - 1:
                     total += dev[t - k] @ row
             zphi[(p, t)] = total
-    noise_draws = {}
     for p, t, k, j, probs, values in plan.noise:
         counts = np.zeros((B, len(probs)), dtype=np.int64)
         for rng, sl in zip(rngs, rows):
@@ -224,32 +219,19 @@ def _simulate_chunk(plan: _Plan, rngs: list, B: int, record_cells: bool) -> dict
             if c.any():
                 counts[sl] = rng.multinomial(c, probs)
         zphi[(p, t)] += counts @ values
-        noise_draws[(p, t, k, j)] = counts
 
     w_hat = np.full(B, np.nan)
     T: dict[tuple[int, int], np.ndarray] = {}
     if plan.v is not None:
         zf = X[N]
         w_hat = np.real(zf @ plan.v) * plan.rho ** (-N)
-        for (p, t), z in zphi.items():
-            if t in plan.T_terms:
-                mart_row, critical, r_t = plan.T_terms[t]
-                T[(p, t)] = (z - zf @ mart_row - critical) / r_t
+        for t, (mart_row, critical, r_t) in plan.T_terms.items():
+            T[(0, t)] = (zphi[(0, t)] - zf @ mart_row - critical) / r_t
     w_hat[aborted] = np.nan
     for col in (*zphi.values(), *T.values()):
         col[aborted] = _NAN
-
-    cells = None
-    if record_cells:
-        # zeros where nothing was drawn, so every chunk has every key
-        offspring = {
-            (g, j): draws.get(j, np.zeros((B, law.n_outcomes), dtype=np.int64))
-            for g, draws in enumerate(draws_by_g)
-            for j, law in enumerate(model.laws)
-        }
-        cells = {"offspring": offspring, "noise": noise_draws}
     # a copy, so the result does not hold the whole count array alive
-    return {"aborted": aborted, "z_final": states[N].copy(), "w_hat": w_hat, "zphi": zphi, "T": T, "cells": cells}
+    return {"aborted": aborted, "z_final": states[N].copy(), "w_hat": w_hat, "zphi": zphi, "T": T}
 
 
 def _join(parts: list, stop: int | None = None):
@@ -258,7 +240,7 @@ def _join(parts: list, stop: int | None = None):
     head = parts[0]
     if isinstance(head, dict):
         return {key: _join([part[key] for part in parts], stop) for key in head}
-    return None if head is None else np.concatenate(parts)[:stop]
+    return np.concatenate(parts)[:stop]
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,12 +249,10 @@ class BatchResult:
     replicate i.
 
     ``aborted`` is ``(R,)`` bool, ``z_final`` ``(R, J)`` int64 and ``w_hat``
-    ``(R,)``; ``zphi`` and ``T`` (only given constants) map ``(phi_index,
-    t)`` to ``(R,)`` complex columns.  Aborted rows hold zero counts and NaN,
-    in both parts, in every float column; without spectral data ``w_hat``
-    is all NaN.  Only under ``record_cells``, ``cells`` holds the
-    ``(R, n_outcomes)`` multinomial counts per ``(generation, type)``
-    ("offspring") and per ``(p, t, k, j)`` noise cell ("noise").
+    ``(R,)``; ``zphi`` maps ``(phi_index, t)`` and ``T`` (only given
+    constants, which are characteristic 0's) maps ``(0, t)`` to ``(R,)``
+    complex columns.  Aborted rows hold zero counts and NaN, in both parts,
+    in every float column; without spectral data ``w_hat`` is all NaN.
     """
 
     n: int
@@ -284,7 +264,6 @@ class BatchResult:
     w_hat: np.ndarray
     zphi: dict
     T: dict
-    cells: dict | None = None
 
     @property
     def R(self) -> int:
@@ -316,16 +295,12 @@ class BatchResult:
     def _row(self, i: int) -> ReplicateResult:
         if self.aborted[i]:
             return ReplicateResult(i, True, True, None, None, {}, {})
-        cells = self.cells and {
-            part: {key: col[i] for key, col in table.items() if col[i].any()}
-            for part, table in self.cells.items()
-        }
         w = float(self.w_hat[i])
         zphi = {key: complex(col[i]) for key, col in self.zphi.items()}
         T = {key: complex(col[i]) for key, col in self.T.items()}
         survived = bool(self.z_final[i].any())
         return ReplicateResult(
-            i, survived, False, self.z_final[i], None if math.isnan(w) else w, zphi, T, cells
+            i, survived, False, self.z_final[i], None if math.isnan(w) else w, zphi, T
         )
 
     def summary(self) -> dict:
@@ -375,7 +350,6 @@ def run_replicate(
     S: SpectralData | None = None,
     constants: TheoreticalConstants | None = None,
     ns: Sequence[int] | None = None,
-    record_cells: bool = False,
     overflow_cap: int = OVERFLOW_CAP,
 ) -> ReplicateResult:
     """Simulate one replicate to generation N and evaluate every requested
@@ -384,24 +358,24 @@ def run_replicate(
     ``seed`` drives this replicate alone: it is row 0 of a block of one.
     When spectral data is supplied the replicate also carries the martingale
     estimate ``W_hat = <v, Z_N> rho^{-N}``; with constants as well, the
-    recentered normalized statistic T at each time.
+    recentered normalized statistic T of characteristic 0 at each time.
     """
     plan = _plan(model, phis, n, N, ns, S, constants, overflow_cap)
     rng = np.random.Generator(np.random.PCG64(seed))
-    batch = BatchResult(n, N, plan.ns, None, **_simulate_chunk(plan, [rng], 1, record_cells))
+    batch = BatchResult(n, N, plan.ns, None, **_simulate_chunk(plan, [rng], 1))
     return batch.replicates[0]
 
 
 def _run_blocks(args) -> dict:
     """Columns of blocks lo..hi-1 of a batch, each block simulated whole,
     stepped together in chunks of at most ``_CHUNK`` blocks."""
-    plan, master_seed, lo, hi, record_cells = args
+    plan, master_seed, lo, hi = args
     parts = []
     for first in range(lo, hi, _CHUNK):
         blocks = range(first, min(first + _CHUNK, hi))
         seeds = [np.random.SeedSequence(entropy=master_seed, spawn_key=(b,)) for b in blocks]
         rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-        parts.append(_simulate_chunk(plan, rngs, BLOCK, record_cells))
+        parts.append(_simulate_chunk(plan, rngs, BLOCK))
     return _join(parts)
 
 
@@ -417,7 +391,6 @@ def run_batch(
     constants: TheoreticalConstants | None = None,
     ns: Sequence[int] | None = None,
     workers: int = 1,
-    record_cells: bool = False,
     overflow_cap: int = OVERFLOW_CAP,
 ) -> BatchResult:
     """R independent replicates, simulated in whole blocks of ``BLOCK``.
@@ -430,11 +403,11 @@ def run_batch(
     n_blocks = max(1, -(-R // BLOCK))
     workers = max(1, int(workers))
     if workers == 1 or n_blocks < 2 * workers:
-        chunks = [_run_blocks((plan, master_seed, 0, n_blocks, record_cells))]
+        chunks = [_run_blocks((plan, master_seed, 0, n_blocks))]
     else:
         bounds = np.linspace(0, n_blocks, min(n_blocks, workers * 4) + 1, dtype=int)
         tasks = [
-            (plan, master_seed, int(lo), int(hi), record_cells)
+            (plan, master_seed, int(lo), int(hi))
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         # imported here: multiprocessing costs ~15 ms of import, and a batch

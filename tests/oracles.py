@@ -2,8 +2,9 @@
 
 Everything in this module is deliberately written the *slow, obvious* way:
 exact rational first/second moment recursions, per-individual replay of the
-recorded multinomial cells, a reference KS tail from scipy, the one-shot
-bootstrap resample that the blocked one must equal, the
+multinomial cells that the block-by-block simulator below records, a
+reference KS tail from scipy, the one-shot bootstrap resample that the
+blocked one must equal, the
 replicate-by-replicate studentization that the columnar one must equal,
 LAPACK's ordered-Schur spectral projector that the deflation one must equal,
 full-operator powers that the projected ones must equal, the
@@ -350,26 +351,45 @@ def batch_from_rows(rows, *, n: int, N: int, ns, master_seed: int = 0) -> BatchR
 # ---------------------------------------------------------------------------
 
 
-def per_block_columns(plan, master_seed: int, R: int, record_cells: bool = False) -> dict:
+def per_block_columns(plan, master_seed: int, R: int) -> dict:
     """The batch columns of R replicates simulated one block at a time, with one
     multinomial call per parent type present and generation: the form the
     chunk-stepped ``cmjsim.simulator`` must equal bit for bit.  ``plan`` is
-    ``cmjsim.simulator._plan(...)``, which only gathers the inputs."""
+    ``cmjsim.simulator._plan(...)``, which only gathers the inputs.
+
+    "cells" holds the draws, which the batch does not: the ``(R, n_outcomes)``
+    multinomial counts per ``(generation, type)`` ("offspring") and per
+    ``(p, t, k, j)`` noise cell ("noise"), zeros where nothing was drawn."""
     blocks = []
     for b in range(-(-R // BLOCK)):
         seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(b,))
-        blocks.append(_one_block(plan, np.random.Generator(np.random.PCG64(seed)), record_cells))
+        blocks.append(_one_block(plan, np.random.Generator(np.random.PCG64(seed)), BLOCK))
 
     def join(parts):
         if isinstance(parts[0], dict):
             return {key: join([part[key] for part in parts]) for key in parts[0]}
-        return None if parts[0] is None else np.concatenate(parts)[:R]
+        return np.concatenate(parts)[:R]
 
     return join(blocks)
 
 
-def _one_block(plan, rng: np.random.Generator, record_cells: bool) -> dict:
-    model, N, B = plan.model, plan.N, BLOCK
+def replicate_columns(plan, seed: int) -> dict:
+    """The columns, cells included, of one replicate drawn from ``PCG64(seed)``:
+    the form ``cmjsim.simulator.run_replicate`` must equal bit for bit."""
+    return _one_block(plan, np.random.Generator(np.random.PCG64(seed)), 1)
+
+
+def row_cells(cells: dict, i: int) -> dict:
+    """Row i of recorded cells, as ``replay_states`` reads them: each table
+    keeps the keys whose counts are not all zero."""
+    return {
+        part: {key: col[i] for key, col in table.items() if col[i].any()}
+        for part, table in cells.items()
+    }
+
+
+def _one_block(plan, rng: np.random.Generator, B: int) -> dict:
+    model, N = plan.model, plan.N
     states = np.zeros((N + 1, B, model.J), dtype=np.int64)
     states[0] = model.z0()
     aborted = np.zeros(B, dtype=bool)
@@ -413,28 +433,24 @@ def _one_block(plan, rng: np.random.Generator, record_cells: bool) -> dict:
     if plan.v is not None:
         zf = X[N]
         w_hat = np.real(zf @ plan.v) * plan.rho ** (-N)
-        for (p, t), z in zphi.items():
-            if t in plan.T_terms:
-                mart_row, critical, r_t = plan.T_terms[t]
-                T[(p, t)] = (z - zf @ mart_row - critical) / r_t
+        for t, (mart_row, critical, r_t) in plan.T_terms.items():
+            T[(0, t)] = (zphi[(0, t)] - zf @ mart_row - critical) / r_t
     nan = complex(math.nan, math.nan)
     w_hat[aborted] = np.nan
     for col in (*zphi.values(), *T.values()):
         col[aborted] = nan
 
-    cells = None
-    if record_cells:
-        cells = {
-            "offspring": {
-                (g, j): draws.get(j, np.zeros((B, law.n_outcomes), dtype=np.int64))
-                for g, draws in enumerate(draws_by_g)
-                for j, law in enumerate(model.laws)
-            },
-            "noise": {
-                (p, t, k, j): noise_draws.get((p, t, k, j), np.zeros((B, len(probs)), dtype=np.int64))
-                for p, t, k, j, probs, _ in plan.noise
-            },
-        }
+    cells = {
+        "offspring": {
+            (g, j): draws.get(j, np.zeros((B, law.n_outcomes), dtype=np.int64))
+            for g, draws in enumerate(draws_by_g)
+            for j, law in enumerate(model.laws)
+        },
+        "noise": {
+            (p, t, k, j): noise_draws.get((p, t, k, j), np.zeros((B, len(probs)), dtype=np.int64))
+            for p, t, k, j, probs, _ in plan.noise
+        },
+    }
     return {"aborted": aborted, "z_final": states[N], "w_hat": w_hat, "zphi": zphi, "T": T, "cells": cells}
 
 

@@ -25,6 +25,7 @@ from cmjsim import (
     star_transform,
 )
 from cmjsim.characteristics import Characteristic, expected_process
+from cmjsim.simulator import BLOCK
 from cmjsim.spectral import projected_power
 from cmjsim.stats import (
     bootstrap_variance_se,
@@ -404,10 +405,14 @@ def test_a09_sigma_l_oracle_agreement(mirror, jordan):
 def test_a10_deterministic_csv_across_workers(tmp_path, jordan):
     t0 = time.perf_counter()
     model, S = jordan.model, jordan.S
+    # nine blocks: at least two per worker, so four workers run in the pool
+    R = 8 * BLOCK + 7
+    n_blocks = -(-R // BLOCK)
+    assert n_blocks == 9 and n_blocks >= 2 * 4
     blobs = []
     for workers in (1, 4):
         batch = run_batch(
-            model, jordan.phi, 8, 12, 40, SEED + 900, S=S, ns=[6, 8], workers=workers
+            model, jordan.phi, 8, 12, R, SEED + 900, S=S, ns=[6, 8], workers=workers
         )
         path = tmp_path / f"w{workers}.csv"
         batch.to_csv(path, t=8)
@@ -416,7 +421,7 @@ def test_a10_deterministic_csv_across_workers(tmp_path, jordan):
         "A10",
         "identical scenario and seed give byte-identical CSVs for any worker count",
         blobs[0] == blobs[1],
-        f"{len(blobs[0])} bytes, workers 1 vs 4",
+        f"{len(blobs[0])} bytes, {n_blocks} blocks, workers 1 vs 4",
         t0,
         budget=30.0,
     )

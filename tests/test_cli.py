@@ -74,6 +74,16 @@ def test_schema_error_names_the_offending_key(tmp_path, capsys):
     assert "run.replicates" in err
 
 
+@pytest.mark.parametrize("output", [5, "out"])
+def test_non_mapping_output_section_is_a_schema_error(output, tmp_path, capsys):
+    d = preset("cross_feed").to_dict()
+    d["output"] = output
+    path = write_yaml(tmp_path, "bad_output.yaml", d)
+    rc, out, err = run_cli(["analyze", "--scenario", path], capsys)
+    assert rc == EXIT_USAGE and not out
+    assert err == "error: output: expected a mapping\n"
+
+
 def test_trajectory_past_the_horizon_is_a_schema_error(tmp_path, capsys):
     d = preset("cross_feed").to_dict()
     d["run"].update(n=10, delta=2, trajectory=[4, 30])

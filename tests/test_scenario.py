@@ -134,6 +134,13 @@ def test_unknown_keys_are_rejected():
     assert "run" in str(err.value)
 
 
+@pytest.mark.parametrize("section", ["5", "out"])
+def test_output_section_must_be_a_mapping(section):
+    with pytest.raises(ScenarioError) as err:
+        loads_scenario(MINIMAL + f"output: {section}\n")
+    assert str(err.value) == "output: expected a mapping"
+
+
 def test_run_value_bounds():
     with pytest.raises(ScenarioError) as err:
         loads_scenario(MINIMAL + "  replicates: 0\n")

@@ -23,7 +23,14 @@ from cmjsim.characteristics import Characteristic, NoiseLaw
 from cmjsim.simulator import BLOCK, normalization, step_generation
 from cmjsim.spectral import projected_power
 
-from oracles import naive_process_value, per_block_columns, replay_states
+from oracles import (
+    batch_from_rows,
+    naive_process_value,
+    per_block_columns,
+    replay_states,
+    replicate_columns,
+    row_cells,
+)
 
 
 def test_deterministic_doubling_counts():
@@ -73,71 +80,91 @@ def _mirror_replay_phis(mirror):
     return [star.characteristic, noisy]
 
 
-def _assert_replays(model, phis, rep, times, N):
-    """The replicate's values equal the per-individual replay of its cells."""
-    states = replay_states(model, rep.cells, N)
-    assert np.array_equal(states[N], rep.z_final), rep.index
+def _capped_phi():
+    """Base, coeff and noise rows for the one-type binary-split preset."""
+    return Characteristic(
+        1,
+        base={0: np.array([1.0]), 2: np.array([-0.5])},
+        coeff={0: np.array([2.0]), 1: np.array([0.5])},
+        noise={(0, 0): NoiseLaw((0.25, 0.75), (3.0, -1.0))},
+    )
+
+
+def _assert_replays(model, phis, columns, i, times, N):
+    """Row i's values equal the per-individual replay of its recorded cells
+    (``columns`` from the block-by-block oracle, whose bits the library's
+    batch has on the same inputs)."""
+    cells = row_cells(columns["cells"], i)
+    states = replay_states(model, cells, N)
+    assert np.array_equal(states[N], columns["z_final"][i]), i
     for p, phi in enumerate(phis):
         for t in times:
-            naive = naive_process_value(model, phi, rep.cells, states, t, N, phi_index=p)
-            fast = rep.zphi[(p, t)]
-            assert abs(fast - naive) < 1e-9 * max(1.0, abs(naive)), (rep.index, p, t)
+            naive = naive_process_value(model, phi, cells, states, t, N, phi_index=p)
+            fast = columns["zphi"][(p, t)][i]
+            assert abs(fast - naive) < 1e-9 * max(1.0, abs(naive)), (i, p, t)
+
+
+def _assert_replicate_equals_oracle(rep, plan, seed):
+    """``run_replicate(seed)`` has the bits of the oracle's block of one
+    drawn from ``PCG64(seed)``."""
+    want = replicate_columns(plan, seed)
+    del want["cells"]
+    _assert_columns_equal(batch_from_rows([rep], n=plan.ns[-1], N=plan.N, ns=plan.ns), want)
 
 
 def test_aggregated_values_equal_per_individual_replay(mirror):
     """The multinomial aggregation must reproduce, exactly, the sum over
     individuals of base + centered-litter + noise contributions."""
     phis = _mirror_replay_phis(mirror)
+    plan = simulator._plan(mirror.model, phis, 8, 10, [4, 8], None, None, simulator.OVERFLOW_CAP)
     for seed in range(6):
-        rep = run_replicate(mirror.model, phis, n=8, N=10, seed=seed, ns=[4, 8], record_cells=True)
-        assert rep.cells["noise"]
-        _assert_replays(mirror.model, phis, rep, (4, 8), 10)
+        rep = run_replicate(mirror.model, phis, n=8, N=10, seed=seed, ns=[4, 8])
+        _assert_replicate_equals_oracle(rep, plan, seed)
+        columns = per_block_columns(plan, seed, 1)
+        assert row_cells(columns["cells"], 0)["noise"]
+        _assert_replays(mirror.model, phis, columns, 0, (4, 8), 10)
 
 
 def test_block_replicates_replay_per_individual(mirror):
     """Replicates from the middle of the second block replay exactly, coeff
     and noise cells included."""
     phis = _mirror_replay_phis(mirror)
-    batch = run_batch(
-        mirror.model, phis, n=8, N=10, R=2 * BLOCK, master_seed=8_128, ns=[4, 8],
-        record_cells=True,
-    )
+    plan = simulator._plan(mirror.model, phis, 8, 10, [4, 8], None, None, simulator.OVERFLOW_CAP)
+    columns = per_block_columns(plan, 8_128, 2 * BLOCK)
     mid = BLOCK + BLOCK // 2
-    for rep in batch.replicates[mid - 3 : mid + 3]:
-        assert rep.cells["noise"]
-        _assert_replays(mirror.model, phis, rep, (4, 8), 10)
+    for i in range(mid - 3, mid + 3):
+        assert row_cells(columns["cells"], i)["noise"]
+        _assert_replays(mirror.model, phis, columns, i, (4, 8), 10)
 
 
 def test_overflow_aborts_part_of_a_block(single_type):
     """The overflow guard is per replicate: aborted replicates carry no
     values, and the rest of the block still replays exactly."""
-    model = single_type.model
-    noisy = Characteristic(
-        1,
-        base={0: np.array([1.0]), 2: np.array([-0.5])},
-        coeff={0: np.array([2.0]), 1: np.array([0.5])},
-        noise={(0, 0): NoiseLaw((0.25, 0.75), (3.0, -1.0))},
-    )
+    model, noisy = single_type.model, _capped_phi()
     batch = run_batch(
-        model, noisy, n=8, N=9, R=BLOCK, master_seed=77, S=single_type.S,
-        record_cells=True, overflow_cap=600,
+        model, noisy, n=8, N=9, R=BLOCK, master_seed=77, S=single_type.S, overflow_cap=600,
     )
     aborted = [r for r in batch.replicates if r.aborted]
     kept = [r for r in batch.replicates if not r.aborted]
     assert aborted and kept
     for rep in aborted:
         assert rep.z_final is None and rep.w_hat is None and rep.zphi == {}
+    plan = simulator._plan(model, noisy, 8, 9, None, single_type.S, None, 600)
+    columns = per_block_columns(plan, 77, BLOCK)
     for rep in kept:
         # litters are 1 or 3, so a kept replicate never had more than 600 // 3
         # individuals before its last draw
         assert rep.z_final.sum() <= 600
-        _assert_replays(model, [noisy], rep, (8,), 9)
+        _assert_replays(model, [noisy], columns, rep.index, (8,), 9)
 
 
 def test_replayed_states_match_final_count(single_type):
-    rep = run_replicate(single_type.model, single_type.phi, n=9, N=9, seed=7, record_cells=True)
-    states = replay_states(single_type.model, rep.cells, 9)
-    assert np.array_equal(states[9], rep.z_final)
+    model, phi = single_type.model, single_type.phi
+    plan = simulator._plan(model, phi, 9, 9, None, None, None, simulator.OVERFLOW_CAP)
+    _assert_replicate_equals_oracle(run_replicate(model, phi, n=9, N=9, seed=7), plan, 7)
+    columns = per_block_columns(plan, 7, 1)
+    states = replay_states(model, row_cells(columns["cells"], 0), 9)
+    assert np.array_equal(states[9], columns["z_final"][0])
 
 
 def test_martingale_gap_identity_pathwise(single_type):
@@ -145,11 +172,13 @@ def test_martingale_gap_identity_pathwise(single_type):
     model, S = single_type.model, single_type.S
     n, N = 6, 10
     phi1 = make_phi1(S, np.array([1.0]), model=model, k_min=n - N + 1)
+    plan = simulator._plan(model, phi1, n, N, None, None, None, simulator.OVERFLOW_CAP)
     for seed in range(50):
-        rep = run_replicate(model, phi1, n=n, N=N, seed=seed, record_cells=True)
-        states = replay_states(model, rep.cells, N)
-        gap = 2.0 ** (n - N) * rep.z_final[0] - states[n][0]
-        got = rep.zphi[(0, n)].real
+        _assert_replicate_equals_oracle(run_replicate(model, phi1, n=n, N=N, seed=seed), plan, seed)
+        columns = per_block_columns(plan, seed, 1)
+        states = replay_states(model, row_cells(columns["cells"], 0), N)
+        gap = 2.0 ** (n - N) * columns["z_final"][0, 0] - states[n][0]
+        got = columns["zphi"][(0, n)][0].real
         assert abs(got - gap) < 1e-9 * max(1.0, abs(gap))
 
 
@@ -321,6 +350,17 @@ def test_aborted_rows_hold_nan_in_every_float_column(tmp_path, single_type):
         assert (row[2:] == ["nan"] * 5) == gone, row
 
 
+def test_statistic_exists_for_characteristic_0_only(mirror):
+    """The constants are characteristic 0's, so only its T is formed."""
+    phis = [mirror.phi, _mirror_replay_phis(mirror)[1]]
+    batch = run_batch(
+        mirror.model, phis, n=8, N=10, R=4, master_seed=5, S=mirror.S, constants=mirror.constants,
+        ns=[4, 8],
+    )
+    assert set(batch.zphi) == {(0, 4), (0, 8), (1, 4), (1, 8)}
+    assert set(batch.T) == {(0, 4), (0, 8)}
+
+
 def test_multiple_observation_times(mirror):
     rep = run_replicate(mirror.model, mirror.phi, n=8, N=10, seed=6, ns=[4, 6, 8])
     assert {(0, 4), (0, 6), (0, 8)} == set(rep.zphi)
@@ -404,7 +444,7 @@ def test_step_generation_splits_rows_between_generators():
 def _assert_columns_equal(batch, want):
     got = {
         "aborted": batch.aborted, "z_final": batch.z_final, "w_hat": batch.w_hat,
-        "zphi": batch.zphi, "T": batch.T, "cells": batch.cells,
+        "zphi": batch.zphi, "T": batch.T,
     }
 
     def walk(a, b, path):
@@ -412,8 +452,6 @@ def _assert_columns_equal(batch, want):
             assert a.keys() == b.keys(), path
             for key in b:
                 walk(a[key], b[key], f"{path}/{key}")
-        elif b is None:
-            assert a is None, path
         else:
             assert a.dtype == b.dtype and a.shape == b.shape, path
             assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), path
@@ -434,38 +472,45 @@ def _oracle_case(case, request):
         # litters of 1 or 3, so some replicates pass 1500 // 3 individuals
         # before generation 10: the cap aborts about half of each block
         s = request.getfixturevalue("single_type")
-        noisy = Characteristic(
-            1,
-            base={0: np.array([1.0]), 2: np.array([-0.5])},
-            coeff={0: np.array([2.0]), 1: np.array([0.5])},
-            noise={(0, 0): NoiseLaw((0.25, 0.75), (3.0, -1.0))},
-        )
-        return 31_337, s.model, noisy, 8, 10, None, s.S, s.constants, 1500
+        return 31_337, s.model, _capped_phi(), 8, 10, None, s.S, s.constants, 1500
+    if case == "overflow":
+        # the inputs of test_overflow_aborts_part_of_a_block
+        s = request.getfixturevalue("single_type")
+        return 77, s.model, _capped_phi(), 8, 9, None, s.S, None, 600
+    if case == "phi1_gap":
+        # the inputs of test_martingale_gap_identity_pathwise
+        s = request.getfixturevalue("single_type")
+        n, N = 6, 10
+        phi1 = make_phi1(s.S, np.array([1.0]), model=s.model, k_min=n - N + 1)
+        return 0, s.model, phi1, n, N, None, s.S, None, simulator.OVERFLOW_CAP
     return 4_099, _mixed_laws_model(), _mixed_laws_phi(), 6, 7, [5, 6], None, None, simulator.OVERFLOW_CAP
 
 
 def _assert_equals_oracle(case, R, request, workers=1):
+    """The batch has the bits of the oracle's columns; returns the oracle's
+    recorded cells."""
     seed, model, phis, n, N, ns, S, constants, cap = _oracle_case(case, request)
     plan = simulator._plan(model, phis, n, N, ns, S, constants, cap)
-    for record_cells in (False, True):
-        batch = run_batch(
-            model, phis, n, N, R, seed, S=S, constants=constants, ns=ns, workers=workers,
-            record_cells=record_cells, overflow_cap=cap,
-        )
-        _assert_columns_equal(batch, per_block_columns(plan, seed, R, record_cells))
-    return batch
+    batch = run_batch(
+        model, phis, n, N, R, seed, S=S, constants=constants, ns=ns, workers=workers,
+        overflow_cap=cap,
+    )
+    want = per_block_columns(plan, seed, R)
+    cells = want.pop("cells")
+    _assert_columns_equal(batch, want)
+    return batch, cells
 
 
 @pytest.mark.parametrize("R", CHUNK_RS)
-@pytest.mark.parametrize("case", ["mirror", "capped", "mixed"])
+@pytest.mark.parametrize("case", ["mirror", "capped", "mixed", "overflow", "phi1_gap"])
 def test_chunks_equal_the_per_block_oracle(case, R, request):
-    """Every column, and every recorded cell, has the bits of the batch
-    simulated block by block with one multinomial call per type."""
-    batch = _assert_equals_oracle(case, R, request)
-    if case == "capped" and R >= BLOCK:
+    """Every column has the bits of the batch simulated block by block with
+    one multinomial call per type."""
+    batch, cells = _assert_equals_oracle(case, R, request)
+    if case in ("capped", "overflow") and R >= BLOCK:
         assert 0 < batch.aborted[:BLOCK].sum() < BLOCK
     if case == "mixed":
-        assert batch.cells["noise"][(0, 6, 1, 2)].any()
+        assert cells["noise"][(0, 6, 1, 2)].any()
 
 
 @pytest.mark.parametrize("R", [1797, 9 * BLOCK + 7])

@@ -295,14 +295,13 @@ def synth_batch(
                 w_hat=w,
                 zphi={(0, t): T[(0, t)] for t in ns},
                 T=T,
-                cells=None,
             )
         )
     for i in range(aborted):
         reps.append(
             ReplicateResult(
                 index=m + i, survived=True, aborted=True, z_final=None,
-                w_hat=None, zphi={}, T={}, cells=None,
+                w_hat=None, zphi={}, T={},
             )
         )
     return batch_from_rows(reps, n=n, N=N, ns=ns, master_seed=seed)
@@ -415,7 +414,7 @@ def test_degenerate_scale_uses_decay_branch(degenerate):
             ReplicateResult(
                 index=i, survived=True, aborted=False,
                 z_final=np.array([1, 1], dtype=np.int64), w_hat=1.0,
-                zphi=dict(T), T=T, cells=None,
+                zphi=dict(T), T=T,
             )
         )
     batch = batch_from_rows(reps, n=12, N=16, ns=ns)
@@ -426,7 +425,7 @@ def test_degenerate_scale_uses_decay_branch(degenerate):
         ReplicateResult(
             index=r.index, survived=True, aborted=False, z_final=r.z_final,
             w_hat=1.0, zphi=r.zphi,
-            T={(0, t): complex(2.0**t) for t in ns}, cells=None,
+            T={(0, t): complex(2.0**t) for t in ns},
         )
         for r in reps
     )
@@ -447,7 +446,7 @@ def test_complex_statistics_gate_on_scaled_real_part(single_type):
             ReplicateResult(
                 index=i, survived=True, aborted=False, z_final=np.array([1], dtype=np.int64),
                 w_hat=w, zphi={(0, 10): sigma * math.sqrt(w) * g},
-                T={(0, 10): sigma * math.sqrt(w) * g}, cells=None,
+                T={(0, 10): sigma * math.sqrt(w) * g},
             )
         )
     batch = batch_from_rows(reps, n=10, N=14, ns=(10,))
