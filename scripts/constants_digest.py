@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import itertools
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,12 +28,13 @@ MODELS_PER_SEED = 200
 
 def _feed(h, obj) -> None:
     """Add ``obj`` to the hash: arrays and numbers by their raw bytes,
-    containers item by item, everything else by its repr."""
+    containers (any mapping, as a dict) item by item, everything else by its
+    repr."""
     import numpy as np
 
     if dataclasses.is_dataclass(obj):
         obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
+    if isinstance(obj, Mapping):
         h.update(b"{")
         for key, value in obj.items():
             _feed(h, key)

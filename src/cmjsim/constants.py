@@ -21,7 +21,9 @@ enumerated column covariances:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -57,7 +59,7 @@ class TheoreticalConstants:
     sigma2_error: float
     sigma_star2: float | None
     sigma_star2_error: float | None
-    B_table: dict
+    B_table: Mapping
     B_window: tuple[int, int]
     case: str  # "i", "ii" or "degenerate"
     sigma_case2: float
@@ -130,19 +132,45 @@ def compute_B(mt: dict, S: SpectralData, k: int) -> np.ndarray:
     return row
 
 
+class _BTable(Mapping):
+    """``{k: B(k)}`` over every summed k in ascending order, None where a row
+    lies outside float64 range, unscaled and indexed on first read: a caller
+    of ``window`` (the first and last summed k) alone pays no tail powers."""
+
+    def __init__(self, S: SpectralData, rows: np.ndarray, tails: list, ks: np.ndarray, keep: np.ndarray):
+        self._parts, kept = (S, rows, tails, ks, keep), ks[keep]
+        self.window = (int(kept.min()), int(kept.max())) if kept.size else (0, 0)
+
+    @cached_property
+    def _table(self) -> dict:
+        S, rows, tails, ks, keep = self._parts
+        table = list(rows) + [row for scaled, tail_ks in tails for row in unscaled(S, scaled, tail_ks)]
+        order = [i for i in np.argsort(ks).tolist() if keep[i]]
+        return dict(zip(ks[order].tolist(), [table[i] for i in order]))
+
+    def __getitem__(self, k):
+        return self._table[k]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+
 def compute_sigma2(
     phi: Characteristic,
     S: SpectralData,
     model: BranchingModel,
     eps_tail: float = 1e-14,
     window: tuple[int, int] | None = None,
-) -> tuple[float, float, dict]:
+) -> tuple[float, float, Mapping]:
     """Case-i variance sigma^2 = sum_k rho^{-k} u-weighted Var[phi(k) + psi(k)],
     where psi(k) = B(k) . (own column - its mean) recenters the counted
     process.  Returns ``(value, error, table)`` with ``error`` a certified
     bound on the discarded two-sided tail (geometric on both sides) and
-    ``table`` mapping every summed k to the unscaled ``B(k)``, or to None
-    where that row lies outside float64 range.
+    ``table`` mapping (read-only, built on first read) every summed k to the
+    unscaled ``B(k)``, or to None where that row lies outside float64 range.
 
     ``B`` is evaluated directly on the window where its piecewise projector
     changes, ``min(min age, 0) <= k <= max(max age + 1, 1)`` widened to the
@@ -169,7 +197,7 @@ def compute_sigma2(
     noise[[k - lo for k in noise_u]] = list(noise_u.values())
     k_parts = [ks]
     t_parts = [m_norm2(M, power_scaled(B + coeff, S.rho, ks / 2)) + power_scaled(noise, S.rho, ks)]
-    table = list(B)
+    tails = []
 
     up, down = (None, None) if window is None else (max(0, window[1] - hi), max(0, lo - window[0]))
     error = 0.0
@@ -180,15 +208,13 @@ def compute_sigma2(
         error += tail_error
         k_parts.append(ks)
         t_parts.append(terms)
-        table += unscaled(S, rows, ks)
+        tails.append((rows, ks))
     ks, terms = np.concatenate(k_parts), np.concatenate(t_parts)
     keep = np.full(len(ks), True) if window is None else (ks >= window[0]) & (ks <= window[1])
     value = float(np.sum(terms[keep]))
     if not np.isfinite(value):
         raise ArithmeticError("sigma2 lies outside float64 range")
-    order = np.argsort(ks)
-    order = order[keep[order]].tolist()
-    return value, error, dict(zip(ks[order].tolist(), [table[i] for i in order]))
+    return value, error, _BTable(S, B, tails, ks, keep)
 
 
 def compute_sigma_star2(
@@ -263,7 +289,6 @@ def compute_constants(
     if sigma2_err > EPS_REPORT:
         notes["sigma2_error_above_report"] = sigma2_err
 
-    ks = sorted(b_table) or [0]
     return TheoreticalConstants(
         x1=x1,
         x2=x2,
@@ -274,7 +299,7 @@ def compute_constants(
         sigma_star2=sigma_star2,
         sigma_star2_error=sigma_star2_err,
         B_table=b_table,
-        B_window=(ks[0], ks[-1]),
+        B_window=b_table.window,
         case=case,
         sigma_case2=float(sigma_case2),
         notes=notes,

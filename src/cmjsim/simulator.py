@@ -399,6 +399,8 @@ def run_batch(
     result is byte-identical for any worker count; workers only split the
     block range, and run in-process below two blocks per worker.
     """
+    if R < 0:
+        raise ValueError(f"R must be >= 0, got {R}")
     plan = _plan(model, phis, n, N, ns, S, constants, overflow_cap)
     n_blocks = max(1, -(-R // BLOCK))
     workers = max(1, int(workers))

@@ -271,6 +271,8 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("A must be finite")
     if np.any(A < 0):
         raise ValueError("A must be entrywise non-negative")
     n = A.shape[0]

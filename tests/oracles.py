@@ -12,7 +12,9 @@ block-by-block simulator with one multinomial call per parent type that the
 chunk-stepped one must equal, and the series engine's weights, stopping
 streak, mean tables and normal CDF taken one term at a time.
 None of it shares code with the package internals, so agreement is evidence
-rather than tautology.
+rather than tautology; the one exception is ``eager_b_table``, the eager
+construction of the B(k) table that the lazy one must equal, which reuses
+the library's rows because only the timing and order of the build differ.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ import scipy.stats
 
 from cmjsim import BranchingModel
 from cmjsim.characteristics import Characteristic
+from cmjsim.constants import compute_B
+from cmjsim.model import mixing_covariance
 from cmjsim.simulator import BLOCK, BatchResult
-from cmjsim.spectral import DEFAULT_TOL
+from cmjsim.spectral import DEFAULT_TOL, m_norm2, power_scaled, scaled_tail, unscaled
 
 
 # ---------------------------------------------------------------------------
@@ -512,3 +516,53 @@ def reference_mean_table(phi: Characteristic) -> dict:
         if np.any(row != 0):
             out[k] = row
     return out
+
+
+# ---------------------------------------------------------------------------
+# The B(k) table, built eagerly
+# ---------------------------------------------------------------------------
+
+
+def eager_b_table(phi: Characteristic, S, model: BranchingModel, eps_tail: float = 1e-14, window=None) -> dict:
+    """``{k: B(k)}`` as ``compute_sigma2`` built it before its table became
+    lazy: every tail row unscaled and indexed up front, in the same argsort
+    order.  It runs on the library's own rows, so it checks when and in
+    which order the table is built, not the rows themselves."""
+    mt = phi.mean_table()
+    M = mixing_covariance(model, S.u)
+    noise_u: dict[int, float] = {}
+    for (k, j), law in phi.noise.items():
+        noise_u[k] = noise_u.get(k, 0.0) + float(S.u[j]) * law.variance()
+
+    keys = set(phi.value_keys) | {0, 1}
+    if mt:
+        keys.add(max(mt) + 1)
+    lo, hi = min(keys), max(keys)
+    ks = np.arange(lo, hi + 1)
+    B = np.array([compute_B(mt, S, k) for k in ks]) if mt else np.zeros((len(ks), S.J), dtype=complex)
+    coeff = np.zeros((len(ks), S.J), dtype=complex)
+    coeff[[k - lo for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
+    noise = np.zeros(len(ks))
+    noise[[k - lo for k in noise_u]] = list(noise_u.values())
+    k_parts = [ks]
+    t_parts = [m_norm2(M, power_scaled(B + coeff, S.rho, ks / 2)) + power_scaled(noise, S.rho, ks)]
+    table = list(B)
+
+    up, down = (None, None) if window is None else (max(0, window[1] - hi), max(0, lo - window[0]))
+    error = 0.0
+    for first, sign, count in ((hi + 1, 1, up), (lo - 1, -1, down)):
+        w = power_scaled(compute_B(mt, S, first), S.rho, first / 2)
+        rows, terms, tail_error = scaled_tail(S, M, w, sign, "sigma2 tail", eps_tail, count)
+        ks = first + sign * np.arange(len(terms))
+        error += tail_error
+        k_parts.append(ks)
+        t_parts.append(terms)
+        table += unscaled(S, rows, ks)
+    ks, terms = np.concatenate(k_parts), np.concatenate(t_parts)
+    keep = np.full(len(ks), True) if window is None else (ks >= window[0]) & (ks <= window[1])
+    value = float(np.sum(terms[keep]))
+    if not np.isfinite(value):
+        raise ArithmeticError("sigma2 lies outside float64 range")
+    order = np.argsort(ks)
+    order = order[keep[order]].tolist()
+    return dict(zip(ks[order].tolist(), [table[i] for i in order]))

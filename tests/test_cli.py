@@ -308,6 +308,16 @@ def test_verify_constants_block_is_the_constants_one_without_the_B_table(name, c
     assert json_payload(out)["constants"] == want
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_verify_never_builds_the_B_table(name, unscaled_calls, capsys):
+    """verify leaves the B(k) table out of its report, so no tail row is
+    unscaled; ``constants`` prints the table and builds it."""
+    run_cli(["verify", "--scenario", name], capsys)
+    assert unscaled_calls == []
+    run_cli(["constants", "--scenario", name], capsys)
+    assert unscaled_calls
+
+
 def test_verify_requested_case_mismatch_is_refused(tmp_path, capsys):
     d = preset("cross_feed").to_dict()
     d["run"]["case"] = "ii"  # no polynomial index exists for this pair

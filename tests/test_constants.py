@@ -33,7 +33,7 @@ from cmjsim.presets import _bernoulli_column, preset_names
 from cmjsim.spectral import power_scaled
 
 from conftest import bundle
-from oracles import exact_linear_variance
+from oracles import eager_b_table, exact_linear_variance
 
 
 # -- frozen per-preset constants ----------------------------------------------
@@ -449,3 +449,47 @@ def test_cached_tail_blocks_do_not_depend_on_call_order(lam2):
         assert sorted(tails) == [("tail", -1), ("tail", 1)]
         # blocks of 1, 2, 4, ..., 256 terms, and one long tail reaches the last
         assert max(len(blocks) for blocks in tails.values()) == 9
+
+
+# -- the B(k) table is built on first read ------------------------------------
+
+
+def _assert_same_table(got, want) -> None:
+    assert list(got) == list(want)
+    for k, row in want.items():
+        if row is None:
+            assert got[k] is None, k
+        else:
+            assert got[k].dtype == row.dtype and got[k].tobytes() == row.tobytes(), k
+
+
+def test_b_table_is_built_on_first_read(unscaled_calls):
+    # the rho = 1.5 pair's descending tail runs past k = -3000
+    model, S = _symmetric_pair(1.5, 1.2309)
+    c = compute_constants(_perron_orthogonal(S), S, model)
+    assert c.B_window[0] < -2000 and unscaled_calls == []
+    keys = list(c.B_table)
+    assert len(unscaled_calls) == 2  # one per tail
+    assert c.B_window == (keys[0], keys[-1])
+    assert list(c.B_table) == keys and len(unscaled_calls) == 2  # built once
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_b_table_equals_the_eager_build_on_presets(name):
+    b = bundle(name)
+    phi, _ = build_characteristic(b.scenario, b.model, b.S)
+    eps_tail = b.scenario.run["eps_tail"]
+    c = compute_constants(phi, b.S, b.model, eps_tail=eps_tail)
+    _assert_same_table(c.B_table, eager_b_table(phi, b.S, b.model, eps_tail=eps_tail))
+
+
+@pytest.mark.parametrize("rho, lam2", [(4.0, 2.03), (1.5, 1.2309)])
+def test_b_table_equals_the_eager_build_near_criticality(rho, lam2):
+    model, S = _symmetric_pair(rho, lam2)
+    phi = make_indicator_characteristic(_perron_orthogonal(S))
+    _assert_same_table(compute_constants(phi, S, model).B_table, eager_b_table(phi, S, model))
+    # a hard window keeps only the k inside it
+    window = (-40, 30)
+    _, _, table = compute_sigma2(phi, S, model, window=window)
+    _assert_same_table(table, eager_b_table(phi, S, model, window=window))
+    assert (min(table), max(table)) == window

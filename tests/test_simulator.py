@@ -137,6 +137,21 @@ def test_block_replicates_replay_per_individual(mirror):
         _assert_replays(mirror.model, phis, columns, i, (4, 8), 10)
 
 
+def test_non_symmetric_mean_matrix_replays_per_individual(request):
+    """Rows of the ``mixed`` oracle case replay individual by individual,
+    coeff and noise cells included.  Its mean matrix is not symmetric, so a
+    litter centred on a row of ``A`` instead of its column shows here."""
+    seed, model, phi, n, N, ns, S, constants, cap = _oracle_case("mixed", request)
+    assert not np.array_equal(model.A, model.A.T)
+    plan = simulator._plan(model, phi, n, N, ns, S, constants, cap)
+    columns = per_block_columns(plan, seed, BLOCK)
+    rows = range(16)
+    assert any(row_cells(columns["cells"], i)["noise"] for i in rows)
+    assert all(columns["z_final"][i].any() for i in rows)
+    for i in rows:
+        _assert_replays(model, [phi], columns, i, ns, N)
+
+
 def test_overflow_aborts_part_of_a_block(single_type):
     """The overflow guard is per replicate: aborted replicates carry no
     values, and the rest of the block still replays exactly."""
@@ -359,6 +374,17 @@ def test_statistic_exists_for_characteristic_0_only(mirror):
     )
     assert set(batch.zphi) == {(0, 4), (0, 8), (1, 4), (1, 8)}
     assert set(batch.T) == {(0, 4), (0, 8)}
+
+
+@pytest.mark.parametrize("R", [-1, -BLOCK, -BLOCK - 1])
+def test_negative_replicate_count_is_refused(mirror, R):
+    with pytest.raises(ValueError, match="R must be >= 0"):
+        run_batch(mirror.model, mirror.phi, n=8, N=10, R=R, master_seed=0)
+
+
+def test_zero_replicates_give_an_empty_batch(mirror):
+    batch = run_batch(mirror.model, mirror.phi, n=8, N=10, R=0, master_seed=0)
+    assert batch.aborted.shape == (0,) and batch.z_final.shape == (0, 2)
 
 
 def test_multiple_observation_times(mirror):

@@ -302,6 +302,12 @@ def test_negative_entries_are_rejected():
         spectral_decompose(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_rejected(bad):
+    with pytest.raises(ValueError, match="A must be finite"):
+        spectral_decompose(np.array([[2.0, bad], [1.0, 2.0]]))
+
+
 def test_defective_radius_root_is_refused():
     # [[2,0],[1,2]] has a genuine Jordan block at the spectral radius, so the
     # right/left radius eigenvectors are orthogonal and no meaningful
