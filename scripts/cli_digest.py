@@ -1,4 +1,4 @@
-"""Print one sha256 per preset and CLI subcommand over everything it outputs.
+"""Print one sha256 per scenario and CLI subcommand over everything it outputs.
 
     python3 scripts/cli_digest.py [--tree DIR]
 
@@ -8,12 +8,25 @@ Runs ``cmjsim.cli.main`` in-process on every preset for ``analyze``,
 directory.  Every preset is at most three blocks, which two workers run
 in-process, so ``simulate`` also runs at both worker counts on a scenario
 file of ``asym_leak`` with ``run.replicates: 1100``: five blocks, which two
-workers run in the process pool (lines named ``asym_leak@1100``).  Each line hashes the run's stdout, stderr, exit code and every
+workers run in the process pool (lines named ``asym_leak@1100``).
+
+Every preset counts an indicator with R >= 50, so the same runs also go
+over scenario files derived from presets that reach what no preset does:
+``asym_leak`` with the coeff and noise cells of ``perfbench/calibration.py``'s
+``asym_leak_custom`` at its own 600 replicates, at 1 and at 1100
+(``asym_leak_custom``, ``asym_leak_custom@1``, ``asym_leak_custom@1100``);
+``single_type_binary`` counted by phi1 (``single_type_binary+kesten_stigum``);
+``two_type_mirror`` counted by a base table at ages -1, 0 and 1 with a
+trajectory and no requested case (``two_type_mirror+table``); and the
+``two_type_mirror`` indicator at one replicate (``two_type_mirror@1``).
+
+Each line hashes the run's stdout, stderr, exit code and every
 file it wrote (name and bytes), with the output directory's path masked,
 and ends with the run's name and exit code.  Two trees that print the same
 line ran that command with the same output byte for byte.  ``--tree``
-measures another checkout of the program (default: this one); nothing is
-written outside a temporary directory.
+measures another checkout of the program (default: this one), always with
+this checkout's ``asym_leak_custom``; nothing is written outside a
+temporary directory.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ RUNS = (
     ("simulate", ("--workers", "2")),
 )
 POOLED = ("asym_leak", 1100)
+TABLE = {"kind": "table", "base": {-1: ["1", "0"], 0: ["1", "-1"], 1: ["0", "1"]}}
 MASK = "<out>"
 
 
@@ -61,10 +75,34 @@ def _run(main, scenario: str, command: str, extra: tuple) -> tuple[str, int]:
     return h.hexdigest(), code
 
 
+def _replicates(doc: dict, replicates: int) -> dict:
+    return {**doc, "run": {**doc["run"], "replicates": replicates}}
+
+
+def _derived(preset):
+    """``(name, scenario document)`` of each scenario file derived from a
+    preset to reach a path that no preset does."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from calibration import asym_leak_custom
+
+    custom = asym_leak_custom().to_dict()
+    yield "asym_leak_custom", custom
+    for replicates in (1, 1100):
+        yield f"asym_leak_custom@{replicates}", _replicates(custom, replicates)
+    ks = preset("single_type_binary").to_dict()
+    ks["characteristic"] = {"kind": "kesten_stigum", "row": ["1"]}
+    yield "single_type_binary+kesten_stigum", ks
+    mirror = preset("two_type_mirror").to_dict()
+    table = {**mirror, "characteristic": TABLE, "run": {**mirror["run"], "trajectory": [10, 12]}}
+    del table["run"]["case"]
+    yield "two_type_mirror+table", table
+    yield "two_type_mirror@1", _replicates(mirror, 1)
+
+
 def digests(tree: Path):
     """Yield ``(digest, name, command, extra, exit code)`` for the program
     in ``tree``, presets in ``PRESETS`` order, then the pooled ``simulate``
-    runs."""
+    runs, then every run on each derived scenario."""
     sys.path.insert(0, str(tree / "src"))
     from cmjsim.cli import main
     from cmjsim.presets import PRESETS, preset
@@ -75,15 +113,16 @@ def digests(tree: Path):
             value, code = _run(main, name, command, extra)
             yield value, name, command, extra, code
     name, replicates = POOLED
-    doc = preset(name).to_dict()
-    doc["run"] = {**doc["run"], "replicates": replicates}
+    files = [(f"{name}@{replicates}", _replicates(preset(name).to_dict(), replicates), "simulate")]
+    files += [(derived, doc, None) for derived, doc in _derived(preset)]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"{name}.yaml"
-        save_scenario(scenario_from_dict(doc), path)
-        for command, extra in RUNS:
-            if command == "simulate":
-                value, code = _run(main, str(path), command, extra)
-                yield value, f"{name}@{replicates}", command, extra, code
+        for name, doc, only in files:
+            path = Path(tmp) / f"{name}.yaml"
+            save_scenario(scenario_from_dict(doc), path)
+            for command, extra in RUNS:
+                if only in (None, command):
+                    value, code = _run(main, str(path), command, extra)
+                    yield value, name, command, extra, code
 
 
 def main(argv=None) -> int:

@@ -411,7 +411,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:  # ScenarioError is a ValueError
+    except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, RuntimeError) as exc:

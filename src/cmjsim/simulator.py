@@ -14,20 +14,20 @@ process has exactly the law of the per-individual construction:
   drawn once per requested observation time.
 
 Replicates are simulated in blocks of ``BLOCK``.  Block ``b`` (replicates
-``b*BLOCK`` to ``(b+1)*BLOCK - 1``) draws from
-``SeedSequence(master_seed, spawn_key=(b,))`` and is always simulated whole,
-then cut to ``R``; so replicate k depends only on ``(master_seed, k)`` and
-workers, which split whole blocks, never change a result.  A given
-(scenario, seed) draws differently than in v0.1.0, where each replicate had
-its own stream.
+``b*BLOCK`` to ``(b+1)*BLOCK - 1``) draws from ``SeedSequence(master_seed,
+spawn_key=(b,))`` and is always simulated whole; so replicate k depends
+only on ``(master_seed, k)``, workers, which split whole blocks, never
+change a result, and ``run_replicate(seed)`` is replicate 0 of the batch
+with ``master_seed=seed``.  A given (scenario, seed) draws differently than
+in v0.1.0, where each replicate had its own stream.
 
 A worker steps its blocks together, up to ``_CHUNK`` at a time, in one
 ``(N+1, rows, J)`` count array.  Per generation each block makes one
 multinomial call over all its parent types and the front-padded laws
 (``BranchingModel.padded_laws``); numpy draws nothing for a zero
-probability, so a block draws what J per-type calls would.  Every value is
-an array product over the chunk, and chunks are concatenated into a
-columnar ``BatchResult``.
+probability, so a block draws what J per-type calls would.  A chunk returns
+only what it simulated; ``run_batch`` joins the chunks into columns, forms
+W_hat and T once on the whole blocks, and only then cuts every column to R.
 
 Counts are int64 throughout with a per-replicate overflow guard: a
 replicate whose next generation could exceed the cap is aborted, and its
@@ -92,11 +92,9 @@ def normalization(t: int, case: str, l_star: int | None, rho: float) -> float:
 
 def step_generation(
     model: BranchingModel, counts: np.ndarray, rngs: list[np.random.Generator]
-) -> tuple[np.ndarray, dict]:
+) -> np.ndarray:
     """Advance one generation of int64 type counts, ``(J,)`` for one
-    replicate or ``(B, J)`` for a block; returns the next counts and, per
-    parent type present, the multinomial outcome counts that produced them
-    (the coupling handle), shaped ``(n_outcomes,)`` or ``(B, n_outcomes)``.
+    replicate or ``(B, J)`` for a block, and return the next counts.
 
     The rows split into ``len(rngs)`` equal blocks, block i drawing from
     ``rngs[i]``.  A block makes one call over the front-padded laws, which
@@ -105,14 +103,7 @@ def step_generation(
     rows = counts.reshape(-1, model.J)
     B = len(rows) // len(rngs)
     parts = [g.multinomial(rows[i * B : (i + 1) * B].T, P) for i, g in enumerate(rngs)]
-    draws = np.concatenate(parts, axis=1)
-    K = P.shape[-1]
-    present = {
-        j: draws[j, :, K - law.n_outcomes :].reshape(*counts.shape[:-1], law.n_outcomes)
-        for j, law in enumerate(model.laws)
-        if rows[:, j].any()
-    }
-    return (draws @ M).sum(axis=0).reshape(counts.shape), present
+    return (np.concatenate(parts, axis=1) @ M).sum(axis=0).reshape(counts.shape)
 
 
 def _validate_windows(phis: Sequence[Characteristic], ns: Sequence[int], N: int) -> None:
@@ -139,7 +130,8 @@ def _validate_windows(phis: Sequence[Characteristic], ns: Sequence[int], N: int)
 
 @dataclass(frozen=True)
 class _Plan:
-    """Everything a chunk needs that does not change across replicates."""
+    """The simulation inputs that do not change across replicates: all that
+    a pool task pickles."""
 
     model: BranchingModel
     phis: tuple[Characteristic, ...]
@@ -147,12 +139,9 @@ class _Plan:
     N: int
     total_limit: int  # a replicate with more individuals is aborted before its next draw
     noise: tuple  # (p, t, k, j, probs, values) per in-window cell, in canonical order
-    v: np.ndarray | None  # S.v and S.rho, for W_hat; not S, whose cache every task would pickle
-    rho: float | None
-    T_terms: dict  # t -> (x1 projected_power(S, 1, t-N), x2 pi2 A^t pi2 z0, r_t) of characteristic 0
 
 
-def _plan(model, phis, n, N, ns, S, constants, overflow_cap) -> _Plan:
+def _plan(model, phis, n, N, ns, overflow_cap) -> _Plan:
     phis = (phis,) if isinstance(phis, Characteristic) else tuple(phis)
     ns = tuple(sorted({int(t) for t in (ns if ns is not None else [n])}))
     if not ns or ns[-1] > N or ns[0] < 0:
@@ -167,26 +156,17 @@ def _plan(model, phis, n, N, ns, S, constants, overflow_cap) -> _Plan:
         for (k, j), law in sorted(phi.noise.items())
         if 0 <= t - k <= N
     )
-    T_terms = {}
-    if S is not None and constants is not None:
-        z0 = model.z0().astype(complex)
-        for t in ns:
-            T_terms[t] = (
-                constants.x1 @ projected_power(S, 1, t - N),
-                complex(constants.x2 @ (projected_power(S, 2, t) @ z0)),
-                normalization(t, constants.case, constants.l_star, S.rho),
-            )
     largest_litter = max(1, int(model.padded_laws[1].sum(axis=2).max()))
-    v, rho = (None, None) if S is None else (S.v, S.rho)
-    return _Plan(model, phis, ns, N, overflow_cap // largest_litter, noise, v, rho, T_terms)
+    return _Plan(model, phis, ns, N, overflow_cap // largest_litter, noise)
 
 
-def _simulate_chunk(plan: _Plan, rngs: list, B: int) -> dict:
-    """The columns of ``len(rngs)`` blocks of B replicates stepped together;
-    block i draws from ``rngs[i]`` alone, and what it would draw alone."""
+def _simulate_chunk(plan: _Plan, rngs: list) -> dict:
+    """The ``aborted``, ``z_final`` and ``zphi`` columns of ``len(rngs)``
+    blocks stepped together; block i draws from ``rngs[i]`` alone, and what
+    it would draw alone."""
     model, N = plan.model, plan.N
-    rows = [slice(i * B, (i + 1) * B) for i in range(len(rngs))]
-    B *= len(rngs)
+    rows = [slice(i * BLOCK, (i + 1) * BLOCK) for i in range(len(rngs))]
+    B = BLOCK * len(rngs)
     states = np.zeros((N + 1, B, model.J), dtype=np.int64)
     states[0] = model.z0()
     aborted = np.zeros(B, dtype=bool)
@@ -195,7 +175,7 @@ def _simulate_chunk(plan: _Plan, rngs: list, B: int) -> dict:
         if over.any():
             aborted |= over
             states[g, over] = 0
-        states[g + 1], _ = step_generation(model, states[g], rngs)
+        states[g + 1] = step_generation(model, states[g], rngs)
 
     X = states.astype(float)
     if any(phi.coeff for phi in plan.phis):
@@ -219,19 +199,8 @@ def _simulate_chunk(plan: _Plan, rngs: list, B: int) -> dict:
             if c.any():
                 counts[sl] = rng.multinomial(c, probs)
         zphi[(p, t)] += counts @ values
-
-    w_hat = np.full(B, np.nan)
-    T: dict[tuple[int, int], np.ndarray] = {}
-    if plan.v is not None:
-        zf = X[N]
-        w_hat = np.real(zf @ plan.v) * plan.rho ** (-N)
-        for t, (mart_row, critical, r_t) in plan.T_terms.items():
-            T[(0, t)] = (zphi[(0, t)] - zf @ mart_row - critical) / r_t
-    w_hat[aborted] = np.nan
-    for col in (*zphi.values(), *T.values()):
-        col[aborted] = _NAN
     # a copy, so the result does not hold the whole count array alive
-    return {"aborted": aborted, "z_final": states[N].copy(), "w_hat": w_hat, "zphi": zphi, "T": T}
+    return {"aborted": aborted, "z_final": states[N].copy(), "zphi": zphi}
 
 
 def _join(parts: list, stop: int | None = None):
@@ -355,15 +324,14 @@ def run_replicate(
     """Simulate one replicate to generation N and evaluate every requested
     characteristic at every requested time (default: just ``n``).
 
-    ``seed`` drives this replicate alone: it is row 0 of a block of one.
+    The replicate is replicate 0 of ``run_batch`` with ``master_seed=seed``.
     When spectral data is supplied the replicate also carries the martingale
     estimate ``W_hat = <v, Z_N> rho^{-N}``; with constants as well, the
     recentered normalized statistic T of characteristic 0 at each time.
     """
-    plan = _plan(model, phis, n, N, ns, S, constants, overflow_cap)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    batch = BatchResult(n, N, plan.ns, None, **_simulate_chunk(plan, [rng], 1))
-    return batch.replicates[0]
+    return run_batch(
+        model, phis, n, N, 1, seed, S=S, constants=constants, ns=ns, overflow_cap=overflow_cap
+    ).replicates[0]
 
 
 def _run_blocks(args) -> dict:
@@ -375,7 +343,7 @@ def _run_blocks(args) -> dict:
         blocks = range(first, min(first + _CHUNK, hi))
         seeds = [np.random.SeedSequence(entropy=master_seed, spawn_key=(b,)) for b in blocks]
         rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-        parts.append(_simulate_chunk(plan, rngs, BLOCK))
+        parts.append(_simulate_chunk(plan, rngs))
     return _join(parts)
 
 
@@ -397,11 +365,12 @@ def run_batch(
 
     Block b always uses SeedSequence(master_seed, spawn_key=(b,)), so the
     result is byte-identical for any worker count; workers only split the
-    block range, and run in-process below two blocks per worker.
+    block range, and run in-process below two blocks per worker.  W_hat and
+    T are formed here, once, on the whole blocks.
     """
     if R < 0:
         raise ValueError(f"R must be >= 0, got {R}")
-    plan = _plan(model, phis, n, N, ns, S, constants, overflow_cap)
+    plan = _plan(model, phis, n, N, ns, overflow_cap)
     n_blocks = max(1, -(-R // BLOCK))
     workers = max(1, int(workers))
     if workers == 1 or n_blocks < 2 * workers:
@@ -418,5 +387,19 @@ def run_batch(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_blocks, tasks))
-    # the last block is simulated whole, then cut to R
-    return BatchResult(n, N, plan.ns, master_seed, **_join(chunks, R))
+    cols = _join(chunks)
+    aborted, zf = cols["aborted"], cols["z_final"].astype(float)
+    w_hat = np.full(len(aborted), np.nan) if S is None else np.real(zf @ S.v) * S.rho ** (-N)
+    T: dict[tuple[int, int], np.ndarray] = {}
+    if S is not None and constants is not None:
+        z0 = model.z0().astype(complex)
+        for t in plan.ns:
+            mart_row = constants.x1 @ projected_power(S, 1, t - N)
+            critical = complex(constants.x2 @ (projected_power(S, 2, t) @ z0))
+            r_t = normalization(t, constants.case, constants.l_star, S.rho)
+            T[(0, t)] = (cols["zphi"][(0, t)] - zf @ mart_row - critical) / r_t
+    w_hat[aborted] = np.nan
+    for col in (*cols["zphi"].values(), *T.values()):
+        col[aborted] = _NAN
+    # formed on whole blocks, then cut to R: a one-row product rounds differently
+    return BatchResult(n, N, plan.ns, master_seed, **_join([{**cols, "w_hat": w_hat, "T": T}], R))

@@ -12,9 +12,11 @@ block-by-block simulator with one multinomial call per parent type that the
 chunk-stepped one must equal, and the series engine's weights, stopping
 streak, mean tables and normal CDF taken one term at a time.
 None of it shares code with the package internals, so agreement is evidence
-rather than tautology; the one exception is ``eager_b_table``, the eager
+rather than tautology; the exceptions are ``eager_b_table``, the eager
 construction of the B(k) table that the lazy one must equal, which reuses
-the library's rows because only the timing and order of the build differ.
+the library's rows because only the timing and order of the build differ,
+and the terms of T in ``per_block_columns``, because only where T is formed
+differs.
 """
 
 from __future__ import annotations
@@ -30,8 +32,15 @@ from cmjsim import BranchingModel
 from cmjsim.characteristics import Characteristic
 from cmjsim.constants import compute_B
 from cmjsim.model import mixing_covariance
-from cmjsim.simulator import BLOCK, BatchResult
-from cmjsim.spectral import DEFAULT_TOL, m_norm2, power_scaled, scaled_tail, unscaled
+from cmjsim.simulator import BLOCK, BatchResult, normalization
+from cmjsim.spectral import (
+    DEFAULT_TOL,
+    m_norm2,
+    power_scaled,
+    projected_power,
+    scaled_tail,
+    unscaled,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +364,15 @@ def batch_from_rows(rows, *, n: int, N: int, ns, master_seed: int = 0) -> BatchR
 # ---------------------------------------------------------------------------
 
 
-def per_block_columns(plan, master_seed: int, R: int) -> dict:
+def per_block_columns(plan, master_seed: int, R: int, S, constants) -> dict:
     """The batch columns of R replicates simulated one block at a time, with one
-    multinomial call per parent type present and generation: the form the
-    chunk-stepped ``cmjsim.simulator`` must equal bit for bit.  ``plan`` is
-    ``cmjsim.simulator._plan(...)``, which only gathers the inputs.
+    multinomial call per parent type present and generation, and with W_hat
+    (given ``S``) and T (given ``S`` and ``constants``) formed block by block:
+    the form ``cmjsim.simulator.run_batch``, which forms them once per batch,
+    must equal bit for bit.  ``plan`` is ``cmjsim.simulator._plan(...)``,
+    which only gathers the inputs, and T's terms are the library's projected
+    powers and normalization, so the check covers the columns, not those
+    terms.
 
     "cells" holds the draws, which the batch does not: the ``(R, n_outcomes)``
     multinomial counts per ``(generation, type)`` ("offspring") and per
@@ -367,7 +380,7 @@ def per_block_columns(plan, master_seed: int, R: int) -> dict:
     blocks = []
     for b in range(-(-R // BLOCK)):
         seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(b,))
-        blocks.append(_one_block(plan, np.random.Generator(np.random.PCG64(seed)), BLOCK))
+        blocks.append(_one_block(plan, np.random.Generator(np.random.PCG64(seed)), S, constants))
 
     def join(parts):
         if isinstance(parts[0], dict):
@@ -375,12 +388,6 @@ def per_block_columns(plan, master_seed: int, R: int) -> dict:
         return np.concatenate(parts)[:R]
 
     return join(blocks)
-
-
-def replicate_columns(plan, seed: int) -> dict:
-    """The columns, cells included, of one replicate drawn from ``PCG64(seed)``:
-    the form ``cmjsim.simulator.run_replicate`` must equal bit for bit."""
-    return _one_block(plan, np.random.Generator(np.random.PCG64(seed)), 1)
 
 
 def row_cells(cells: dict, i: int) -> dict:
@@ -392,8 +399,8 @@ def row_cells(cells: dict, i: int) -> dict:
     }
 
 
-def _one_block(plan, rng: np.random.Generator, B: int) -> dict:
-    model, N = plan.model, plan.N
+def _one_block(plan, rng: np.random.Generator, S, constants) -> dict:
+    model, N, B = plan.model, plan.N, BLOCK
     states = np.zeros((N + 1, B, model.J), dtype=np.int64)
     states[0] = model.z0()
     aborted = np.zeros(B, dtype=bool)
@@ -434,10 +441,15 @@ def _one_block(plan, rng: np.random.Generator, B: int) -> dict:
 
     w_hat = np.full(B, np.nan)
     T = {}
-    if plan.v is not None:
-        zf = X[N]
-        w_hat = np.real(zf @ plan.v) * plan.rho ** (-N)
-        for t, (mart_row, critical, r_t) in plan.T_terms.items():
+    zf = X[N]
+    if S is not None:
+        w_hat = np.real(zf @ S.v) * S.rho ** (-N)
+    if S is not None and constants is not None:
+        z0 = model.z0().astype(complex)
+        for t in plan.ns:
+            mart_row = constants.x1 @ projected_power(S, 1, t - N)
+            critical = complex(constants.x2 @ (projected_power(S, 2, t) @ z0))
+            r_t = normalization(t, constants.case, constants.l_star, S.rho)
             T[(0, t)] = (zphi[(0, t)] - zf @ mart_row - critical) / r_t
     nan = complex(math.nan, math.nan)
     w_hat[aborted] = np.nan

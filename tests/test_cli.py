@@ -20,9 +20,10 @@ import sys
 import pytest
 import yaml
 
-from cmjsim import cli
+from cmjsim import build_model, cli, spectral_decompose
 from cmjsim.cli import EXIT_ASSUMPTION, EXIT_OK, EXIT_STAT_FAIL, EXIT_USAGE, main
 from cmjsim.presets import PRESETS, preset
+from cmjsim.scenario import load_scenario
 
 
 def run_cli(argv, capsys):
@@ -100,6 +101,18 @@ def test_unparseable_yaml_is_usage_error(tmp_path, capsys):
     rc, _, err = run_cli(["analyze", "--scenario", str(path)], capsys)
     assert rc == EXIT_USAGE
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scenario", "{dir}"],
+    ["analyze", "--scenario", "two_type_mirror", "--out", "{dir}"],
+    ["simulate", "--scenario", "two_type_mirror", "--out", "{dir}"],
+    ["verify", "--scenario", "two_type_mirror", "--emit-hist", "{dir}"],
+], ids=["verify-scenario", "analyze-out", "simulate-out", "verify-emit-hist"])
+def test_a_directory_where_a_file_belongs_is_a_usage_error(argv, tmp_path, capsys):
+    rc, _, err = run_cli([arg.format(dir=tmp_path) for arg in argv], capsys)
+    assert rc == EXIT_USAGE
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 @pytest.mark.parametrize("probs", [["-1/2", "3/2"], ["1/2", "2/5"]])
@@ -414,6 +427,57 @@ def test_star_check_rejects_noisy_characteristic(tmp_path, capsys):
     rc, _, err = run_cli(["star-check", "--scenario", path], capsys)
     assert rc == EXIT_USAGE
     assert "deterministic" in err
+
+
+# ---------------------------------------------------------------------------
+# the kesten_stigum and table kinds, which no preset uses
+# ---------------------------------------------------------------------------
+
+def _kind_scenario(tmp_path, kind) -> str:
+    """``single_type_binary`` counted by phi1 of the row [1], or
+    ``two_type_mirror`` by a base table at ages -1, 0 and 1, with no
+    requested case and a trajectory."""
+    if kind == "kesten_stigum":
+        d = preset("single_type_binary").to_dict()
+        d["characteristic"] = {"kind": "kesten_stigum", "row": ["1"]}
+    else:
+        d = preset("two_type_mirror").to_dict()
+        d["characteristic"] = {"kind": "table", "base": {-1: ["1", "0"], 0: ["1", "-1"], 1: ["0", "1"]}}
+        d["run"] = {**d["run"], "trajectory": [10, 12]}
+        del d["run"]["case"]
+    return write_yaml(tmp_path, f"{kind}.yaml", d)
+
+
+@pytest.mark.parametrize("kind, command, code", [
+    *(("kesten_stigum", c, EXIT_OK) for c in ("analyze", "constants", "simulate", "verify")),
+    ("kesten_stigum", "star-check", EXIT_USAGE),
+    *(("table", c, EXIT_OK) for c in ("analyze", "constants", "simulate", "verify", "star-check")),
+])
+def test_characteristic_kinds_without_a_preset_run_through_the_cli(kind, command, code, tmp_path, capsys):
+    """Exit codes at each preset's own seed."""
+    argv = [command, "--scenario", _kind_scenario(tmp_path, kind), "--out", str(tmp_path / "out")]
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == code, err
+    if code == EXIT_USAGE:
+        assert "needs a deterministic characteristic" in err
+
+
+def test_kesten_stigum_characteristic_spans_the_window(tmp_path):
+    """phi1 built for time n on horizon N has linear rows at ages n - N + 1 .. 0."""
+    scn = load_scenario(_kind_scenario(tmp_path, "kesten_stigum"))
+    model = build_model(scn.model)
+    phi, row = cli.build_characteristic(scn, model, spectral_decompose(model.A))
+    assert row is None and not phi.base
+    assert sorted(phi.coeff) == list(range(scn.n - scn.N + 1, 1))
+
+
+def test_table_characteristic_keeps_its_base_rows(tmp_path):
+    scn = load_scenario(_kind_scenario(tmp_path, "table"))
+    model = build_model(scn.model)
+    phi, row = cli.build_characteristic(scn, model, spectral_decompose(model.A))
+    assert row is None and not phi.coeff and not phi.noise
+    assert {k: r.tolist() for k, r in phi.base.items()} == {-1: [1, 0], 0: [1, -1], 1: [0, 1]}
+    assert scn.times == (10, 12, 16)
 
 
 # ---------------------------------------------------------------------------

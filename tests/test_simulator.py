@@ -28,7 +28,6 @@ from oracles import (
     naive_process_value,
     per_block_columns,
     replay_states,
-    replicate_columns,
     row_cells,
 )
 
@@ -55,10 +54,9 @@ def test_one_step_conditional_mean(mirror):
     trials = 4_000
     acc = np.zeros(2)
     for _ in range(trials):
-        nxt, draws = step_generation(model, start, [rng])
+        nxt = step_generation(model, start, [rng])
         acc += nxt
         assert nxt.dtype == np.int64 and nxt.shape == start.shape
-        assert sum(int(nj.sum()) for nj in draws.values()) == 8
     expect = model.A @ np.array([5.0, 3.0])
     for i in range(2):
         var_i = sum(start[j] * model.covs[j][i, i] for j in range(2))
@@ -105,9 +103,9 @@ def _assert_replays(model, phis, columns, i, times, N):
 
 
 def _assert_replicate_equals_oracle(rep, plan, seed):
-    """``run_replicate(seed)`` has the bits of the oracle's block of one
-    drawn from ``PCG64(seed)``."""
-    want = replicate_columns(plan, seed)
+    """``run_replicate(seed)`` has the bits of row 0 of the oracle's batch
+    with master seed ``seed``."""
+    want = per_block_columns(plan, seed, 1, None, None)
     del want["cells"]
     _assert_columns_equal(batch_from_rows([rep], n=plan.ns[-1], N=plan.N, ns=plan.ns), want)
 
@@ -116,11 +114,11 @@ def test_aggregated_values_equal_per_individual_replay(mirror):
     """The multinomial aggregation must reproduce, exactly, the sum over
     individuals of base + centered-litter + noise contributions."""
     phis = _mirror_replay_phis(mirror)
-    plan = simulator._plan(mirror.model, phis, 8, 10, [4, 8], None, None, simulator.OVERFLOW_CAP)
+    plan = simulator._plan(mirror.model, phis, 8, 10, [4, 8], simulator.OVERFLOW_CAP)
     for seed in range(6):
         rep = run_replicate(mirror.model, phis, n=8, N=10, seed=seed, ns=[4, 8])
         _assert_replicate_equals_oracle(rep, plan, seed)
-        columns = per_block_columns(plan, seed, 1)
+        columns = per_block_columns(plan, seed, 1, None, None)
         assert row_cells(columns["cells"], 0)["noise"]
         _assert_replays(mirror.model, phis, columns, 0, (4, 8), 10)
 
@@ -129,8 +127,8 @@ def test_block_replicates_replay_per_individual(mirror):
     """Replicates from the middle of the second block replay exactly, coeff
     and noise cells included."""
     phis = _mirror_replay_phis(mirror)
-    plan = simulator._plan(mirror.model, phis, 8, 10, [4, 8], None, None, simulator.OVERFLOW_CAP)
-    columns = per_block_columns(plan, 8_128, 2 * BLOCK)
+    plan = simulator._plan(mirror.model, phis, 8, 10, [4, 8], simulator.OVERFLOW_CAP)
+    columns = per_block_columns(plan, 8_128, 2 * BLOCK, None, None)
     mid = BLOCK + BLOCK // 2
     for i in range(mid - 3, mid + 3):
         assert row_cells(columns["cells"], i)["noise"]
@@ -143,8 +141,8 @@ def test_non_symmetric_mean_matrix_replays_per_individual(request):
     litter centred on a row of ``A`` instead of its column shows here."""
     seed, model, phi, n, N, ns, S, constants, cap = _oracle_case("mixed", request)
     assert not np.array_equal(model.A, model.A.T)
-    plan = simulator._plan(model, phi, n, N, ns, S, constants, cap)
-    columns = per_block_columns(plan, seed, BLOCK)
+    plan = simulator._plan(model, phi, n, N, ns, cap)
+    columns = per_block_columns(plan, seed, BLOCK, S, constants)
     rows = range(16)
     assert any(row_cells(columns["cells"], i)["noise"] for i in rows)
     assert all(columns["z_final"][i].any() for i in rows)
@@ -164,8 +162,8 @@ def test_overflow_aborts_part_of_a_block(single_type):
     assert aborted and kept
     for rep in aborted:
         assert rep.z_final is None and rep.w_hat is None and rep.zphi == {}
-    plan = simulator._plan(model, noisy, 8, 9, None, single_type.S, None, 600)
-    columns = per_block_columns(plan, 77, BLOCK)
+    plan = simulator._plan(model, noisy, 8, 9, None, 600)
+    columns = per_block_columns(plan, 77, BLOCK, single_type.S, None)
     for rep in kept:
         # litters are 1 or 3, so a kept replicate never had more than 600 // 3
         # individuals before its last draw
@@ -175,9 +173,9 @@ def test_overflow_aborts_part_of_a_block(single_type):
 
 def test_replayed_states_match_final_count(single_type):
     model, phi = single_type.model, single_type.phi
-    plan = simulator._plan(model, phi, 9, 9, None, None, None, simulator.OVERFLOW_CAP)
+    plan = simulator._plan(model, phi, 9, 9, None, simulator.OVERFLOW_CAP)
     _assert_replicate_equals_oracle(run_replicate(model, phi, n=9, N=9, seed=7), plan, 7)
-    columns = per_block_columns(plan, 7, 1)
+    columns = per_block_columns(plan, 7, 1, None, None)
     states = replay_states(model, row_cells(columns["cells"], 0), 9)
     assert np.array_equal(states[9], columns["z_final"][0])
 
@@ -187,10 +185,10 @@ def test_martingale_gap_identity_pathwise(single_type):
     model, S = single_type.model, single_type.S
     n, N = 6, 10
     phi1 = make_phi1(S, np.array([1.0]), model=model, k_min=n - N + 1)
-    plan = simulator._plan(model, phi1, n, N, None, None, None, simulator.OVERFLOW_CAP)
+    plan = simulator._plan(model, phi1, n, N, None, simulator.OVERFLOW_CAP)
     for seed in range(50):
         _assert_replicate_equals_oracle(run_replicate(model, phi1, n=n, N=N, seed=seed), plan, seed)
-        columns = per_block_columns(plan, seed, 1)
+        columns = per_block_columns(plan, seed, 1, None, None)
         states = replay_states(model, row_cells(columns["cells"], 0), N)
         gap = 2.0 ** (n - N) * columns["z_final"][0, 0] - states[n][0]
         got = columns["zphi"][(0, n)][0].real
@@ -247,6 +245,40 @@ def test_batch_prefix_stability(mirror):
     for r_s, r_l in zip(small.replicates, large.replicates):
         assert r_s.zphi == r_l.zphi
         assert np.array_equal(r_s.z_final, r_l.z_final)
+
+
+@pytest.mark.parametrize("R", [1, 3, BLOCK + 1])
+@pytest.mark.parametrize("name", ["three_scale", "asym_leak"])
+def test_statistic_and_martingale_estimate_are_prefix_stable(name, R, request):
+    """T and W_hat of replicate k do not depend on R either: both are formed
+    on whole blocks and then cut, since a one-row product rounds
+    differently."""
+    b = request.getfixturevalue(name)
+    scn = b.scenario
+    kw = dict(S=b.S, constants=b.constants, ns=scn.times)
+    large = run_batch(b.model, b.phi, scn.n, scn.N, 2 * BLOCK, 7, **kw)
+    small = run_batch(b.model, b.phi, scn.n, scn.N, R, 7, **kw)
+    assert small.w_hat.tobytes() == large.w_hat[:R].tobytes()
+    assert small.T.keys() == large.T.keys() == {(0, t) for t in scn.times}
+    for key, col in small.T.items():
+        assert col.tobytes() == large.T[key][:R].tobytes(), key
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("name", ["three_scale", "asym_leak"])
+def test_replicate_is_replicate_0_of_the_batch(name, seed, request):
+    b = request.getfixturevalue(name)
+    scn = b.scenario
+    kw = dict(S=b.S, constants=b.constants, ns=scn.times)
+    rep = run_replicate(b.model, b.phi, scn.n, scn.N, seed, **kw)
+    row = run_batch(b.model, b.phi, scn.n, scn.N, 300, seed, **kw).replicates[0]
+    for field in dataclasses.fields(rep):
+        got, want = getattr(rep, field.name), getattr(row, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+        else:
+            assert got == want, field.name
+    assert rep.T and rep.w_hat is not None
 
 
 def test_window_validation_names_the_characteristic(mirror):
@@ -440,15 +472,11 @@ def test_padded_draw_equals_per_type_calls(three_scale):
             seed = int(gen.integers(2**32))
             for shaped in (counts, counts[0]):
                 stepped, per_type = np.random.default_rng(seed), np.random.default_rng(seed)
-                nxt, present = step_generation(model, shaped, [stepped])
+                nxt = step_generation(model, shaped, [stepped])
                 want_next = np.zeros_like(shaped)
                 for j, law in enumerate(model.laws):
                     if shaped[..., j].any():
-                        want = per_type.multinomial(shaped[..., j], law.probs)
-                        assert present[j].shape == want.shape and np.array_equal(present[j], want)
-                        want_next += want @ law.outcome_matrix()
-                    else:
-                        assert j not in present
+                        want_next += per_type.multinomial(shaped[..., j], law.probs) @ law.outcome_matrix()
                 assert np.array_equal(nxt, want_next)
                 assert stepped.bit_generator.state == per_type.bit_generator.state
 
@@ -459,12 +487,13 @@ def test_step_generation_splits_rows_between_generators():
     model, gen = _mixed_laws_model(), np.random.default_rng(7)
     counts = gen.integers(0, 30, size=(3 * 50, model.J))
     counts[50:100, 1] = 0
-    nxt, present = step_generation(model, counts, [np.random.default_rng(s) for s in (4, 5, 6)])
-    alone = [step_generation(model, counts[i * 50 : (i + 1) * 50], [np.random.default_rng(4 + i)]) for i in range(3)]
-    assert np.array_equal(nxt, np.concatenate([part[0] for part in alone]))
-    for j in range(model.J):
-        zeros = np.zeros((50, model.laws[j].n_outcomes), dtype=np.int64)
-        assert np.array_equal(present[j], np.concatenate([part[1].get(j, zeros) for part in alone]))
+    split = [np.random.default_rng(s) for s in (4, 5, 6)]
+    nxt = step_generation(model, counts, split)
+    single = [np.random.default_rng(s) for s in (4, 5, 6)]
+    alone = [step_generation(model, counts[i * 50 : (i + 1) * 50], [single[i]]) for i in range(3)]
+    assert np.array_equal(nxt, np.concatenate(alone))
+    for g, h in zip(split, single):
+        assert g.bit_generator.state == h.bit_generator.state
 
 
 def _assert_columns_equal(batch, want):
@@ -516,12 +545,12 @@ def _assert_equals_oracle(case, R, request, workers=1):
     """The batch has the bits of the oracle's columns; returns the oracle's
     recorded cells."""
     seed, model, phis, n, N, ns, S, constants, cap = _oracle_case(case, request)
-    plan = simulator._plan(model, phis, n, N, ns, S, constants, cap)
+    plan = simulator._plan(model, phis, n, N, ns, cap)
     batch = run_batch(
         model, phis, n, N, R, seed, S=S, constants=constants, ns=ns, workers=workers,
         overflow_cap=cap,
     )
-    want = per_block_columns(plan, seed, R)
+    want = per_block_columns(plan, seed, R, S, constants)
     cells = want.pop("cells")
     _assert_columns_equal(batch, want)
     return batch, cells
@@ -552,7 +581,7 @@ def test_plan_pickle_does_not_carry_the_spectral_cache(asym_leak):
     S = dataclasses.replace(b.S, _cache={})
 
     def pickled_plan() -> int:
-        plan = simulator._plan(b.model, b.phi, scn.n, scn.N, None, S, b.constants, simulator.OVERFLOW_CAP)
+        plan = simulator._plan(b.model, b.phi, scn.n, scn.N, None, simulator.OVERFLOW_CAP)
         return len(pickle.dumps(plan))
 
     before = pickled_plan()
