@@ -1,4 +1,4 @@
-"""Print one sha256 over every limit constant the program computes.
+"""Print one sha256 over every limit constant and spectral report the program computes.
 
     python3 scripts/constants_digest.py [--tree DIR] [--seeds N]
 
@@ -6,10 +6,14 @@ Hashes the raw bytes of every ``TheoreticalConstants`` field for each preset,
 taken through ``build_model``, ``spectral_decompose``, its characteristic and
 ``compute_constants`` as ``cmjsim constants`` does, and for a seeded
 population of ``constants_sweep`` models (``perfbench/constants_sweep.inputs``
-at seeds 0 to N-1, 200 models each, N = 5 by default).  An input the program
-refuses or fails on adds its exception's type and message.  Two trees that print the same digest
-computed the same constants bit for bit.  ``--tree`` measures another
-checkout of the program (default: this one); nothing is written.
+at seeds 0 to N-1, 200 models each, N = 5 by default).  Each input also adds
+its mean matrix's spectral report: every cluster's eigenvalue, multiplicity,
+nilpotent index, label and margin, and the invariant ``residuals``, also for
+a model that fails the standing assumptions.  An input the program refuses
+or fails on adds its exception's type and message.  Two trees that print the
+same digest computed the same constants and spectral reports bit for bit.
+``--tree`` measures another checkout of the program (default: this one);
+nothing is written.
 """
 
 from __future__ import annotations
@@ -78,14 +82,21 @@ def digest(tree: Path, seeds: int) -> tuple[str, int]:
         phi, a_row = build_characteristic(scn, m, S)
         return compute_constants(a_row if a_row is not None else phi, S, m, eps_tail=scn.run["eps_tail"])
 
+    def spectral_report(model_data):
+        S = spectral_decompose(build_model(model_data).A)
+        clusters = [(c.eigenvalue, c.multiplicity, c.nilpotent_index, c.label, c.margin) for c in S.clusters]
+        return clusters, S.residuals
+
     h = hashlib.sha256()
     n = 0
     for name in preset_names():
-        _feed(h, (name, _outcome(lambda: preset_constants(name))))
+        const = _outcome(lambda: preset_constants(name))
+        _feed(h, (name, const, _outcome(lambda: spectral_report(preset(name).model))))
         n += 1
     for seed in range(seeds):
         for (inp,) in itertools.islice(constants_sweep.inputs(seed), MODELS_PER_SEED):
-            _feed(h, (seed, inp["family"], _outcome(lambda: constants_sweep.compute(inp))))
+            const = _outcome(lambda: constants_sweep.compute(inp))
+            _feed(h, (seed, inp["family"], const, _outcome(lambda: spectral_report(inp["model"]))))
             n += 1
     return h.hexdigest(), n
 

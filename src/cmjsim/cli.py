@@ -10,7 +10,8 @@ Subcommands::
 
 Exit codes: 0 success / statistical PASS; 1 usage or schema error (the
 message names the offending key); 2 model-assumption failure, requested-case
-mismatch, or an unusable run (abort rate); 3 statistical FAIL.
+mismatch, or an unusable run (abort rate, or fewer than 50 usable
+survivors); 3 statistical FAIL.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .presets import PRESETS, preset
 from .scenario import Scenario, ScenarioError, _canon_run, load_scenario, parse_row
 from .simulator import run_batch
 from .spectral import spectral_decompose
-from .stats import ABORT_RATE_MAX, lln_check, studentized, verify_dichotomy
+from .stats import ABORT_RATE_MAX, MIN_SAMPLE, lln_check, studentized, verify_dichotomy
 
 __all__ = ["main", "build_characteristic"]
 
@@ -56,20 +57,14 @@ EXIT_STAT_FAIL = 3
 # ---------------------------------------------------------------------------
 
 def _to_jsonable(x):
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    if isinstance(x, float):
+    if isinstance(x, np.generic):
+        x = x.item()
+    if x is None or isinstance(x, (bool, int, float, str)):
         return x
     if isinstance(x, complex):
         return {"re": float(x.real), "im": float(x.imag)}
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.complexfloating,)):
-        return {"re": float(x.real), "im": float(x.imag)}
     if isinstance(x, np.ndarray):
         return [_to_jsonable(v) for v in x.tolist()]
     if isinstance(x, Mapping):
@@ -300,6 +295,8 @@ def _cmd_verify(args) -> int:
         report = verify_dichotomy(
             batch, const, run.S, w_min=scn.run["w_min"], requested_case=scn.run["case"]
         )
+        if report.case != "degenerate" and report.m < MIN_SAMPLE:  # no gate ran
+            raise ValueError(report.reasons[0])
     except (ValueError, RuntimeError) as exc:
         _emit({**reports, "verdict": "REFUSED", "reason": str(exc)}, args.out)
         return EXIT_ASSUMPTION

@@ -136,31 +136,18 @@ class SpectralData:
 
 
 def _cluster_values(eigs: np.ndarray, radius: float) -> list[list[int]]:
-    """Single-linkage clustering of eigenvalues at the given radius."""
-    n = len(eigs)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(eigs[a] - eigs[b]) <= radius:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for a in range(n):
-        groups.setdefault(find(a), []).append(a)
-    # canonical order: by (-|lambda|, -Re, Im) of the member mean
+    """Single-linkage clustering of eigenvalues at the given radius, members
+    ascending: each value joins, and so merges, every group within reach."""
+    groups: list[list[int]] = []
+    for a in range(len(eigs)):
+        near = [g for g in groups if any(abs(eigs[b] - eigs[a]) <= radius for b in g)]
+        groups = [g for g in groups if g not in near] + [sorted([*itertools.chain(*near), a])]
+    # canonical order: by (-|lambda|, -Re, Im) of the member mean, then the first member
     def sort_key(idxs):
         z = np.mean(eigs[idxs])
-        return (-abs(z), -z.real, z.imag)
+        return (-abs(z), -z.real, z.imag, idxs)
 
-    return sorted(groups.values(), key=sort_key)
+    return sorted(groups, key=sort_key)
 
 
 def _cluster_projection(A: np.ndarray, eigs: np.ndarray, idxs: list[int]) -> np.ndarray:
@@ -223,7 +210,7 @@ def _cluster_projection(A: np.ndarray, eigs: np.ndarray, idxs: list[int]) -> np.
     return Q @ P @ Q.conj().T
 
 
-def _nilpotent_index(A: np.ndarray, lam: complex, proj: np.ndarray, tol: float, norm_A: float) -> int:
+def _nilpotent_index(A: np.ndarray, lam: complex, proj: np.ndarray, norm_A: float) -> int:
     """Smallest m with (A - lambda I)^m pi = 0, the largest Jordan block size (norm_A = |A|_2)."""
     n = A.shape[0]
     shifted = A.astype(complex) - lam * np.eye(n)
@@ -231,12 +218,12 @@ def _nilpotent_index(A: np.ndarray, lam: complex, proj: np.ndarray, tol: float, 
     B = proj
     for m in range(1, n + 1):
         B = shifted @ B
-        if np.linalg.norm(B, 2) <= max(100.0 * tol, 1e-6) * scale**m:
+        if np.linalg.norm(B, 2) <= max(100.0 * DEFAULT_TOL, 1e-6) * scale**m:
             return m
     return n
 
 
-def _perron_vectors(pi_perron: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _perron_vectors(pi_perron: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Right/left Perron vectors from the Perron projection.
 
     Normalization: sum(v) = 1 and <u, v> = 1, so that E[W | Z_0 = e_i] = v_i
@@ -249,7 +236,7 @@ def _perron_vectors(pi_perron: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
         raise ArithmeticError("Perron projection produced non-real eigenvectors")
     w = w.real
     y = y.real
-    if abs(y.sum()) <= tol or abs(w @ (y / y.sum())) <= tol:
+    if abs(y.sum()) <= DEFAULT_TOL or abs(w @ (y / y.sum())) <= DEFAULT_TOL:
         raise ArithmeticError("degenerate Perron projection; cannot normalize u, v")
     v = y / y.sum()
     u = w / (w @ v)
@@ -296,7 +283,7 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
         if abs(lam.imag) <= radius:
             lam = complex(lam.real, 0.0)
         proj = _cluster_projection(A, eigs, idxs)
-        nil = _nilpotent_index(A, lam, proj, tol, norm_A)
+        nil = _nilpotent_index(A, lam, proj, norm_A)
         dist = abs(abs(lam) - sqrt_rho)
         if abs(lam) > sqrt_rho + tol:
             label = SUPER
@@ -353,7 +340,7 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
                 perron = c
     if perron is None:
         raise ArithmeticError("no real eigenvalue found on the spectral-radius circle")
-    u, v = _perron_vectors(perron.projection, tol)
+    u, v = _perron_vectors(perron.projection)
 
     sub_moduli = [abs(c.eigenvalue) for c in clusters if c.label == SUB]
     if sub_moduli and max(sub_moduli) > 0:
@@ -406,7 +393,7 @@ def _invariant_residuals(A, clusters, pi1, pi2, pi3, A1, A1_inv, D, N, u, v, rho
     Ac = A.astype(complex)
 
     def nrm(M):
-        return float(np.max(np.abs(M)))
+        return float(np.max(np.abs(M), initial=0.0))
 
     res = {
         "partition_of_unity": nrm(pi1 + pi2 + pi3 - eye),
@@ -418,19 +405,11 @@ def _invariant_residuals(A, clusters, pi1, pi2, pi3, A1, A1_inv, D, N, u, v, rho
         "DN_commute": nrm(D @ N - N @ D),
         "N_nilpotent": nrm(np.linalg.matrix_power(N, n)),
     }
-    idm = 0.0
-    com = 0.0
-    orth = 0.0
-    for a, ca in enumerate(clusters):
-        p = ca.projection
-        idm = max(idm, nrm(p @ p - p))
-        com = max(com, nrm(p @ Ac - Ac @ p))
-        for b, cb in enumerate(clusters):
-            if a != b:
-                orth = max(orth, nrm(p @ cb.projection))
-    res["idempotency"] = idm
-    res["commutation"] = com
-    res["mutual_orthogonality"] = orth
+    P = np.stack([c.projection for c in clusters])
+    res["idempotency"] = nrm(P @ P - P)
+    res["commutation"] = nrm(P @ Ac - Ac @ P)
+    pairs = P[:, None] @ P[None, :]
+    res["mutual_orthogonality"] = nrm(pairs[~np.eye(len(P), dtype=bool)])
     return res
 
 
@@ -549,21 +528,19 @@ def scaled_tail(
         block = blocks[min(n, len(blocks) - 1)]
         W = np.asarray(w) @ block
         t = m_norm2(M, W)
+        values = t.tolist()
         stop = None
         if count is not None:
             stop = count - total if count - total <= len(t) else None
-        elif (small := t < eps_tail).any():
-            # run[i]: consecutive small terms ending at i, the streak carried in
-            i = np.arange(len(t))
-            run = i - np.maximum.accumulate(np.where(small, -1 - streak, i))
-            hits = np.flatnonzero(run >= needed)
-            stop = int(hits[0]) + 1 if len(hits) else None
-            streak = int(run[-1])
         else:
-            streak = 0
+            for i, term in enumerate(values):  # a NaN breaks the streak
+                streak = streak + 1 if term < eps_tail else 0
+                if streak == needed:
+                    stop = i + 1
+                    break
         rows.append(W[:stop])
         terms.append(t[:stop])
-        if not np.isfinite(terms[-1]).all():
+        if not all(map(math.isfinite, values[:stop])):
             raise ArithmeticError(f"{what} has a term outside float64 range")
         total += len(terms[-1])
         if stop is not None:

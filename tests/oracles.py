@@ -7,6 +7,8 @@ reference KS tail from scipy, the one-shot bootstrap resample that the
 blocked one must equal, the
 replicate-by-replicate studentization that the columnar one must equal,
 LAPACK's ordered-Schur spectral projector that the deflation one must equal,
+union-find eigenvalue clustering and per-cluster invariant residuals that the
+one-pass and stacked ones must equal,
 full-operator powers that the projected ones must equal, the
 block-by-block simulator with one multinomial call per parent type that the
 chunk-stepped one must equal, and the series engine's weights, stopping
@@ -21,6 +23,7 @@ differs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -317,6 +320,47 @@ def schur_cluster_projection(A: np.ndarray, eigs: np.ndarray, idxs) -> np.ndarra
     P[:s, :s] = np.eye(s)
     P[:s, s:] = Y
     return Q @ P @ Q.conj().T
+
+
+def union_find_clusters(eigs: np.ndarray, radius: float) -> list[list[int]]:
+    """Single-linkage clusters of ``eigs`` at ``radius``, by union-find over
+    every pair, in ``cmjsim.spectral._cluster_values``' order: members
+    ascending, clusters by (-|mean|, -Re mean, Im mean), ties by first member."""
+    parent = list(range(len(eigs)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b in itertools.combinations(range(len(eigs)), 2):
+        if abs(eigs[a] - eigs[b]) <= radius:
+            parent[find(b)] = find(a)
+    groups: dict[int, list[int]] = {}
+    for a in range(len(eigs)):
+        groups.setdefault(find(a), []).append(a)
+
+    def key(idxs):
+        z = np.mean(eigs[idxs])
+        return (-abs(z), -z.real, z.imag)
+
+    return sorted(groups.values(), key=key)  # stable: ties keep first-member order
+
+
+def per_cluster_residuals(S) -> dict:
+    """Idempotency, commutation and mutual orthogonality of the cluster
+    projections, as the largest entry over each cluster and ordered pair in turn."""
+    Ac = S.A.astype(complex)
+    out = {"idempotency": 0.0, "commutation": 0.0, "mutual_orthogonality": 0.0}
+    for a, ca in enumerate(S.clusters):
+        p = ca.projection
+        out["idempotency"] = max(out["idempotency"], float(np.max(np.abs(p @ p - p))))
+        out["commutation"] = max(out["commutation"], float(np.max(np.abs(p @ Ac - Ac @ p))))
+        for b, cb in enumerate(S.clusters):
+            if a != b:
+                orth = float(np.max(np.abs(p @ cb.projection)))
+                out["mutual_orthogonality"] = max(out["mutual_orthogonality"], orth)
+    return out
 
 
 def matrix_power_restricted(S, which: str, k: int) -> np.ndarray:

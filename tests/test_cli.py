@@ -343,6 +343,17 @@ def test_verify_requested_case_mismatch_is_refused(tmp_path, capsys):
     assert "requested case" in rep["reason"]
 
 
+def test_verify_refuses_a_run_with_too_few_survivors(tmp_path, capsys):
+    d = preset("two_type_mirror").to_dict()
+    d["run"]["replicates"] = 1  # no gate can run on one survivor
+    path = write_yaml(tmp_path, "one.yaml", d)
+    rc, out, _ = run_cli(["verify", "--scenario", path], capsys)
+    assert rc == EXIT_ASSUMPTION
+    rep = json_payload(out)
+    assert rep["verdict"] == "REFUSED"
+    assert rep["reason"] == "only 1 usable survivors; need 50"
+
+
 def test_verify_refuses_before_simulating_when_assumptions_fail(capsys):
     rc, out, _ = run_cli(["verify", "--scenario", "cross_feed_deterministic"], capsys)
     assert rc == EXIT_ASSUMPTION

@@ -308,6 +308,34 @@ def test_non_finite_entries_are_rejected(bad):
         spectral_decompose(np.array([[2.0, bad], [1.0, 2.0]]))
 
 
+@pytest.mark.parametrize("eigs", [[0.0, 0.9, 1.8], [0.0, 1.8, 0.9], [1.8, 0.0, 0.9]])
+def test_clustering_links_a_chain_into_one_cluster(eigs):
+    # |a - b| and |b - c| are within the radius, |a - c| is not; in the last
+    # two orders the middle value comes last and joins two clusters
+    assert spectral._cluster_values(np.array(eigs, dtype=complex), 1.0) == [[0, 1, 2]]
+
+
+def test_clustering_keeps_distant_values_apart():
+    # canonical order: modulus descending, then real part descending, then imaginary ascending
+    eigs = np.array([3.0, 0.0, 2 + 1.5j, 2 - 1.5j, 1.5], dtype=complex)
+    assert spectral._cluster_values(eigs, 1.0) == [[0], [3], [2], [4], [1]]
+
+
+def test_clustering_equals_union_find_on_random_values():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        # half-integer grid: repeated values, exact-radius links and long chains
+        eigs = (rng.integers(-6, 7, n) + 1j * rng.integers(-3, 4, n)) * 0.5
+        assert spectral._cluster_values(eigs, 1.0) == oracles.union_find_clusters(eigs, 1.0)
+
+
+def test_stacked_residuals_equal_the_per_cluster_loop(decomposed):
+    _, A, S = decomposed
+    for key, value in oracles.per_cluster_residuals(S).items():
+        assert S.residuals[key] == value, key
+
+
 def test_defective_radius_root_is_refused():
     # [[2,0],[1,2]] has a genuine Jordan block at the spectral radius, so the
     # right/left radius eigenvectors are orthogonal and no meaningful
