@@ -19,6 +19,13 @@ over scenario files derived from presets that reach what no preset does:
 ``two_type_mirror`` counted by a base table at ages -1, 0 and 1 with a
 trajectory and no requested case (``two_type_mirror+table``); and the
 ``two_type_mirror`` indicator at one replicate (``two_type_mirror@1``).
+Three more files reach the degenerate scale and a mean matrix with no
+Perron root: ``single_type_binary`` counted by an all-zero table with no
+requested case, whose verify checks that |T| decays
+(``single_type_binary+zero_table``); a one-type model that dies out in
+every replicate at seed 11, whose verify has no survivor to check decay on
+(``extinct@11``); and a two-type model whose mean matrix is zero
+(``zero_matrix``).
 
 Each line hashes the run's stdout, stderr, exit code and every
 file it wrote (name and bytes), with the output directory's path masked,
@@ -52,6 +59,20 @@ RUNS = (
 POOLED = ("asym_leak", 1100)
 TABLE = {"kind": "table", "base": {-1: ["1", "0"], 0: ["1", "-1"], 1: ["0", "1"]}}
 MASK = "<out>"
+EXTINCT = {
+    "schema": 1,
+    "model": {"types": 1, "initial_type": 1,
+              "offspring": {1: [{"p": "1/2", "counts": [0]}, {"p": "1/2", "counts": [4]}]}},
+    "characteristic": {"kind": "table", "base": {}},
+    "run": {"n": 6, "delta": 2, "replicates": 3, "seed": 11, "trajectory": [4, 6]},
+}
+ZERO_MATRIX = {
+    "schema": 1,
+    "model": {"types": 2, "initial_type": 1,
+              "offspring": {1: [{"p": 1, "counts": [0, 0]}], 2: [{"p": 1, "counts": [0, 0]}]}},
+    "characteristic": {"kind": "indicator", "row": [1, 0]},
+    "run": {"n": 4},
+}
 
 
 def _run(main, scenario: str, command: str, extra: tuple) -> tuple[str, int]:
@@ -80,8 +101,8 @@ def _replicates(doc: dict, replicates: int) -> dict:
 
 
 def _derived(preset):
-    """``(name, scenario document)`` of each scenario file derived from a
-    preset to reach a path that no preset does."""
+    """``(name, scenario document)`` of each scenario file that reaches a
+    path no preset does."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from calibration import asym_leak_custom
 
@@ -97,6 +118,12 @@ def _derived(preset):
     del table["run"]["case"]
     yield "two_type_mirror+table", table
     yield "two_type_mirror@1", _replicates(mirror, 1)
+    zero = preset("single_type_binary").to_dict()
+    zero["characteristic"] = {"kind": "table", "base": {}}
+    del zero["run"]["case"]
+    yield "single_type_binary+zero_table", zero
+    yield "extinct@11", EXTINCT
+    yield "zero_matrix", ZERO_MATRIX
 
 
 def digests(tree: Path):

@@ -31,7 +31,7 @@ from .model import (
     build_model,
     validate_assumptions,
 )
-from .presets import PRESETS, preset, preset_names, write_scenario_files
+from .presets import PRESETS, preset, preset_names
 from .scenario import Scenario, ScenarioError, load_scenario, loads_scenario, save_scenario
 from .simulator import (
     BatchResult,
@@ -87,6 +87,5 @@ __all__ = [
     "step_generation",
     "validate_assumptions",
     "verify_dichotomy",
-    "write_scenario_files",
     "__version__",
 ]

@@ -10,8 +10,8 @@ Subcommands::
 
 Exit codes: 0 success / statistical PASS; 1 usage or schema error (the
 message names the offending key); 2 model-assumption failure, requested-case
-mismatch, or an unusable run (abort rate, or fewer than 50 usable
-survivors); 3 statistical FAIL.
+mismatch, or an unusable run (abort rate, fewer than 50 usable survivors,
+or a degenerate scale with none); 3 statistical FAIL.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .presets import PRESETS, preset
 from .scenario import Scenario, ScenarioError, _canon_run, load_scenario, parse_row
 from .simulator import run_batch
 from .spectral import spectral_decompose
-from .stats import ABORT_RATE_MAX, MIN_SAMPLE, lln_check, studentized, verify_dichotomy
+from .stats import ABORT_RATE_MAX, lln_check, studentized, verify_dichotomy
 
 __all__ = ["main", "build_characteristic"]
 
@@ -122,12 +122,10 @@ def build_characteristic(scn: Scenario, model, S) -> tuple[Characteristic, np.nd
         row = _row_floats(spec["row"])
         phi = make_phi1(S, row, model=model, k_min=scn.n - scn.N + 1)
         return phi, None
-    if kind == "table":
-        base = {int(k): _row_floats(r) for k, r in spec.get("base", {}).items()}
-        return Characteristic(J=model.J, base=base, label="table"), None
-    if kind == "custom":
-        base = {int(k): _row_floats(r) for k, r in spec.get("base", {}).items()}
-        coeff = {int(k): _row_floats(r) for k, r in spec.get("coeff", {}).items()}
+    if kind in ("table", "custom"):  # a table has no coeff or noise
+        base, coeff = (
+            {int(k): _row_floats(r) for k, r in spec.get(key, {}).items()} for key in ("base", "coeff")
+        )
         noise = {}
         for cell in spec.get("noise", []):
             law = NoiseLaw(
@@ -135,7 +133,7 @@ def build_characteristic(scn: Scenario, model, S) -> tuple[Characteristic, np.nd
                 values=tuple(complex(float(v)) for v in parse_row(cell["values"])),
             )
             noise[(int(cell["age"]), int(cell["type"]) - 1)] = law
-        return Characteristic(J=model.J, base=base, coeff=coeff, noise=noise, label="custom"), None
+        return Characteristic(J=model.J, base=base, coeff=coeff, noise=noise, label=kind), None
     raise ScenarioError(f"characteristic.kind: unsupported kind {kind!r}")
 
 
@@ -295,7 +293,7 @@ def _cmd_verify(args) -> int:
         report = verify_dichotomy(
             batch, const, run.S, w_min=scn.run["w_min"], requested_case=scn.run["case"]
         )
-        if report.case != "degenerate" and report.m < MIN_SAMPLE:  # no gate ran
+        if report.ks_p is None and report.decay is None:  # no gate ran
             raise ValueError(report.reasons[0])
     except (ValueError, RuntimeError) as exc:
         _emit({**reports, "verdict": "REFUSED", "reason": str(exc)}, args.out)

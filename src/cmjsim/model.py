@@ -52,18 +52,6 @@ class OffspringLaw:
     def __post_init__(self):
         if len(self.probs) != len(self.counts):
             raise ValueError("offspring law: probs and counts length mismatch")
-        # built once: the simulator reads it at every generation step
-        outcomes = np.asarray(self.counts, dtype=np.int64)
-        outcomes.flags.writeable = False
-        object.__setattr__(self, "_outcomes", outcomes)
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.probs)
-
-    def outcome_matrix(self) -> np.ndarray:
-        """All outcome columns stacked as a read-only (n_outcomes, J) int64 array."""
-        return self._outcomes
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +60,7 @@ class BranchingModel:
 
     ``A[i, j]`` is the mean number of type-i children of a type-j parent,
     i.e. column j of ``A`` is the mean of ``L^(j)``.  ``covs[j]`` is the
-    covariance matrix of ``L^(j)``; ``var_entries[i, j]`` its diagonal.
+    covariance matrix of ``L^(j)``.
     Type indices are zero-based throughout the library (scenario files use
     one-based labels, converted at the loading boundary).
     """
@@ -82,18 +70,17 @@ class BranchingModel:
     initial_type: int
     A: np.ndarray
     covs: tuple[np.ndarray, ...]
-    var_entries: np.ndarray
 
     @cached_property
     def padded_laws(self) -> tuple[np.ndarray, np.ndarray]:
         """The laws front-padded with zero-probability outcomes to one length
         K: ``(J, 1, K)`` probabilities and the ``(J, K, J)`` outcome table."""
-        K = max(law.n_outcomes for law in self.laws)
+        K = max(len(law.probs) for law in self.laws)
         P = np.zeros((self.J, 1, K))
         M = np.zeros((self.J, K, self.J), dtype=np.int64)
         for j, law in enumerate(self.laws):
-            P[j, 0, K - law.n_outcomes :] = law.probs
-            M[j, K - law.n_outcomes :] = law.outcome_matrix()
+            P[j, 0, K - len(law.probs) :] = law.probs
+            M[j, K - len(law.probs) :] = law.counts
         P.flags.writeable = M.flags.writeable = False
         return P, M
 
@@ -139,9 +126,8 @@ def build_model(data: Mapping) -> BranchingModel:
     )
     A = np.zeros((J, J), dtype=float)
     covs = []
-    var_entries = np.zeros((J, J), dtype=float)
     for j, law in enumerate(laws):
-        outs = law.outcome_matrix().astype(float)
+        outs = np.array(law.counts, dtype=float)
         p = np.asarray(law.probs)
         mean = p @ outs
         A[:, j] = mean
@@ -149,14 +135,12 @@ def build_model(data: Mapping) -> BranchingModel:
         cov = (dev * p[:, None]).T @ dev
         cov = 0.5 * (cov + cov.T)  # enforce exact symmetry
         covs.append(cov)
-        var_entries[:, j] = np.diag(cov)
     return BranchingModel(
         J=J,
         laws=laws,
         initial_type=canon["initial_type"] - 1,
         A=A,
         covs=tuple(covs),
-        var_entries=var_entries,
     )
 
 
@@ -193,7 +177,7 @@ def validate_assumptions(model: BranchingModel) -> AssumptionReport:
     for c in model.covs:
         cov_total = cov_total + c
     cov_norm = float(np.linalg.norm(cov_total))
-    finite = bool(np.all(np.isfinite(model.var_entries)))
+    finite = bool(np.all(np.isfinite(np.diagonal(model.covs, axis1=1, axis2=2))))
     gw3 = bool(cov_norm > PROB_TOL and finite)
     return AssumptionReport(
         gw1_supercritical=gw1,

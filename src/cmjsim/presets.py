@@ -27,7 +27,7 @@ from itertools import product
 
 from .scenario import Scenario, scenario_from_dict
 
-__all__ = ["PRESETS", "preset", "preset_names", "write_scenario_files"]
+__all__ = ["PRESETS", "preset", "preset_names"]
 
 
 def _two_point(counts_a, counts_b) -> list:
@@ -229,18 +229,3 @@ def preset(name: str) -> Scenario:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
     return scenario_from_dict(PRESETS[name])
 
-
-def write_scenario_files(directory) -> list:
-    """Materialize every preset as <directory>/<name>.yaml; returns the paths."""
-    import pathlib
-
-    from .scenario import save_scenario
-
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name in PRESETS:
-        path = directory / f"{name}.yaml"
-        save_scenario(preset(name), path)
-        paths.append(path)
-    return paths

@@ -35,6 +35,7 @@ _RUN_DEFAULTS = {
     "case": None,
 }
 _CHAR_KINDS = ("indicator", "table", "kesten_stigum", "custom")
+_CHAR_TABLES = {"table": ("base",), "custom": ("base", "coeff")}  # each kind's age -> row tables
 
 
 class ScenarioError(ValueError):
@@ -180,28 +181,17 @@ def _canon_characteristic(raw, types: int, path="characteristic") -> dict:
     if kind not in _CHAR_KINDS:
         _fail(f"{path}.kind", f"must be one of {_CHAR_KINDS}, got {kind!r}")
     out: dict[str, Any] = {"kind": kind}
-    allowed = {"kind"}
     if kind in ("indicator", "kesten_stigum"):
-        allowed |= {"row"}
         out["row"] = _canon_row(_require(raw, "row", path), f"{path}.row", types)[0]
-    if kind in ("table", "custom"):
-        allowed |= {"base"}
-        base = raw.get("base") or {}
-        if not isinstance(base, Mapping):
-            _fail(f"{path}.base", "expected a mapping of age -> row")
-        out["base"] = {
-            _int_age(k, f"{path}.base"): _canon_row(v, f"{path}.base.{k}", types)[0]
-            for k, v in base.items()
+    for key in _CHAR_TABLES.get(kind, ()):
+        table = raw.get(key) or {}
+        if not isinstance(table, Mapping):
+            _fail(f"{path}.{key}", "expected a mapping of age -> row")
+        out[key] = {
+            _int_age(k, f"{path}.{key}"): _canon_row(v, f"{path}.{key}.{k}", types)[0]
+            for k, v in table.items()
         }
     if kind == "custom":
-        allowed |= {"coeff", "noise"}
-        coeff = raw.get("coeff") or {}
-        if not isinstance(coeff, Mapping):
-            _fail(f"{path}.coeff", "expected a mapping of age -> row")
-        out["coeff"] = {
-            _int_age(k, f"{path}.coeff"): _canon_row(v, f"{path}.coeff.{k}", types)[0]
-            for k, v in coeff.items()
-        }
         noise = raw.get("noise") or []
         if not isinstance(noise, (list, tuple)):
             _fail(f"{path}.noise", "expected a list of noise cells")
@@ -222,7 +212,7 @@ def _canon_characteristic(raw, types: int, path="characteristic") -> dict:
                 _fail(f"{cpath}.values", "length must match probs")
             cells.append({"age": age, "type": tj, "probs": probs, "values": values})
         out["noise"] = cells
-    _check_keys(raw, allowed, path)
+    _check_keys(raw, out, path)
     return out
 
 
@@ -236,14 +226,9 @@ def _canon_run(raw, path="run") -> dict:
     out = dict(_RUN_DEFAULTS)
     out["n"] = _int_ge(_require(raw, "n", path), f"{path}.n", 1)
     _check_keys(raw, ("n",) + tuple(_RUN_DEFAULTS), path)
-    if "delta" in raw:
-        out["delta"] = _int_ge(raw["delta"], f"{path}.delta", 0)
-    if "replicates" in raw:
-        out["replicates"] = _int_ge(raw["replicates"], f"{path}.replicates", 1)
-    if "seed" in raw:
-        out["seed"] = _int_ge(raw["seed"], f"{path}.seed", 0)
-    if "workers" in raw:
-        out["workers"] = _int_ge(raw["workers"], f"{path}.workers", 1)
+    for key, lo in (("delta", 0), ("replicates", 1), ("seed", 0), ("workers", 1)):
+        if key in raw:
+            out[key] = _int_ge(raw[key], f"{path}.{key}", lo)
     for key in ("eps_tail", "w_min"):
         if key in raw:
             val = raw[key]

@@ -265,7 +265,7 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
     n = A.shape[0]
     norm_A = float(np.linalg.norm(A, 2))
     if norm_A == 0.0:
-        raise ValueError("A is the zero matrix")
+        raise ArithmeticError("A is the zero matrix (spectral radius 0): it has no Perron root")
 
     eigs = np.sort_complex(np.linalg.eigvals(A))
     radius = max(tol, 64.0 * np.sqrt(np.finfo(float).eps) * norm_A)

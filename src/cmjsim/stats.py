@@ -228,7 +228,7 @@ def verify_dichotomy(
     eps_c, ws = studentized(batch, constants, t=t, w_min=w_min)
     m = eps_c.shape[0]
 
-    if case == "degenerate":
+    if case == "degenerate" and batch.usable().any():
         decay = _decay_check(batch)
         passed = decay["passed"]
         reasons = () if passed else ("degenerate scale: |T| did not decay",)
@@ -238,11 +238,12 @@ def verify_dichotomy(
             details={"t": t, "abort_rate": batch.abort_rate},
         )
 
-    if m < MIN_SAMPLE:
+    need = 1 if case == "degenerate" else MIN_SAMPLE  # the decay check needs one survivor
+    if m < need:
         return VerificationReport(
             case=case, m=m, passed=False,
-            reasons=(f"only {m} usable survivors; need {MIN_SAMPLE}",),
-            thresholds={"w_min": w_min, "min_sample": MIN_SAMPLE},
+            reasons=(f"only {m} usable survivors; need {need}",),
+            thresholds={"w_min": w_min, "min_sample": need},
             details={"t": t, "abort_rate": batch.abort_rate},
         )
 
@@ -312,16 +313,15 @@ def verify_dichotomy(
 
 
 def _decay_check(batch) -> dict:
-    """For vanishing scale: mean |T| should decrease along the requested times
-    and end small."""
+    """For vanishing scale: mean |T| over the surviving rows, at least one,
+    should decrease along the requested times and end small."""
     ts = list(batch.ns)
     means = []
     for t in ts:
         vals, _ = _usable_column(batch, batch.T, t, 0.0)
-        means.append(float(np.mean(np.abs(vals))) if vals.size else float("nan"))
-    finite = [v for v in means if not math.isnan(v)]
-    decreasing = all(b <= a * 1.05 + 1e-12 for a, b in zip(finite, finite[1:]))
-    small = bool(finite) and finite[-1] < max(0.05 * finite[0], 1e-6)
+        means.append(float(np.mean(np.abs(vals))))
+    decreasing = all(b <= a * 1.05 + 1e-12 for a, b in zip(means, means[1:]))
+    small = means[-1] < max(0.05 * means[0], 1e-6)
     return {
         "times": ts,
         "mean_abs_T": means,

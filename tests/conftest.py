@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -118,11 +121,14 @@ def unscaled_calls(monkeypatch) -> list:
 
 
 # ---------------------------------------------------------------------------
-# acceptance summary: tests/test_acceptance.py records one line per criterion;
-# print them after the run so the log always carries the scoreboard.
+# acceptance summary: tests/test_acceptance.py records one line and one row per
+# criterion; print the lines after the run so the log always carries the
+# scoreboard, and write the rows, in tag order, to out/acceptance.json.
 # ---------------------------------------------------------------------------
 
 ACCEPTANCE_LINES: list[str] = []
+ACCEPTANCE_ROWS: list[dict] = []
+SCOREBOARD = Path(__file__).resolve().parent.parent / "out" / "acceptance.json"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -131,3 +137,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+    SCOREBOARD.parent.mkdir(exist_ok=True)
+    rows = sorted(ACCEPTANCE_ROWS, key=lambda row: row["tag"])
+    SCOREBOARD.write_text(json.dumps(rows, indent=2) + "\n")

@@ -418,7 +418,7 @@ def per_block_columns(plan, master_seed: int, R: int, S, constants) -> dict:
     powers and normalization, so the check covers the columns, not those
     terms.
 
-    "cells" holds the draws, which the batch does not: the ``(R, n_outcomes)``
+    "cells" holds the draws, which the batch does not: the ``(R, outcomes)``
     multinomial counts per ``(generation, type)`` ("offspring") and per
     ``(p, t, k, j)`` noise cell ("noise"), zeros where nothing was drawn."""
     blocks = []
@@ -502,7 +502,7 @@ def _one_block(plan, rng: np.random.Generator, S, constants) -> dict:
 
     cells = {
         "offspring": {
-            (g, j): draws.get(j, np.zeros((B, law.n_outcomes), dtype=np.int64))
+            (g, j): draws.get(j, np.zeros((B, len(law.probs)), dtype=np.int64))
             for g, draws in enumerate(draws_by_g)
             for j, law in enumerate(model.laws)
         },

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES, bundle
+from conftest import ACCEPTANCE_LINES, ACCEPTANCE_ROWS, bundle
 from oracles import exact_linear_variance, exact_moment_tables
 
 from cmjsim import (
@@ -48,6 +48,10 @@ def record(tag: str, label: str, ok: bool, detail: str, t0: float, budget: float
         f"({elapsed:.2f}s / budget {budget:.0f}s)"
     )
     ACCEPTANCE_LINES.append(line)
+    ACCEPTANCE_ROWS.append({
+        "tag": tag, "label": label, "passed": ok, "detail": detail,
+        "seconds": elapsed, "budget_s": budget,
+    })
     assert ok, line
 
 

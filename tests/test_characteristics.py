@@ -133,7 +133,7 @@ def test_empirical_single_individual_moments(mirror):
     R = 100_000
     for j in range(2):
         law = model.laws[j]
-        outcomes = law.outcome_matrix().astype(float)
+        outcomes = np.array(law.counts, dtype=float)
         idx = rng.choice(len(law.probs), size=R, p=law.probs)
         vals = phi.base[0][j].real + (outcomes[idx] - model.A[:, j]) @ c_row
         if (0, j) in phi.noise:

@@ -354,6 +354,63 @@ def test_verify_refuses_a_run_with_too_few_survivors(tmp_path, capsys):
     assert rep["reason"] == "only 1 usable survivors; need 50"
 
 
+EXTINCT = {
+    "schema": 1,
+    "model": {"types": 1, "initial_type": 1,
+              "offspring": {1: [{"p": "1/2", "counts": [0]}, {"p": "1/2", "counts": [4]}]}},
+    "characteristic": {"kind": "table", "base": {}},
+    "run": {"n": 6, "delta": 2, "replicates": 3, "seed": 1, "trajectory": [4, 6]},
+}
+
+
+def test_verify_refuses_a_degenerate_run_with_no_survivor(tmp_path, capsys):
+    path = write_yaml(tmp_path, "extinct.yaml", EXTINCT)
+    rc, out, _ = run_cli(["verify", "--scenario", path, "--seed", "11"], capsys)
+    assert rc == EXIT_ASSUMPTION
+    assert "NaN" not in out
+    rep = json_payload(out)
+    assert rep["constants"]["case"] == "degenerate"
+    assert rep["verdict"] == "REFUSED"
+    assert rep["reason"] == "only 0 usable survivors; need 1"
+
+
+def test_verify_checks_decay_on_a_degenerate_run_with_survivors(tmp_path, capsys):
+    d = preset("single_type_binary").to_dict()
+    d["characteristic"] = {"kind": "table", "base": {}}
+    del d["run"]["case"]
+    rc, out, _ = run_cli(["verify", "--scenario", write_yaml(tmp_path, "zero.yaml", d)], capsys)
+    assert rc == EXIT_OK
+    rep = json_payload(out)
+    assert rep["verdict"] == "PASS"
+    assert rep["verification"]["case"] == "degenerate" and rep["verification"]["decay"]["passed"]
+
+
+ZERO_MATRIX = {1: [{"p": 1, "counts": [0, 0]}], 2: [{"p": 1, "counts": [0, 0]}]}
+NILPOTENT = {1: [{"p": "1/2", "counts": [0, 2]}, {"p": "1/2", "counts": [0, 0]}],
+             2: [{"p": 1, "counts": [0, 0]}]}
+
+
+@pytest.mark.parametrize(
+    "offspring, cause",
+    [(ZERO_MATRIX, "A is the zero matrix"), (NILPOTENT, "A is nilpotent")],
+    ids=["zero", "nilpotent"],
+)
+@pytest.mark.parametrize("command", ["analyze", "constants", "star-check", "simulate"])
+def test_a_mean_matrix_without_perron_root_is_an_assumption_failure(
+    offspring, cause, command, tmp_path, capsys
+):
+    d = {"schema": 1, "model": {"types": 2, "initial_type": 1, "offspring": offspring},
+         "characteristic": {"kind": "indicator", "row": [1, 0]}, "run": {"n": 4}}
+    argv = [command, "--scenario", write_yaml(tmp_path, "m.yaml", d), "--out", str(tmp_path / "r")]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == EXIT_ASSUMPTION
+    if command == "analyze":
+        rep = json_payload(out)
+        assert rep["spectral_error"].startswith(cause) and rep["assumptions"]["all_ok"] is False
+    else:
+        assert err.startswith(f"error: {cause}")
+
+
 def test_verify_refuses_before_simulating_when_assumptions_fail(capsys):
     rc, out, _ = run_cli(["verify", "--scenario", "cross_feed_deterministic"], capsys)
     assert rc == EXIT_ASSUMPTION

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmjsim import load_scenario, preset, preset_names, save_scenario, write_scenario_files
+from cmjsim import load_scenario, preset, preset_names, save_scenario
 from cmjsim.scenario import Scenario, ScenarioError, loads_scenario, parse_row, scenario_from_dict
 
 MINIMAL = """
@@ -78,15 +78,6 @@ def test_round_trip_through_yaml(tmp_path):
         assert again.to_dict() == scn.to_dict(), name
 
 
-def test_write_scenario_files_covers_all_presets(tmp_path):
-    paths = write_scenario_files(tmp_path)
-    assert sorted(p.split("/")[-1].removesuffix(".yaml") for p in map(str, paths)) == sorted(
-        preset_names()
-    )
-    for p in paths:
-        load_scenario(p)
-
-
 def test_checked_in_scenarios_match_presets():
     import pathlib
 
@@ -154,6 +145,45 @@ def test_run_value_bounds():
     with pytest.raises(ScenarioError) as err:
         loads_scenario(MINIMAL + "  trajectory: []\n")
     assert "run.trajectory" in str(err.value)
+
+
+CUSTOM = {
+    "schema": 1,
+    "model": {
+        "types": 2,
+        "initial_type": 1,
+        "offspring": {1: [{"p": 1, "counts": [1, 1]}], 2: [{"p": 1, "counts": [0, 2]}]},
+    },
+    "characteristic": {"kind": "custom", "base": {0: [1, 0]}, "coeff": {1: [0, 1]}},
+    "run": {"n": 5},
+}
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("run", "delta", -1, "run.delta: must be >= 0, got -1"),
+        ("run", "replicates", 0, "run.replicates: must be >= 1, got 0"),
+        ("run", "seed", -1, "run.seed: must be >= 0, got -1"),
+        ("run", "workers", 0, "run.workers: must be >= 1, got 0"),
+        ("run", "workers", True, "run.workers: expected an integer, got True"),
+        ("run", "seed", 1.5, "run.seed: expected an integer, got 1.5"),
+        ("characteristic", "base", [[1, 0]], "characteristic.base: expected a mapping of age -> row"),
+        ("characteristic", "coeff", [[0, 1]], "characteristic.coeff: expected a mapping of age -> row"),
+        ("characteristic", "base", {"0": [1, 0]}, "characteristic.base: ages must be integers, got '0'"),
+        ("characteristic", "coeff", {1.5: [0, 1]}, "characteristic.coeff: ages must be integers, got 1.5"),
+        ("characteristic", "coeff", {2: [1]}, "characteristic.coeff.2: expected 2 entries, got 1"),
+        ("characteristic", "base", {-1: [1, 0, 0]}, "characteristic.base.-1: expected 2 entries, got 3"),
+    ],
+)
+def test_run_and_table_messages_are_exact(section, key, value, message):
+    doc = {**CUSTOM, section: {**CUSTOM[section], key: value}}
+    assert scenario_from_dict(CUSTOM).characteristic == {
+        "kind": "custom", "base": {0: [1, 0]}, "coeff": {1: [0, 1]}, "noise": []
+    }
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == message
 
 
 def test_offspring_counts_run_up_to_int64_max():

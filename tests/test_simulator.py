@@ -476,7 +476,7 @@ def test_padded_draw_equals_per_type_calls(three_scale):
                 want_next = np.zeros_like(shaped)
                 for j, law in enumerate(model.laws):
                     if shaped[..., j].any():
-                        want_next += per_type.multinomial(shaped[..., j], law.probs) @ law.outcome_matrix()
+                        want_next += per_type.multinomial(shaped[..., j], law.probs) @ np.array(law.counts)
                 assert np.array_equal(nxt, want_next)
                 assert stepped.bit_generator.state == per_type.bit_generator.state
 

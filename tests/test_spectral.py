@@ -379,6 +379,14 @@ def test_nilpotent_matrix_is_refused_as_arithmetic_error(A):
     assert type(info.value) is ArithmeticError
 
 
+def test_zero_matrix_is_refused_as_arithmetic_error():
+    with pytest.raises(ArithmeticError, match="A is the zero matrix") as info:
+        spectral_decompose(np.zeros((2, 2)))
+    assert type(info.value) is ArithmeticError
+    with pytest.raises(ValueError, match="A must be square"):
+        spectral_decompose(np.zeros((2, 3)))
+
+
 # -- agreement with the LAPACK ordered-Schur projector --------------------------
 
 
