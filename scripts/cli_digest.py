@@ -25,7 +25,9 @@ requested case, whose verify checks that |T| decays
 (``single_type_binary+zero_table``); a one-type model that dies out in
 every replicate at seed 11, whose verify has no survivor to check decay on
 (``extinct@11``); and a two-type model whose mean matrix is zero
-(``zero_matrix``).
+(``zero_matrix``).  One more meets every standing assumption but has
+rho/s1^2 = 0.9984, so its sigma2 tail does not certify within the term
+limit and verify refuses it (``uncertified_tail``).
 
 Each line hashes the run's stdout, stderr, exit code and every
 file it wrote (name and bytes), with the output directory's path masked,
@@ -72,6 +74,17 @@ ZERO_MATRIX = {
               "offspring": {1: [{"p": 1, "counts": [0, 0]}], 2: [{"p": 1, "counts": [0, 0]}]}},
     "characteristic": {"kind": "indicator", "row": [1, 0]},
     "run": {"n": 4},
+}
+
+UNCERTIFIED_TAIL = {
+    "schema": 1,
+    "model": {"types": 2, "initial_type": 1, "offspring": {
+        1: [{"p": "37/100", "counts": [5, 2]}, {"p": "1/2", "counts": [4, 2]},
+            {"p": "13/100", "counts": [4, 1]}],
+        2: [{"p": "37/100", "counts": [2, 5]}, {"p": "1/2", "counts": [2, 4]},
+            {"p": "13/100", "counts": [1, 4]}]}},
+    "characteristic": {"kind": "indicator", "row": ["1", "-1"]},
+    "run": {"n": 6, "delta": 4, "replicates": 300, "seed": 5},
 }
 
 
@@ -124,6 +137,7 @@ def _derived(preset):
     yield "single_type_binary+zero_table", zero
     yield "extinct@11", EXTINCT
     yield "zero_matrix", ZERO_MATRIX
+    yield "uncertified_tail", UNCERTIFIED_TAIL
 
 
 def digests(tree: Path):

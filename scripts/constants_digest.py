@@ -9,7 +9,12 @@ population of ``constants_sweep`` models (``perfbench/constants_sweep.inputs``
 at seeds 0 to N-1, 200 models each, N = 5 by default).  Each input also adds
 its mean matrix's spectral report: every cluster's eigenvalue, multiplicity,
 nilpotent index, label and margin, and the invariant ``residuals``, also for
-a model that fails the standing assumptions.  An input the program refuses
+a model that fails the standing assumptions.  Since presets and sweep inputs
+count rows and phi1 tables only, every preset model is also taken through
+``compute_constants`` with 8 seeded ``custom`` characteristics that have
+base, coeff and noise cells, each age's cells in type order and a cell per
+type at age 1 (three on the three-type presets), which reach the noise
+moments.  An input the program refuses
 or fails on adds its exception's type and message.  Two trees that print the
 same digest computed the same constants and spectral reports bit for bit.
 ``--tree`` measures another checkout of the program (default: this one);
@@ -28,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS_PER_SEED = 200
+CUSTOM_PER_PRESET = 8
 
 
 def _feed(h, obj) -> None:
@@ -64,9 +70,32 @@ def _outcome(compute):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _custom_tables(Characteristic, NoiseLaw, J: int, seed: int):
+    """``CUSTOM_PER_PRESET`` seeded characteristics with J types: base and
+    coeff rows at two ages each in [-3, 2], and noise cells at ages -2, 0
+    and 1, in type order, at every type at age 1 and at about half of them
+    elsewhere."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+
+    def rows():
+        return {int(k): rng.standard_normal(J) + 1j * rng.standard_normal(J)
+                for k in rng.choice(np.arange(-3, 3), size=2, replace=False)}
+
+    def law():
+        a, b = rng.standard_normal(2)
+        return NoiseLaw((0.2, 0.5, 0.3), (complex(a), 1.5, complex(0, b)))
+
+    for _ in range(CUSTOM_PER_PRESET):
+        noise = {(k, j): law() for k in (-2, 0, 1) for j in range(J) if k == 1 or rng.random() < 0.5}
+        yield Characteristic(J=J, base=rows(), coeff=rows(), noise=noise, label="custom")
+
+
 def digest(tree: Path, seeds: int) -> tuple[str, int]:
     """(sha256 hex digest, number of inputs hashed) for the program in ``tree``."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    from cmjsim.characteristics import Characteristic, NoiseLaw
     from cmjsim.cli import build_characteristic
     from cmjsim.constants import compute_constants
     from cmjsim.model import build_model
@@ -97,6 +126,12 @@ def digest(tree: Path, seeds: int) -> tuple[str, int]:
         for (inp,) in itertools.islice(constants_sweep.inputs(seed), MODELS_PER_SEED):
             const = _outcome(lambda: constants_sweep.compute(inp))
             _feed(h, (seed, inp["family"], const, _outcome(lambda: spectral_report(inp["model"]))))
+            n += 1
+    for i, name in enumerate(preset_names()):
+        m = build_model(preset(name).model)
+        S = spectral_decompose(m.A)
+        for phi in _custom_tables(Characteristic, NoiseLaw, m.J, i):
+            _feed(h, (name, "custom", _outcome(lambda: compute_constants(phi, S, m))))
             n += 1
     return h.hexdigest(), n
 

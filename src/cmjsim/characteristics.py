@@ -21,6 +21,7 @@ whose counted process recenters ``Z_n^phi`` at its mean pathwise.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -99,46 +100,35 @@ class Characteristic:
             nz[(int(k), int(j))] = law
         object.__setattr__(self, "noise", nz)
 
-    # -- window bookkeeping -------------------------------------------------
+    # -- window bookkeeping and exact moments -------------------------------
+    def moments(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+        """``(ages, mean, noise_var)``: every age any table names, ascending;
+        E phi(k) per age as read-only rows (the coeff part is centered by
+        design); and each noise cell's variance E|X - EX|^2 per age and type."""
+        ages = tuple(sorted(set(self.base) | set(self.coeff) | {k for (k, _) in self.noise}))
+        mean = np.zeros((len(ages), self.J), dtype=complex)
+        for k, row in self.base.items():
+            mean[bisect_left(ages, k)] += row
+        noise_var = np.zeros((len(ages), self.J))
+        for (k, j), law in self.noise.items():
+            i = bisect_left(ages, k)
+            mean[i, j] += law.mean()
+            noise_var[i, j] += law.variance()
+        mean.flags.writeable = noise_var.flags.writeable = False
+        return ages, mean, noise_var
+
     @property
     def value_keys(self) -> tuple[int, ...]:
-        ks = set(self.base) | set(self.coeff) | {k for (k, _) in self.noise}
-        return tuple(sorted(ks))
+        return self.moments()[0]
 
     @property
     def is_deterministic(self) -> bool:
         return not self.coeff and not self.noise
 
-    # -- exact moments ------------------------------------------------------
-    def mean(self, k: int) -> np.ndarray:
-        """E phi(k) as a length-J row (the coeff part is centered by design)."""
-        row = np.zeros(self.J, dtype=complex)
-        if k in self.base:
-            row = row + self.base[k]
-        for (kk, j), law in self.noise.items():
-            if kk == k:
-                row[j] += law.mean()
-        return row
-
     def mean_table(self) -> dict:
-        out = {}
-        for k in sorted(set(self.base) | {k for (k, _) in self.noise}):
-            row = self.mean(k)
-            if np.any(row != 0):
-                out[k] = row
-        return out
-
-    def variance(self, k: int, model: BranchingModel) -> np.ndarray:
-        """Var[phi(k)] e_j per type, as E|X - EX|^2 (complex convention)."""
-        var = np.zeros(self.J, dtype=float)
-        c = self.coeff.get(k)
-        if c is not None:
-            for j in range(self.J):
-                var[j] += float(np.real(c @ model.covs[j] @ c.conj()))
-        for (kk, j), law in self.noise.items():
-            if kk == k:
-                var[j] += law.variance()
-        return var
+        """``{k: E phi(k)}`` over the nonzero rows, in ascending age."""
+        ages, mean, _ = self.moments()
+        return {ages[i]: mean[i] for i in np.flatnonzero(mean.any(axis=1)).tolist()}
 
     def scaled(self, factor: complex) -> "Characteristic":
         """The characteristic ``factor * phi`` (all tables scaled)."""
@@ -325,23 +315,16 @@ def assumption_sums(phi: Characteristic, S: SpectralData, model: BranchingModel)
     rows are scaled by ``rho^{-k/2}`` before they are squared, so the far
     rows of a long table do not underflow.
     """
-    ks = np.array(phi.value_keys)
-    pos = {k: i for i, k in enumerate(phi.value_keys)}
-    means = np.zeros((len(ks), S.J), dtype=complex)
-    if phi.base:
-        means[[pos[k] for k in phi.base]] = list(phi.base.values())
-    var = np.zeros((len(ks), S.J))
-    for (k, j), law in phi.noise.items():
-        means[pos[k], j] += law.mean()
-        var[pos[k], j] += law.variance()
+    ages, means, noise_var = phi.moments()
+    ks = np.array(ages)
     # |E phi(k)| row by row as np.linalg.norm forms it: vecdot makes the same
     # strided dot call per row, so the sum equals a per-key norm bit for bit
     mean = np.sqrt(np.vecdot(means.real, means.real) + np.vecdot(means.imag, means.imag))
-    var = power_scaled(var, S.rho, ks)
+    var = power_scaled(noise_var, S.rho, ks)
     if phi.coeff:
         rows = power_scaled(np.array(list(phi.coeff.values())), S.rho, np.array(list(phi.coeff)) / 2)
         covs = np.array(model.covs)
-        var[[pos[k] for k in phi.coeff]] += np.einsum("ia,jab,ib->ij", rows, covs, rows.conj()).real
+        var[np.searchsorted(ks, list(phi.coeff))] += np.einsum("ia,jab,ib->ij", rows, covs, rows.conj()).real
     return {
         "mean_weighted_sum": float(np.sum(power_scaled(mean, S.rho, ks) + power_scaled(mean, S.theta, ks))),
         "variance_weighted_sum": float(np.sum(np.linalg.norm(var, axis=1))),

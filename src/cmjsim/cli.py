@@ -283,7 +283,11 @@ def _cmd_verify(args) -> int:
         reason = "standing assumptions fail: " + ", ".join(failed)
         _emit({"assumptions": assumptions, "verdict": "REFUSED", "reason": reason}, args.out)
         return EXIT_ASSUMPTION
-    const = run.const
+    try:
+        const = run.const
+    except ArithmeticError as exc:  # the constants cannot be certified
+        _emit({"assumptions": assumptions, "verdict": "REFUSED", "reason": str(exc)}, args.out)
+        return EXIT_ASSUMPTION
     batch = run.batch()
     # B_table is the constants subcommand's: here it would be most of the output
     constants = _constants_report(const)

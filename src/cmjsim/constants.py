@@ -180,12 +180,10 @@ def compute_sigma2(
     extension (partial sums are monotone in the window, every term being
     nonnegative)."""
     mt = phi.mean_table()
+    ages, _, noise_var = phi.moments()
     M = mixing_covariance(model, S.u)
-    noise_u: dict[int, float] = {}
-    for (k, j), law in phi.noise.items():
-        noise_u[k] = noise_u.get(k, 0.0) + float(S.u[j]) * law.variance()
 
-    keys = set(phi.value_keys) | {0, 1}
+    keys = set(ages) | {0, 1}
     if mt:
         keys.add(max(mt) + 1)
     lo, hi = min(keys), max(keys)
@@ -194,7 +192,8 @@ def compute_sigma2(
     coeff = np.zeros((len(ks), S.J), dtype=complex)
     coeff[[k - lo for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
     noise = np.zeros(len(ks))
-    noise[[k - lo for k in noise_u]] = list(noise_u.values())
+    # u-weighted row sums in type order: a per-cell sum's bits where the cells are in that order
+    noise[[k - lo for k in ages]] = sum(float(S.u[j]) * noise_var[:, j] for j in range(S.J))
     k_parts = [ks]
     t_parts = [m_norm2(M, power_scaled(B + coeff, S.rho, ks / 2)) + power_scaled(noise, S.rho, ks)]
     tails = []
@@ -257,7 +256,7 @@ def compute_constants(
     a_row = None
     if isinstance(source, Characteristic):
         phi = source
-        if not phi.coeff and not phi.noise and set(phi.base) == {0}:
+        if phi.is_deterministic and set(phi.base) == {0}:
             a_row = phi.base[0]  # a pure age-0 indicator unlocks the direct route
     else:
         a_row = np.asarray(source, dtype=complex).reshape(-1)

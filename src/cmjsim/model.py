@@ -173,10 +173,7 @@ def validate_assumptions(model: BranchingModel) -> AssumptionReport:
     rho = perron_root(model.A)
     gw1 = bool(rho > 1.0)
     gw2 = is_primitive(model.A)
-    cov_total = np.zeros((model.J, model.J))
-    for c in model.covs:
-        cov_total = cov_total + c
-    cov_norm = float(np.linalg.norm(cov_total))
+    cov_norm = float(np.linalg.norm(mixing_covariance(model, np.ones(model.J))))
     finite = bool(np.all(np.isfinite(np.diagonal(model.covs, axis1=1, axis2=2))))
     gw3 = bool(cov_norm > PROB_TOL and finite)
     return AssumptionReport(

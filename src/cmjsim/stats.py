@@ -248,17 +248,13 @@ def verify_dichotomy(
         )
 
     is_real = bool(np.max(np.abs(eps_c.imag)) < 1e-9 * max(1.0, float(np.max(np.abs(eps_c)))))
+    eps = eps_c.real if is_real else eps_c.real * math.sqrt(2.0)
+    ks_D, ks_p = ks_test(eps)
     marginals = None
     if not is_real:
         # informational marginal checks; the gate runs on the real part
-        d_re, p_re = ks_test(eps_c.real * math.sqrt(2.0))
         d_im, p_im = ks_test(eps_c.imag * math.sqrt(2.0))
-        marginals = {"ks_p_real": p_re, "ks_p_imag": p_im, "ks_D_real": d_re, "ks_D_imag": d_im}
-        eps = eps_c.real * math.sqrt(2.0)
-    else:
-        eps = eps_c.real
-
-    ks_D, ks_p = ks_test(eps)
+        marginals = {"ks_p_real": ks_p, "ks_p_imag": p_im, "ks_D_real": ks_D, "ks_D_imag": d_im}
     mean_eps = float(eps.mean())
     var_eps = float(eps.var(ddof=1))
     var_se = bootstrap_variance_se(eps, B=BOOTSTRAP_B, seed=BOOTSTRAP_SEED)
@@ -343,20 +339,23 @@ def lln_check(
 
     When c vanishes the ratio is meaningless; the check switches to absolute
     smallness of |Z_t^phi| rho^{-t} relative to the characteristic's scale.
+    When E phi(k) is zero at every age, c and the scale are exactly 0 and
+    there is nothing to judge: the mode is ``zero_mean`` and ``passed`` None.
     """
     t = batch.n
     c = 0.0 + 0.0j
     scale = 0.0
-    for k in phi.value_keys:
-        row = phi.mean(k)
+    ages, mean, _ = phi.moments()
+    for k, row in zip(ages, mean):
         c += S.rho ** (-k) * complex(row @ S.u.astype(complex))
         scale += S.rho ** (-k) * float(np.abs(row) @ S.u)
     vals, ws = _usable_column(batch, batch.zphi, t, w_min)
     out = {"t": t, "m": int(vals.size), "limit_constant": complex(c), "scale": scale}
     if not vals.size:
         out.update({"mode": "empty", "passed": False})
-        return out
-    if abs(c) > 1e-9 * max(scale, 1e-300):
+    elif not mean.any():
+        out.update({"mode": "zero_mean", "passed": None})
+    elif abs(c) > 1e-9 * max(scale, 1e-300):
         med = _median(_real_quotient(vals, S.rho**t * ws * c))
         out.update(
             {

@@ -14,9 +14,10 @@ block-by-block simulator with one multinomial call per parent type that the
 chunk-stepped one must equal, and the series engine's weights, stopping
 streak, mean tables and normal CDF taken one term at a time.
 None of it shares code with the package internals, so agreement is evidence
-rather than tautology; the exceptions are ``eager_b_table``, the eager
-construction of the B(k) table that the lazy one must equal, which reuses
-the library's rows because only the timing and order of the build differ,
+rather than tautology; the exceptions are ``per_cell_sigma2`` and
+``eager_b_table``, the per-cell noise sum and the eager construction of the
+B(k) table that the library's must equal, which reuse the library's rows
+because only the noise sum and the timing and order of the build differ,
 and the terms of T in ``per_block_columns``, because only where T is formed
 differs.
 """
@@ -574,6 +575,27 @@ def reference_mean_table(phi: Characteristic) -> dict:
     return out
 
 
+def reference_noise_variance(phi: Characteristic, k: int) -> np.ndarray:
+    """The noise cells' ``E|X - EX|^2`` at age ``k`` per type, cell by cell."""
+    var = np.zeros(phi.J, dtype=float)
+    for (kk, j), law in phi.noise.items():
+        if kk == k:
+            m = complex(sum(p * v for p, v in zip(law.probs, law.values)))
+            var[j] += float(sum(p * abs(v - m) ** 2 for p, v in zip(law.probs, law.values)))
+    return var
+
+
+def reference_variance(phi: Characteristic, k: int, model: BranchingModel) -> np.ndarray:
+    """``Var[phi(k)] e_j`` per type, as E|X - EX|^2 (complex convention): the
+    coeff row's ``c C_j c^H`` plus the noise cells'."""
+    var = np.zeros(phi.J, dtype=float)
+    c = phi.coeff.get(k)
+    if c is not None:
+        for j in range(phi.J):
+            var[j] += float(np.real(c @ model.covs[j] @ c.conj()))
+    return var + reference_noise_variance(phi, k)
+
+
 # ---------------------------------------------------------------------------
 # The B(k) table, built eagerly
 # ---------------------------------------------------------------------------
@@ -584,6 +606,13 @@ def eager_b_table(phi: Characteristic, S, model: BranchingModel, eps_tail: float
     lazy: every tail row unscaled and indexed up front, in the same argsort
     order.  It runs on the library's own rows, so it checks when and in
     which order the table is built, not the rows themselves."""
+    return per_cell_sigma2(phi, S, model, eps_tail, window)[2]
+
+
+def per_cell_sigma2(phi: Characteristic, S, model: BranchingModel, eps_tail: float = 1e-14, window=None):
+    """``(value, error, {k: B(k)})`` as ``compute_sigma2`` formed them when
+    each age's noise term was summed cell by cell, in the noise table's
+    order, and the B table was built eagerly."""
     mt = phi.mean_table()
     M = mixing_covariance(model, S.u)
     noise_u: dict[int, float] = {}
@@ -621,4 +650,4 @@ def eager_b_table(phi: Characteristic, S, model: BranchingModel, eps_tail: float
         raise ArithmeticError("sigma2 lies outside float64 range")
     order = np.argsort(ks)
     order = order[keep[order]].tolist()
-    return dict(zip(ks[order].tolist(), [table[i] for i in order]))
+    return value, error, dict(zip(ks[order].tolist(), [table[i] for i in order]))

@@ -17,7 +17,12 @@ from cmjsim.characteristics import (
     expected_process,
 )
 
-from oracles import exact_moment_tables, reference_mean_table
+from oracles import (
+    exact_moment_tables,
+    reference_mean_table,
+    reference_noise_variance,
+    reference_variance,
+)
 
 
 def test_noise_law_moments():
@@ -38,8 +43,8 @@ def test_indicator_characteristic_shape():
     assert phi.J == 2
     assert phi.value_keys == (0,)
     assert phi.is_deterministic and not np.any(phi.base[0].imag)
-    assert np.allclose(phi.mean(0), [2.0, -1.0])
-    assert np.allclose(phi.mean(3), [0.0, 0.0])
+    assert np.allclose(phi.mean_table()[0], [2.0, -1.0])
+    assert 3 not in phi.mean_table()
 
 
 def test_mean_includes_noise_and_variance_splits(mirror):
@@ -51,8 +56,8 @@ def test_mean_includes_noise_and_variance_splits(mirror):
         coeff={0: c_row},
         noise={(0, 1): NoiseLaw((0.5, 0.5), (0.0, 2.0))},
     )
-    assert np.allclose(phi.mean(0), [5.0, 1.0])  # noise adds its mean to type 2
-    var = phi.variance(0, model)
+    assert np.allclose(phi.mean_table()[0], [5.0, 1.0])  # noise adds its mean to type 2
+    var = reference_variance(phi, 0, model)
     # coeff part: c C_j c^T; both columns have C_j = [[1,-1],[-1,1]] -> 4
     assert var[0] == pytest.approx(4.0)
     assert var[1] == pytest.approx(4.0 + 1.0)  # plus Bernoulli(1/2)*2 variance
@@ -90,6 +95,34 @@ def test_mean_table_equals_the_walk_over_every_value_key():
         assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
 
+def test_moments_equal_the_per_cell_walk():
+    rng = np.random.default_rng(29)
+
+    def row(J):
+        return rng.integers(-1, 2, J) + 1j * rng.integers(-1, 2, J)
+
+    def law():
+        v = float(rng.integers(-2, 3))
+        return NoiseLaw(*(((0.25, 0.75), (v, 1.0 + 0.5j)) if rng.random() < 0.5 else ((0.5, 0.5), (-v, v))))
+
+    for _ in range(300):
+        J = int(rng.integers(1, 5))
+        a = rng.choice(np.arange(-8, 9), size=5, replace=False).tolist()
+        # a[2] is coeff-only, a[3] noise-only with a cell per type (three or
+        # more when J >= 3), in shuffled type order
+        noise = {(a[0], int(rng.integers(J))): law(), (a[4], int(rng.integers(J))): law()}
+        noise.update({(a[3], int(j)): law() for j in rng.permutation(J)})
+        base, coeff = {a[0]: row(J), a[1]: row(J)}, {a[1]: row(J), a[2]: row(J)}
+        phi = Characteristic(J=J, base=base, coeff=coeff, noise=noise)
+        ages, mean, noise_var = phi.moments()
+        assert ages == tuple(sorted(set(phi.base) | set(phi.coeff) | {k for k, _ in noise}))
+        want = reference_mean_table(phi)
+        assert mean.tobytes() == np.array([want.get(k, np.zeros(J, dtype=complex)) for k in ages]).tobytes()
+        assert noise_var.tobytes() == np.array([reference_noise_variance(phi, k) for k in ages]).tobytes()
+        assert not mean.flags.writeable and not noise_var.flags.writeable
+        assert phi.value_keys == ages
+
+
 def test_frozen_rows_are_read_only_copies_and_a_bad_row_names_its_key():
     src = np.array([1.0, 2.0])
     phi = Characteristic(2, base={0: src, 4: [0, 0]}, coeff={2: [3, 4j]})
@@ -115,9 +148,10 @@ def test_scaling_by_complex_factor(mirror):
     )
     z = 2.0 - 1.0j
     scaled = phi.scaled(z)
+    assert np.allclose(scaled.moments()[1], z * phi.moments()[1])
     for k in (0, 1):
-        assert np.allclose(scaled.mean(k), z * phi.mean(k))
-        assert np.allclose(scaled.variance(k, model), abs(z) ** 2 * phi.variance(k, model))
+        want = abs(z) ** 2 * reference_variance(phi, k, model)
+        assert np.allclose(reference_variance(scaled, k, model), want)
     assert np.any(scaled.base[0].imag) and np.any(scaled.coeff[1].imag)
 
 
@@ -138,8 +172,8 @@ def test_empirical_single_individual_moments(mirror):
         vals = phi.base[0][j].real + (outcomes[idx] - model.A[:, j]) @ c_row
         if (0, j) in phi.noise:
             vals = vals + rng.choice(noise.values, size=R, p=noise.probs).real
-        exact_mean = phi.mean(0)[j].real
-        exact_var = phi.variance(0, model)[j]
+        exact_mean = phi.mean_table()[0][j].real
+        exact_var = reference_variance(phi, 0, model)[j]
         se_mean = np.sqrt(exact_var / R)
         assert abs(vals.mean() - exact_mean) < 4 * se_mean
         c = vals - vals.mean()
@@ -268,7 +302,7 @@ def test_scaling_composes(row, k, z):
     phi = Characteristic(2, base={k: np.array(row, dtype=float)})
     twice = phi.scaled(z).scaled(z)
     once = phi.scaled(z * z)
-    assert np.allclose(twice.mean(k), once.mean(k), atol=1e-9)
+    assert np.allclose(twice.moments()[1], once.moments()[1], atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)

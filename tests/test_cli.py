@@ -385,6 +385,31 @@ def test_verify_checks_decay_on_a_degenerate_run_with_survivors(tmp_path, capsys
     assert rep["verification"]["case"] == "degenerate" and rep["verification"]["decay"]["passed"]
 
 
+# rho / s1^2 = 0.9984: the sigma2 tail outruns its term limit
+UNCERTIFIED = {
+    "schema": 1,
+    "model": {"types": 2, "initial_type": 1, "offspring": {
+        1: [{"p": "37/100", "counts": [5, 2]}, {"p": "1/2", "counts": [4, 2]},
+            {"p": "13/100", "counts": [4, 1]}],
+        2: [{"p": "37/100", "counts": [2, 5]}, {"p": "1/2", "counts": [2, 4]},
+            {"p": "13/100", "counts": [1, 4]}]}},
+    "characteristic": {"kind": "indicator", "row": ["1", "-1"]},
+    "run": {"n": 6, "delta": 4, "replicates": 300, "seed": 5},
+}
+
+
+def test_verify_refuses_constants_that_cannot_be_certified(tmp_path, capsys):
+    path = write_yaml(tmp_path, "uncertified.yaml", UNCERTIFIED)
+    assert run_cli(["analyze", "--scenario", path], capsys)[0] == EXIT_OK
+    rc, out, err = run_cli(["verify", "--scenario", path, "--out", str(tmp_path / "r.json")], capsys)
+    assert rc == EXIT_ASSUMPTION and not err
+    rep = json_payload(out)
+    assert rep == json.loads((tmp_path / "r.json").read_text())
+    assert rep.keys() == {"assumptions", "verdict", "reason"}
+    assert rep["assumptions"]["all_ok"] and rep["verdict"] == "REFUSED"
+    assert rep["reason"] == "sigma2 tail failed to certify within 10000 terms"
+
+
 ZERO_MATRIX = {1: [{"p": 1, "counts": [0, 0]}], 2: [{"p": 1, "counts": [0, 0]}]}
 NILPOTENT = {1: [{"p": "1/2", "counts": [0, 2]}, {"p": "1/2", "counts": [0, 0]}],
              2: [{"p": 1, "counts": [0, 0]}]}

@@ -33,7 +33,7 @@ from cmjsim.presets import _bernoulli_column, preset_names
 from cmjsim.spectral import power_scaled
 
 from conftest import bundle
-from oracles import eager_b_table, exact_linear_variance
+from oracles import eager_b_table, exact_linear_variance, per_cell_sigma2
 
 
 # -- frozen per-preset constants ----------------------------------------------
@@ -363,7 +363,8 @@ def test_variance_sum_keeps_rows_that_underflow_when_squared():
 def _per_key_mean_sum(phi, S):
     """``mean_weighted_sum`` as a loop of one ``np.linalg.norm`` per key."""
     ks = np.array(phi.value_keys)
-    mean = np.array([np.linalg.norm(phi.mean(k)) for k in phi.value_keys])
+    mt = phi.mean_table()  # zero rows at coeff-only ages, as the table keeps them
+    mean = np.array([np.linalg.norm(mt.get(k, np.zeros(phi.J))) for k in phi.value_keys])
     return float(np.sum(power_scaled(mean, S.rho, ks) + power_scaled(mean, S.theta, ks)))
 
 
@@ -404,6 +405,33 @@ def test_mean_weighted_sum_equals_per_key_norms_on_a_long_table():
     )
     for table in (phi, long_table):
         assert assumption_sums(table, S, model)["mean_weighted_sum"] == _per_key_mean_sum(table, S)
+
+
+def _noisy_tables(J, count=20, seed=31):
+    """Base, coeff and noise cells, each age's cells in ascending type order,
+    a cell per type at age 2 (three when J = 3) and noise alone at age -3."""
+    rng = np.random.default_rng(seed)
+
+    def row():
+        return rng.standard_normal(J) + 1j * rng.standard_normal(J)
+
+    def law():
+        return NoiseLaw((0.2, 0.5, 0.3), (complex(rng.standard_normal()), 1.5, -2.0j))
+
+    for _ in range(count):
+        noise = {(k, j): law() for k in (-3, 0, 2) for j in range(J) if k == 2 or rng.random() < 0.5}
+        yield Characteristic(J=J, base={0: row(), 1: row()}, coeff={-1: row(), 0: row()}, noise=noise)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_sigma2_noise_term_equals_the_per_cell_sum(name):
+    b = bundle(name)
+    for phi in _noisy_tables(b.S.J):
+        got, want = compute_sigma2(phi, b.S, b.model), per_cell_sigma2(phi, b.S, b.model)
+        assert (got[0], got[1]) == want[:2] and list(got[2]) == list(want[2])
+        # the per-age sum runs in type order whatever the order of the cells
+        flipped = dataclasses.replace(phi, noise=dict(reversed(phi.noise.items())))
+        assert compute_sigma2(flipped, b.S, b.model)[0] == got[0]
 
 
 @settings(max_examples=30, deadline=None)

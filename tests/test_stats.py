@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from cmjsim import cli, run_batch, stats, verify_dichotomy
+from cmjsim import cli, make_phi1, run_batch, stats, verify_dichotomy
+from cmjsim.characteristics import Characteristic
 from cmjsim.presets import PRESETS
 from cmjsim.simulator import BLOCK, ReplicateResult
 from cmjsim.stats import (
@@ -477,6 +478,18 @@ def test_lln_vanishing_mode(cross_feed):
     out = lln_check(batch, cross_feed.phi, cross_feed.model, cross_feed.S)
     assert out["mode"] == "vanishing"
     assert out["passed"], out
+
+
+@pytest.mark.parametrize("kind", ["kesten_stigum", "zero_table"])
+def test_lln_has_nothing_to_judge_when_every_mean_row_is_zero(single_type, kind):
+    n, N = 12, 16
+    S, model = single_type.S, single_type.model
+    phi = make_phi1(S, [1.0], model=model, k_min=n - N + 1) if kind == "kesten_stigum" else Characteristic(1)
+    batch = run_batch(model, phi, n=n, N=N, R=80, master_seed=61_005, S=S)
+    out = lln_check(batch, phi, model, S)
+    assert out["m"] > 0 and out["limit_constant"] == 0 and out["scale"] == 0
+    assert out["mode"] == "zero_mean" and out["passed"] is None
+    assert "median_abs" not in out and "median_ratio" not in out
 
 
 def test_lln_ratio_divides_as_python_complex_division():
