@@ -25,9 +25,10 @@ requested case, whose verify checks that |T| decays
 (``single_type_binary+zero_table``); a one-type model that dies out in
 every replicate at seed 11, whose verify has no survivor to check decay on
 (``extinct@11``); and a two-type model whose mean matrix is zero
-(``zero_matrix``).  One more meets every standing assumption but has
-rho/s1^2 = 0.9984, so its sigma2 tail does not certify within the term
-limit and verify refuses it (``uncertified_tail``).
+(``zero_matrix``).  One more meets every standing assumption and has
+rho/s1^2 = 0.9984: its descending sigma2 tail keeps terms above 1e-14 for
+about 10^4 lags, and the closed-form tail gives sigma2 = 50
+(``uncertified_tail``).
 
 Each line hashes the run's stdout, stderr, exit code and every
 file it wrote (name and bytes), with the output directory's path masked,

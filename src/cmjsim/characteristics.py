@@ -28,7 +28,11 @@ from typing import Mapping
 import numpy as np
 
 from .model import BranchingModel, mixing_covariance
-from .spectral import SpectralData, m_norm2, power_scaled, projected_power, scaled_tail, unscaled
+from .spectral import SpectralData, m_norm2, power_scaled, projected_power, stein_tail, unscaled
+
+PHI1_MASS = 1e-14  # make_phi1 stops where the remaining mass falls to this
+_MAX_ROWS = 10_000
+_MAX_BLOCK = 256
 
 __all__ = [
     "NoiseLaw",
@@ -104,18 +108,25 @@ class Characteristic:
     def moments(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
         """``(ages, mean, noise_var)``: every age any table names, ascending;
         E phi(k) per age as read-only rows (the coeff part is centered by
-        design); and each noise cell's variance E|X - EX|^2 per age and type."""
-        ages = tuple(sorted(set(self.base) | set(self.coeff) | {k for (k, _) in self.noise}))
-        mean = np.zeros((len(ages), self.J), dtype=complex)
-        for k, row in self.base.items():
-            mean[bisect_left(ages, k)] += row
-        noise_var = np.zeros((len(ages), self.J))
-        for (k, j), law in self.noise.items():
-            i = bisect_left(ages, k)
-            mean[i, j] += law.mean()
-            noise_var[i, j] += law.variance()
-        mean.flags.writeable = noise_var.flags.writeable = False
-        return ages, mean, noise_var
+        design); and each noise cell's variance E|X - EX|^2 per age and type.
+        Formed on the first call and kept, but not pickled."""
+        if "_moments" not in self.__dict__:
+            ages = tuple(sorted(set(self.base) | set(self.coeff) | {k for (k, _) in self.noise}))
+            mean = np.zeros((len(ages), self.J), dtype=complex)
+            for k, row in self.base.items():
+                mean[bisect_left(ages, k)] += row
+            noise_var = np.zeros((len(ages), self.J))
+            for (k, j), law in self.noise.items():
+                i = bisect_left(ages, k)
+                mean[i, j] += law.mean()
+                noise_var[i, j] += law.variance()
+            mean.flags.writeable = noise_var.flags.writeable = False
+            self.__dict__["_moments"] = (ages, mean, noise_var)
+        return self.__dict__["_moments"]
+
+    def __getstate__(self) -> dict:
+        # a pool task pickles the tables, not the moments formed from them
+        return {k: v for k, v in self.__dict__.items() if k != "_moments"}
 
     @property
     def value_keys(self) -> tuple[int, ...]:
@@ -146,7 +157,7 @@ class Characteristic:
 
 @dataclass(frozen=True, eq=False)
 class Phi1Characteristic(Characteristic):
-    """Martingale-gap characteristic with its truncation certificate."""
+    """Martingale-gap characteristic with the remaining mass its table leaves out."""
 
     discarded_mass: float = 0.0
 
@@ -259,13 +270,17 @@ def make_phi1(
     the generation increments); with the full tail it is the gap to the
     martingale limit itself.
 
-    The rows come from ``scaled_tail`` with the descending step, which also
-    decides where the infinite tail stops and certifies the discarded part
-    (``discarded_mass``); passing ``k_min`` forces a hard window
-    ``[k_min, 0]`` instead, and certifies nothing.  A row that underflows to
-    zero before its tail certifies raises a bare ``ArithmeticError``: dropping
-    it would change the characteristic.  The tail target is 1e-14, the
-    default of ``compute_sigma2``.
+    The rows are ``rho^{k/2} w T^{-k}`` with the descending step
+    ``T = rho^{1/2} pi1 A1^{-1} pi1`` from ``w = x1 pi1 A1^{-1}``, formed a
+    block ``w T^0 .. w T^{c-1}`` at a time, the block doubling up to 256
+    rows.  The table stops at the first row k whose remaining mass
+    ``sum_{j<=k} rho^{-j} |phi1(j)|_M^2``, the closed form
+    ``w_k X w_k^H`` of ``spectral.stein_tail``, is at most ``PHI1_MASS``, and
+    that mass is its ``discarded_mass``; a table that does not reach it
+    within 10,000 rows is refused with a bare ``ArithmeticError``.
+    ``k_min`` forces the window ``[k_min, 0]`` instead.  Either table ends
+    early at a row outside float64's normal range (``spectral.unscaled``),
+    and its ``discarded_mass`` is the remaining mass there.
     """
     x1 = np.asarray(x1, dtype=complex).reshape(-1)
     J = x1.shape[0]
@@ -273,20 +288,26 @@ def make_phi1(
     if not np.any(np.abs(w) > 0):
         return Phi1Characteristic(J=J, label="phi1", discarded_mass=0.0)
 
-    M = mixing_covariance(model, S.u)
-    count = None if k_min is None else max(0, 1 - k_min)
-    scaled, _, discarded = scaled_tail(S, M, w, -1, "phi1 tail", 1e-14, count)
-    coeff = {}
-    for m, row in enumerate(unscaled(S, scaled, -np.arange(len(scaled)))):
-        if row is None:
-            raise ArithmeticError(f"phi1 row at k={-m} underflows float64 before its tail certifies")
-        coeff[-m] = row
-    return Phi1Characteristic(
-        J=J,
-        coeff=coeff,
-        label="phi1",
-        discarded_mass=float(discarded),
-    )
+    X = stein_tail(S, mixing_covariance(model, S.u), -1)[0]
+    step = S.step(1, -1) * S.sqrt_rho
+    limit = _MAX_ROWS if k_min is None else max(0, 1 - k_min)
+    block, blocks, masses = np.eye(J, dtype=complex)[None], [], []
+    while sum(map(len, blocks)) <= limit:
+        blocks.append(w @ block)
+        masses.append(m_norm2(X, blocks[-1]))
+        if k_min is None and masses[-1][-1] <= PHI1_MASS:  # the remaining mass only falls
+            break
+        w = blocks[-1][-1] @ step
+        if len(block) < _MAX_BLOCK:
+            block = np.concatenate([block, block @ (block[-1] @ step)])
+    scaled, mass = np.concatenate(blocks), np.concatenate(masses)
+    end = limit if k_min is not None else int(np.argmax(mass <= PHI1_MASS))
+    if k_min is None and not (mass[end] <= PHI1_MASS and end <= _MAX_ROWS):
+        raise ArithmeticError(f"phi1 tail does not fall to mass {PHI1_MASS} within {_MAX_ROWS} rows")
+    rows = unscaled(S, scaled[:end], -np.arange(end))
+    end = next((m for m, row in enumerate(rows) if row is None), end)  # a row past float64 ends it
+    coeff = {-m: row for m, row in enumerate(rows[:end])}
+    return Phi1Characteristic(J=J, coeff=coeff, label="phi1", discarded_mass=float(mass[end]))
 
 
 def expected_process(phi: Characteristic, model: BranchingModel, n: int) -> complex:

@@ -215,9 +215,7 @@ class _Pipeline:
     @cached_property
     def const(self) -> TheoreticalConstants:
         phi, a_row = self.characteristic
-        return compute_constants(
-            a_row if a_row is not None else phi, self.S, self.model, eps_tail=self.scn.run["eps_tail"]
-        )
+        return compute_constants(a_row if a_row is not None else phi, self.S, self.model)
 
     def batch(self):
         scn = self.scn
@@ -245,13 +243,15 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_constants(args) -> int:
     run = _Pipeline(args)
-    report = {
-        "assumptions": _assumption_report(run.assumptions),
-        "spectral": _spectral_report(run.S),
-        "constants": _constants_report(run.const),
-    }
+    report = {"assumptions": _assumption_report(run.assumptions), "spectral": _spectral_report(run.S)}
+    code = EXIT_OK if run.assumptions.all_ok else EXIT_ASSUMPTION
+    try:
+        report["constants"] = _constants_report(run.const)
+    except ArithmeticError as exc:
+        report["constants_error"] = str(exc)
+        code = EXIT_ASSUMPTION
     _emit(report, args.out)
-    return EXIT_OK if run.assumptions.all_ok else EXIT_ASSUMPTION
+    return code
 
 
 def _cmd_simulate(args) -> int:

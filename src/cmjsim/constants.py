@@ -10,27 +10,29 @@ enumerated column covariances:
   case-ii normalization ``n^{l*+1/2} rho^{n/2}``.
 * ``B(k)`` — the centering row of the compensator characteristic; for a
   finitely supported mean table every branch is an exact finite sum.
-* ``sigma2`` — the case-i variance, a two-sided series with geometric tails
-  (ratio rho/s1^2 below, theta^2/rho above); partial sums are monotone
-  because every term is a nonnegative weighted variance.  The tails go
-  through the one scaled engine ``spectral.scaled_tail``.
+* ``sigma2`` — the case-i variance, a two-sided series: a finite window
+  summed term by term, and two geometric tails (ratio rho/s1^2 below,
+  theta^2/rho above) each summed in closed form by one Stein solve
+  (``spectral.stein_tail``).  Its error bound adds the Stein residual of
+  each tail, the window sum's roundoff, and the formation error of every
+  row, so it bounds the real error, roundoff included.
 * ``sigma_star2`` — the same quantity reached through the direct row-power
-  route, kept as an independent implementation so the two paths can be
-  compared rather than collapsed.
+  route: two closed-form tails on its own first rows, kept as an
+  independent construction so the two paths can be compared rather than
+  collapsed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import factorial
 
 import numpy as np
 
 from .characteristics import Characteristic, assumption_sums, make_indicator_characteristic
 from .model import BranchingModel, mixing_covariance
-from .spectral import SpectralData, m_norm2, power_scaled, projected_power, scaled_tail, unscaled
+from .spectral import SpectralData, _fro, m_norm2, power_scaled, projected_power, tail_sum
 
 __all__ = [
     "TheoreticalConstants",
@@ -45,6 +47,7 @@ __all__ = [
 
 L_STAR_TOL = 1e-12
 EPS_REPORT = 1e-10  # sigma2 at or below this is degenerate; an error above it is noted
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class TheoreticalConstants:
     sigma2_error: float
     sigma_star2: float | None
     sigma_star2_error: float | None
-    B_table: Mapping
+    B_table: dict
     B_window: tuple[int, int]
     case: str  # "i", "ii" or "degenerate"
     sigma_case2: float
@@ -109,6 +112,22 @@ def find_l_star(sigma_l: tuple[float, ...]) -> int | None:
     return max(hits) if hits else None
 
 
+def _B_row(mt: dict, S: SpectralData, k: int) -> tuple[np.ndarray, float]:
+    """``compute_B``'s row and the size ``sum_m |E phi(m)| |P|_F`` of its
+    terms ``E phi(m) P``, which scales the roundoff of forming it."""
+    row = np.zeros(S.J, dtype=complex)
+    size = 0.0
+    for m, phi_row in mt.items():
+        l = k - 1 - m
+        if k <= 0:
+            P = -projected_power(S, 1, l) if l < 0 else projected_power(S, 2, l) + projected_power(S, 3, l)
+        else:
+            P = -(projected_power(S, 1, l) + projected_power(S, 2, l)) if l < 0 else projected_power(S, 3, l)
+        row = row + phi_row @ P
+        size += _fro(phi_row) * _fro(P)
+    return row, size
+
+
 def compute_B(mt: dict, S: SpectralData, k: int) -> np.ndarray:
     """Centering row B(k) = sum_l E phi(k-l-1) A^l P(k,l) over the mean table
     ``mt = {k: E phi(k)}``, where the piecewise projector P picks -pi1 on
@@ -116,120 +135,73 @@ def compute_B(mt: dict, S: SpectralData, k: int) -> np.ndarray:
     pi3 on l >= 0 when k > 0.  Negative powers act on the corresponding
     invariant subspace.  For a finite mean table every branch is a finite
     sum."""
-    row = np.zeros(S.J, dtype=complex)
-    for m, phi_row in mt.items():
-        l = k - 1 - m
-        if k <= 0:
-            if l < 0:
-                row = row - phi_row @ projected_power(S, 1, l)
-            else:
-                row = row + phi_row @ (projected_power(S, 2, l) + projected_power(S, 3, l))
-        else:
-            if l < 0:
-                row = row - phi_row @ (projected_power(S, 1, l) + projected_power(S, 2, l))
-            else:
-                row = row + phi_row @ projected_power(S, 3, l)
-    return row
+    return _B_row(mt, S, k)[0]
 
 
-class _BTable(Mapping):
-    """``{k: B(k)}`` over every summed k in ascending order, None where a row
-    lies outside float64 range, unscaled and indexed on first read: a caller
-    of ``window`` (the first and last summed k) alone pays no tail powers."""
-
-    def __init__(self, S: SpectralData, rows: np.ndarray, tails: list, ks: np.ndarray, keep: np.ndarray):
-        self._parts, kept = (S, rows, tails, ks, keep), ks[keep]
-        self.window = (int(kept.min()), int(kept.max())) if kept.size else (0, 0)
-
-    @cached_property
-    def _table(self) -> dict:
-        S, rows, tails, ks, keep = self._parts
-        table = list(rows) + [row for scaled, tail_ks in tails for row in unscaled(S, scaled, tail_ks)]
-        order = [i for i in np.argsort(ks).tolist() if keep[i]]
-        return dict(zip(ks[order].tolist(), [table[i] for i in order]))
-
-    def __getitem__(self, k):
-        return self._table[k]
-
-    def __iter__(self):
-        return iter(self._table)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-
-def compute_sigma2(
-    phi: Characteristic,
-    S: SpectralData,
-    model: BranchingModel,
-    eps_tail: float = 1e-14,
-    window: tuple[int, int] | None = None,
-) -> tuple[float, float, Mapping]:
+def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) -> tuple[float, float, dict]:
     """Case-i variance sigma^2 = sum_k rho^{-k} u-weighted Var[phi(k) + psi(k)],
     where psi(k) = B(k) . (own column - its mean) recenters the counted
-    process.  Returns ``(value, error, table)`` with ``error`` a certified
-    bound on the discarded two-sided tail (geometric on both sides) and
-    ``table`` mapping (read-only, built on first read) every summed k to the
-    unscaled ``B(k)``, or to None where that row lies outside float64 range.
+    process.  Returns ``(value, error, table)``: ``table`` maps each k of the
+    window below to the unscaled ``B(k)``.
 
     ``B`` is evaluated directly on the window where its piecewise projector
     changes, ``min(min age, 0) <= k <= max(max age + 1, 1)`` widened to the
-    coeff and noise keys.  Beyond it ``B(k+1) = B(k) pi3 A pi3`` and
-    ``B(k-1) = B(k) pi1 A1^{-1} pi1``, so both tails go to ``scaled_tail``.
-    A hard ``window`` sums the same rows between fixed ends, without tail
-    extension (partial sums are monotone in the window, every term being
-    nonnegative)."""
-    mt = phi.mean_table()
+    coeff and noise keys, and the window's terms are summed with
+    ``math.fsum``.  Beyond it ``B(k+1) = B(k) pi3 A pi3`` and
+    ``B(k-1) = B(k) pi1 A1^{-1} pi1``, so each tail is the closed form
+    ``spectral.tail_sum`` from its first row.  ``error`` bounds the whole
+    error in three parts: each tail's Stein residual term; the window sum's
+    roundoff ``n eps sum |term|``; and ``(2 |b| delta + delta^2) |M|_2`` for
+    each window row b (``|X|_2`` for each first row), where delta is the
+    row's formation roundoff plus the decomposition's largest residual,
+    both relative to the size of its terms (``_B_row``)."""
     ages, _, noise_var = phi.moments()
+    mt = phi.mean_table()
     M = mixing_covariance(model, S.u)
 
     keys = set(ages) | {0, 1}
     if mt:
         keys.add(max(mt) + 1)
     lo, hi = min(keys), max(keys)
-    ks = np.arange(lo, hi + 1)
-    B = np.array([compute_B(mt, S, k) for k in ks]) if mt else np.zeros((len(ks), S.J), dtype=complex)
+    ks = np.arange(lo - 1, hi + 2)  # the window and the first row of each tail
+    if mt:
+        B, size = (np.array(part) for part in zip(*(_B_row(mt, S, k) for k in ks.tolist())))
+    else:
+        B, size = np.zeros((len(ks), S.J), dtype=complex), np.zeros(len(ks))
     coeff = np.zeros((len(ks), S.J), dtype=complex)
-    coeff[[k - lo for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
+    coeff[[k - lo + 1 for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
     noise = np.zeros(len(ks))
     # u-weighted row sums in type order: a per-cell sum's bits where the cells are in that order
-    noise[[k - lo for k in ages]] = sum(float(S.u[j]) * noise_var[:, j] for j in range(S.J))
-    k_parts = [ks]
-    t_parts = [m_norm2(M, power_scaled(B + coeff, S.rho, ks / 2)) + power_scaled(noise, S.rho, ks)]
-    tails = []
-
-    up, down = (None, None) if window is None else (max(0, window[1] - hi), max(0, lo - window[0]))
-    error = 0.0
-    for first, sign, count in ((hi + 1, 1, up), (lo - 1, -1, down)):
-        w = power_scaled(compute_B(mt, S, first), S.rho, first / 2)
-        rows, terms, tail_error = scaled_tail(S, M, w, sign, "sigma2 tail", eps_tail, count)
-        ks = first + sign * np.arange(len(terms))
-        error += tail_error
-        k_parts.append(ks)
-        t_parts.append(terms)
-        tails.append((rows, ks))
-    ks, terms = np.concatenate(k_parts), np.concatenate(t_parts)
-    keep = np.full(len(ks), True) if window is None else (ks >= window[0]) & (ks <= window[1])
-    value = float(np.sum(terms[keep]))
-    if not np.isfinite(value):
+    noise[[k - lo + 1 for k in ages]] = sum(float(S.u[j]) * noise_var[:, j] for j in range(S.J))
+    rows = power_scaled(B + coeff, S.rho, ks / 2)
+    # |l| <= hi - lo + 1 steps of restricted powers went into each B row;
+    # a coeff row is data, rounded once when scaled
+    rel = (S.J + 3 + hi - lo) * _EPS + max(S.residuals.values())
+    delta = power_scaled(rel * size + 2 * _EPS * np.linalg.norm(coeff, axis=1), S.rho, ks / 2)
+    up, up_error = tail_sum(S, M, rows[-1], 1, float(delta[-1]))
+    down, down_error = tail_sum(S, M, rows[0], -1, float(delta[0]))
+    parts = [*(m_norm2(M, rows) + power_scaled(noise, S.rho, ks))[1:-1].tolist(), up, down]
+    if not all(map(math.isfinite, parts)):
         raise ArithmeticError("sigma2 lies outside float64 range")
-    return value, error, _BTable(S, B, tails, ks, keep)
+    norms = np.linalg.norm(rows[1:-1], axis=1)
+    m_norm = float(np.linalg.svd(M, compute_uv=False)[0])  # |M|_2
+    row_error = float(np.sum((2.0 * norms + delta[1:-1]) * delta[1:-1])) * m_norm
+    error = len(parts) * _EPS * math.fsum(map(abs, parts)) + row_error + up_error + down_error
+    return math.fsum(parts), error, dict(zip(ks[1:-1].tolist(), B[1:-1]))
 
 
-def compute_sigma_star2(
-    a: np.ndarray,
-    S: SpectralData,
-    model: BranchingModel,
-    eps_tail: float = 1e-14,
-) -> tuple[float, float]:
+def compute_sigma_star2(a: np.ndarray, S: SpectralData, model: BranchingModel) -> tuple[float, float]:
     """Direct-route variance for an age-0 indicator row with a . u = 0:
 
         sigma*^2 = sum_{k>=1} rho^{-k} |a A^{k-1} pi3|_M^2
                  + sum_{k<=0} rho^{-k} |a A1^{k-1} pi1|_M^2,
 
-    with M = sum_j u_j Cov L^(j) and |w|_M^2 = w M w^H.  The rows start at
-    ``a pi3`` (k = 1) and ``a pi1 A1^{-1}`` (k = 0), with no mean table and no
-    ``B``.  Rejects rows whose Perron component does not vanish."""
+    with M = sum_j u_j Cov L^(j) and |w|_M^2 = w M w^H.  Each sum is one
+    closed-form tail (``spectral.tail_sum``) from its own first row,
+    ``a pi3 / sqrt(rho)`` (k = 1) or ``a pi1 A1^{-1}`` (k = 0), with no mean
+    table and no ``B``; the error adds the two tails' bounds, whose
+    row-error delta is taken as in ``compute_sigma2``.  Rejects rows whose
+    Perron component does not vanish."""
     a = np.asarray(a, dtype=complex).reshape(-1)
     au = complex(a @ S.u.astype(complex))
     scale = max(1.0, float(np.linalg.norm(a)) * float(np.linalg.norm(S.u)))
@@ -238,11 +210,12 @@ def compute_sigma_star2(
             f"sigma_star2 requires a Perron-orthogonal row (|a.u| = {abs(au):.3e})"
         )
     M = mixing_covariance(model, S.u)
-    _, up, err_up = scaled_tail(S, M, a @ S.pi3 / S.sqrt_rho, 1, "sigma_star2 ascending tail", eps_tail)
-    _, down, err_down = scaled_tail(
-        S, M, a @ projected_power(S, 1, -1), -1, "sigma_star2 descending tail", eps_tail
+    rel = (S.J + 3) * _EPS + max(S.residuals.values())
+    (up, up_error), (down, down_error) = (
+        tail_sum(S, M, a @ P, sign, rel * _fro(a) * _fro(P))
+        for P, sign in ((S.pi3 / S.sqrt_rho, 1), (projected_power(S, 1, -1), -1))
     )
-    return float(np.sum(up) + np.sum(down)), err_up + err_down
+    return up + down, up_error + down_error + 2 * _EPS * (abs(up) + abs(down))
 
 
 def compute_constants(
@@ -252,7 +225,10 @@ def compute_constants(
     eps_tail: float = 1e-14,
 ) -> TheoreticalConstants:
     """Assemble every limit constant for a characteristic (or an age-0
-    indicator row, which also unlocks the independent sigma*^2 route)."""
+    indicator row, which also unlocks the independent sigma*^2 route).
+
+    ``eps_tail`` is accepted and changes nothing: every series tail is
+    summed in closed form, with no truncation target."""
     a_row = None
     if isinstance(source, Characteristic):
         phi = source
@@ -265,14 +241,14 @@ def compute_constants(
     x1, x2 = compute_x1_x2(phi.mean_table(), S)
     sigma_l = compute_sigma_l(x2, S, model)
     l_star = find_l_star(sigma_l)
-    sigma2, sigma2_err, b_table = compute_sigma2(phi, S, model, eps_tail=eps_tail)
+    sigma2, sigma2_err, b_table = compute_sigma2(phi, S, model)
 
     sigma_star2 = None
     sigma_star2_err = None
     notes: dict = {"assumption_sums": assumption_sums(phi, S, model)}
     if a_row is not None:
         try:
-            sigma_star2, sigma_star2_err = compute_sigma_star2(a_row, S, model, eps_tail=eps_tail)
+            sigma_star2, sigma_star2_err = compute_sigma_star2(a_row, S, model)
         except ValueError as exc:
             notes["sigma_star2_skipped"] = str(exc)
 
@@ -298,7 +274,7 @@ def compute_constants(
         sigma_star2=sigma_star2,
         sigma_star2_error=sigma_star2_err,
         B_table=b_table,
-        B_window=b_table.window,
+        B_window=(min(b_table), max(b_table)),
         case=case,
         sigma_case2=float(sigma_case2),
         notes=notes,

@@ -32,12 +32,14 @@ restricted component.  Instead every restricted power iterates with the
 re-projected one-step matrix ``pi A pi`` (or ``pi A1^{-1} pi`` for negative
 powers), which re-annihilates the leakage at every step.
 
-The limit constants are two-sided series of ``rho^{-k} |R(k)|_M^2``.  Their
-infinite tails all go through ``scaled_tail``, which iterates the rows
-scaled by ``rho^{-k/2}`` with the steps ``rho^{-1/2} pi3 A pi3`` (ascending)
-and ``rho^{1/2} pi1 A1^{-1} pi1`` (descending).  Neither ``rho^{-k}`` nor the
-unscaled row is formed, so near-critical spectral gaps, whose tails run to
-thousands of terms, stay inside float64 range.
+The limit constants are two-sided series of ``rho^{-k} |R(k)|_M^2``.  Past a
+finite window each tail steps its row scaled by ``rho^{-k/2}`` with one fixed
+matrix T, ``rho^{-1/2} pi3 A pi3`` (ascending) or ``rho^{1/2} pi1 A1^{-1} pi1``
+(descending), of spectral radius below one.  So a whole tail is the closed
+form ``w X w^H`` with X solving the Stein equation ``X = M + T X T^H``
+(``stein_tail``), and its error bound comes from the residual of the solve
+(``tail_sum``).  Neither ``rho^{-k}`` nor an unscaled row is formed, and no
+tail is truncated.
 """
 
 from __future__ import annotations
@@ -56,13 +58,14 @@ __all__ = [
     "power_scaled",
     "unscaled",
     "m_norm2",
-    "scaled_tail",
+    "stein_tail",
+    "tail_sum",
     "DEFAULT_TOL",
 ]
 
 DEFAULT_TOL = 1e-9
-_MAX_WINDOW = 10_000
-_MAX_BLOCK = 256
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 _LOG_RANGE = 700.0  # |log| of a float64 comfortably inside the normal range
 
 SUPER = "super"
@@ -426,7 +429,8 @@ def projected_power(S: SpectralData, i: int, k: int) -> np.ndarray:
     if len(powers) <= abs(k):
         step = S.step(i, sign)
         while len(powers) <= abs(k):
-            out = step @ powers[-1]
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                out = step @ powers[-1]
             if not np.all(np.isfinite(out)):
                 raise ArithmeticError(
                     f"pi{i} A^k pi{i} is not representable in float64 at k={sign * len(powers)}"
@@ -464,10 +468,12 @@ def power_scaled(x, base: float, e) -> np.ndarray:
 
 def unscaled(S: SpectralData, W: np.ndarray, ks) -> list:
     """The rows ``rho^{k/2} W[i]`` behind rows scaled by ``rho^{-k/2}``, with
-    None where a row lies outside float64 range: it overflows, or a nonzero
-    row underflows to zero."""
+    None where a row lies outside float64's normal range: it overflows, or a
+    nonzero row falls below the smallest normal number, where it has lost
+    digits or underflowed to zero."""
     R = power_scaled(W, S.rho, -np.asarray(ks) / 2)
-    ok = np.all(np.isfinite(R), axis=1) & (np.any(R != 0, axis=1) | ~np.any(W != 0, axis=1))
+    normal = np.abs(R).max(axis=1, initial=0.0) >= _TINY
+    ok = np.all(np.isfinite(R), axis=1) & (normal | ~np.any(W != 0, axis=1))
     rows = list(R)
     for i in np.flatnonzero(~ok).tolist():
         rows[i] = None
@@ -480,75 +486,63 @@ def m_norm2(M: np.ndarray, w: np.ndarray):
     return ((w @ M) * w.conj()).sum(axis=-1).real
 
 
-def scaled_tail(
-    S: SpectralData,
-    M: np.ndarray,
-    w: np.ndarray,
-    sign: int,
-    what: str,
-    eps_tail: float,
-    count: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The one engine behind every ``rho^{-k}``-weighted series tail.
+def _fro(x: np.ndarray) -> float:
+    """Frobenius norm, an upper bound on the spectral norm (a row's 2-norm)."""
+    return math.sqrt(np.vdot(x, x).real)
 
-    Tail rows obey ``R(k+1) = R(k) pi3 A pi3`` (``sign = +1``) or
-    ``R(k-1) = R(k) pi1 A1^{-1} pi1`` (``sign = -1``) and add
-    ``rho^{-k} |R(k)|_M^2``.  The engine steps ``w = rho^{-k/2} R(k)``
-    instead, from the first row ``w``, with ``T = rho^{-1/2} pi3 A pi3`` or
-    ``rho^{1/2} pi1 A1^{-1} pi1``: both have spectral radius below one, so
-    nothing leaves float64 range, and each term is ``|w|_M^2``.  Rows come
-    a block ``w T^0 .. w T^{c-1}`` at a time, the block doubling up to
-    ``_MAX_BLOCK``.  The powers ``T^0 .. T^{c-1}`` of each block are cached
-    on ``S`` under the step's sign (at most nine blocks per sign), so every
-    tail with the same step shares them.
 
-    With ``count`` it stops after that many rows and certifies nothing
-    (error inf).  Otherwise it stops after 2J+2 consecutive terms below
-    ``eps_tail``, a streak longer than any period of the exact zeros that
-    periodic mean matrices interleave, and the error bound is geometric:
-    ``eps_tail (2J+2) r / (1 - r)`` with r = theta^2/rho ascending and
-    rho/s1^2 descending.  Returns ``(rows, terms, error)``; past
-    ``_MAX_WINDOW`` terms, or at a term outside float64 range, it raises a
-    bare ``ArithmeticError`` naming ``what``.
+def stein_tail(S: SpectralData, M: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(X, E, |X|_2)`` for the series tails ``sum_{j>=0} |w T^j|_M^2 = w X w^H``.
+
+    ``T`` is the scaled tail step, ``rho^{-1/2} pi3 A pi3`` (``sign = +1``)
+    or ``rho^{1/2} pi1 A1^{-1} pi1`` (``sign = -1``).  Both have spectral
+    radius below one (theta/sqrt(rho) and sqrt(rho)/s1), so X is the one
+    solution of the Stein equation ``X = M + T X T^H`` and Y that of
+    ``Y = I + T Y T^H``: one complex ``(J^2 x J^2)`` Kronecker solve with
+    the two right-hand sides, cached on ``S`` per sign and M.
+
+    The residual ``R = M + T X T^H - X`` of the computed X makes the exact
+    tail differ from ``w X w^H`` by ``w (sum_j T^j R T^jH) w^H``, which is at
+    most ``|R|_2 w Y w^H``; Y's own residual ``r_Y < 1`` puts the exact
+    ``w Y w^H`` below the computed one over ``1 - r_Y``.  So
+    ``E = r_X Y / (1 - r_Y)`` and ``w E w^H`` bounds the error of the tail
+    at an exact first row w.  Each ``r`` is the Frobenius norm of the formed
+    residual plus a bound on the roundoff of forming it.  A singular or
+    non-finite system, or ``r_Y >= 1``, raises a bare ``ArithmeticError``.
     """
-    if sign > 0:
-        step = S.step(3, 1) / S.sqrt_rho
-        ratio = S.theta**2 / S.rho
-    else:
-        step = S.step(1, -1) * S.sqrt_rho
-        supers = [abs(cl.eigenvalue) for cl in S.clusters if cl.label == SUPER]
-        s1 = min(supers) if supers else S.rho
-        ratio = S.rho / (s1 * s1)
-    ratio = min(ratio, 1.0 - 1e-12)
-    needed = 2 * S.J + 2
-    rows, terms = [], []
-    total = streak = 0
-    blocks = S._cache.setdefault(("tail", sign), [np.eye(S.J, dtype=complex)[None]])
-    for n in itertools.count():
-        block = blocks[min(n, len(blocks) - 1)]
-        W = np.asarray(w) @ block
-        t = m_norm2(M, W)
-        values = t.tolist()
-        stop = None
-        if count is not None:
-            stop = count - total if count - total <= len(t) else None
-        else:
-            for i, term in enumerate(values):  # a NaN breaks the streak
-                streak = streak + 1 if term < eps_tail else 0
-                if streak == needed:
-                    stop = i + 1
-                    break
-        rows.append(W[:stop])
-        terms.append(t[:stop])
-        if not all(map(math.isfinite, values[:stop])):
-            raise ArithmeticError(f"{what} has a term outside float64 range")
-        total += len(terms[-1])
-        if stop is not None:
-            break
-        if total >= _MAX_WINDOW:
-            raise ArithmeticError(f"{what} failed to certify within {_MAX_WINDOW} terms")
-        w = W[-1] @ step
-        if n + 1 == len(blocks) and len(block) < _MAX_BLOCK:
-            blocks.append(np.concatenate([block, block @ (block[-1] @ step)]))
-    error = math.inf if count is not None else eps_tail * needed * ratio / (1.0 - ratio)
-    return np.concatenate(rows), np.concatenate(terms), error
+    key = ("stein", sign, M.tobytes())
+    if key not in S._cache:
+        T = S.step(3, 1) / S.sqrt_rho if sign > 0 else S.step(1, -1) * S.sqrt_rho
+        J = S.J
+        eye = np.eye(J, dtype=complex)
+        # vec(T X T^H) = (conj(T) kron T) vec(X), vec stacking columns
+        K = np.eye(J * J) - (T.conj()[:, None, :, None] * T[None, :, None, :]).reshape(J * J, J * J)
+        rhs = np.stack([M.ravel(order="F"), eye.ravel(order="F")], axis=1)
+        try:
+            sol = np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError:
+            raise ArithmeticError(f"the Stein system of the sign {sign:+d} tail is singular") from None
+        if not np.all(np.isfinite(sol)):
+            raise ArithmeticError(f"the Stein system of the sign {sign:+d} tail has a non-finite solution")
+        X, Y = (sol[:, i].reshape(J, J, order="F") for i in (0, 1))
+        growth = 1.0 + _fro(T) ** 2
+        r_x, r_y = (
+            _fro(B + T @ Z @ T.conj().T - Z) + (4 * J + 8) * _EPS * (_fro(B) + growth * _fro(Z))
+            for B, Z in ((M, X), (eye, Y))
+        )
+        if not r_y < 1.0:
+            raise ArithmeticError(
+                f"the Stein solve of the sign {sign:+d} tail is too ill-conditioned (residual {r_y:.3e})"
+            )
+        S._cache[key] = (X, Y * (r_x / (1.0 - r_y)), float(np.linalg.svd(X, compute_uv=False)[0]))
+    return S._cache[key]
+
+
+def tail_sum(S: SpectralData, M: np.ndarray, w: np.ndarray, sign: int, delta: float) -> tuple[float, float]:
+    """``(value, error)`` of the tail ``sum_{j>=0} |w T^j|_M^2 = w X w^H``
+    (``stein_tail``) from a first row w formed within ``delta`` (in norm) of
+    its exact value: the error is ``|w E w^H|`` plus the row-error term
+    ``(2 |w| delta + delta^2) |X|_2``."""
+    X, E, x_norm = stein_tail(S, M, sign)
+    row_error = (2.0 * _fro(w) * delta + delta * delta) * x_norm
+    return float(m_norm2(X, w)), abs(float(m_norm2(E, w))) + row_error

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import cmjsim.constants as constants_module
 from cmjsim import (
     build_model,
     compute_constants,
@@ -108,16 +107,6 @@ def cyclic():
 @pytest.fixture(scope="session")
 def degenerate():
     return bundle("cross_feed_deterministic")
-
-
-@pytest.fixture
-def unscaled_calls(monkeypatch) -> list:
-    """The argument tuples of every ``constants.unscaled`` call the test
-    makes; only building a B(k) table calls it."""
-    calls = []
-    real = constants_module.unscaled
-    monkeypatch.setattr(constants_module, "unscaled", lambda *args: calls.append(args) or real(*args))
-    return calls
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ union-find eigenvalue clustering and per-cluster invariant residuals that the
 one-pass and stacked ones must equal,
 full-operator powers that the projected ones must equal, the
 block-by-block simulator with one multinomial call per parent type that the
-chunk-stepped one must equal, and the series engine's weights, stopping
-streak, mean tables and normal CDF taken one term at a time.
+chunk-stepped one must equal, and the series engine's weights, mean
+tables and normal CDF taken one term at a time.
 None of it shares code with the package internals, so agreement is evidence
 rather than tautology; the exceptions are ``per_cell_sigma2`` and
-``eager_b_table``, the per-cell noise sum and the eager construction of the
+``eager_b_table``, the per-cell noise sum and the per-k construction of the
 B(k) table that the library's must equal, which reuse the library's rows
-because only the noise sum and the timing and order of the build differ,
+and tails because only the noise sum and the order of the build differ,
 and the terms of T in ``per_block_columns``, because only where T is formed
 differs.
 """
@@ -42,8 +42,7 @@ from cmjsim.spectral import (
     m_norm2,
     power_scaled,
     projected_power,
-    scaled_tail,
-    unscaled,
+    stein_tail,
 )
 
 
@@ -540,23 +539,13 @@ def per_term_power_scaled(x, base: float, e) -> np.ndarray:
 
 def per_term_unscaled(rho: float, W, ks) -> list:
     """``rho^{k/2} W[i]`` row by row, None where the row overflows or a
-    nonzero row underflows to zero."""
+    nonzero row falls below the smallest normal float64."""
+    tiny = np.finfo(float).tiny
     out = []
     for w, r in zip(W, per_term_power_scaled(W, rho, -np.asarray(ks) / 2)):
-        fits = bool(np.all(np.isfinite(r))) and (bool(np.any(r != 0)) or not np.any(w != 0))
+        fits = bool(np.all(np.isfinite(r))) and (bool(np.max(np.abs(r)) >= tiny) or not np.any(w != 0))
         out.append(r if fits else None)
     return out
-
-
-def reference_tail_stop(terms, eps_tail: float, needed: int) -> int | None:
-    """Terms a series tail keeps: one past the first run of ``needed``
-    consecutive terms below ``eps_tail`` (a NaN breaks a run), or None."""
-    streak = 0
-    for i, t in enumerate(np.asarray(terms).tolist()):
-        streak = streak + 1 if t < eps_tail else 0
-        if streak == needed:
-            return i + 1
-    return None
 
 
 def reference_mean_table(phi: Characteristic) -> dict:
@@ -597,22 +586,23 @@ def reference_variance(phi: Characteristic, k: int, model: BranchingModel) -> np
 
 
 # ---------------------------------------------------------------------------
-# The B(k) table, built eagerly
+# The B(k) table, one row at a time
 # ---------------------------------------------------------------------------
 
 
-def eager_b_table(phi: Characteristic, S, model: BranchingModel, eps_tail: float = 1e-14, window=None) -> dict:
-    """``{k: B(k)}`` as ``compute_sigma2`` built it before its table became
-    lazy: every tail row unscaled and indexed up front, in the same argsort
-    order.  It runs on the library's own rows, so it checks when and in
-    which order the table is built, not the rows themselves."""
-    return per_cell_sigma2(phi, S, model, eps_tail, window)[2]
+def eager_b_table(phi: Characteristic, S, model: BranchingModel) -> dict:
+    """``{k: B(k)}`` over ``compute_sigma2``'s window, one ``compute_B`` call
+    per k in ascending order.  It runs on the library's own rows, so it
+    checks which rows the table holds and in which order, not the rows
+    themselves."""
+    return per_cell_sigma2(phi, S, model)[1]
 
 
-def per_cell_sigma2(phi: Characteristic, S, model: BranchingModel, eps_tail: float = 1e-14, window=None):
-    """``(value, error, {k: B(k)})`` as ``compute_sigma2`` formed them when
-    each age's noise term was summed cell by cell, in the noise table's
-    order, and the B table was built eagerly."""
+def per_cell_sigma2(phi: Characteristic, S, model: BranchingModel):
+    """``(value, {k: B(k)})`` as ``compute_sigma2`` forms them, with each
+    age's noise term summed cell by cell, in the noise table's order, and
+    each row of the window by its own ``compute_B`` call; the two tails are
+    the library's closed forms on the same first rows."""
     mt = phi.mean_table()
     M = mixing_covariance(model, S.u)
     noise_u: dict[int, float] = {}
@@ -623,31 +613,14 @@ def per_cell_sigma2(phi: Characteristic, S, model: BranchingModel, eps_tail: flo
     if mt:
         keys.add(max(mt) + 1)
     lo, hi = min(keys), max(keys)
-    ks = np.arange(lo, hi + 1)
+    ks = np.arange(lo - 1, hi + 2)
     B = np.array([compute_B(mt, S, k) for k in ks]) if mt else np.zeros((len(ks), S.J), dtype=complex)
     coeff = np.zeros((len(ks), S.J), dtype=complex)
-    coeff[[k - lo for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
+    coeff[[k - lo + 1 for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
     noise = np.zeros(len(ks))
-    noise[[k - lo for k in noise_u]] = list(noise_u.values())
-    k_parts = [ks]
-    t_parts = [m_norm2(M, power_scaled(B + coeff, S.rho, ks / 2)) + power_scaled(noise, S.rho, ks)]
-    table = list(B)
-
-    up, down = (None, None) if window is None else (max(0, window[1] - hi), max(0, lo - window[0]))
-    error = 0.0
-    for first, sign, count in ((hi + 1, 1, up), (lo - 1, -1, down)):
-        w = power_scaled(compute_B(mt, S, first), S.rho, first / 2)
-        rows, terms, tail_error = scaled_tail(S, M, w, sign, "sigma2 tail", eps_tail, count)
-        ks = first + sign * np.arange(len(terms))
-        error += tail_error
-        k_parts.append(ks)
-        t_parts.append(terms)
-        table += unscaled(S, rows, ks)
-    ks, terms = np.concatenate(k_parts), np.concatenate(t_parts)
-    keep = np.full(len(ks), True) if window is None else (ks >= window[0]) & (ks <= window[1])
-    value = float(np.sum(terms[keep]))
-    if not np.isfinite(value):
-        raise ArithmeticError("sigma2 lies outside float64 range")
-    order = np.argsort(ks)
-    order = order[keep[order]].tolist()
-    return value, error, dict(zip(ks[order].tolist(), [table[i] for i in order]))
+    noise[[k - lo + 1 for k in noise_u]] = list(noise_u.values())
+    rows = power_scaled(B + coeff, S.rho, ks / 2)
+    terms = (m_norm2(M, rows) + power_scaled(noise, S.rho, ks))[1:-1].tolist()
+    up = float(m_norm2(stein_tail(S, M, 1)[0], rows[-1]))
+    down = float(m_norm2(stein_tail(S, M, -1)[0], rows[0]))
+    return math.fsum([*terms, up, down]), dict(zip(ks[1:-1].tolist(), B[1:-1]))

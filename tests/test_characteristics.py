@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmjsim import make_phi1, make_indicator_characteristic, spectral_decompose, star_transform
+from cmjsim import compute_constants, make_phi1, make_indicator_characteristic, spectral_decompose, star_transform
 from cmjsim.characteristics import (
     Characteristic,
     NoiseLaw,
@@ -121,6 +122,20 @@ def test_moments_equal_the_per_cell_walk():
         assert noise_var.tobytes() == np.array([reference_noise_variance(phi, k) for k in ages]).tobytes()
         assert not mean.flags.writeable and not noise_var.flags.writeable
         assert phi.value_keys == ages
+
+
+def test_moment_table_is_formed_once_and_not_pickled(asym_leak, monkeypatch):
+    calls = []
+    real = NoiseLaw.variance
+    monkeypatch.setattr(NoiseLaw, "variance", lambda law: calls.append(law) or real(law))
+    law = NoiseLaw((0.5, 0.5), (1.0, -1.0))
+    phi = Characteristic(2, base={0: asym_leak.row}, coeff={1: [1.0, 2.0]}, noise={(0, 0): law, (2, 1): law})
+    compute_constants(phi, asym_leak.S, asym_leak.model)
+    assert len(calls) == 2  # one table, one variance per noise cell, for every reader
+    assert phi.moments() is phi.moments() and len(calls) == 2
+    clone = pickle.loads(pickle.dumps(phi))
+    assert "_moments" not in clone.__dict__ and len(pickle.dumps(clone)) == len(pickle.dumps(phi))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(clone.moments()[1:], phi.moments()[1:]))
 
 
 def test_frozen_rows_are_read_only_copies_and_a_bad_row_names_its_key():

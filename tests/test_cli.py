@@ -322,13 +322,14 @@ def test_verify_constants_block_is_the_constants_one_without_the_B_table(name, c
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_verify_never_builds_the_B_table(name, unscaled_calls, capsys):
-    """verify leaves the B(k) table out of its report, so no tail row is
-    unscaled; ``constants`` prints the table and builds it."""
-    run_cli(["verify", "--scenario", name], capsys)
-    assert unscaled_calls == []
-    run_cli(["constants", "--scenario", name], capsys)
-    assert unscaled_calls
+def test_verify_never_builds_the_B_table(name, capsys):
+    """verify leaves the B(k) table out of its report; ``constants`` prints
+    it, one row per k of the finite window ``B_window``."""
+    verified = json_payload(run_cli(["verify", "--scenario", name], capsys)[1])
+    assert "B_table" not in verified.get("constants", {})  # a refusal has no constants block
+    const = json_payload(run_cli(["constants", "--scenario", name], capsys)[1])["constants"]
+    lo, hi = const["B_window"]
+    assert [int(k) for k in const["B_table"]] == list(range(lo, hi + 1))
 
 
 def test_verify_requested_case_mismatch_is_refused(tmp_path, capsys):
@@ -385,7 +386,7 @@ def test_verify_checks_decay_on_a_degenerate_run_with_survivors(tmp_path, capsys
     assert rep["verification"]["case"] == "degenerate" and rep["verification"]["decay"]["passed"]
 
 
-# rho / s1^2 = 0.9984: the sigma2 tail outruns its term limit
+# rho / s1^2 = 0.9984: a tail of about 10^4 terms above 1e-14
 UNCERTIFIED = {
     "schema": 1,
     "model": {"types": 2, "initial_type": 1, "offspring": {
@@ -398,8 +399,20 @@ UNCERTIFIED = {
 }
 
 
+# two_type_mirror counted at age -1500: x1 needs pi1 A^1500 pi1, and 4^1500
+# is far outside float64
+FAR_AGE = {"kind": "table", "base": {-1500: ["1", "-1"]}}
+
+
+def _far_age_scenario(tmp_path) -> str:
+    d = preset("two_type_mirror").to_dict()
+    d["characteristic"] = FAR_AGE
+    del d["run"]["case"]
+    return write_yaml(tmp_path, "far_age.yaml", d)
+
+
 def test_verify_refuses_constants_that_cannot_be_certified(tmp_path, capsys):
-    path = write_yaml(tmp_path, "uncertified.yaml", UNCERTIFIED)
+    path = _far_age_scenario(tmp_path)
     assert run_cli(["analyze", "--scenario", path], capsys)[0] == EXIT_OK
     rc, out, err = run_cli(["verify", "--scenario", path, "--out", str(tmp_path / "r.json")], capsys)
     assert rc == EXIT_ASSUMPTION and not err
@@ -407,7 +420,30 @@ def test_verify_refuses_constants_that_cannot_be_certified(tmp_path, capsys):
     assert rep == json.loads((tmp_path / "r.json").read_text())
     assert rep.keys() == {"assumptions", "verdict", "reason"}
     assert rep["assumptions"]["all_ok"] and rep["verdict"] == "REFUSED"
-    assert rep["reason"] == "sigma2 tail failed to certify within 10000 terms"
+    assert rep["reason"] == "pi1 A^k pi1 is not representable in float64 at k=513"
+
+
+def test_constants_reports_the_stages_before_a_constants_error(tmp_path, capsys):
+    path = _far_age_scenario(tmp_path)
+    analyzed = json_payload(run_cli(["analyze", "--scenario", path], capsys)[1])
+    rc, out, err = run_cli(["constants", "--scenario", path, "--out", str(tmp_path / "c.json")], capsys)
+    assert rc == EXIT_ASSUMPTION and not err
+    rep = json_payload(out)
+    assert rep == json.loads((tmp_path / "c.json").read_text())
+    assert rep.keys() == {"assumptions", "spectral", "constants_error"}
+    assert rep["assumptions"] == analyzed["assumptions"] and rep["spectral"] == analyzed["spectral"]
+    assert rep["constants_error"] == "pi1 A^k pi1 is not representable in float64 at k=513"
+
+
+def test_uncertified_tail_model_now_certifies(tmp_path, capsys):
+    # rho / s1^2 = 0.9984 and |a|_M^2 / (lambda2^2 - rho) = 0.5 / 0.01 = 50:
+    # the descending tail runs to k ~ -10^4, which a truncated sum refused
+    path = write_yaml(tmp_path, "uncertified.yaml", UNCERTIFIED)
+    rc, out, err = run_cli(["constants", "--scenario", path], capsys)
+    assert rc == EXIT_OK and not err
+    const = json_payload(out)["constants"]
+    assert abs(const["sigma2"] - 50.0) <= const["sigma2_error"] < 1e-9
+    assert abs(const["sigma_star2"] - 50.0) <= const["sigma_star2_error"] < 1e-9
 
 
 ZERO_MATRIX = {1: [{"p": 1, "counts": [0, 0]}], 2: [{"p": 1, "counts": [0, 0]}]}

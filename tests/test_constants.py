@@ -30,7 +30,8 @@ from cmjsim import (
 from cmjsim.characteristics import Characteristic, NoiseLaw, assumption_sums
 from cmjsim.cli import build_characteristic
 from cmjsim.presets import _bernoulli_column, preset_names
-from cmjsim.spectral import power_scaled
+from cmjsim.model import mixing_covariance
+from cmjsim.spectral import m_norm2, power_scaled
 
 from conftest import bundle
 from oracles import eager_b_table, exact_linear_variance, per_cell_sigma2
@@ -186,18 +187,17 @@ def test_sigma_l_table_length(jordan):
 
 
 def test_sigma2_error_certificate_honest(asym_leak):
+    # the closed-form tails against a plain sum of 601 terms, each row B(k)
+    # formed on its own; the terms past |k| = 300 are below 1e-100
     S, model, phi = asym_leak.S, asym_leak.model, asym_leak.phi
-    full, full_err, _ = compute_sigma2(phi, S, model)
-    assert full_err >= 0
-    prev_gap = None
-    for w in (4, 8, 16, 32):
-        val, err, _ = compute_sigma2(phi, S, model, window=(-w, w))
-        gap = abs(val - full)
-        assert gap <= err + full_err + 1e-12, w
-        if prev_gap is not None:
-            assert gap <= prev_gap + 1e-12  # wider window never hurts
-        prev_gap = gap
-    assert abs(compute_sigma2(phi, S, model, window=(-64, 64))[0] - full) < 1e-10
+    value, err, _ = compute_sigma2(phi, S, model)
+    assert 0 < err < 1e-12
+    ks = np.arange(-300, 301)
+    mt = phi.mean_table()
+    rows = power_scaled(np.array([compute_B(mt, S, k) for k in ks]), S.rho, ks / 2)
+    terms = m_norm2(mixing_covariance(model, S.u), rows).tolist()
+    brute = math.fsum(terms)
+    assert abs(value - brute) <= err + len(terms) * np.finfo(float).eps * math.fsum(map(abs, terms))
 
 
 def test_sigma_star_rejects_radius_aligned_rows(single_type):
@@ -316,14 +316,6 @@ def _perron_orthogonal(S, row=(1.0, 2.0)):
     return a - (a @ S.u) * S.v
 
 
-def test_hard_window_far_beyond_the_certified_tails(asym_leak):
-    S, model, phi = asym_leak.S, asym_leak.model, asym_leak.phi
-    full, full_err, _ = compute_sigma2(phi, S, model)
-    value, err, _ = compute_sigma2(phi, S, model, window=(-3000, 3000))
-    assert np.isfinite(value) and err == float("inf")
-    assert abs(value - full) <= full_err
-
-
 @pytest.mark.parametrize("lam2", [2.01, 1.99])
 def test_near_critical_pair_certifies(lam2):
     model, S = _symmetric_pair(4.0, lam2)
@@ -346,11 +338,12 @@ def test_gap_characteristic_with_ratio_near_one(rho, lam2):
 
 
 def test_variance_sum_keeps_rows_that_underflow_when_squared():
-    # the phi1 table of the rho = 1.5 pair runs to k = -3143, where
-    # |coeff(k)| < 1e-154 squares to zero unless rho^{-k/2} scales it first
+    # the phi1 table of the rho = 1.5 pair runs to k = -3408, its last row
+    # in float64's normal range, where |coeff(k)| < 1e-154 squares to zero
+    # unless rho^{-k/2} scales it first
     model, S = _symmetric_pair(1.5, 1.2309)
     phi = make_phi1(S, np.array([1.0, -1.0]), model=model)
-    assert min(phi.coeff) == -3143
+    assert min(phi.coeff) == -3408
     direct = 0.0
     for k, c in phi.coeff.items():
         scaled = c * math.exp(-0.5 * k * math.log(S.rho))
@@ -428,7 +421,7 @@ def test_sigma2_noise_term_equals_the_per_cell_sum(name):
     b = bundle(name)
     for phi in _noisy_tables(b.S.J):
         got, want = compute_sigma2(phi, b.S, b.model), per_cell_sigma2(phi, b.S, b.model)
-        assert (got[0], got[1]) == want[:2] and list(got[2]) == list(want[2])
+        assert got[0] == want[0] and list(got[2]) == list(want[1])
         # the per-age sum runs in type order whatever the order of the cells
         flipped = dataclasses.replace(phi, noise=dict(reversed(phi.noise.items())))
         assert compute_sigma2(flipped, b.S, b.model)[0] == got[0]
@@ -473,51 +466,34 @@ def test_cached_tail_blocks_do_not_depend_on_call_order(lam2):
     for order in itertools.permutations(whats):
         fresh = dataclasses.replace(S, _cache={})
         assert _tail_outputs(fresh, model, a, order) == alone, order
-        tails = {key: blocks for key, blocks in fresh._cache.items() if key[0] == "tail"}
-        assert sorted(tails) == [("tail", -1), ("tail", 1)]
-        # blocks of 1, 2, 4, ..., 256 terms, and one long tail reaches the last
-        assert max(len(blocks) for blocks in tails.values()) == 9
+        # one cached Stein solve per tail direction, shared by all three
+        solves = sorted(key[:2] for key in fresh._cache if key[0] == "stein")
+        assert solves == [("stein", -1), ("stein", 1)]
 
 
-# -- the B(k) table is built on first read ------------------------------------
+# -- the B(k) table holds the window's rows ------------------------------------
 
 
 def _assert_same_table(got, want) -> None:
     assert list(got) == list(want)
     for k, row in want.items():
-        if row is None:
-            assert got[k] is None, k
-        else:
-            assert got[k].dtype == row.dtype and got[k].tobytes() == row.tobytes(), k
-
-
-def test_b_table_is_built_on_first_read(unscaled_calls):
-    # the rho = 1.5 pair's descending tail runs past k = -3000
-    model, S = _symmetric_pair(1.5, 1.2309)
-    c = compute_constants(_perron_orthogonal(S), S, model)
-    assert c.B_window[0] < -2000 and unscaled_calls == []
-    keys = list(c.B_table)
-    assert len(unscaled_calls) == 2  # one per tail
-    assert c.B_window == (keys[0], keys[-1])
-    assert list(c.B_table) == keys and len(unscaled_calls) == 2  # built once
+        assert got[k].dtype == row.dtype and got[k].tobytes() == row.tobytes(), k
 
 
 @pytest.mark.parametrize("name", preset_names())
 def test_b_table_equals_the_eager_build_on_presets(name):
     b = bundle(name)
     phi, _ = build_characteristic(b.scenario, b.model, b.S)
-    eps_tail = b.scenario.run["eps_tail"]
-    c = compute_constants(phi, b.S, b.model, eps_tail=eps_tail)
-    _assert_same_table(c.B_table, eager_b_table(phi, b.S, b.model, eps_tail=eps_tail))
+    c = compute_constants(phi, b.S, b.model)
+    _assert_same_table(c.B_table, eager_b_table(phi, b.S, b.model))
+    assert c.B_window == (min(c.B_table), max(c.B_table))
 
 
 @pytest.mark.parametrize("rho, lam2", [(4.0, 2.03), (1.5, 1.2309)])
 def test_b_table_equals_the_eager_build_near_criticality(rho, lam2):
     model, S = _symmetric_pair(rho, lam2)
     phi = make_indicator_characteristic(_perron_orthogonal(S))
-    _assert_same_table(compute_constants(phi, S, model).B_table, eager_b_table(phi, S, model))
-    # a hard window keeps only the k inside it
-    window = (-40, 30)
-    _, _, table = compute_sigma2(phi, S, model, window=window)
-    _assert_same_table(table, eager_b_table(phi, S, model, window=window))
-    assert (min(table), max(table)) == window
+    c = compute_constants(phi, S, model)
+    _assert_same_table(c.B_table, eager_b_table(phi, S, model))
+    # an age-0 indicator: B changes form between k = 0 and k = 1 only
+    assert c.B_window == (0, 1)

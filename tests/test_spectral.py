@@ -11,6 +11,7 @@ suite and on a seeded sweep of random non-negative matrices.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -509,53 +510,23 @@ def test_unscaled_matches_per_term_rows(cross_feed):
             assert g.tobytes() == w.tobytes()
 
 
-def _synthetic_tail(S, terms, monkeypatch, eps_tail):
-    """scaled_tail's kept terms when its k-th term is ``terms[k]``.
-
-    The step ``[[1, 1], [0, 1]]`` maps the first row ``(1, 0)`` to
-    ``(1, k)`` exactly, so the patched norm can read k off each row."""
-    T = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-    S = dataclasses.replace(S, rho=1.0, sqrt_rho=1.0, theta=0.5, _cache={("step", 3, 1): T})
-    monkeypatch.setattr(spectral, "m_norm2", lambda M, W: terms[W[:, 1].real.astype(int)])
-    return spectral.scaled_tail(S, np.eye(2), np.array([1.0, 0.0]), 1, "synthetic", eps_tail)[1]
+def test_a_power_outside_float64_is_refused_without_a_warning(mirror):
+    S = dataclasses.replace(mirror.S, _cache={})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ArithmeticError, match=r"pi1 A\^k pi1 is not representable in float64 at k=513"):
+            spectral.projected_power(S, 1, 1500)
+    assert caught == []
 
 
-def test_tail_streak_matches_the_term_by_term_loop(mirror, monkeypatch):
-    eps, needed = 1e-14, 2 * mirror.S.J + 2
-    length = spectral._MAX_WINDOW + spectral._MAX_BLOCK
-    # block ends for blocks of 1, 2, 4, ..., 256 terms, then 256 at a time
-    ends = np.cumsum([2**i for i in range(9)] + [256] * 4).tolist()
-    sequences = []
-    for end in ends:
-        for before in range(1, min(needed, end + 1)):  # a run of exactly `needed` across the end
-            seq = np.ones(length)
-            seq[end - before:end - before + needed] = 0.0
-            sequences.append(seq)
-        broken = np.ones(length)  # a run cut by a large term at the block end
-        broken[max(0, end - needed + 1):end + 2 * needed] = 1e-20
-        broken[end] = 1.0
-        sequences.append(broken)
-    rng = np.random.default_rng(11)
-    for p_small in (0.5, 0.8, 0.95):
-        for _ in range(20):
-            sequences.append(np.where(rng.random(length) < p_small, 0.0, 1.0))
-    for seq in sequences:
-        stop = oracles.reference_tail_stop(seq, eps, needed)
-        assert stop is not None
-        got = _synthetic_tail(mirror.S, seq, monkeypatch, eps)
-        assert got.tobytes() == seq[:stop].tobytes()
-
-
-def test_tail_streak_broken_by_nan_refuses(mirror, monkeypatch):
-    eps, needed = 1e-14, 2 * mirror.S.J + 2
-    for end in (3, 7, 255, 511):
-        seq = np.ones(2048)
-        seq[end - 2:end + needed + 1] = 0.0
-        seq[end] = np.nan  # breaks the run before it reaches `needed`
-        stop = oracles.reference_tail_stop(seq, eps, needed)
-        assert stop == end + needed + 1
-        with pytest.raises(ArithmeticError, match="synthetic has a term outside float64 range"):
-            _synthetic_tail(mirror.S, seq, monkeypatch, eps)
-        seq[end] = 0.0
-        seq[end + needed + 1] = np.nan  # after the stop: never summed
-        assert _synthetic_tail(mirror.S, seq, monkeypatch, eps).tobytes() == seq[:end - 2 + needed].tobytes()
+@pytest.mark.parametrize("step, cause", [("identity", "is singular"), ("nan", "has a non-finite solution")])
+def test_a_singular_or_non_finite_stein_system_is_refused(mirror, step, cause):
+    S, J = mirror.S, mirror.S.J
+    # a scaled ascending step T = I makes I - conj(T) kron T zero
+    T = np.eye(J) * S.sqrt_rho if step == "identity" else np.full((J, J), np.nan)
+    S = dataclasses.replace(S, _cache={("step", 3, 1): T.astype(complex)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=f"the Stein system of the sign \\+1 tail {cause}") as info:
+            spectral.stein_tail(S, np.eye(J), 1)
+    assert type(info.value) is ArithmeticError
