@@ -19,15 +19,16 @@ over scenario files derived from presets that reach what no preset does:
 ``two_type_mirror`` counted by a base table at ages -1, 0 and 1 with a
 trajectory and no requested case (``two_type_mirror+table``); and the
 ``two_type_mirror`` indicator at one replicate (``two_type_mirror@1``).
-Three more files reach the degenerate scale and a mean matrix with no
+Four more files reach the degenerate scale and a mean matrix with no
 Perron root: ``single_type_binary`` counted by an all-zero table with no
 requested case, whose verify checks that |T| decays
 (``single_type_binary+zero_table``); a one-type model that dies out in
 every replicate at seed 11, whose verify has no survivor to check decay on
-(``extinct@11``); and a two-type model whose mean matrix is zero
-(``zero_matrix``).  One more meets every standing assumption and has
-rho/s1^2 = 0.9984: its descending sigma2 tail keeps terms above 1e-14 for
-about 10^4 lags, and the closed-form tail gives sigma2 = 50
+(``extinct@11``); and two two-type models whose mean matrix is zero
+(``zero_matrix``) or nilpotent (``nilpotent``), the two causes
+``spectral_decompose`` names.  One more meets every standing assumption
+and has rho/s1^2 = 0.9984: its descending sigma2 tail keeps terms above
+1e-14 for about 10^4 lags, and the closed-form tail gives sigma2 = 50
 (``uncertified_tail``).
 
 Each line hashes the run's stdout, stderr, exit code and every
@@ -76,6 +77,9 @@ ZERO_MATRIX = {
     "characteristic": {"kind": "indicator", "row": [1, 0]},
     "run": {"n": 4},
 }
+NILPOTENT = {**ZERO_MATRIX, "model": {"types": 2, "initial_type": 1, "offspring": {
+    1: [{"p": "1/2", "counts": [0, 2]}, {"p": "1/2", "counts": [0, 0]}],
+    2: [{"p": 1, "counts": [0, 0]}]}}}
 
 UNCERTIFIED_TAIL = {
     "schema": 1,
@@ -138,6 +142,7 @@ def _derived(preset):
     yield "single_type_binary+zero_table", zero
     yield "extinct@11", EXTINCT
     yield "zero_matrix", ZERO_MATRIX
+    yield "nilpotent", NILPOTENT
     yield "uncertified_tail", UNCERTIFIED_TAIL
 
 

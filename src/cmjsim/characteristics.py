@@ -21,6 +21,7 @@ whose counted process recenters ``Z_n^phi`` at its mean pathwise.
 
 from __future__ import annotations
 
+import cmath
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -57,6 +58,12 @@ class NoiseLaw:
     def __post_init__(self):
         if len(self.probs) != len(self.values):
             raise ValueError("noise law: probs and values length mismatch")
+        for i, p in enumerate(self.probs):
+            if not 0.0 <= p <= 1.0:  # False for NaN as well
+                raise ValueError(f"noise law: probs[{i}] = {p!r} is not a probability in [0, 1]")
+        for i, v in enumerate(self.values):
+            if not cmath.isfinite(v):
+                raise ValueError(f"noise law: values[{i}] = {v!r} is not finite")
         if abs(sum(self.probs) - 1.0) > 1e-12:
             raise ValueError(f"noise law: probabilities sum to {sum(self.probs)!r}, not 1")
 
@@ -77,6 +84,10 @@ def _freeze_rows(rows: Mapping[int, np.ndarray] | None, J: int, what: str) -> di
         if r.shape != (J,):
             raise ValueError(f"{what}[{k}]: expected a row of length {J}")
     table = np.array(flat)
+    finite = np.isfinite(table)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0].tolist()
+        raise ValueError(f"{what}[{list(rows)[i]}]: entry {j} is not finite")
     table.flags.writeable = False
     return {int(k): r for k, r, keep in zip(rows, table, np.any(table != 0, axis=1).tolist()) if keep}
 

@@ -22,8 +22,8 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from functools import cached_property
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -63,32 +63,30 @@ def _to_jsonable(x):
         return x
     if isinstance(x, complex):
         return {"re": float(x.real), "im": float(x.imag)}
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, np.ndarray):
         return [_to_jsonable(v) for v in x.tolist()]
     if isinstance(x, Mapping):
-        return {_key(k): _to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, set)):
+        return {str(k): _to_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
         return [_to_jsonable(v) for v in x]
-    if dataclasses.is_dataclass(x):
-        return _to_jsonable(dataclasses.asdict(x))
-    return str(x)
+    raise TypeError(f"no JSON form for {type(x).__name__}")
 
 
-def _key(k) -> str:
-    if isinstance(k, tuple):
-        return ",".join(str(v) for v in k)
-    return str(k)
+def _dumps(x) -> str:
+    return json.dumps(_to_jsonable(x), indent=2, sort_keys=True)
+
+
+def _write(path: str, write) -> None:
+    """Make the directory of the output file ``path``, then ``write(path)``."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    write(path)
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(_to_jsonable(report), indent=2, sort_keys=True)
+    text = _dumps(report)
     print(text)
     if out:
-        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        _write(out, lambda path: Path(path).write_text(text + "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -225,31 +223,28 @@ class _Pipeline:
         )
 
 
-def _cmd_analyze(args) -> int:
-    run = _Pipeline(args)
-    report: dict = {
-        "scenario": run.scn.to_dict()["model"],
-        "assumptions": _assumption_report(run.assumptions),
-    }
-    code = EXIT_OK if run.assumptions.all_ok else EXIT_ASSUMPTION
-    try:
-        report["spectral"] = _spectral_report(run.S)
-    except ArithmeticError as exc:
-        report["spectral_error"] = str(exc)
-        code = EXIT_ASSUMPTION
-    _emit(report, args.out)
-    return code
+# each report block read from a _Pipeline, and each subcommand's stages in order
+_BLOCKS = {
+    "scenario": lambda run: run.scn.to_dict()["model"],
+    "spectral": lambda run: _spectral_report(run.S),
+    "constants": lambda run: _constants_report(run.const),
+}
+_STAGES = {"analyze": ("scenario", "spectral"), "constants": ("spectral", "constants")}
 
 
-def _cmd_constants(args) -> int:
+def _cmd_report(args) -> int:
+    """analyze and constants: the assumptions, then each stage's block; a
+    stage that raises ArithmeticError ends the report as ``<stage>_error``."""
     run = _Pipeline(args)
-    report = {"assumptions": _assumption_report(run.assumptions), "spectral": _spectral_report(run.S)}
+    report = {"assumptions": _assumption_report(run.assumptions)}
     code = EXIT_OK if run.assumptions.all_ok else EXIT_ASSUMPTION
-    try:
-        report["constants"] = _constants_report(run.const)
-    except ArithmeticError as exc:
-        report["constants_error"] = str(exc)
-        code = EXIT_ASSUMPTION
+    for stage in _STAGES[args.command]:
+        try:
+            report[stage] = _BLOCKS[stage](run)
+        except ArithmeticError as exc:
+            report[f"{stage}_error"] = str(exc)
+            code = EXIT_ASSUMPTION
+            break
     _emit(report, args.out)
     return code
 
@@ -257,17 +252,11 @@ def _cmd_constants(args) -> int:
 def _cmd_simulate(args) -> int:
     run = _Pipeline(args)
     batch = run.batch()
-    out = args.out
-    if out is None:
-        os.makedirs(run.scn.output["dir"], exist_ok=True)
-        out = os.path.join(run.scn.output["dir"], "simulate.csv")
-    else:
-        parent = os.path.dirname(os.path.abspath(out))
-        os.makedirs(parent, exist_ok=True)
-    batch.to_csv(out, t=run.scn.n)
+    out = args.out or os.path.join(run.scn.output["dir"], "simulate.csv")
+    _write(out, lambda path: batch.to_csv(path, t=run.scn.n))
     summary = batch.summary()
     summary["csv"] = out
-    print(json.dumps(_to_jsonable(summary), indent=2, sort_keys=True))
+    print(_dumps(summary))
     if batch.abort_rate > ABORT_RATE_MAX:
         print(f"abort rate {batch.abort_rate:.1%} exceeds {ABORT_RATE_MAX:.0%}", file=sys.stderr)
         return EXIT_ASSUMPTION
@@ -277,22 +266,23 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     run = _Pipeline(args)
     scn = run.scn
-    assumptions = _assumption_report(run.assumptions)
-    if not run.assumptions.all_ok:
-        failed = [text for key, text in _ASSUMPTION_FAILURES if not assumptions[key]]
-        reason = "standing assumptions fail: " + ", ".join(failed)
-        _emit({"assumptions": assumptions, "verdict": "REFUSED", "reason": reason}, args.out)
+    reports = {"assumptions": _assumption_report(run.assumptions)}
+
+    def refuse(reason: str) -> int:
+        _emit({**reports, "verdict": "REFUSED", "reason": reason}, args.out)
         return EXIT_ASSUMPTION
+
+    if not run.assumptions.all_ok:
+        failed = [text for key, text in _ASSUMPTION_FAILURES if not reports["assumptions"][key]]
+        return refuse("standing assumptions fail: " + ", ".join(failed))
     try:
         const = run.const
     except ArithmeticError as exc:  # the constants cannot be certified
-        _emit({"assumptions": assumptions, "verdict": "REFUSED", "reason": str(exc)}, args.out)
-        return EXIT_ASSUMPTION
+        return refuse(str(exc))
     batch = run.batch()
     # B_table is the constants subcommand's: here it would be most of the output
-    constants = _constants_report(const)
-    del constants["B_table"]
-    reports = {"assumptions": assumptions, "constants": constants}
+    reports["constants"] = _constants_report(const)
+    del reports["constants"]["B_table"]
     try:
         report = verify_dichotomy(
             batch, const, run.S, w_min=scn.run["w_min"], requested_case=scn.run["case"]
@@ -300,8 +290,7 @@ def _cmd_verify(args) -> int:
         if report.ks_p is None and report.decay is None:  # no gate ran
             raise ValueError(report.reasons[0])
     except (ValueError, RuntimeError) as exc:
-        _emit({**reports, "verdict": "REFUSED", "reason": str(exc)}, args.out)
-        return EXIT_ASSUMPTION
+        return refuse(str(exc))
     payload = {
         **reports,
         "verification": report.to_dict(),
@@ -319,10 +308,7 @@ def _cmd_verify(args) -> int:
             "mean": float(vals.mean()) if vals.size else None,
             "var": float(vals.var(ddof=1)) if vals.size > 1 else None,
         }
-        parent = os.path.dirname(os.path.abspath(args.emit_hist))
-        os.makedirs(parent, exist_ok=True)
-        with open(args.emit_hist, "w") as fh:
-            fh.write(json.dumps(_to_jsonable(hist), indent=2, sort_keys=True) + "\n")
+        _write(args.emit_hist, lambda path: Path(path).write_text(_dumps(hist) + "\n"))
     print(f"verdict: {'PASS' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_STAT_FAIL
 
@@ -365,6 +351,15 @@ def _cmd_star_check(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {
+    "analyze": ("model assumptions and spectral analysis", _cmd_report),
+    "constants": ("limit constants with error certificates", _cmd_report),
+    "simulate": ("replicate batch -> CSV", _cmd_simulate),
+    "verify": ("statistical acceptance battery", _cmd_verify),
+    "star-check": ("pathwise recentering identity", _cmd_star_check),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmjsim",
@@ -372,34 +367,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "characteristics: exact constants, exact simulation, statistical checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "analyze": "model assumptions and spectral analysis",
-        "constants": "limit constants with error certificates",
-        "simulate": "replicate batch -> CSV",
-        "verify": "statistical acceptance battery",
-        "star-check": "pathwise recentering identity",
-    }
-    parsers = {}
-    for name, help_text in specs.items():
+    for name, (help_text, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--scenario", required=True, help="scenario YAML path or preset name")
         sp.add_argument("--seed", type=int, default=None, help="override run.seed")
         sp.add_argument("--workers", type=int, default=None, help="override run.workers")
         sp.add_argument("--out", default=None, help="also write the JSON report/CSV here")
-        parsers[name] = sp
-    parsers["verify"].add_argument(
-        "--emit-hist", default=None, help="write a histogram of the studentized statistic"
-    )
+        if name == "verify":
+            sp.add_argument(
+                "--emit-hist", default=None, help="write a histogram of the studentized statistic"
+            )
     return parser
-
-
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "constants": _cmd_constants,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "star-check": _cmd_star_check,
-}
 
 
 def main(argv=None) -> int:
@@ -409,7 +387,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

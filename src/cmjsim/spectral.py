@@ -462,7 +462,10 @@ def power_scaled(x, base: float, e) -> np.ndarray:
     weight[~far] = list(map(pow, itertools.repeat(base), (-e_rows[~far]).tolist()))
     with np.errstate(all="ignore"):
         peak = np.max(np.abs(x), axis=tuple(range(e.ndim, x.ndim)), keepdims=True)
-        via_log = np.where(peak > 0, x / peak * np.exp(np.log(peak) - e_rows * log_base), 0.0)
+        # numpy divides a complex by a real through 1 / peak, which overflows
+        # where peak is subnormal: divide by the least normal number there
+        scale = np.maximum(peak, _TINY)
+        via_log = np.where(peak > 0, x / scale * np.exp(np.log(scale) - e_rows * log_base), 0.0)
         return np.where(far, via_log, x * weight)
 
 

@@ -523,7 +523,8 @@ def per_term_power_scaled(x, base: float, e) -> np.ndarray:
     """``x[i] * base**(-e[i])`` row by row, where ``x`` has the shape of ``e``
     plus a row shape: the weight by Python's float pow while
     ``|e[i] log base| < 700``, else through the logarithm of the row's peak
-    modulus (a zero row stays zero)."""
+    modulus, taken no smaller than the least normal number (a zero row stays
+    zero)."""
     x = np.asarray(x)
     e = np.asarray(e, dtype=float)
     log_base = math.log(base)
@@ -533,7 +534,8 @@ def per_term_power_scaled(x, base: float, e) -> np.ndarray:
             out.append(row * base**-v)
             continue
         peak = np.max(np.abs(row))
-        out.append(row / peak * np.exp(np.log(peak) - v * log_base) if peak > 0 else np.zeros_like(row))
+        scale = max(peak, np.finfo(float).tiny)
+        out.append(row / scale * np.exp(np.log(scale) - v * log_base) if peak > 0 else np.zeros_like(row))
     return np.array(out).reshape(x.shape)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 import re
 
@@ -146,6 +147,30 @@ def test_frozen_rows_are_read_only_copies_and_a_bad_row_names_its_key():
     assert not phi.base[0].flags.writeable and not phi.coeff[2].flags.writeable
     with pytest.raises(ValueError, match=r"coeff\[5\]: expected a row of length 2"):
         Characteristic(2, coeff={0: [1, 2], 5: [1, 2, 3]})
+
+
+@pytest.mark.parametrize("what, rows", [
+    ("base[0]: entry 0", {0: [math.nan, 1]}),
+    ("base[3]: entry 1", {0: [1, 2], 3: np.array([1, np.inf])}),
+    ("coeff[-2]: entry 1", {-2: [0, complex(0, math.nan)]}),
+], ids=["nan", "inf", "complex-nan"])
+def test_a_non_finite_row_entry_names_its_key(what, rows):
+    table = what.split("[")[0]
+    with pytest.raises(ValueError, match=re.escape(f"{what} is not finite")):
+        Characteristic(2, **{table: rows})
+
+
+@pytest.mark.parametrize("probs, values, message", [
+    ((1.5, -0.5), (0.0, 1.0), "probs[0] = 1.5 is not a probability in [0, 1]"),
+    ((0.5, 0.5, -0.0, math.nan), (0.0, 1.0, 2.0, 3.0), "probs[3] = nan is not a probability in [0, 1]"),
+    ((0.5, 0.5), (0.0, math.inf), "values[1] = inf is not finite"),
+    ((1.0,), (complex(math.nan, 0.0),), "values[0] = (nan+0j) is not finite"),
+], ids=["negative", "nan-prob", "inf-value", "nan-value"])
+def test_a_noise_law_refuses_bad_probabilities_and_non_finite_values(probs, values, message):
+    # the sum check alone lets both through: (1.5, -0.5) sums to 1, and
+    # abs(nan - 1) > 1e-12 is False
+    with pytest.raises(ValueError, match=re.escape(f"noise law: {message}")):
+        NoiseLaw(probs, values)
 
 
 def test_a_noise_cell_must_be_a_noise_law():

@@ -260,6 +260,21 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert summary["replicates"] == len(lines) - 1
 
 
+def test_simulate_writes_to_the_output_dir_and_refuses_a_high_abort_rate(tmp_path, capsys):
+    # each individual has 10^6 children or none: a line that keeps growing
+    # outruns the overflow cap and its replicate aborts
+    offspring = {1: [{"p": "1/2", "counts": [1000000]}, {"p": "1/2", "counts": [0]}]}
+    d = {"schema": 1, "model": {"types": 1, "initial_type": 1, "offspring": offspring},
+         "characteristic": {"kind": "indicator", "row": [1]},
+         "run": {"n": 4, "replicates": 60}, "output": {"dir": str(tmp_path / "runs")}}
+    rc, out, err = run_cli(["simulate", "--scenario", write_yaml(tmp_path, "wild.yaml", d)], capsys)
+    assert rc == EXIT_ASSUMPTION
+    assert err == "abort rate 51.7% exceeds 10%\n"
+    csv = tmp_path / "runs" / "simulate.csv"
+    assert json.loads(out)["csv"] == str(csv)
+    assert len(csv.read_text().splitlines()) == 1 + 60
+
+
 def test_simulate_worker_count_does_not_change_the_csv(tmp_path, capsys):
     paths = []
     for workers in (1, 4):
@@ -465,8 +480,10 @@ def test_a_mean_matrix_without_perron_root_is_an_assumption_failure(
     argv = [command, "--scenario", write_yaml(tmp_path, "m.yaml", d), "--out", str(tmp_path / "r")]
     rc, out, err = run_cli(argv, capsys)
     assert rc == EXIT_ASSUMPTION
-    if command == "analyze":
+    if command in ("analyze", "constants"):
         rep = json_payload(out)
+        blocks = {"assumptions", "spectral_error"} | ({"scenario"} if command == "analyze" else set())
+        assert rep.keys() == blocks and not err
         assert rep["spectral_error"].startswith(cause) and rep["assumptions"]["all_ok"] is False
     else:
         assert err.startswith(f"error: {cause}")

@@ -11,6 +11,7 @@ suite and on a seeded sweep of random non-negative matrices.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from fractions import Fraction
 
@@ -491,6 +492,18 @@ def test_power_scaled_matches_python_pow_term_by_term(base):
             want = oracles.per_term_power_scaled(x, base, ee)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_power_scaled_takes_a_subnormal_complex_row_as_the_real_one():
+    # 1.5^1792.5 is beyond float64, the row's peak below its normal range
+    x = np.array([[5e-324, -5e-324]])
+    e = np.array([-1792.5])
+    real = spectral.power_scaled(x, 1.5, e)
+    cplx = spectral.power_scaled(x + 0j, 1.5, e)
+    assert not cplx.imag.any() and cplx.real.tolist() == real.tolist()
+    want = math.exp(math.log(5e-324) + 1792.5 * math.log(1.5))
+    assert real.ravel().tolist() == pytest.approx([want, -want], rel=1e-12)
+    assert cplx.tobytes() == oracles.per_term_power_scaled(x + 0j, 1.5, e).tobytes()
 
 
 def test_unscaled_matches_per_term_rows(cross_feed):
