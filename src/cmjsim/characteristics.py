@@ -130,7 +130,12 @@ class Characteristic:
             for (k, j), law in self.noise.items():
                 i = bisect_left(ages, k)
                 mean[i, j] += law.mean()
-                noise_var[i, j] += law.variance()
+                try:  # squaring a finite float may raise; an inf deviation squares to inf
+                    noise_var[i, j] += law.variance()
+                except OverflowError:
+                    noise_var[i, j] = np.inf
+                if np.isinf(noise_var[i, j]):
+                    raise ArithmeticError(f"noise[{(k, j)}]: variance is outside float64 range")
             mean.flags.writeable = noise_var.flags.writeable = False
             self.__dict__["_moments"] = (ages, mean, noise_var)
         return self.__dict__["_moments"]
@@ -175,13 +180,13 @@ class Phi1Characteristic(Characteristic):
 
 @dataclass(frozen=True, eq=False)
 class StarCharacteristic:
-    """A materialized star transform plus its summability certificate.
+    """A materialized star transform plus the partial sum of its variances.
 
     ``sum_sq`` is the partial sum of ``rho^{-k} sum_j u_j Var[R(k)(L - A e_j)]``
-    over the materialized window and ``sum_sq_ratio`` the last consecutive-term
-    ratio: a ratio < 1 certifies a geometric tail, a ratio >= 1 flags honest
-    divergence (which does occur for characteristics with non-summable mean
-    growth; the transform itself stays exact on any finite window).
+    over the window and ``sum_sq_ratio`` the ratio of its last two nonzero
+    terms; ``sum_sq_converged`` says it is below 1.  That bounds no tail:
+    with a Jordan block the terms go like ``k^{2(m-1)} q^k``, so the ratio
+    can exceed 1 on a convergent series.  The transform is exact regardless.
     """
 
     characteristic: Characteristic
@@ -198,18 +203,28 @@ def make_indicator_characteristic(row) -> Characteristic:
     return Characteristic(J=row.shape[0], base={0: row}, label="indicator")
 
 
+def _star_rows(phi: Characteristic, A: np.ndarray, k_max: int) -> dict:
+    """The nonzero rows ``R(k) = sum_{l>=0} E phi(k-1-l) A^l`` for ``k <= k_max``,
+    in ascending age, from ``R(k+1) = R(k) A + E phi(k)`` and ``R = 0`` up to
+    the table's lowest age."""
+    mt = phi.mean_table()
+    rows, row = {}, np.zeros(phi.J, dtype=complex)
+    for k in range(min(mt, default=k_max), k_max):
+        row = row @ A + mt.get(k, 0)
+        if row.any():
+            rows[k + 1] = row
+    return rows
+
+
 def _summability_sum(rows: dict, S: SpectralData, model: BranchingModel) -> tuple[float, float, bool]:
-    """Partial sum of rho^{-k} u-weighted variances plus a tail-ratio certificate."""
+    """Partial sum of rho^{-k} u-weighted variances over the rows, in the
+    ascending order given, and the ratio of its last two nonzero terms."""
     M = mixing_covariance(model, S.u)
-    ks = list(rows)
-    scaled = power_scaled(np.array([rows[k] for k in ks]).reshape(-1, S.J), S.rho, np.array(ks) / 2)
-    terms = dict(zip(ks, m_norm2(M, scaled).tolist()))
-    total = sum(terms.values())
-    ratio = 0.0
-    tail = [k for k in sorted(rows) if terms[k] > 0.0]
-    if len(tail) >= 2:
-        ratio = terms[tail[-1]] / terms[tail[-2]]
-    return total, ratio, bool(ratio < 1.0)
+    scaled = power_scaled(np.array(list(rows.values())).reshape(-1, S.J), S.rho, np.array(list(rows)) / 2)
+    terms = m_norm2(M, scaled).tolist()
+    tail = [t for t in terms if t > 0.0]
+    ratio = tail[-1] / tail[-2] if len(tail) >= 2 else 0.0
+    return sum(terms, 0.0), ratio, ratio < 1.0
 
 
 def star_transform(
@@ -223,42 +238,17 @@ def star_transform(
     ``n_max``.  It satisfies the pathwise recentering
     ``Z_n^{phi*} = Z_n^phi - E Z_n^phi`` for every ``n <= n_max``.
 
-    All sums are exact (finite).  The produced characteristic has mean zero
-    identically, by construction (a coeff-only table).  The summability sum
-    and its tail ratio are certified as well.
+    All sums are finite.  The produced characteristic has mean zero
+    identically, by construction (a coeff-only table).  The partial
+    summability sum and its last-term ratio come with it.
     """
     if not phi.is_deterministic:
         raise ValueError("star_transform requires a deterministic characteristic")
-    mt = phi.mean_table()
-    if not mt:
-        return StarCharacteristic(
-            characteristic=Characteristic(J=phi.J, label="star"),
-            k_lo=0,
-            k_hi=0,
-            sum_sq=0.0,
-            sum_sq_ratio=0.0,
-            sum_sq_converged=True,
-        )
-    supp = sorted(mt)
-    k_min = supp[0]
-    J = phi.J
-    rows: dict[int, np.ndarray] = {}
-    powers = [np.eye(J, dtype=complex)]
-    for _ in range(max(0, n_max - 1 - k_min)):
-        powers.append(powers[-1] @ S.A.astype(complex))
-    for k in range(k_min + 1, n_max + 1):
-        row = np.zeros(J, dtype=complex)
-        for m in supp:
-            l = k - 1 - m
-            if l >= 0:
-                row = row + mt[m] @ powers[l]
-        if np.any(row != 0):
-            rows[k] = row
-
+    rows = _star_rows(phi, S.A, n_max)
     sum_sq, ratio, converged = _summability_sum(rows, S, model)
-    ks = sorted(rows) or [0]
+    ks = list(rows) or [0]
     return StarCharacteristic(
-        characteristic=Characteristic(J=J, coeff=rows, label="star"),
+        characteristic=Characteristic(J=phi.J, coeff=rows, label="star"),
         k_lo=ks[0],
         k_hi=ks[-1],
         sum_sq=sum_sq,
@@ -322,21 +312,9 @@ def make_phi1(
 
 
 def expected_process(phi: Characteristic, model: BranchingModel, n: int) -> complex:
-    """E Z_n^phi = sum_g E phi(n - g) A^g Z_0, exact for finite mean tables."""
-    mt = phi.mean_table()
-    if not mt:
-        return 0.0 + 0.0j
-    ez = np.asarray(model.z0(), dtype=float)
-    total = 0.0 + 0.0j
-    g_max = n - min(mt)
-    for g in range(0, max(g_max, -1) + 1):
-        k = n - g
-        row = mt.get(k)
-        if row is not None:
-            total += complex(row @ ez)
-        if g < g_max:
-            ez = model.A @ ez
-    return total
+    """E Z_n^phi = sum_g E phi(n - g) A^g Z_0 = R(n+1) . Z_0, exact for finite mean tables."""
+    row = _star_rows(phi, model.A, n + 1).get(n + 1)
+    return 0j if row is None else complex(row @ model.z0())
 
 
 def assumption_sums(phi: Characteristic, S: SpectralData, model: BranchingModel) -> dict:
@@ -355,8 +333,7 @@ def assumption_sums(phi: Characteristic, S: SpectralData, model: BranchingModel)
     var = power_scaled(noise_var, S.rho, ks)
     if phi.coeff:
         rows = power_scaled(np.array(list(phi.coeff.values())), S.rho, np.array(list(phi.coeff)) / 2)
-        covs = np.array(model.covs)
-        var[np.searchsorted(ks, list(phi.coeff))] += np.einsum("ia,jab,ib->ij", rows, covs, rows.conj()).real
+        var[np.searchsorted(ks, list(phi.coeff))] += np.column_stack([m_norm2(C, rows) for C in model.covs])
     return {
         "mean_weighted_sum": float(np.sum(power_scaled(mean, S.rho, ks) + power_scaled(mean, S.theta, ks))),
         "variance_weighted_sum": float(np.sum(np.linalg.norm(var, axis=1))),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cmjsim.characteristics import (
 )
 
 from oracles import (
+    exact_mean_matrix,
     exact_moment_tables,
     reference_mean_table,
     reference_noise_variance,
@@ -178,6 +180,23 @@ def test_a_noise_cell_must_be_a_noise_law():
         Characteristic(2, noise={(0, 1): ((0.5, 0.5), (0.0, 2.0))})
 
 
+@pytest.mark.parametrize("probs, values", [
+    ((0.5, 0.5), (0.0, 1e200)),
+    ((1.0, 4e-155), (-1.7e308, 1.7e308)),
+], ids=["square", "deviation"])
+def test_a_noise_variance_outside_float64_names_its_cell(probs, values):
+    # squaring 1e200 raises OverflowError; 1.7e308 minus the mean -1.7e308 is
+    # inf, whose square is inf with no error
+    from conftest import bundle
+
+    b = bundle("asym_leak")
+    phi = Characteristic(2, base={0: [1, -1]}, noise={(0, 0): NoiseLaw(probs, values)})
+    with pytest.raises(ArithmeticError) as info:
+        compute_constants(phi, b.S, b.model)
+    assert type(info.value) is ArithmeticError
+    assert str(info.value) == "noise[(0, 0)]: variance is outside float64 range"
+
+
 def test_scaling_by_complex_factor(mirror):
     model = mirror.model
     phi = Characteristic(
@@ -236,6 +255,29 @@ def test_plain_star_rows_are_powers_of_the_mean_matrix(mirror):
     # mean-zero by construction: coeff-only tables have no static part
     assert not star.characteristic.mean_table()
     assert min(star.characteristic.coeff) == 1
+
+
+@pytest.mark.parametrize("name", ["three_scale_symmetric", "cyclic_three"])
+def test_star_rows_of_a_multi_age_table_match_exact_rational_powers(name):
+    # three_scale_symmetric's A is not exact in float64, and cyclic_three's is
+    # not symmetric, so R(k) A^T would fail; each row is
+    # sum_{m <= k-1} E phi(m) A^{k-1-m}, formed here in exact rationals
+    from conftest import bundle
+
+    b = bundle(name)
+    A = exact_mean_matrix(b.model)
+    base = {-2: np.array([1.0, 0.0, -1.0]), 0: np.array([0.5, 2.0, 0.0]), 3: np.array([0.0, -1.0, 3.0])}
+    star = star_transform(Characteristic(3, base=base), b.S, model=b.model, n_max=12)
+    assert sorted(star.characteristic.coeff) == list(range(-1, 13))
+    assert (star.k_lo, star.k_hi) == (-1, 12)
+    for k, got in star.characteristic.coeff.items():
+        expect = [Fraction(0)] * 3
+        for m in (m for m in base if m <= k - 1):
+            term = [Fraction(x) for x in base[m]]
+            for _ in range(k - 1 - m):
+                term = [sum(term[a] * A[a][i] for a in range(3)) for i in range(3)]
+            expect = [e + t for e, t in zip(expect, term)]
+        assert got == pytest.approx(np.array(expect, dtype=float), rel=1e-12), k
 
 
 def test_star_transform_requires_deterministic_input(mirror):
@@ -309,7 +351,9 @@ def test_mean_zero_characteristics_have_zero_expected_process(mirror):
         assert expected_process(star.characteristic, mirror.model, n) == 0
 
 
-@pytest.mark.parametrize("name", ["single_type_binary", "two_type_mirror", "jordan_critical"])
+@pytest.mark.parametrize(
+    "name", ["single_type_binary", "two_type_mirror", "jordan_critical", "three_scale_symmetric"]
+)
 def test_expected_process_matches_exact_recursion(name):
     from conftest import bundle
 

@@ -131,6 +131,19 @@ def test_bad_noise_probabilities_name_the_noise_cell(probs, tmp_path, capsys):
     assert out == ""
 
 
+def test_a_noise_variance_outside_float64_is_a_named_constants_error(tmp_path, capsys):
+    d = preset("asym_leak").to_dict()
+    d["characteristic"] = {
+        "kind": "custom",
+        "base": {0: [1, -1]},
+        "noise": [{"age": 0, "type": 1, "probs": ["1/2", "1/2"], "values": [0, 1e200]}],
+    }
+    path = write_yaml(tmp_path, "huge_noise.yaml", d)
+    rc, out, err = run_cli(["constants", "--scenario", path], capsys)
+    assert rc == EXIT_ASSUMPTION and not err
+    assert json_payload(out)["constants_error"] == "noise[(0, 0)]: variance is outside float64 range"
+
+
 def _too_large_for_a_float(d, where):
     if where == "offspring":
         d["model"]["offspring"][1][0]["p"] = "1e400"

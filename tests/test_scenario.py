@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +255,10 @@ def test_scenario_frozen_and_dict_stable():
     assert isinstance(scn, Scenario)
     with pytest.raises(AttributeError):
         scn.schema = 2
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_scenario_files_are_the_presets(name):
+    # scenarios/<name>.yaml is save_scenario(preset(name), path)
+    path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.yaml"
+    assert load_scenario(str(path)).to_dict() == preset(name).to_dict()
