@@ -29,7 +29,12 @@ every replicate at seed 11, whose verify has no survivor to check decay on
 ``spectral_decompose`` names.  One more meets every standing assumption
 and has rho/s1^2 = 0.9984: its descending sigma2 tail keeps terms above
 1e-14 for about 10^4 lags, and the closed-form tail gives sigma2 = 50
-(``uncertified_tail``).
+(``uncertified_tail``).  The last two count ``asym_leak``'s row plus a
+noise cell at age 0 on type 1 with values 0 and v, each with probability
+1/2: at v = 1e200 the cell's variance leaves float64, which every command
+that reads the characteristic refuses (``asym_leak+huge_noise``); at
+v = 1e150 the variance fits but the square of its row's norm does not
+(``asym_leak+large_noise``).
 
 Each line hashes the run's stdout, stderr, exit code and every
 file it wrote (name and bytes), with the output directory's path masked,
@@ -144,6 +149,11 @@ def _derived(preset):
     yield "zero_matrix", ZERO_MATRIX
     yield "nilpotent", NILPOTENT
     yield "uncertified_tail", UNCERTIFIED_TAIL
+    for size, value in (("huge", 1e200), ("large", 1e150)):
+        noisy = preset("asym_leak").to_dict()
+        noisy["characteristic"] = {"kind": "custom", "base": {0: ["1", "-1"]}, "noise": [
+            {"age": 0, "type": 1, "probs": ["1/2", "1/2"], "values": [0, value]}]}
+        yield f"asym_leak+{size}_noise", noisy
 
 
 def digests(tree: Path):

@@ -8,7 +8,6 @@ from .characteristics import (
     Characteristic,
     NoiseLaw,
     Phi1Characteristic,
-    StarCharacteristic,
     expected_process,
     make_indicator_characteristic,
     make_phi1,
@@ -58,7 +57,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "SpectralData",
-    "StarCharacteristic",
     "TheoreticalConstants",
     "VerificationReport",
     "build_model",

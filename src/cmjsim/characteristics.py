@@ -38,7 +38,6 @@ _MAX_BLOCK = 256
 __all__ = [
     "NoiseLaw",
     "Characteristic",
-    "StarCharacteristic",
     "Phi1Characteristic",
     "make_indicator_characteristic",
     "star_transform",
@@ -66,6 +65,12 @@ class NoiseLaw:
                 raise ValueError(f"noise law: values[{i}] = {v!r} is not finite")
         if abs(sum(self.probs) - 1.0) > 1e-12:
             raise ValueError(f"noise law: probabilities sum to {sum(self.probs)!r}, not 1")
+        try:  # squaring a finite float may raise; an inf deviation squares to inf
+            finite = cmath.isfinite(self.variance())
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("noise law: variance is outside float64 range")
 
     def mean(self) -> complex:
         return complex(sum(p * v for p, v in zip(self.probs, self.values)))
@@ -130,12 +135,7 @@ class Characteristic:
             for (k, j), law in self.noise.items():
                 i = bisect_left(ages, k)
                 mean[i, j] += law.mean()
-                try:  # squaring a finite float may raise; an inf deviation squares to inf
-                    noise_var[i, j] += law.variance()
-                except OverflowError:
-                    noise_var[i, j] = np.inf
-                if np.isinf(noise_var[i, j]):
-                    raise ArithmeticError(f"noise[{(k, j)}]: variance is outside float64 range")
+                noise_var[i, j] += law.variance()
             mean.flags.writeable = noise_var.flags.writeable = False
             self.__dict__["_moments"] = (ages, mean, noise_var)
         return self.__dict__["_moments"]
@@ -178,25 +178,6 @@ class Phi1Characteristic(Characteristic):
     discarded_mass: float = 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class StarCharacteristic:
-    """A materialized star transform plus the partial sum of its variances.
-
-    ``sum_sq`` is the partial sum of ``rho^{-k} sum_j u_j Var[R(k)(L - A e_j)]``
-    over the window and ``sum_sq_ratio`` the ratio of its last two nonzero
-    terms; ``sum_sq_converged`` says it is below 1.  That bounds no tail:
-    with a Jordan block the terms go like ``k^{2(m-1)} q^k``, so the ratio
-    can exceed 1 on a convergent series.  The transform is exact regardless.
-    """
-
-    characteristic: Characteristic
-    k_lo: int
-    k_hi: int
-    sum_sq: float
-    sum_sq_ratio: float
-    sum_sq_converged: bool
-
-
 def make_indicator_characteristic(row) -> Characteristic:
     """phi(k) = row * 1{k = 0}, so that Z_n^phi = row . Z_n."""
     row = np.asarray(row, dtype=complex).reshape(-1)
@@ -216,45 +197,14 @@ def _star_rows(phi: Characteristic, A: np.ndarray, k_max: int) -> dict:
     return rows
 
 
-def _summability_sum(rows: dict, S: SpectralData, model: BranchingModel) -> tuple[float, float, bool]:
-    """Partial sum of rho^{-k} u-weighted variances over the rows, in the
-    ascending order given, and the ratio of its last two nonzero terms."""
-    M = mixing_covariance(model, S.u)
-    scaled = power_scaled(np.array(list(rows.values())).reshape(-1, S.J), S.rho, np.array(list(rows)) / 2)
-    terms = m_norm2(M, scaled).tolist()
-    tail = [t for t in terms if t > 0.0]
-    ratio = tail[-1] / tail[-2] if len(tail) >= 2 else 0.0
-    return sum(terms, 0.0), ratio, ratio < 1.0
-
-
-def star_transform(
-    phi: Characteristic,
-    S: SpectralData,
-    model: BranchingModel,
-    n_max: int = 40,
-) -> StarCharacteristic:
-    """Star transform of a deterministic characteristic:
-    ``R(k) = sum_{l>=0} Ephi(k-1-l) A^l``, materialized for ages up to
-    ``n_max``.  It satisfies the pathwise recentering
-    ``Z_n^{phi*} = Z_n^phi - E Z_n^phi`` for every ``n <= n_max``.
-
-    All sums are finite.  The produced characteristic has mean zero
-    identically, by construction (a coeff-only table).  The partial
-    summability sum and its last-term ratio come with it.
-    """
+def star_transform(phi: Characteristic, model: BranchingModel, n_max: int) -> Characteristic:
+    """Star transform of a deterministic characteristic: the coeff-only table of
+    ``R(k) = sum_{l>=0} Ephi(k-1-l) A^l`` for ages up to ``n_max``.  It has
+    mean zero identically and satisfies the pathwise recentering
+    ``Z_n^{phi*} = Z_n^phi - E Z_n^phi`` for every ``n <= n_max``."""
     if not phi.is_deterministic:
         raise ValueError("star_transform requires a deterministic characteristic")
-    rows = _star_rows(phi, S.A, n_max)
-    sum_sq, ratio, converged = _summability_sum(rows, S, model)
-    ks = list(rows) or [0]
-    return StarCharacteristic(
-        characteristic=Characteristic(J=phi.J, coeff=rows, label="star"),
-        k_lo=ks[0],
-        k_hi=ks[-1],
-        sum_sq=sum_sq,
-        sum_sq_ratio=ratio,
-        sum_sq_converged=converged,
-    )
+    return Characteristic(J=phi.J, coeff=_star_rows(phi, model.A, n_max), label="star")
 
 
 def make_phi1(
@@ -323,18 +273,23 @@ def assumption_sums(phi: Characteristic, S: SpectralData, model: BranchingModel)
     Records ``sum_k |E phi(k)| (rho^{-k} + theta^{-k})`` and
     ``sum_k |Var phi(k)| rho^{-k}``; both are finite for finite tables.  Coeff
     rows are scaled by ``rho^{-k/2}`` before they are squared, so the far
-    rows of a long table do not underflow.
+    rows of a long table do not underflow, and ``np.hypot`` forms again each
+    row's norm whose square overflows, so every norm float64 holds is finite.
     """
     ages, means, noise_var = phi.moments()
     ks = np.array(ages)
-    # |E phi(k)| row by row as np.linalg.norm forms it: vecdot makes the same
-    # strided dot call per row, so the sum equals a per-key norm bit for bit
-    mean = np.sqrt(np.vecdot(means.real, means.real) + np.vecdot(means.imag, means.imag))
     var = power_scaled(noise_var, S.rho, ks)
     if phi.coeff:
         rows = power_scaled(np.array(list(phi.coeff.values())), S.rho, np.array(list(phi.coeff)) / 2)
         var[np.searchsorted(ks, list(phi.coeff))] += np.column_stack([m_norm2(C, rows) for C in model.covs])
+    with np.errstate(over="ignore"):
+        # |E phi(k)| row by row as np.linalg.norm forms it: vecdot makes the same
+        # strided dot call per row, so the sum equals a per-key norm bit for bit
+        mean = np.sqrt(np.vecdot(means.real, means.real) + np.vecdot(means.imag, means.imag))
+        var_norm = np.linalg.norm(var, axis=1)
+        for norms, table in ((mean, means), (var_norm, var)):
+            norms[np.isinf(norms)] = np.hypot.reduce(np.abs(table[np.isinf(norms)]), axis=1)
     return {
         "mean_weighted_sum": float(np.sum(power_scaled(mean, S.rho, ks) + power_scaled(mean, S.theta, ks))),
-        "variance_weighted_sum": float(np.sum(np.linalg.norm(var, axis=1))),
+        "variance_weighted_sum": float(np.sum(var_norm)),
     }

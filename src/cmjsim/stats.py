@@ -211,7 +211,8 @@ def verify_dichotomy(
 
     ``requested_case`` (\"i\" or \"ii\") is validated against the constants:
     asking for the polynomial case when no polynomial index exists is an
-    input error, not a statistical failure, and raises ValueError.
+    input error, not a statistical failure, and raises ValueError; so does a
+    batch with too few usable survivors for any gate to run.
     """
     if requested_case is not None and requested_case != constants.case:
         raise ValueError(
@@ -240,12 +241,7 @@ def verify_dichotomy(
 
     need = 1 if case == "degenerate" else MIN_SAMPLE  # the decay check needs one survivor
     if m < need:
-        return VerificationReport(
-            case=case, m=m, passed=False,
-            reasons=(f"only {m} usable survivors; need {need}",),
-            thresholds={"w_min": w_min, "min_sample": need},
-            details={"t": t, "abort_rate": batch.abort_rate},
-        )
+        raise ValueError(f"only {m} usable survivors; need {need}")
 
     is_real = bool(np.max(np.abs(eps_c.imag)) < 1e-9 * max(1.0, float(np.max(np.abs(eps_c)))))
     eps = eps_c.real if is_real else eps_c.real * math.sqrt(2.0)

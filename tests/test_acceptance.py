@@ -109,16 +109,14 @@ def test_a02_recentering_identity_pathwise(single_type, mirror):
     n, reps_each = 12, 5_000
     worst = 0.0
     for off, b in enumerate((single_type, mirror)):
-        model, S = b.model, b.S
+        model = b.model
         J = model.J
         base = {0: np.arange(1.0, J + 1.0), 1: 0.5 * np.ones(J)}
         phi = Characteristic(J=J, base=base, label="two-age table")
-        star = star_transform(phi, S, model=model, n_max=n)
+        star = star_transform(phi, model, n)
         ez = complex(expected_process(phi, model, n))
         scale = 1.0 + abs(ez)
-        batch = run_batch(
-            model, [phi, star.characteristic], n, n, reps_each, SEED + 100 + off, ns=[n]
-        )
+        batch = run_batch(model, [phi, star], n, n, reps_each, SEED + 100 + off, ns=[n])
         for r in batch.replicates:
             resid = abs(r.zphi[(1, n)] - (r.zphi[(0, n)] - ez)) / scale
             worst = max(worst, resid)

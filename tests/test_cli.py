@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 import yaml
@@ -131,17 +132,49 @@ def test_bad_noise_probabilities_name_the_noise_cell(probs, tmp_path, capsys):
     assert out == ""
 
 
-def test_a_noise_variance_outside_float64_is_a_named_constants_error(tmp_path, capsys):
+def _asym_leak_noise(tmp_path, value) -> str:
+    """asym_leak's row plus a noise cell with values 0 and ``value``, each
+    with probability 1/2, written as a scenario file."""
     d = preset("asym_leak").to_dict()
     d["characteristic"] = {
         "kind": "custom",
         "base": {0: [1, -1]},
-        "noise": [{"age": 0, "type": 1, "probs": ["1/2", "1/2"], "values": [0, 1e200]}],
+        "noise": [{"age": 0, "type": 1, "probs": ["1/2", "1/2"], "values": [0, value]}],
     }
-    path = write_yaml(tmp_path, "huge_noise.yaml", d)
-    rc, out, err = run_cli(["constants", "--scenario", path], capsys)
-    assert rc == EXIT_ASSUMPTION and not err
-    assert json_payload(out)["constants_error"] == "noise[(0, 0)]: variance is outside float64 range"
+    return write_yaml(tmp_path, "noise.yaml", d)
+
+
+VARIANCE_OUTSIDE_FLOAT64 = "error: characteristic.noise[0]: noise law: variance is outside float64 range\n"
+
+
+def test_a_noise_variance_outside_float64_is_a_named_constants_error(tmp_path, capsys):
+    rc, out, err = run_cli(["constants", "--scenario", _asym_leak_noise(tmp_path, 1e200)], capsys)
+    assert rc == EXIT_USAGE and out == ""
+    assert err == VARIANCE_OUTSIDE_FLOAT64
+
+
+@pytest.mark.parametrize("command, code", [
+    ("analyze", EXIT_OK), ("verify", EXIT_USAGE), ("simulate", EXIT_USAGE), ("star-check", EXIT_USAGE),
+])
+def test_a_noise_variance_outside_float64_stops_each_command_that_reads_it(command, code, tmp_path, capsys):
+    path = _asym_leak_noise(tmp_path, 1e200)
+    rc, _, err = run_cli([command, "--scenario", path, "--out", str(tmp_path / "out")], capsys)
+    assert rc == code
+    assert err == ("" if code == EXIT_OK else VARIANCE_OUTSIDE_FLOAT64)
+
+
+def test_a_noise_variance_whose_square_overflows_gets_finite_assumption_sums(tmp_path, capsys):
+    # the variance 2.5e299 fits float64, the square of its row's norm does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(["constants", "--scenario", _asym_leak_noise(tmp_path, 1e150)], capsys)
+    assert rc == EXIT_OK and not err
+
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    sums = json.loads(out, parse_constant=refuse)["constants"]["notes"]["assumption_sums"]
+    assert sums["variance_weighted_sum"] == pytest.approx(2.5e299, rel=1e-15)
 
 
 def _too_large_for_a_float(d, where):
@@ -372,6 +405,14 @@ def test_verify_requested_case_mismatch_is_refused(tmp_path, capsys):
     assert "requested case" in rep["reason"]
 
 
+def test_verify_exit_codes_over_the_presets(capsys):
+    # jordan_critical's 3 is ROADMAP Known defect 1 (its law at n = 12 is still
+    # far from the limit mixture); the two 2s are cross_feed_deterministic and
+    # cyclic_three, refused on the standing assumptions
+    codes = tuple(run_cli(["verify", "--scenario", name], capsys)[0] for name in PRESETS)
+    assert codes == (EXIT_OK, EXIT_OK, EXIT_STAT_FAIL, EXIT_OK, EXIT_OK, EXIT_ASSUMPTION, EXIT_ASSUMPTION, EXIT_OK)
+
+
 def test_verify_refuses_a_run_with_too_few_survivors(tmp_path, capsys):
     d = preset("two_type_mirror").to_dict()
     d["run"]["replicates"] = 1  # no gate can run on one survivor
@@ -573,6 +614,14 @@ def test_star_check_pathwise_identity(name, capsys):
     rep = json_payload(out)
     assert rep["verdict"] == "PASS"
     assert rep["max_relative_residual"] <= rep["tolerance"]
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_star_check_reports_only_the_identity_it_checks(name, capsys):
+    rep = json_payload(run_cli(["star-check", "--scenario", name], capsys)[1])
+    assert set(rep) == {
+        "replicates", "time", "expected_process", "max_relative_residual", "tolerance", "window", "verdict"
+    }
 
 
 def test_star_check_rejects_noisy_characteristic(tmp_path, capsys):

@@ -66,16 +66,14 @@ def test_one_step_conditional_mean(mirror):
 
 def _mirror_replay_phis(mirror):
     """A star characteristic and a table with base, coeff and noise cells."""
-    star = star_transform(
-        make_indicator_characteristic([1.0, -1.0]), mirror.S, model=mirror.model, n_max=10
-    )
+    star = star_transform(make_indicator_characteristic([1.0, -1.0]), mirror.model, 10)
     noisy = Characteristic(
         2,
         base={0: np.array([1.0, 2.0]), 1: np.array([0.5, 0.0])},
         coeff={0: np.array([1.0, -1.0]), 2: np.array([0.25, 0.5])},
         noise={(0, 0): NoiseLaw((0.5, 0.5), (0.0, 2.0)), (1, 1): NoiseLaw((0.2, 0.8), (1.0, -1.0))},
     )
-    return [star.characteristic, noisy]
+    return [star, noisy]
 
 
 def _capped_phi():

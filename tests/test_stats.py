@@ -376,8 +376,8 @@ def test_verifier_rejects_w_dependence(single_type):
 def test_verifier_needs_enough_survivors(single_type):
     c, S = single_type.constants, single_type.S
     batch = synth_batch(sigma2=c.sigma_case2, m=30, seed=12)
-    rep = verify_dichotomy(batch, c, S)
-    assert not rep.passed and "survivors" in rep.reasons[0]
+    with pytest.raises(ValueError, match="usable survivors; need 50"):
+        verify_dichotomy(batch, c, S)
 
 
 def test_verifier_validates_requested_case(single_type, mirror):
