@@ -56,7 +56,14 @@ EXIT_STAT_FAIL = 3
 # serialization helpers
 # ---------------------------------------------------------------------------
 
+def _fields(obj, drop=()) -> dict:
+    """A dataclass instance's fields by name, without those in ``drop``."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in drop}
+
+
 def _to_jsonable(x):
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        x = _fields(x)
     if isinstance(x, np.generic):
         x = x.item()
     if x is None or isinstance(x, (bool, int, float, str)):
@@ -110,7 +117,8 @@ def _row_floats(row) -> np.ndarray:
 
 def build_characteristic(scn: Scenario, model, S) -> tuple[Characteristic, np.ndarray | None]:
     """Characteristic named by the scenario, plus the indicator row when the
-    kind admits the independent direct-route variance."""
+    kind admits the independent direct-route variance.  Only ``kesten_stigum``
+    reads the spectral data ``S``; the other kinds take None."""
     spec = scn.characteristic
     kind = spec["kind"]
     if kind == "indicator":
@@ -145,16 +153,7 @@ def _spectral_report(S) -> dict:
         "v": S.v,
         "theta": S.theta,
         "delta": S.delta,
-        "clusters": [
-            {
-                "eigenvalue": complex(cl.eigenvalue),
-                "multiplicity": cl.multiplicity,
-                "nilpotent_index": cl.nilpotent_index,
-                "label": cl.label,
-                "margin": cl.margin,
-            }
-            for cl in S.clusters
-        ],
+        "clusters": [_fields(cl, drop=("projection",)) for cl in S.clusters],
         "residuals": S.residuals,
         "worst_residual": max(S.residuals.values()),
     }
@@ -165,21 +164,6 @@ _ASSUMPTION_FAILURES = (
     ("positively_regular", "not positively regular"),
     ("nondegenerate", "degenerate"),
 )
-
-
-def _assumption_report(rep) -> dict:
-    return {
-        "supercritical": rep.gw1_supercritical,
-        "positively_regular": rep.gw2_positively_regular,
-        "nondegenerate": rep.gw3_nondegenerate,
-        "all_ok": rep.all_ok,
-        "rho": rep.rho,
-        "details": rep.details,
-    }
-
-
-def _constants_report(const: TheoreticalConstants) -> dict:
-    return {f.name: getattr(const, f.name) for f in dataclasses.fields(const)}
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +194,20 @@ class _Pipeline:
 
     @cached_property
     def characteristic(self) -> tuple[Characteristic, np.ndarray | None]:
-        return build_characteristic(self.scn, self.model, self.S)
+        S = self.S if self.scn.characteristic["kind"] == "kesten_stigum" else None
+        return build_characteristic(self.scn, self.model, S)
 
     @cached_property
     def const(self) -> TheoreticalConstants:
+        S = self.S  # a spectral refusal comes before the characteristic's
         phi, a_row = self.characteristic
-        return compute_constants(a_row if a_row is not None else phi, self.S, self.model)
+        return compute_constants(a_row if a_row is not None else phi, S, self.model)
 
     def batch(self):
-        scn = self.scn
+        scn, const = self.scn, self.const
         return run_batch(
             self.model, [self.characteristic[0]], scn.n, scn.N, scn.run["replicates"], scn.run["seed"],
-            S=self.S, constants=self.const, ns=scn.times, workers=scn.run["workers"],
+            S=self.S, constants=const, ns=scn.times, workers=scn.run["workers"],
         )
 
 
@@ -229,7 +215,7 @@ class _Pipeline:
 _BLOCKS = {
     "scenario": lambda run: run.scn.to_dict()["model"],
     "spectral": lambda run: _spectral_report(run.S),
-    "constants": lambda run: _constants_report(run.const),
+    "constants": lambda run: run.const,
 }
 _STAGES = {"analyze": ("scenario", "spectral"), "constants": ("spectral", "constants")}
 
@@ -238,7 +224,7 @@ def _cmd_report(args) -> int:
     """analyze and constants: the assumptions, then each stage's block; a
     stage that raises ArithmeticError ends the report as ``<stage>_error``."""
     run = _Pipeline(args)
-    report = {"assumptions": _assumption_report(run.assumptions)}
+    report = {"assumptions": run.assumptions}
     code = EXIT_OK if run.assumptions.all_ok else EXIT_ASSUMPTION
     for stage in _STAGES[args.command]:
         try:
@@ -268,14 +254,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     run = _Pipeline(args)
     scn = run.scn
-    reports = {"assumptions": _assumption_report(run.assumptions)}
+    reports = {"assumptions": run.assumptions}
 
     def refuse(reason: str) -> int:
         _emit({**reports, "verdict": "REFUSED", "reason": reason}, args.out)
         return EXIT_ASSUMPTION
 
     if not run.assumptions.all_ok:
-        failed = [text for key, text in _ASSUMPTION_FAILURES if not reports["assumptions"][key]]
+        failed = [text for key, text in _ASSUMPTION_FAILURES if not getattr(run.assumptions, key)]
         return refuse("standing assumptions fail: " + ", ".join(failed))
     try:
         const = run.const
@@ -283,8 +269,7 @@ def _cmd_verify(args) -> int:
         return refuse(str(exc))
     batch = run.batch()
     # B_table is the constants subcommand's: here it would be most of the output
-    reports["constants"] = _constants_report(const)
-    del reports["constants"]["B_table"]
+    reports["constants"] = _fields(const, drop=("B_table",))
     try:
         report = verify_dichotomy(
             batch, const, run.S, w_min=scn.run["w_min"], requested_case=scn.run["case"]

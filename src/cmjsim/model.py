@@ -94,15 +94,12 @@ class BranchingModel:
 class AssumptionReport:
     """Outcome of the standing-assumption checks; failures are reported, not thrown."""
 
-    gw1_supercritical: bool
-    gw2_positively_regular: bool
-    gw3_nondegenerate: bool
+    supercritical: bool
+    positively_regular: bool
+    nondegenerate: bool
+    all_ok: bool
     rho: float
     details: dict
-
-    @property
-    def all_ok(self) -> bool:
-        return self.gw1_supercritical and self.gw2_positively_regular and self.gw3_nondegenerate
 
 
 def build_model(data: Mapping) -> BranchingModel:
@@ -171,15 +168,16 @@ def validate_assumptions(model: BranchingModel) -> AssumptionReport:
     entry variances finite — finiteness is automatic for finite supports.
     """
     rho = perron_root(model.A)
-    gw1 = bool(rho > 1.0)
-    gw2 = is_primitive(model.A)
+    supercritical = bool(rho > 1.0)
+    positively_regular = is_primitive(model.A)
     cov_norm = float(np.linalg.norm(mixing_covariance(model, np.ones(model.J))))
     finite = bool(np.all(np.isfinite(np.diagonal(model.covs, axis1=1, axis2=2))))
-    gw3 = bool(cov_norm > PROB_TOL and finite)
+    nondegenerate = bool(cov_norm > PROB_TOL and finite)
     return AssumptionReport(
-        gw1_supercritical=gw1,
-        gw2_positively_regular=gw2,
-        gw3_nondegenerate=gw3,
+        supercritical=supercritical,
+        positively_regular=positively_regular,
+        nondegenerate=nondegenerate,
+        all_ok=supercritical and positively_regular and nondegenerate,
         rho=rho,
         details={
             "rho_margin": rho - 1.0,

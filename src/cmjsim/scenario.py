@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any
 
@@ -291,13 +291,8 @@ class Scenario:
         return tuple(sorted(base))
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "model": self.model,
-            "characteristic": self.characteristic,
-            "run": self.run,
-            "output": self.output,
-        }
+        # in field order: save_scenario writes the keys as they come
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def scenario_from_dict(data) -> Scenario:

@@ -19,13 +19,14 @@ a flatness check of the per-time variances under the case-ii normalization.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .constants import TheoreticalConstants
-from .spectral import SpectralData
+from .spectral import SpectralData, power_scaled
 
 __all__ = [
     "VerificationReport",
@@ -164,14 +165,8 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "m"}
-        out.update(
-            sample_size=self.m,
-            passed=bool(self.passed),
-            reasons=list(self.reasons),
-            thresholds=dict(self.thresholds),
-            details=dict(self.details),
-        )
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["sample_size"] = out.pop("m")
         return out
 
 
@@ -257,27 +252,18 @@ def verify_dichotomy(
     corr_r, corr_z, z_crit = fisher_corr_z(np.abs(eps_c) ** 2, ws)
     covers = bool(corr_z < z_crit)
 
-    mean_tol = 3.0 / math.sqrt(m)
-    var_tol = 5.0 * var_se
-    thresholds = {
-        "w_min": w_min,
-        "min_sample": MIN_SAMPLE,
-        "ks_p_min": KS_P_MIN,
-        "mean_tol": mean_tol,
-        "var_tol": var_tol,
-        "corr_z_crit": z_crit,
-        "bootstrap_B": BOOTSTRAP_B,
-        "bootstrap_seed": BOOTSTRAP_SEED,
-    }
-    reasons = []
-    if not (ks_p > KS_P_MIN):
-        reasons.append(f"KS p {ks_p:.4g} <= {KS_P_MIN}")
-    if not (abs(mean_eps) < mean_tol):
-        reasons.append(f"|mean| {abs(mean_eps):.4g} >= {mean_tol:.4g}")
-    if not (abs(var_eps - 1.0) < var_tol):
-        reasons.append(f"|var-1| {abs(var_eps - 1.0):.4g} >= {var_tol:.4g}")
-    if not covers:
-        reasons.append(f"corr(eps^2, W_hat) z {corr_z:.4g} >= {z_crit:.4g}")
+    mean_tol, var_tol = 3.0 / math.sqrt(m), 5.0 * var_se
+    mean_dev, var_dev = abs(mean_eps), abs(var_eps - 1.0)
+    # (threshold key, threshold, passed, reason) of each gate
+    gates = (
+        ("ks_p_min", KS_P_MIN, ks_p > KS_P_MIN, f"KS p {ks_p:.4g} <= {KS_P_MIN}"),
+        ("mean_tol", mean_tol, mean_dev < mean_tol, f"|mean| {mean_dev:.4g} >= {mean_tol:.4g}"),
+        ("var_tol", var_tol, var_dev < var_tol, f"|var-1| {var_dev:.4g} >= {var_tol:.4g}"),
+        ("corr_z_crit", z_crit, covers, f"corr(eps^2, W_hat) z {corr_z:.4g} >= {z_crit:.4g}"),
+    )
+    thresholds = {"w_min": w_min, "min_sample": MIN_SAMPLE, "bootstrap_B": BOOTSTRAP_B,
+                  "bootstrap_seed": BOOTSTRAP_SEED, **{key: value for key, value, _, _ in gates}}
+    reasons = [reason for _, _, passed, reason in gates if not passed]
 
     flatness = None
     if case == "ii" and len(batch.ns) > 1:
@@ -337,14 +323,20 @@ def lln_check(
     smallness of |Z_t^phi| rho^{-t} relative to the characteristic's scale.
     When E phi(k) is zero at every age, c and the scale are exactly 0 and
     there is nothing to judge: the mode is ``zero_mean`` and ``passed`` None.
+    A c or scale beyond float64 range raises ArithmeticError.
     """
     t = batch.n
-    c = 0.0 + 0.0j
-    scale = 0.0
     ages, mean, _ = phi.moments()
-    for k, row in zip(ages, mean):
-        c += S.rho ** (-k) * complex(row @ S.u.astype(complex))
-        scale += S.rho ** (-k) * float(np.abs(row) @ S.u)
+    u = S.u.astype(complex)
+    # (E phi(k) . u, |E phi(k)| . u) per age, weighed by rho^{-k} also where
+    # rho^{-k} alone leaves float64 (a zero row weighs 0), then summed in age order
+    rows = np.array([(row @ u, np.abs(row) @ S.u) for row in mean], dtype=complex).reshape(-1, 2)
+    c, scale = 0j, 0.0
+    for term, size in power_scaled(rows, S.rho, ages).tolist():
+        c += term
+        scale += size.real
+    if not (cmath.isfinite(c) and math.isfinite(scale)):
+        raise ArithmeticError("LLN limit constant lies outside float64 range")
     vals, ws = _usable_column(batch, batch.zphi, t, w_min)
     out = {"t": t, "m": int(vals.size), "limit_constant": complex(c), "scale": scale}
     if not vals.size:

@@ -17,14 +17,18 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 import yaml
 
-from cmjsim import build_model, cli, spectral_decompose
+from cmjsim import (
+    AssumptionReport, TheoreticalConstants, VerificationReport, build_model, cli, spectral_decompose
+)
 from cmjsim.cli import EXIT_ASSUMPTION, EXIT_OK, EXIT_STAT_FAIL, EXIT_USAGE, main
-from cmjsim.presets import PRESETS, preset
+from cmjsim.presets import PRESETS, _bernoulli_column, preset
 from cmjsim.scenario import load_scenario
+from cmjsim.spectral import EigenCluster
 
 
 def run_cli(argv, capsys):
@@ -33,10 +37,19 @@ def run_cli(argv, capsys):
     return rc, captured.out, captured.err
 
 
+def strict_json(text: str):
+    """``json.loads`` that refuses ``Infinity`` and ``NaN``, which strict JSON has no form for."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def json_payload(out: str) -> dict:
     # verify/star-check print a bare trailing status line after the JSON body
     idx = out.rfind("\nverdict:")
-    return json.loads(out[:idx] if idx >= 0 else out)
+    return strict_json(out[:idx] if idx >= 0 else out)
 
 
 def write_yaml(tmp_path, name, payload) -> str:
@@ -169,11 +182,7 @@ def test_a_noise_variance_whose_square_overflows_gets_finite_assumption_sums(tmp
         warnings.simplefilter("error")
         rc, out, err = run_cli(["constants", "--scenario", _asym_leak_noise(tmp_path, 1e150)], capsys)
     assert rc == EXIT_OK and not err
-
-    def refuse(name):
-        raise ValueError(f"{name} is not strict JSON")
-
-    sums = json.loads(out, parse_constant=refuse)["constants"]["notes"]["assumption_sums"]
+    sums = strict_json(out)["constants"]["notes"]["assumption_sums"]
     assert sums["variance_weighted_sum"] == pytest.approx(2.5e299, rel=1e-15)
 
 
@@ -301,7 +310,7 @@ def test_simulate_writes_csv(tmp_path, capsys):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0].startswith("index,")
     assert len(lines) == 1 + preset("cross_feed_deterministic").run["replicates"]
-    summary = json.loads(out)
+    summary = strict_json(out)
     assert summary["csv"] == str(out_csv)
     assert summary["replicates"] == len(lines) - 1
 
@@ -317,7 +326,7 @@ def test_simulate_writes_to_the_output_dir_and_refuses_a_high_abort_rate(tmp_pat
     assert rc == EXIT_ASSUMPTION
     assert err == "abort rate 51.7% exceeds 10%\n"
     csv = tmp_path / "runs" / "simulate.csv"
-    assert json.loads(out)["csv"] == str(csv)
+    assert strict_json(out)["csv"] == str(csv)
     assert len(csv.read_text().splitlines()) == 1 + 60
 
 
@@ -486,7 +495,7 @@ def test_verify_refuses_constants_that_cannot_be_certified(tmp_path, capsys):
     rc, out, err = run_cli(["verify", "--scenario", path, "--out", str(tmp_path / "r.json")], capsys)
     assert rc == EXIT_ASSUMPTION and not err
     rep = json_payload(out)
-    assert rep == json.loads((tmp_path / "r.json").read_text())
+    assert rep == strict_json((tmp_path / "r.json").read_text())
     assert rep.keys() == {"assumptions", "verdict", "reason"}
     assert rep["assumptions"]["all_ok"] and rep["verdict"] == "REFUSED"
     assert rep["reason"] == "pi1 A^k pi1 is not representable in float64 at k=513"
@@ -498,7 +507,7 @@ def test_constants_reports_the_stages_before_a_constants_error(tmp_path, capsys)
     rc, out, err = run_cli(["constants", "--scenario", path, "--out", str(tmp_path / "c.json")], capsys)
     assert rc == EXIT_ASSUMPTION and not err
     rep = json_payload(out)
-    assert rep == json.loads((tmp_path / "c.json").read_text())
+    assert rep == strict_json((tmp_path / "c.json").read_text())
     assert rep.keys() == {"assumptions", "spectral", "constants_error"}
     assert rep["assumptions"] == analyzed["assumptions"] and rep["spectral"] == analyzed["spectral"]
     assert rep["constants_error"] == "pi1 A^k pi1 is not representable in float64 at k=513"
@@ -525,7 +534,7 @@ NILPOTENT = {1: [{"p": "1/2", "counts": [0, 2]}, {"p": "1/2", "counts": [0, 0]}]
     [(ZERO_MATRIX, "A is the zero matrix"), (NILPOTENT, "A is nilpotent")],
     ids=["zero", "nilpotent"],
 )
-@pytest.mark.parametrize("command", ["analyze", "constants", "star-check", "simulate"])
+@pytest.mark.parametrize("command", ["analyze", "constants", "simulate"])
 def test_a_mean_matrix_without_perron_root_is_an_assumption_failure(
     offspring, cause, command, tmp_path, capsys
 ):
@@ -541,6 +550,38 @@ def test_a_mean_matrix_without_perron_root_is_an_assumption_failure(
         assert rep["spectral_error"].startswith(cause) and rep["assumptions"]["all_ok"] is False
     else:
         assert err.startswith(f"error: {cause}")
+
+
+# [[0,1.191,3.274,0.252],[0,0,0,0],[0.001,0,0,3.607],[0,2.65,2.518,0]] with
+# types 1 and 2 swapped, each column Bernoulli-rounded as the presets build it:
+# spectral_decompose refuses its projections
+DEFLATION_REFUSED = (("0", "0", "0", "0"), ("1.191", "0", "3.274", "0.252"),
+                     ("0", "0.001", "0", "3.607"), ("2.65", "0", "2.518", "0"))
+
+
+def _bernoulli_offspring(mean_rows) -> dict:
+    offspring = {}
+    for j in range(len(mean_rows)):
+        means = [Fraction(row[j]) for row in mean_rows]
+        offspring[j + 1] = _bernoulli_column([int(x) for x in means], [x - int(x) for x in means])
+    return offspring
+
+
+@pytest.mark.parametrize(
+    "offspring, row",
+    [(ZERO_MATRIX, [1, 0]), (NILPOTENT, [1, 0]), (_bernoulli_offspring(DEFLATION_REFUSED), [1, 0, 0, 0])],
+    ids=["zero", "nilpotent", "deflation-refused"],
+)
+def test_star_check_reads_no_spectral_data(offspring, row, tmp_path, capsys):
+    d = {"schema": 1, "model": {"types": len(row), "initial_type": 1, "offspring": offspring},
+         "characteristic": {"kind": "indicator", "row": row}, "run": {"n": 4}}
+    path = write_yaml(tmp_path, "m.yaml", d)
+    rc, out, _ = run_cli(["analyze", "--scenario", path], capsys)
+    assert rc == EXIT_ASSUMPTION and "spectral_error" in json_payload(out)
+    rc, out, err = run_cli(["star-check", "--scenario", path], capsys)
+    assert rc == EXIT_OK and not err
+    rep = json_payload(out)
+    assert rep["verdict"] == "PASS" and rep["max_relative_residual"] == 0.0
 
 
 def test_verify_refuses_before_simulating_when_assumptions_fail(capsys):
@@ -573,7 +614,7 @@ def test_verify_emit_hist_writes_histogram(tmp_path, capsys):
         ["verify", "--scenario", "cross_feed", "--emit-hist", str(hist_path)], capsys
     )
     assert rc == EXIT_OK
-    hist = json.loads(hist_path.read_text())
+    hist = strict_json(hist_path.read_text())
     assert len(hist["bin_edges"]) == len(hist["counts"]) + 1
     assert sum(hist["counts"]) == json_payload(out)["verification"]["sample_size"]
     assert abs(hist["mean"]) < 0.5 and 0.5 < hist["var"] < 2.0
@@ -601,6 +642,24 @@ def test_verify_stat_fail_exit_code_on_unlucky_seed(capsys, monkeypatch):
     rep = json_payload(out)
     assert rep["verdict"] == "FAIL"
     assert any("corr" in r for r in rep["verification"]["reasons"])
+
+
+def _field_names(cls, drop=()) -> set:
+    return {f.name for f in dataclasses.fields(cls)} - set(drop)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_each_report_block_is_its_result_objects_fields(name, capsys):
+    analyzed = json_payload(run_cli(["analyze", "--scenario", name], capsys)[1])
+    assert analyzed["assumptions"].keys() == _field_names(AssumptionReport)
+    for cluster in analyzed["spectral"]["clusters"]:
+        assert cluster.keys() == _field_names(EigenCluster, {"projection"})
+    const = json_payload(run_cli(["constants", "--scenario", name], capsys)[1])
+    assert const["constants"].keys() == _field_names(TheoreticalConstants)
+    verified = json_payload(run_cli(["verify", "--scenario", name], capsys)[1])
+    if verified["verdict"] != "REFUSED":
+        want = _field_names(VerificationReport, {"m"}) | {"sample_size"}
+        assert verified["verification"].keys() == want
 
 
 # ---------------------------------------------------------------------------

@@ -177,15 +177,15 @@ def test_is_primitive_distinguishes_cyclic_from_mixing():
 
 def test_validate_assumptions_flags(single_type, cyclic, degenerate):
     ok = validate_assumptions(single_type.model)
-    assert ok.all_ok and ok.gw1_supercritical and ok.gw2_positively_regular
+    assert ok.all_ok and ok.supercritical and ok.positively_regular
     assert ok.rho == pytest.approx(2.0)
 
     rep = validate_assumptions(cyclic.model)
-    assert rep.gw1_supercritical and not rep.gw2_positively_regular and not rep.all_ok
+    assert rep.supercritical and not rep.positively_regular and not rep.all_ok
 
     rep = validate_assumptions(degenerate.model)
-    assert rep.gw1_supercritical and rep.gw2_positively_regular
-    assert not rep.gw3_nondegenerate and not rep.all_ok
+    assert rep.supercritical and rep.positively_regular
+    assert not rep.nondegenerate and not rep.all_ok
 
 
 def test_validate_assumptions_subcritical():
@@ -197,5 +197,5 @@ def test_validate_assumptions_subcritical():
         }
     )
     rep = validate_assumptions(model)
-    assert not rep.gw1_supercritical and not rep.all_ok
+    assert not rep.supercritical and not rep.all_ok
     assert rep.rho == pytest.approx(0.5)

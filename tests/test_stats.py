@@ -6,14 +6,15 @@ from __future__ import annotations
 import argparse
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
 
-from cmjsim import cli, make_phi1, run_batch, stats, verify_dichotomy
-from cmjsim.characteristics import Characteristic
-from cmjsim.presets import PRESETS
+from cmjsim import build_model, cli, make_phi1, run_batch, spectral_decompose, stats, verify_dichotomy
+from cmjsim.characteristics import Characteristic, NoiseLaw, make_indicator_characteristic
+from cmjsim.presets import PRESETS, _bernoulli_column
 from cmjsim.simulator import BLOCK, ReplicateResult
 from cmjsim.stats import (
     W_MIN_DEFAULT,
@@ -32,6 +33,7 @@ from cmjsim.stats import (
     studentized,
 )
 
+from conftest import bundle
 from oracles import (
     batch_from_rows,
     one_shot_resampled_variances,
@@ -499,3 +501,54 @@ def test_lln_ratio_divides_as_python_complex_division():
     b = rng.normal(size=400) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=400))
     want = np.array([(complex(x) / complex(y)).real for x, y in zip(a, b)])
     assert _real_quotient(a, b).tobytes() == want.tobytes()
+
+
+def test_lln_check_weighs_a_long_zero_mean_table():
+    # test_constants' symmetric pair with eigenvalues 1.5 and 1.2309: its phi1
+    # table runs to age -3408, where 1.5^3408 alone leaves float64
+    a = Fraction((1.5 + 1.2309) / 2.0).limit_denominator(10**4)
+    b = Fraction(1.5).limit_denominator(10**4) - a
+    col1 = _bernoulli_column([1, 0], [a - 1, b])
+    col2 = _bernoulli_column([0, 1], [b, a - 1])
+    model = build_model({"types": 2, "initial_type": 1, "offspring": {1: col1, 2: col2}})
+    S = spectral_decompose(model.A)
+    phi = make_phi1(S, [1.0, -1.0], model=model)
+    assert min(phi.coeff) == -3408
+    indicator = make_indicator_characteristic([1.0, -1.0])
+    batch = run_batch(model, indicator, n=6, N=8, R=64, master_seed=3, S=S)
+    out = lln_check(batch, phi, model, S)
+    assert out["limit_constant"] == 0 and out["scale"] == 0
+    assert out["mode"] == "zero_mean" and out["passed"] is None
+
+
+def _loop_weighted_sums(phi, S):
+    """(c, scale) summed one age at a time with Python float weights rho^{-k}."""
+    c, scale = 0.0 + 0.0j, 0.0
+    ages, mean, _ = phi.moments()
+    for k, row in zip(ages, mean):
+        c += S.rho ** (-k) * complex(row @ S.u.astype(complex))
+        scale += S.rho ** (-k) * float(np.abs(row) @ S.u)
+    return c, scale
+
+
+@pytest.mark.parametrize(
+    "name", ["single_type_binary", "two_type_mirror", "asym_leak", "three_scale_symmetric"]
+)
+def test_lln_weighted_sums_equal_the_per_age_loop(name):
+    # random multi-age tables: base rows, coeff rows (real or complex) and a noise cell
+    b = bundle(name)
+    J, rng = b.model.J, np.random.default_rng(sum(map(ord, name)))
+    batch = run_batch(b.model, b.phi, n=4, N=6, R=16, master_seed=1, S=b.S)
+    for _ in range(20):
+        ages = rng.choice(np.arange(-40, 41), size=int(rng.integers(1, 12)), replace=False).tolist()
+        rows = [rng.normal(size=J) + 1j * rng.normal(size=J) * rng.integers(0, 2) for _ in ages]
+        half = len(ages) // 2
+        phi = Characteristic(
+            J,
+            base=dict(zip(ages[:half], rows[:half])),
+            coeff=dict(zip(ages[half:], rows[half:])),
+            noise={(ages[0], int(rng.integers(J))): NoiseLaw((0.5, 0.5), (complex(rng.normal()), 1j))},
+        )
+        out = lln_check(batch, phi, b.model, b.S)
+        want_c, want_scale = _loop_weighted_sums(phi, b.S)
+        assert out["limit_constant"] == want_c and out["scale"] == want_scale
