@@ -126,7 +126,7 @@ def build_characteristic(scn: Scenario, model, S) -> tuple[Characteristic, np.nd
         return make_indicator_characteristic(row), row
     if kind == "kesten_stigum":
         row = _row_floats(spec["row"])
-        phi = make_phi1(S, row, model=model, k_min=scn.n - scn.N + 1)
+        phi = make_phi1(S, row, model=model, k_min=scn.times[-1] - scn.N + 1)
         return phi, None
     if kind in ("table", "custom"):  # a table has no coeff or noise
         base, coeff = (
@@ -152,7 +152,6 @@ def _spectral_report(S) -> dict:
         "u": S.u,
         "v": S.v,
         "theta": S.theta,
-        "delta": S.delta,
         "clusters": [_fields(cl, drop=("projection",)) for cl in S.clusters],
         "residuals": S.residuals,
         "worst_residual": max(S.residuals.values()),

@@ -11,11 +11,12 @@ enumerated column covariances:
 * ``B(k)`` — the centering row of the compensator characteristic; for a
   finitely supported mean table every branch is an exact finite sum.
 * ``sigma2`` — the case-i variance, a two-sided series: a finite window
-  summed term by term, and two geometric tails (ratio rho/s1^2 below,
-  theta^2/rho above) each summed in closed form by one Stein solve
-  (``spectral.stein_tail``).  Its error bound adds the Stein residual of
-  each tail, the window sum's roundoff, and the formation error of every
-  row, so it bounds the real error, roundoff included.
+  summed term by term, and two geometric tails (ratio rho/min|super|^2
+  below, max|sub|^2/rho above, over the eigenvalue moduli of A) each
+  summed in closed form by one Stein solve (``spectral.stein_tail``).  Its
+  error bound adds the Stein residual of each tail, the window sum's
+  roundoff, and the formation error of every row, so it bounds the real
+  error, roundoff included.
 * ``sigma_star2`` — the same quantity reached through the direct row-power
   route: two closed-form tails on its own first rows, kept as an
   independent construction so the two paths can be compared rather than

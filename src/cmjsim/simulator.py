@@ -106,26 +106,18 @@ def step_generation(
     return (np.concatenate(parts, axis=1) @ M).sum(axis=0).reshape(counts.shape)
 
 
-def _validate_windows(phis: Sequence[Characteristic], ns: Sequence[int], N: int) -> None:
+def _validate_windows(phis: Sequence[Characteristic], t: int, N: int) -> None:
+    """A table reaches back furthest at the last time t, where age k needs
+    generation t - k <= N, or its offspring (t - k <= N - 1) for a coeff row."""
     for p, phi in enumerate(phis):
-        name = phi.label or f"characteristic {p}"
-        for t in ns:
-            if phi.coeff:
-                k_min = min(phi.coeff)
-                if k_min < t - N + 1:
-                    raise ValueError(
-                        f"{name}: linear table reaches age {k_min} at time {t}, which "
-                        f"needs offspring of generation {t - k_min} > {N - 1}; "
-                        f"increase the horizon to at least {t - k_min + 1}"
-                    )
-            static = set(phi.base) | {k for (k, _) in phi.noise}
-            if static:
-                k_min = min(static)
-                if k_min < t - N:
-                    raise ValueError(
-                        f"{name}: table reaches age {k_min} at time {t}, which needs "
-                        f"generation {t - k_min} > {N}; increase the horizon"
-                    )
+        static = set(phi.base) | {k for (k, _) in phi.noise}
+        for ages, last in ((phi.coeff, N - 1), (static, N)):
+            if ages and t - min(ages) > last:
+                raise ValueError(
+                    f"{phi.label or f'characteristic {p}'}: table reaches age {min(ages)} at "
+                    f"time {t}, which needs generation {t - min(ages)} > {last}; increase the "
+                    f"horizon to at least {t - min(ages) + N - last}"
+                )
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,7 @@ def _plan(model, phis, n, N, ns, overflow_cap) -> _Plan:
     ns = tuple(sorted({int(t) for t in (ns if ns is not None else [n])}))
     if not ns or ns[-1] > N or ns[0] < 0:
         raise ValueError(f"requested times {ns} must be nonempty and lie within 0..{N}")
-    _validate_windows(phis, ns, N)
+    _validate_windows(phis, ns[-1], N)
     # Noise: one multinomial per (characteristic, time, age, type) cell, in
     # canonical order so the stream is reproducible.
     noise = tuple(
@@ -154,7 +146,7 @@ def _plan(model, phis, n, N, ns, overflow_cap) -> _Plan:
         for p, phi in enumerate(phis)
         for t in ns
         for (k, j), law in sorted(phi.noise.items())
-        if 0 <= t - k <= N
+        if k <= t
     )
     largest_litter = max(1, int(model.padded_laws[1].sum(axis=2).max()))
     return _Plan(model, phis, ns, N, overflow_cap // largest_litter, noise)
@@ -186,10 +178,10 @@ def _simulate_chunk(plan: _Plan, rngs: list) -> dict:
         for t in plan.ns:
             total = np.zeros(B, dtype=complex)
             for k, row in phi.base.items():
-                if 0 <= t - k <= N:
+                if k <= t:
                     total += X[t - k] @ row
             for k, row in phi.coeff.items():
-                if 0 <= t - k <= N - 1:
+                if k <= t:
                     total += dev[t - k] @ row
             zphi[(p, t)] = total
     for p, t, k, j, probs, values in plan.noise:
@@ -277,7 +269,7 @@ class BatchResult:
             "replicates": self.R,
             "aborted": int(self.aborted.sum()),
             "abort_rate": self.abort_rate,
-            "survived": int(self.usable().sum()),
+            "survived": int(self.survived.sum()),
             "n": self.n,
             "N": self.N,
             "times": list(self.ns),

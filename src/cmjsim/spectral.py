@@ -92,8 +92,7 @@ class SpectralData:
     ``A1``/``A2`` act as ``A`` on the super/critical invariant subspace and as
     the identity on the complement; both are invertible.  ``D`` and ``N`` are
     the diagonalizable and nilpotent parts of ``pi2 A``.  ``theta`` is a decay
-    rate with ``|pi3 A^n| <= C theta^n`` for some unreported constant C;
-    ``delta`` quantifies the gap ``|A1^{-n}|^2 <= C rho^{-(1+delta) n}``.
+    rate with ``|pi3 A^n| <= C theta^n`` for some unreported constant C.
     """
 
     A: np.ndarray
@@ -112,7 +111,6 @@ class SpectralData:
     D: np.ndarray
     N: np.ndarray
     theta: float
-    delta: float
     residuals: dict
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -351,12 +349,6 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
         theta = min(1.01 * s_max, 0.5 * (s_max + sqrt_rho))
     else:
         theta = 0.5 * sqrt_rho if sqrt_rho > 0 else 0.5
-    super_moduli = [abs(c.eigenvalue) for c in clusters if c.label == SUPER]
-    if super_moduli and rho > 1.0:
-        s1 = min(super_moduli)
-        delta = max(1e-9, 0.99 * (2.0 * np.log(s1) / np.log(rho) - 1.0))
-    else:
-        delta = 0.0
 
     residuals = _invariant_residuals(
         A, clusters, pi1, pi2, pi3, A1, A1_inv, D, N, u, v, rho
@@ -385,7 +377,6 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
         D=D,
         N=N,
         theta=theta,
-        delta=delta,
         residuals=residuals,
     )
 
@@ -499,8 +490,8 @@ def stein_tail(S: SpectralData, M: np.ndarray, sign: int) -> tuple[np.ndarray, n
 
     ``T`` is the scaled tail step, ``rho^{-1/2} pi3 A pi3`` (``sign = +1``)
     or ``rho^{1/2} pi1 A1^{-1} pi1`` (``sign = -1``).  Both have spectral
-    radius below one (theta/sqrt(rho) and sqrt(rho)/s1), so X is the one
-    solution of the Stein equation ``X = M + T X T^H`` and Y that of
+    radius below one (max|sub|/sqrt(rho) and sqrt(rho)/min|super|), so X is
+    the one solution of the Stein equation ``X = M + T X T^H`` and Y that of
     ``Y = I + T Y T^H``: one complex ``(J^2 x J^2)`` Kronecker solve with
     the two right-hand sides, cached on ``S`` per sign and M.
 

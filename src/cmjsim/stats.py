@@ -387,13 +387,14 @@ def flatness_check(
                 "se": float(boot.std(ddof=1)),
             }
         )
+    out = {"rows": rows, "B": B, "seed": seed}
     if not rows:
-        return {"rows": rows, "passed": False, "weighted_mean": None}
+        return {**out, "passed": False, "weighted_mean": None}
     weights = np.array([1.0 / max(r["se"], 1e-12) ** 2 for r in rows])
     values = np.array([r["var"] for r in rows])
     wmean = float((weights * values).sum() / weights.sum())
     passed = all(r["ci"][0] <= wmean <= r["ci"][1] for r in rows)
-    return {"rows": rows, "weighted_mean": wmean, "passed": bool(passed)}
+    return {**out, "weighted_mean": wmean, "passed": bool(passed)}
 
 
 def _median(xs: np.ndarray) -> float:

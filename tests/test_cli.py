@@ -315,19 +315,32 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert summary["replicates"] == len(lines) - 1
 
 
-def test_simulate_writes_to_the_output_dir_and_refuses_a_high_abort_rate(tmp_path, capsys):
-    # each individual has 10^6 children or none: a line that keeps growing
-    # outruns the overflow cap and its replicate aborts
+def _wild_scenario(tmp_path) -> str:
+    """Each individual has 10^6 children or none: a line that keeps growing
+    outruns the overflow cap and its replicate aborts."""
     offspring = {1: [{"p": "1/2", "counts": [1000000]}, {"p": "1/2", "counts": [0]}]}
     d = {"schema": 1, "model": {"types": 1, "initial_type": 1, "offspring": offspring},
          "characteristic": {"kind": "indicator", "row": [1]},
          "run": {"n": 4, "replicates": 60}, "output": {"dir": str(tmp_path / "runs")}}
-    rc, out, err = run_cli(["simulate", "--scenario", write_yaml(tmp_path, "wild.yaml", d)], capsys)
+    return write_yaml(tmp_path, "wild.yaml", d)
+
+
+def test_simulate_writes_to_the_output_dir_and_refuses_a_high_abort_rate(tmp_path, capsys):
+    rc, out, err = run_cli(["simulate", "--scenario", _wild_scenario(tmp_path)], capsys)
     assert rc == EXIT_ASSUMPTION
     assert err == "abort rate 51.7% exceeds 10%\n"
     csv = tmp_path / "runs" / "simulate.csv"
     assert strict_json(out)["csv"] == str(csv)
     assert len(csv.read_text().splitlines()) == 1 + 60
+
+
+def test_simulate_summary_counts_survived_as_its_csv_does(tmp_path, capsys):
+    # an aborted replicate outgrew the cap: alive in the summary and the CSV alike
+    _, out, _ = run_cli(["simulate", "--scenario", _wild_scenario(tmp_path)], capsys)
+    rows = (tmp_path / "runs" / "simulate.csv").read_text().splitlines()[1:]
+    summary = strict_json(out)
+    assert summary["aborted"] == 31
+    assert summary["survived"] == sum(row.split(",")[1] == "1" for row in rows) == 31
 
 
 def test_simulate_worker_count_does_not_change_the_csv(tmp_path, capsys):
@@ -736,6 +749,30 @@ def test_kesten_stigum_characteristic_spans_the_window(tmp_path):
     phi, row = cli.build_characteristic(scn, model, spectral_decompose(model.A))
     assert row is None and not phi.base
     assert sorted(phi.coeff) == list(range(scn.n - scn.N + 1, 1))
+
+
+def test_verify_reports_the_flatness_bootstrap_it_ran(capsys):
+    # jordan_critical is case ii over several times: its flatness gate runs
+    _, out, _ = run_cli(["verify", "--scenario", "jordan_critical"], capsys)
+    v = json_payload(out)["verification"]
+    assert v["thresholds"]["bootstrap_B"] == 500  # the variance gate's bootstrap
+    assert (v["flatness"]["B"], v["flatness"]["seed"]) == (400, v["thresholds"]["bootstrap_seed"])
+
+
+@pytest.mark.parametrize("trajectory, delta", [([16], 6), ([16], 12), ([14, 15], 30)])
+def test_kesten_stigum_reaches_a_verdict_past_n(trajectory, delta, tmp_path, capsys):
+    """phi1 spans the window of the last requested time, which the simulator checks."""
+    d = preset("single_type_binary").to_dict()
+    d["characteristic"] = {"kind": "kesten_stigum", "row": ["1"]}
+    d["run"].update(trajectory=trajectory, delta=delta)
+    path = write_yaml(tmp_path, "late_phi1.yaml", d)
+    scn = load_scenario(path)
+    model = build_model(scn.model)
+    phi, _ = cli.build_characteristic(scn, model, spectral_decompose(model.A))
+    assert sorted(phi.coeff) == list(range(trajectory[-1] - scn.N + 1, 1))
+    rc, out, err = run_cli(["verify", "--scenario", path], capsys)
+    assert rc == EXIT_OK, err
+    assert out.rstrip().endswith("verdict: PASS")
 
 
 def test_table_characteristic_keeps_its_base_rows(tmp_path):

@@ -292,6 +292,12 @@ def test_window_validation_names_the_characteristic(mirror):
     assert "old-base" in str(err.value)
 
 
+def test_a_zero_horizon_counts_generation_zero(mirror):
+    # an empty coeff table reads no offspring, so N = 0 leaves it nothing to need
+    rep = run_replicate(mirror.model, mirror.phi, n=0, N=0, seed=0)
+    assert rep.zphi[(0, 0)] == complex(mirror.row @ mirror.model.z0())
+
+
 def test_window_validation_boundaries(mirror):
     # coeff at exactly k = t - N + 1 is allowed; base at exactly k = t - N too
     edge = Characteristic(

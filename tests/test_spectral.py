@@ -259,7 +259,7 @@ def test_full_operator_powers_assemble_from_projected_steps():
 
 
 def test_subcritical_decay_bound_holds_out_to_eighty(decomposed):
-    # theta is the decay rate the ascending series tails rely on: every
+    # theta is the decay rate that assumption_sums weighs by: every
     # sub-critical eigenvalue lies inside it, and it lies inside sqrt(rho).
     _, A, S = decomposed
     if np.max(np.abs(S.pi3)) < 1e-12:

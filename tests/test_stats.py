@@ -4,6 +4,7 @@ pre-registered verifier on synthetic batches with known ground truth."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -406,6 +407,41 @@ def test_flatness_check_flags_trends():
     assert not trending["passed"]
 
 
+def test_verifier_fails_a_case_ii_batch_whose_variances_are_not_flat(mirror):
+    c, S = mirror.constants, mirror.S
+    # right at the checked time n = 8, growing after it
+    batch = synth_batch(n=8, ns=(8, 10, 12, 14), sigma2=c.sigma_case2, m=400, seed=16, var_trend=0.6)
+    rep = verify_dichotomy(batch, c, S)
+    assert rep.case == "ii" and not rep.passed and not rep.flatness["passed"]
+    assert rep.reasons == ("per-time variances not flat under the case normalization",)
+
+
+def test_verifier_records_the_flatness_bootstrap_it_ran(mirror):
+    c, S = mirror.constants, mirror.S
+    batch = synth_batch(n=8, ns=(8, 10, 12), sigma2=c.sigma_case2, m=400, seed=17)
+    flat = verify_dichotomy(batch, c, S).flatness
+    assert (flat["B"], flat["seed"]) == (400, stats.BOOTSTRAP_SEED)
+    assert flat == flatness_check(batch, w_min=W_MIN_DEFAULT, B=flat["B"], seed=flat["seed"])
+
+
+def test_flatness_check_skips_a_time_with_fewer_than_ten_values():
+    batch = synth_batch(ns=(8, 10, 12), m=400, seed=19)
+    held = dataclasses.replace(batch, T={key: col for key, col in batch.T.items() if key != (0, 10)})
+    out = flatness_check(held)
+    assert [r["t"] for r in out["rows"]] == [8, 12]
+
+
+def test_flatness_check_without_a_time_left_fails_with_no_mean():
+    out = flatness_check(synth_batch(ns=(8, 10), m=9, seed=20))
+    assert out["rows"] == [] and out["passed"] is False and out["weighted_mean"] is None
+
+
+def test_studentized_at_a_time_the_batch_does_not_hold_is_empty(single_type):
+    batch = synth_batch(ns=(10,), m=80, seed=21)
+    eps, ws = studentized(batch, single_type.constants, t=12, w_min=1e-3)
+    assert eps.shape == ws.shape == (0,)
+
+
 def test_degenerate_scale_uses_decay_branch(degenerate):
     c = degenerate.constants
     assert c.case == "degenerate"
@@ -480,6 +516,12 @@ def test_lln_vanishing_mode(cross_feed):
     out = lln_check(batch, cross_feed.phi, cross_feed.model, cross_feed.S)
     assert out["mode"] == "vanishing"
     assert out["passed"], out
+
+
+def test_lln_check_without_a_usable_row_is_empty(single_type):
+    batch = synth_batch(m=60, seed=18, w_kind="one")  # W_hat = 1 in every row
+    out = lln_check(batch, single_type.phi, single_type.model, single_type.S, w_min=2.0)
+    assert out["m"] == 0 and out["mode"] == "empty" and out["passed"] is False
 
 
 @pytest.mark.parametrize("kind", ["kesten_stigum", "zero_table"])
