@@ -29,6 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .model import BranchingModel, mixing_covariance
+from .scenario import PROB_TOL
 from .spectral import SpectralData, m_norm2, power_scaled, projected_power, stein_tail, unscaled
 
 PHI1_MASS = 1e-14  # make_phi1 stops where the remaining mass falls to this
@@ -63,7 +64,7 @@ class NoiseLaw:
         for i, v in enumerate(self.values):
             if not cmath.isfinite(v):
                 raise ValueError(f"noise law: values[{i}] = {v!r} is not finite")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
+        if abs(sum(self.probs) - 1.0) > PROB_TOL:
             raise ValueError(f"noise law: probabilities sum to {sum(self.probs)!r}, not 1")
         try:  # squaring a finite float may raise; an inf deviation squares to inf
             finite = cmath.isfinite(self.variance())
@@ -143,10 +144,6 @@ class Characteristic:
     def __getstate__(self) -> dict:
         # a pool task pickles the tables, not the moments formed from them
         return {k: v for k, v in self.__dict__.items() if k != "_moments"}
-
-    @property
-    def value_keys(self) -> tuple[int, ...]:
-        return self.moments()[0]
 
     @property
     def is_deterministic(self) -> bool:

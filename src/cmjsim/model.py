@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .scenario import PROB_TOL, check_model
+from .scenario import check_model
 
 __all__ = [
     "OffspringLaw",
@@ -34,6 +34,8 @@ __all__ = [
     "is_primitive",
     "mixing_covariance",
 ]
+
+COV_NORM_MIN = 1e-12  # GW3: the total covariance norm must exceed this
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def validate_assumptions(model: BranchingModel) -> AssumptionReport:
     positively_regular = is_primitive(model.A)
     cov_norm = float(np.linalg.norm(mixing_covariance(model, np.ones(model.J))))
     finite = bool(np.all(np.isfinite(np.diagonal(model.covs, axis1=1, axis2=2))))
-    nondegenerate = bool(cov_norm > PROB_TOL and finite)
+    nondegenerate = bool(cov_norm > COV_NORM_MIN and finite)
     return AssumptionReport(
         supercritical=supercritical,
         positively_regular=positively_regular,

@@ -56,167 +56,97 @@ def _bernoulli_column(floor_counts, fracs) -> list:
     return entries
 
 
-def _scenario(model, characteristic, run, out_dir) -> dict:
+def _scenario(name, offspring, row, run) -> dict:
+    """A preset from its offspring laws (by parent type), indicator row and run."""
     return {
         "schema": 1,
-        "model": model,
-        "characteristic": characteristic,
+        "model": {
+            "types": len(row),
+            "initial_type": 1,
+            "offspring": dict(enumerate(offspring, start=1)),
+        },
+        "characteristic": {"kind": "indicator", "row": row},
         "run": run,
-        "output": {"dir": out_dir},
+        "output": {"dir": f"out/{name}"},
     }
 
 
-def _single_type_binary() -> dict:
-    return _scenario(
-        model={
-            "types": 1,
-            "initial_type": 1,
-            "offspring": {1: _two_point([1], [3])},
-        },
-        characteristic={"kind": "indicator", "row": ["1"]},
-        run={"n": 14, "delta": 6, "replicates": 600, "seed": 90_210, "case": "i"},
-        out_dir="out/single_type_binary",
-    )
-
-
-def _two_type_mirror() -> dict:
-    return _scenario(
-        model={
-            "types": 2,
-            "initial_type": 1,
-            "offspring": {
-                1: _two_point([4, 0], [2, 2]),
-                2: _two_point([0, 4], [2, 2]),
-            },
-        },
-        characteristic={"kind": "indicator", "row": ["1", "-1"]},
-        run={"n": 16, "delta": 6, "replicates": 500, "seed": 41_115, "case": "ii"},
-        out_dir="out/two_type_mirror",
-    )
-
-
-def _jordan_critical() -> dict:
-    return _scenario(
-        model={
-            "types": 3,
-            "initial_type": 1,
-            "offspring": {
-                1: _two_point([3, 1, 1], [1, 1, 1]),
-                2: _two_point([0, 4, 2], [0, 2, 0]),
-                3: _two_point([2, 0, 4], [0, 0, 2]),
-            },
-        },
-        characteristic={"kind": "indicator", "row": ["1", "-1", "0"]},
-        run={
-            "n": 12,
-            "delta": 6,
-            "replicates": 500,
-            "seed": 61_502,
-            "case": "ii",
-            "trajectory": [8, 10, 12],
-        },
-        out_dir="out/jordan_critical",
-    )
-
-
-def _three_scale_symmetric() -> dict:
-    col1 = _bernoulli_column([5, 2, 1], [Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)])
-    col2 = _bernoulli_column([2, 3, 2], [Fraction(2, 3), Fraction(2, 3), Fraction(2, 3)])
-    col3 = _bernoulli_column([1, 2, 5], [Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)])
-    return _scenario(
-        model={
-            "types": 3,
-            "initial_type": 1,
-            "offspring": {1: col1, 2: col2, 3: col3},
-        },
-        characteristic={"kind": "indicator", "row": ["1", "0", "-1"]},
-        run={"n": 6, "delta": 6, "replicates": 400, "seed": 33_180, "case": "i"},
-        out_dir="out/three_scale_symmetric",
-    )
-
-
-def _cross_feed() -> dict:
-    return _scenario(
-        model={
-            "types": 2,
-            "initial_type": 1,
-            "offspring": {
-                1: _two_point([1, 1], [3, 1]),
-                2: _two_point([1, 1], [1, 3]),
-            },
-        },
-        characteristic={"kind": "indicator", "row": ["1", "-1"]},
-        run={"n": 14, "delta": 6, "replicates": 600, "seed": 74_993, "case": "i"},
-        out_dir="out/cross_feed",
-    )
-
-
-def _cross_feed_deterministic() -> dict:
-    return _scenario(
-        model={
-            "types": 2,
-            "initial_type": 1,
-            "offspring": {
-                1: _deterministic([2, 1]),
-                2: _deterministic([1, 2]),
-            },
-        },
-        characteristic={"kind": "indicator", "row": ["1", "-1"]},
-        run={
-            "n": 10,
-            "delta": 4,
-            "replicates": 50,
-            "seed": 10_000,
-            "trajectory": [4, 6, 8, 10],
-        },
-        out_dir="out/cross_feed_deterministic",
-    )
-
-
-def _cyclic_three() -> dict:
-    # row orthogonal to the dominant direction: (1, 0, -rho^2/4), rho^3 = 32
-    a3 = -(32.0 ** (2.0 / 3.0)) / 4.0
-    return _scenario(
-        model={
-            "types": 3,
-            "initial_type": 1,
-            "offspring": {
-                1: _deterministic([0, 2, 0]),
-                2: _deterministic([0, 0, 2]),
-                3: _two_point([6, 0, 0], [10, 0, 0]),
-            },
-        },
-        characteristic={"kind": "indicator", "row": [1.0, 0.0, a3]},
-        run={"n": 6, "delta": 6, "replicates": 100, "seed": 55_801},
-        out_dir="out/cyclic_three",
-    )
-
-
-def _asym_leak() -> dict:
-    return _scenario(
-        model={
-            "types": 2,
-            "initial_type": 1,
-            "offspring": {
-                1: _two_point([2, 1], [4, 1]),
-                2: _two_point([1, 1], [3, 3]),
-            },
-        },
-        characteristic={"kind": "indicator", "row": ["1", "-2"]},
-        run={"n": 14, "delta": 6, "replicates": 600, "seed": 88_431, "case": "i"},
-        out_dir="out/asym_leak",
-    )
-
-
 PRESETS: dict[str, dict] = {
-    "single_type_binary": _single_type_binary(),
-    "two_type_mirror": _two_type_mirror(),
-    "jordan_critical": _jordan_critical(),
-    "three_scale_symmetric": _three_scale_symmetric(),
-    "cross_feed": _cross_feed(),
-    "cross_feed_deterministic": _cross_feed_deterministic(),
-    "cyclic_three": _cyclic_three(),
-    "asym_leak": _asym_leak(),
+    name: _scenario(name, offspring, row, run)
+    for name, offspring, row, run in (
+        (
+            "single_type_binary",
+            [_two_point([1], [3])],
+            ["1"],
+            dict(n=14, delta=6, replicates=600, seed=90_210, case="i"),
+        ),
+        (
+            "two_type_mirror",
+            [
+                _two_point([4, 0], [2, 2]),
+                _two_point([0, 4], [2, 2]),
+            ],
+            ["1", "-1"],
+            dict(n=16, delta=6, replicates=500, seed=41_115, case="ii"),
+        ),
+        (
+            "jordan_critical",
+            [
+                _two_point([3, 1, 1], [1, 1, 1]),
+                _two_point([0, 4, 2], [0, 2, 0]),
+                _two_point([2, 0, 4], [0, 0, 2]),
+            ],
+            ["1", "-1", "0"],
+            dict(n=12, delta=6, replicates=500, seed=61_502, case="ii", trajectory=[8, 10, 12]),
+        ),
+        (
+            "three_scale_symmetric",
+            [
+                _bernoulli_column([5, 2, 1], [Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)]),
+                _bernoulli_column([2, 3, 2], [Fraction(2, 3), Fraction(2, 3), Fraction(2, 3)]),
+                _bernoulli_column([1, 2, 5], [Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)]),
+            ],
+            ["1", "0", "-1"],
+            dict(n=6, delta=6, replicates=400, seed=33_180, case="i"),
+        ),
+        (
+            "cross_feed",
+            [
+                _two_point([1, 1], [3, 1]),
+                _two_point([1, 1], [1, 3]),
+            ],
+            ["1", "-1"],
+            dict(n=14, delta=6, replicates=600, seed=74_993, case="i"),
+        ),
+        (
+            "cross_feed_deterministic",
+            [
+                _deterministic([2, 1]),
+                _deterministic([1, 2]),
+            ],
+            ["1", "-1"],
+            dict(n=10, delta=4, replicates=50, seed=10_000, trajectory=[4, 6, 8, 10]),
+        ),
+        (
+            "cyclic_three",
+            [
+                _deterministic([0, 2, 0]),
+                _deterministic([0, 0, 2]),
+                _two_point([6, 0, 0], [10, 0, 0]),
+            ],
+            [1.0, 0.0, -(32.0 ** (2.0 / 3.0)) / 4.0],  # -rho^2/4 (rho^3 = 32): no dominant part
+            dict(n=6, delta=6, replicates=100, seed=55_801),
+        ),
+        (
+            "asym_leak",
+            [
+                _two_point([2, 1], [4, 1]),
+                _two_point([1, 1], [3, 3]),
+            ],
+            ["1", "-2"],
+            dict(n=14, delta=6, replicates=600, seed=88_431, case="i"),
+        ),
+    )
 }
 
 
@@ -228,4 +158,3 @@ def preset(name: str) -> Scenario:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
     return scenario_from_dict(PRESETS[name])
-

@@ -50,6 +50,7 @@ ABORT_RATE_MAX = 0.10
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile, Phi^{-1}(0.995)
 BOOTSTRAP_B = 500
 BOOTSTRAP_SEED = 2024_017
+FLAT_B = 400  # flatness bootstrap resamples per time
 LLN_BAND = (0.95, 1.05)
 LLN_ZERO_TOL = 0.05
 FLAT_Q = 100 * (1 - 0.99) / 2  # lower percentile of the 99% flatness CIs; not 0.5's bits
@@ -102,7 +103,7 @@ def ks_test(sample) -> tuple[float, float]:
     return D, ks_pvalue(D, m)
 
 
-def bootstrap_variance_se(sample, B: int = 500, seed: int = 20240 + 17) -> float:
+def bootstrap_variance_se(sample, B: int = BOOTSTRAP_B, seed: int = BOOTSTRAP_SEED) -> float:
     """Standard error of the sample variance by seeded nonparametric bootstrap."""
     rng = np.random.Generator(np.random.PCG64(seed))
     return float(_resampled_variances(np.asarray(sample, dtype=float), rng, B).std(ddof=1))
@@ -248,7 +249,7 @@ def verify_dichotomy(
         marginals = {"ks_p_real": ks_p, "ks_p_imag": p_im, "ks_D_real": ks_D, "ks_D_imag": d_im}
     mean_eps = float(eps.mean())
     var_eps = float(eps.var(ddof=1))
-    var_se = bootstrap_variance_se(eps, B=BOOTSTRAP_B, seed=BOOTSTRAP_SEED)
+    var_se = bootstrap_variance_se(eps)
     corr_r, corr_z, z_crit = fisher_corr_z(np.abs(eps_c) ** 2, ws)
     covers = bool(corr_z < z_crit)
 
@@ -267,7 +268,7 @@ def verify_dichotomy(
 
     flatness = None
     if case == "ii" and len(batch.ns) > 1:
-        flatness = flatness_check(batch, w_min=w_min, seed=BOOTSTRAP_SEED)
+        flatness = flatness_check(batch, w_min=w_min)
         if not flatness["passed"]:
             reasons.append("per-time variances not flat under the case normalization")
 
@@ -366,8 +367,8 @@ def flatness_check(
     batch,
     *,
     w_min: float = W_MIN_DEFAULT,
-    B: int = 400,
-    seed: int = 77_201,
+    B: int = FLAT_B,
+    seed: int = BOOTSTRAP_SEED,
 ) -> dict:
     """Bootstrap CIs of Var[T_t] per requested time must all cover their
     precision-weighted mean: under the correct normalization the profile is

@@ -551,10 +551,10 @@ def per_term_unscaled(rho: float, W, ks) -> list:
 
 
 def reference_mean_table(phi: Characteristic) -> dict:
-    """``E phi(k)`` at every value key (coeff keys included), nonzero rows
+    """``E phi(k)`` at every age any table names (coeff ages included), nonzero rows
     only, keyed in increasing age."""
     out = {}
-    for k in phi.value_keys:
+    for k in phi.moments()[0]:
         row = np.zeros(phi.J, dtype=complex)
         if k in phi.base:
             row = row + phi.base[k]
@@ -611,7 +611,7 @@ def per_cell_sigma2(phi: Characteristic, S, model: BranchingModel):
     for (k, j), law in phi.noise.items():
         noise_u[k] = noise_u.get(k, 0.0) + float(S.u[j]) * law.variance()
 
-    keys = set(phi.value_keys) | {0, 1}
+    keys = set(phi.moments()[0]) | {0, 1}
     if mt:
         keys.add(max(mt) + 1)
     lo, hi = min(keys), max(keys)

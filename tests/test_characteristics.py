@@ -46,7 +46,7 @@ def test_noise_law_rejects_bad_probabilities():
 def test_indicator_characteristic_shape():
     phi = make_indicator_characteristic([2.0, -1.0])
     assert phi.J == 2
-    assert phi.value_keys == (0,)
+    assert phi.moments()[0] == (0,)
     assert phi.is_deterministic and not np.any(phi.base[0].imag)
     assert np.allclose(phi.mean_table()[0], [2.0, -1.0])
     assert 3 not in phi.mean_table()
@@ -74,7 +74,7 @@ def test_mean_table_drops_all_zero_rows():
     )
     assert sorted(phi.mean_table()) == [0]
     # the all-zero base row at age 3 is canonicalized away entirely
-    assert phi.value_keys == (0, 1)
+    assert phi.moments()[0] == (0, 1)
     assert min(phi.coeff) == 1
     assert min(phi.base) == 0
 
@@ -125,7 +125,6 @@ def test_moments_equal_the_per_cell_walk():
         assert mean.tobytes() == np.array([want.get(k, np.zeros(J, dtype=complex)) for k in ages]).tobytes()
         assert noise_var.tobytes() == np.array([reference_noise_variance(phi, k) for k in ages]).tobytes()
         assert not mean.flags.writeable and not noise_var.flags.writeable
-        assert phi.value_keys == ages
 
 
 def test_moment_table_is_formed_once_and_not_pickled(asym_leak, monkeypatch):

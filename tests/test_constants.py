@@ -355,9 +355,9 @@ def test_variance_sum_keeps_rows_that_underflow_when_squared():
 
 def _per_key_mean_sum(phi, S):
     """``mean_weighted_sum`` as a loop of one ``np.linalg.norm`` per key."""
-    ks = np.array(phi.value_keys)
+    ks = np.array(phi.moments()[0])
     mt = phi.mean_table()  # zero rows at coeff-only ages, as the table keeps them
-    mean = np.array([np.linalg.norm(mt.get(k, np.zeros(phi.J))) for k in phi.value_keys])
+    mean = np.array([np.linalg.norm(mt.get(k, np.zeros(phi.J))) for k in phi.moments()[0]])
     return float(np.sum(power_scaled(mean, S.rho, ks) + power_scaled(mean, S.theta, ks)))
 
 

@@ -1,0 +1,58 @@
+"""The output-contract scripts' contract with the library.
+
+``scripts/constants_digest.py`` and ``scripts/cli_digest.py`` compare two
+trees by what the program computes and prints.  They reach into the library
+(``cli.build_characteristic``, ``compute_constants(eps_tail=)``,
+``presets._bernoulli_column``, ``save_scenario``) and into the benchmark
+(``calibration.asym_leak_custom``, ``constants_sweep.inputs``), so a renamed
+name would otherwise surface only when someone runs them.  The digests
+themselves depend on numpy and BLAS, so only their shape is checked here."""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from cmjsim.cli import main
+from cmjsim.presets import preset
+from cmjsim.scenario import scenario_from_dict
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def script(monkeypatch):
+    """Load ``scripts/<name>.py`` as a module; both scripts prepend to
+    ``sys.path``, which is restored afterwards."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+    def load(name: str):
+        spec = importlib.util.spec_from_file_location(f"scripts_{name}", ROOT / "scripts" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load
+
+
+def test_constants_digest_hashes_every_preset_input(script):
+    # 8 presets, no sweep seed, 8 custom characteristics per preset
+    value, n = script("constants_digest").digest(ROOT, 0)
+    assert n == 72 and len(value) == 64
+
+
+def test_cli_digest_runs_every_command_on_a_preset(script):
+    cli_digest = script("cli_digest")
+    codes = [cli_digest._run(main, "jordan_critical", command, extra)[1] for command, extra in cli_digest.RUNS]
+    # analyze, constants, star-check, verify at 1 and 2 workers, simulate at 1 and 2
+    assert codes == [0, 0, 0, 3, 3, 0, 0]
+
+
+def test_cli_digest_derives_valid_scenario_files(script):
+    docs = list(script("cli_digest")._derived(preset))
+    assert docs
+    for _, doc in docs:
+        scenario_from_dict(doc)

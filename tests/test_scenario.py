@@ -79,15 +79,6 @@ def test_round_trip_through_yaml(tmp_path):
         assert again.to_dict() == scn.to_dict(), name
 
 
-def test_checked_in_scenarios_match_presets():
-    import pathlib
-
-    root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
-    for name in preset_names():
-        scn = load_scenario(root / f"{name}.yaml")
-        assert scn.to_dict() == preset(name).to_dict(), name
-
-
 def test_unknown_preset_name():
     with pytest.raises(KeyError):
         preset("definitely_not_a_preset")
@@ -257,8 +248,16 @@ def test_scenario_frozen_and_dict_stable():
         scn.schema = 2
 
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
 @pytest.mark.parametrize("name", preset_names())
-def test_scenario_files_are_the_presets(name):
-    # scenarios/<name>.yaml is save_scenario(preset(name), path)
-    path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.yaml"
-    assert load_scenario(str(path)).to_dict() == preset(name).to_dict()
+def test_scenario_files_are_the_presets(name, tmp_path):
+    # scenarios/<name>.yaml is save_scenario(preset(name), path), byte for byte
+    path = tmp_path / f"{name}.yaml"
+    save_scenario(preset(name), path)
+    assert path.read_bytes() == (SCENARIOS / f"{name}.yaml").read_bytes()
+
+
+def test_every_scenario_file_is_a_preset():
+    assert sorted(p.name for p in SCENARIOS.iterdir()) == sorted(f"{name}.yaml" for name in preset_names())

@@ -424,6 +424,19 @@ def test_verifier_records_the_flatness_bootstrap_it_ran(mirror):
     assert flat == flatness_check(batch, w_min=W_MIN_DEFAULT, B=flat["B"], seed=flat["seed"])
 
 
+def test_resampling_defaults_are_the_bootstraps_verify_runs(jordan):
+    # a caller that leaves B and seed at their defaults gets verify's bootstraps
+    c, S, run = jordan.constants, jordan.S, jordan.scenario.run
+    n = run["n"]
+    batch = run_batch(jordan.model, jordan.phi, n, n + run["delta"], run["replicates"], run["seed"],
+                      S=S, constants=c, ns=run["trajectory"])
+    report = verify_dichotomy(batch, c, S)
+    eps, _ = studentized(batch, c, t=n, w_min=W_MIN_DEFAULT)
+    assert report.details["is_real"]
+    assert bootstrap_variance_se(eps.real) == report.var_se
+    assert flatness_check(batch, w_min=W_MIN_DEFAULT) == report.flatness
+
+
 def test_flatness_check_skips_a_time_with_fewer_than_ten_values():
     batch = synth_batch(ns=(8, 10, 12), m=400, seed=19)
     held = dataclasses.replace(batch, T={key: col for key, col in batch.T.items() if key != (0, 10)})
