@@ -4,6 +4,17 @@ Exact limit constants from finite model data, generation-exact Monte Carlo,
 and a pre-registered statistical battery for the fluctuation dichotomy.
 """
 
+import os
+
+# cmjsim's matrix products are J x J with J <= 6, or R x J columns: none of
+# them uses a BLAS thread, and starting OpenBLAS's threads costs each process
+# ~70 ms of numpy import on a 2-CPU host.  So cmjsim defaults OpenBLAS to one
+# thread before numpy loads, unless the user set any of the three variables
+# OpenBLAS reads (in this order); pool workers inherit the setting.  A program
+# that imported numpy before cmjsim keeps the BLAS it already started.
+if not any(k in os.environ for k in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .characteristics import (
     Characteristic,
     NoiseLaw,

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -357,14 +358,18 @@ def run_batch(
 
     Block b always uses SeedSequence(master_seed, spawn_key=(b,)), so the
     result is byte-identical for any worker count; workers only split the
-    block range, and run in-process below two blocks per worker.  W_hat and
-    T are formed here, once, on the whole blocks.
+    block range, and run in-process below two blocks per worker.  ``workers``
+    is capped at the CPUs this process may use.  W_hat and T are formed here,
+    once, on the whole blocks.
     """
     if R < 0:
         raise ValueError(f"R must be >= 0, got {R}")
     plan = _plan(model, phis, n, N, ns, overflow_cap)
     n_blocks = max(1, -(-R // BLOCK))
-    workers = max(1, int(workers))
+    # a pool starts all of its processes at the first submit, and a process
+    # beyond the usable CPUs only waits for one
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(max(1, int(workers)), cpus)
     if workers == 1 or n_blocks < 2 * workers:
         chunks = [_run_blocks((plan, master_seed, 0, n_blocks))]
     else:

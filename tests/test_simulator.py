@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
+import os
 import pickle
 import tracemalloc
 
@@ -221,6 +223,45 @@ def test_csv_identical_across_workers_over_many_blocks(tmp_path, mirror):
         texts.append(path.read_bytes())
     assert texts[0].count(b"\n") == 1 + kw["R"]
     assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
+def test_workers_capped_at_usable_cpus(monkeypatch, mirror):
+    """A pool forks all of its workers at the first submit, so ``workers``
+    is capped at the CPUs the process may use: its affinity set, or
+    ``os.cpu_count()`` where the OS has none.  A fake pool runs the tasks in
+    this process and records ``max_workers``; no process starts, and every
+    count gives the serial bits."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    def columns(batch):
+        return [batch.aborted, batch.z_final, batch.w_hat, *batch.zphi.values(), *batch.T.values()]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    kw = dict(n=8, N=10, R=20 * BLOCK, master_seed=28_028, S=mirror.S, constants=mirror.constants)
+    batches = [run_batch(mirror.model, mirror.phi, **kw)]
+    for cpus, asked in (({0, 1}, 64), (set(range(8)), 4), ({0}, 64)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        batches.append(run_batch(mirror.model, mirror.phi, workers=asked, **kw))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    batches.append(run_batch(mirror.model, mirror.phi, workers=64, **kw))
+    assert started == [2, 4, 3]  # one usable CPU runs in-process
+    ref = columns(batches[0])
+    for batch in batches[1:]:
+        assert [c.tobytes() for c in columns(batch)] == [c.tobytes() for c in ref]
 
 
 @pytest.mark.parametrize("R", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
