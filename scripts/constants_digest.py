@@ -3,10 +3,10 @@
     python3 scripts/constants_digest.py [--tree DIR] [--seeds N]
 
 Hashes the raw bytes of every ``TheoreticalConstants`` field for each preset,
-taken through ``build_model``, ``spectral_decompose``, its characteristic and
-``compute_constants`` as ``cmjsim constants`` does, and for a seeded
-population of ``constants_sweep`` models (``perfbench/constants_sweep.inputs``
-at seeds 0 to N-1, 200 models each, N = 5 by default).  Each input also adds
+taken through the pipeline of ``cmjsim constants`` (``cli._Pipeline``), and
+for a seeded population of ``constants_sweep`` models
+(``perfbench/constants_sweep.inputs`` at seeds 0 to N-1, 200 models each,
+N = 5 by default).  Each input also adds
 its mean matrix's spectral report: every cluster's eigenvalue, multiplicity,
 nilpotent index, label and margin, and the invariant ``residuals``, also for
 a model that fails the standing assumptions.  Since presets and sweep inputs
@@ -96,7 +96,7 @@ def digest(tree: Path, seeds: int) -> tuple[str, int]:
     """(sha256 hex digest, number of inputs hashed) for the program in ``tree``."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     from cmjsim.characteristics import Characteristic, NoiseLaw
-    from cmjsim.cli import build_characteristic
+    from cmjsim.cli import _Pipeline
     from cmjsim.constants import compute_constants
     from cmjsim.model import build_model
     from cmjsim.presets import preset, preset_names
@@ -105,11 +105,7 @@ def digest(tree: Path, seeds: int) -> tuple[str, int]:
     import constants_sweep
 
     def preset_constants(name):
-        scn = preset(name)
-        m = build_model(scn.model)
-        S = spectral_decompose(m.A)
-        phi, a_row = build_characteristic(scn, m, S)
-        return compute_constants(a_row if a_row is not None else phi, S, m, eps_tail=scn.run["eps_tail"])
+        return _Pipeline(argparse.Namespace(scenario=name, seed=None, workers=None)).const
 
     def spectral_report(model_data):
         S = spectral_decompose(build_model(model_data).A)

@@ -167,7 +167,7 @@ def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) 
     ks = np.arange(lo - 1, hi + 2)  # the window and the first row of each tail
     if mt:
         B, size = (np.array(part) for part in zip(*(_B_row(mt, S, k) for k in ks.tolist())))
-    else:
+    else:  # _B_row's zero rows and sizes, bit for bit, without its call per lag (coeff-only phi1)
         B, size = np.zeros((len(ks), S.J), dtype=complex), np.zeros(len(ks))
     coeff = np.zeros((len(ks), S.J), dtype=complex)
     coeff[[k - lo + 1 for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))

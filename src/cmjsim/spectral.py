@@ -89,10 +89,11 @@ class EigenCluster:
 class SpectralData:
     """Everything the limit theory needs about the mean matrix.
 
-    ``A1``/``A2`` act as ``A`` on the super/critical invariant subspace and as
-    the identity on the complement; both are invertible.  ``D`` and ``N`` are
-    the diagonalizable and nilpotent parts of ``pi2 A``.  ``theta`` is a decay
-    rate with ``|pi3 A^n| <= C theta^n`` for some unreported constant C.
+    ``A1_inv``/``A2_inv`` invert ``A pi_i + (I - pi_i)``, which is ``A`` on the
+    super/critical invariant subspace and the identity on the complement.
+    ``theta`` is a decay rate with ``|pi3 A^n| <= C theta^n`` for some
+    unreported constant C.  ``residuals`` checks the invariants, among them
+    the parts D and N of ``pi2 A``, formed from the critical clusters.
     """
 
     A: np.ndarray
@@ -104,12 +105,8 @@ class SpectralData:
     pi1: np.ndarray
     pi2: np.ndarray
     pi3: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
     A1_inv: np.ndarray
     A2_inv: np.ndarray
-    D: np.ndarray
-    N: np.ndarray
     theta: float
     residuals: dict
     _cache: dict = field(default_factory=dict, repr=False)
@@ -327,12 +324,6 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
             "A is nilpotent (spectral radius 0): its critical part A pi2 is singular"
         ) from None
 
-    D = np.zeros((n, n), dtype=complex)
-    for c in clusters:
-        if c.label == CRITICAL:
-            D = D + c.eigenvalue * c.projection
-    N = pi2 @ Ac - D
-
     # Perron cluster: largest real eigenvalue on the spectral-radius circle.
     perron = None
     for c in clusters:
@@ -350,9 +341,7 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
     else:
         theta = 0.5 * sqrt_rho if sqrt_rho > 0 else 0.5
 
-    residuals = _invariant_residuals(
-        A, clusters, pi1, pi2, pi3, A1, A1_inv, D, N, u, v, rho
-    )
+    residuals = _invariant_residuals(A, clusters, pi1, pi2, pi3, A1, A1_inv, u, v, rho)
     worst = max(residuals.values())
     if worst > 100.0 * tol:
         raise ArithmeticError(
@@ -370,21 +359,19 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
         pi1=pi1,
         pi2=pi2,
         pi3=pi3,
-        A1=A1,
-        A2=A2,
         A1_inv=A1_inv,
         A2_inv=A2_inv,
-        D=D,
-        N=N,
         theta=theta,
         residuals=residuals,
     )
 
 
-def _invariant_residuals(A, clusters, pi1, pi2, pi3, A1, A1_inv, D, N, u, v, rho) -> dict:
+def _invariant_residuals(A, clusters, pi1, pi2, pi3, A1, A1_inv, u, v, rho) -> dict:
     n = A.shape[0]
     eye = np.eye(n)
     Ac = A.astype(complex)
+    D = sum((c.eigenvalue * c.projection for c in clusters if c.label == CRITICAL), np.zeros_like(Ac))
+    N = pi2 @ Ac - D
 
     def nrm(M):
         return float(np.max(np.abs(M), initial=0.0))

@@ -363,11 +363,13 @@ def per_cluster_residuals(S) -> dict:
     return out
 
 
-def matrix_power_restricted(S, which: str, k: int) -> np.ndarray:
-    """``A1^k`` or ``A2^k`` for any signed integer k, by powering the stored
-    full operator: the route the package avoids for long powers, and an
-    independent check of its projected ones at small k."""
-    return np.linalg.matrix_power({"A1": S.A1, "A2": S.A2}[which], k)
+def matrix_power_restricted(S, i: int, k: int) -> np.ndarray:
+    """``A_i^k`` for any signed integer k, with ``A_i = A pi_i + (I - pi_i)``
+    (i in {1, 2}), by powering that full operator: the route the package
+    avoids for long powers, and an independent check of its projected ones
+    at small k."""
+    p = S.pi(i)
+    return np.linalg.matrix_power(S.A.astype(complex) @ p + (np.eye(S.J) - p), k)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 ``scripts/constants_digest.py`` and ``scripts/cli_digest.py`` compare two
 trees by what the program computes and prints.  They reach into the library
-(``cli.build_characteristic``, ``compute_constants(eps_tail=)``,
-``presets._bernoulli_column``, ``save_scenario``) and into the benchmark
+(``cli._Pipeline``, ``compute_constants``, ``presets._bernoulli_column``,
+``save_scenario``) and into the benchmark
 (``calibration.asym_leak_custom``, ``constants_sweep.inputs``), so a renamed
 name would otherwise surface only when someone runs them.  The digests
 themselves depend on numpy and BLAS, so only their shape is checked here."""

@@ -166,6 +166,13 @@ CUSTOM = {
         ("characteristic", "coeff", {1.5: [0, 1]}, "characteristic.coeff: ages must be integers, got 1.5"),
         ("characteristic", "coeff", {2: [1]}, "characteristic.coeff.2: expected 2 entries, got 1"),
         ("characteristic", "base", {-1: [1, 0, 0]}, "characteristic.base.-1: expected 2 entries, got 3"),
+        ("characteristic", "noise", {"age": 0}, "characteristic.noise: expected a list of noise cells"),
+        (
+            "characteristic", "noise", [5],
+            "characteristic.noise[0]: expected a mapping with keys age, type, probs, values",
+        ),
+        ("run", "w_min", "0.1", "run.w_min: expected a number, got '0.1'"),
+        ("model", "offspring", {1: [5]}, "model.offspring.1.0: expected a mapping with keys p, counts"),
     ],
 )
 def test_run_and_table_messages_are_exact(section, key, value, message):
@@ -173,6 +180,25 @@ def test_run_and_table_messages_are_exact(section, key, value, message):
     assert scenario_from_dict(CUSTOM).characteristic == {
         "kind": "custom", "base": {0: [1, 0]}, "coeff": {1: [0, 1]}, "noise": []
     }
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        ("model", [1], "model: expected a mapping"),
+        (
+            "characteristic", {"kind": "indicator", "row": [[1]]},
+            "characteristic.row[0]: expected a number, got list",
+        ),
+        ("characteristic", {"kind": "indicator", "row": "1"}, "characteristic.row: expected a list"),
+        ("output", {"dir": ""}, "output.dir: expected a nonempty string"),
+    ],
+)
+def test_section_shape_messages_are_exact(section, value, message):
+    doc = {**loads_scenario(MINIMAL).to_dict(), section: value}
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert str(err.value) == message
