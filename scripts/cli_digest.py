@@ -40,7 +40,11 @@ Bernoulli-rounded law as the presets build them, under a labelling whose
 projections ``spectral_decompose`` refuses: ``analyze``, ``constants`` and
 ``simulate`` print that refusal, ``verify`` refuses the model as not
 positively regular, and ``star-check``, which reads no spectral data, runs
-(``deflation_refused``).
+(``deflation_refused``).  The very last is ``single_type_binary`` at
+``run.n: 2100``, where r_n = 2^1050 and the star row R(1025) = 2^1024 leave
+float64: ``verify`` and ``simulate`` refuse the r_t and ``star-check`` the
+row, each with exit 2, while ``analyze`` and ``constants`` run
+(``single_type_binary@n2100``).
 
 Each line hashes the run's stdout, stderr (with a fresh warning registry,
 so a run prints its warnings as it would alone), exit code and every
@@ -181,6 +185,9 @@ def _derived(preset):
         "schema": 1, "model": {"types": 4, "initial_type": 1, "offspring": offspring},
         "characteristic": {"kind": "indicator", "row": [1, 1, 1, 1]}, "run": {"n": 4},
     }
+    large_n = preset("single_type_binary").to_dict()
+    large_n["run"]["n"] = 2100
+    yield "single_type_binary@n2100", large_n
 
 
 def digests(tree: Path):

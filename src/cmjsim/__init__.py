@@ -18,7 +18,6 @@ if not any(k in os.environ for k in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
 from .characteristics import (
     Characteristic,
     NoiseLaw,
-    Phi1Characteristic,
     expected_process,
     make_indicator_characteristic,
     make_phi1,
@@ -63,7 +62,6 @@ __all__ = [
     "NoiseLaw",
     "OffspringLaw",
     "PRESETS",
-    "Phi1Characteristic",
     "ReplicateResult",
     "Scenario",
     "ScenarioError",

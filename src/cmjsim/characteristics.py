@@ -39,7 +39,6 @@ _MAX_BLOCK = 256
 __all__ = [
     "NoiseLaw",
     "Characteristic",
-    "Phi1Characteristic",
     "make_indicator_characteristic",
     "star_transform",
     "make_phi1",
@@ -168,13 +167,6 @@ class Characteristic:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Phi1Characteristic(Characteristic):
-    """Martingale-gap characteristic with the remaining mass its table leaves out."""
-
-    discarded_mass: float = 0.0
-
-
 def make_indicator_characteristic(row) -> Characteristic:
     """phi(k) = row * 1{k = 0}, so that Z_n^phi = row . Z_n."""
     row = np.asarray(row, dtype=complex).reshape(-1)
@@ -184,13 +176,17 @@ def make_indicator_characteristic(row) -> Characteristic:
 def _star_rows(phi: Characteristic, A: np.ndarray, k_max: int) -> dict:
     """The nonzero rows ``R(k) = sum_{l>=0} E phi(k-1-l) A^l`` for ``k <= k_max``,
     in ascending age, from ``R(k+1) = R(k) A + E phi(k)`` and ``R = 0`` up to
-    the table's lowest age."""
+    the table's lowest age.  A row outside float64 range raises a bare
+    ``ArithmeticError`` that names its age."""
     mt = phi.mean_table()
     rows, row = {}, np.zeros(phi.J, dtype=complex)
-    for k in range(min(mt, default=k_max), k_max):
-        row = row @ A + mt.get(k, 0)
-        if row.any():
-            rows[k + 1] = row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(min(mt, default=k_max), k_max):
+            row = row @ A + mt.get(k, 0)
+            if row.any():
+                if not np.isfinite(row).all():
+                    raise ArithmeticError(f"star transform row at age {k + 1} lies outside float64 range")
+                rows[k + 1] = row
     return rows
 
 
@@ -209,7 +205,7 @@ def make_phi1(
     x1: np.ndarray,
     model: BranchingModel,
     k_min: int | None = None,
-) -> Phi1Characteristic:
+) -> Characteristic:
     """The martingale-gap characteristic, premultiplied by ``x1``.
 
     ``phi1(k) = x1 A1^{k-1} pi1 (L - A)`` for k <= 0.  Counted over the
@@ -223,18 +219,17 @@ def make_phi1(
     block ``w T^0 .. w T^{c-1}`` at a time, the block doubling up to 256
     rows.  The table stops at the first row k whose remaining mass
     ``sum_{j<=k} rho^{-j} |phi1(j)|_M^2``, the closed form
-    ``w_k X w_k^H`` of ``spectral.stein_tail``, is at most ``PHI1_MASS``, and
-    that mass is its ``discarded_mass``; a table that does not reach it
-    within 10,000 rows is refused with a bare ``ArithmeticError``.
-    ``k_min`` forces the window ``[k_min, 0]`` instead.  Either table ends
-    early at a row outside float64's normal range (``spectral.unscaled``),
-    and its ``discarded_mass`` is the remaining mass there.
+    ``w_k X w_k^H`` of ``spectral.stein_tail``, is at most ``PHI1_MASS``; a
+    table that does not reach it within 10,000 rows is refused with a bare
+    ``ArithmeticError``.  ``k_min`` forces the window ``[k_min, 0]`` instead.
+    Either table ends early at a row outside float64's normal range
+    (``spectral.unscaled``).
     """
     x1 = np.asarray(x1, dtype=complex).reshape(-1)
     J = x1.shape[0]
     w = x1 @ projected_power(S, 1, -1)  # A1^{k-1} at k = 0
     if not np.any(np.abs(w) > 0):
-        return Phi1Characteristic(J=J, label="phi1", discarded_mass=0.0)
+        return Characteristic(J=J, label="phi1")
 
     X = stein_tail(S, mixing_covariance(model, S.u), -1)[0]
     step = S.step(1, -1) * S.sqrt_rho
@@ -255,7 +250,7 @@ def make_phi1(
     rows = unscaled(S, scaled[:end], -np.arange(end))
     end = next((m for m, row in enumerate(rows) if row is None), end)  # a row past float64 ends it
     coeff = {-m: row for m, row in enumerate(rows[:end])}
-    return Phi1Characteristic(J=J, coeff=coeff, label="phi1", discarded_mass=float(mass[end]))
+    return Characteristic(J=J, coeff=coeff, label="phi1")
 
 
 def expected_process(phi: Characteristic, model: BranchingModel, n: int) -> complex:

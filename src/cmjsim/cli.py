@@ -10,8 +10,9 @@ Subcommands::
 
 Exit codes: 0 success / statistical PASS; 1 usage or schema error (the
 message names the offending key); 2 model-assumption failure, requested-case
-mismatch, or an unusable run (abort rate, fewer than 50 usable survivors,
-or a degenerate scale with none); 3 statistical FAIL.
+mismatch, an unusable run (abort rate, fewer than 50 usable survivors, or a
+degenerate scale with none), or a value outside float64 range (such as r_t
+at a large n); 3 statistical FAIL.
 """
 
 from __future__ import annotations

@@ -30,8 +30,8 @@ only what it simulated; ``run_batch`` joins the chunks into columns, forms
 W_hat and T once on the whole blocks, and only then cuts every column to R.
 
 Counts are int64 throughout with a per-replicate overflow guard: a
-replicate whose next generation could exceed the cap is aborted, and its
-counts are zeroed before any intermediate product can wrap.
+replicate whose next generation could exceed ``OVERFLOW_CAP`` is aborted,
+and its counts are zeroed before any intermediate product can wrap.
 """
 
 from __future__ import annotations
@@ -82,12 +82,21 @@ class ReplicateResult:
 
 
 def normalization(t: int, case: str, l_star: int | None, rho: float) -> float:
-    """The dichotomy scaling r_t: rho^{t/2}, with the extra t^{l*+1/2} in case ii."""
-    r = rho ** (t / 2.0)
+    """The dichotomy scaling r_t: rho^{t/2}, with the extra t^{l*+1/2} in case ii.
+
+    A case-ii r_t without l* or at t < 1, where it vanishes, raises ValueError;
+    an r_t outside float64's range raises a bare ArithmeticError."""
     if case == "ii":
         if l_star is None:
             raise ValueError("case ii normalization requested but no polynomial index is present")
-        r *= float(t) ** (l_star + 0.5)
+        if t < 1:
+            raise ValueError(f"case ii normalization r_t vanishes at t = {t}; request times t >= 1")
+    try:
+        r = rho ** (t / 2.0) * (float(t) ** (l_star + 0.5) if case == "ii" else 1.0)
+    except OverflowError:
+        r = math.inf
+    if not 0.0 < r < math.inf:
+        raise ArithmeticError(f"normalization r_t at t = {t} lies outside float64 range (rho = {rho!r})")
     return r
 
 
@@ -134,7 +143,7 @@ class _Plan:
     noise: tuple  # (p, t, k, j, probs, values) per in-window cell, in canonical order
 
 
-def _plan(model, phis, n, N, ns, overflow_cap) -> _Plan:
+def _plan(model, phis, n, N, ns) -> _Plan:
     phis = (phis,) if isinstance(phis, Characteristic) else tuple(phis)
     ns = tuple(sorted({int(t) for t in (ns if ns is not None else [n])}))
     if not ns or ns[-1] > N or ns[0] < 0:
@@ -150,7 +159,7 @@ def _plan(model, phis, n, N, ns, overflow_cap) -> _Plan:
         if k <= t
     )
     largest_litter = max(1, int(model.padded_laws[1].sum(axis=2).max()))
-    return _Plan(model, phis, ns, N, overflow_cap // largest_litter, noise)
+    return _Plan(model, phis, ns, N, OVERFLOW_CAP // largest_litter, noise)
 
 
 def _simulate_chunk(plan: _Plan, rngs: list) -> dict:
@@ -312,7 +321,6 @@ def run_replicate(
     S: SpectralData | None = None,
     constants: TheoreticalConstants | None = None,
     ns: Sequence[int] | None = None,
-    overflow_cap: int = OVERFLOW_CAP,
 ) -> ReplicateResult:
     """Simulate one replicate to generation N and evaluate every requested
     characteristic at every requested time (default: just ``n``).
@@ -322,9 +330,7 @@ def run_replicate(
     estimate ``W_hat = <v, Z_N> rho^{-N}``; with constants as well, the
     recentered normalized statistic T of characteristic 0 at each time.
     """
-    return run_batch(
-        model, phis, n, N, 1, seed, S=S, constants=constants, ns=ns, overflow_cap=overflow_cap
-    ).replicates[0]
+    return run_batch(model, phis, n, N, 1, seed, S=S, constants=constants, ns=ns).replicates[0]
 
 
 def _run_blocks(args) -> dict:
@@ -352,7 +358,6 @@ def run_batch(
     constants: TheoreticalConstants | None = None,
     ns: Sequence[int] | None = None,
     workers: int = 1,
-    overflow_cap: int = OVERFLOW_CAP,
 ) -> BatchResult:
     """R independent replicates, simulated in whole blocks of ``BLOCK``.
 
@@ -364,7 +369,11 @@ def run_batch(
     """
     if R < 0:
         raise ValueError(f"R must be >= 0, got {R}")
-    plan = _plan(model, phis, n, N, ns, overflow_cap)
+    plan = _plan(model, phis, n, N, ns)
+    # every r_t before any block is simulated: a time it refuses costs no simulation
+    r_ts = {} if S is None or constants is None else {
+        t: normalization(t, constants.case, constants.l_star, S.rho) for t in plan.ns
+    }
     n_blocks = max(1, -(-R // BLOCK))
     # a pool starts all of its processes at the first submit, and a process
     # beyond the usable CPUs only waits for one
@@ -388,13 +397,11 @@ def run_batch(
     aborted, zf = cols["aborted"], cols["z_final"].astype(float)
     w_hat = np.full(len(aborted), np.nan) if S is None else np.real(zf @ S.v) * S.rho ** (-N)
     T: dict[tuple[int, int], np.ndarray] = {}
-    if S is not None and constants is not None:
-        z0 = model.z0().astype(complex)
-        for t in plan.ns:
-            mart_row = constants.x1 @ projected_power(S, 1, t - N)
-            critical = complex(constants.x2 @ (projected_power(S, 2, t) @ z0))
-            r_t = normalization(t, constants.case, constants.l_star, S.rho)
-            T[(0, t)] = (cols["zphi"][(0, t)] - zf @ mart_row - critical) / r_t
+    z0 = model.z0().astype(complex)
+    for t, r_t in r_ts.items():
+        mart_row = constants.x1 @ projected_power(S, 1, t - N)
+        critical = complex(constants.x2 @ (projected_power(S, 2, t) @ z0))
+        T[(0, t)] = (cols["zphi"][(0, t)] - zf @ mart_row - critical) / r_t
     w_hat[aborted] = np.nan
     for col in (*cols["zphi"].values(), *T.values()):
         col[aborted] = _NAN

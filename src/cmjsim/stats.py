@@ -103,10 +103,11 @@ def ks_test(sample) -> tuple[float, float]:
     return D, ks_pvalue(D, m)
 
 
-def bootstrap_variance_se(sample, B: int = BOOTSTRAP_B, seed: int = BOOTSTRAP_SEED) -> float:
-    """Standard error of the sample variance by seeded nonparametric bootstrap."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return float(_resampled_variances(np.asarray(sample, dtype=float), rng, B).std(ddof=1))
+def bootstrap_variance_se(sample) -> float:
+    """Standard error of the sample variance by nonparametric bootstrap:
+    ``BOOTSTRAP_B`` resamples drawn from ``BOOTSTRAP_SEED``."""
+    rng = np.random.Generator(np.random.PCG64(BOOTSTRAP_SEED))
+    return float(_resampled_variances(np.asarray(sample, dtype=float), rng, BOOTSTRAP_B).std(ddof=1))
 
 
 def _resampled_variances(xs: np.ndarray, rng: np.random.Generator, B: int) -> np.ndarray:
@@ -363,23 +364,18 @@ def lln_check(
     return out
 
 
-def flatness_check(
-    batch,
-    *,
-    w_min: float = W_MIN_DEFAULT,
-    B: int = FLAT_B,
-    seed: int = BOOTSTRAP_SEED,
-) -> dict:
+def flatness_check(batch, *, w_min: float = W_MIN_DEFAULT) -> dict:
     """Bootstrap CIs of Var[T_t] per requested time must all cover their
     precision-weighted mean: under the correct normalization the profile is
-    flat in t."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    flat in t.  Each time resamples ``FLAT_B`` times, all from one generator
+    seeded with ``BOOTSTRAP_SEED``."""
+    rng = np.random.Generator(np.random.PCG64(BOOTSTRAP_SEED))
     rows = []
     for t in batch.ns:
         vals = _usable_column(batch, batch.T, t, w_min)[0].real
         if vals.shape[0] < 10:
             continue
-        boot = _resampled_variances(vals, rng, B)
+        boot = _resampled_variances(vals, rng, FLAT_B)
         rows.append(
             {
                 "t": int(t),
@@ -388,7 +384,7 @@ def flatness_check(
                 "se": float(boot.std(ddof=1)),
             }
         )
-    out = {"rows": rows, "B": B, "seed": seed}
+    out = {"rows": rows, "B": FLAT_B, "seed": BOOTSTRAP_SEED}
     if not rows:
         return {**out, "passed": False, "weighted_mean": None}
     weights = np.array([1.0 / max(r["se"], 1e-12) ** 2 for r in rows])

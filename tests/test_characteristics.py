@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 
 from cmjsim import compute_constants, make_phi1, make_indicator_characteristic, spectral_decompose, star_transform
 from cmjsim.characteristics import (
+    PHI1_MASS,
     Characteristic,
     NoiseLaw,
     assumption_sums,
     expected_process,
 )
+from cmjsim.model import mixing_covariance
+from cmjsim.spectral import m_norm2, stein_tail
 
 from oracles import (
     exact_mean_matrix,
@@ -293,7 +296,16 @@ def test_gap_characteristic_rows_for_doubling(single_type):
         assert phi1.coeff[k][0] == pytest.approx(2.0 ** (k - 1), rel=1e-12)
     assert max(phi1.coeff) == 0
     assert min(phi1.coeff) < -40  # auto-truncation reaches the 1e-14 threshold
-    assert 0 < phi1.discarded_mass < 1e-12
+    # the stop rule in the Stein closed form: the remaining mass
+    # sum_{j<=k} rho^{-j} |phi1(j)|_M^2 = w_k X w_k^H, with w_k = rho^{-k/2} phi1(k),
+    # is above PHI1_MASS at the last kept row and at most PHI1_MASS at the first omitted one
+    X = stein_tail(S, mixing_covariance(model, S.u), -1)[0]
+
+    def mass(k):
+        return m_norm2(X, np.array([2.0 ** (k - 1) * S.rho ** (-k / 2)], dtype=complex))
+
+    first_omitted = min(phi1.coeff) - 1
+    assert 0 < mass(first_omitted) <= PHI1_MASS < mass(first_omitted + 1)
 
 
 def test_gap_characteristic_hard_window(single_type):
@@ -307,7 +319,7 @@ def test_gap_characteristic_zero_row_short_circuits(cross_feed):
     S = cross_feed.S
     phi1 = make_phi1(S, np.zeros(2), model=cross_feed.model)
     assert not phi1.coeff
-    assert phi1.discarded_mass == 0.0
+    assert type(phi1) is Characteristic and phi1.label == "phi1"
     # a pi1 for the sub-aligned row is zero up to rounding dust; whatever
     # survives is far below the truncation threshold after one term
     dusty = make_phi1(S, cross_feed.row @ S.pi1, model=cross_feed.model)

@@ -526,6 +526,28 @@ def test_constants_reports_the_stages_before_a_constants_error(tmp_path, capsys)
     assert rep["constants_error"] == "pi1 A^k pi1 is not representable in float64 at k=513"
 
 
+R_T_OUTSIDE_FLOAT64 = "error: normalization r_t at t = 2100 lies outside float64 range (rho = 2.0)\n"
+
+
+@pytest.mark.parametrize("command, code, err_text", [
+    ("analyze", EXIT_OK, ""),
+    ("constants", EXIT_OK, ""),
+    ("verify", EXIT_ASSUMPTION, R_T_OUTSIDE_FLOAT64),
+    ("simulate", EXIT_ASSUMPTION, R_T_OUTSIDE_FLOAT64),
+    ("star-check", EXIT_ASSUMPTION, "error: star transform row at age 1025 lies outside float64 range\n"),
+])
+def test_large_n_refusals_name_their_cause(command, code, err_text, tmp_path, capsys):
+    # single_type_binary at n = 2100: r_n = 2^1050 and the star row R(1025) = 2^1024
+    # leave float64, and no command warns on the way
+    d = preset("single_type_binary").to_dict()
+    d["run"]["n"] = 2100
+    path = write_yaml(tmp_path, "large_n.yaml", d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run_cli([command, "--scenario", path, "--out", str(tmp_path / "out")], capsys)
+    assert (rc, err) == (code, err_text)
+
+
 def test_uncertified_tail_model_now_certifies(tmp_path, capsys):
     # rho / s1^2 = 0.9984 and |a|_M^2 / (lambda2^2 - rho) = 0.5 / 0.01 = 50:
     # the descending tail runs to k ~ -10^4, which a truncated sum refused

@@ -453,7 +453,7 @@ def _tail_outputs(S, model, a, order) -> dict:
             out[what] = (np.array([value, err]).tobytes(), list(table), np.array(list(table.values())).tobytes())
         else:
             phi1 = make_phi1(S, a, model=model)
-            out[what] = (list(phi1.coeff), np.array(list(phi1.coeff.values())).tobytes(), phi1.discarded_mass)
+            out[what] = (list(phi1.coeff), np.array(list(phi1.coeff.values())).tobytes())
     return out
 
 

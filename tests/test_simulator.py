@@ -114,7 +114,7 @@ def test_aggregated_values_equal_per_individual_replay(mirror):
     """The multinomial aggregation must reproduce, exactly, the sum over
     individuals of base + centered-litter + noise contributions."""
     phis = _mirror_replay_phis(mirror)
-    plan = simulator._plan(mirror.model, phis, 8, 10, [4, 8], simulator.OVERFLOW_CAP)
+    plan = simulator._plan(mirror.model, phis, 8, 10, [4, 8])
     for seed in range(6):
         rep = run_replicate(mirror.model, phis, n=8, N=10, seed=seed, ns=[4, 8])
         _assert_replicate_equals_oracle(rep, plan, seed)
@@ -127,7 +127,7 @@ def test_block_replicates_replay_per_individual(mirror):
     """Replicates from the middle of the second block replay exactly, coeff
     and noise cells included."""
     phis = _mirror_replay_phis(mirror)
-    plan = simulator._plan(mirror.model, phis, 8, 10, [4, 8], simulator.OVERFLOW_CAP)
+    plan = simulator._plan(mirror.model, phis, 8, 10, [4, 8])
     columns = per_block_columns(plan, 8_128, 2 * BLOCK, None, None)
     mid = BLOCK + BLOCK // 2
     for i in range(mid - 3, mid + 3):
@@ -139,9 +139,9 @@ def test_non_symmetric_mean_matrix_replays_per_individual(request):
     """Rows of the ``mixed`` oracle case replay individual by individual,
     coeff and noise cells included.  Its mean matrix is not symmetric, so a
     litter centred on a row of ``A`` instead of its column shows here."""
-    seed, model, phi, n, N, ns, S, constants, cap = _oracle_case("mixed", request)
+    seed, model, phi, n, N, ns, S, constants, _ = _oracle_case("mixed", request)
     assert not np.array_equal(model.A, model.A.T)
-    plan = simulator._plan(model, phi, n, N, ns, cap)
+    plan = simulator._plan(model, phi, n, N, ns)
     columns = per_block_columns(plan, seed, BLOCK, S, constants)
     rows = range(16)
     assert any(row_cells(columns["cells"], i)["noise"] for i in rows)
@@ -150,19 +150,18 @@ def test_non_symmetric_mean_matrix_replays_per_individual(request):
         _assert_replays(model, [phi], columns, i, ns, N)
 
 
-def test_overflow_aborts_part_of_a_block(single_type):
+def test_overflow_aborts_part_of_a_block(single_type, monkeypatch):
     """The overflow guard is per replicate: aborted replicates carry no
     values, and the rest of the block still replays exactly."""
     model, noisy = single_type.model, _capped_phi()
-    batch = run_batch(
-        model, noisy, n=8, N=9, R=BLOCK, master_seed=77, S=single_type.S, overflow_cap=600,
-    )
+    monkeypatch.setattr(simulator, "OVERFLOW_CAP", 600)
+    batch = run_batch(model, noisy, n=8, N=9, R=BLOCK, master_seed=77, S=single_type.S)
     aborted = [r for r in batch.replicates if r.aborted]
     kept = [r for r in batch.replicates if not r.aborted]
     assert aborted and kept
     for rep in aborted:
         assert rep.z_final is None and rep.w_hat is None and rep.zphi == {}
-    plan = simulator._plan(model, noisy, 8, 9, None, 600)
+    plan = simulator._plan(model, noisy, 8, 9, None)
     columns = per_block_columns(plan, 77, BLOCK, single_type.S, None)
     for rep in kept:
         # litters are 1 or 3, so a kept replicate never had more than 600 // 3
@@ -173,7 +172,7 @@ def test_overflow_aborts_part_of_a_block(single_type):
 
 def test_replayed_states_match_final_count(single_type):
     model, phi = single_type.model, single_type.phi
-    plan = simulator._plan(model, phi, 9, 9, None, simulator.OVERFLOW_CAP)
+    plan = simulator._plan(model, phi, 9, 9, None)
     _assert_replicate_equals_oracle(run_replicate(model, phi, n=9, N=9, seed=7), plan, 7)
     columns = per_block_columns(plan, 7, 1, None, None)
     states = replay_states(model, row_cells(columns["cells"], 0), 9)
@@ -185,7 +184,7 @@ def test_martingale_gap_identity_pathwise(single_type):
     model, S = single_type.model, single_type.S
     n, N = 6, 10
     phi1 = make_phi1(S, np.array([1.0]), model=model, k_min=n - N + 1)
-    plan = simulator._plan(model, phi1, n, N, None, simulator.OVERFLOW_CAP)
+    plan = simulator._plan(model, phi1, n, N, None)
     for seed in range(50):
         _assert_replicate_equals_oracle(run_replicate(model, phi1, n=n, N=N, seed=seed), plan, seed)
         columns = per_block_columns(plan, seed, 1, None, None)
@@ -348,10 +347,11 @@ def test_window_validation_boundaries(mirror):
     assert (0, 8) in rep.zphi
 
 
-def test_overflow_aborts_cleanly(mirror):
-    rep = run_replicate(mirror.model, mirror.phi, n=20, N=20, seed=1, overflow_cap=10_000)
+def test_overflow_aborts_cleanly(mirror, monkeypatch):
+    monkeypatch.setattr(simulator, "OVERFLOW_CAP", 10_000)
+    rep = run_replicate(mirror.model, mirror.phi, n=20, N=20, seed=1)
     assert rep.aborted and rep.z_final is None and rep.zphi == {}
-    batch = run_batch(mirror.model, mirror.phi, n=20, N=20, R=8, master_seed=5, overflow_cap=10_000)
+    batch = run_batch(mirror.model, mirror.phi, n=20, N=20, R=8, master_seed=5)
     assert batch.abort_rate == 1.0
 
 
@@ -381,6 +381,27 @@ def test_normalization_cases():
     assert normalization(8, "degenerate", None, 4.0) == pytest.approx(4.0**4)
     assert normalization(8, "ii", 0, 4.0) == pytest.approx(np.sqrt(8) * 4.0**4)
     assert normalization(8, "ii", 1, 4.0) == pytest.approx(8.0**1.5 * 4.0**4)
+    # a finite r_t has the bits of rho ** (t / 2) times t ** (l* + 1/2)
+    assert normalization(2046, "i", None, 2.0) == 2.0**1023
+    assert normalization(8, "ii", 1, 4.0) == 4.0 ** (8 / 2.0) * 8.0**1.5
+
+
+def _no_simulation(plan, rngs):
+    raise AssertionError("a block was simulated")
+
+
+@pytest.mark.parametrize("preset_fixture, n, N, ns, error, message", [
+    ("single_type", 2100, 2106, None, ArithmeticError,
+     "normalization r_t at t = 2100 lies outside float64 range (rho = 2.0)"),
+    # in case ii r_0 vanishes, and T would divide by it
+    ("mirror", 8, 10, [0, 8], ValueError, "case ii normalization r_t vanishes at t = 0; request times t >= 1"),
+])
+def test_a_refused_r_t_is_refused_before_any_block(preset_fixture, n, N, ns, error, message, request, monkeypatch):
+    b = request.getfixturevalue(preset_fixture)
+    monkeypatch.setattr(simulator, "_simulate_chunk", _no_simulation)
+    with pytest.raises(error) as err:
+        run_batch(b.model, b.phi, n=n, N=N, R=8, master_seed=1, S=b.S, constants=b.constants, ns=ns)
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_survivor_filter_and_summary(single_type):
@@ -423,12 +444,10 @@ def test_csv_without_constants_writes_nan_statistic(tmp_path, single_type):
     assert all(row[5:] == ["nan", "nan"] and row[2] != "nan" for row in rows)
 
 
-def test_aborted_rows_hold_nan_in_every_float_column(tmp_path, single_type):
+def test_aborted_rows_hold_nan_in_every_float_column(tmp_path, single_type, monkeypatch):
     model, S, c = single_type.model, single_type.S, single_type.constants
-    batch = run_batch(
-        model, single_type.phi, n=8, N=9, R=BLOCK, master_seed=77, S=S, constants=c,
-        overflow_cap=600,
-    )
+    monkeypatch.setattr(simulator, "OVERFLOW_CAP", 600)
+    batch = run_batch(model, single_type.phi, n=8, N=9, R=BLOCK, master_seed=77, S=S, constants=c)
     aborted = batch.aborted
     assert aborted.any() and not aborted.all()
     for col in (*batch.zphi.values(), *batch.T.values()):
@@ -564,7 +583,7 @@ CHUNK_RS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 1000, 1797, 9 * BLOCK + 7]
 
 
 def _oracle_case(case, request):
-    """``(seed, model, phis, n, N, ns, S, constants, overflow_cap)``."""
+    """``(seed, model, phis, n, N, ns, S, constants, overflow cap)``."""
     if case == "mirror":
         m = request.getfixturevalue("mirror")
         return 31_337, m.model, _mirror_replay_phis(m), 8, 10, [4, 8], m.S, m.constants, simulator.OVERFLOW_CAP
@@ -590,11 +609,10 @@ def _assert_equals_oracle(case, R, request, workers=1):
     """The batch has the bits of the oracle's columns; returns the oracle's
     recorded cells."""
     seed, model, phis, n, N, ns, S, constants, cap = _oracle_case(case, request)
-    plan = simulator._plan(model, phis, n, N, ns, cap)
-    batch = run_batch(
-        model, phis, n, N, R, seed, S=S, constants=constants, ns=ns, workers=workers,
-        overflow_cap=cap,
-    )
+    # the plan carries the cap's total limit to the pool's workers
+    request.getfixturevalue("monkeypatch").setattr(simulator, "OVERFLOW_CAP", cap)
+    plan = simulator._plan(model, phis, n, N, ns)
+    batch = run_batch(model, phis, n, N, R, seed, S=S, constants=constants, ns=ns, workers=workers)
     want = per_block_columns(plan, seed, R, S, constants)
     cells = want.pop("cells")
     _assert_columns_equal(batch, want)
@@ -626,7 +644,7 @@ def test_plan_pickle_does_not_carry_the_spectral_cache(asym_leak):
     S = dataclasses.replace(b.S, _cache={})
 
     def pickled_plan() -> int:
-        plan = simulator._plan(b.model, b.phi, scn.n, scn.N, None, simulator.OVERFLOW_CAP)
+        plan = simulator._plan(b.model, b.phi, scn.n, scn.N, None)
         return len(pickle.dumps(plan))
 
     before = pickled_plan()

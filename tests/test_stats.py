@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from cmjsim import build_model, cli, make_phi1, run_batch, spectral_decompose, stats, verify_dichotomy
+from cmjsim import build_model, cli, make_phi1, run_batch, simulator, spectral_decompose, stats, verify_dichotomy
 from cmjsim.characteristics import Characteristic, NoiseLaw, make_indicator_characteristic
 from cmjsim.presets import PRESETS, _bernoulli_column
 from cmjsim.simulator import BLOCK, ReplicateResult
@@ -118,13 +118,15 @@ def test_ks_detects_wrong_distribution():
     assert p < 1e-6
 
 
-def test_bootstrap_variance_se_scale():
+def test_bootstrap_variance_se_scale(monkeypatch):
     rng = np.random.default_rng(5_150)
     xs = rng.normal(size=500)
-    se = bootstrap_variance_se(xs, B=500, seed=11)
+    assert stats.BOOTSTRAP_B == 500
+    monkeypatch.setattr(stats, "BOOTSTRAP_SEED", 11)
+    se = bootstrap_variance_se(xs)
     # asymptotically sqrt(2/m) for the unit normal
     assert 0.6 * math.sqrt(2 / 500) < se < 1.6 * math.sqrt(2 / 500)
-    assert bootstrap_variance_se(xs, B=500, seed=11) == se  # seeded determinism
+    assert bootstrap_variance_se(xs) == se  # seeded determinism
 
 
 # -- the blocked resample against the one-shot (B, m) draw ----------------------
@@ -144,11 +146,13 @@ def _pcg(seed):
 @pytest.mark.parametrize(
     "m,B", [(m, B) for m in _SIZES for B in _REPLICATES if m * B <= _ORACLE_ITEMS]
 )
-def test_bootstrap_variance_se_equals_one_shot_oracle(m, B):
+def test_bootstrap_variance_se_equals_one_shot_oracle(m, B, monkeypatch):
     xs = np.random.default_rng(m + B).standard_normal(m)
     seed = 7 * m + B
     ref = float(one_shot_resampled_variances(xs, _pcg(seed), B).std(ddof=1))
-    assert bootstrap_variance_se(xs, B=B, seed=seed) == ref
+    monkeypatch.setattr(stats, "BOOTSTRAP_B", B)
+    monkeypatch.setattr(stats, "BOOTSTRAP_SEED", seed)
+    assert bootstrap_variance_se(xs) == ref
 
 
 @pytest.mark.parametrize(
@@ -171,10 +175,13 @@ def test_sequential_resamples_from_one_generator_equal_one_shot_oracle(draws):
 
 @pytest.mark.parametrize("m", [50, 51, 999, 1000, 1001])
 @pytest.mark.parametrize("B", _REPLICATES)
-def test_flatness_check_equals_one_shot_oracle(m, B):
+def test_flatness_check_equals_one_shot_oracle(m, B, monkeypatch):
     ns = (8, 10, 12)
     batch = synth_batch(ns=ns, m=m, seed=m)
-    out = flatness_check(batch, B=B, seed=41)
+    monkeypatch.setattr(stats, "FLAT_B", B)
+    monkeypatch.setattr(stats, "BOOTSTRAP_SEED", 41)
+    out = flatness_check(batch)
+    assert (out["B"], out["seed"]) == (B, 41)
     assert [r["t"] for r in out["rows"]] == list(ns)
     rng = _pcg(41)
     lo_q = 100 * (1 - 0.99) / 2
@@ -189,7 +196,7 @@ def test_bootstrap_resamples_in_cache_sized_blocks():
     xs = np.random.default_rng(8).standard_normal(1000)
     tracemalloc.start()
     try:
-        bootstrap_variance_se(xs, B=500)
+        bootstrap_variance_se(xs)  # BOOTSTRAP_B = 500
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,14 +329,15 @@ def test_studentized_unwinds_the_scale(single_type):
 
 
 @pytest.mark.parametrize("preset_fixture, cap", [("single_type", 2_000), ("cyclic", 350_000)])
-def test_columnar_studentized_equals_row_reference(request, preset_fixture, cap):
+def test_columnar_studentized_equals_row_reference(request, monkeypatch, preset_fixture, cap):
     """The columnar studentization equals the row-by-row one bit for bit on
     a simulated batch with aborted rows and rows cut by the W_hat floor
     (cyclic_three's T is complex)."""
     b = request.getfixturevalue(preset_fixture)
+    monkeypatch.setattr(simulator, "OVERFLOW_CAP", cap)
     batch = run_batch(
         b.model, b.phi, n=8, N=10, R=BLOCK + 40, master_seed=5_309, S=b.S,
-        constants=b.constants, ns=[6, 8], overflow_cap=cap,
+        constants=b.constants, ns=[6, 8],
     )
     w_min = float(np.nanquantile(batch.w_hat, 0.2))
     assert batch.aborted.any() and not batch.aborted.all()
@@ -421,11 +429,11 @@ def test_verifier_records_the_flatness_bootstrap_it_ran(mirror):
     batch = synth_batch(n=8, ns=(8, 10, 12), sigma2=c.sigma_case2, m=400, seed=17)
     flat = verify_dichotomy(batch, c, S).flatness
     assert (flat["B"], flat["seed"]) == (400, stats.BOOTSTRAP_SEED)
-    assert flat == flatness_check(batch, w_min=W_MIN_DEFAULT, B=flat["B"], seed=flat["seed"])
+    assert flat == flatness_check(batch, w_min=W_MIN_DEFAULT)
 
 
 def test_resampling_defaults_are_the_bootstraps_verify_runs(jordan):
-    # a caller that leaves B and seed at their defaults gets verify's bootstraps
+    # a caller gets the bootstraps verify runs: B and the seed are module constants
     c, S, run = jordan.constants, jordan.S, jordan.scenario.run
     n = run["n"]
     batch = run_batch(jordan.model, jordan.phi, n, n + run["delta"], run["replicates"], run["seed"],
