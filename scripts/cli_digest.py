@@ -40,11 +40,14 @@ Bernoulli-rounded law as the presets build them, under a labelling whose
 projections ``spectral_decompose`` refuses: ``analyze``, ``constants`` and
 ``simulate`` print that refusal, ``verify`` refuses the model as not
 positively regular, and ``star-check``, which reads no spectral data, runs
-(``deflation_refused``).  The very last is ``single_type_binary`` at
+(``deflation_refused``).  The last two are ``single_type_binary`` at
 ``run.n: 2100``, where r_n = 2^1050 and the star row R(1025) = 2^1024 leave
 float64: ``verify`` and ``simulate`` refuse the r_t and ``star-check`` the
 row, each with exit 2, while ``analyze`` and ``constants`` run
-(``single_type_binary@n2100``).
+(``single_type_binary@n2100``), and at ``run.n: 1000``, where those values
+fit but every replicate outgrows the overflow guard: ``verify`` and
+``simulate`` refuse the abort rate and ``star-check`` a run with no
+replicate left to check, each with exit 2 (``single_type_binary@n1000``).
 
 Each line hashes the run's stdout, stderr (with a fresh warning registry,
 so a run prints its warnings as it would alone), exit code and every
@@ -188,6 +191,7 @@ def _derived(preset):
     large_n = preset("single_type_binary").to_dict()
     large_n["run"]["n"] = 2100
     yield "single_type_binary@n2100", large_n
+    yield "single_type_binary@n1000", {**large_n, "run": {**large_n["run"], "n": 1000}}
 
 
 def digests(tree: Path):

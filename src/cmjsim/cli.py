@@ -10,9 +10,9 @@ Subcommands::
 
 Exit codes: 0 success / statistical PASS; 1 usage or schema error (the
 message names the offending key); 2 model-assumption failure, requested-case
-mismatch, an unusable run (abort rate, fewer than 50 usable survivors, or a
-degenerate scale with none), or a value outside float64 range (such as r_t
-at a large n); 3 statistical FAIL.
+mismatch, an unusable run (abort rate, no star-check replicate left unaborted,
+fewer than 50 usable survivors, or a degenerate scale with none), or a value
+outside float64 range (such as r_t at a large n); 3 statistical FAIL.
 """
 
 from __future__ import annotations
@@ -310,7 +310,11 @@ def _cmd_star_check(args) -> int:
     scale = 1.0 + abs(ez)
     batch = run_batch(model, [phi, star], n, N, reps, run.scn.run["seed"], ns=[n])
     keep = ~batch.aborted
-    resid = np.abs(batch.zphi[(1, n)][keep] - (batch.zphi[(0, n)][keep] - ez)) / scale
+    if not keep.any():  # a maximum over no replicate would PASS having checked nothing
+        reason = f"all {reps} replicates were aborted at the overflow guard; none was checked"
+        _emit({"replicates": reps, "time": n, "verdict": "REFUSED", "reason": reason}, args.out)
+        return EXIT_ASSUMPTION
+    resid =np.abs(batch.zphi[(1, n)][keep] - (batch.zphi[(0, n)][keep] - ez)) / scale
     worst = float(resid.max(initial=0.0))
     tol = 1e-8
     passed = worst <= tol

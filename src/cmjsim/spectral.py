@@ -18,7 +18,11 @@ solve, giving
 
 Each cluster gets its projection, and each of the three classes one
 projection of its own (the union of its clusters), so close clusters inside
-one class cost the class projections no accuracy.  This is better
+one class cost the class projections no accuracy.  The labels are known from
+the cluster means first, so every set of one size is deflated as one stack,
+item for item the bits of deflating it alone.  A cluster's nilpotent index
+is probed with powers of ``A - lambda I`` only for multiplicity two or more:
+a simple eigenvalue's Jordan block is 1 x 1.  This is better
 conditioned than powering ``(A - lambda I)`` and rank-probing its kernel, and
 all stated invariants (partition of unity, idempotency, commutation, mutual
 orthogonality) are verified on every decomposition; residuals above
@@ -133,25 +137,23 @@ class SpectralData:
         return self._cache[key]
 
 
-def _cluster_values(eigs: np.ndarray, radius: float) -> list[list[int]]:
-    """Single-linkage clustering of eigenvalues at the given radius, members
-    ascending: each value joins, and so merges, every group within reach."""
+def _cluster_values(eigs: np.ndarray, radius: float) -> list[tuple[complex, list[int]]]:
+    """Single-linkage clustering of eigenvalues at the given radius, as
+    ``(member mean, members ascending)`` pairs: each value joins, and so
+    merges, every group within reach."""
     groups: list[list[int]] = []
     for a in range(len(eigs)):
         near = [g for g in groups if any(abs(eigs[b] - eigs[a]) <= radius for b in g)]
         groups = [g for g in groups if g not in near] + [sorted([*itertools.chain(*near), a])]
     # canonical order: by (-|lambda|, -Re, Im) of the member mean, then the first member
-    def sort_key(idxs):
-        z = np.mean(eigs[idxs])
-        return (-abs(z), -z.real, z.imag, idxs)
-
-    return sorted(groups, key=sort_key)
+    means = [np.mean(eigs[g]) for g in groups]
+    return sorted(zip(means, groups), key=lambda zg: (-abs(zg[0]), -zg[0].real, zg[0].imag, zg[1]))
 
 
-def _cluster_projection(A: np.ndarray, eigs: np.ndarray, idxs: list[int]) -> np.ndarray:
+def _cluster_projections(A: np.ndarray, eigs: np.ndarray, sets: list[list[int]]) -> list[np.ndarray]:
     """Spectral projection onto the generalized eigenspace of ``eigs[idxs]``
-    (one cluster, or every cluster of a class), from an ordered Schur form
-    built by deflation.
+    for each ``idxs`` in ``sets`` (one cluster, or every cluster of a class),
+    from an ordered Schur form built by deflation.
 
     With ``T = A`` and ``Q = I``, each of the s members in turn takes
     the eigenvalue ``lam`` of the trailing block ``T[i:, i:]`` nearest the
@@ -160,63 +162,85 @@ def _cluster_projection(A: np.ndarray, eigs: np.ndarray, idxs: list[int]) -> np.
     ``T <- H T H`` and ``Q <- Q H`` leave column i upper triangular.  The
     leading ``s x s`` block then carries the cluster, and the splitting
     ``T11 Y - Y T22 = T12`` is one solve of the ``s (J - s)`` Kronecker system,
-    giving ``pi = Q [[I, Y], [0, 0]] Q*``.
+    giving ``pi = Q [[I, Y], [0, 0]] Q*``.  The sets of one size go through
+    these steps as one stack of ``(c, J, J)`` arrays: numpy's stacked linear
+    algebra gives each item the bits of a call on that item alone, and the
+    scalar Householder phase and ``vdot`` stay per item.
 
     An eigenvalue is accepted when it is nearer the members than the other
     eigenvalues.  A tighter test would refuse genuine Jordan blocks: the
     trailing eigenvalues of a deflated m-fold block spread by about
-    ``eps^(1/m)``.  Otherwise the clustering is inconsistent and it raises
-    ``ArithmeticError``.
+    ``eps^(1/m)``.  Otherwise the clustering is inconsistent, and the first
+    such set in ``sets`` raises ``ArithmeticError``.
     """
     n = A.shape[0]
-    s = len(idxs)
-    if s == n:
-        return np.eye(n, dtype=complex)
-    members = eigs[idxs]
-    others = np.delete(eigs, idxs)
-    T = A.astype(complex)
-    Q = np.eye(n, dtype=complex)
-    vals = eigs
-    for i in range(s):
-        if i:
-            vals = np.linalg.eigvals(T[i:, i:])
-        near = np.min(np.abs(vals[:, None] - members), axis=1)
-        lam = vals[np.argmin(near)]
-        if near.min() >= np.min(np.abs(lam - others)):
-            raise ArithmeticError(
-                f"eigenvalue clustering is inconsistent: after {i} of {s} deflations "
-                f"the nearest remaining value {lam:.6g} lies nearer an eigenvalue "
-                f"outside the cluster; the Jordan structure is too ill-conditioned "
-                f"for the requested tolerance"
-            )
-        x = np.linalg.svd(T[i:, i:] - lam * np.eye(n - i))[2][-1].conj()
-        # H = I - 2 w w* / |w|^2 with w = x + phase(x_0) e_0: no cancellation
-        w = x.copy()
-        w[0] += x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        H = np.eye(n - i) - np.outer(w, w.conj()) * (2.0 / np.vdot(w, w).real)
-        T[:, i:] = T[:, i:] @ H
-        T[i:, :] = H @ T[i:, :]
-        Q[:, i:] = Q[:, i:] @ H
-    T11, T12, T22 = T[:s, :s], T[:s, s:], T[s:, s:]
-    # kron(I, T11) - kron(T22^T, I), which acts on Y stacked column by column
-    K = np.eye(n - s)[:, None, :, None] * T11[None, :, None, :]
-    K = (K - T22.T[:, None, :, None] * np.eye(s)[None, :, None, :]).reshape(s * (n - s), -1)
-    Y = np.linalg.solve(K, T12.reshape(-1, order="F")).reshape(s, n - s, order="F")
-    P = np.zeros((n, n), dtype=complex)
-    P[:s, :s] = np.eye(s)
-    P[:s, s:] = Y
-    return Q @ P @ Q.conj().T
+    out: list = [np.eye(n, dtype=complex)] * len(sets)
+    errors: dict = {}
+    for s in sorted({len(idxs) for idxs in sets} - {n}):
+        items = [k for k, idxs in enumerate(sets) if len(idxs) == s]
+        idx = np.array([sets[k] for k in items])
+        members = eigs[idx]
+        inside = np.zeros((len(items), n), dtype=bool)  # members' places in eigs
+        inside[np.arange(len(items))[:, None], idx] = True
+        T = A.astype(complex)[None].repeat(len(items), axis=0)
+        Q = np.eye(n, dtype=complex)[None].repeat(len(items), axis=0)
+        vals = eigs[None].repeat(len(items), axis=0)
+        for i in range(s):
+            if i:
+                vals = np.linalg.eigvals(T[:, i:, i:])
+            near = np.abs(vals[:, :, None] - members[:, None, :]).min(axis=2)
+            lam = vals[np.arange(len(items)), near.argmin(axis=1)]
+            others = np.abs(lam[:, None] - eigs)
+            others[inside] = np.inf
+            bad = near.min(axis=1) >= others.min(axis=1)
+            if bad.any():  # those sets leave the stack; an empty stack runs on to no result
+                for j in np.flatnonzero(bad).tolist():
+                    errors[items[j]] = ArithmeticError(
+                        f"eigenvalue clustering is inconsistent: after {i} of {s} deflations "
+                        f"the nearest remaining value {lam[j]:.6g} lies nearer an eigenvalue "
+                        f"outside the cluster; the Jordan structure is too ill-conditioned "
+                        f"for the requested tolerance"
+                    )
+                items = [k for k, b in zip(items, bad) if not b]
+                members, inside, T, Q, lam = (a[~bad] for a in (members, inside, T, Q, lam))
+            x = np.linalg.svd(T[:, i:, i:] - lam[:, None, None] * np.eye(n - i))[2][:, -1].conj()
+            # H = I - 2 w w* / |w|^2 with w = x + phase(x_0) e_0: no cancellation
+            w = x.copy()
+            scale = []
+            for wj, x0 in zip(w, x[:, 0]):
+                wj[0] += x0 / abs(x0) if x0 != 0 else 1.0
+                scale.append(2.0 / np.vdot(wj, wj).real)
+            H = np.eye(n - i) - w[:, :, None] * w.conj()[:, None, :] * np.array(scale)[:, None, None]
+            T[:, :, i:] = T[:, :, i:] @ H
+            T[:, i:, :] = H @ T[:, i:, :]
+            Q[:, :, i:] = Q[:, :, i:] @ H
+        T11, T12, T22 = T[:, :s, :s], T[:, :s, s:], T[:, s:, s:]
+        # kron(I, T11) - kron(T22^T, I), which acts on Y stacked column by column
+        K = np.eye(n - s)[:, None, :, None] * T11[:, None, :, None, :]
+        K = K - T22.transpose(0, 2, 1)[:, :, None, :, None] * np.eye(s)[:, None, :]
+        m = s * (n - s)
+        Y = np.linalg.solve(K.reshape(len(items), m, m), T12.transpose(0, 2, 1).reshape(len(items), m, 1))
+        P = np.zeros((len(items), n, n), dtype=complex)
+        P[:, :s, :s] = np.eye(s)
+        P[:, :s, s:] = Y.reshape(len(items), n - s, s).transpose(0, 2, 1)
+        for k, proj in zip(items, Q @ P @ Q.conj().transpose(0, 2, 1)):
+            out[k] = proj
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def _nilpotent_index(A: np.ndarray, lam: complex, proj: np.ndarray, norm_A: float) -> int:
-    """Smallest m with (A - lambda I)^m pi = 0, the largest Jordan block size (norm_A = |A|_2)."""
+    """Smallest m with (A - lambda I)^m pi = 0, the largest Jordan block size
+    (norm_A = |A|_2); probed for a cluster of two or more eigenvalues, since a
+    simple eigenvalue's block is 1 x 1."""
     n = A.shape[0]
     shifted = A.astype(complex) - lam * np.eye(n)
     scale = max(1.0, norm_A)
     B = proj
     for m in range(1, n + 1):
         B = shifted @ B
-        if np.linalg.norm(B, 2) <= max(100.0 * DEFAULT_TOL, 1e-6) * scale**m:
+        if np.linalg.svd(B, compute_uv=False)[0] <= max(100.0 * DEFAULT_TOL, 1e-6) * scale**m:
             return m
     return n
 
@@ -261,7 +285,7 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
     if np.any(A < 0):
         raise ValueError("A must be entrywise non-negative")
     n = A.shape[0]
-    norm_A = float(np.linalg.norm(A, 2))
+    norm_A = float(np.linalg.svd(A, compute_uv=False)[0])
     if norm_A == 0.0:
         raise ArithmeticError("A is the zero matrix (spectral radius 0): it has no Perron root")
 
@@ -272,52 +296,42 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
     rho = float(np.max(np.abs(eigs)))
     sqrt_rho = float(np.sqrt(rho))
 
-    clusters = []
-    eye = np.eye(n, dtype=complex)
-    Ac = A.astype(complex)
-    for idxs in groups:
-        members = eigs[idxs]
-        lam = complex(np.mean(members))
+    # every label is known before any projection is formed
+    heads = []
+    for mean, idxs in groups:
+        lam = complex(mean)
         if abs(lam.imag) <= radius:
             lam = complex(lam.real, 0.0)
-        proj = _cluster_projection(A, eigs, idxs)
-        nil = _nilpotent_index(A, lam, proj, norm_A)
         dist = abs(abs(lam) - sqrt_rho)
-        if abs(lam) > sqrt_rho + tol:
-            label = SUPER
-        elif dist <= tol:
-            label = CRITICAL
-        else:
-            label = SUB
-        clusters.append(
-            EigenCluster(
-                eigenvalue=lam,
-                multiplicity=len(members),
-                projection=proj,
-                nilpotent_index=nil,
-                label=label,
-                margin=dist,
-            )
-        )
-
+        label = SUPER if abs(lam) > sqrt_rho + tol else CRITICAL if dist <= tol else SUB
+        heads.append((lam, idxs, label, dist))
     # A class of several clusters is projected in one piece: close clusters
     # have large projections whose rounding errors do not cancel in a sum.
-    pis = []
-    for label in (SUPER, CRITICAL, SUB):
-        in_class = [(c, idxs) for c, idxs in zip(clusters, groups) if c.label == label]
-        if not in_class:
-            pis.append(np.zeros((n, n), dtype=complex))
-        elif len(in_class) == 1:
-            pis.append(in_class[0][0].projection)
-        else:
-            pis.append(_cluster_projection(A, eigs, [i for _, idxs in in_class for i in idxs]))
-    pi1, pi2, pi3 = pis
+    classes = [[k for k, h in enumerate(heads) if h[2] == label] for label in (SUPER, CRITICAL, SUB)]
+    unions = [[i for k in ks for i in heads[k][1]] for ks in classes if len(ks) > 1]
+    projs = _cluster_projections(A, eigs, [h[1] for h in heads] + unions)
+    clusters = [
+        EigenCluster(
+            eigenvalue=lam,
+            multiplicity=len(idxs),
+            projection=proj,
+            nilpotent_index=1 if len(idxs) == 1 else _nilpotent_index(A, lam, proj, norm_A),
+            label=label,
+            margin=dist,
+        )
+        for (lam, idxs, label, dist), proj in zip(heads, projs)
+    ]
+    union_projs = iter(projs[len(heads):])
+    pi1, pi2, pi3 = (
+        next(union_projs) if len(ks) > 1 else projs[ks[0]] if ks else np.zeros((n, n), dtype=complex)
+        for ks in classes
+    )
 
-    A1 = Ac @ pi1 + (eye - pi1)
-    A2 = Ac @ pi2 + (eye - pi2)
+    eye = np.eye(n, dtype=complex)
+    pi12 = np.stack([pi1, pi2])
+    A12 = A.astype(complex) @ pi12 + (eye - pi12)
     try:
-        A1_inv = np.linalg.inv(A1)
-        A2_inv = np.linalg.inv(A2)
+        A1_inv, A2_inv = np.linalg.inv(A12)
     except np.linalg.LinAlgError:
         # only a zero eigenvalue on the sqrt(rho) circle, i.e. rho = 0
         raise ArithmeticError(
@@ -341,7 +355,7 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
     else:
         theta = 0.5 * sqrt_rho if sqrt_rho > 0 else 0.5
 
-    residuals = _invariant_residuals(A, clusters, pi1, pi2, pi3, A1, A1_inv, u, v, rho)
+    residuals = _invariant_residuals(A, clusters, pi1, pi2, pi3, A12[0], A1_inv, u, v, rho)
     worst = max(residuals.values())
     if worst > 100.0 * tol:
         raise ArithmeticError(
@@ -374,7 +388,7 @@ def _invariant_residuals(A, clusters, pi1, pi2, pi3, A1, A1_inv, u, v, rho) -> d
     N = pi2 @ Ac - D
 
     def nrm(M):
-        return float(np.max(np.abs(M), initial=0.0))
+        return float(np.abs(M).max(initial=0.0))
 
     res = {
         "partition_of_unity": nrm(pi1 + pi2 + pi3 - eye),
@@ -505,11 +519,12 @@ def stein_tail(S: SpectralData, M: np.ndarray, sign: int) -> tuple[np.ndarray, n
             raise ArithmeticError(f"the Stein system of the sign {sign:+d} tail is singular") from None
         if not np.all(np.isfinite(sol)):
             raise ArithmeticError(f"the Stein system of the sign {sign:+d} tail has a non-finite solution")
-        X, Y = (sol[:, i].reshape(J, J, order="F") for i in (0, 1))
+        X, Y = Z = sol.reshape(J, J, 2).transpose(2, 1, 0)  # sol's two columns, each column-major
+        R = np.stack([M, eye]) + T @ Z @ T.conj().T - Z  # the residuals of X and Y as one stack
         growth = 1.0 + _fro(T) ** 2
         r_x, r_y = (
-            _fro(B + T @ Z @ T.conj().T - Z) + (4 * J + 8) * _EPS * (_fro(B) + growth * _fro(Z))
-            for B, Z in ((M, X), (eye, Y))
+            _fro(R_B) + (4 * J + 8) * _EPS * (_fro(B) + growth * _fro(Z_B))
+            for R_B, B, Z_B in zip(R, (M, eye), Z)
         )
         if not r_y < 1.0:
             raise ArithmeticError(

@@ -7,6 +7,8 @@ reference KS tail from scipy, the one-shot bootstrap resample that the
 blocked one must equal, the
 replicate-by-replicate studentization that the columnar one must equal,
 LAPACK's ordered-Schur spectral projector that the deflation one must equal,
+the one-set deflation and norm-probed Jordan index that the stacked
+deflation must equal bit for bit,
 union-find eigenvalue clustering and per-cluster invariant residuals that the
 one-pass and stacked ones must equal,
 full-operator powers that the projected ones must equal, the
@@ -295,8 +297,8 @@ def reference_studentized(batch, constants, *, phi_index: int, t: int, w_min: fl
 
 def schur_cluster_projection(A: np.ndarray, eigs: np.ndarray, idxs) -> np.ndarray:
     """Spectral projection onto ``eigs[idxs]`` from LAPACK's ordered complex
-    Schur form and Bartels-Stewart, a drop-in for
-    ``cmjsim.spectral._cluster_projection`` at ``DEFAULT_TOL``.
+    Schur form and Bartels-Stewart, a drop-in for one
+    set of ``cmjsim.spectral._cluster_projections`` at ``DEFAULT_TOL``.
 
     The sort keeps a Schur diagonal value within half the clustering radius
     of a member: LAPACK reorders without re-computing the eigenvalues, so its
@@ -320,6 +322,75 @@ def schur_cluster_projection(A: np.ndarray, eigs: np.ndarray, idxs) -> np.ndarra
     P[:s, :s] = np.eye(s)
     P[:s, s:] = Y
     return Q @ P @ Q.conj().T
+
+
+def deflation_cluster_projection(A: np.ndarray, eigs: np.ndarray, idxs: list[int]) -> np.ndarray:
+    """Spectral projection onto the generalized eigenspace of ``eigs[idxs]``
+    by deflation, one set at a time: the body of the library's projector
+    before it stacked the sets of one size, which the stacked pass must
+    equal bit for bit, refusals and their messages included.
+
+    With ``T = A`` and ``Q = I``, each of the s members in turn takes
+    the eigenvalue ``lam`` of the trailing block ``T[i:, i:]`` nearest the
+    members, the null vector of ``T[i:, i:] - lam I`` (its last right-singular
+    vector) and a Householder reflection ``H`` that maps it onto ``e_i``;
+    ``T <- H T H`` and ``Q <- Q H`` leave column i upper triangular.  The
+    leading ``s x s`` block then carries the cluster, and the splitting
+    ``T11 Y - Y T22 = T12`` is one solve of the ``s (J - s)`` Kronecker system,
+    giving ``pi = Q [[I, Y], [0, 0]] Q*``.
+    """
+    n = A.shape[0]
+    s = len(idxs)
+    if s == n:
+        return np.eye(n, dtype=complex)
+    members = eigs[idxs]
+    others = np.delete(eigs, idxs)
+    T = A.astype(complex)
+    Q = np.eye(n, dtype=complex)
+    vals = eigs
+    for i in range(s):
+        if i:
+            vals = np.linalg.eigvals(T[i:, i:])
+        near = np.min(np.abs(vals[:, None] - members), axis=1)
+        lam = vals[np.argmin(near)]
+        if near.min() >= np.min(np.abs(lam - others)):
+            raise ArithmeticError(
+                f"eigenvalue clustering is inconsistent: after {i} of {s} deflations "
+                f"the nearest remaining value {lam:.6g} lies nearer an eigenvalue "
+                f"outside the cluster; the Jordan structure is too ill-conditioned "
+                f"for the requested tolerance"
+            )
+        x = np.linalg.svd(T[i:, i:] - lam * np.eye(n - i))[2][-1].conj()
+        # H = I - 2 w w* / |w|^2 with w = x + phase(x_0) e_0: no cancellation
+        w = x.copy()
+        w[0] += x[0] / abs(x[0]) if x[0] != 0 else 1.0
+        H = np.eye(n - i) - np.outer(w, w.conj()) * (2.0 / np.vdot(w, w).real)
+        T[:, i:] = T[:, i:] @ H
+        T[i:, :] = H @ T[i:, :]
+        Q[:, i:] = Q[:, i:] @ H
+    T11, T12, T22 = T[:s, :s], T[:s, s:], T[s:, s:]
+    # kron(I, T11) - kron(T22^T, I), which acts on Y stacked column by column
+    K = np.eye(n - s)[:, None, :, None] * T11[None, :, None, :]
+    K = (K - T22.T[:, None, :, None] * np.eye(s)[None, :, None, :]).reshape(s * (n - s), -1)
+    Y = np.linalg.solve(K, T12.reshape(-1, order="F")).reshape(s, n - s, order="F")
+    P = np.zeros((n, n), dtype=complex)
+    P[:s, :s] = np.eye(s)
+    P[:s, s:] = Y
+    return Q @ P @ Q.conj().T
+
+
+def probe_nilpotent_index(A: np.ndarray, lam: complex, proj: np.ndarray, norm_A: float) -> int:
+    """Smallest m with (A - lambda I)^m pi = 0, probed for every cluster with
+    ``np.linalg.norm(., 2)``, simple eigenvalues included (norm_A = |A|_2)."""
+    n = A.shape[0]
+    shifted = A.astype(complex) - lam * np.eye(n)
+    scale = max(1.0, norm_A)
+    B = proj
+    for m in range(1, n + 1):
+        B = shifted @ B
+        if np.linalg.norm(B, 2) <= max(100.0 * DEFAULT_TOL, 1e-6) * scale**m:
+            return m
+    return n
 
 
 def union_find_clusters(eigs: np.ndarray, radius: float) -> list[list[int]]:

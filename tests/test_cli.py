@@ -718,6 +718,25 @@ def test_star_check_reports_only_the_identity_it_checks(name, capsys):
     }
 
 
+def test_star_check_refuses_when_every_replicate_is_aborted(tmp_path, capsys):
+    # single_type_binary at n = 1000: r_t and the star rows fit float64, but
+    # the population reaches ~2^1000 and every replicate outgrows the overflow
+    # guard, so no residual is left to check
+    d = preset("single_type_binary").to_dict()
+    d["run"]["n"] = 1000
+    path = write_yaml(tmp_path, "n1000.yaml", d)
+    rc, out, err = run_cli(["star-check", "--scenario", path, "--out", str(tmp_path / "s.json")], capsys)
+    assert rc == EXIT_ASSUMPTION and not err
+    rep = json_payload(out)
+    assert rep == strict_json((tmp_path / "s.json").read_text())
+    assert rep == {
+        "replicates": 64,
+        "time": 1000,
+        "verdict": "REFUSED",
+        "reason": "all 64 replicates were aborted at the overflow guard; none was checked",
+    }
+
+
 def test_star_check_rejects_noisy_characteristic(tmp_path, capsys):
     d = preset("cross_feed").to_dict()
     d["characteristic"] = {

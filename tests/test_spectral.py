@@ -4,8 +4,11 @@ The invariant battery runs over a dozen hand-picked mean matrices covering
 one type, symmetric pairs, a true Jordan block on the half-power circle, a
 complex critical triple, reducible/triangular cases, repeated roots, and the
 spectral-radius-one boundary.  The projections are also compared with
-LAPACK's ordered Schur form (``oracles.schur_cluster_projection``) on that
-suite and on a seeded sweep of random non-negative matrices.
+LAPACK's ordered Schur form (``oracles.schur_cluster_projection``, swapped in
+for each set ``spectral._cluster_projections`` is given) on that suite and
+on a seeded sweep of random non-negative matrices, and bit for bit with the
+one-set deflation (``oracles.deflation_cluster_projection``) that the
+stacked pass replaces.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from cmjsim.spectral import (
     projected_power,
     spectral_decompose,
 )
+from cmjsim import PRESETS, build_model
 from oracles import matrix_power_restricted
 
 SUITE = {
@@ -308,17 +312,26 @@ def test_non_finite_entries_are_rejected(bad):
         spectral_decompose(np.array([[2.0, bad], [1.0, 2.0]]))
 
 
+def _groups(eigs, radius):
+    """The clusters of ``spectral._cluster_values``, after checking that each
+    comes with its members' mean."""
+    pairs = spectral._cluster_values(eigs, radius)
+    for mean, idxs in pairs:
+        assert mean == np.mean(eigs[idxs])
+    return [idxs for _, idxs in pairs]
+
+
 @pytest.mark.parametrize("eigs", [[0.0, 0.9, 1.8], [0.0, 1.8, 0.9], [1.8, 0.0, 0.9]])
 def test_clustering_links_a_chain_into_one_cluster(eigs):
     # |a - b| and |b - c| are within the radius, |a - c| is not; in the last
     # two orders the middle value comes last and joins two clusters
-    assert spectral._cluster_values(np.array(eigs, dtype=complex), 1.0) == [[0, 1, 2]]
+    assert _groups(np.array(eigs, dtype=complex), 1.0) == [[0, 1, 2]]
 
 
 def test_clustering_keeps_distant_values_apart():
     # canonical order: modulus descending, then real part descending, then imaginary ascending
     eigs = np.array([3.0, 0.0, 2 + 1.5j, 2 - 1.5j, 1.5], dtype=complex)
-    assert spectral._cluster_values(eigs, 1.0) == [[0], [3], [2], [4], [1]]
+    assert _groups(eigs, 1.0) == [[0], [3], [2], [4], [1]]
 
 
 def test_clustering_equals_union_find_on_random_values():
@@ -327,7 +340,7 @@ def test_clustering_equals_union_find_on_random_values():
         n = int(rng.integers(1, 10))
         # half-integer grid: repeated values, exact-radius links and long chains
         eigs = (rng.integers(-6, 7, n) + 1j * rng.integers(-3, 4, n)) * 0.5
-        assert spectral._cluster_values(eigs, 1.0) == oracles.union_find_clusters(eigs, 1.0)
+        assert _groups(eigs, 1.0) == oracles.union_find_clusters(eigs, 1.0)
 
 
 def test_stacked_residuals_equal_the_per_cluster_loop(decomposed):
@@ -418,12 +431,13 @@ def _decompose_or_refusal(A):
         return type(exc)
 
 
-def _against_oracle(A, monkeypatch):
-    """(library result, result with the projector swapped for the oracle)."""
-    ours = _decompose_or_refusal(A)
+def _against_oracle(A, monkeypatch, projection=oracles.schur_cluster_projection, outcome=_decompose_or_refusal):
+    """(library outcome, outcome with each set's projection taken from the
+    oracle ``projection``, one set at a time in the order they are given)."""
+    ours = outcome(A)
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_cluster_projection", oracles.schur_cluster_projection)
-        ref = _decompose_or_refusal(A)
+        m.setattr(spectral, "_cluster_projections", lambda A, eigs, sets: [projection(A, eigs, s) for s in sets])
+        ref = outcome(A)
     return ours, ref
 
 
@@ -465,6 +479,80 @@ def test_fourfold_jordan_block_decomposes(monkeypatch):
     assert _pi_gap(ours, ref) <= 1e-9
     sub = [c for c in ours.clusters if c.label == SUB]
     assert len(sub) == 1 and sub[0].multiplicity == 4 and sub[0].nilpotent_index == 4
+
+
+def _outcome(A):
+    try:
+        return spectral_decompose(A)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def _preset_matrices():
+    return [build_model(PRESETS[name]["model"]).A for name in PRESETS]
+
+
+def _bitwise_against_one_set_deflation(A, monkeypatch):
+    """Decompose A with the stacked pass and with the one-set deflation per
+    set; every projection must carry the same bits, a refusal the same type
+    and message.  Returns the stacked result."""
+    ours, ref = _against_oracle(A, monkeypatch, oracles.deflation_cluster_projection, _outcome)
+    if not isinstance(ref, SpectralData):
+        assert ours == ref, A.tolist()
+        return ours
+    assert isinstance(ours, SpectralData), (A.tolist(), ours)
+    assert len(ours.clusters) == len(ref.clusters)
+    for a, b in zip(ours.clusters, ref.clusters):
+        assert np.array_equal(a.projection, b.projection), A.tolist()
+        assert a.nilpotent_index == b.nilpotent_index
+    for i in (1, 2, 3):
+        assert np.array_equal(ours.pi(i), ref.pi(i)), A.tolist()
+    assert np.array_equal(ours.A1_inv, ref.A1_inv) and np.array_equal(ours.A2_inv, ref.A2_inv)
+    return ours
+
+
+def test_stacked_deflation_equals_one_set_deflation_on_suite_and_presets(monkeypatch):
+    for A in [np.array(SUITE[name], dtype=float) for name in sorted(SUITE)] + _preset_matrices():
+        assert isinstance(_bitwise_against_one_set_deflation(A, monkeypatch), SpectralData)
+
+
+def test_stacked_deflation_equals_one_set_deflation_on_seeded_sweep(monkeypatch):
+    # the oracle sweep's kinds, and integer means of up to five types, whose
+    # repeated and conjugate eigenvalues fill classes of several clusters
+    rng = np.random.default_rng(31)
+    matrices = _oracle_matrices(seed=2031, count=400)
+    matrices += [rng.integers(0, 4, (J, J)).astype(float) for J in rng.integers(2, 6, 200)]
+    seen = {"jordan": 0, "complex": 0, "union": 0, "simple": 0, "refused": 0}
+    for A in matrices:
+        S = _bitwise_against_one_set_deflation(A, monkeypatch)
+        if not isinstance(S, SpectralData):
+            seen["refused"] += 1
+            continue
+        seen["jordan"] += any(c.nilpotent_index > 1 for c in S.clusters)
+        seen["complex"] += any(c.eigenvalue.imag != 0 for c in S.clusters)
+        seen["union"] += len(S.clusters) > len({c.label for c in S.clusters})
+        norm_A = float(np.linalg.norm(A, 2))
+        for c in S.clusters:
+            if c.multiplicity == 1:
+                # a simple eigenvalue's Jordan block is 1 x 1: the probe agrees
+                assert oracles.probe_nilpotent_index(A, c.eigenvalue, c.projection, norm_A) == 1
+                seen["simple"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_first_failing_set_in_the_given_order_raises():
+    # eigs = (2, 2, 3, 5): a set holding one of the two 2s is inconsistent at
+    # its first deflation; the set of size 2 fails in a later stack than the
+    # set of size 1, yet the set given first must raise, with its own message
+    A = np.diag([2.0, 2.0, 3.0, 5.0])
+    eigs = np.sort_complex(np.linalg.eigvals(A))
+    for sets in ([[3], [0, 2], [1]], [[3], [1], [0, 2]], [[0, 2], [2, 3]]):
+        with pytest.raises(ArithmeticError) as want:
+            [oracles.deflation_cluster_projection(A, eigs, s) for s in sets]
+        with pytest.raises(ArithmeticError) as got:
+            spectral._cluster_projections(A, eigs, sets)
+        assert type(got.value) is ArithmeticError and str(got.value) == str(want.value)
+    assert "after 0 of 2 deflations" in str(got.value)
 
 
 # ---------------------------------------------------------------------------
