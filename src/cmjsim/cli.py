@@ -117,9 +117,10 @@ def _row_floats(row) -> np.ndarray:
 
 
 def build_characteristic(scn: Scenario, model, S) -> tuple[Characteristic, np.ndarray | None]:
-    """Characteristic named by the scenario, plus the indicator row when the
-    kind admits the independent direct-route variance.  Only ``kesten_stigum``
-    reads the spectral data ``S``; the other kinds take None."""
+    """Characteristic named by the scenario, plus its row for ``kind:
+    indicator`` (None otherwise), which only the benchmark reads.  Only
+    ``kesten_stigum`` reads the spectral data ``S``; the other kinds take
+    None."""
     spec = scn.characteristic
     kind = spec["kind"]
     if kind == "indicator":
@@ -200,8 +201,7 @@ class _Pipeline:
     @cached_property
     def const(self) -> TheoreticalConstants:
         S = self.S  # a spectral refusal comes before the characteristic's
-        phi, a_row = self.characteristic
-        return compute_constants(a_row if a_row is not None else phi, S, self.model)
+        return compute_constants(self.characteristic[0], S, self.model)
 
     def batch(self):
         scn, const = self.scn, self.const

@@ -113,20 +113,23 @@ def find_l_star(sigma_l: tuple[float, ...]) -> int | None:
     return max(hits) if hits else None
 
 
-def _B_row(mt: dict, S: SpectralData, k: int) -> tuple[np.ndarray, float]:
-    """``compute_B``'s row and the size ``sum_m |E phi(m)| |P|_F`` of its
-    terms ``E phi(m) P``, which scales the roundoff of forming it."""
-    row = np.zeros(S.J, dtype=complex)
-    size = 0.0
+def _B_rows(mt: dict, S: SpectralData, ks: list) -> tuple[np.ndarray, np.ndarray]:
+    """``compute_B``'s row for each lag of ``ks`` and the size ``sum_m |E phi(m)|
+    |P|_F`` of its terms ``E phi(m) P``, which scales the roundoff of forming
+    it: one pass over the mean table, each age adding its term to every row."""
+    rows = np.zeros((len(ks), S.J), dtype=complex)
+    size = np.zeros(len(ks))
     for m, phi_row in mt.items():
-        l = k - 1 - m
-        if k <= 0:
-            P = -projected_power(S, 1, l) if l < 0 else projected_power(S, 2, l) + projected_power(S, 3, l)
-        else:
-            P = -(projected_power(S, 1, l) + projected_power(S, 2, l)) if l < 0 else projected_power(S, 3, l)
-        row = row + phi_row @ P
-        size += _fro(phi_row) * _fro(P)
-    return row, size
+        phi_size = _fro(phi_row)
+        for i, k in enumerate(ks):
+            l = k - 1 - m
+            if k <= 0:
+                P = -projected_power(S, 1, l) if l < 0 else projected_power(S, 2, l) + projected_power(S, 3, l)
+            else:
+                P = -(projected_power(S, 1, l) + projected_power(S, 2, l)) if l < 0 else projected_power(S, 3, l)
+            rows[i] += phi_row @ P
+            size[i] += phi_size * _fro(P)
+    return rows, size
 
 
 def compute_B(mt: dict, S: SpectralData, k: int) -> np.ndarray:
@@ -136,7 +139,7 @@ def compute_B(mt: dict, S: SpectralData, k: int) -> np.ndarray:
     pi3 on l >= 0 when k > 0.  Negative powers act on the corresponding
     invariant subspace.  For a finite mean table every branch is a finite
     sum."""
-    return _B_row(mt, S, k)[0]
+    return _B_rows(mt, S, [k])[0][0]
 
 
 def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) -> tuple[float, float, dict]:
@@ -155,20 +158,15 @@ def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) 
     roundoff ``n eps sum |term|``; and ``(2 |b| delta + delta^2) |M|_2`` for
     each window row b (``|X|_2`` for each first row), where delta is the
     row's formation roundoff plus the decomposition's largest residual,
-    both relative to the size of its terms (``_B_row``)."""
+    both relative to the size of its terms (``_B_rows``)."""
     ages, _, noise_var = phi.moments()
     mt = phi.mean_table()
     M = mixing_covariance(model, S.u)
 
-    keys = set(ages) | {0, 1}
-    if mt:
-        keys.add(max(mt) + 1)
+    keys = set(ages) | {0, 1} | {k + 1 for k in mt}
     lo, hi = min(keys), max(keys)
     ks = np.arange(lo - 1, hi + 2)  # the window and the first row of each tail
-    if mt:
-        B, size = (np.array(part) for part in zip(*(_B_row(mt, S, k) for k in ks.tolist())))
-    else:  # _B_row's zero rows and sizes, bit for bit, without its call per lag (coeff-only phi1)
-        B, size = np.zeros((len(ks), S.J), dtype=complex), np.zeros(len(ks))
+    B, size = _B_rows(mt, S, ks.tolist())
     coeff = np.zeros((len(ks), S.J), dtype=complex)
     coeff[[k - lo + 1 for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
     noise = np.zeros(len(ks))
@@ -225,20 +223,14 @@ def compute_constants(
     model: BranchingModel,
     eps_tail: float = 1e-14,
 ) -> TheoreticalConstants:
-    """Assemble every limit constant for a characteristic (or an age-0
-    indicator row, which also unlocks the independent sigma*^2 route).
+    """Assemble every limit constant for a characteristic, or for a row read
+    as its indicator characteristic ``make_indicator_characteristic(row)``.
+    A deterministic characteristic whose only row, if any, is at age 0 also
+    gets the independent sigma*^2 route, on that row or on zeros.
 
     ``eps_tail`` is accepted and changes nothing: every series tail is
     summed in closed form, with no truncation target."""
-    a_row = None
-    if isinstance(source, Characteristic):
-        phi = source
-        if phi.is_deterministic and set(phi.base) == {0}:
-            a_row = phi.base[0]  # a pure age-0 indicator unlocks the direct route
-    else:
-        a_row = np.asarray(source, dtype=complex).reshape(-1)
-        phi = make_indicator_characteristic(a_row)
-
+    phi = source if isinstance(source, Characteristic) else make_indicator_characteristic(source)
     x1, x2 = compute_x1_x2(phi.mean_table(), S)
     sigma_l = compute_sigma_l(x2, S, model)
     l_star = find_l_star(sigma_l)
@@ -247,9 +239,9 @@ def compute_constants(
     sigma_star2 = None
     sigma_star2_err = None
     notes: dict = {"assumption_sums": assumption_sums(phi, S, model)}
-    if a_row is not None:
+    if phi.is_deterministic and set(phi.base) <= {0}:
         try:
-            sigma_star2, sigma_star2_err = compute_sigma_star2(a_row, S, model)
+            sigma_star2, sigma_star2_err = compute_sigma_star2(phi.base.get(0, np.zeros(phi.J)), S, model)
         except ValueError as exc:
             notes["sigma_star2_skipped"] = str(exc)
 
