@@ -113,7 +113,7 @@ def find_l_star(sigma_l: tuple[float, ...]) -> int | None:
     return max(hits) if hits else None
 
 
-def _B_rows(mt: dict, S: SpectralData, ks: list) -> tuple[np.ndarray, np.ndarray]:
+def _B_rows(mt: dict, S: SpectralData, ks) -> tuple[np.ndarray, np.ndarray]:
     """``compute_B``'s row for each lag of ``ks`` and the size ``sum_m |E phi(m)|
     |P|_F`` of its terms ``E phi(m) P``, which scales the roundoff of forming
     it: one pass over the mean table, each age adding its term to every row."""
@@ -163,10 +163,10 @@ def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) 
     mt = phi.mean_table()
     M = mixing_covariance(model, S.u)
 
-    keys = set(ages) | {0, 1} | {k + 1 for k in mt}
+    keys = {0, 1, *ages, *(k + 1 for k in mt)}
     lo, hi = min(keys), max(keys)
     ks = np.arange(lo - 1, hi + 2)  # the window and the first row of each tail
-    B, size = _B_rows(mt, S, ks.tolist())
+    B, size = _B_rows(mt, S, range(lo - 1, hi + 2))
     coeff = np.zeros((len(ks), S.J), dtype=complex)
     coeff[[k - lo + 1 for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
     noise = np.zeros(len(ks))
