@@ -265,11 +265,11 @@ def _cmd_verify(args) -> int:
         return refuse("standing assumptions fail: " + ", ".join(failed))
     try:
         const = run.const
-    except ArithmeticError as exc:  # the constants cannot be certified
+        # B_table is the constants subcommand's: here it would be most of the output
+        reports["constants"] = _fields(const, drop=("B_table",))
+        batch = run.batch()
+    except ArithmeticError as exc:  # constants that cannot be certified, or an r_t outside float64
         return refuse(str(exc))
-    batch = run.batch()
-    # B_table is the constants subcommand's: here it would be most of the output
-    reports["constants"] = _fields(const, drop=("B_table",))
     try:
         report = verify_dichotomy(
             batch, const, run.S, w_min=scn.run["w_min"], requested_case=scn.run["case"]
@@ -314,8 +314,8 @@ def _cmd_star_check(args) -> int:
         reason = f"all {reps} replicates were aborted at the overflow guard; none was checked"
         _emit({"replicates": reps, "time": n, "verdict": "REFUSED", "reason": reason}, args.out)
         return EXIT_ASSUMPTION
-    resid =np.abs(batch.zphi[(1, n)][keep] - (batch.zphi[(0, n)][keep] - ez)) / scale
-    worst = float(resid.max(initial=0.0))
+    resid = np.abs(batch.zphi[(1, n)][keep] - (batch.zphi[(0, n)][keep] - ez)) / scale
+    worst = float(resid.max())
     tol = 1e-8
     passed = worst <= tol
     report = {

@@ -532,7 +532,6 @@ R_T_OUTSIDE_FLOAT64 = "error: normalization r_t at t = 2100 lies outside float64
 @pytest.mark.parametrize("command, code, err_text", [
     ("analyze", EXIT_OK, ""),
     ("constants", EXIT_OK, ""),
-    ("verify", EXIT_ASSUMPTION, R_T_OUTSIDE_FLOAT64),
     ("simulate", EXIT_ASSUMPTION, R_T_OUTSIDE_FLOAT64),
     ("star-check", EXIT_ASSUMPTION, "error: star transform row at age 1025 lies outside float64 range\n"),
 ])
@@ -546,6 +545,33 @@ def test_large_n_refusals_name_their_cause(command, code, err_text, tmp_path, ca
         warnings.simplefilter("error")
         rc, _, err = run_cli([command, "--scenario", path, "--out", str(tmp_path / "out")], capsys)
     assert (rc, err) == (code, err_text)
+
+
+def test_verify_refuses_an_r_t_outside_float64_with_its_report(tmp_path, capsys):
+    # verify reaches r_n = 2^1050 only after the constants, and refuses the
+    # run as it refuses any other: the JSON on stdout and in --out, nothing on stderr
+    d = preset("single_type_binary").to_dict()
+    d["run"]["n"] = 2100
+    path = write_yaml(tmp_path, "large_n.yaml", d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(["verify", "--scenario", path, "--out", str(tmp_path / "r.json")], capsys)
+    assert rc == EXIT_ASSUMPTION and not err
+    rep = json_payload(out)
+    assert rep == strict_json((tmp_path / "r.json").read_text())
+    assert rep.keys() == {"assumptions", "constants", "verdict", "reason"}
+    assert rep["verdict"] == "REFUSED" and rep["constants"]["case"] == "i"
+    assert rep["reason"] == R_T_OUTSIDE_FLOAT64.removeprefix("error: ").rstrip()
+
+
+def test_verify_keeps_a_table_past_the_horizon_a_usage_error(tmp_path, capsys):
+    d = preset("two_type_mirror").to_dict()
+    d["characteristic"] = {"kind": "table", "base": {-30: ["1", "-1"]}}
+    del d["run"]["case"]
+    path = write_yaml(tmp_path, "deep.yaml", d)
+    rc, out, err = run_cli(["verify", "--scenario", path, "--out", str(tmp_path / "r.json")], capsys)
+    assert (rc, out) == (EXIT_USAGE, "") and not (tmp_path / "r.json").exists()
+    assert err.startswith("error: table: table reaches age -30 at time 16")
 
 
 def test_uncertified_tail_model_now_certifies(tmp_path, capsys):
