@@ -17,14 +17,17 @@ over scenario files derived from presets that reach what no preset does:
 (``asym_leak_custom``, ``asym_leak_custom@1``, ``asym_leak_custom@1100``);
 ``single_type_binary`` counted by phi1 (``single_type_binary+kesten_stigum``);
 ``two_type_mirror`` counted by a base table at ages -1, 0 and 1 with a
-trajectory and no requested case (``two_type_mirror+table``); and the
-``two_type_mirror`` indicator at one replicate (``two_type_mirror@1``).
-Four more files reach the degenerate scale and a mean matrix with no
-Perron root: ``single_type_binary`` counted by an all-zero table with no
-requested case, whose verify checks that |T| decays
-(``single_type_binary+zero_table``); a one-type model that dies out in
-every replicate at seed 11, whose verify has no survivor to check decay on
-(``extinct@11``); and two two-type models whose mean matrix is zero
+trajectory and no requested case (``two_type_mirror+table``); the
+``two_type_mirror`` indicator at one replicate (``two_type_mirror@1``);
+and ``two_type_mirror`` counted by its row as a base table at age 0, whose
+lines equal the preset's (``two_type_mirror+age0_table``).  Five more files
+reach the degenerate scale and a mean matrix with no Perron root:
+``single_type_binary`` counted by an all-zero table with no requested
+case, whose verify checks that |T| decays
+(``single_type_binary+zero_table``), and by the all-zero indicator row,
+whose lines equal the zero table's (``single_type_binary+zero_row``); a
+one-type model that dies out in every replicate at seed 11, whose verify
+has no survivor to check decay on (``extinct@11``); and two two-type models whose mean matrix is zero
 (``zero_matrix``) or nilpotent (``nilpotent``), the two causes
 ``spectral_decompose`` names.  One more meets every standing assumption
 and has rho/s1^2 = 0.9984: its descending sigma2 tail keeps terms above
@@ -83,6 +86,7 @@ RUNS = (
 )
 POOLED = ("asym_leak", 1100)
 TABLE = {"kind": "table", "base": {-1: ["1", "0"], 0: ["1", "-1"], 1: ["0", "1"]}}
+AGE0_TABLE = {"kind": "table", "base": {0: ["1", "-1"]}}
 MASK = "<out>"
 EXTINCT = {
     "schema": 1,
@@ -167,10 +171,12 @@ def _derived(preset):
     del table["run"]["case"]
     yield "two_type_mirror+table", table
     yield "two_type_mirror@1", _replicates(mirror, 1)
+    yield "two_type_mirror+age0_table", {**mirror, "characteristic": AGE0_TABLE}
     zero = preset("single_type_binary").to_dict()
     zero["characteristic"] = {"kind": "table", "base": {}}
     del zero["run"]["case"]
     yield "single_type_binary+zero_table", zero
+    yield "single_type_binary+zero_row", {**zero, "characteristic": {"kind": "indicator", "row": ["0"]}}
     yield "extinct@11", EXTINCT
     yield "zero_matrix", ZERO_MATRIX
     yield "nilpotent", NILPOTENT

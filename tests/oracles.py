@@ -17,9 +17,10 @@ chunk-stepped one must equal, and the series engine's weights, mean
 tables and normal CDF taken one term at a time.
 None of it shares code with the package internals, so agreement is evidence
 rather than tautology; the exceptions are ``per_cell_sigma2`` and
-``eager_b_table``, the per-cell noise sum and the per-k construction of the
-B(k) table that the library's must equal, which reuse the library's rows
-and tails because only the noise sum and the order of the build differ,
+``eager_b_table``, the per-cell noise sum and the per-lag construction of
+the B(k) table that the library's one pass over the mean table must equal,
+which reuse the library's restricted powers and tails because only the
+noise sum and the order of the build differ,
 and the terms of T in ``per_block_columns``, because only where T is formed
 differs.
 """
@@ -36,11 +37,11 @@ import scipy.stats
 
 from cmjsim import BranchingModel
 from cmjsim.characteristics import Characteristic
-from cmjsim.constants import compute_B
 from cmjsim.model import mixing_covariance
 from cmjsim.simulator import BLOCK, BatchResult, normalization
 from cmjsim.spectral import (
     DEFAULT_TOL,
+    _fro,
     m_norm2,
     power_scaled,
     projected_power,
@@ -665,19 +666,33 @@ def reference_variance(phi: Characteristic, k: int, model: BranchingModel) -> np
 # ---------------------------------------------------------------------------
 
 
+def per_lag_b_row(mt: dict, S, k: int) -> tuple[np.ndarray, float]:
+    """``B(k)`` and the size ``sum_m |E phi(m)| |P|_F`` of its terms, one lag
+    at a time: the mean table's terms for this k alone, in ascending age."""
+    row = np.zeros(S.J, dtype=complex)
+    size = 0.0
+    for m, phi_row in mt.items():
+        l = k - 1 - m
+        if k <= 0:
+            P = -projected_power(S, 1, l) if l < 0 else projected_power(S, 2, l) + projected_power(S, 3, l)
+        else:
+            P = -(projected_power(S, 1, l) + projected_power(S, 2, l)) if l < 0 else projected_power(S, 3, l)
+        row = row + phi_row @ P
+        size += _fro(phi_row) * _fro(P)
+    return row, size
+
+
 def eager_b_table(phi: Characteristic, S, model: BranchingModel) -> dict:
-    """``{k: B(k)}`` over ``compute_sigma2``'s window, one ``compute_B`` call
-    per k in ascending order.  It runs on the library's own rows, so it
-    checks which rows the table holds and in which order, not the rows
-    themselves."""
+    """``{k: B(k)}`` over ``compute_sigma2``'s window, one ``per_lag_b_row``
+    call per k in ascending order."""
     return per_cell_sigma2(phi, S, model)[1]
 
 
 def per_cell_sigma2(phi: Characteristic, S, model: BranchingModel):
     """``(value, {k: B(k)})`` as ``compute_sigma2`` forms them, with each
     age's noise term summed cell by cell, in the noise table's order, and
-    each row of the window by its own ``compute_B`` call; the two tails are
-    the library's closed forms on the same first rows."""
+    each row of the window by its own ``per_lag_b_row`` call; the two tails
+    are the library's closed forms on the same first rows."""
     mt = phi.mean_table()
     M = mixing_covariance(model, S.u)
     noise_u: dict[int, float] = {}
@@ -689,7 +704,7 @@ def per_cell_sigma2(phi: Characteristic, S, model: BranchingModel):
         keys.add(max(mt) + 1)
     lo, hi = min(keys), max(keys)
     ks = np.arange(lo - 1, hi + 2)
-    B = np.array([compute_B(mt, S, k) for k in ks]) if mt else np.zeros((len(ks), S.J), dtype=complex)
+    B = np.array([per_lag_b_row(mt, S, k)[0] for k in ks])
     coeff = np.zeros((len(ks), S.J), dtype=complex)
     coeff[[k - lo + 1 for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
     noise = np.zeros(len(ks))

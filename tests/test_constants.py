@@ -118,6 +118,34 @@ def test_dual_routes_agree_on_all_eligible_presets():
         assert abs(c.sigma_star2 - c.sigma2) <= 1e-6 * max(1.0, abs(c.sigma2)), name
 
 
+def _bits(x):
+    """A value with every array and number as its raw bytes, containers item by item."""
+    if dataclasses.is_dataclass(x):
+        x = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return [(k, _bits(v)) for k, v in x.items()]
+    if isinstance(x, (tuple, list)):
+        return [_bits(v) for v in x]
+    if isinstance(x, (np.ndarray, np.generic, float, complex)):
+        arr = np.asarray(x)
+        return arr.dtype.str, arr.shape, arr.tobytes()
+    return x
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_a_row_its_indicator_and_its_age0_table_take_one_road(name):
+    # the route to sigma*^2 is decided from the characteristic alone, so each
+    # form of one age-0 row gives the same constants, the zero row included
+    b = bundle(name)
+    for row in (b.row, np.zeros(b.model.J)):
+        forms = (row, make_indicator_characteristic(row), Characteristic(J=b.model.J, base={0: row}, label="table"))
+        row_bits, *others = (_bits(compute_constants(form, b.S, b.model)) for form in forms)
+        assert all(bits == row_bits for bits in others)
+    zero = compute_constants(Characteristic(J=b.model.J, label="table"), b.S, b.model)
+    assert _bits(zero) == row_bits
+    assert (zero.sigma_star2, zero.sigma_star2_error) == (0.0, 0.0)
+
+
 # -- x1 / x2 and the centering table ------------------------------------------
 
 

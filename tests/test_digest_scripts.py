@@ -6,7 +6,9 @@ trees by what the program computes and prints.  They reach into the library
 ``save_scenario``) and into the benchmark
 (``calibration.asym_leak_custom``, ``constants_sweep.inputs``), so a renamed
 name would otherwise surface only when someone runs them.  The digests
-themselves depend on numpy and BLAS, so only their shape is checked here."""
+themselves depend on numpy and BLAS, so only their shape is checked here,
+and the equalities between lines of one run that a derived scenario
+registers."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import pytest
 
 from cmjsim.cli import main
 from cmjsim.presets import preset
-from cmjsim.scenario import scenario_from_dict
+from cmjsim.scenario import save_scenario, scenario_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,3 +58,19 @@ def test_cli_digest_derives_valid_scenario_files(script):
     assert docs
     for _, doc in docs:
         scenario_from_dict(doc)
+
+
+def test_cli_digest_registers_each_age0_form_on_one_road(script, tmp_path):
+    # a row and its age-0 table, and the zero row and the empty table, print the same constants
+    cli_digest = script("cli_digest")
+    docs = dict(cli_digest._derived(preset))
+
+    def constants(name: str):
+        if name in docs:
+            path = tmp_path / f"{name}.yaml"
+            save_scenario(scenario_from_dict(docs[name]), path)
+            name = str(path)
+        return cli_digest._run(main, name, "constants", ())
+
+    assert constants("two_type_mirror+age0_table") == constants("two_type_mirror")
+    assert constants("single_type_binary+zero_row") == constants("single_type_binary+zero_table")
