@@ -27,9 +27,9 @@ case, whose verify checks that |T| decays
 (``single_type_binary+zero_table``), and by the all-zero indicator row,
 whose lines equal the zero table's (``single_type_binary+zero_row``); a
 one-type model that dies out in every replicate at seed 11, whose verify
-has no survivor to check decay on (``extinct@11``); and two two-type models whose mean matrix is zero
-(``zero_matrix``) or nilpotent (``nilpotent``), the two causes
-``spectral_decompose`` names.  One more meets every standing assumption
+has no survivor to check decay on (``extinct@11``); and two two-type
+models whose mean matrix is zero (``zero_matrix``) or nilpotent
+(``nilpotent``), the two causes ``spectral_decompose`` names.  One more meets every standing assumption
 and has rho/s1^2 = 0.9984: its descending sigma2 tail keeps terms above
 1e-14 for about 10^4 lags, and the closed-form tail gives sigma2 = 50
 (``uncertified_tail``).  Two count ``asym_leak``'s row plus a

@@ -119,8 +119,7 @@ def _row_floats(row) -> np.ndarray:
 def build_characteristic(scn: Scenario, model, S) -> tuple[Characteristic, np.ndarray | None]:
     """Characteristic named by the scenario, plus its row for ``kind:
     indicator`` (None otherwise), which only the benchmark reads.  Only
-    ``kesten_stigum`` reads the spectral data ``S``; the other kinds take
-    None."""
+    ``kesten_stigum`` reads the spectral data ``S``; the others take None."""
     spec = scn.characteristic
     kind = spec["kind"]
     if kind == "indicator":

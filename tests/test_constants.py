@@ -139,11 +139,11 @@ def test_a_row_its_indicator_and_its_age0_table_take_one_road(name):
     b = bundle(name)
     for row in (b.row, np.zeros(b.model.J)):
         forms = (row, make_indicator_characteristic(row), Characteristic(J=b.model.J, base={0: row}, label="table"))
-        row_bits, *others = (_bits(compute_constants(form, b.S, b.model)) for form in forms)
-        assert all(bits == row_bits for bits in others)
-    zero = compute_constants(Characteristic(J=b.model.J, label="table"), b.S, b.model)
-    assert _bits(zero) == row_bits
-    assert (zero.sigma_star2, zero.sigma_star2_error) == (0.0, 0.0)
+        consts = [compute_constants(form, b.S, b.model) for form in forms]
+        assert all(_bits(c) == _bits(consts[0]) for c in consts[1:])
+    # the zero row's table keeps no row at all, and still takes the direct route
+    assert Characteristic(J=b.model.J, base={0: row}).base == {}
+    assert all((c.sigma_star2, c.sigma_star2_error) == (0.0, 0.0) for c in consts)
 
 
 # -- x1 / x2 and the centering table ------------------------------------------
