@@ -43,7 +43,7 @@ Bernoulli-rounded law as the presets build them, under a labelling whose
 projections ``spectral_decompose`` refuses: ``analyze``, ``constants`` and
 ``simulate`` print that refusal, ``verify`` refuses the model as not
 positively regular, and ``star-check``, which reads no spectral data, runs
-(``deflation_refused``).  The last two are ``single_type_binary`` at
+(``deflation_refused``).  Two more are ``single_type_binary`` at
 ``run.n: 2100``, where r_n = 2^1050 and the star row R(1025) = 2^1024 leave
 float64: ``verify`` and ``simulate`` refuse the r_t and ``star-check`` the
 row, each with exit 2, while ``analyze`` and ``constants`` run
@@ -51,6 +51,14 @@ row, each with exit 2, while ``analyze`` and ``constants`` run
 fit but every replicate outgrows the overflow guard: ``verify`` and
 ``simulate`` refuse the abort rate and ``star-check`` a run with no
 replicate left to check, each with exit 2 (``single_type_binary@n1000``).
+The last two reach refusal causes no other line does: ``two_type_mirror``
+counted by a base table at age -1500 with no requested case, where
+pi1 A^k pi1 is not representable in float64 at k = 513, which
+``constants``, ``verify`` and ``simulate`` refuse, and a star row leaves
+float64, which ``star-check`` refuses, while ``analyze`` runs
+(``two_type_mirror+far_age``); and ``cross_feed`` at 80 replicates with
+``run.case: ii``, whose ``verify`` refuses the requested case
+(``cross_feed+case_ii``).
 
 Each line hashes the run's stdout, stderr (with a fresh warning registry,
 so a run prints its warnings as it would alone), exit code and every
@@ -87,6 +95,7 @@ RUNS = (
 POOLED = ("asym_leak", 1100)
 TABLE = {"kind": "table", "base": {-1: ["1", "0"], 0: ["1", "-1"], 1: ["0", "1"]}}
 AGE0_TABLE = {"kind": "table", "base": {0: ["1", "-1"]}}
+FAR_AGE = {"kind": "table", "base": {-1500: ["1", "-1"]}}
 MASK = "<out>"
 EXTINCT = {
     "schema": 1,
@@ -198,6 +207,13 @@ def _derived(preset):
     large_n["run"]["n"] = 2100
     yield "single_type_binary@n2100", large_n
     yield "single_type_binary@n1000", {**large_n, "run": {**large_n["run"], "n": 1000}}
+    far = preset("two_type_mirror").to_dict()
+    far["characteristic"] = FAR_AGE
+    del far["run"]["case"]
+    yield "two_type_mirror+far_age", far
+    case_ii = preset("cross_feed").to_dict()
+    case_ii["run"].update(case="ii", replicates=80)
+    yield "cross_feed+case_ii", case_ii
 
 
 def digests(tree: Path):
