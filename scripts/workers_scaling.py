@@ -63,7 +63,7 @@ def measure(tree: Path, repeats: int) -> dict:
     from cmjsim import cli
 
     run = cli._Pipeline(argparse.Namespace(scenario=PRESET, seed=None, workers=None))
-    scn, phi = run.scn, run.characteristic[0]
+    scn, phi = run.scn, run.characteristic
 
     def batch(R: int, workers: int) -> None:
         cmjsim.run_batch(

@@ -9,10 +9,13 @@ Subcommands::
     star-check  pathwise recentering identity for the star transform
 
 Exit codes: 0 success / statistical PASS; 1 usage or schema error (the
-message names the offending key); 2 model-assumption failure, requested-case
-mismatch, an unusable run (abort rate, no star-check replicate left unaborted,
-fewer than 50 usable survivors, or a degenerate scale with none), or a value
-outside float64 range (such as r_t at a large n); 3 statistical FAIL.
+message names the offending key, on stderr); 2 a refusal; 3 statistical FAIL.
+A refusal is one form in every subcommand: the report formed so far, with
+``verdict: REFUSED`` and a ``reason`` naming the cause (a model-assumption
+failure, a requested-case mismatch, an unusable run, or a value outside
+float64 range), on stdout and in ``--out`` (``simulate``: stdout only).
+``analyze`` and ``constants`` on a model that fails its assumptions print
+their whole report and exit 2.
 """
 
 from __future__ import annotations
@@ -175,14 +178,23 @@ class _Pipeline:
     -> spectral_decompose -> build_characteristic -> compute_constants.
 
     Each stage runs on first use, so a subcommand runs only the stages it
-    reads, in that order."""
+    reads, in that order.  ``report`` holds the blocks a subcommand has
+    formed so far; a subcommand refuses by raising, and ``main`` prints them."""
 
     def __init__(self, args):
-        scn = _load(args.scenario)
+        self.args = args
+        self.report = {}
+
+    @cached_property
+    def scn(self) -> Scenario:
+        scn = _load(self.args.scenario)
         # --seed and --workers override the file's run section and meet its rules
-        overrides = {k: v for k in ("seed", "workers") if (v := getattr(args, k)) is not None}
-        self.scn = dataclasses.replace(scn, run=_canon_run({**scn.run, **overrides}))
-        self.model = build_model(self.scn.model)
+        overrides = {k: v for k in ("seed", "workers") if (v := getattr(self.args, k)) is not None}
+        return dataclasses.replace(scn, run=_canon_run({**scn.run, **overrides}))
+
+    @cached_property
+    def model(self):
+        return build_model(self.scn.model)
 
     @cached_property
     def assumptions(self):
@@ -193,19 +205,19 @@ class _Pipeline:
         return spectral_decompose(self.model.A)
 
     @cached_property
-    def characteristic(self) -> tuple[Characteristic, np.ndarray | None]:
+    def characteristic(self) -> Characteristic:
         S = self.S if self.scn.characteristic["kind"] == "kesten_stigum" else None
-        return build_characteristic(self.scn, self.model, S)
+        return build_characteristic(self.scn, self.model, S)[0]
 
     @cached_property
     def const(self) -> TheoreticalConstants:
         S = self.S  # a spectral refusal comes before the characteristic's
-        return compute_constants(self.characteristic[0], S, self.model)
+        return compute_constants(self.characteristic, S, self.model)
 
     def batch(self):
         scn, const = self.scn, self.const
         return run_batch(
-            self.model, [self.characteristic[0]], scn.n, scn.N, scn.run["replicates"], scn.run["seed"],
+            self.model, [self.characteristic], scn.n, scn.N, scn.run["replicates"], scn.run["seed"],
             S=self.S, constants=const, ns=scn.times, workers=scn.run["workers"],
         )
 
@@ -219,71 +231,46 @@ _BLOCKS = {
 _STAGES = {"analyze": ("scenario", "spectral"), "constants": ("spectral", "constants")}
 
 
-def _cmd_report(args) -> int:
-    """analyze and constants: the assumptions, then each stage's block; a
-    stage that raises ArithmeticError ends the report as ``<stage>_error``."""
-    run = _Pipeline(args)
-    report = {"assumptions": run.assumptions}
-    code = EXIT_OK if run.assumptions.all_ok else EXIT_ASSUMPTION
-    for stage in _STAGES[args.command]:
-        try:
-            report[stage] = _BLOCKS[stage](run)
-        except ArithmeticError as exc:
-            report[f"{stage}_error"] = str(exc)
-            code = EXIT_ASSUMPTION
-            break
-    _emit(report, args.out)
-    return code
+def _cmd_report(run: _Pipeline) -> int:
+    """analyze and constants: the assumptions, then each stage's block."""
+    run.report["assumptions"] = run.assumptions
+    for stage in _STAGES[run.args.command]:
+        run.report[stage] = _BLOCKS[stage](run)
+    _emit(run.report, run.args.out)
+    return EXIT_OK if run.assumptions.all_ok else EXIT_ASSUMPTION
 
 
-def _cmd_simulate(args) -> int:
-    run = _Pipeline(args)
+def _cmd_simulate(run: _Pipeline) -> int:
     batch = run.batch()
-    out = args.out or os.path.join(run.scn.output["dir"], "simulate.csv")
+    out = run.args.out or os.path.join(run.scn.output["dir"], "simulate.csv")
     _write(out, lambda path: batch.to_csv(path, t=run.scn.n))
-    summary = batch.summary()
-    summary["csv"] = out
-    print(_dumps(summary))
+    run.report.update(batch.summary(), csv=out)
     if batch.abort_rate > ABORT_RATE_MAX:
-        print(f"abort rate {batch.abort_rate:.1%} exceeds {ABORT_RATE_MAX:.0%}", file=sys.stderr)
-        return EXIT_ASSUMPTION
+        raise RuntimeError(f"abort rate {batch.abort_rate:.1%} exceeds {ABORT_RATE_MAX:.0%}")
+    print(_dumps(run.report))
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    run = _Pipeline(args)
-    scn = run.scn
-    reports = {"assumptions": run.assumptions}
-
-    def refuse(reason: str) -> int:
-        _emit({**reports, "verdict": "REFUSED", "reason": reason}, args.out)
-        return EXIT_ASSUMPTION
-
+def _cmd_verify(run: _Pipeline) -> int:
+    scn, report, args, w_min = run.scn, run.report, run.args, run.scn.run["w_min"]
+    report["assumptions"] = run.assumptions
     if not run.assumptions.all_ok:
         failed = [text for key, text in _ASSUMPTION_FAILURES if not getattr(run.assumptions, key)]
-        return refuse("standing assumptions fail: " + ", ".join(failed))
+        raise RuntimeError("standing assumptions fail: " + ", ".join(failed))
+    const = run.const
+    # B_table is the constants subcommand's: here it would be most of the output
+    report["constants"] = _fields(const, drop=("B_table",))
+    batch = run.batch()
     try:
-        const = run.const
-        # B_table is the constants subcommand's: here it would be most of the output
-        reports["constants"] = _fields(const, drop=("B_table",))
-        batch = run.batch()
-    except ArithmeticError as exc:  # constants that cannot be certified, or an r_t outside float64
-        return refuse(str(exc))
-    try:
-        report = verify_dichotomy(
-            batch, const, run.S, w_min=scn.run["w_min"], requested_case=scn.run["case"]
-        )
-    except (ValueError, RuntimeError) as exc:
-        return refuse(str(exc))
-    payload = {
-        **reports,
-        "verification": report.to_dict(),
-        "lln": lln_check(batch, run.characteristic[0], run.model, run.S, w_min=scn.run["w_min"]),
-        "verdict": "PASS" if report.passed else "FAIL",
-    }
-    _emit(payload, args.out)
+        verified = verify_dichotomy(batch, const, run.S, w_min=w_min, requested_case=scn.run["case"])
+    except ValueError as exc:  # the wrong case, or too few survivors to judge
+        raise RuntimeError(str(exc)) from None
+    report["verification"] = verified.to_dict()
+    report["lln"] = lln_check(batch, run.characteristic, run.model, run.S, w_min=w_min)
+    report["verdict"] = "PASS" if verified.passed else "FAIL"
+    _emit(report, args.out)
     if args.emit_hist:
-        eps, _ = studentized(batch, const, t=scn.n, w_min=scn.run["w_min"])
+        eps, _ = studentized(batch, const, t=scn.n, w_min=w_min)
         vals = eps.real
         counts, edges = np.histogram(vals, bins=max(10, int(math.sqrt(max(vals.size, 1)) * 2)))
         hist = {
@@ -293,41 +280,33 @@ def _cmd_verify(args) -> int:
             "var": float(vals.var(ddof=1)) if vals.size > 1 else None,
         }
         _write(args.emit_hist, lambda path: Path(path).write_text(_dumps(hist) + "\n"))
-    print(f"verdict: {'PASS' if report.passed else 'FAIL'}")
-    return EXIT_OK if report.passed else EXIT_STAT_FAIL
+    print(f"verdict: {report['verdict']}")
+    return EXIT_OK if verified.passed else EXIT_STAT_FAIL
 
 
-def _cmd_star_check(args) -> int:
-    run = _Pipeline(args)
-    model, (phi, _) = run.model, run.characteristic
+def _cmd_star_check(run: _Pipeline) -> int:
+    model, phi, n = run.model, run.characteristic, run.scn.n
     if not phi.is_deterministic:
         raise ScenarioError("characteristic.kind: star-check needs a deterministic characteristic")
-    n, N = run.scn.n, run.scn.N
-    star = star_transform(phi, model, n)
     reps = min(run.scn.run["replicates"], 64)
+    run.report.update(replicates=reps, time=n)
+    star = star_transform(phi, model, n)
     ez = complex(expected_process(phi, model, n))
-    scale = 1.0 + abs(ez)
-    batch = run_batch(model, [phi, star], n, N, reps, run.scn.run["seed"], ns=[n])
+    batch = run_batch(model, [phi, star], n, run.scn.N, reps, run.scn.run["seed"], ns=[n])
     keep = ~batch.aborted
     if not keep.any():  # a maximum over no replicate would PASS having checked nothing
-        reason = f"all {reps} replicates were aborted at the overflow guard; none was checked"
-        _emit({"replicates": reps, "time": n, "verdict": "REFUSED", "reason": reason}, args.out)
-        return EXIT_ASSUMPTION
-    resid = np.abs(batch.zphi[(1, n)][keep] - (batch.zphi[(0, n)][keep] - ez)) / scale
-    worst = float(resid.max())
-    tol = 1e-8
-    passed = worst <= tol
-    report = {
-        "replicates": reps,
-        "time": n,
-        "expected_process": ez,
-        "max_relative_residual": worst,
-        "tolerance": tol,
-        "window": [min(star.coeff, default=0), max(star.coeff, default=0)],
-        "verdict": "PASS" if passed else "FAIL",
-    }
-    _emit(report, args.out)
-    return EXIT_OK if passed else EXIT_STAT_FAIL
+        raise RuntimeError(f"all {reps} replicates were aborted at the overflow guard; none was checked")
+    resid = np.abs(batch.zphi[(1, n)][keep] - (batch.zphi[(0, n)][keep] - ez)) / (1.0 + abs(ez))
+    worst, tol = float(resid.max()), 1e-8
+    run.report.update(
+        expected_process=ez,
+        max_relative_residual=worst,
+        tolerance=tol,
+        window=[min(star.coeff, default=0), max(star.coeff, default=0)],
+        verdict="PASS" if worst <= tol else "FAIL",
+    )
+    _emit(run.report, run.args.out)
+    return EXIT_OK if worst <= tol else EXIT_STAT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +348,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    run = _Pipeline(args)
     try:
-        return _COMMANDS[args.command][1](args)
+        try:
+            return _COMMANDS[args.command][1](run)
+        except (ArithmeticError, RuntimeError) as exc:  # a refusal: the report so far, and its cause
+            out = None if args.command == "simulate" else args.out  # simulate's --out is its CSV
+            _emit({**run.report, "verdict": "REFUSED", "reason": str(exc)}, out)
+            return EXIT_ASSUMPTION
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTION
 
 
 if __name__ == "__main__":

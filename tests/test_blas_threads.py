@@ -25,7 +25,7 @@ from cmjsim import cli, run_batch, verify_dichotomy
 run = cli._Pipeline(argparse.Namespace(scenario="asym_leak", seed=None, workers=None))
 scn = run.scn
 batch = run_batch(
-    run.model, [run.characteristic[0]], scn.n, scn.N, 20_000, scn.run["seed"],
+    run.model, [run.characteristic], scn.n, scn.N, 20_000, scn.run["seed"],
     S=run.S, constants=run.const, ns=scn.times, workers=int(sys.argv[1]),
 )
 report = verify_dichotomy(batch, run.const, run.S, w_min=scn.run["w_min"])

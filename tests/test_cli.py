@@ -327,10 +327,11 @@ def _wild_scenario(tmp_path) -> str:
 
 def test_simulate_writes_to_the_output_dir_and_refuses_a_high_abort_rate(tmp_path, capsys):
     rc, out, err = run_cli(["simulate", "--scenario", _wild_scenario(tmp_path)], capsys)
-    assert rc == EXIT_ASSUMPTION
-    assert err == "abort rate 51.7% exceeds 10%\n"
+    assert rc == EXIT_ASSUMPTION and not err
     csv = tmp_path / "runs" / "simulate.csv"
-    assert strict_json(out)["csv"] == str(csv)
+    rep = strict_json(out)
+    assert rep["csv"] == str(csv) and rep["verdict"] == "REFUSED"
+    assert rep["reason"] == "abort rate 51.7% exceeds 10%"
     assert len(csv.read_text().splitlines()) == 1 + 60
 
 
@@ -521,9 +522,10 @@ def test_constants_reports_the_stages_before_a_constants_error(tmp_path, capsys)
     assert rc == EXIT_ASSUMPTION and not err
     rep = json_payload(out)
     assert rep == strict_json((tmp_path / "c.json").read_text())
-    assert rep.keys() == {"assumptions", "spectral", "constants_error"}
+    assert rep.keys() == {"assumptions", "spectral", "verdict", "reason"}
     assert rep["assumptions"] == analyzed["assumptions"] and rep["spectral"] == analyzed["spectral"]
-    assert rep["constants_error"] == "pi1 A^k pi1 is not representable in float64 at k=513"
+    assert rep["verdict"] == "REFUSED"
+    assert rep["reason"] == "pi1 A^k pi1 is not representable in float64 at k=513"
 
 
 R_T_OUTSIDE_FLOAT64 = "error: normalization r_t at t = 2100 lies outside float64 range (rho = 2.0)\n"
@@ -537,14 +539,16 @@ R_T_OUTSIDE_FLOAT64 = "error: normalization r_t at t = 2100 lies outside float64
 ])
 def test_large_n_refusals_name_their_cause(command, code, err_text, tmp_path, capsys):
     # single_type_binary at n = 2100: r_n = 2^1050 and the star row R(1025) = 2^1024
-    # leave float64, and no command warns on the way
+    # leave float64, and no command warns on the way.  err_text is the cause
+    # as stderr once read; a refusal now gives it as its reason, on stdout
     d = preset("single_type_binary").to_dict()
     d["run"]["n"] = 2100
     path = write_yaml(tmp_path, "large_n.yaml", d)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc, _, err = run_cli([command, "--scenario", path, "--out", str(tmp_path / "out")], capsys)
-    assert (rc, err) == (code, err_text)
+        rc, out, err = run_cli([command, "--scenario", path, "--out", str(tmp_path / "out")], capsys)
+    assert (rc, err) == (code, "")
+    assert json_payload(out).get("reason") == (err_text.removeprefix("error: ").rstrip() or None)
 
 
 def test_verify_refuses_an_r_t_outside_float64_with_its_report(tmp_path, capsys):
@@ -603,14 +607,15 @@ def test_a_mean_matrix_without_perron_root_is_an_assumption_failure(
          "characteristic": {"kind": "indicator", "row": [1, 0]}, "run": {"n": 4}}
     argv = [command, "--scenario", write_yaml(tmp_path, "m.yaml", d), "--out", str(tmp_path / "r")]
     rc, out, err = run_cli(argv, capsys)
-    assert rc == EXIT_ASSUMPTION
-    if command in ("analyze", "constants"):
-        rep = json_payload(out)
-        blocks = {"assumptions", "spectral_error"} | ({"scenario"} if command == "analyze" else set())
-        assert rep.keys() == blocks and not err
-        assert rep["spectral_error"].startswith(cause) and rep["assumptions"]["all_ok"] is False
+    assert rc == EXIT_ASSUMPTION and not err
+    rep = json_payload(out)
+    assert rep["verdict"] == "REFUSED" and rep["reason"].startswith(cause)
+    blocks = {"analyze": {"assumptions", "scenario"}, "constants": {"assumptions"}, "simulate": set()}
+    assert rep.keys() == blocks[command] | {"verdict", "reason"}
+    if command == "simulate":  # its --out is the CSV of a batch that never ran
+        assert not (tmp_path / "r").exists()
     else:
-        assert err.startswith(f"error: {cause}")
+        assert rep == strict_json((tmp_path / "r").read_text()) and rep["assumptions"]["all_ok"] is False
 
 
 # [[0,1.191,3.274,0.252],[0,0,0,0],[0.001,0,0,3.607],[0,2.65,2.518,0]] with
@@ -638,7 +643,8 @@ def test_star_check_reads_no_spectral_data(offspring, row, tmp_path, capsys):
          "characteristic": {"kind": "indicator", "row": row}, "run": {"n": 4}}
     path = write_yaml(tmp_path, "m.yaml", d)
     rc, out, _ = run_cli(["analyze", "--scenario", path], capsys)
-    assert rc == EXIT_ASSUMPTION and "spectral_error" in json_payload(out)
+    rep = json_payload(out)
+    assert rc == EXIT_ASSUMPTION and rep["verdict"] == "REFUSED" and "spectral" not in rep
     rc, out, err = run_cli(["star-check", "--scenario", path], capsys)
     assert rc == EXIT_OK and not err
     rep = json_payload(out)

@@ -240,7 +240,7 @@ def test_sort_percentile_equals_np_percentile():
 def test_lln_check_on_presets_equals_np_median(name, monkeypatch):
     run = cli._Pipeline(argparse.Namespace(scenario=name, seed=None, workers=1))
     batch = run.batch()
-    args = (batch, run.characteristic[0], run.model, run.S)
+    args = (batch, run.characteristic, run.model, run.S)
     ours = lln_check(*args, w_min=run.scn.run["w_min"])
     monkeypatch.setattr(stats, "_median", lambda xs: float(np.median(xs)))
     ref = lln_check(*args, w_min=run.scn.run["w_min"])
