@@ -12,12 +12,14 @@ to see which modules a run imports.  Exit-code contract under test:
 """
 
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import yaml
@@ -27,7 +29,7 @@ from cmjsim import (
 )
 from cmjsim.cli import EXIT_ASSUMPTION, EXIT_OK, EXIT_STAT_FAIL, EXIT_USAGE, main
 from cmjsim.presets import PRESETS, _bernoulli_column, preset
-from cmjsim.scenario import load_scenario
+from cmjsim.scenario import load_scenario, save_scenario, scenario_from_dict
 from cmjsim.spectral import EigenCluster
 
 
@@ -855,6 +857,102 @@ def test_table_characteristic_keeps_its_base_rows(tmp_path):
     assert row is None and not phi.coeff and not phi.noise
     assert {k: r.tolist() for k, r in phi.base.items()} == {-1: [1, 0], 0: [1, -1], 1: [0, 1]}
     assert scn.times == (10, 12, 16)
+
+
+# ---------------------------------------------------------------------------
+# one refusal form
+# ---------------------------------------------------------------------------
+
+ZERO_CAUSE = "A is the zero matrix (spectral radius 0): it has no Perron root"
+NILPOTENT_CAUSE = "A is nilpotent (spectral radius 0): its critical part A pi2 is singular"
+DEFLATION_CAUSE = ("projection residual 2.748e-07 exceeds 100*tol = 1.000e-07; "
+                   "the Jordan structure of A is too ill-conditioned")
+FAR_AGE_CAUSE = "pi1 A^k pi1 is not representable in float64 at k=513"
+R_T_CAUSE = "normalization r_t at t = 2100 lies outside float64 range (rho = 2.0)"
+ONE_SURVIVOR = "only 1 usable survivors; need 50"
+
+# every (scenario, command) pair that exits 2 in scripts/cli_digest.py, by the
+# digest's scenario names, with its cause, and _wild_scenario's abort rate.
+# analyze and constants on cross_feed_deterministic and cyclic_three also exit
+# 2, with their whole report: nothing stopped early
+REFUSALS = [
+    ("cross_feed_deterministic", "verify", "standing assumptions fail: degenerate"),
+    ("cyclic_three", "verify", "standing assumptions fail: not positively regular"),
+    ("asym_leak_custom@1", "verify", ONE_SURVIVOR),
+    ("two_type_mirror@1", "verify", ONE_SURVIVOR),
+    ("extinct@11", "verify", "only 0 usable survivors; need 1"),
+    ("zero_matrix", "analyze", ZERO_CAUSE),
+    ("zero_matrix", "constants", ZERO_CAUSE),
+    ("zero_matrix", "verify",
+     "standing assumptions fail: not supercritical, not positively regular, degenerate"),
+    ("zero_matrix", "simulate", ZERO_CAUSE),
+    ("nilpotent", "analyze", NILPOTENT_CAUSE),
+    ("nilpotent", "constants", NILPOTENT_CAUSE),
+    ("nilpotent", "verify", "standing assumptions fail: not supercritical, not positively regular"),
+    ("nilpotent", "simulate", NILPOTENT_CAUSE),
+    ("deflation_refused", "analyze", DEFLATION_CAUSE),
+    ("deflation_refused", "constants", DEFLATION_CAUSE),
+    ("deflation_refused", "verify", "standing assumptions fail: not positively regular"),
+    ("deflation_refused", "simulate", DEFLATION_CAUSE),
+    ("single_type_binary@n2100", "star-check", "star transform row at age 1025 lies outside float64 range"),
+    ("single_type_binary@n2100", "verify", R_T_CAUSE),
+    ("single_type_binary@n2100", "simulate", R_T_CAUSE),
+    ("single_type_binary@n1000", "star-check",
+     "all 64 replicates were aborted at the overflow guard; none was checked"),
+    ("single_type_binary@n1000", "verify", "abort rate 100.0% exceeds 10%; results unusable"),
+    ("single_type_binary@n1000", "simulate", "abort rate 100.0% exceeds 10%"),
+    ("two_type_mirror+far_age", "constants", FAR_AGE_CAUSE),
+    ("two_type_mirror+far_age", "star-check", "star transform row at age -475 lies outside float64 range"),
+    ("two_type_mirror+far_age", "verify", FAR_AGE_CAUSE),
+    ("two_type_mirror+far_age", "simulate", FAR_AGE_CAUSE),
+    ("cross_feed+case_ii", "verify",
+     "requested case 'ii' but the model/characteristic pair is case 'i' (no polynomial index present)"),
+    ("wild", "simulate", "abort rate 51.7% exceeds 10%"),
+]
+
+
+def _digest_scenario(name: str, tmp_path, monkeypatch) -> str:
+    """A preset's name, or the path of the scenario file ``scripts/cli_digest.py``
+    derives under ``name``."""
+    if name in PRESETS:
+        return name
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends to it
+    spec = importlib.util.spec_from_file_location(
+        "cli_digest", Path(__file__).resolve().parents[1] / "scripts" / "cli_digest.py"
+    )
+    cli_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_digest)
+    path = tmp_path / f"{name}.yaml"
+    save_scenario(scenario_from_dict(dict(cli_digest._derived(preset))[name]), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("name, command, reason", REFUSALS, ids=[f"{n}-{c}" for n, c, _ in REFUSALS])
+def test_every_refusal_is_its_report_so_far_with_its_reason(
+    name, command, reason, tmp_path, monkeypatch, capsys
+):
+    scenario = _wild_scenario(tmp_path) if name == "wild" else _digest_scenario(name, tmp_path, monkeypatch)
+    target = tmp_path / ("r.csv" if command == "simulate" else "r.json")
+    rc, out, err = run_cli([command, "--scenario", scenario, "--out", str(target)], capsys)
+    assert (rc, err) == (EXIT_ASSUMPTION, "")
+    rep = strict_json(out)  # one JSON object, with no verdict line after it
+    assert (rep["verdict"], rep["reason"]) == ("REFUSED", reason)
+    if command == "simulate":  # its --out is the CSV, written only by a batch that ran
+        assert target.exists() == ("csv" in rep)
+        assert "csv" not in rep or target.read_text().startswith("index,")
+    else:
+        assert strict_json(target.read_text()) == rep
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_usage_error_prints_no_report(command, tmp_path, capsys):
+    d = preset("cross_feed").to_dict()
+    d["run"]["replicates"] = 0
+    target = tmp_path / "r"
+    argv = [command, "--scenario", write_yaml(tmp_path, "bad.yaml", d), "--out", str(target)]
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out, err) == (EXIT_USAGE, "", "error: run.replicates: must be >= 1, got 0\n")
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------
