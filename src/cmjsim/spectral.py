@@ -395,7 +395,6 @@ def _invariant_residuals(A, clusters, pi1, pi2, pi3, A1, A1_inv, u, v, rho) -> d
         "A1_inverse": nrm(A1 @ A1_inv - eye),
         "eigen_right": nrm(A @ u - rho * u) / max(1.0, rho),
         "eigen_left": nrm(v @ A - rho * v) / max(1.0, rho),
-        "uv_normalization": abs(float(u @ v) - 1.0),
         "DN_commute": nrm(D @ N - N @ D),
         "N_nilpotent": nrm(np.linalg.matrix_power(N, n)),
     }
