@@ -37,11 +37,11 @@ noise cell at age 0 on type 1 with values 0 and v, each with probability
 1/2: at v = 1e200 the cell's variance leaves float64, which every command
 that reads the characteristic refuses (``asym_leak+huge_noise``); at
 v = 1e150 the variance fits but the square of its row's norm does not
-(``asym_leak+large_noise``).  The last counts every type of a four-type
+(``asym_leak+large_noise``).  One more counts every type of a four-type
 model whose mean matrix has an exact zero row, each column a
 Bernoulli-rounded law as the presets build them, under a labelling whose
 projections ``spectral_decompose`` refuses: ``analyze``, ``constants`` and
-``simulate`` print that refusal, ``verify`` refuses the model as not
+``simulate`` refuse with that cause, ``verify`` refuses the model as not
 positively regular, and ``star-check``, which reads no spectral data, runs
 (``deflation_refused``).  Two more are ``single_type_binary`` at
 ``run.n: 2100``, where r_n = 2^1050 and the star row R(1025) = 2^1024 leave
@@ -60,9 +60,10 @@ float64, which ``star-check`` refuses, while ``analyze`` runs
 ``run.case: ii``, whose ``verify`` refuses the requested case
 (``cross_feed+case_ii``).
 
-Each line hashes the run's stdout, stderr (with a fresh warning registry,
-so a run prints its warnings as it would alone), exit code and every
-file it wrote (name and bytes), with the output directory's path masked,
+A run that exits 2 having stopped early prints its report so far with
+``verdict: REFUSED`` and its cause as ``reason``.  Each line hashes the
+run's stdout, stderr (with a fresh warning registry, so a run prints its
+warnings as it would alone), exit code and every file it wrote (name and bytes), with the output directory's path masked,
 and ends with the run's name and exit code.  Two trees that print the same
 line ran that command with the same output byte for byte.  ``--tree``
 measures another checkout of the program (default: this one), always with

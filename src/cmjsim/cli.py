@@ -8,14 +8,14 @@ Subcommands::
     verify      run the full statistical acceptance battery (PASS/FAIL)
     star-check  pathwise recentering identity for the star transform
 
-Exit codes: 0 success / statistical PASS; 1 usage or schema error (the
-message names the offending key, on stderr); 2 a refusal; 3 statistical FAIL.
-A refusal is one form in every subcommand: the report formed so far, with
-``verdict: REFUSED`` and a ``reason`` naming the cause (a model-assumption
-failure, a requested-case mismatch, an unusable run, or a value outside
-float64 range), on stdout and in ``--out`` (``simulate``: stdout only).
-``analyze`` and ``constants`` on a model that fails its assumptions print
-their whole report and exit 2.
+Exit codes: 0 success / statistical PASS; 1 usage or schema error, named on
+stderr; 2 a refusal; 3 statistical FAIL.  Every subcommand refuses in one
+form: the report formed so far, with ``verdict: REFUSED`` and a ``reason``
+naming the cause (failed assumptions, no Perron root, uncertifiable
+constants, a case mismatch, an unusable run, a value outside float64), on
+stdout and in ``--out`` (``simulate``: stdout only).  ``analyze`` and
+``constants`` on a model that fails its assumptions print their whole
+report and exit 2.
 """
 
 from __future__ import annotations

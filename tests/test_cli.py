@@ -7,7 +7,8 @@ to see which modules a run imports.  Exit-code contract under test:
 
     0  success / statistical PASS
     1  usage or schema error
-    2  assumption failure, case mismatch, unusable run
+    2  a refusal: the report so far with verdict REFUSED and its reason;
+       or analyze/constants on a model that fails its assumptions
     3  statistical FAIL
 """
 
