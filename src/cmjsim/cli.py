@@ -8,14 +8,16 @@ Subcommands::
     verify      run the full statistical acceptance battery (PASS/FAIL)
     star-check  pathwise recentering identity for the star transform
 
-Exit codes: 0 success / statistical PASS; 1 usage or schema error, named on
-stderr; 2 a refusal; 3 statistical FAIL.  Every subcommand refuses in one
-form: the report formed so far, with ``verdict: REFUSED`` and a ``reason``
-naming the cause (failed assumptions, no Perron root, uncertifiable
-constants, a case mismatch, an unusable run, a value outside float64), on
-stdout and in ``--out`` (``simulate``: stdout only).  ``analyze`` and
-``constants`` on a model that fails its assumptions print their whole
-report and exit 2.
+Each subcommand adds its blocks to one report, and ``main`` alone writes it:
+to ``--out`` first (``simulate``: its ``--out`` is the CSV), then as the one
+JSON document on stdout.  Exit codes: 0 success / statistical PASS; 1 usage
+or schema error, or an output that cannot be written, named on stderr with
+nothing on stdout; 2 a refusal; 3 statistical FAIL.  Every subcommand
+refuses in one form: the report formed so far, with ``verdict: REFUSED`` and
+a ``reason`` naming the cause (failed assumptions, no Perron root,
+uncertifiable constants, a case mismatch, an unusable run, a value outside
+float64).  ``analyze`` and ``constants`` on a model that fails its
+assumptions write their whole report and exit 2.
 """
 
 from __future__ import annotations
@@ -91,13 +93,6 @@ def _write(path: str, write) -> None:
     """Make the directory of the output file ``path``, then ``write(path)``."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     write(path)
-
-
-def _emit(report: dict, out: str | None) -> None:
-    text = _dumps(report)
-    print(text)
-    if out:
-        _write(out, lambda path: Path(path).write_text(text + "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +174,7 @@ class _Pipeline:
 
     Each stage runs on first use, so a subcommand runs only the stages it
     reads, in that order.  ``report`` holds the blocks a subcommand has
-    formed so far; a subcommand refuses by raising, and ``main`` prints them."""
+    formed so far; a subcommand refuses by raising, and ``main`` writes them."""
 
     def __init__(self, args):
         self.args = args
@@ -222,21 +217,16 @@ class _Pipeline:
         )
 
 
-# each report block read from a _Pipeline, and each subcommand's stages in order
-_BLOCKS = {
-    "scenario": lambda run: run.scn.to_dict()["model"],
-    "spectral": lambda run: _spectral_report(run.S),
-    "constants": lambda run: run.const,
-}
-_STAGES = {"analyze": ("scenario", "spectral"), "constants": ("spectral", "constants")}
+def _cmd_analyze(run: _Pipeline) -> int:
+    run.report.update(assumptions=run.assumptions, scenario=run.scn.to_dict()["model"])
+    run.report["spectral"] = _spectral_report(run.S)
+    return EXIT_OK if run.assumptions.all_ok else EXIT_ASSUMPTION
 
 
-def _cmd_report(run: _Pipeline) -> int:
-    """analyze and constants: the assumptions, then each stage's block."""
+def _cmd_constants(run: _Pipeline) -> int:
     run.report["assumptions"] = run.assumptions
-    for stage in _STAGES[run.args.command]:
-        run.report[stage] = _BLOCKS[stage](run)
-    _emit(run.report, run.args.out)
+    run.report["spectral"] = _spectral_report(run.S)
+    run.report["constants"] = run.const
     return EXIT_OK if run.assumptions.all_ok else EXIT_ASSUMPTION
 
 
@@ -247,12 +237,11 @@ def _cmd_simulate(run: _Pipeline) -> int:
     run.report.update(batch.summary(), csv=out)
     if batch.abort_rate > ABORT_RATE_MAX:
         raise RuntimeError(f"abort rate {batch.abort_rate:.1%} exceeds {ABORT_RATE_MAX:.0%}")
-    print(_dumps(run.report))
     return EXIT_OK
 
 
 def _cmd_verify(run: _Pipeline) -> int:
-    scn, report, args, w_min = run.scn, run.report, run.args, run.scn.run["w_min"]
+    scn, report, w_min = run.scn, run.report, run.scn.run["w_min"]
     report["assumptions"] = run.assumptions
     if not run.assumptions.all_ok:
         failed = [text for key, text in _ASSUMPTION_FAILURES if not getattr(run.assumptions, key)]
@@ -268,8 +257,7 @@ def _cmd_verify(run: _Pipeline) -> int:
     report["verification"] = verified.to_dict()
     report["lln"] = lln_check(batch, run.characteristic, run.model, run.S, w_min=w_min)
     report["verdict"] = "PASS" if verified.passed else "FAIL"
-    _emit(report, args.out)
-    if args.emit_hist:
+    if run.args.emit_hist:
         eps, _ = studentized(batch, const, t=scn.n, w_min=w_min)
         vals = eps.real
         counts, edges = np.histogram(vals, bins=max(10, int(math.sqrt(max(vals.size, 1)) * 2)))
@@ -279,8 +267,7 @@ def _cmd_verify(run: _Pipeline) -> int:
             "mean": float(vals.mean()) if vals.size else None,
             "var": float(vals.var(ddof=1)) if vals.size > 1 else None,
         }
-        _write(args.emit_hist, lambda path: Path(path).write_text(_dumps(hist) + "\n"))
-    print(f"verdict: {report['verdict']}")
+        _write(run.args.emit_hist, lambda path: Path(path).write_text(_dumps(hist) + "\n"))
     return EXIT_OK if verified.passed else EXIT_STAT_FAIL
 
 
@@ -305,7 +292,6 @@ def _cmd_star_check(run: _Pipeline) -> int:
         window=[min(star.coeff, default=0), max(star.coeff, default=0)],
         verdict="PASS" if worst <= tol else "FAIL",
     )
-    _emit(run.report, run.args.out)
     return EXIT_OK if worst <= tol else EXIT_STAT_FAIL
 
 
@@ -314,8 +300,8 @@ def _cmd_star_check(run: _Pipeline) -> int:
 # ---------------------------------------------------------------------------
 
 _COMMANDS = {
-    "analyze": ("model assumptions and spectral analysis", _cmd_report),
-    "constants": ("limit constants with error certificates", _cmd_report),
+    "analyze": ("model assumptions and spectral analysis", _cmd_analyze),
+    "constants": ("limit constants with error certificates", _cmd_constants),
     "simulate": ("replicate batch -> CSV", _cmd_simulate),
     "verify": ("statistical acceptance battery", _cmd_verify),
     "star-check": ("pathwise recentering identity", _cmd_star_check),
@@ -351,11 +337,16 @@ def main(argv=None) -> int:
     run = _Pipeline(args)
     try:
         try:
-            return _COMMANDS[args.command][1](run)
+            code = _COMMANDS[args.command][1](run)
         except (ArithmeticError, RuntimeError) as exc:  # a refusal: the report so far, and its cause
-            out = None if args.command == "simulate" else args.out  # simulate's --out is its CSV
-            _emit({**run.report, "verdict": "REFUSED", "reason": str(exc)}, out)
-            return EXIT_ASSUMPTION
+            run.report.update(verdict="REFUSED", reason=str(exc))
+            code = EXIT_ASSUMPTION
+        # the one write of the report: --out first, so stdout never outlives a failed write
+        text = _dumps(run.report)
+        if args.out and args.command != "simulate":  # simulate's --out is its CSV
+            _write(args.out, lambda path: Path(path).write_text(text + "\n"))
+        print(text)
+        return code
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
