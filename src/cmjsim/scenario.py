@@ -322,7 +322,7 @@ def loads_scenario(text: str) -> Scenario:
 
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # a nesting too deep for the composer
         raise ScenarioError(f"scenario: invalid YAML ({exc})") from exc
     return scenario_from_dict(data)
 
