@@ -13,6 +13,7 @@ to see which modules a run imports.  Exit-code contract under test:
 """
 
 import dataclasses
+import errno
 import importlib.util
 import json
 import os
@@ -47,12 +48,6 @@ def strict_json(text: str):
         raise ValueError(f"{name} is not strict JSON")
 
     return json.loads(text, parse_constant=refuse)
-
-
-def json_payload(out: str) -> dict:
-    # verify/star-check print a bare trailing status line after the JSON body
-    idx = out.rfind("\nverdict:")
-    return strict_json(out[:idx] if idx >= 0 else out)
 
 
 def write_yaml(tmp_path, name, payload) -> str:
@@ -243,7 +238,7 @@ def test_run_overrides_meet_the_run_rules(flag, value, key, capsys):
 def test_analyze_healthy_preset(capsys):
     rc, out, _ = run_cli(["analyze", "--scenario", "cross_feed"], capsys)
     assert rc == EXIT_OK
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep["assumptions"]["all_ok"] is True
     assert rep["spectral"]["worst_residual"] < 1e-9
     labels = [cl["label"] for cl in rep["spectral"]["clusters"]]
@@ -253,7 +248,7 @@ def test_analyze_healthy_preset(capsys):
 def test_analyze_periodic_matrix_fails_regularity_but_still_reports(capsys):
     rc, out, _ = run_cli(["analyze", "--scenario", "cyclic_three"], capsys)
     assert rc == EXIT_ASSUMPTION
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep["assumptions"]["positively_regular"] is False
     # the spectral picture is still computed and emitted for diagnosis
     assert "spectral" in rep and rep["spectral"]["rho"] > 1
@@ -283,7 +278,7 @@ def test_preset_name_and_checked_in_file_agree(capsys):
 def test_constants_report_shape(capsys):
     rc, out, _ = run_cli(["constants", "--scenario", "two_type_mirror"], capsys)
     assert rc == EXIT_OK
-    const = json_payload(out)["constants"]
+    const = strict_json(out)["constants"]
     assert const["case"] == "ii"
     assert const["l_star"] == 0
     assert abs(const["sigma_l"][0] - 2.0) < 1e-12
@@ -295,7 +290,7 @@ def test_constants_report_shape(capsys):
 def test_constants_dual_route_agreement_shows_up_in_report(capsys):
     rc, out, _ = run_cli(["constants", "--scenario", "asym_leak"], capsys)
     assert rc == EXIT_OK
-    const = json_payload(out)["constants"]
+    const = strict_json(out)["constants"]
     assert const["sigma_star2"] is not None
     assert abs(const["sigma2"] - const["sigma_star2"]) <= 1e-6 * max(1.0, abs(const["sigma2"]))
 
@@ -390,8 +385,7 @@ def test_simulate_seed_flag_changes_draws(tmp_path, capsys):
 def test_verify_passes_on_healthy_preset(capsys):
     rc, out, _ = run_cli(["verify", "--scenario", "cross_feed"], capsys)
     assert rc == EXIT_OK
-    assert out.rstrip().endswith("verdict: PASS")
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep["verdict"] == "PASS"
     assert rep["verification"]["passed"] is True
     assert rep["verification"]["reasons"] == []
@@ -401,20 +395,20 @@ def test_verify_passes_on_healthy_preset(capsys):
 @pytest.mark.parametrize("name", ["cross_feed", "two_type_mirror"])
 def test_verify_constants_block_is_the_constants_one_without_the_B_table(name, capsys):
     _, out, _ = run_cli(["constants", "--scenario", name], capsys)
-    want = json_payload(out)["constants"]
+    want = strict_json(out)["constants"]
     assert want.pop("B_table")
     rc, out, _ = run_cli(["verify", "--scenario", name], capsys)
     assert rc == EXIT_OK
-    assert json_payload(out)["constants"] == want
+    assert strict_json(out)["constants"] == want
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_verify_never_builds_the_B_table(name, capsys):
     """verify leaves the B(k) table out of its report; ``constants`` prints
     it, one row per k of the finite window ``B_window``."""
-    verified = json_payload(run_cli(["verify", "--scenario", name], capsys)[1])
+    verified = strict_json(run_cli(["verify", "--scenario", name], capsys)[1])
     assert "B_table" not in verified.get("constants", {})  # a refusal has no constants block
-    const = json_payload(run_cli(["constants", "--scenario", name], capsys)[1])["constants"]
+    const = strict_json(run_cli(["constants", "--scenario", name], capsys)[1])["constants"]
     lo, hi = const["B_window"]
     assert [int(k) for k in const["B_table"]] == list(range(lo, hi + 1))
 
@@ -426,7 +420,7 @@ def test_verify_requested_case_mismatch_is_refused(tmp_path, capsys):
     path = write_yaml(tmp_path, "mismatch.yaml", d)
     rc, out, _ = run_cli(["verify", "--scenario", path], capsys)
     assert rc == EXIT_ASSUMPTION
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep["verdict"] == "REFUSED"
     assert "requested case" in rep["reason"]
 
@@ -445,7 +439,7 @@ def test_verify_refuses_a_run_with_too_few_survivors(tmp_path, capsys):
     path = write_yaml(tmp_path, "one.yaml", d)
     rc, out, _ = run_cli(["verify", "--scenario", path], capsys)
     assert rc == EXIT_ASSUMPTION
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep["verdict"] == "REFUSED"
     assert rep["reason"] == "only 1 usable survivors; need 50"
 
@@ -464,7 +458,7 @@ def test_verify_refuses_a_degenerate_run_with_no_survivor(tmp_path, capsys):
     rc, out, _ = run_cli(["verify", "--scenario", path, "--seed", "11"], capsys)
     assert rc == EXIT_ASSUMPTION
     assert "NaN" not in out
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep["constants"]["case"] == "degenerate"
     assert rep["verdict"] == "REFUSED"
     assert rep["reason"] == "only 0 usable survivors; need 1"
@@ -476,7 +470,7 @@ def test_verify_checks_decay_on_a_degenerate_run_with_survivors(tmp_path, capsys
     del d["run"]["case"]
     rc, out, _ = run_cli(["verify", "--scenario", write_yaml(tmp_path, "zero.yaml", d)], capsys)
     assert rc == EXIT_OK
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep["verdict"] == "PASS"
     assert rep["verification"]["case"] == "degenerate" and rep["verification"]["decay"]["passed"]
 
@@ -511,7 +505,7 @@ def test_verify_refuses_constants_that_cannot_be_certified(tmp_path, capsys):
     assert run_cli(["analyze", "--scenario", path], capsys)[0] == EXIT_OK
     rc, out, err = run_cli(["verify", "--scenario", path, "--out", str(tmp_path / "r.json")], capsys)
     assert rc == EXIT_ASSUMPTION and not err
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep == strict_json((tmp_path / "r.json").read_text())
     assert rep.keys() == {"assumptions", "verdict", "reason"}
     assert rep["assumptions"]["all_ok"] and rep["verdict"] == "REFUSED"
@@ -520,10 +514,10 @@ def test_verify_refuses_constants_that_cannot_be_certified(tmp_path, capsys):
 
 def test_constants_reports_the_stages_before_a_constants_error(tmp_path, capsys):
     path = _far_age_scenario(tmp_path)
-    analyzed = json_payload(run_cli(["analyze", "--scenario", path], capsys)[1])
+    analyzed = strict_json(run_cli(["analyze", "--scenario", path], capsys)[1])
     rc, out, err = run_cli(["constants", "--scenario", path, "--out", str(tmp_path / "c.json")], capsys)
     assert rc == EXIT_ASSUMPTION and not err
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep == strict_json((tmp_path / "c.json").read_text())
     assert rep.keys() == {"assumptions", "spectral", "verdict", "reason"}
     assert rep["assumptions"] == analyzed["assumptions"] and rep["spectral"] == analyzed["spectral"]
@@ -551,7 +545,7 @@ def test_large_n_refusals_name_their_cause(command, code, err_text, tmp_path, ca
         warnings.simplefilter("error")
         rc, out, err = run_cli([command, "--scenario", path, "--out", str(tmp_path / "out")], capsys)
     assert (rc, err) == (code, "")
-    assert json_payload(out).get("reason") == (err_text.removeprefix("error: ").rstrip() or None)
+    assert strict_json(out).get("reason") == (err_text.removeprefix("error: ").rstrip() or None)
 
 
 def test_verify_refuses_an_r_t_outside_float64_with_its_report(tmp_path, capsys):
@@ -564,7 +558,7 @@ def test_verify_refuses_an_r_t_outside_float64_with_its_report(tmp_path, capsys)
         warnings.simplefilter("error")
         rc, out, err = run_cli(["verify", "--scenario", path, "--out", str(tmp_path / "r.json")], capsys)
     assert rc == EXIT_ASSUMPTION and not err
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep == strict_json((tmp_path / "r.json").read_text())
     assert rep.keys() == {"assumptions", "constants", "verdict", "reason"}
     assert rep["verdict"] == "REFUSED" and rep["constants"]["case"] == "i"
@@ -587,7 +581,7 @@ def test_uncertified_tail_model_now_certifies(tmp_path, capsys):
     path = write_yaml(tmp_path, "uncertified.yaml", UNCERTIFIED)
     rc, out, err = run_cli(["constants", "--scenario", path], capsys)
     assert rc == EXIT_OK and not err
-    const = json_payload(out)["constants"]
+    const = strict_json(out)["constants"]
     assert abs(const["sigma2"] - 50.0) <= const["sigma2_error"] < 1e-9
     assert abs(const["sigma_star2"] - 50.0) <= const["sigma_star2_error"] < 1e-9
 
@@ -611,7 +605,7 @@ def test_a_mean_matrix_without_perron_root_is_an_assumption_failure(
     argv = [command, "--scenario", write_yaml(tmp_path, "m.yaml", d), "--out", str(tmp_path / "r")]
     rc, out, err = run_cli(argv, capsys)
     assert rc == EXIT_ASSUMPTION and not err
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep["verdict"] == "REFUSED" and rep["reason"].startswith(cause)
     blocks = {"analyze": {"assumptions", "scenario"}, "constants": {"assumptions"}, "simulate": set()}
     assert rep.keys() == blocks[command] | {"verdict", "reason"}
@@ -646,18 +640,18 @@ def test_star_check_reads_no_spectral_data(offspring, row, tmp_path, capsys):
          "characteristic": {"kind": "indicator", "row": row}, "run": {"n": 4}}
     path = write_yaml(tmp_path, "m.yaml", d)
     rc, out, _ = run_cli(["analyze", "--scenario", path], capsys)
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rc == EXIT_ASSUMPTION and rep["verdict"] == "REFUSED" and "spectral" not in rep
     rc, out, err = run_cli(["star-check", "--scenario", path], capsys)
     assert rc == EXIT_OK and not err
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep["verdict"] == "PASS" and rep["max_relative_residual"] == 0.0
 
 
 def test_verify_refuses_before_simulating_when_assumptions_fail(capsys):
     rc, out, _ = run_cli(["verify", "--scenario", "cross_feed_deterministic"], capsys)
     assert rc == EXIT_ASSUMPTION
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep["verdict"] == "REFUSED"
     assert rep["assumptions"]["nondegenerate"] is False
     assert "verification" not in rep  # nothing was simulated
@@ -673,7 +667,7 @@ def test_verify_refuses_before_simulating_when_assumptions_fail(capsys):
 def test_assumption_refusal_names_each_failed_assumption(name, reason, capsys):
     rc, out, _ = run_cli(["verify", "--scenario", name], capsys)
     assert rc == EXIT_ASSUMPTION
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep["verdict"] == "REFUSED"
     assert rep["reason"] == reason
 
@@ -686,7 +680,7 @@ def test_verify_emit_hist_writes_histogram(tmp_path, capsys):
     assert rc == EXIT_OK
     hist = strict_json(hist_path.read_text())
     assert len(hist["bin_edges"]) == len(hist["counts"]) + 1
-    assert sum(hist["counts"]) == json_payload(out)["verification"]["sample_size"]
+    assert sum(hist["counts"]) == strict_json(out)["verification"]["sample_size"]
     assert abs(hist["mean"]) < 0.5 and 0.5 < hist["var"] < 2.0
 
 
@@ -709,7 +703,7 @@ def test_verify_stat_fail_exit_code_on_unlucky_seed(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_dichotomy", corr_false_alarm)
     rc, out, _ = run_cli(["verify", "--scenario", "cross_feed", "--seed", "4242"], capsys)
     assert rc == EXIT_STAT_FAIL
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep["verdict"] == "FAIL"
     assert any("corr" in r for r in rep["verification"]["reasons"])
 
@@ -720,13 +714,13 @@ def _field_names(cls, drop=()) -> set:
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_each_report_block_is_its_result_objects_fields(name, capsys):
-    analyzed = json_payload(run_cli(["analyze", "--scenario", name], capsys)[1])
+    analyzed = strict_json(run_cli(["analyze", "--scenario", name], capsys)[1])
     assert analyzed["assumptions"].keys() == _field_names(AssumptionReport)
     for cluster in analyzed["spectral"]["clusters"]:
         assert cluster.keys() == _field_names(EigenCluster, {"projection"})
-    const = json_payload(run_cli(["constants", "--scenario", name], capsys)[1])
+    const = strict_json(run_cli(["constants", "--scenario", name], capsys)[1])
     assert const["constants"].keys() == _field_names(TheoreticalConstants)
-    verified = json_payload(run_cli(["verify", "--scenario", name], capsys)[1])
+    verified = strict_json(run_cli(["verify", "--scenario", name], capsys)[1])
     if verified["verdict"] != "REFUSED":
         want = _field_names(VerificationReport, {"m"}) | {"sample_size"}
         assert verified["verification"].keys() == want
@@ -740,14 +734,14 @@ def test_each_report_block_is_its_result_objects_fields(name, capsys):
 def test_star_check_pathwise_identity(name, capsys):
     rc, out, _ = run_cli(["star-check", "--scenario", name], capsys)
     assert rc == EXIT_OK
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep["verdict"] == "PASS"
     assert rep["max_relative_residual"] <= rep["tolerance"]
 
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_star_check_reports_only_the_identity_it_checks(name, capsys):
-    rep = json_payload(run_cli(["star-check", "--scenario", name], capsys)[1])
+    rep = strict_json(run_cli(["star-check", "--scenario", name], capsys)[1])
     assert set(rep) == {
         "replicates", "time", "expected_process", "max_relative_residual", "tolerance", "window", "verdict"
     }
@@ -762,7 +756,7 @@ def test_star_check_refuses_when_every_replicate_is_aborted(tmp_path, capsys):
     path = write_yaml(tmp_path, "n1000.yaml", d)
     rc, out, err = run_cli(["star-check", "--scenario", path, "--out", str(tmp_path / "s.json")], capsys)
     assert rc == EXIT_ASSUMPTION and not err
-    rep = json_payload(out)
+    rep = strict_json(out)
     assert rep == strict_json((tmp_path / "s.json").read_text())
     assert rep == {
         "replicates": 64,
@@ -830,7 +824,7 @@ def test_kesten_stigum_characteristic_spans_the_window(tmp_path):
 def test_verify_reports_the_flatness_bootstrap_it_ran(capsys):
     # jordan_critical is case ii over several times: its flatness gate runs
     _, out, _ = run_cli(["verify", "--scenario", "jordan_critical"], capsys)
-    v = json_payload(out)["verification"]
+    v = strict_json(out)["verification"]
     assert v["thresholds"]["bootstrap_B"] == 500  # the variance gate's bootstrap
     assert (v["flatness"]["B"], v["flatness"]["seed"]) == (400, v["thresholds"]["bootstrap_seed"])
 
@@ -848,7 +842,7 @@ def test_kesten_stigum_reaches_a_verdict_past_n(trajectory, delta, tmp_path, cap
     assert sorted(phi.coeff) == list(range(trajectory[-1] - scn.N + 1, 1))
     rc, out, err = run_cli(["verify", "--scenario", path], capsys)
     assert rc == EXIT_OK, err
-    assert out.rstrip().endswith("verdict: PASS")
+    assert strict_json(out)["verdict"] == "PASS"
 
 
 def test_table_characteristic_keeps_its_base_rows(tmp_path):
@@ -936,7 +930,7 @@ def test_every_refusal_is_its_report_so_far_with_its_reason(
     target = tmp_path / ("r.csv" if command == "simulate" else "r.json")
     rc, out, err = run_cli([command, "--scenario", scenario, "--out", str(target)], capsys)
     assert (rc, err) == (EXIT_ASSUMPTION, "")
-    rep = strict_json(out)  # one JSON object, with no verdict line after it
+    rep = strict_json(out)
     assert (rep["verdict"], rep["reason"]) == ("REFUSED", reason)
     if command == "simulate":  # its --out is the CSV, written only by a batch that ran
         assert target.exists() == ("csv" in rep)
@@ -945,15 +939,41 @@ def test_every_refusal_is_its_report_so_far_with_its_reason(
         assert strict_json(target.read_text()) == rep
 
 
-@pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_a_usage_error_prints_no_report(command, tmp_path, capsys):
-    d = preset("cross_feed").to_dict()
-    d["run"]["replicates"] = 0
-    target = tmp_path / "r"
-    argv = [command, "--scenario", write_yaml(tmp_path, "bad.yaml", d), "--out", str(target)]
+# (command, cause): a schema error (ids: the command alone), an --out naming a
+# directory on runs that refuse (verify), PASS or print a whole exit-2 report,
+# an --emit-hist naming one after a PASS, and a scenario nested deeper than
+# the YAML parser recurses
+USAGE_ERRORS = [
+    *((c, "schema") for c in cli._COMMANDS),
+    *((c, "out_dir") for c in cli._COMMANDS),
+    ("verify", "hist_dir"),
+    *((c, "deep") for c in cli._COMMANDS),
+]
+
+
+@pytest.mark.parametrize("command, cause", USAGE_ERRORS,
+                         ids=[c if cause == "schema" else f"{c}-{cause}" for c, cause in USAGE_ERRORS])
+def test_a_usage_error_prints_no_report(command, cause, tmp_path, capsys):
+    target, hist = tmp_path / "r", tmp_path / "h"
+    argv = [command, "--out", str(target)]
+    if cause == "schema":
+        d = preset("cross_feed").to_dict()
+        d["run"]["replicates"] = 0
+        argv += ["--scenario", write_yaml(tmp_path, "bad.yaml", d)]
+        want = "error: run.replicates: must be >= 1, got 0\n"
+    elif cause == "deep":
+        (tmp_path / "deep.yaml").write_text("[" * 5000 + "]" * 5000)
+        argv += ["--scenario", str(tmp_path / "deep.yaml")]
+        want = "error: scenario: invalid YAML (maximum recursion depth exceeded"
+    else:
+        directory = target if cause == "out_dir" else hist
+        directory.mkdir()
+        argv += ["--scenario", "cross_feed_deterministic" if cause == "out_dir" else "two_type_mirror"]
+        argv += ["--emit-hist", str(hist)] if cause == "hist_dir" else []
+        want = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{directory}'\n"
     rc, out, err = run_cli(argv, capsys)
-    assert (rc, out, err) == (EXIT_USAGE, "", "error: run.replicates: must be >= 1, got 0\n")
-    assert not target.exists()
+    assert (rc, out) == (EXIT_USAGE, "") and err.startswith(want), err
+    assert not target.is_file() and not hist.is_file()
 
 
 # ---------------------------------------------------------------------------
@@ -964,7 +984,7 @@ def test_every_preset_analyzes_without_crashing(capsys):
     for name in PRESETS:
         rc, out, _ = run_cli(["analyze", "--scenario", name], capsys)
         assert rc in (EXIT_OK, EXIT_ASSUMPTION), name
-        json_payload(out)  # report must always be well-formed JSON
+        strict_json(out)  # report must always be well-formed JSON
 
 
 _IMPORT_PROBE = """

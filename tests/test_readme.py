@@ -1,10 +1,17 @@
 """README's ``## Library`` example runs as printed, and the claims its
-comments state hold."""
+comments state hold; each ``cmjsim`` line of its ``## Command line`` block
+exits 0 and prints one strict-JSON report."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from cmjsim.cli import EXIT_OK, main
+from test_cli import strict_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +31,21 @@ def test_readme_library_example_runs_and_its_comment_claims_hold(capsys):
     for claim in claims:
         # a comment is a comma-separated list of Python expressions
         assert all(eval(f"({claim},)", namespace)), claim
+
+
+def _command_lines() -> list[str]:
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("cmjsim ")]
+
+
+@pytest.mark.parametrize("line", _command_lines(), ids=lambda line: line.split()[1])
+def test_readme_command_line_prints_one_json_report(line, tmp_path, capsys):
+    # out/... lands in tmp_path; everything else runs as printed
+    argv = [str(tmp_path / a) if a.startswith("out/") else a for a in shlex.split(line, comments=True)[1:]]
+    assert main(argv) == EXIT_OK
+    report = strict_json(capsys.readouterr().out)
+    assert report.get("verdict", "PASS") == "PASS"
+    if argv[0] == "simulate":  # the report is the batch summary; --out is the CSV
+        assert report["csv"] == argv[argv.index("--out") + 1]
+        assert Path(report["csv"]).read_text().startswith("index,")
