@@ -930,7 +930,7 @@ def test_every_refusal_is_its_report_so_far_with_its_reason(
     target = tmp_path / ("r.csv" if command == "simulate" else "r.json")
     rc, out, err = run_cli([command, "--scenario", scenario, "--out", str(target)], capsys)
     assert (rc, err) == (EXIT_ASSUMPTION, "")
-    rep = strict_json(out)
+    rep = strict_json(out)  # one JSON object, with no verdict line after it
     assert (rep["verdict"], rep["reason"]) == ("REFUSED", reason)
     if command == "simulate":  # its --out is the CSV, written only by a batch that ran
         assert target.exists() == ("csv" in rep)
