@@ -972,8 +972,12 @@ def test_a_usage_error_prints_no_report(command, cause, tmp_path, capsys):
         argv += ["--emit-hist", str(hist)] if cause == "hist_dir" else []
         want = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{directory}'\n"
     rc, out, err = run_cli(argv, capsys)
-    assert (rc, out) == (EXIT_USAGE, "") and err.startswith(want), err
-    assert not target.is_file() and not hist.is_file()
+    assert (rc, out) == (EXIT_USAGE, "")
+    # only the deep file's message goes on with the RecursionError's own text
+    assert err.startswith(want) if cause == "deep" else err == want, err
+    made = {"out_dir": target, "hist_dir": hist}.get(cause)
+    for path in (target, hist):  # no file written, and the directory made on purpose left empty
+        assert not any(path.iterdir()) if path == made else not path.exists(), path
 
 
 # ---------------------------------------------------------------------------
