@@ -38,14 +38,13 @@ from .characteristics import (
     Characteristic,
     NoiseLaw,
     expected_process,
-    make_indicator_characteristic,
     make_phi1,
     star_transform,
 )
 from .constants import TheoreticalConstants, compute_constants
 from .model import build_model, validate_assumptions
 from .presets import PRESETS, preset
-from .scenario import Scenario, ScenarioError, _canon_run, load_scenario, parse_row
+from .scenario import Scenario, ScenarioError, _canon_run, check_characteristic, load_scenario
 from .simulator import run_batch
 from .spectral import spectral_decompose
 from .stats import ABORT_RATE_MAX, lln_check, studentized, verify_dichotomy
@@ -110,38 +109,24 @@ def _load(scenario_arg: str) -> Scenario:
     )
 
 
-def _row_floats(row) -> np.ndarray:
-    return np.array([float(v) for v in parse_row(row)], dtype=float)
-
-
 def build_characteristic(scn: Scenario, model, S) -> tuple[Characteristic, np.ndarray | None]:
-    """Characteristic named by the scenario, plus its row for ``kind:
-    indicator`` (None otherwise), which only the benchmark reads.  Only
-    ``kesten_stigum`` reads the spectral data ``S``; the others take None."""
-    spec = scn.characteristic
-    kind = spec["kind"]
-    if kind == "indicator":
-        row = _row_floats(spec["row"])
-        return make_indicator_characteristic(row), row
+    """Characteristic named by the scenario, built from the exact values
+    :func:`check_characteristic` parses, plus its row for ``kind: indicator``
+    (None otherwise), which only the benchmark reads.  Only ``kesten_stigum``
+    reads the spectral data ``S``; the others take None."""
+    kind = scn.characteristic["kind"]
+    row, base, coeff, cells = check_characteristic(scn.characteristic, model.J)[1]
+    row = None if row is None else np.array(row, dtype=float)
     if kind == "kesten_stigum":
-        row = _row_floats(spec["row"])
-        phi = make_phi1(S, row, model=model, k_min=scn.times[-1] - scn.N + 1)
-        return phi, None
-    if kind in ("table", "custom"):  # a table has no coeff or noise
-        base, coeff = (
-            {int(k): _row_floats(r) for k, r in spec.get(key, {}).items()} for key in ("base", "coeff")
-        )
-        noise = {}
-        for i, cell in enumerate(spec.get("noise", [])):
-            probs = tuple(float(v) for v in parse_row(cell["probs"]))
-            values = tuple(complex(float(v)) for v in parse_row(cell["values"]))
-            try:
-                law = NoiseLaw(probs, values)
-            except ValueError as exc:
-                raise ScenarioError(f"characteristic.noise[{i}]: {exc}") from None
-            noise[(int(cell["age"]), int(cell["type"]) - 1)] = law
-        return Characteristic(J=model.J, base=base, coeff=coeff, noise=noise, label=kind), None
-    raise ScenarioError(f"characteristic.kind: unsupported kind {kind!r}")
+        return make_phi1(S, row, model=model, k_min=scn.times[-1] - scn.N + 1), None
+    noise = {}
+    for key, (i, probs, values) in cells.items():
+        try:
+            noise[key] = NoiseLaw(tuple(map(float, probs)), tuple(complex(float(v)) for v in values))
+        except ValueError as exc:
+            raise ScenarioError(f"characteristic.noise[{i}]: {exc}") from None
+    base, coeff = ({k: np.array(r, dtype=float) for k, r in t.items()} for t in (base, coeff))
+    return Characteristic(J=model.J, base=base, coeff=coeff, noise=noise, label=kind), row
 
 
 def _spectral_report(S) -> dict:

@@ -1,8 +1,9 @@
 """Scenario files: a small YAML schema binding model, characteristic and run.
 
-This is the one validator of model input: ``scenario_from_dict`` and
-``model.build_model`` both call :func:`check_model`, so one set of rules and
-messages holds on either road in (README, "Scenario files", lists them).
+This is the one validator of model input: ``model.build_model`` calls
+:func:`check_model` and ``cli.build_characteristic`` :func:`check_characteristic`,
+as ``scenario_from_dict`` does, so one set of rules and messages holds on
+every road in (README, "Scenario files", lists them).
 Rational inputs may be written as "p/q" strings so scenarios stay exact;
 they are canonicalized (never silently converted to floats), parsed once,
 and survive a save/load round trip unchanged.  Every validation error starts
@@ -17,9 +18,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any
 
-__all__ = [
-    "Scenario", "ScenarioError", "check_model", "load_scenario", "loads_scenario", "save_scenario"
-]
+__all__ = ["Scenario", "ScenarioError", "check_characteristic", "check_model",
+           "load_scenario", "loads_scenario", "save_scenario"]
 
 SCHEMA_VERSION = 1
 PROB_TOL = 1e-12
@@ -176,27 +176,37 @@ def _canon_law(entries, types: int, path: str) -> tuple[list, tuple]:
     return canon, (tuple(probs), tuple(counts))
 
 
-def _canon_characteristic(raw, types: int, path="characteristic") -> dict:
+def check_characteristic(raw, types: int, path="characteristic") -> tuple[dict, tuple]:
+    """Validate a characteristic mapping.
+
+    Returns its canonical form, the one a scenario stores, and the exact
+    values ``cli.build_characteristic`` builds from: ``(row, base, coeff,
+    noise)``.  ``row`` is None unless the kind has one; ``base`` and ``coeff``
+    map age -> row, an indicator's row being its age-0 base row; ``noise``
+    maps (age, zero-based type) -> (cell index, probabilities, values).
+    """
     kind = _require(raw, "kind", path)
     if kind not in _CHAR_KINDS:
         _fail(f"{path}.kind", f"must be one of {_CHAR_KINDS}, got {kind!r}")
     out: dict[str, Any] = {"kind": kind}
+    row, noise = None, {}
     if kind in ("indicator", "kesten_stigum"):
-        out["row"] = _canon_row(_require(raw, "row", path), f"{path}.row", types)[0]
+        out["row"], row = _canon_row(_require(raw, "row", path), f"{path}.row", types)
+    tables = {"base": {0: row} if kind == "indicator" else {}, "coeff": {}}
     for key in _CHAR_TABLES.get(kind, ()):
         table = raw.get(key) or {}
         if not isinstance(table, Mapping):
             _fail(f"{path}.{key}", "expected a mapping of age -> row")
-        out[key] = {
-            _int_age(k, f"{path}.{key}"): _canon_row(v, f"{path}.{key}.{k}", types)[0]
-            for k, v in table.items()
-        }
+        out[key] = {}
+        for k, v in table.items():
+            age = _int_age(k, f"{path}.{key}")
+            out[key][age], tables[key][age] = _canon_row(v, f"{path}.{key}.{k}", types)
     if kind == "custom":
-        noise = raw.get("noise") or []
-        if not isinstance(noise, (list, tuple)):
+        cells = raw.get("noise") or []
+        if not isinstance(cells, (list, tuple)):
             _fail(f"{path}.noise", "expected a list of noise cells")
-        cells = []
-        for i, cell in enumerate(noise):
+        out["noise"] = []
+        for i, cell in enumerate(cells):
             cpath = f"{path}.noise[{i}]"
             if not isinstance(cell, Mapping):
                 _fail(cpath, "expected a mapping with keys age, type, probs, values")
@@ -205,15 +215,17 @@ def _canon_characteristic(raw, types: int, path="characteristic") -> dict:
             tj = _int_ge(_require(cell, "type", cpath), f"{cpath}.type", 1)
             if tj > types:
                 _fail(f"{cpath}.type", f"must be in 1..{types}")
-            probs, exact = _canon_row(_require(cell, "probs", cpath), f"{cpath}.probs", parse=_prob)
-            _check_total(exact, f"{cpath}.probs")
-            values = _canon_row(_require(cell, "values", cpath), f"{cpath}.values")[0]
+            if (age, tj - 1) in noise:
+                _fail(cpath, f"age {age}, type {tj} is given twice")
+            probs, p = _canon_row(_require(cell, "probs", cpath), f"{cpath}.probs", parse=_prob)
+            _check_total(p, f"{cpath}.probs")
+            values, v = _canon_row(_require(cell, "values", cpath), f"{cpath}.values")
             if len(probs) != len(values):
                 _fail(f"{cpath}.values", "length must match probs")
-            cells.append({"age": age, "type": tj, "probs": probs, "values": values})
-        out["noise"] = cells
+            out["noise"].append({"age": age, "type": tj, "probs": probs, "values": values})
+            noise[(age, tj - 1)] = (i, p, v)
     _check_keys(raw, out, path)
-    return out
+    return out, (row, tables["base"], tables["coeff"], noise)
 
 
 def _int_age(k, path: str) -> int:
@@ -303,9 +315,9 @@ def scenario_from_dict(data) -> Scenario:
         _fail("scenario.schema", f"unsupported version {schema!r} (expected {SCHEMA_VERSION})")
     _check_keys(data, ("schema", "model", "characteristic", "run", "output"), "scenario")
     model = check_model(_require(data, "model", "scenario"))[0]
-    characteristic = _canon_characteristic(
+    characteristic = check_characteristic(
         _require(data, "characteristic", "scenario"), model["types"]
-    )
+    )[0]
     run = _canon_run(_require(data, "run", "scenario"))
     output = _canon_output(data.get("output"))
     return Scenario(
@@ -338,8 +350,3 @@ def save_scenario(scn: Scenario, path) -> None:
     with open(path, "w") as fh:
         yaml.safe_dump(scn.to_dict(), fh, sort_keys=False)
 
-
-def parse_row(row) -> list:
-    """Exact values of row entries: a Fraction for an int or a rational, a
-    float for a float."""
-    return [_number(v, "row")[1] for v in row]

@@ -16,7 +16,7 @@ from cmjsim import (
     spectral_decompose,
     validate_assumptions,
 )
-from cmjsim.scenario import parse_row
+from cmjsim.scenario import check_characteristic
 
 
 class PresetBundle:
@@ -44,10 +44,10 @@ class PresetBundle:
 
     @property
     def row(self) -> np.ndarray:
-        ch = self.scenario.characteristic
-        if ch["kind"] not in ("indicator", "kesten_stigum"):
+        row = check_characteristic(self.scenario.characteristic, self.model.J)[1][0]
+        if row is None:
             raise ValueError(f"{self.name} has no single defining row")
-        return np.asarray(parse_row(ch["row"]), dtype=float)
+        return np.asarray(row, dtype=float)
 
     @property
     def phi(self):

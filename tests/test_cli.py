@@ -845,6 +845,40 @@ def test_kesten_stigum_reaches_a_verdict_past_n(trajectory, delta, tmp_path, cap
     assert strict_json(out)["verdict"] == "PASS"
 
 
+# each kind on asym_leak: (characteristic, base, coeff, noise as (age, type) ->
+# (probs, values), label); kesten_stigum's coeff spans ages n - N + 1 .. 0
+BUILT_KINDS = [
+    ({"kind": "indicator", "row": ["1/2", -1]}, {0: [0.5, -1]}, {}, {}, "indicator"),
+    ({"kind": "table", "base": {-1: [0.25, 0], 2: ["0", "0"]}}, {-1: [0.25, 0]}, {}, {}, "table"),
+    ({"kind": "kesten_stigum", "row": ["1", "0"]}, {}, range(-5, 1), {}, "phi1"),
+    (
+        {"kind": "custom", "base": {0: ["1", "-1"]}, "coeff": {1: ["1/4", 0]}, "noise": [
+            {"age": 0, "type": 2, "probs": ["1/4", 0.75], "values": [0, "1/2"]},
+            {"age": 3, "type": 1, "probs": [1], "values": [2]}]},
+        {0: [1, -1]}, {1: [0.25, 0]}, {(0, 1): ((0.25, 0.75), (0, 0.5)), (3, 0): ((1.0,), (2,))}, "custom",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, base, coeff, noise, label", BUILT_KINDS, ids=[k[0]["kind"] for k in BUILT_KINDS])
+def test_build_characteristic_builds_each_kind_from_its_parsed_tables(spec, base, coeff, noise, label):
+    scn = scenario_from_dict({**preset("asym_leak").to_dict(), "characteristic": spec})
+    model = build_model(scn.model)
+    phi, row = cli.build_characteristic(scn, model, spectral_decompose(model.A))
+    assert {k: r.tolist() for k, r in phi.base.items()} == base
+    if spec["kind"] == "kesten_stigum":
+        assert sorted(phi.coeff) == list(coeff)
+    else:
+        assert {k: r.tolist() for k, r in phi.coeff.items()} == coeff
+    assert {key: (law.probs, law.values) for key, law in phi.noise.items()} == noise
+    assert phi.label == label and phi.J == model.J
+    # only an indicator hands back its row, as floats
+    if spec["kind"] == "indicator":
+        assert row.dtype == float and row.tolist() == [0.5, -1.0]
+    else:
+        assert row is None
+
+
 def test_table_characteristic_keeps_its_base_rows(tmp_path):
     scn = load_scenario(_kind_scenario(tmp_path, "table"))
     model = build_model(scn.model)

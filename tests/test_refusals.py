@@ -72,7 +72,10 @@ def _weird_kind():
             _huge_base_row, ArithmeticError, "sigma2 lies outside float64 range",
             marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning"),
         ),
-        (_weird_kind, ScenarioError, "characteristic.kind: unsupported kind 'weird'"),
+        (
+            _weird_kind, ScenarioError,
+            "characteristic.kind: must be one of ('indicator', 'table', 'kesten_stigum', 'custom'), got 'weird'",
+        ),
         (lambda: _to_jsonable(object()), TypeError, "no JSON form for object"),
         (
             lambda: normalization(4, "ii", None, 4.0),

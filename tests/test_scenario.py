@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from cmjsim import load_scenario, preset, preset_names, save_scenario
-from cmjsim.scenario import Scenario, ScenarioError, loads_scenario, parse_row, scenario_from_dict
+from cmjsim.scenario import (
+    Scenario, ScenarioError, check_characteristic, loads_scenario, scenario_from_dict
+)
 
 MINIMAL = """
 schema: 1
@@ -257,11 +259,37 @@ run:
     assert "length must match" in str(err.value)
 
 
-def test_parse_row_returns_exact_numbers():
-    row = parse_row(["1/2", 2, 0.25])
-    assert row[0] == Fraction(1, 2)
-    assert row[1] == Fraction(2)
-    assert float(row[2]) == 0.25
+def test_check_characteristic_returns_exact_numbers():
+    """A Fraction for a rational or an int, a float for a float, in every
+    table the characteristic parses."""
+    exact = [Fraction(1, 2), Fraction(2), 0.25]
+    row = check_characteristic({"kind": "indicator", "row": ["1/2", 2, 0.25]}, 3)[1][0]
+    assert row == exact and [type(v) for v in row] == [Fraction, Fraction, float]
+    raw = {"kind": "custom", "base": {0: ["1/2", 2, 0.25]}, "coeff": {-1: ["1/2", 2, 0.25]},
+           "noise": [{"age": 1, "type": 3, "probs": ["1/2", 0.5], "values": ["1/2", 2]}]}
+    canon, (row, base, coeff, noise) = check_characteristic(raw, 3)
+    assert row is None and base == {0: exact} and coeff == {-1: exact}
+    assert [type(v) for v in base[0]] == [type(v) for v in coeff[-1]] == [Fraction, Fraction, float]
+    i, probs, values = noise[(1, 2)]
+    assert (i, probs, values) == (0, [Fraction(1, 2), 0.5], [Fraction(1, 2), Fraction(2)])
+    assert [type(v) for v in probs + values] == [Fraction, float, Fraction, Fraction]
+    assert canon == {"kind": "custom", "base": {0: ["1/2", 2, 0.25]}, "coeff": {-1: ["1/2", 2, 0.25]},
+                     "noise": [{"age": 1, "type": 3, "probs": ["1/2", 0.5], "values": ["1/2", 2]}]}
+
+
+def test_a_noise_cell_given_twice_is_refused_at_the_later_one():
+    """Two cells at one (age, type) would leave the run only the last."""
+    d = preset("asym_leak").to_dict()
+    d["characteristic"] = {"kind": "custom", "base": {0: ["1", "-1"]}, "noise": [
+        {"age": 0, "type": 1, "probs": ["1/2", "1/2"], "values": [0, 1]},
+        {"age": 0, "type": 2, "probs": [1], "values": [3]},
+        {"age": 0, "type": 1, "probs": [1], "values": [5]},
+    ]}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(d)
+    assert str(err.value) == "characteristic.noise[2]: age 0, type 1 is given twice"
+    d["characteristic"]["noise"][2]["age"] = 1  # the same type at another age is a cell of its own
+    assert len(scenario_from_dict(d).characteristic["noise"]) == 3
 
 
 def test_scenario_frozen_and_dict_stable():
