@@ -149,16 +149,9 @@ def perron_root(A: np.ndarray) -> float:
 
 
 def is_primitive(A: np.ndarray) -> bool:
-    """True when some power ``A^n`` (n <= J*J) is entrywise strictly positive."""
-    A = np.asarray(A)
-    J = A.shape[0]
-    P = (A > 0)
-    step = P.copy()
-    for _ in range(J * J):
-        if P.all():
-            return True
-        P = (P.astype(np.int64) @ step.astype(np.int64)) > 0
-    return bool(P.all())
+    """True when ``A^n`` is entrywise strictly positive at Wielandt's bound
+    n = (J - 1)^2 + 1, which every primitive J x J matrix meets."""
+    return bool(np.linalg.matrix_power(np.asarray(A) > 0, (len(A) - 1) ** 2 + 1).all())
 
 
 def validate_assumptions(model: BranchingModel) -> AssumptionReport:
