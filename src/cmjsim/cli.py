@@ -9,10 +9,11 @@ Subcommands::
     star-check  pathwise recentering identity for the star transform
 
 Each subcommand adds its blocks to one report, and ``main`` alone writes it:
-to ``--out`` first (``simulate``: its ``--out`` is the CSV), then as the one
-JSON document on stdout.  Exit codes: 0 success / statistical PASS; 1 usage
-or schema error, or an output that cannot be written, named on stderr with
-nothing on stdout; 2 a refusal; 3 statistical FAIL.  Every subcommand
+to ``--out`` first (``simulate``: its ``--out`` is the CSV), then ``verify``'s
+``--emit-hist``, then as the one JSON document on stdout.  Exit codes: 0
+success / statistical PASS; 1 usage or schema error, or an output that cannot
+be written, named on stderr with nothing on stdout and no file of the run's
+left; 2 a refusal; 3 statistical FAIL.  Every subcommand
 refuses in one form: the report formed so far, with ``verdict: REFUSED`` and
 a ``reason`` naming the cause (failed assumptions, no Perron root,
 uncertifiable constants, a case mismatch, an unusable run, a value outside
@@ -159,11 +160,13 @@ class _Pipeline:
 
     Each stage runs on first use, so a subcommand runs only the stages it
     reads, in that order.  ``report`` holds the blocks a subcommand has
-    formed so far; a subcommand refuses by raising, and ``main`` writes them."""
+    formed so far; a subcommand refuses by raising, and ``main`` writes them,
+    then each (path, text) in ``files``."""
 
     def __init__(self, args):
         self.args = args
         self.report = {}
+        self.files = []
 
     @cached_property
     def scn(self) -> Scenario:
@@ -252,7 +255,7 @@ def _cmd_verify(run: _Pipeline) -> int:
             "mean": float(vals.mean()) if vals.size else None,
             "var": float(vals.var(ddof=1)) if vals.size > 1 else None,
         }
-        _write(run.args.emit_hist, lambda path: Path(path).write_text(_dumps(hist) + "\n"))
+        run.files.append((run.args.emit_hist, _dumps(hist) + "\n"))
     return EXIT_OK if verified.passed else EXIT_STAT_FAIL
 
 
@@ -326,10 +329,18 @@ def main(argv=None) -> int:
         except (ArithmeticError, RuntimeError) as exc:  # a refusal: the report so far, and its cause
             run.report.update(verdict="REFUSED", reason=str(exc))
             code = EXIT_ASSUMPTION
-        # the one write of the report: --out first, so stdout never outlives a failed write
+        # the one write of the report: --out first, then the other files, and
+        # stdout last, so a failed write leaves no output of this run behind
         text = _dumps(run.report)
         if args.out and args.command != "simulate":  # simulate's --out is its CSV
-            _write(args.out, lambda path: Path(path).write_text(text + "\n"))
+            run.files.insert(0, (args.out, text + "\n"))
+        for i, (path, body) in enumerate(run.files):
+            try:
+                _write(path, lambda p: Path(p).write_text(body))
+            except OSError:
+                for done, _ in run.files[:i]:
+                    os.remove(done)
+                raise
         print(text)
         return code
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError

@@ -975,12 +975,14 @@ def test_every_refusal_is_its_report_so_far_with_its_reason(
 
 # (command, cause): a schema error (ids: the command alone), an --out naming a
 # directory on runs that refuse (verify), PASS or print a whole exit-2 report,
-# an --emit-hist naming one after a PASS, and a scenario nested deeper than
-# the YAML parser recurses
+# an --emit-hist naming one after a PASS, an --out naming one on a PASS that
+# also asks for a histogram, and a scenario nested deeper than the YAML parser
+# recurses
 USAGE_ERRORS = [
     *((c, "schema") for c in cli._COMMANDS),
     *((c, "out_dir") for c in cli._COMMANDS),
     ("verify", "hist_dir"),
+    ("verify", "out_dir_hist"),
     *((c, "deep") for c in cli._COMMANDS),
 ]
 
@@ -1000,16 +1002,16 @@ def test_a_usage_error_prints_no_report(command, cause, tmp_path, capsys):
         argv += ["--scenario", str(tmp_path / "deep.yaml")]
         want = "error: scenario: invalid YAML (maximum recursion depth exceeded"
     else:
-        directory = target if cause == "out_dir" else hist
+        directory = hist if cause == "hist_dir" else target
         directory.mkdir()
         argv += ["--scenario", "cross_feed_deterministic" if cause == "out_dir" else "two_type_mirror"]
-        argv += ["--emit-hist", str(hist)] if cause == "hist_dir" else []
+        argv += [] if cause == "out_dir" else ["--emit-hist", str(hist)]
         want = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{directory}'\n"
     rc, out, err = run_cli(argv, capsys)
     assert (rc, out) == (EXIT_USAGE, "")
     # only the deep file's message goes on with the RecursionError's own text
     assert err.startswith(want) if cause == "deep" else err == want, err
-    made = {"out_dir": target, "hist_dir": hist}.get(cause)
+    made = {"out_dir": target, "hist_dir": hist, "out_dir_hist": target}.get(cause)
     for path in (target, hist):  # no file written, and the directory made on purpose left empty
         assert not any(path.iterdir()) if path == made else not path.exists(), path
 
