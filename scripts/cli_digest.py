@@ -58,7 +58,10 @@ pi1 A^k pi1 is not representable in float64 at k = 513, which
 float64, which ``star-check`` refuses, while ``analyze`` runs
 (``two_type_mirror+far_age``); and ``cross_feed`` at 80 replicates with
 ``run.case: ii``, whose ``verify`` refuses the requested case
-(``cross_feed+case_ii``).
+(``cross_feed+case_ii``).  The last file is written as it is, since the
+schema refuses it: ``asym_leak`` counted by two noise cells at age 0 on
+type 1, on which every command exits 1 naming the later cell
+(``asym_leak+duplicate_noise``).
 
 A run that exits 2 having stopped early prints its report so far with
 ``verdict: REFUSED`` and its cause as ``reason``.  Each line hashes the
@@ -82,6 +85,8 @@ import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
+
+import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = (
@@ -217,10 +222,20 @@ def _derived(preset):
     yield "cross_feed+case_ii", case_ii
 
 
+def _refused(preset):
+    """``(name, scenario document)`` of each scenario file the schema
+    refuses, which every command answers with exit 1."""
+    duplicate = preset("asym_leak").to_dict()
+    duplicate["characteristic"] = {"kind": "custom", "base": {0: ["1", "-1"]}, "noise": [
+        {"age": 0, "type": 1, "probs": ["1/2", "1/2"], "values": [0, 1]},
+        {"age": 0, "type": 1, "probs": [1], "values": [5]}]}
+    yield "asym_leak+duplicate_noise", duplicate
+
+
 def digests(tree: Path):
     """Yield ``(digest, name, command, extra, exit code)`` for the program
     in ``tree``, presets in ``PRESETS`` order, then the pooled ``simulate``
-    runs, then every run on each derived scenario."""
+    runs, then every run on each derived scenario and each refused one."""
     sys.path.insert(0, str(tree / "src"))
     from cmjsim.cli import main
     from cmjsim.presets import PRESETS, preset
@@ -232,11 +247,15 @@ def digests(tree: Path):
             yield value, name, command, extra, code
     name, replicates = POOLED
     files = [(f"{name}@{replicates}", _replicates(preset(name).to_dict(), replicates), "simulate")]
-    files += [(derived, doc, None) for derived, doc in _derived(preset)]
+    refused = dict(_refused(preset))
+    files += [(derived, doc, None) for derived, doc in (*_derived(preset), *refused.items())]
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc, only in files:
             path = Path(tmp) / f"{name}.yaml"
-            save_scenario(scenario_from_dict(doc), path)
+            if name in refused:  # written as it is, since the schema refuses it
+                path.write_text(yaml.safe_dump(doc, sort_keys=False))
+            else:
+                save_scenario(scenario_from_dict(doc), path)
             for command, extra in RUNS:
                 if only in (None, command):
                     value, code = _run(main, str(path), command, extra)

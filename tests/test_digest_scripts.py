@@ -17,10 +17,11 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from cmjsim.cli import main
 from cmjsim.presets import preset
-from cmjsim.scenario import save_scenario, scenario_from_dict
+from cmjsim.scenario import ScenarioError, save_scenario, scenario_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,6 +59,21 @@ def test_cli_digest_derives_valid_scenario_files(script):
     assert docs
     for _, doc in docs:
         scenario_from_dict(doc)
+
+
+def test_cli_digest_refused_scenario_files_are_refused(script, tmp_path, capsys):
+    # every command exits 1 on each, with the schema's message on stderr alone
+    cli_digest = script("cli_digest")
+    docs = dict(cli_digest._refused(preset))
+    assert docs
+    for name, doc in docs.items():
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        for command, extra in cli_digest.RUNS:
+            assert main([command, "--scenario", str(path), *extra]) == 1
+            assert capsys.readouterr() == ("", f"error: {err.value}\n")
 
 
 def test_cli_digest_registers_each_age0_form_on_one_road(script, tmp_path):
