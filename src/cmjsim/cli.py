@@ -12,9 +12,9 @@ Each subcommand adds its blocks to one report, and ``main`` alone writes it:
 to ``--out`` first (``simulate``: its ``--out`` is the CSV), then ``verify``'s
 ``--emit-hist``, then as the one JSON document on stdout.  Exit codes: 0
 success / statistical PASS; 1 usage or schema error, or an output that cannot
-be written, named on stderr with nothing on stdout and no file of the run's
-left; 2 a refusal; 3 statistical FAIL.  Every subcommand
-refuses in one form: the report formed so far, with ``verdict: REFUSED`` and
+be written, named on stderr, with nothing on stdout and none of the run's
+files left; 2 a refusal; 3 statistical FAIL.  Every subcommand refuses in one
+form: the report formed so far, with ``verdict: REFUSED`` and
 a ``reason`` naming the cause (failed assumptions, no Perron root,
 uncertifiable constants, a case mismatch, an unusable run, a value outside
 float64).  ``analyze`` and ``constants`` on a model that fails its

@@ -349,4 +349,3 @@ def save_scenario(scn: Scenario, path) -> None:
 
     with open(path, "w") as fh:
         yaml.safe_dump(scn.to_dict(), fh, sort_keys=False)
-
