@@ -28,9 +28,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import BranchingModel, mixing_covariance
+from .model import BranchingModel, perron_mixing
 from .scenario import PROB_TOL
-from .spectral import SpectralData, m_norm2, power_scaled, projected_power, stein_tail, unscaled
+from .spectral import SpectralData, _eye, m_norm2, power_scaled, projected_power, stein_tail, unscaled
 
 PHI1_MASS = 1e-14  # make_phi1 stops where the remaining mass falls to this
 _MAX_ROWS = 10_000
@@ -84,11 +84,16 @@ def _freeze_rows(rows: Mapping[int, np.ndarray] | None, J: int, what: str) -> di
     """The nonzero rows as read-only views of one fresh table, keyed by int."""
     if not rows:
         return {}
-    flat = [np.asarray(row, dtype=complex).reshape(-1) for row in rows.values()]
-    for k, r in zip(rows, flat):
-        if r.shape != (J,):
-            raise ValueError(f"{what}[{k}]: expected a row of length {J}")
-    table = np.array(flat)
+    try:  # one conversion where every row is a flat row of length J
+        table = np.array(list(rows.values()), dtype=complex)
+    except Exception:  # the row by row conversion below raises its own error
+        table = None
+    if table is None or table.shape != (len(rows), J):
+        flat = [np.asarray(row, dtype=complex).reshape(-1) for row in rows.values()]
+        for k, r in zip(rows, flat):
+            if r.shape != (J,):
+                raise ValueError(f"{what}[{k}]: expected a row of length {J}")
+        table = np.array(flat)
     finite = np.isfinite(table)
     if not finite.all():
         i, j = np.argwhere(~finite)[0].tolist()
@@ -142,16 +147,19 @@ class Characteristic:
 
     def __getstate__(self) -> dict:
         # a pool task pickles the tables, not the moments formed from them
-        return {k: v for k, v in self.__dict__.items() if k != "_moments"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_moments", "_mean_table")}
 
     @property
     def is_deterministic(self) -> bool:
         return not self.coeff and not self.noise
 
     def mean_table(self) -> dict:
-        """``{k: E phi(k)}`` over the nonzero rows, in ascending age."""
-        ages, mean, _ = self.moments()
-        return {ages[i]: mean[i] for i in np.flatnonzero(mean.any(axis=1)).tolist()}
+        """``{k: E phi(k)}`` over the nonzero rows, in ascending age; formed
+        on the first call and kept, like the moments."""
+        if "_mean_table" not in self.__dict__:
+            ages, mean, _ = self.moments()
+            self.__dict__["_mean_table"] = {ages[i]: mean[i] for i in np.flatnonzero(mean.any(axis=1)).tolist()}
+        return dict(self.__dict__["_mean_table"])
 
     def scaled(self, factor: complex) -> "Characteristic":
         """The characteristic ``factor * phi`` (all tables scaled)."""
@@ -231,10 +239,10 @@ def make_phi1(
     if not np.any(np.abs(w) > 0):
         return Characteristic(J=J, label="phi1")
 
-    X = stein_tail(S, mixing_covariance(model, S.u), -1)[0]
+    X = stein_tail(S, perron_mixing(model, S), -1)[0]
     step = S.step(1, -1) * S.sqrt_rho
     limit = _MAX_ROWS if k_min is None else max(0, 1 - k_min)
-    block, blocks, masses = np.eye(J, dtype=complex)[None], [], []
+    block, blocks, masses = _eye(J, complex)[None], [], []
     while sum(map(len, blocks)) <= limit:
         blocks.append(w @ block)
         masses.append(m_norm2(X, blocks[-1]))
@@ -270,18 +278,28 @@ def assumption_sums(phi: Characteristic, S: SpectralData, model: BranchingModel)
     """
     ages, means, noise_var = phi.moments()
     ks = np.array(ages)
-    var = power_scaled(noise_var, S.rho, ks)
-    if phi.coeff:
-        rows = power_scaled(np.array(list(phi.coeff.values())), S.rho, np.array(list(phi.coeff)) / 2)
-        var[np.searchsorted(ks, list(phi.coeff))] += np.column_stack([m_norm2(C, rows) for C in model.covs])
-    with np.errstate(over="ignore"):
-        # |E phi(k)| row by row as np.linalg.norm forms it: vecdot makes the same
-        # strided dot call per row, so the sum equals a per-key norm bit for bit
-        mean = np.sqrt(np.vecdot(means.real, means.real) + np.vecdot(means.imag, means.imag))
-        var_norm = np.linalg.norm(var, axis=1)
-        for norms, table in ((mean, means), (var_norm, var)):
-            norms[np.isinf(norms)] = np.hypot.reduce(np.abs(table[np.isinf(norms)]), axis=1)
-    return {
-        "mean_weighted_sum": float(np.sum(power_scaled(mean, S.rho, ks) + power_scaled(mean, S.theta, ks))),
-        "variance_weighted_sum": float(np.sum(var_norm)),
-    }
+    # each sum is 0.0 where all its rows are 0: no mean row, or no coeff row and no noise cell
+    sums = {"mean_weighted_sum": 0.0, "variance_weighted_sum": 0.0}
+    if means.any():
+        with np.errstate(over="ignore"):
+            # |E phi(k)| row by row as np.linalg.norm forms it: vecdot makes the same
+            # strided dot call per row, so the sum equals a per-key norm bit for bit
+            mean = _row_norms(means, np.sqrt(np.vecdot(means.real, means.real) + np.vecdot(means.imag, means.imag)))
+        sums["mean_weighted_sum"] = float(np.sum(power_scaled(mean, S.rho, ks) + power_scaled(mean, S.theta, ks)))
+    if not phi.is_deterministic:
+        var = power_scaled(noise_var, S.rho, ks) if phi.noise else np.zeros(noise_var.shape)
+        if phi.coeff:
+            rows = power_scaled(np.array(list(phi.coeff.values())), S.rho, np.array(list(phi.coeff)) / 2)
+            var[np.searchsorted(ks, list(phi.coeff))] += np.column_stack([m_norm2(C, rows) for C in model.covs])
+        with np.errstate(over="ignore"):
+            sums["variance_weighted_sum"] = float(np.sum(_row_norms(var, np.linalg.norm(var, axis=1))))
+    return sums
+
+
+def _row_norms(table: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``norms``, the row norms of ``table``, with each one whose square
+    overflowed formed again by ``np.hypot``."""
+    inf = np.isinf(norms)
+    if inf.any():
+        norms[inf] = np.hypot.reduce(np.abs(table[inf]), axis=1)
+    return norms

@@ -32,8 +32,8 @@ from math import factorial
 import numpy as np
 
 from .characteristics import Characteristic, assumption_sums, make_indicator_characteristic
-from .model import BranchingModel, mixing_covariance
-from .spectral import SpectralData, _fro, m_norm2, power_scaled, projected_power, tail_sum
+from .model import BranchingModel, perron_mixing
+from .spectral import SpectralData, _eye, _fro, m_norm2, power_scaled, projected_power, tail_sum
 
 __all__ = [
     "TheoreticalConstants",
@@ -93,13 +93,13 @@ def compute_sigma_l(x2: np.ndarray, S: SpectralData, model: BranchingModel) -> t
     ...``.  Entries beyond the nilpotency index are 0 up to rounding dust:
     ``jordan_critical`` (index 2) gets 1.8e-36 and 4.0e-69 there."""
     x2 = np.asarray(x2, dtype=complex).reshape(-1)
-    M = mixing_covariance(model, S.u)
+    M = perron_mixing(model, S)
     totals = [0.0] * (S.J + 1)
     for cl in S.clusters:
         if cl.label != "critical":
             continue
         row = x2 @ cl.projection
-        shifted = S.A - cl.eigenvalue * np.eye(S.J)
+        shifted = S.A - cl.eigenvalue * _eye(S.J)
         for l in range(S.J + 1):
             totals[l] += float(m_norm2(M, row))
             row = row @ shifted @ cl.projection
@@ -119,16 +119,20 @@ def _B_rows(mt: dict, S: SpectralData, ks) -> tuple[np.ndarray, np.ndarray]:
     it: one pass over the mean table, each age adding its term to every row."""
     rows = np.zeros((len(ks), S.J), dtype=complex)
     size = np.zeros(len(ks))
+    terms: dict = {}  # (k <= 0, l) -> (P, |P|_F), formed once for every age
     for m, phi_row in mt.items():
         phi_size = _fro(phi_row)
         for i, k in enumerate(ks):
             l = k - 1 - m
-            if k <= 0:
-                P = -projected_power(S, 1, l) if l < 0 else projected_power(S, 2, l) + projected_power(S, 3, l)
-            else:
-                P = -(projected_power(S, 1, l) + projected_power(S, 2, l)) if l < 0 else projected_power(S, 3, l)
+            if (k <= 0, l) not in terms:
+                if k <= 0:
+                    P = -projected_power(S, 1, l) if l < 0 else projected_power(S, 2, l) + projected_power(S, 3, l)
+                else:
+                    P = -(projected_power(S, 1, l) + projected_power(S, 2, l)) if l < 0 else projected_power(S, 3, l)
+                terms[k <= 0, l] = P, _fro(P)
+            P, P_size = terms[k <= 0, l]
             rows[i] += phi_row @ P
-            size[i] += phi_size * _fro(P)
+            size[i] += phi_size * P_size
     return rows, size
 
 
@@ -161,25 +165,30 @@ def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) 
     both relative to the size of its terms (``_B_rows``)."""
     ages, _, noise_var = phi.moments()
     mt = phi.mean_table()
-    M = mixing_covariance(model, S.u)
+    M = perron_mixing(model, S)
 
     keys = {0, 1, *ages, *(k + 1 for k in mt)}
     lo, hi = min(keys), max(keys)
     ks = np.arange(lo - 1, hi + 2)  # the window and the first row of each tail
     B, size = _B_rows(mt, S, range(lo - 1, hi + 2))
     coeff = np.zeros((len(ks), S.J), dtype=complex)
-    coeff[[k - lo + 1 for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
     noise = np.zeros(len(ks))
-    # u-weighted row sums in type order: a per-cell sum's bits where the cells are in that order
-    noise[[k - lo + 1 for k in ages]] = sum(float(S.u[j]) * noise_var[:, j] for j in range(S.J))
-    rows = power_scaled(B + coeff, S.rho, ks / 2)
     # |l| <= hi - lo + 1 steps of restricted powers went into each B row;
     # a coeff row is data, rounded once when scaled
     rel = (S.J + 3 + hi - lo) * _EPS + max(S.residuals.values())
-    delta = power_scaled(rel * size + 2 * _EPS * np.linalg.norm(coeff, axis=1), S.rho, ks / 2)
+    row_delta = rel * size
+    if phi.coeff:
+        coeff[[k - lo + 1 for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
+        row_delta += 2 * _EPS * np.linalg.norm(coeff, axis=1)
+    if phi.noise:
+        # u-weighted row sums in type order: a per-cell sum's bits where the cells are in that order
+        noise[[k - lo + 1 for k in ages]] = sum(float(S.u[j]) * noise_var[:, j] for j in range(S.J))
+        noise = power_scaled(noise, S.rho, ks)
+    rows = power_scaled(B + coeff, S.rho, ks / 2)
+    delta = power_scaled(row_delta, S.rho, ks / 2)
     up, up_error = tail_sum(S, M, rows[-1], 1, float(delta[-1]))
     down, down_error = tail_sum(S, M, rows[0], -1, float(delta[0]))
-    parts = [*(m_norm2(M, rows) + power_scaled(noise, S.rho, ks))[1:-1].tolist(), up, down]
+    parts = [*(m_norm2(M, rows) + noise)[1:-1].tolist(), up, down]
     if not all(map(math.isfinite, parts)):
         raise ArithmeticError("sigma2 lies outside float64 range")
     norms = np.linalg.norm(rows[1:-1], axis=1)
@@ -208,7 +217,7 @@ def compute_sigma_star2(a: np.ndarray, S: SpectralData, model: BranchingModel) -
         raise ValueError(
             f"sigma_star2 requires a Perron-orthogonal row (|a.u| = {abs(au):.3e})"
         )
-    M = mixing_covariance(model, S.u)
+    M = perron_mixing(model, S)
     rel = (S.J + 3) * _EPS + max(S.residuals.values())
     (up, up_error), (down, down_error) = (
         tail_sum(S, M, a @ P, sign, rel * _fro(a) * _fro(P))

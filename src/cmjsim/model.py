@@ -23,6 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .scenario import check_model
+from .spectral import _eigvals
 
 __all__ = [
     "OffspringLaw",
@@ -33,6 +34,7 @@ __all__ = [
     "perron_root",
     "is_primitive",
     "mixing_covariance",
+    "perron_mixing",
 ]
 
 COV_NORM_MIN = 1e-12  # GW3: the total covariance norm must exceed this
@@ -123,17 +125,23 @@ def build_model(data: Mapping) -> BranchingModel:
         OffspringLaw(probs=tuple(float(p) for p in probs), counts=counts, probs_exact=probs)
         for probs, counts in tables
     )
-    A = np.zeros((J, J), dtype=float)
-    covs = []
+    # the laws of one outcome count as one stack, each law getting the bits
+    # of its own products
+    by_size: dict = {}
     for j, law in enumerate(laws):
-        outs = np.array(law.counts, dtype=float)
-        p = np.asarray(law.probs)
-        mean = p @ outs
-        A[:, j] = mean
+        by_size.setdefault(len(law.probs), []).append(j)
+    A = np.zeros((J, J), dtype=float)
+    covs: list = [None] * J
+    for js in by_size.values():
+        outs = np.array([laws[j].counts for j in js], dtype=float)
+        p = np.array([laws[j].probs for j in js])
+        mean = p[:, None, :] @ outs
+        A[:, js] = mean[:, 0].T
         dev = outs - mean
-        cov = (dev * p[:, None]).T @ dev
-        cov = 0.5 * (cov + cov.T)  # enforce exact symmetry
-        covs.append(cov)
+        cov = (dev * p[:, :, None]).transpose(0, 2, 1) @ dev
+        cov = 0.5 * (cov + cov.transpose(0, 2, 1))  # enforce exact symmetry
+        for j, c in zip(js, cov):
+            covs[j] = c
     return BranchingModel(
         J=J,
         laws=laws,
@@ -145,7 +153,7 @@ def build_model(data: Mapping) -> BranchingModel:
 
 def perron_root(A: np.ndarray) -> float:
     """Spectral radius of A (for non-negative A this is the Perron root)."""
-    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(A, dtype=float)))))
+    return float(np.abs(_eigvals(np.asarray(A, dtype=float))).max())
 
 
 def is_primitive(A: np.ndarray) -> bool:
@@ -187,4 +195,16 @@ def mixing_covariance(model: BranchingModel, weights: np.ndarray) -> np.ndarray:
     M = np.zeros((model.J, model.J))
     for j in range(model.J):
         M = M + float(np.real(weights[j])) * model.covs[j]
+    return M
+
+
+def perron_mixing(model: BranchingModel, S) -> np.ndarray:
+    """``mixing_covariance(model, S.u)``, read-only and formed once per
+    covariances and Perron vector: kept in ``S._cache`` under their bytes,
+    so models that share one ``S`` each get their own."""
+    key = ("mixing", b"".join(c.tobytes() for c in model.covs), S.u.tobytes())
+    M = S._cache.get(key)
+    if M is None:
+        M = S._cache[key] = mixing_covariance(model, S.u)
+        M.flags.writeable = False
     return M

@@ -12,6 +12,7 @@ with the full key path of the offending entry.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
@@ -23,6 +24,7 @@ __all__ = ["Scenario", "ScenarioError", "check_characteristic", "check_model",
 
 SCHEMA_VERSION = 1
 PROB_TOL = 1e-12
+_INT64_MAX = 2**63 - 1
 
 _RUN_DEFAULTS = {
     "delta": 6,
@@ -38,6 +40,9 @@ _CHAR_KINDS = ("indicator", "table", "kesten_stigum", "custom")
 _CHAR_TABLES = {"table": ("base",), "custom": ("base", "coeff")}  # each kind's age -> row tables
 
 
+_MAPPING = (dict, Mapping)  # a dict, the common case, passes before the ABC check
+
+
 class ScenarioError(ValueError):
     """Schema violation; the message starts with the key path."""
 
@@ -47,51 +52,76 @@ def _fail(path: str, msg: str):
 
 
 def _require(mapping, key, path: str):
-    if not isinstance(mapping, Mapping):
+    if not isinstance(mapping, _MAPPING):
         _fail(path, "expected a mapping")
     if key not in mapping:
         _fail(f"{path}.{key}", "missing")
     return mapping[key]
 
 
-def _number(x, path: str) -> tuple[Any, Any]:
-    """(canonical form, exact value) of a number entry.  Ints and floats keep
-    their form; rationals (a Fraction or a string such as "3/8") become a
-    canonical "p/q" string and a Fraction.  The float64 value must be finite."""
+@functools.lru_cache(maxsize=1024)
+def _rational(x: str | Fraction) -> tuple[str, Fraction, float | None]:
+    """(canonical "p/q" string, exact value, float64 value or None beyond
+    float64) of a rational, each string parsed once."""
+    q = Fraction(x)
+    try:
+        value = float(q)
+    except OverflowError:
+        value = None
+    return str(q), q, value
+
+
+def _parse(x, path: str) -> tuple[Any, Any, float]:
+    """(canonical form, exact value, float64 value) of a number entry.  Ints
+    and floats keep their form; rationals (a Fraction or a string such as
+    "3/8") become a canonical "p/q" string and a Fraction.  The float64 value
+    must be finite."""
     if isinstance(x, bool):
         _fail(path, "booleans are not numbers")
     if isinstance(x, int):
         canon, q = x, Fraction(x)
+        try:
+            value = float(x)
+        except OverflowError:  # an int beyond float64
+            value = None
     elif isinstance(x, float):
-        canon, q = x, x
+        canon = q = value = x
     elif isinstance(x, (Fraction, str)):
         try:
-            q = Fraction(x)
+            canon, q, value = _rational(x)
         except (ValueError, ZeroDivisionError):
             _fail(path, f"cannot parse {x!r} as a rational")
-        canon = str(q)
     else:
         _fail(path, f"expected a number, got {type(x).__name__}")
-    try:
-        if math.isfinite(q):
-            return canon, q
-    except OverflowError:  # an int or a rational beyond float64
-        pass
-    _fail(path, f"{x!r} is not a finite float64 number")
+    if value is None or not math.isfinite(value):
+        _fail(path, f"{x!r} is not a finite float64 number")
+    return canon, q, value
+
+
+def _number(x, path: str) -> tuple[Any, Any]:
+    """(canonical form, exact value) of a number entry (``_parse``)."""
+    return _parse(x, path)[:2]
 
 
 def _prob(x, path: str) -> tuple[Any, Any]:
-    canon, p = _number(x, path)
-    if not 0 <= float(p) <= 1:
-        _fail(path, f"probability {float(p)} outside [0, 1]")
+    canon, p, value = _parse(x, path)
+    if not 0 <= value <= 1:
+        _fail(path, f"probability {value} outside [0, 1]")
     return canon, p
 
 
 def _check_total(probs, path: str) -> None:
-    # a float counts as the decimal it prints as, so 0.1 and 0.9 sum to 1
-    total = sum(p if isinstance(p, Fraction) else Fraction(repr(p)) for p in probs)
-    if abs(float(total) - 1.0) > PROB_TOL:
-        _fail(path, f"probabilities sum to {float(total)!r}, not 1")
+    # a float counts as the decimal it prints as, so 0.1 and 0.9 sum to 1;
+    # the exact sum is num / den over the least common denominator, and the
+    # int division rounds it once, as float() of the Fraction would
+    num, den = 0, 1
+    for p in probs:
+        q = p if isinstance(p, Fraction) else Fraction(repr(p))
+        g = math.gcd(den, q.denominator)
+        num, den = num * (q.denominator // g) + q.numerator * (den // g), den // g * q.denominator
+    total = num / den
+    if abs(total - 1.0) > PROB_TOL:
+        _fail(path, f"probabilities sum to {total!r}, not 1")
 
 
 def _canon_row(x, path: str, length: int | None = None, parse=_number) -> tuple[list, list]:
@@ -133,7 +163,7 @@ def check_model(raw, path="model") -> tuple[dict, tuple]:
         _fail(f"{path}.initial_type", f"must be in 1..{types}, got {initial}")
     offspring_raw = _require(raw, "offspring", path)
     _check_keys(raw, ("types", "initial_type", "offspring"), path)
-    if not isinstance(offspring_raw, Mapping):
+    if not isinstance(offspring_raw, _MAPPING):
         _fail(f"{path}.offspring", "expected a mapping of parent type -> outcome list")
     laws = {}
     for key, entries in offspring_raw.items():
@@ -160,15 +190,18 @@ def _canon_law(entries, types: int, path: str) -> tuple[list, tuple]:
     canon, probs, counts = [], [], []
     for i, entry in enumerate(entries):
         epath = f"{path}.{i}"
-        if not isinstance(entry, Mapping):
+        if not isinstance(entry, _MAPPING):
             _fail(epath, "expected a mapping with keys p, counts")
         _check_keys(entry, ("p", "counts"), epath)
         p_canon, p = _prob(_require(entry, "p", epath), f"{epath}.p")
         vec = _require(entry, "counts", epath)
         if not isinstance(vec, (list, tuple)) or len(vec) != types:
             _fail(f"{epath}.counts", f"expected length {types} list of integers >= 0, got {vec!r}")
-        # counts are stored as int64
-        vec = [_int_ge(c, f"{epath}.counts[{ci}]", 0, 2**63 - 1) for ci, c in enumerate(vec)]
+        # counts are stored as int64; a plain int in range passes without a path of its own
+        if all(type(c) is int and 0 <= c <= _INT64_MAX for c in vec):
+            vec = list(vec)
+        else:
+            vec = [_int_ge(c, f"{epath}.counts[{ci}]", 0, _INT64_MAX) for ci, c in enumerate(vec)]
         canon.append({"p": p_canon, "counts": vec})
         probs.append(p)
         counts.append(tuple(vec))
@@ -195,7 +228,7 @@ def check_characteristic(raw, types: int, path="characteristic") -> tuple[dict, 
     tables = {"base": {0: row} if kind == "indicator" else {}, "coeff": {}}
     for key in _CHAR_TABLES.get(kind, ()):
         table = raw.get(key) or {}
-        if not isinstance(table, Mapping):
+        if not isinstance(table, _MAPPING):
             _fail(f"{path}.{key}", "expected a mapping of age -> row")
         out[key] = {}
         for k, v in table.items():
@@ -208,7 +241,7 @@ def check_characteristic(raw, types: int, path="characteristic") -> tuple[dict, 
         out["noise"] = []
         for i, cell in enumerate(cells):
             cpath = f"{path}.noise[{i}]"
-            if not isinstance(cell, Mapping):
+            if not isinstance(cell, _MAPPING):
                 _fail(cpath, "expected a mapping with keys age, type, probs, values")
             _check_keys(cell, ("age", "type", "probs", "values"), cpath)
             age = _int_age(_require(cell, "age", cpath), cpath)
@@ -268,7 +301,7 @@ def _canon_run(raw, path="run") -> dict:
 def _canon_output(raw, path="output") -> dict:
     if raw is None:
         return {"dir": "out"}
-    if not isinstance(raw, Mapping):
+    if not isinstance(raw, _MAPPING):
         _fail(path, "expected a mapping")
     _check_keys(raw, ("dir",), path)
     d = raw.get("dir", "out")
@@ -308,7 +341,7 @@ class Scenario:
 
 
 def scenario_from_dict(data) -> Scenario:
-    if not isinstance(data, Mapping):
+    if not isinstance(data, _MAPPING):
         raise ScenarioError("scenario: expected a mapping at the top level")
     schema = _require(data, "schema", "scenario")
     if schema != SCHEMA_VERSION:

@@ -19,8 +19,8 @@ solve, giving
 Each cluster gets its projection, and each of the three classes one
 projection of its own (the union of its clusters), so close clusters inside
 one class cost the class projections no accuracy.  The labels are known from
-the cluster means first, so every set of one size is deflated as one stack,
-item for item the bits of deflating it alone.  A cluster's nilpotent index
+the cluster means first, so every set is deflated in one stack, item for
+item the bits of deflating it alone.  A cluster's nilpotent index
 is probed with powers of ``A - lambda I`` only for multiplicity two or more:
 a simple eigenvalue's Jordan block is 1 x 1.  This is better
 conditioned than powering ``(A - lambda I)`` and rank-probing its kernel, and
@@ -69,12 +69,41 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)
 _TINY = float(np.finfo(float).tiny)
 _LOG_RANGE = 700.0  # |log| of a float64 comfortably inside the normal range
 
 SUPER = "super"
 CRITICAL = "critical"
 SUB = "sub"
+
+_last_eigvals: tuple = (None, None)
+
+
+def _eigvals(A: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals`` of a float64 square matrix, read-only.  The last
+    matrix's values are kept, so ``model.validate_assumptions`` and
+    ``spectral_decompose`` of one model solve for them once."""
+    global _last_eigvals
+    key = (A.shape, A.tobytes())
+    last, eigs = _last_eigvals
+    if key != last:
+        eigs = np.linalg.eigvals(A)
+        eigs.flags.writeable = False
+        _last_eigvals = (key, eigs)
+    return eigs
+
+
+_EYES: dict = {}
+
+
+def _eye(n: int, dtype=float) -> np.ndarray:
+    """The read-only n x n identity of ``dtype``, made on first use."""
+    eye = _EYES.get((n, dtype))
+    if eye is None:
+        eye = _EYES[n, dtype] = np.eye(n, dtype=dtype)
+        eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +175,7 @@ def _cluster_values(eigs: np.ndarray, radius: float) -> list[tuple[complex, list
         near = [g for g in groups if any(abs(eigs[b] - eigs[a]) <= radius for b in g)]
         groups = [g for g in groups if g not in near] + [sorted([*itertools.chain(*near), a])]
     # canonical order: by (-|lambda|, -Re, Im) of the member mean, then the first member
-    means = [np.mean(eigs[g]) for g in groups]
+    means = [eigs[g[0]] if len(g) == 1 else np.mean(eigs[g]) for g in groups]
     return sorted(zip(means, groups), key=lambda zg: (-abs(zg[0]), -zg[0].real, zg[0].imag, zg[1]))
 
 
@@ -162,10 +191,11 @@ def _cluster_projections(A: np.ndarray, eigs: np.ndarray, sets: list[list[int]])
     ``T <- H T H`` and ``Q <- Q H`` leave column i upper triangular.  The
     leading ``s x s`` block then carries the cluster, and the splitting
     ``T11 Y - Y T22 = T12`` is one solve of the ``s (J - s)`` Kronecker system,
-    giving ``pi = Q [[I, Y], [0, 0]] Q*``.  The sets of one size go through
-    these steps as one stack of ``(c, J, J)`` arrays: numpy's stacked linear
-    algebra gives each item the bits of a call on that item alone, and the
-    scalar Householder phase and ``vdot`` stay per item.
+    giving ``pi = Q [[I, Y], [0, 0]] Q*``.  All sets go through these steps
+    as one stack of ``(c, J, J)`` arrays, each leaving it after its s steps,
+    and the sets of one size share one Kronecker solve: numpy's stacked
+    linear algebra gives each item the bits of a call on that item alone,
+    and the scalar Householder phase and ``vdot`` stay per item.
 
     An eigenvalue is accepted when it is nearer the members than the other
     eigenvalues.  A tighter test would refuse genuine Jordan blocks: the
@@ -174,56 +204,69 @@ def _cluster_projections(A: np.ndarray, eigs: np.ndarray, sets: list[list[int]])
     such set in ``sets`` raises ``ArithmeticError``.
     """
     n = A.shape[0]
-    out: list = [np.eye(n, dtype=complex)] * len(sets)
+    out: list = [_eye(n, complex).copy() if len(idxs) == n else None for idxs in sets]
     errors: dict = {}
-    for s in sorted({len(idxs) for idxs in sets} - {n}):
-        items = [k for k, idxs in enumerate(sets) if len(idxs) == s]
-        idx = np.array([sets[k] for k in items])
-        members = eigs[idx]
-        inside = np.zeros((len(items), n), dtype=bool)  # members' places in eigs
-        inside[np.arange(len(items))[:, None], idx] = True
-        T = A.astype(complex)[None].repeat(len(items), axis=0)
-        Q = np.eye(n, dtype=complex)[None].repeat(len(items), axis=0)
-        vals = eigs[None].repeat(len(items), axis=0)
-        for i in range(s):
-            if i:
-                vals = np.linalg.eigvals(T[:, i:, i:])
-            near = np.abs(vals[:, :, None] - members[:, None, :]).min(axis=2)
-            lam = vals[np.arange(len(items)), near.argmin(axis=1)]
-            others = np.abs(lam[:, None] - eigs)
-            others[inside] = np.inf
-            bad = near.min(axis=1) >= others.min(axis=1)
-            if bad.any():  # those sets leave the stack; an empty stack runs on to no result
-                for j in np.flatnonzero(bad).tolist():
-                    errors[items[j]] = ArithmeticError(
-                        f"eigenvalue clustering is inconsistent: after {i} of {s} deflations "
-                        f"the nearest remaining value {lam[j]:.6g} lies nearer an eigenvalue "
-                        f"outside the cluster; the Jordan structure is too ill-conditioned "
-                        f"for the requested tolerance"
-                    )
-                items = [k for k, b in zip(items, bad) if not b]
-                members, inside, T, Q, lam = (a[~bad] for a in (members, inside, T, Q, lam))
-            x = np.linalg.svd(T[:, i:, i:] - lam[:, None, None] * np.eye(n - i))[2][:, -1].conj()
-            # H = I - 2 w w* / |w|^2 with w = x + phase(x_0) e_0: no cancellation
-            w = x.copy()
-            scale = []
-            for wj, x0 in zip(w, x[:, 0]):
-                wj[0] += x0 / abs(x0) if x0 != 0 else 1.0
-                scale.append(2.0 / np.vdot(wj, wj).real)
-            H = np.eye(n - i) - w[:, :, None] * w.conj()[:, None, :] * np.array(scale)[:, None, None]
-            T[:, :, i:] = T[:, :, i:] @ H
-            T[:, i:, :] = H @ T[:, i:, :]
-            Q[:, :, i:] = Q[:, :, i:] @ H
+    items = [k for k, idxs in enumerate(sets) if len(idxs) < n]
+    size = np.array([len(sets[k]) for k in items], dtype=int)
+    top = int(size.max(initial=0))
+    # each set's members, padded to one length with its first: the nearest member stays put
+    idx = np.array([sets[k] + sets[k][:1] * (top - len(sets[k])) for k in items], dtype=int).reshape(len(items), top)
+    members = eigs[idx]
+    inside = np.zeros((len(items), n), dtype=bool)  # members' places in eigs
+    inside[np.arange(len(items))[:, None], idx] = True
+    T = A.astype(complex)[None].repeat(len(items), axis=0)
+    Q = _eye(n, complex)[None].repeat(len(items), axis=0)
+    vals = eigs[None].repeat(len(items), axis=0)
+    deflated = []  # (s, its sets, their T and Q) once a set's s deflations are done
+    for i in range(top):
+        if i:
+            vals = np.linalg.eigvals(T[:, i:, i:])
+        near = np.abs(vals[:, :, None] - members[:, None, :]).min(axis=2)
+        lam = vals[np.arange(len(items)), near.argmin(axis=1)]
+        others = np.abs(lam[:, None] - eigs)
+        others[inside] = np.inf
+        bad = near.min(axis=1) >= others.min(axis=1)
+        if bad.any():  # those sets leave the stack
+            for j in np.flatnonzero(bad).tolist():
+                errors[items[j]] = ArithmeticError(
+                    f"eigenvalue clustering is inconsistent: after {i} of {size[j]} deflations "
+                    f"the nearest remaining value {lam[j]:.6g} lies nearer an eigenvalue "
+                    f"outside the cluster; the Jordan structure is too ill-conditioned "
+                    f"for the requested tolerance"
+                )
+            items = [k for k, b in zip(items, bad) if not b]
+            size, members, inside, T, Q, lam = (a[~bad] for a in (size, members, inside, T, Q, lam))
+        x = np.linalg.svd(T[:, i:, i:] - lam[:, None, None] * _eye(n - i))[2][:, -1].conj()
+        # H = I - 2 w w* / |w|^2 with w = x + phase(x_0) e_0: no cancellation
+        w = x.copy()
+        scale = []
+        for wj, x0 in zip(w, x[:, 0]):
+            wj[0] += x0 / abs(x0) if x0 != 0 else 1.0
+            scale.append(2.0 / np.vdot(wj, wj).real)
+        H = _eye(n - i) - w[:, :, None] * w.conj()[:, None, :] * np.array(scale)[:, None, None]
+        T[:, :, i:] = T[:, :, i:] @ H
+        T[:, i:, :] = H @ T[:, i:, :]
+        Q[:, :, i:] = Q[:, :, i:] @ H
+        done = size == i + 1
+        if done.all():  # the last step, or all sets left are of this size
+            deflated.append((i + 1, items, T, Q))
+            break
+        if done.any():
+            deflated.append((i + 1, [k for k, d in zip(items, done) if d], T[done], Q[done]))
+            items = [k for k, d in zip(items, done) if not d]
+            size, members, inside, T, Q = (a[~done] for a in (size, members, inside, T, Q))
+    for s, ks, T, Q in deflated:
+        c = len(ks)
         T11, T12, T22 = T[:, :s, :s], T[:, :s, s:], T[:, s:, s:]
         # kron(I, T11) - kron(T22^T, I), which acts on Y stacked column by column
-        K = np.eye(n - s)[:, None, :, None] * T11[:, None, :, None, :]
-        K = K - T22.transpose(0, 2, 1)[:, :, None, :, None] * np.eye(s)[:, None, :]
+        K = _eye(n - s)[:, None, :, None] * T11[:, None, :, None, :]
+        K = K - T22.transpose(0, 2, 1)[:, :, None, :, None] * _eye(s)[:, None, :]
         m = s * (n - s)
-        Y = np.linalg.solve(K.reshape(len(items), m, m), T12.transpose(0, 2, 1).reshape(len(items), m, 1))
-        P = np.zeros((len(items), n, n), dtype=complex)
-        P[:, :s, :s] = np.eye(s)
-        P[:, :s, s:] = Y.reshape(len(items), n - s, s).transpose(0, 2, 1)
-        for k, proj in zip(items, Q @ P @ Q.conj().transpose(0, 2, 1)):
+        Y = np.linalg.solve(K.reshape(c, m, m), T12.transpose(0, 2, 1).reshape(c, m, 1))
+        P = np.zeros((c, n, n), dtype=complex)
+        P[:, :s, :s] = _eye(s)
+        P[:, :s, s:] = Y.reshape(c, n - s, s).transpose(0, 2, 1)
+        for k, proj in zip(ks, Q @ P @ Q.conj().transpose(0, 2, 1)):
             out[k] = proj
     if errors:
         raise errors[min(errors)]
@@ -235,7 +278,7 @@ def _nilpotent_index(A: np.ndarray, lam: complex, proj: np.ndarray, norm_A: floa
     (norm_A = |A|_2); probed for a cluster of two or more eigenvalues, since a
     simple eigenvalue's block is 1 x 1."""
     n = A.shape[0]
-    shifted = A.astype(complex) - lam * np.eye(n)
+    shifted = A.astype(complex) - lam * _eye(n)
     scale = max(1.0, norm_A)
     B = proj
     for m in range(1, n + 1):
@@ -254,15 +297,17 @@ def _perron_vectors(pi_perron: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ones = np.ones(pi_perron.shape[0])
     w = pi_perron @ ones
     y = pi_perron.conj().T @ ones
-    if np.max(np.abs(w.imag)) > 1e-8 or np.max(np.abs(y.imag)) > 1e-8:
+    if np.abs(w.imag).max() > 1e-8 or np.abs(y.imag).max() > 1e-8:
         raise ArithmeticError("Perron projection produced non-real eigenvectors")
     w = w.real
     y = y.real
-    if abs(y.sum()) <= DEFAULT_TOL or abs(w @ (y / y.sum())) <= DEFAULT_TOL:
-        raise ArithmeticError("degenerate Perron projection; cannot normalize u, v")
-    v = y / y.sum()
-    u = w / (w @ v)
-    return u, v
+    total = y.sum()
+    if abs(total) > DEFAULT_TOL:
+        v = y / total
+        wv = w @ v
+        if abs(wv) > DEFAULT_TOL:
+            return w / wv, v
+    raise ArithmeticError("degenerate Perron projection; cannot normalize u, v")
 
 
 def spectral_decompose(A: np.ndarray) -> SpectralData:
@@ -280,21 +325,21 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("A must be finite")
-    if np.any(A < 0):
+    if (A < 0).any():
         raise ValueError("A must be entrywise non-negative")
     n = A.shape[0]
     norm_A = float(np.linalg.svd(A, compute_uv=False)[0])
     if norm_A == 0.0:
         raise ArithmeticError("A is the zero matrix (spectral radius 0): it has no Perron root")
 
-    eigs = np.sort_complex(np.linalg.eigvals(A))
-    radius = max(tol, 64.0 * np.sqrt(np.finfo(float).eps) * norm_A)
+    eigs = np.sort_complex(_eigvals(A))
+    radius = max(tol, 64.0 * _SQRT_EPS * norm_A)
     groups = _cluster_values(eigs, radius)
 
-    rho = float(np.max(np.abs(eigs)))
-    sqrt_rho = float(np.sqrt(rho))
+    rho = float(np.abs(eigs).max())
+    sqrt_rho = math.sqrt(rho)
 
     # every label is known before any projection is formed
     heads = []
@@ -327,8 +372,8 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
         for ks in classes
     )
 
-    eye = np.eye(n, dtype=complex)
-    pi12 = np.stack([pi1, pi2])
+    eye = _eye(n, complex)
+    pi12 = np.array([pi1, pi2])
     A12 = A.astype(complex) @ pi12 + (eye - pi12)
     try:
         A1_inv, A2_inv = np.linalg.inv(A12)
@@ -382,27 +427,31 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
 
 def _invariant_residuals(A, clusters, pi1, pi2, pi3, A1, A1_inv, u, v, rho) -> dict:
     n = A.shape[0]
-    eye = np.eye(n)
     Ac = A.astype(complex)
-    D = sum((c.eigenvalue * c.projection for c in clusters if c.label == CRITICAL), np.zeros_like(Ac))
-    N = pi2 @ Ac - D
 
     def nrm(M):
         return float(np.abs(M).max(initial=0.0))
 
+    # D and N, the parts of pi2 A, vanish with pi2, and so do their keys
+    dn_commute = n_nilpotent = 0.0
+    critical = [c for c in clusters if c.label == CRITICAL]
+    if critical:
+        D = sum((c.eigenvalue * c.projection for c in critical), np.zeros_like(Ac))
+        N = pi2 @ Ac - D
+        dn_commute, n_nilpotent = nrm(D @ N - N @ D), nrm(np.linalg.matrix_power(N, n))
     res = {
-        "partition_of_unity": nrm(pi1 + pi2 + pi3 - eye),
-        "A1_inverse": nrm(A1 @ A1_inv - eye),
+        "partition_of_unity": nrm(pi1 + pi2 + pi3 - _eye(n)),
+        "A1_inverse": nrm(A1 @ A1_inv - _eye(n)),
         "eigen_right": nrm(A @ u - rho * u) / max(1.0, rho),
         "eigen_left": nrm(v @ A - rho * v) / max(1.0, rho),
-        "DN_commute": nrm(D @ N - N @ D),
-        "N_nilpotent": nrm(np.linalg.matrix_power(N, n)),
+        "DN_commute": dn_commute,
+        "N_nilpotent": n_nilpotent,
     }
-    P = np.stack([c.projection for c in clusters])
+    P = np.array([c.projection for c in clusters])
     res["idempotency"] = nrm(P @ P - P)
     res["commutation"] = nrm(P @ Ac - Ac @ P)
     pairs = P[:, None] @ P[None, :]
-    res["mutual_orthogonality"] = nrm(pairs[~np.eye(len(P), dtype=bool)])
+    res["mutual_orthogonality"] = nrm(pairs[~_eye(len(P), bool)])
     return res
 
 
@@ -415,17 +464,19 @@ def projected_power(S: SpectralData, i: int, k: int) -> np.ndarray:
     raises a bare ``ArithmeticError``.
     """
     sign = 1 if k >= 0 else -1
-    powers = S._cache.setdefault(("pp", i, sign), [S.pi(i)])
+    powers = S._cache.get(("pp", i, sign))
+    if powers is None:
+        powers = S._cache["pp", i, sign] = [S.pi(i)]
     if len(powers) <= abs(k):
         step = S.step(i, sign)
-        while len(powers) <= abs(k):
-            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        with np.errstate(over="ignore", invalid="ignore"):  # each power is checked before it is kept
+            while len(powers) <= abs(k):
                 out = step @ powers[-1]
-            if not np.all(np.isfinite(out)):
-                raise ArithmeticError(
-                    f"pi{i} A^k pi{i} is not representable in float64 at k={sign * len(powers)}"
-                )
-            powers.append(out)
+                if not np.isfinite(out).all():
+                    raise ArithmeticError(
+                        f"pi{i} A^k pi{i} is not representable in float64 at k={sign * len(powers)}"
+                    )
+                powers.append(out)
     return powers[abs(k)]
 
 
@@ -492,7 +543,9 @@ def stein_tail(S: SpectralData, M: np.ndarray, sign: int) -> tuple[np.ndarray, n
     radius below one (max|sub|/sqrt(rho) and sqrt(rho)/min|super|), so X is
     the one solution of the Stein equation ``X = M + T X T^H`` and Y that of
     ``Y = I + T Y T^H``: one complex ``(J^2 x J^2)`` Kronecker solve with
-    the two right-hand sides, cached on ``S`` per sign and M.
+    the two right-hand sides, cached on ``S`` per sign and M.  Both signs
+    are solved at the first call (``_stein_solve``); a sign's refusal is
+    kept and raised only when that sign is asked for.
 
     The residual ``R = M + T X T^H - X`` of the computed X makes the exact
     tail differ from ``w X w^H`` by ``w (sum_j T^j R T^jH) w^H``, which is at
@@ -505,31 +558,64 @@ def stein_tail(S: SpectralData, M: np.ndarray, sign: int) -> tuple[np.ndarray, n
     """
     key = ("stein", sign, M.tobytes())
     if key not in S._cache:
-        T = S.step(3, 1) / S.sqrt_rho if sign > 0 else S.step(1, -1) * S.sqrt_rho
-        J = S.J
-        eye = np.eye(J, dtype=complex)
-        # vec(T X T^H) = (conj(T) kron T) vec(X), vec stacking columns
-        K = np.eye(J * J) - (T.conj()[:, None, :, None] * T[None, :, None, :]).reshape(J * J, J * J)
-        rhs = np.stack([M.ravel(order="F"), eye.ravel(order="F")], axis=1)
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            raise ArithmeticError(f"the Stein system of the sign {sign:+d} tail is singular") from None
-        if not np.all(np.isfinite(sol)):
-            raise ArithmeticError(f"the Stein system of the sign {sign:+d} tail has a non-finite solution")
-        X, Y = Z = sol.reshape(J, J, 2).transpose(2, 1, 0)  # sol's two columns, each column-major
-        R = np.stack([M, eye]) + T @ Z @ T.conj().T - Z  # the residuals of X and Y as one stack
-        growth = 1.0 + _fro(T) ** 2
+        _stein_solve(S, M)
+    out = S._cache[key]
+    if isinstance(out, str):  # this sign's refusal
+        raise ArithmeticError(out)
+    return out
+
+
+def _stein_solve(S: SpectralData, M: np.ndarray) -> None:
+    """Fill ``stein_tail``'s cache for both signs of M: the two Kronecker
+    systems as one stacked solve (numpy gives each item the bits of a solve
+    on it alone), each sign on its own when one is singular.  A sign that is
+    refused gets its message in place of its triple."""
+    J = S.J
+    eye = _eye(J, complex)
+    signs = (1, -1)
+    T = np.array([S.step(3, 1) / S.sqrt_rho, S.step(1, -1) * S.sqrt_rho])
+    # vec(T X T^H) = (conj(T) kron T) vec(X), vec stacking columns
+    K = _eye(J * J) - (T.conj()[:, :, None, :, None] * T[:, None, :, None, :]).reshape(2, J * J, J * J)
+    rhs = np.array([M.ravel(order="F"), eye.ravel(order="F")]).T
+    refused = {}
+    try:
+        sol = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.full((2, J * J, 2), np.nan, dtype=complex)
+        for i, sign in enumerate(signs):
+            try:
+                sol[i] = np.linalg.solve(K[i], rhs)
+            except np.linalg.LinAlgError:
+                refused[sign] = f"the Stein system of the sign {sign:+d} tail is singular"
+    for i, sign in enumerate(signs):
+        if sign not in refused and not np.isfinite(sol[i]).all():
+            refused[sign] = f"the Stein system of the sign {sign:+d} tail has a non-finite solution"
+    ok = [i for i, sign in enumerate(signs) if sign not in refused]
+    if refused:
+        sol, T = sol[ok], T[ok]
+    Z = sol.reshape(len(ok), J, J, 2).transpose(0, 3, 2, 1)  # each sol's two columns, column-major
+    # the residuals of X and Y for each sign, as one stack
+    R = np.array([M, eye]) + T[:, None] @ Z @ T.conj().transpose(0, 2, 1)[:, None] - Z
+    fro_B = (_fro(M), _fro(eye))
+    done = []
+    for i, T_s, R_s, Z_s in zip(ok, T, R, Z):
+        growth = 1.0 + _fro(T_s) ** 2
         r_x, r_y = (
-            _fro(R_B) + (4 * J + 8) * _EPS * (_fro(B) + growth * _fro(Z_B))
-            for R_B, B, Z_B in zip(R, (M, eye), Z)
+            _fro(R_B) + (4 * J + 8) * _EPS * (f_B + growth * _fro(Z_B))
+            for R_B, f_B, Z_B in zip(R_s, fro_B, Z_s)
         )
         if not r_y < 1.0:
-            raise ArithmeticError(
-                f"the Stein solve of the sign {sign:+d} tail is too ill-conditioned (residual {r_y:.3e})"
+            refused[signs[i]] = (
+                f"the Stein solve of the sign {signs[i]:+d} tail is too ill-conditioned (residual {r_y:.3e})"
             )
-        S._cache[key] = (X, Y * (r_x / (1.0 - r_y)), float(np.linalg.svd(X, compute_uv=False)[0]))
-    return S._cache[key]
+        else:
+            done.append((signs[i], Z_s[0], Z_s[1] * (r_x / (1.0 - r_y))))
+    x_norms = np.linalg.svd(np.array([X for _, X, _ in done]), compute_uv=False)[:, 0] if done else ()
+    M_bytes = M.tobytes()
+    for (sign, X, E), x_norm in zip(done, x_norms):
+        S._cache["stein", sign, M_bytes] = (X, E, float(x_norm))
+    for sign, reason in refused.items():
+        S._cache["stein", sign, M_bytes] = reason
 
 
 def tail_sum(S: SpectralData, M: np.ndarray, w: np.ndarray, sign: int, delta: float) -> tuple[float, float]:
@@ -539,4 +625,5 @@ def tail_sum(S: SpectralData, M: np.ndarray, w: np.ndarray, sign: int, delta: fl
     ``(2 |w| delta + delta^2) |X|_2``."""
     X, E, x_norm = stein_tail(S, M, sign)
     row_error = (2.0 * _fro(w) * delta + delta * delta) * x_norm
-    return float(m_norm2(X, w)), abs(float(m_norm2(E, w))) + row_error
+    w_conj = w.conj()  # m_norm2 of X and of E
+    return float(((w @ X) * w_conj).sum().real), abs(float(((w @ E) * w_conj).sum().real)) + row_error

@@ -10,7 +10,9 @@ LAPACK's ordered-Schur spectral projector that the deflation one must equal,
 the one-set deflation and norm-probed Jordan index that the stacked
 deflation must equal bit for bit,
 union-find eigenvalue clustering and per-cluster invariant residuals that the
-one-pass and stacked ones must equal,
+one-pass and stacked ones must equal, the invariant residuals with the Jordan
+parts formed on every decomposition and the Stein solve of one tail sign at a
+time that the library's must equal bit for bit,
 full-operator powers that the projected ones must equal, the
 block-by-block simulator with one multinomial call per parent type that the
 chunk-stepped one must equal, and the series engine's weights, mean
@@ -40,6 +42,7 @@ from cmjsim.characteristics import Characteristic
 from cmjsim.model import mixing_covariance
 from cmjsim.simulator import BLOCK, BatchResult, normalization
 from cmjsim.spectral import (
+    _EPS,
     DEFAULT_TOL,
     _fro,
     m_norm2,
@@ -433,6 +436,64 @@ def per_cluster_residuals(S) -> dict:
                 orth = float(np.max(np.abs(p @ cb.projection)))
                 out["mutual_orthogonality"] = max(out["mutual_orthogonality"], orth)
     return out
+
+
+def reference_invariant_residuals(A, clusters, pi1, pi2, pi3, A1, A1_inv, u, v, rho) -> dict:
+    """The invariant residuals with the parts D and N of ``pi2 A`` formed on
+    every decomposition, critical part or none; the keys are the library's,
+    ``DN_commute`` among them."""
+    n = A.shape[0]
+    eye = np.eye(n)
+    Ac = A.astype(complex)
+    D = sum((c.eigenvalue * c.projection for c in clusters if c.label == "critical"), np.zeros_like(Ac))
+    N = pi2 @ Ac - D
+
+    def nrm(M):
+        return float(np.abs(M).max(initial=0.0))
+
+    res = {
+        "partition_of_unity": nrm(pi1 + pi2 + pi3 - eye),
+        "A1_inverse": nrm(A1 @ A1_inv - eye),
+        "eigen_right": nrm(A @ u - rho * u) / max(1.0, rho),
+        "eigen_left": nrm(v @ A - rho * v) / max(1.0, rho),
+        "DN_commute": nrm(D @ N - N @ D),
+        "N_nilpotent": nrm(np.linalg.matrix_power(N, n)),
+    }
+    P = np.stack([c.projection for c in clusters])
+    res["idempotency"] = nrm(P @ P - P)
+    res["commutation"] = nrm(P @ Ac - Ac @ P)
+    pairs = P[:, None] @ P[None, :]
+    res["mutual_orthogonality"] = nrm(pairs[~np.eye(len(P), dtype=bool)])
+    return res
+
+
+def per_sign_stein_tail(S, M: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """``spectral.stein_tail`` for one sign alone, uncached: its own
+    Kronecker solve and its own refusal, raised at once."""
+    T = S.step(3, 1) / S.sqrt_rho if sign > 0 else S.step(1, -1) * S.sqrt_rho
+    J = S.J
+    eye = np.eye(J, dtype=complex)
+    # vec(T X T^H) = (conj(T) kron T) vec(X), vec stacking columns
+    K = np.eye(J * J) - (T.conj()[:, None, :, None] * T[None, :, None, :]).reshape(J * J, J * J)
+    rhs = np.stack([M.ravel(order="F"), eye.ravel(order="F")], axis=1)
+    try:
+        sol = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:
+        raise ArithmeticError(f"the Stein system of the sign {sign:+d} tail is singular") from None
+    if not np.all(np.isfinite(sol)):
+        raise ArithmeticError(f"the Stein system of the sign {sign:+d} tail has a non-finite solution")
+    X, Y = Z = sol.reshape(J, J, 2).transpose(2, 1, 0)  # sol's two columns, each column-major
+    R = np.stack([M, eye]) + T @ Z @ T.conj().T - Z  # the residuals of X and Y as one stack
+    growth = 1.0 + _fro(T) ** 2
+    r_x, r_y = (
+        _fro(R_B) + (4 * J + 8) * _EPS * (_fro(B) + growth * _fro(Z_B))
+        for R_B, B, Z_B in zip(R, (M, eye), Z)
+    )
+    if not r_y < 1.0:
+        raise ArithmeticError(
+            f"the Stein solve of the sign {sign:+d} tail is too ill-conditioned (residual {r_y:.3e})"
+        )
+    return X, Y * (r_x / (1.0 - r_y)), float(np.linalg.svd(X, compute_uv=False)[0])
 
 
 def matrix_power_restricted(S, i: int, k: int) -> np.ndarray:
