@@ -12,8 +12,9 @@ Each subcommand adds its blocks to one report, and ``main`` alone writes it:
 to ``--out`` first (``simulate``: its ``--out`` is the CSV), then ``verify``'s
 ``--emit-hist``, then as the one JSON document on stdout.  Exit codes: 0
 success / statistical PASS; 1 usage or schema error, or an output that cannot
-be written, named on stderr, with nothing on stdout and none of the run's
-files left; 2 a refusal; 3 statistical FAIL.  Every subcommand refuses in one
+be written, or one file named by both ``--out`` and ``--emit-hist``, named
+on stderr, with nothing on stdout and none of the run's files left; 2 a
+refusal; 3 statistical FAIL.  Every subcommand refuses in one
 form: the report formed so far, with ``verdict: REFUSED`` and
 a ``reason`` naming the cause (failed assumptions, no Perron root,
 uncertifiable constants, a case mismatch, an unusable run, a value outside
@@ -324,6 +325,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     run = _Pipeline(args)
     try:
+        hist = getattr(args, "emit_hist", None)
+        if args.out and hist and os.path.realpath(args.out) == os.path.realpath(hist):
+            raise ValueError(f"--out and --emit-hist name one file: {hist!r}")
         try:
             code = _COMMANDS[args.command][1](run)
         except (ArithmeticError, RuntimeError) as exc:  # a refusal: the report so far, and its cause

@@ -976,13 +976,16 @@ def test_every_refusal_is_its_report_so_far_with_its_reason(
 # (command, cause): a schema error (ids: the command alone), an --out naming a
 # directory on runs that refuse (verify), PASS or print a whole exit-2 report,
 # an --emit-hist naming one after a PASS, an --out naming one on a PASS that
-# also asks for a histogram, and a scenario nested deeper than the YAML parser
-# recurses
+# also asks for a histogram, an --emit-hist naming the --out file (as given,
+# or by another path to it), and a scenario nested deeper than the YAML
+# parser recurses
 USAGE_ERRORS = [
     *((c, "schema") for c in cli._COMMANDS),
     *((c, "out_dir") for c in cli._COMMANDS),
     ("verify", "hist_dir"),
     ("verify", "out_dir_hist"),
+    ("verify", "same_file"),
+    ("verify", "same_file_dotted"),
     *((c, "deep") for c in cli._COMMANDS),
 ]
 
@@ -1001,6 +1004,10 @@ def test_a_usage_error_prints_no_report(command, cause, tmp_path, capsys):
         (tmp_path / "deep.yaml").write_text("[" * 5000 + "]" * 5000)
         argv += ["--scenario", str(tmp_path / "deep.yaml")]
         want = "error: scenario: invalid YAML (maximum recursion depth exceeded"
+    elif cause.startswith("same_file"):
+        named = str(target) if cause == "same_file" else os.path.join(str(tmp_path), ".", target.name)
+        argv += ["--scenario", "two_type_mirror", "--emit-hist", named]
+        want = f"error: --out and --emit-hist name one file: {named!r}\n"
     else:
         directory = hist if cause == "hist_dir" else target
         directory.mkdir()
