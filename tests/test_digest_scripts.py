@@ -90,3 +90,30 @@ def test_cli_digest_registers_each_age0_form_on_one_road(script, tmp_path):
 
     assert constants("two_type_mirror+age0_table") == constants("two_type_mirror")
     assert constants("single_type_binary+zero_row") == constants("single_type_binary+zero_table")
+
+
+def test_bench_summary_pairs_the_last_sources_by_seed(script):
+    # a stale parent source and an unlabelled point are left out; a seed met
+    # twice counts once, at its later point; ties are not wins
+    bench = script("bench_trajectory")
+
+    def point(label, source, seed, rate):
+        p = {"source_sha256": source, "src_lines": 10, "seed": seed, "metrics": {"items_per_s": rate}}
+        return p if label is None else {"label": label, **p}
+
+    points = [
+        point("parent", "old", 1, 1.0),
+        point("parent", "p", 1, 10.0), point("change", "c", 1, 12.0),
+        point("change", "c", 2, 9.0), point("parent", "p", 2, 11.0),
+        point("parent", "p", 3, 20.0), point("change", "c", 3, 20.0),
+        point(None, "x", 3, 99.0),
+        point("change", "c", 1, 13.0),
+    ]
+    pairs = bench.labelled_pairs(points)
+    assert [(p["seed"], p["metrics"]["items_per_s"], c["metrics"]["items_per_s"]) for p, c in pairs] == [
+        (1, 10.0, 13.0), (2, 11.0, 9.0), (3, 20.0, 20.0)
+    ]
+    table = bench.summarize(points, [{"name": "items_per_s", "better": "higher"}]).splitlines()
+    assert table[0].startswith("3 pairs: parent p")
+    assert table[-1].split() == ["items_per_s", "11", "10", "20", "13", "1/3"]
+    assert bench.summarize(points[:2], []) == "no parent/change pairs"
