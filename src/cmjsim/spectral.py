@@ -126,7 +126,8 @@ class SpectralData:
     super/critical invariant subspace and the identity on the complement.
     ``theta`` is a decay rate with ``|pi3 A^n| <= C theta^n`` for some
     unreported constant C.  ``residuals`` checks the invariants, among them
-    the parts D and N of ``pi2 A``, formed from the critical clusters.
+    the nilpotency of the part N of ``pi2 A``, formed from the critical
+    clusters.
     """
 
     A: np.ndarray
@@ -432,19 +433,18 @@ def _invariant_residuals(A, clusters, pi1, pi2, pi3, A1, A1_inv, u, v, rho) -> d
     def nrm(M):
         return float(np.abs(M).max(initial=0.0))
 
-    # D and N, the parts of pi2 A, vanish with pi2, and so do their keys
-    dn_commute = n_nilpotent = 0.0
+    # N = pi2 A - D, the nilpotent part of pi2 A, vanishes with pi2, and so does
+    # its key; D N = N D needs no key, since every projection commutes with A
+    n_nilpotent = 0.0
     critical = [c for c in clusters if c.label == CRITICAL]
     if critical:
         D = sum((c.eigenvalue * c.projection for c in critical), np.zeros_like(Ac))
-        N = pi2 @ Ac - D
-        dn_commute, n_nilpotent = nrm(D @ N - N @ D), nrm(np.linalg.matrix_power(N, n))
+        n_nilpotent = nrm(np.linalg.matrix_power(pi2 @ Ac - D, n))
     res = {
         "partition_of_unity": nrm(pi1 + pi2 + pi3 - _eye(n)),
         "A1_inverse": nrm(A1 @ A1_inv - _eye(n)),
         "eigen_right": nrm(A @ u - rho * u) / max(1.0, rho),
         "eigen_left": nrm(v @ A - rho * v) / max(1.0, rho),
-        "DN_commute": dn_commute,
         "N_nilpotent": n_nilpotent,
     }
     P = np.array([c.projection for c in clusters])

@@ -92,15 +92,17 @@ def test_stacked_stein_solve_equals_the_per_sign_one_bit_for_bit(decomposed):
 
 
 def test_residuals_equal_those_with_the_jordan_parts_always_formed(decomposed):
+    # every key but DN_commute, which D N = N D made redundant and which is gone
     for _, S in decomposed:
         pi12 = np.array([S.pi1, S.pi2])
         A1 = (S.A.astype(complex) @ pi12 + (np.eye(S.J, dtype=complex) - pi12))[0]
         want = oracles.reference_invariant_residuals(
             S.A, S.clusters, S.pi1, S.pi2, S.pi3, A1, S.A1_inv, S.u, S.v, S.rho
         )
+        assert want.pop("DN_commute") <= max(want.values())
         assert list(S.residuals.items()) == list(want.items()), S.A.tolist()
         if not any(c.label == "critical" for c in S.clusters):
-            assert S.residuals["DN_commute"] == S.residuals["N_nilpotent"] == 0.0
+            assert S.residuals["N_nilpotent"] == 0.0
 
 
 # a scale s makes the tail step T = s I: its Stein system is singular at 1,
