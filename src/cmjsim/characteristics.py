@@ -84,16 +84,11 @@ def _freeze_rows(rows: Mapping[int, np.ndarray] | None, J: int, what: str) -> di
     """The nonzero rows as read-only views of one fresh table, keyed by int."""
     if not rows:
         return {}
-    try:  # one conversion where every row is a flat row of length J
-        table = np.array(list(rows.values()), dtype=complex)
-    except Exception:  # the row by row conversion below raises its own error
-        table = None
-    if table is None or table.shape != (len(rows), J):
-        flat = [np.asarray(row, dtype=complex).reshape(-1) for row in rows.values()]
-        for k, r in zip(rows, flat):
-            if r.shape != (J,):
-                raise ValueError(f"{what}[{k}]: expected a row of length {J}")
-        table = np.array(flat)
+    flat = [np.asarray(row, dtype=complex).reshape(-1) for row in rows.values()]
+    for k, r in zip(rows, flat):
+        if r.shape != (J,):
+            raise ValueError(f"{what}[{k}]: expected a row of length {J}")
+    table = np.array(flat)
     finite = np.isfinite(table)
     if not finite.all():
         i, j = np.argwhere(~finite)[0].tolist()
@@ -147,19 +142,16 @@ class Characteristic:
 
     def __getstate__(self) -> dict:
         # a pool task pickles the tables, not the moments formed from them
-        return {k: v for k, v in self.__dict__.items() if k not in ("_moments", "_mean_table")}
+        return {k: v for k, v in self.__dict__.items() if k != "_moments"}
 
     @property
     def is_deterministic(self) -> bool:
         return not self.coeff and not self.noise
 
     def mean_table(self) -> dict:
-        """``{k: E phi(k)}`` over the nonzero rows, in ascending age; formed
-        on the first call and kept, like the moments."""
-        if "_mean_table" not in self.__dict__:
-            ages, mean, _ = self.moments()
-            self.__dict__["_mean_table"] = {ages[i]: mean[i] for i in np.flatnonzero(mean.any(axis=1)).tolist()}
-        return dict(self.__dict__["_mean_table"])
+        """``{k: E phi(k)}`` over the nonzero rows, in ascending age."""
+        ages, mean, _ = self.moments()
+        return {ages[i]: mean[i] for i in np.flatnonzero(mean.any(axis=1)).tolist()}
 
     def scaled(self, factor: complex) -> "Characteristic":
         """The characteristic ``factor * phi`` (all tables scaled)."""

@@ -119,20 +119,16 @@ def _B_rows(mt: dict, S: SpectralData, ks) -> tuple[np.ndarray, np.ndarray]:
     it: one pass over the mean table, each age adding its term to every row."""
     rows = np.zeros((len(ks), S.J), dtype=complex)
     size = np.zeros(len(ks))
-    terms: dict = {}  # (k <= 0, l) -> (P, |P|_F), formed once for every age
     for m, phi_row in mt.items():
         phi_size = _fro(phi_row)
         for i, k in enumerate(ks):
             l = k - 1 - m
-            if (k <= 0, l) not in terms:
-                if k <= 0:
-                    P = -projected_power(S, 1, l) if l < 0 else projected_power(S, 2, l) + projected_power(S, 3, l)
-                else:
-                    P = -(projected_power(S, 1, l) + projected_power(S, 2, l)) if l < 0 else projected_power(S, 3, l)
-                terms[k <= 0, l] = P, _fro(P)
-            P, P_size = terms[k <= 0, l]
+            if k <= 0:
+                P = -projected_power(S, 1, l) if l < 0 else projected_power(S, 2, l) + projected_power(S, 3, l)
+            else:
+                P = -(projected_power(S, 1, l) + projected_power(S, 2, l)) if l < 0 else projected_power(S, 3, l)
             rows[i] += phi_row @ P
-            size[i] += phi_size * P_size
+            size[i] += phi_size * _fro(P)
     return rows, size
 
 

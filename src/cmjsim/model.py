@@ -23,7 +23,6 @@ from typing import Mapping
 import numpy as np
 
 from .scenario import check_model
-from .spectral import _eigvals
 
 __all__ = [
     "OffspringLaw",
@@ -153,7 +152,7 @@ def build_model(data: Mapping) -> BranchingModel:
 
 def perron_root(A: np.ndarray) -> float:
     """Spectral radius of A (for non-negative A this is the Perron root)."""
-    return float(np.abs(_eigvals(np.asarray(A, dtype=float))).max())
+    return float(np.abs(np.linalg.eigvals(np.asarray(A, dtype=float))).max())
 
 
 def is_primitive(A: np.ndarray) -> bool:

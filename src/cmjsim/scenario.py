@@ -71,7 +71,7 @@ def _rational(x: str | Fraction) -> tuple[str, Fraction, float | None]:
     return str(q), q, value
 
 
-def _parse(x, path: str) -> tuple[Any, Any, float]:
+def _number(x, path: str) -> tuple[Any, Any, float]:
     """(canonical form, exact value, float64 value) of a number entry.  Ints
     and floats keep their form; rationals (a Fraction or a string such as
     "3/8") become a canonical "p/q" string and a Fraction.  The float64 value
@@ -98,16 +98,11 @@ def _parse(x, path: str) -> tuple[Any, Any, float]:
     return canon, q, value
 
 
-def _number(x, path: str) -> tuple[Any, Any]:
-    """(canonical form, exact value) of a number entry (``_parse``)."""
-    return _parse(x, path)[:2]
-
-
-def _prob(x, path: str) -> tuple[Any, Any]:
-    canon, p, value = _parse(x, path)
+def _prob(x, path: str) -> tuple[Any, Any, float]:
+    canon, p, value = _number(x, path)
     if not 0 <= value <= 1:
         _fail(path, f"probability {value} outside [0, 1]")
-    return canon, p
+    return canon, p, value
 
 
 def _check_total(probs, path: str) -> None:
@@ -130,8 +125,8 @@ def _canon_row(x, path: str, length: int | None = None, parse=_number) -> tuple[
         _fail(path, "expected a list")
     if length is not None and len(x) != length:
         _fail(path, f"expected {length} entries, got {len(x)}")
-    pairs = [parse(v, f"{path}[{i}]") for i, v in enumerate(x)]
-    return [c for c, _ in pairs], [v for _, v in pairs]
+    parsed = [parse(v, f"{path}[{i}]") for i, v in enumerate(x)]
+    return [c for c, _, _ in parsed], [v for _, v, _ in parsed]
 
 
 def _int_ge(x, path: str, lo: int, hi: float = math.inf) -> int:
@@ -193,7 +188,7 @@ def _canon_law(entries, types: int, path: str) -> tuple[list, tuple]:
         if not isinstance(entry, _MAPPING):
             _fail(epath, "expected a mapping with keys p, counts")
         _check_keys(entry, ("p", "counts"), epath)
-        p_canon, p = _prob(_require(entry, "p", epath), f"{epath}.p")
+        p_canon, p, _ = _prob(_require(entry, "p", epath), f"{epath}.p")
         vec = _require(entry, "counts", epath)
         if not isinstance(vec, (list, tuple)) or len(vec) != types:
             _fail(f"{epath}.counts", f"expected length {types} list of integers >= 0, got {vec!r}")

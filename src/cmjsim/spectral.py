@@ -48,6 +48,7 @@ tail is truncated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -77,32 +78,11 @@ SUPER = "super"
 CRITICAL = "critical"
 SUB = "sub"
 
-_last_eigvals: tuple = (None, None)
-
-
-def _eigvals(A: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvals`` of a float64 square matrix, read-only.  The last
-    matrix's values are kept, so ``model.validate_assumptions`` and
-    ``spectral_decompose`` of one model solve for them once."""
-    global _last_eigvals
-    key = (A.shape, A.tobytes())
-    last, eigs = _last_eigvals
-    if key != last:
-        eigs = np.linalg.eigvals(A)
-        eigs.flags.writeable = False
-        _last_eigvals = (key, eigs)
-    return eigs
-
-
-_EYES: dict = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _eye(n: int, dtype=float) -> np.ndarray:
-    """The read-only n x n identity of ``dtype``, made on first use."""
-    eye = _EYES.get((n, dtype))
-    if eye is None:
-        eye = _EYES[n, dtype] = np.eye(n, dtype=dtype)
-        eye.flags.writeable = False
+    """The read-only n x n identity of ``dtype``, made once."""
+    eye = np.eye(n, dtype=dtype)
+    eye.flags.writeable = False
     return eye
 
 
@@ -335,7 +315,7 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
     if norm_A == 0.0:
         raise ArithmeticError("A is the zero matrix (spectral radius 0): it has no Perron root")
 
-    eigs = np.sort_complex(_eigvals(A))
+    eigs = np.sort_complex(np.linalg.eigvals(A))
     radius = max(tol, 64.0 * _SQRT_EPS * norm_A)
     groups = _cluster_values(eigs, radius)
 
@@ -625,5 +605,4 @@ def tail_sum(S: SpectralData, M: np.ndarray, w: np.ndarray, sign: int, delta: fl
     ``(2 |w| delta + delta^2) |X|_2``."""
     X, E, x_norm = stein_tail(S, M, sign)
     row_error = (2.0 * _fro(w) * delta + delta * delta) * x_norm
-    w_conj = w.conj()  # m_norm2 of X and of E
-    return float(((w @ X) * w_conj).sum().real), abs(float(((w @ E) * w_conj).sum().real)) + row_error
+    return float(m_norm2(X, w)), abs(float(m_norm2(E, w))) + row_error
