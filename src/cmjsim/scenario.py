@@ -59,7 +59,7 @@ def _require(mapping, key, path: str):
     return mapping[key]
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=128)
 def _rational(x: str | Fraction) -> tuple[str, Fraction, float | None]:
     """(canonical "p/q" string, exact value, float64 value or None beyond
     float64) of a rational, each string parsed once."""
