@@ -78,6 +78,7 @@ SUPER = "super"
 CRITICAL = "critical"
 SUB = "sub"
 
+
 @functools.lru_cache(maxsize=64)
 def _eye(n: int, dtype=float) -> np.ndarray:
     """The read-only n x n identity of ``dtype``, made once."""
