@@ -23,8 +23,9 @@ rather than tautology; the exceptions are ``per_cell_sigma2`` and
 the B(k) table that the library's one pass over the mean table must equal,
 which reuse the library's restricted powers and tails because only the
 noise sum and the order of the build differ,
-and the terms of T in ``per_block_columns``, because only where T is formed
-differs.
+the terms of T in ``per_block_columns``, because only where T is formed
+differs, and the tail steps and Frobenius norm of ``per_sign_stein_tail``,
+because only the stacking of the two signs' solves differs.
 """
 
 from __future__ import annotations

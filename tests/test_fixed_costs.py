@@ -3,8 +3,8 @@ bits of paying it as often as before.
 
 ``spectral.stein_tail`` solves the systems of both tail signs of one M as one
 stack and keeps each sign's refusal for when that sign is asked for;
-``spectral._invariant_residuals`` forms the Jordan parts D and N only when
-there is a critical part; ``model.perron_mixing`` keeps one mixing
+``spectral._invariant_residuals`` forms the Jordan parts of ``pi2 A`` only
+when there is a critical part; ``model.perron_mixing`` keeps one mixing
 covariance per covariances and Perron vector.  The references are in
 ``tests/oracles.py``: the per-sign Stein solve and the residuals with the
 Jordan parts formed on every decomposition.  They are compared bit for bit
