@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import BranchingModel, perron_mixing
+from .model import BranchingModel, mixing_covariance
 from .scenario import PROB_TOL
 from .spectral import SpectralData, _eye, m_norm2, power_scaled, projected_power, stein_tail, unscaled
 
@@ -231,7 +231,7 @@ def make_phi1(
     if not np.any(np.abs(w) > 0):
         return Characteristic(J=J, label="phi1")
 
-    X = stein_tail(S, perron_mixing(model, S), -1)[0]
+    X = stein_tail(S, mixing_covariance(model, S.u), -1)[0]
     step = S.step(1, -1) * S.sqrt_rho
     limit = _MAX_ROWS if k_min is None else max(0, 1 - k_min)
     block, blocks, masses = _eye(J, complex)[None], [], []

@@ -32,7 +32,7 @@ from math import factorial
 import numpy as np
 
 from .characteristics import Characteristic, assumption_sums, make_indicator_characteristic
-from .model import BranchingModel, perron_mixing
+from .model import BranchingModel, mixing_covariance
 from .spectral import SpectralData, _eye, _fro, m_norm2, power_scaled, projected_power, tail_sum
 
 __all__ = [
@@ -93,7 +93,7 @@ def compute_sigma_l(x2: np.ndarray, S: SpectralData, model: BranchingModel) -> t
     ...``.  Entries beyond the nilpotency index are 0 up to rounding dust:
     ``jordan_critical`` (index 2) gets 1.8e-36 and 4.0e-69 there."""
     x2 = np.asarray(x2, dtype=complex).reshape(-1)
-    M = perron_mixing(model, S)
+    M = mixing_covariance(model, S.u)
     totals = [0.0] * (S.J + 1)
     for cl in S.clusters:
         if cl.label != "critical":
@@ -161,7 +161,7 @@ def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) 
     both relative to the size of its terms (``_B_rows``)."""
     ages, _, noise_var = phi.moments()
     mt = phi.mean_table()
-    M = perron_mixing(model, S)
+    M = mixing_covariance(model, S.u)
 
     keys = {0, 1, *ages, *(k + 1 for k in mt)}
     lo, hi = min(keys), max(keys)
@@ -213,7 +213,7 @@ def compute_sigma_star2(a: np.ndarray, S: SpectralData, model: BranchingModel) -
         raise ValueError(
             f"sigma_star2 requires a Perron-orthogonal row (|a.u| = {abs(au):.3e})"
         )
-    M = perron_mixing(model, S)
+    M = mixing_covariance(model, S.u)
     rel = (S.J + 3) * _EPS + max(S.residuals.values())
     (up, up_error), (down, down_error) = (
         tail_sum(S, M, a @ P, sign, rel * _fro(a) * _fro(P))

@@ -24,7 +24,6 @@ __all__ = ["Scenario", "ScenarioError", "check_characteristic", "check_model",
 
 SCHEMA_VERSION = 1
 PROB_TOL = 1e-12
-_INT64_MAX = 2**63 - 1
 
 _RUN_DEFAULTS = {
     "delta": 6,
@@ -40,9 +39,6 @@ _CHAR_KINDS = ("indicator", "table", "kesten_stigum", "custom")
 _CHAR_TABLES = {"table": ("base",), "custom": ("base", "coeff")}  # each kind's age -> row tables
 
 
-_MAPPING = (dict, Mapping)  # a dict, the common case, passes before the ABC check
-
-
 class ScenarioError(ValueError):
     """Schema violation; the message starts with the key path."""
 
@@ -52,7 +48,7 @@ def _fail(path: str, msg: str):
 
 
 def _require(mapping, key, path: str):
-    if not isinstance(mapping, _MAPPING):
+    if not isinstance(mapping, Mapping):
         _fail(path, "expected a mapping")
     if key not in mapping:
         _fail(f"{path}.{key}", "missing")
@@ -158,7 +154,7 @@ def check_model(raw, path="model") -> tuple[dict, tuple]:
         _fail(f"{path}.initial_type", f"must be in 1..{types}, got {initial}")
     offspring_raw = _require(raw, "offspring", path)
     _check_keys(raw, ("types", "initial_type", "offspring"), path)
-    if not isinstance(offspring_raw, _MAPPING):
+    if not isinstance(offspring_raw, Mapping):
         _fail(f"{path}.offspring", "expected a mapping of parent type -> outcome list")
     laws = {}
     for key, entries in offspring_raw.items():
@@ -185,18 +181,15 @@ def _canon_law(entries, types: int, path: str) -> tuple[list, tuple]:
     canon, probs, counts = [], [], []
     for i, entry in enumerate(entries):
         epath = f"{path}.{i}"
-        if not isinstance(entry, _MAPPING):
+        if not isinstance(entry, Mapping):
             _fail(epath, "expected a mapping with keys p, counts")
         _check_keys(entry, ("p", "counts"), epath)
         p_canon, p, _ = _prob(_require(entry, "p", epath), f"{epath}.p")
         vec = _require(entry, "counts", epath)
         if not isinstance(vec, (list, tuple)) or len(vec) != types:
             _fail(f"{epath}.counts", f"expected length {types} list of integers >= 0, got {vec!r}")
-        # counts are stored as int64; a plain int in range passes without a path of its own
-        if all(type(c) is int and 0 <= c <= _INT64_MAX for c in vec):
-            vec = list(vec)
-        else:
-            vec = [_int_ge(c, f"{epath}.counts[{ci}]", 0, _INT64_MAX) for ci, c in enumerate(vec)]
+        # counts are stored as int64
+        vec = [_int_ge(c, f"{epath}.counts[{ci}]", 0, 2**63 - 1) for ci, c in enumerate(vec)]
         canon.append({"p": p_canon, "counts": vec})
         probs.append(p)
         counts.append(tuple(vec))
@@ -223,7 +216,7 @@ def check_characteristic(raw, types: int, path="characteristic") -> tuple[dict, 
     tables = {"base": {0: row} if kind == "indicator" else {}, "coeff": {}}
     for key in _CHAR_TABLES.get(kind, ()):
         table = raw.get(key) or {}
-        if not isinstance(table, _MAPPING):
+        if not isinstance(table, Mapping):
             _fail(f"{path}.{key}", "expected a mapping of age -> row")
         out[key] = {}
         for k, v in table.items():
@@ -236,7 +229,7 @@ def check_characteristic(raw, types: int, path="characteristic") -> tuple[dict, 
         out["noise"] = []
         for i, cell in enumerate(cells):
             cpath = f"{path}.noise[{i}]"
-            if not isinstance(cell, _MAPPING):
+            if not isinstance(cell, Mapping):
                 _fail(cpath, "expected a mapping with keys age, type, probs, values")
             _check_keys(cell, ("age", "type", "probs", "values"), cpath)
             age = _int_age(_require(cell, "age", cpath), cpath)
@@ -296,7 +289,7 @@ def _canon_run(raw, path="run") -> dict:
 def _canon_output(raw, path="output") -> dict:
     if raw is None:
         return {"dir": "out"}
-    if not isinstance(raw, _MAPPING):
+    if not isinstance(raw, Mapping):
         _fail(path, "expected a mapping")
     _check_keys(raw, ("dir",), path)
     d = raw.get("dir", "out")
@@ -336,7 +329,7 @@ class Scenario:
 
 
 def scenario_from_dict(data) -> Scenario:
-    if not isinstance(data, _MAPPING):
+    if not isinstance(data, Mapping):
         raise ScenarioError("scenario: expected a mapping at the top level")
     schema = _require(data, "schema", "scenario")
     if schema != SCHEMA_VERSION:

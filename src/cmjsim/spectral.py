@@ -19,8 +19,8 @@ solve, giving
 Each cluster gets its projection, and each of the three classes one
 projection of its own (the union of its clusters), so close clusters inside
 one class cost the class projections no accuracy.  The labels are known from
-the cluster means first, so every set is deflated in one stack, item for
-item the bits of deflating it alone.  A cluster's nilpotent index
+the cluster means first, so every set of one size is deflated as one stack,
+item for item the bits of deflating it alone.  A cluster's nilpotent index
 is probed with powers of ``A - lambda I`` only for multiplicity two or more:
 a simple eigenvalue's Jordan block is 1 x 1.  This is better
 conditioned than powering ``(A - lambda I)`` and rank-probing its kernel, and
@@ -173,11 +173,10 @@ def _cluster_projections(A: np.ndarray, eigs: np.ndarray, sets: list[list[int]])
     ``T <- H T H`` and ``Q <- Q H`` leave column i upper triangular.  The
     leading ``s x s`` block then carries the cluster, and the splitting
     ``T11 Y - Y T22 = T12`` is one solve of the ``s (J - s)`` Kronecker system,
-    giving ``pi = Q [[I, Y], [0, 0]] Q*``.  All sets go through these steps
-    as one stack of ``(c, J, J)`` arrays, each leaving it after its s steps,
-    and the sets of one size share one Kronecker solve: numpy's stacked
-    linear algebra gives each item the bits of a call on that item alone,
-    and the scalar Householder phase and ``vdot`` stay per item.
+    giving ``pi = Q [[I, Y], [0, 0]] Q*``.  The sets of one size go through
+    these steps as one stack of ``(c, J, J)`` arrays: numpy's stacked linear
+    algebra gives each item the bits of a call on that item alone, and the
+    scalar Householder phase and ``vdot`` stay per item.
 
     An eigenvalue is accepted when it is nearer the members than the other
     eigenvalues.  A tighter test would refuse genuine Jordan blocks: the
@@ -188,67 +187,54 @@ def _cluster_projections(A: np.ndarray, eigs: np.ndarray, sets: list[list[int]])
     n = A.shape[0]
     out: list = [_eye(n, complex).copy() if len(idxs) == n else None for idxs in sets]
     errors: dict = {}
-    items = [k for k, idxs in enumerate(sets) if len(idxs) < n]
-    size = np.array([len(sets[k]) for k in items], dtype=int)
-    top = int(size.max(initial=0))
-    # each set's members, padded to one length with its first: the nearest member stays put
-    idx = np.array([sets[k] + sets[k][:1] * (top - len(sets[k])) for k in items], dtype=int).reshape(len(items), top)
-    members = eigs[idx]
-    inside = np.zeros((len(items), n), dtype=bool)  # members' places in eigs
-    inside[np.arange(len(items))[:, None], idx] = True
-    T = A.astype(complex)[None].repeat(len(items), axis=0)
-    Q = _eye(n, complex)[None].repeat(len(items), axis=0)
-    vals = eigs[None].repeat(len(items), axis=0)
-    deflated = []  # (s, its sets, their T and Q) once a set's s deflations are done
-    for i in range(top):
-        if i:
-            vals = np.linalg.eigvals(T[:, i:, i:])
-        near = np.abs(vals[:, :, None] - members[:, None, :]).min(axis=2)
-        lam = vals[np.arange(len(items)), near.argmin(axis=1)]
-        others = np.abs(lam[:, None] - eigs)
-        others[inside] = np.inf
-        bad = near.min(axis=1) >= others.min(axis=1)
-        if bad.any():  # those sets leave the stack
-            for j in np.flatnonzero(bad).tolist():
-                errors[items[j]] = ArithmeticError(
-                    f"eigenvalue clustering is inconsistent: after {i} of {size[j]} deflations "
-                    f"the nearest remaining value {lam[j]:.6g} lies nearer an eigenvalue "
-                    f"outside the cluster; the Jordan structure is too ill-conditioned "
-                    f"for the requested tolerance"
-                )
-            items = [k for k, b in zip(items, bad) if not b]
-            size, members, inside, T, Q, lam = (a[~bad] for a in (size, members, inside, T, Q, lam))
-        x = np.linalg.svd(T[:, i:, i:] - lam[:, None, None] * _eye(n - i))[2][:, -1].conj()
-        # H = I - 2 w w* / |w|^2 with w = x + phase(x_0) e_0: no cancellation
-        w = x.copy()
-        scale = []
-        for wj, x0 in zip(w, x[:, 0]):
-            wj[0] += x0 / abs(x0) if x0 != 0 else 1.0
-            scale.append(2.0 / np.vdot(wj, wj).real)
-        H = _eye(n - i) - w[:, :, None] * w.conj()[:, None, :] * np.array(scale)[:, None, None]
-        T[:, :, i:] = T[:, :, i:] @ H
-        T[:, i:, :] = H @ T[:, i:, :]
-        Q[:, :, i:] = Q[:, :, i:] @ H
-        done = size == i + 1
-        if done.all():  # the last step, or all sets left are of this size
-            deflated.append((i + 1, items, T, Q))
-            break
-        if done.any():
-            deflated.append((i + 1, [k for k, d in zip(items, done) if d], T[done], Q[done]))
-            items = [k for k, d in zip(items, done) if not d]
-            size, members, inside, T, Q = (a[~done] for a in (size, members, inside, T, Q))
-    for s, ks, T, Q in deflated:
-        c = len(ks)
+    for s in sorted({len(idxs) for idxs in sets} - {n}):
+        items = [k for k, idxs in enumerate(sets) if len(idxs) == s]
+        idx = np.array([sets[k] for k in items])
+        members = eigs[idx]
+        inside = np.zeros((len(items), n), dtype=bool)  # members' places in eigs
+        inside[np.arange(len(items))[:, None], idx] = True
+        T = A.astype(complex)[None].repeat(len(items), axis=0)
+        Q = _eye(n, complex)[None].repeat(len(items), axis=0)
+        vals = eigs[None].repeat(len(items), axis=0)
+        for i in range(s):
+            if i:
+                vals = np.linalg.eigvals(T[:, i:, i:])
+            near = np.abs(vals[:, :, None] - members[:, None, :]).min(axis=2)
+            lam = vals[np.arange(len(items)), near.argmin(axis=1)]
+            others = np.abs(lam[:, None] - eigs)
+            others[inside] = np.inf
+            bad = near.min(axis=1) >= others.min(axis=1)
+            if bad.any():  # those sets leave the stack; an empty stack runs on to no result
+                for j in np.flatnonzero(bad).tolist():
+                    errors[items[j]] = ArithmeticError(
+                        f"eigenvalue clustering is inconsistent: after {i} of {s} deflations "
+                        f"the nearest remaining value {lam[j]:.6g} lies nearer an eigenvalue "
+                        f"outside the cluster; the Jordan structure is too ill-conditioned "
+                        f"for the requested tolerance"
+                    )
+                items = [k for k, b in zip(items, bad) if not b]
+                members, inside, T, Q, lam = (a[~bad] for a in (members, inside, T, Q, lam))
+            x = np.linalg.svd(T[:, i:, i:] - lam[:, None, None] * _eye(n - i))[2][:, -1].conj()
+            # H = I - 2 w w* / |w|^2 with w = x + phase(x_0) e_0: no cancellation
+            w = x.copy()
+            scale = []
+            for wj, x0 in zip(w, x[:, 0]):
+                wj[0] += x0 / abs(x0) if x0 != 0 else 1.0
+                scale.append(2.0 / np.vdot(wj, wj).real)
+            H = _eye(n - i) - w[:, :, None] * w.conj()[:, None, :] * np.array(scale)[:, None, None]
+            T[:, :, i:] = T[:, :, i:] @ H
+            T[:, i:, :] = H @ T[:, i:, :]
+            Q[:, :, i:] = Q[:, :, i:] @ H
         T11, T12, T22 = T[:, :s, :s], T[:, :s, s:], T[:, s:, s:]
         # kron(I, T11) - kron(T22^T, I), which acts on Y stacked column by column
         K = _eye(n - s)[:, None, :, None] * T11[:, None, :, None, :]
         K = K - T22.transpose(0, 2, 1)[:, :, None, :, None] * _eye(s)[:, None, :]
         m = s * (n - s)
-        Y = np.linalg.solve(K.reshape(c, m, m), T12.transpose(0, 2, 1).reshape(c, m, 1))
-        P = np.zeros((c, n, n), dtype=complex)
+        Y = np.linalg.solve(K.reshape(len(items), m, m), T12.transpose(0, 2, 1).reshape(len(items), m, 1))
+        P = np.zeros((len(items), n, n), dtype=complex)
         P[:, :s, :s] = _eye(s)
-        P[:, :s, s:] = Y.reshape(c, n - s, s).transpose(0, 2, 1)
-        for k, proj in zip(ks, Q @ P @ Q.conj().transpose(0, 2, 1)):
+        P[:, :s, s:] = Y.reshape(len(items), n - s, s).transpose(0, 2, 1)
+        for k, proj in zip(items, Q @ P @ Q.conj().transpose(0, 2, 1)):
             out[k] = proj
     if errors:
         raise errors[min(errors)]

@@ -4,8 +4,7 @@ bits of paying it as often as before.
 ``spectral.stein_tail`` solves the systems of both tail signs of one M as one
 stack and keeps each sign's refusal for when that sign is asked for;
 ``spectral._invariant_residuals`` forms the Jordan parts of ``pi2 A`` only
-when there is a critical part; ``model.perron_mixing`` keeps one mixing
-covariance per covariances and Perron vector.  The references are in
+when there is a critical part.  The references are in
 ``tests/oracles.py``: the per-sign Stein solve and the residuals with the
 Jordan parts formed on every decomposition.  They are compared bit for bit
 over the presets and the models of ``constants_sweep`` seeds 0 to 2 (200
@@ -25,7 +24,7 @@ import pytest
 
 import oracles
 from cmjsim import build_model, compute_constants, make_indicator_characteristic, preset, preset_names
-from cmjsim.model import mixing_covariance, perron_mixing
+from cmjsim.model import mixing_covariance
 from cmjsim.spectral import spectral_decompose, stein_tail
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -83,7 +82,7 @@ def test_the_sweep_reaches_every_class_of_model(decomposed):
 
 def test_stacked_stein_solve_equals_the_per_sign_one_bit_for_bit(decomposed):
     for model, S in decomposed:
-        M = perron_mixing(model, S)
+        M = mixing_covariance(model, S.u)
         want = {sign: _tail_or_refusal(lambda: oracles.per_sign_stein_tail(_fresh(S), M, sign)) for sign in (1, -1)}
         for order in ((1, -1), (-1, 1)):
             fresh = _fresh(S)
@@ -115,7 +114,7 @@ REFUSALS = {1.0: "is singular", 1.0 - 1e-15: "too ill-conditioned", float("nan")
 def test_a_refused_sign_raises_only_when_it_is_asked_for(bad, scale):
     model = build_model(preset("two_type_mirror").model)
     S = spectral_decompose(model.A)
-    M = perron_mixing(model, S)
+    M = mixing_covariance(model, S.u)
     J = S.J
     # the step stein_tail scales by 1/sqrt(rho) (sign +1) or by sqrt(rho) (sign -1)
     key = ("step", 3, 1) if bad > 0 else ("step", 1, -1)
@@ -140,15 +139,8 @@ def test_models_that_share_one_S_each_get_their_own_mixing_covariance():
     model = build_model(preset("two_type_mirror").model)
     S = spectral_decompose(model.A)
     other = dataclasses.replace(model, covs=tuple(2.0 * c for c in model.covs))
-    same = dataclasses.replace(model, covs=tuple(c.copy() for c in model.covs))
-    M, M_other = perron_mixing(model, S), perron_mixing(other, S)
-    assert M.tobytes() == mixing_covariance(model, S.u).tobytes()
-    assert M_other.tobytes() == mixing_covariance(other, S.u).tobytes()
-    assert M.tobytes() != M_other.tobytes()
-    # keyed by the covariances' bytes, not by the model object; formed once, read-only
-    assert perron_mixing(same, S) is M and perron_mixing(model, S) is M
-    assert not M.flags.writeable
-    # so each model's constants on the shared S are those on a fresh S of its own
+    # the Stein tails are kept under the bytes of M, so each model's constants
+    # on the shared S are those on a fresh S of its own
     phi = make_indicator_characteristic([1.0, -1.0])
     for m in (model, other, model):
         got, want = compute_constants(phi, S, m), compute_constants(phi, _fresh(S), m)
