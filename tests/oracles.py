@@ -24,8 +24,9 @@ the B(k) table that the library's one pass over the mean table must equal,
 which reuse the library's restricted powers and tails because only the
 noise sum and the order of the build differ,
 the terms of T in ``per_block_columns``, because only where T is formed
-differs, and the tail steps and Frobenius norm of ``per_sign_stein_tail``,
-because only the stacking of the two signs' solves differs.
+differs, the tail steps and Frobenius norm of ``per_sign_stein_tail``,
+because only the stacking of the two signs' solves differs, and the closed
+tail of ``phi1_remaining_mass``, because only the row it starts from is new.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from cmjsim.spectral import (
     power_scaled,
     projected_power,
     stein_tail,
+    tail_sum,
 )
 
 
@@ -776,3 +778,22 @@ def per_cell_sigma2(phi: Characteristic, S, model: BranchingModel):
     up = float(m_norm2(stein_tail(S, M, 1)[0], rows[-1]))
     down = float(m_norm2(stein_tail(S, M, -1)[0], rows[0]))
     return math.fsum([*terms, up, down]), dict(zip(ks[1:-1].tolist(), B[1:-1]))
+
+
+def phi1_remaining_mass(S, model: BranchingModel, x1, phi1: Characteristic) -> tuple[float, float]:
+    """``(value, error)`` of the mass ``sum_{j >= end} |w T^j|_M^2`` that the
+    untruncated ``make_phi1(S, x1, model)`` table ``phi1`` leaves past its
+    last row, age ``1 - end``: the closed form ``tail_sum`` from the row
+    ``w T^end``, with ``w = x1 pi1 A1^{-1}`` and ``T = rho^{1/2} pi1 A1^{-1} pi1``,
+    stepped one row at a time.  The row's delta follows ``compute_sigma2``:
+    ``(J + 3 + end) eps`` plus the largest residual, relative to the largest
+    row formed on the way."""
+    end = 1 - min(phi1.coeff, default=1)
+    w = np.asarray(x1, dtype=complex).reshape(-1) @ projected_power(S, 1, -1)
+    step = S.step(1, -1) * S.sqrt_rho
+    size = _fro(w)
+    for _ in range(end):
+        w = w @ step
+        size = max(size, _fro(w))
+    delta = ((S.J + 3 + end) * _EPS + max(S.residuals.values())) * size
+    return tail_sum(S, mixing_covariance(model, S.u), w, -1, delta)

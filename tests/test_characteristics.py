@@ -2,18 +2,30 @@
 
 from __future__ import annotations
 
+import importlib.util
+import itertools
 import math
 import pickle
 import re
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmjsim import compute_constants, make_phi1, make_indicator_characteristic, spectral_decompose, star_transform
+from cmjsim import (
+    build_model,
+    compute_constants,
+    make_phi1,
+    make_indicator_characteristic,
+    spectral_decompose,
+    star_transform,
+    validate_assumptions,
+)
 from cmjsim.characteristics import (
     PHI1_MASS,
     Characteristic,
@@ -22,11 +34,12 @@ from cmjsim.characteristics import (
     expected_process,
 )
 from cmjsim.model import mixing_covariance
-from cmjsim.spectral import m_norm2, stein_tail
+from cmjsim.spectral import _EPS, _fro, m_norm2, projected_power, stein_tail, tail_sum
 
 from oracles import (
     exact_mean_matrix,
     exact_moment_tables,
+    phi1_remaining_mass,
     reference_mean_table,
     reference_noise_variance,
     reference_variance,
@@ -324,6 +337,53 @@ def test_gap_characteristic_zero_row_short_circuits(cross_feed):
     # survives is far below the truncation threshold after one term
     dusty = make_phi1(S, cross_feed.row @ S.pi1, model=cross_feed.model)
     assert all(float(np.linalg.norm(r)) < 1e-12 for r in dusty.coeff.values())
+
+
+def _sweep_kesten_stigum_inputs() -> list:
+    """``(seed, index, input)`` for the ``kesten_stigum`` inputs among the
+    first 200 of ``constants_sweep.inputs`` at seeds 0 to 2."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    saved = list(sys.path)
+    sys.path.insert(0, str(perfbench))  # for its ``import common``
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_constants_sweep", perfbench / "constants_sweep.py")
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+    finally:
+        sys.path[:] = saved
+    return [
+        (seed, i, inp)
+        for seed in range(3)
+        for i, (inp,) in enumerate(itertools.islice(sweep.inputs(seed), 200))
+        if inp["family"] == "kesten_stigum"
+    ]
+
+
+def test_the_mass_stopped_phi1_table_misses_exactly_its_remaining_mass():
+    # Known defect 17: sigma2 of the untruncated phi1 (one closed tail from
+    # w = x1 pi1 A1^{-1}) exceeds sigma2 of make_phi1's table by the mass past
+    # the table's last row, which the table's sigma2_error does not cover
+    missed = {}
+    for seed, i, inp in _sweep_kesten_stigum_inputs():
+        model = build_model(inp["model"])
+        if not validate_assumptions(model).all_ok:
+            continue
+        S = spectral_decompose(model.A)
+        x1 = np.asarray(inp["row"], dtype=float)
+        phi1 = make_phi1(S, x1, model=model)
+        table = compute_constants(phi1, S, model)
+        w = x1 @ projected_power(S, 1, -1)
+        delta = ((S.J + 4) * _EPS + max(S.residuals.values())) * _fro(w)
+        full, full_error = tail_sum(S, mixing_covariance(model, S.u), w, -1, delta)
+        rest, rest_error = phi1_remaining_mass(S, model, x1, phi1)
+        gap = full - table.sigma2
+        assert abs(gap - rest) <= full_error + table.sigma2_error + rest_error, (seed, i)
+        missed[seed, i] = (len(phi1.coeff), rest, table.sigma2_error)
+    assert len(missed) > 100
+    # the table of seed 2, input 155 (3 types, rho = 7.84) ends where its next
+    # row falls below float64's normal range, long before its mass falls to PHI1_MASS
+    rows, rest, sigma2_error = missed[2, 155]
+    assert rows == 678 and rest > 1e-7 > 1e4 * sigma2_error
 
 
 def test_mean_zero_characteristics_have_zero_expected_process(mirror):

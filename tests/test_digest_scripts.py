@@ -13,6 +13,7 @@ registers."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -117,3 +118,20 @@ def test_bench_summary_pairs_the_last_sources_by_seed(script):
     assert table[0].startswith("3 pairs: parent p")
     assert table[-1].split() == ["items_per_s", "11", "10", "20", "13", "1/3"]
     assert bench.summarize(points[:2], []) == "no parent/change pairs"
+
+
+def test_stage_times_pairs_a_tree_with_itself(script, monkeypatch, tmp_path, capsys):
+    stages = script("stage_times")
+    monkeypatch.setattr(stages, "OUT", tmp_path / "BENCH_stages.json")
+    for name in ("stage_parent", "stage_change", "stage_constants_sweep"):
+        monkeypatch.setitem(sys.modules, name, None)  # dropped again afterwards
+    assert stages.main(["--parent", str(ROOT), "--change", str(ROOT), "--seed", "0", "--models", "20"]) == 0
+    (point,) = json.loads((tmp_path / "BENCH_stages.json").read_text())
+    assert point["seed"] == 0 and point["models"] == 20 and 0 < point["timed"] <= 20
+    for label in ("parent", "change"):
+        assert point[label]["source_sha256"] == point["change"]["source_sha256"]
+        assert set(point[label]["median_ms"]) == {*stages.STAGES, "total"}
+        assert all(v > 0 for v in point[label]["median_ms"].values())
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"seed 0: {point['timed']} of 20 models timed in both trees"
+    assert [line.split()[0] for line in lines[2:-1]] == [*stages.STAGES, "total"]
