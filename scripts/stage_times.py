@@ -59,7 +59,7 @@ def load_sweep():
 def stage_seconds(pkg, inp: dict) -> list | None:
     """Seconds of each of ``STAGES`` for one input, or None when the model
     fails its assumptions or a stage raises."""
-    import numpy as np
+    import numpy as np  # after a tree's cmjsim has set OpenBLAS's thread count
 
     clock = time.perf_counter
     try:
@@ -93,7 +93,6 @@ def tree_info(tree: Path) -> dict:
         digest.update(path.read_bytes())
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
     return {
-        "tree": str(tree),
         "commit": head.stdout.strip() if head.returncode == 0 else None,
         "source_sha256": digest.hexdigest(),
         "src_lines": sum(len(p.read_bytes().splitlines()) for p in paths),
