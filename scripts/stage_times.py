@@ -15,7 +15,9 @@ or raises in either tree is left out of both.
 For each tree it prints the median milliseconds of each stage and of the
 per-model total, then the median over models of the change's total over the
 parent's, and appends that point to ``BENCH_stages.json`` at this
-repository's root.
+repository's root.  A point names each tree by its commit (suffixed
+``+dirty`` when ``src/`` has uncommitted changes) and the hash of its
+sources.
 """
 
 from __future__ import annotations
@@ -92,8 +94,10 @@ def tree_info(tree: Path) -> dict:
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
+    status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=tree, capture_output=True, text=True)
+    dirty = "+dirty" if status.stdout.strip() else ""  # the measured sources differ from that commit
     return {
-        "commit": head.stdout.strip() if head.returncode == 0 else None,
+        "commit": head.stdout.strip() + dirty if head.returncode == 0 else None,
         "source_sha256": digest.hexdigest(),
         "src_lines": sum(len(p.read_bytes().splitlines()) for p in paths),
     }

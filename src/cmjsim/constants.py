@@ -113,10 +113,15 @@ def find_l_star(sigma_l: tuple[float, ...]) -> int | None:
     return max(hits) if hits else None
 
 
-def _B_rows(mt: dict, S: SpectralData, ks) -> tuple[np.ndarray, np.ndarray]:
-    """``compute_B``'s row for each lag of ``ks`` and the size ``sum_m |E phi(m)|
-    |P|_F`` of its terms ``E phi(m) P``, which scales the roundoff of forming
-    it: one pass over the mean table, each age adding its term to every row."""
+def compute_B(mt: dict, S: SpectralData, ks) -> tuple[np.ndarray, np.ndarray]:
+    """Centering rows ``B(k) = sum_l E phi(k-l-1) A^l P(k,l)`` for each lag k
+    of ``ks`` over the mean table ``mt = {k: E phi(k)}``, where the piecewise
+    projector P picks -pi1 on l < 0 and pi2 + pi3 on l >= 0 when k <= 0, and
+    -(pi1 + pi2) on l < 0 and pi3 on l >= 0 when k > 0.  Negative powers act
+    on the corresponding invariant subspace.  Returns ``(rows, size)``, with
+    ``size`` each row's ``sum_m |E phi(m)| |P|_F`` over its terms
+    ``E phi(m) P``, which scales the roundoff of forming it: one pass over the
+    mean table, each age adding its term to every row."""
     rows = np.zeros((len(ks), S.J), dtype=complex)
     size = np.zeros(len(ks))
     for m, phi_row in mt.items():
@@ -130,16 +135,6 @@ def _B_rows(mt: dict, S: SpectralData, ks) -> tuple[np.ndarray, np.ndarray]:
             rows[i] += phi_row @ P
             size[i] += phi_size * _fro(P)
     return rows, size
-
-
-def compute_B(mt: dict, S: SpectralData, k: int) -> np.ndarray:
-    """Centering row B(k) = sum_l E phi(k-l-1) A^l P(k,l) over the mean table
-    ``mt = {k: E phi(k)}``, where the piecewise projector P picks -pi1 on
-    l < 0 and pi2 + pi3 on l >= 0 when k <= 0, and -(pi1 + pi2) on l < 0 and
-    pi3 on l >= 0 when k > 0.  Negative powers act on the corresponding
-    invariant subspace.  For a finite mean table every branch is a finite
-    sum."""
-    return _B_rows(mt, S, [k])[0][0]
 
 
 def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) -> tuple[float, float, dict]:
@@ -158,7 +153,7 @@ def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) 
     roundoff ``n eps sum |term|``; and ``(2 |b| delta + delta^2) |M|_2`` for
     each window row b (``|X|_2`` for each first row), where delta is the
     row's formation roundoff plus the decomposition's largest residual,
-    both relative to the size of its terms (``_B_rows``)."""
+    both relative to the size of its terms (``compute_B``)."""
     ages, _, noise_var = phi.moments()
     mt = phi.mean_table()
     M = mixing_covariance(model, S.u)
@@ -166,7 +161,7 @@ def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) 
     keys = {0, 1, *ages, *(k + 1 for k in mt)}
     lo, hi = min(keys), max(keys)
     ks = np.arange(lo - 1, hi + 2)  # the window and the first row of each tail
-    B, size = _B_rows(mt, S, range(lo - 1, hi + 2))
+    B, size = compute_B(mt, S, range(lo - 1, hi + 2))
     coeff = np.zeros((len(ks), S.J), dtype=complex)
     noise = np.zeros(len(ks))
     # |l| <= hi - lo + 1 steps of restricted powers went into each B row;

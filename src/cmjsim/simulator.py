@@ -18,8 +18,7 @@ Replicates are simulated in blocks of ``BLOCK``.  Block ``b`` (replicates
 spawn_key=(b,))`` and is always simulated whole; so replicate k depends
 only on ``(master_seed, k)``, workers, which split whole blocks, never
 change a result, and ``run_replicate(seed)`` is replicate 0 of the batch
-with ``master_seed=seed``.  A given (scenario, seed) draws differently than
-in v0.1.0, where each replicate had its own stream.
+with ``master_seed=seed``.
 
 A worker steps its blocks together, up to ``_CHUNK`` at a time, in one
 ``(N+1, rows, J)`` count array.  Per generation each block makes one

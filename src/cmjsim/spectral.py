@@ -394,25 +394,22 @@ def spectral_decompose(A: np.ndarray) -> SpectralData:
 
 
 def _invariant_residuals(A, clusters, pi1, pi2, pi3, A1, A1_inv, u, v, rho) -> dict:
+    """The residual battery of ``spectral_decompose``.  N = pi2 A - D is formed
+    on every decomposition (with no critical cluster, pi2 = 0 and N = 0
+    exactly); D N = N D needs no key, since every projection commutes with A."""
     n = A.shape[0]
     Ac = A.astype(complex)
 
     def nrm(M):
         return float(np.abs(M).max(initial=0.0))
 
-    # N = pi2 A - D, the nilpotent part of pi2 A, vanishes with pi2, and so does
-    # its key; D N = N D needs no key, since every projection commutes with A
-    n_nilpotent = 0.0
-    critical = [c for c in clusters if c.label == CRITICAL]
-    if critical:
-        D = sum((c.eigenvalue * c.projection for c in critical), np.zeros_like(Ac))
-        n_nilpotent = nrm(np.linalg.matrix_power(pi2 @ Ac - D, n))
+    D = sum((c.eigenvalue * c.projection for c in clusters if c.label == CRITICAL), np.zeros_like(Ac))
     res = {
         "partition_of_unity": nrm(pi1 + pi2 + pi3 - _eye(n)),
         "A1_inverse": nrm(A1 @ A1_inv - _eye(n)),
         "eigen_right": nrm(A @ u - rho * u) / max(1.0, rho),
         "eigen_left": nrm(v @ A - rho * v) / max(1.0, rho),
-        "N_nilpotent": n_nilpotent,
+        "N_nilpotent": nrm(np.linalg.matrix_power(pi2 @ Ac - D, n)),
     }
     P = np.array([c.projection for c in clusters])
     res["idempotency"] = nrm(P @ P - P)
@@ -510,9 +507,10 @@ def stein_tail(S: SpectralData, M: np.ndarray, sign: int) -> tuple[np.ndarray, n
     radius below one (max|sub|/sqrt(rho) and sqrt(rho)/min|super|), so X is
     the one solution of the Stein equation ``X = M + T X T^H`` and Y that of
     ``Y = I + T Y T^H``: one complex ``(J^2 x J^2)`` Kronecker solve with
-    the two right-hand sides, cached on ``S`` per sign and M.  Both signs
-    are solved at the first call (``_stein_solve``); a sign's refusal is
-    kept and raised only when that sign is asked for.
+    the two right-hand sides.  Both signs are solved at the first call
+    (``_stein_solve``) and cached on ``S`` as one entry per M.  The two tails
+    of one M are refused together: a refusal of either sign raises for both,
+    naming the first refused sign (+1, then -1), and nothing is cached.
 
     The residual ``R = M + T X T^H - X`` of the computed X makes the exact
     tail differ from ``w X w^H`` by ``w (sum_j T^j R T^jH) w^H``, which is at
@@ -523,66 +521,50 @@ def stein_tail(S: SpectralData, M: np.ndarray, sign: int) -> tuple[np.ndarray, n
     residual plus a bound on the roundoff of forming it.  A singular or
     non-finite system, or ``r_Y >= 1``, raises a bare ``ArithmeticError``.
     """
-    key = ("stein", sign, M.tobytes())
+    key = ("stein", M.tobytes())
     if key not in S._cache:
-        _stein_solve(S, M)
-    out = S._cache[key]
-    if isinstance(out, str):  # this sign's refusal
-        raise ArithmeticError(out)
-    return out
+        S._cache[key] = _stein_solve(S, M, (1, -1))
+    return S._cache[key][sign]
 
 
-def _stein_solve(S: SpectralData, M: np.ndarray) -> None:
-    """Fill ``stein_tail``'s cache for both signs of M: the two Kronecker
-    systems as one stacked solve (numpy gives each item the bits of a solve
-    on it alone), each sign on its own when one is singular.  A sign that is
-    refused gets its message in place of its triple."""
+def _stein_solve(S: SpectralData, M: np.ndarray, signs: tuple) -> dict:
+    """``stein_tail``'s triple of M for each sign of ``signs``, as one stacked
+    Kronecker solve (numpy gives each item the bits of a solve on it alone).
+    A singular system or a non-finite solution sends each sign to a solve of
+    its own, in order, so the first refused sign raises."""
     J = S.J
     eye = _eye(J, complex)
-    signs = (1, -1)
-    T = np.array([S.step(3, 1) / S.sqrt_rho, S.step(1, -1) * S.sqrt_rho])
+    T = np.array([S.step(3, 1) / S.sqrt_rho if sign > 0 else S.step(1, -1) * S.sqrt_rho for sign in signs])
     # vec(T X T^H) = (conj(T) kron T) vec(X), vec stacking columns
-    K = _eye(J * J) - (T.conj()[:, :, None, :, None] * T[:, None, :, None, :]).reshape(2, J * J, J * J)
+    K = _eye(J * J) - (T.conj()[:, :, None, :, None] * T[:, None, :, None, :]).reshape(len(T), J * J, J * J)
     rhs = np.array([M.ravel(order="F"), eye.ravel(order="F")]).T
-    refused = {}
     try:
         sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
-        sol = np.full((2, J * J, 2), np.nan, dtype=complex)
-        for i, sign in enumerate(signs):
-            try:
-                sol[i] = np.linalg.solve(K[i], rhs)
-            except np.linalg.LinAlgError:
-                refused[sign] = f"the Stein system of the sign {sign:+d} tail is singular"
-    for i, sign in enumerate(signs):
-        if sign not in refused and not np.isfinite(sol[i]).all():
-            refused[sign] = f"the Stein system of the sign {sign:+d} tail has a non-finite solution"
-    ok = [i for i, sign in enumerate(signs) if sign not in refused]
-    if refused:
-        sol, T = sol[ok], T[ok]
-    Z = sol.reshape(len(ok), J, J, 2).transpose(0, 3, 2, 1)  # each sol's two columns, column-major
+        sol = None
+    if sol is None or not np.isfinite(sol).all():
+        if len(signs) > 1:
+            return {sign: _stein_solve(S, M, (sign,))[sign] for sign in signs}
+        problem = "is singular" if sol is None else "has a non-finite solution"
+        raise ArithmeticError(f"the Stein system of the sign {signs[0]:+d} tail {problem}")
+    Z = sol.reshape(len(T), J, J, 2).transpose(0, 3, 2, 1)  # each sol's two columns, column-major
     # the residuals of X and Y for each sign, as one stack
     R = np.array([M, eye]) + T[:, None] @ Z @ T.conj().transpose(0, 2, 1)[:, None] - Z
     fro_B = (_fro(M), _fro(eye))
-    done = []
-    for i, T_s, R_s, Z_s in zip(ok, T, R, Z):
+    tails = []
+    for sign, T_s, R_s, Z_s in zip(signs, T, R, Z):
         growth = 1.0 + _fro(T_s) ** 2
         r_x, r_y = (
             _fro(R_B) + (4 * J + 8) * _EPS * (f_B + growth * _fro(Z_B))
             for R_B, f_B, Z_B in zip(R_s, fro_B, Z_s)
         )
         if not r_y < 1.0:
-            refused[signs[i]] = (
-                f"the Stein solve of the sign {signs[i]:+d} tail is too ill-conditioned (residual {r_y:.3e})"
+            raise ArithmeticError(
+                f"the Stein solve of the sign {sign:+d} tail is too ill-conditioned (residual {r_y:.3e})"
             )
-        else:
-            done.append((signs[i], Z_s[0], Z_s[1] * (r_x / (1.0 - r_y))))
-    x_norms = np.linalg.svd(np.array([X for _, X, _ in done]), compute_uv=False)[:, 0] if done else ()
-    M_bytes = M.tobytes()
-    for (sign, X, E), x_norm in zip(done, x_norms):
-        S._cache["stein", sign, M_bytes] = (X, E, float(x_norm))
-    for sign, reason in refused.items():
-        S._cache["stein", sign, M_bytes] = reason
+        tails.append((Z_s[0], Z_s[1] * (r_x / (1.0 - r_y))))
+    x_norms = np.linalg.svd(np.array([X for X, _ in tails]), compute_uv=False)[:, 0]
+    return {sign: (X, E, float(x_norm)) for sign, (X, E), x_norm in zip(signs, tails, x_norms)}
 
 
 def tail_sum(S: SpectralData, M: np.ndarray, w: np.ndarray, sign: int, delta: float) -> tuple[float, float]:

@@ -1,8 +1,11 @@
-"""Shared fixtures: each preset's model/spectral/constants built once per session."""
+"""Shared fixtures: each preset's model/spectral/constants built once per
+session, and the loader of the repository's benchmark and script files."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +110,24 @@ def cyclic():
 @pytest.fixture(scope="session")
 def degenerate():
     return bundle("cross_feed_deterministic")
+
+
+def load_repo_module(relpath: str):
+    """The repository's file ``relpath`` (``perfbench/tracer.py``,
+    ``scripts/cli_digest.py``, ...) as the module ``perfbench_tracer``,
+    ``scripts_cli_digest``, ..., with its own directory on ``sys.path`` while
+    it loads, for ``perfbench``'s ``import common``."""
+    path = Path(__file__).resolve().parents[1] / relpath
+    spec = importlib.util.spec_from_file_location("_".join(Path(relpath).with_suffix("").parts), path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    saved = list(sys.path)
+    sys.path.insert(0, str(path.parent))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
 
 
 # ---------------------------------------------------------------------------

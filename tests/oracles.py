@@ -10,9 +10,9 @@ LAPACK's ordered-Schur spectral projector that the deflation one must equal,
 the one-set deflation and norm-probed Jordan index that the stacked
 deflation must equal bit for bit,
 union-find eigenvalue clustering and per-cluster invariant residuals that the
-one-pass and stacked ones must equal, the invariant residuals with the Jordan
-parts formed on every decomposition and the Stein solve of one tail sign at a
-time that the library's must equal bit for bit,
+one-pass and stacked ones must equal, the invariant residuals with their
+dropped ``DN_commute`` key and the Stein solve of one tail sign at a time
+that the library's must equal bit for bit,
 full-operator powers that the projected ones must equal, the
 block-by-block simulator with one multinomial call per parent type that the
 chunk-stepped one must equal, and the series engine's weights, mean
@@ -144,18 +144,6 @@ def exact_linear_variance(model: BranchingModel, a, n: int) -> Fraction:
     return second - first * first
 
 
-def exact_cross_moment(model: BranchingModel, n: int, N: int):
-    """Exact E[Z_n Z_N^T] = S_n (A^{N-n})^T for n <= N."""
-    if n > N:
-        raise ValueError("need n <= N")
-    means, seconds = exact_moment_tables(model, n)
-    A = exact_mean_matrix(model)
-    P = [[Fraction(1) if i == j else Fraction(0) for j in range(model.J)] for i in range(model.J)]
-    for _ in range(N - n):
-        P = _mat_mat(A, P)
-    return _mat_mat(seconds[n], _transpose(P))
-
-
 # ---------------------------------------------------------------------------
 # Per-individual replay of a recorded replicate
 # ---------------------------------------------------------------------------
@@ -257,17 +245,6 @@ def per_point_ks_statistic(sample) -> float:
     m = len(xs)
     F = np.array([0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in xs])
     return float(max(np.max(np.arange(1, m + 1) / m - F), np.max(F - np.arange(0, m) / m)))
-
-
-def sample_variance_se(sample: np.ndarray) -> float:
-    """Plain asymptotic standard error of the sample variance (no bootstrap):
-    SE^2 = (m4 - var^2) / m with m4 the fourth central moment."""
-    x = np.asarray(sample, dtype=float)
-    m = x.size
-    c = x - x.mean()
-    var = float(np.mean(c**2))
-    m4 = float(np.mean(c**4))
-    return math.sqrt(max(m4 - var**2, 0.0) / m)
 
 
 def one_shot_resampled_variances(xs: np.ndarray, rng: np.random.Generator, B: int) -> np.ndarray:
@@ -442,9 +419,8 @@ def per_cluster_residuals(S) -> dict:
 
 
 def reference_invariant_residuals(A, clusters, pi1, pi2, pi3, A1, A1_inv, u, v, rho) -> dict:
-    """The invariant residuals with the parts D and N of ``pi2 A`` formed on
-    every decomposition, critical part or none; the keys are the library's,
-    ``DN_commute`` among them."""
+    """The invariant residuals, each formed on its own: the library's keys and
+    ``DN_commute``, which the library dropped since D N = N D."""
     n = A.shape[0]
     eye = np.eye(n)
     Ac = A.astype(complex)

@@ -13,23 +13,12 @@ the benchmark runs."""
 from __future__ import annotations
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_repo_module
 
 
 def _wraps():
-    return _load("tracer").WRAPS
+    return load_repo_module("perfbench/tracer.py").WRAPS
 
 
 def test_every_wrapped_name_resolves():
@@ -43,9 +32,8 @@ def test_every_wrapped_name_resolves():
     assert not missing, missing
 
 
-def test_calibration_batch_completes_on_every_case(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))  # for its ``import common``
-    calibration = _load("calibration")
+def test_calibration_batch_completes_on_every_case():
+    calibration = load_repo_module("perfbench/calibration.py")
     for case in calibration.setup(0):
         op = calibration.batch_op(case, 1)
         assert op.status == "completed", (case.name, op.detail)
@@ -54,8 +42,7 @@ def test_calibration_batch_completes_on_every_case(monkeypatch):
 
 def test_calibration_contract_checks_complete_on_every_case(monkeypatch, tmp_path):
     # the benchmark's one call of BatchResult.to_csv(path, t=...)
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    calibration = _load("calibration")
+    calibration = load_repo_module("perfbench/calibration.py")
     monkeypatch.setattr(calibration, "OUT", tmp_path)
     ops = calibration.contract_checks(calibration.setup(0), 0)
     assert len(ops) == 2 * len(calibration.SCENARIOS)
@@ -64,9 +51,8 @@ def test_calibration_contract_checks_complete_on_every_case(monkeypatch, tmp_pat
     assert not list(tmp_path.iterdir())
 
 
-def test_constants_sweep_round_is_never_wrong(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    sweep = _load("constants_sweep")
+def test_constants_sweep_round_is_never_wrong():
+    sweep = load_repo_module("perfbench/constants_sweep.py")
     stream = sweep.inputs(0)
     ops = [sweep.model_op(*next(stream)) for _ in sweep.FAMILIES]
     assert [op.stratum for op in ops] == list(sweep.FAMILIES)
@@ -74,8 +60,19 @@ def test_constants_sweep_round_is_never_wrong(monkeypatch):
         assert op.status in ("completed", "refused") and not op.wrong, (op.stratum, op.kind, op.detail)
 
 
-def test_verify_cli_setup_runs_on_every_preset(monkeypatch):
+def test_a_traced_sweep_round_counts_the_b_rows_of_every_sigma2():
+    # the traced constants.compute_B_calls per model: compute_sigma2 forms its
+    # B rows in one compute_B call, which the tracer wraps by that name
+    tracer = load_repo_module("perfbench/tracer.py").Tracer()
+    sweep = load_repo_module("perfbench/constants_sweep.py")
+    stream = sweep.inputs(0)
+    with tracer:
+        for _ in sweep.FAMILIES:
+            sweep.model_op(*next(stream))
+    assert tracer.get("constants.compute_B").calls == tracer.get("constants.compute_sigma2").calls > 0
+
+
+def test_verify_cli_setup_runs_on_every_preset():
     # unpacks cli.build_characteristic as (phi, row) and passes the row, when
     # there is one, to compute_constants
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    _load("verify_cli").setup(0)
+    load_repo_module("perfbench/verify_cli.py").setup(0)

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import math
 import pickle
 import re
-import sys
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +33,7 @@ from cmjsim.characteristics import (
 from cmjsim.model import mixing_covariance
 from cmjsim.spectral import _EPS, _fro, m_norm2, projected_power, stein_tail, tail_sum
 
+from conftest import load_repo_module
 from oracles import (
     exact_mean_matrix,
     exact_moment_tables,
@@ -342,15 +340,7 @@ def test_gap_characteristic_zero_row_short_circuits(cross_feed):
 def _sweep_kesten_stigum_inputs() -> list:
     """``(seed, index, input)`` for the ``kesten_stigum`` inputs among the
     first 200 of ``constants_sweep.inputs`` at seeds 0 to 2."""
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    saved = list(sys.path)
-    sys.path.insert(0, str(perfbench))  # for its ``import common``
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_constants_sweep", perfbench / "constants_sweep.py")
-        sweep = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sweep)
-    finally:
-        sys.path[:] = saved
+    sweep = load_repo_module("perfbench/constants_sweep.py")
     return [
         (seed, i, inp)
         for seed in range(3)

@@ -14,14 +14,12 @@ to see which modules a run imports.  Exit-code contract under test:
 
 import dataclasses
 import errno
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 import yaml
@@ -33,6 +31,8 @@ from cmjsim.cli import EXIT_ASSUMPTION, EXIT_OK, EXIT_STAT_FAIL, EXIT_USAGE, mai
 from cmjsim.presets import PRESETS, _bernoulli_column, preset
 from cmjsim.scenario import load_scenario, save_scenario, scenario_from_dict
 from cmjsim.spectral import EigenCluster
+
+from conftest import load_repo_module
 
 
 def run_cli(argv, capsys):
@@ -946,11 +946,7 @@ def _digest_scenario(name: str, tmp_path, monkeypatch) -> str:
     if name in PRESETS:
         return name
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends to it
-    spec = importlib.util.spec_from_file_location(
-        "cli_digest", Path(__file__).resolve().parents[1] / "scripts" / "cli_digest.py"
-    )
-    cli_digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cli_digest)
+    cli_digest = load_repo_module("scripts/cli_digest.py")
     path = tmp_path / f"{name}.yaml"
     save_scenario(scenario_from_dict(dict(cli_digest._derived(preset))[name]), path)
     return str(path)

@@ -170,12 +170,12 @@ def test_x_rows_shift_with_age(mirror):
 
 def test_centering_rows_single_type(single_type):
     S = single_type.S
-    phi = single_type.phi
+    mt = single_type.phi.mean_table()
     # no sub part: B vanishes for k >= 1; B(k) = -2^{k-1} for k <= 0
-    for k in (1, 2, 5):
-        assert np.allclose(compute_B(phi.mean_table(), S, k), [0.0], atol=1e-14)
-    for k in (0, -1, -3):
-        assert compute_B(phi.mean_table(), S, k)[0] == pytest.approx(-(2.0 ** (k - 1)), abs=1e-14)
+    assert np.allclose(compute_B(mt, S, [1, 2, 5])[0], 0.0, atol=1e-14)
+    ks = [0, -1, -3]
+    for k, row in zip(ks, compute_B(mt, S, ks)[0]):
+        assert row[0] == pytest.approx(-(2.0 ** (k - 1)), abs=1e-14)
 
 
 def test_centering_rows_pure_leak(asym_leak):
@@ -185,9 +185,9 @@ def test_centering_rows_pure_leak(asym_leak):
     # a pi1 = 0 here, so the descending branch vanishes and the ascending
     # branch rides the sub eigenvalue 1: B(k) = a for every k >= 1
     for k in (1, 2, 6):
-        assert np.allclose(compute_B(phi.mean_table(), S, k), a, atol=1e-10), k
+        assert np.allclose(compute_B(phi.mean_table(), S, [k])[0][0], a, atol=1e-10), k
     for k in (0, -2):
-        assert np.allclose(compute_B(phi.mean_table(), S, k), [0.0, 0.0], atol=1e-10), k
+        assert np.allclose(compute_B(phi.mean_table(), S, [k])[0][0], [0.0, 0.0], atol=1e-10), k
 
 
 def test_sigma_l_closed_form_on_mirror(mirror):
@@ -222,7 +222,7 @@ def test_sigma2_error_certificate_honest(asym_leak):
     assert 0 < err < 1e-12
     ks = np.arange(-300, 301)
     mt = phi.mean_table()
-    rows = power_scaled(np.array([compute_B(mt, S, k) for k in ks]), S.rho, ks / 2)
+    rows = power_scaled(np.array([compute_B(mt, S, [k])[0][0] for k in ks]), S.rho, ks / 2)
     terms = m_norm2(mixing_covariance(model, S.u), rows).tolist()
     brute = math.fsum(terms)
     assert abs(value - brute) <= err + len(terms) * np.finfo(float).eps * math.fsum(map(abs, terms))
@@ -262,10 +262,10 @@ def test_constants_scale_correctly(factor):
 def test_scaled_centering_rows(mirror):
     S = mirror.S
     phi = mirror.phi
-    for k in (-2, 0, 1, 3):
-        b1 = compute_B(phi.mean_table(), S, k)
-        b3 = compute_B(phi.scaled(3.0).mean_table(), S, k)
-        assert np.allclose(b3, 3.0 * b1, atol=1e-10)
+    ks = [-2, 0, 1, 3]
+    b1 = compute_B(phi.mean_table(), S, ks)[0]
+    b3 = compute_B(phi.scaled(3.0).mean_table(), S, ks)[0]
+    assert np.allclose(b3, 3.0 * b1, atol=1e-10)
 
 
 # -- exact rational recursion cross-checks --------------------------------------
@@ -494,9 +494,10 @@ def test_cached_tail_blocks_do_not_depend_on_call_order(lam2):
     for order in itertools.permutations(whats):
         fresh = dataclasses.replace(S, _cache={})
         assert _tail_outputs(fresh, model, a, order) == alone, order
-        # one cached Stein solve per tail direction, shared by all three
-        solves = sorted(key[:2] for key in fresh._cache if key[0] == "stein")
-        assert solves == [("stein", -1), ("stein", 1)]
+        # one cached Stein entry for M, both tail directions, shared by all three
+        solves = [key for key in fresh._cache if key[0] == "stein"]
+        assert solves == [("stein", mixing_covariance(model, S.u).tobytes())]
+        assert set(fresh._cache[solves[0]]) == {1, -1}
 
 
 # -- the B(k) table holds the window's rows ------------------------------------

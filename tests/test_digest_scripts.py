@@ -12,8 +12,9 @@ registers."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,6 +25,8 @@ from cmjsim.cli import main
 from cmjsim.presets import preset
 from cmjsim.scenario import ScenarioError, save_scenario, scenario_from_dict
 
+from conftest import load_repo_module
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -32,14 +35,7 @@ def script(monkeypatch):
     """Load ``scripts/<name>.py`` as a module; both scripts prepend to
     ``sys.path``, which is restored afterwards."""
     monkeypatch.setattr(sys, "path", list(sys.path))
-
-    def load(name: str):
-        spec = importlib.util.spec_from_file_location(f"scripts_{name}", ROOT / "scripts" / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    return load
+    return lambda name: load_repo_module(f"scripts/{name}.py")
 
 
 def test_constants_digest_hashes_every_preset_input(script):
@@ -135,3 +131,20 @@ def test_stage_times_pairs_a_tree_with_itself(script, monkeypatch, tmp_path, cap
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"seed 0: {point['timed']} of 20 models timed in both trees"
     assert [line.split()[0] for line in lines[2:-1]] == [*stages.STAGES, "total"]
+
+
+def test_stage_times_marks_a_tree_with_uncommitted_sources_dirty(script, tmp_path):
+    tree_info = script("stage_times").tree_info
+    src = tmp_path / "src" / "cmjsim"
+    shutil.copytree(ROOT / "src" / "cmjsim", src, ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "src"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run(git + args, cwd=tmp_path, check=True, capture_output=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, capture_output=True, text=True).stdout.strip()
+    clean = tree_info(tmp_path)
+    assert clean["commit"] == head
+    with open(src / "constants.py", "a") as fh:
+        fh.write("# an uncommitted line\n")
+    dirty = tree_info(tmp_path)
+    assert dirty["commit"] == head + "+dirty"
+    assert dirty["source_sha256"] != clean["source_sha256"] and dirty["src_lines"] == clean["src_lines"] + 1
