@@ -2,7 +2,9 @@
 
 Its traced run wraps library functions by name, with ``getattr`` on the
 module where each caller looks the name up, so every ``(module,
-attribute)`` it lists must resolve.  Its calibration workload reads the
+attribute)`` it lists must resolve, and ``constants.compute_B`` must be
+the call that forms ``compute_sigma2``'s B rows, which its per-model count
+``constants.compute_B_calls`` reads.  Its calibration workload reads the
 batch API after each timed batch, so one batch per case must complete, and
 its contract checks write CSVs through ``to_csv``, so every check must
 pass.  Its constants sweep and the verify workload's set-up call the
