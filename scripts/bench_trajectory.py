@@ -7,12 +7,13 @@
 Runs ``perfbench/run.py`` untraced on one workload in ``--tree`` (a checkout
 of the program, by default this repository) and appends a point to
 ``BENCH_<workload>.json`` at this repository's root.  A point holds the
-commit (suffixed ``+dirty`` when ``src/`` has uncommitted changes) and the
-hash of the sources the run measured, ``src_lines`` (the lines in the
-tree's ``src/cmjsim/*.py``), ``nproc``, the seed, ``--seconds``, the repeat
-count (the timed operations behind the per-operation metrics) and the six
-end-to-end metrics.  Alternate parent and change runs on fresh seeds
-to compare two trees on the same machine.
+tree's ``tree_identity``: the commit (suffixed ``+dirty`` when ``src/`` has
+uncommitted changes), the hash of the sources the run measured and
+``src_lines`` (the lines in the tree's ``src/cmjsim/*.py``).  It also holds
+``nproc``, the seed, ``--seconds``, the repeat count (the timed operations
+behind the per-operation metrics) and the six end-to-end metrics.
+Alternate parent and change runs on fresh seeds to compare two trees on the
+same machine.
 
 ``--summary`` runs nothing and writes nothing: it reads the workload's
 ``BENCH_<workload>.json`` and pairs the points labelled ``parent`` and
@@ -31,6 +32,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from tree_identity import tree_identity
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -45,15 +48,8 @@ def run_point(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     report_line, result_line = proc.stdout.strip().splitlines()[-2:]
     report, result = json.loads(report_line), json.loads(result_line)
     prov = report["provenance"]
-    status = subprocess.run(
-        ["git", "status", "--porcelain", "--", "src"], cwd=tree, capture_output=True, text=True
-    )
-    dirty = status.returncode == 0 and bool(status.stdout.strip())
     return {
-        # "+dirty": the measured sources differ from that commit; the hash names them
-        "commit": f"{prov['git_commit']}+dirty" if dirty else prov["git_commit"],
-        "source_sha256": prov["source_sha256"],
-        "src_lines": sum(len(p.read_bytes().splitlines()) for p in (tree / "src" / "cmjsim").glob("*.py")),
+        **tree_identity(tree),
         "nproc": prov["nproc"],
         "seed": seed,
         "seconds": seconds,

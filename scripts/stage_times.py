@@ -15,24 +15,24 @@ or raises in either tree is left out of both.
 For each tree it prints the median milliseconds of each stage and of the
 per-model total, then the median over models of the change's total over the
 parent's, and appends that point to ``BENCH_stages.json`` at this
-repository's root.  A point names each tree by its commit (suffixed
-``+dirty`` when ``src/`` has uncommitted changes) and the hash of its
-sources.
+repository's root.  A point names each tree by ``tree_identity``: its
+commit (suffixed ``+dirty`` when ``src/`` has uncommitted changes), the
+hash of its sources and ``src_lines``.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib.util
 import itertools
 import json
 import os
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+from tree_identity import tree_identity
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_stages.json"
@@ -87,22 +87,6 @@ def stage_seconds(pkg, inp: dict) -> list | None:
     return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4]
 
 
-def tree_info(tree: Path) -> dict:
-    digest = hashlib.sha256()
-    paths = sorted((tree / "src" / "cmjsim").glob("*.py"))
-    for path in paths:
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
-    status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=tree, capture_output=True, text=True)
-    dirty = "+dirty" if status.stdout.strip() else ""  # the measured sources differ from that commit
-    return {
-        "commit": head.stdout.strip() + dirty if head.returncode == 0 else None,
-        "source_sha256": digest.hexdigest(),
-        "src_lines": sum(len(p.read_bytes().splitlines()) for p in paths),
-    }
-
-
 def measure(trees: dict, inputs) -> dict:
     """``{label: [per-stage seconds of each timed model]}``, each model run
     in both trees, the first tree alternating per model."""
@@ -143,7 +127,7 @@ def main(argv=None) -> int:
         "models": args.models,
         "timed": len(times["parent"]),
         "nproc": os.cpu_count(),
-        **{label: {**tree_info(tree), "median_ms": medians[label]} for label, tree in dirs.items()},
+        **{label: {**tree_identity(tree), "median_ms": medians[label]} for label, tree in dirs.items()},
         # paired: the median over models of the change's total over the parent's
         "paired_change": statistics.median(sum(c) / sum(p) for p, c in zip(times["parent"], times["change"])) - 1.0,
     }

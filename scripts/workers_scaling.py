@@ -8,12 +8,14 @@ workers, after one untimed batch at each worker count.  Each repeat times
 every (R, workers) case once, and the worker order alternates from repeat
 to repeat.  A case records every wall time, their median and the median
 CPU/wall ratio, where CPU counts this process and the pool workers it
-reaped.  The point also records ``nproc``, the usable CPUs, the three
-variables OpenBLAS reads for its thread count as ``import cmjsim`` left
-them, and the process's thread count right after that import (Linux only),
-which shows how many threads OpenBLAS started.  cmjsim is imported before
-numpy, as the CLI does.  ``--tree`` measures another checkout of the
-program (default: this one).  Run it on an otherwise idle machine.
+reaped.  The point names the tree by ``tree_identity`` (its commit,
+``source_sha256`` and ``src_lines``).  It also records ``nproc``, the
+usable CPUs, the three variables OpenBLAS reads for its thread count as
+``import cmjsim`` left them, and the process's thread count right after
+that import (Linux only), which shows how many threads OpenBLAS started.
+cmjsim is imported before numpy, as the CLI does.  ``--tree`` measures
+another checkout of the program (default: this one).  Run it on an
+otherwise idle machine.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ import os
 import platform
 import resource
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+from tree_identity import tree_identity
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESET = "asym_leak"
@@ -40,15 +43,6 @@ def _cpu_s() -> float:
     """User and system seconds of this process and its reaped children."""
     usage = (resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_CHILDREN))
     return sum(u.ru_utime + u.ru_stime for u in usage)
-
-
-def _commit(tree: Path) -> str | None:
-    """HEAD of ``tree``, suffixed ``+dirty`` when its ``src/`` has uncommitted changes."""
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
-    if head.returncode != 0:
-        return None
-    status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=tree, capture_output=True, text=True)
-    return head.stdout.strip() + ("+dirty" if status.stdout.strip() else "")
 
 
 def measure(tree: Path, repeats: int) -> dict:
@@ -82,7 +76,7 @@ def measure(tree: Path, repeats: int) -> dict:
                 wall = time.perf_counter() - wall0
                 samples[(R, workers)].append((wall, (_cpu_s() - cpu0) / wall))
     return {
-        "commit": _commit(tree),
+        **tree_identity(tree),
         "nproc": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "python": platform.python_version(),

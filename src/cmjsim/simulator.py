@@ -20,13 +20,16 @@ only on ``(master_seed, k)``, workers, which split whole blocks, never
 change a result, and ``run_replicate(seed)`` is replicate 0 of the batch
 with ``master_seed=seed``.
 
-A worker steps its blocks together, up to ``_CHUNK`` at a time, in one
-``(N+1, rows, J)`` count array.  Per generation each block makes one
-multinomial call over all its parent types and the front-padded laws
-(``BranchingModel.padded_laws``); numpy draws nothing for a zero
-probability, so a block draws what J per-type calls would.  A chunk returns
-only what it simulated; ``run_batch`` joins the chunks into columns, forms
-W_hat and T once on the whole blocks, and only then cuts every column to R.
+A chunk, up to ``_CHUNK`` consecutive blocks stepped together in one
+``(N+1, rows, J)`` count array, is the one unit of work, from its seeds to
+its columns: ``_CHUNK`` blocks in-process, at most ``min(_CHUNK, n_blocks //
+workers)`` as a pool task, so every worker gets one.  Per generation each
+block makes one multinomial call over all its parent types and the
+front-padded laws (``BranchingModel.padded_laws``); numpy draws nothing for a
+zero probability or a zero count, so a block draws what J per-type calls
+would.  A chunk forms the centred litter sums ``Z_{g+1} - A Z_g`` only at the
+generations its coeff rows read.  ``run_batch`` joins the chunks into
+columns, forms W_hat and T once on the whole blocks, then cuts them to R.
 
 Counts are int64 throughout with a per-replicate overflow guard: a
 replicate whose next generation could exceed ``OVERFLOW_CAP`` is aborted,
@@ -161,12 +164,14 @@ def _plan(model, phis, n, N, ns) -> _Plan:
     return _Plan(model, phis, ns, N, OVERFLOW_CAP // largest_litter, noise)
 
 
-def _simulate_chunk(plan: _Plan, rngs: list) -> dict:
-    """The ``aborted``, ``z_final`` and ``zphi`` columns of ``len(rngs)``
-    blocks stepped together; block i draws from ``rngs[i]`` alone, and what
-    it would draw alone."""
+def _simulate_chunk(task) -> dict:
+    """The ``aborted``, ``z_final`` and ``zphi`` columns of blocks lo..hi-1,
+    ``task = (plan, master_seed, lo, hi)``, stepped together; each block
+    draws from its own generator alone, and what it would draw alone."""
+    plan, master_seed, lo, hi = task
     model, N = plan.model, plan.N
-    rows = [slice(i * BLOCK, (i + 1) * BLOCK) for i in range(len(rngs))]
+    seeds = [np.random.SeedSequence(entropy=master_seed, spawn_key=(b,)) for b in range(lo, hi)]
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     B = BLOCK * len(rngs)
     states = np.zeros((N + 1, B, model.J), dtype=np.int64)
     states[0] = model.z0()
@@ -179,9 +184,9 @@ def _simulate_chunk(plan: _Plan, rngs: list) -> dict:
         states[g + 1] = step_generation(model, states[g], rngs)
 
     X = states.astype(float)
-    if any(phi.coeff for phi in plan.phis):
-        # per-(generation, replicate) sum of centered offspring columns
-        dev = X[1:] - X[:-1] @ model.A.T
+    # per-(generation, replicate) sum of centred litters, at each generation a coeff row reads
+    gens = {t - k for phi in plan.phis for t in plan.ns for k in phi.coeff if k <= t}
+    dev = {g: X[g + 1] - X[g] @ model.A.T for g in gens}
     zphi: dict[tuple[int, int], np.ndarray] = {}
     for p, phi in enumerate(plan.phis):
         for t in plan.ns:
@@ -194,11 +199,8 @@ def _simulate_chunk(plan: _Plan, rngs: list) -> dict:
                     total += dev[t - k] @ row
             zphi[(p, t)] = total
     for p, t, k, j, probs, values in plan.noise:
-        counts = np.zeros((B, len(probs)), dtype=np.int64)
-        for rng, sl in zip(rngs, rows):
-            c = states[t - k, sl, j]
-            if c.any():
-                counts[sl] = rng.multinomial(c, probs)
+        c = states[t - k, :, j].reshape(len(rngs), BLOCK)
+        counts = np.concatenate([rng.multinomial(cb, probs) for rng, cb in zip(rngs, c)])
         zphi[(p, t)] += counts @ values
     # a copy, so the result does not hold the whole count array alive
     return {"aborted": aborted, "z_final": states[N].copy(), "zphi": zphi}
@@ -332,19 +334,6 @@ def run_replicate(
     return run_batch(model, phis, n, N, 1, seed, S=S, constants=constants, ns=ns).replicates[0]
 
 
-def _run_blocks(args) -> dict:
-    """Columns of blocks lo..hi-1 of a batch, each block simulated whole,
-    stepped together in chunks of at most ``_CHUNK`` blocks."""
-    plan, master_seed, lo, hi = args
-    parts = []
-    for first in range(lo, hi, _CHUNK):
-        blocks = range(first, min(first + _CHUNK, hi))
-        seeds = [np.random.SeedSequence(entropy=master_seed, spawn_key=(b,)) for b in blocks]
-        rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-        parts.append(_simulate_chunk(plan, rngs))
-    return _join(parts)
-
-
 def run_batch(
     model: BranchingModel,
     phis: Characteristic | Sequence[Characteristic],
@@ -361,10 +350,11 @@ def run_batch(
     """R independent replicates, simulated in whole blocks of ``BLOCK``.
 
     Block b always uses SeedSequence(master_seed, spawn_key=(b,)), so the
-    result is byte-identical for any worker count; workers only split the
-    block range, and run in-process below two blocks per worker.  ``workers``
-    is capped at the CPUs this process may use.  W_hat and T are formed here,
-    once, on the whole blocks.
+    result is byte-identical for any worker count.  A task is one chunk: up
+    to ``_CHUNK`` blocks in-process, ``min(_CHUNK, n_blocks // workers)`` in
+    the pool, which starts only at two blocks per worker (``workers`` is
+    capped at the usable CPUs); a chunk forms the centred litter sums its
+    coeff rows read.  W_hat and T are formed here, once, on the whole blocks.
     """
     if R < 0:
         raise ValueError(f"R must be >= 0, got {R}")
@@ -378,20 +368,20 @@ def run_batch(
     # beyond the usable CPUs only waits for one
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(max(1, int(workers)), cpus)
-    if workers == 1 or n_blocks < 2 * workers:
-        chunks = [_run_blocks((plan, master_seed, 0, n_blocks))]
+    if n_blocks < 2 * workers:
+        workers = 1
+    # in-process, chunks of _CHUNK blocks; in the pool, at least one chunk per worker
+    size = min(_CHUNK, n_blocks // workers)
+    tasks = [(plan, master_seed, lo, min(lo + size, n_blocks)) for lo in range(0, n_blocks, size)]
+    if workers == 1:
+        chunks = list(map(_simulate_chunk, tasks))
     else:
-        bounds = np.linspace(0, n_blocks, min(n_blocks, workers * 4) + 1, dtype=int)
-        tasks = [
-            (plan, master_seed, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
         # imported here: multiprocessing costs ~15 ms of import, and a batch
         # under two blocks per worker never starts the pool
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_blocks, tasks))
+            chunks = list(pool.map(_simulate_chunk, tasks))
     cols = _join(chunks)
     aborted, zf = cols["aborted"], cols["z_final"].astype(float)
     w_hat = np.full(len(aborted), np.nan) if S is None else np.real(zf @ S.v) * S.rho ** (-N)

@@ -182,11 +182,10 @@ def _cluster_projections(A: np.ndarray, eigs: np.ndarray, sets: list[list[int]])
     eigenvalues.  A tighter test would refuse genuine Jordan blocks: the
     trailing eigenvalues of a deflated m-fold block spread by about
     ``eps^(1/m)``.  Otherwise the clustering is inconsistent, and the first
-    such set in ``sets`` raises ``ArithmeticError``.
+    such set met, by size and then in ``sets`` order, raises ``ArithmeticError``.
     """
     n = A.shape[0]
     out: list = [_eye(n, complex).copy() if len(idxs) == n else None for idxs in sets]
-    errors: dict = {}
     for s in sorted({len(idxs) for idxs in sets} - {n}):
         items = [k for k, idxs in enumerate(sets) if len(idxs) == s]
         idx = np.array([sets[k] for k in items])
@@ -204,16 +203,13 @@ def _cluster_projections(A: np.ndarray, eigs: np.ndarray, sets: list[list[int]])
             others = np.abs(lam[:, None] - eigs)
             others[inside] = np.inf
             bad = near.min(axis=1) >= others.min(axis=1)
-            if bad.any():  # those sets leave the stack; an empty stack runs on to no result
-                for j in np.flatnonzero(bad).tolist():
-                    errors[items[j]] = ArithmeticError(
-                        f"eigenvalue clustering is inconsistent: after {i} of {s} deflations "
-                        f"the nearest remaining value {lam[j]:.6g} lies nearer an eigenvalue "
-                        f"outside the cluster; the Jordan structure is too ill-conditioned "
-                        f"for the requested tolerance"
-                    )
-                items = [k for k, b in zip(items, bad) if not b]
-                members, inside, T, Q, lam = (a[~bad] for a in (members, inside, T, Q, lam))
+            if bad.any():
+                raise ArithmeticError(
+                    f"eigenvalue clustering is inconsistent: after {i} of {s} deflations "
+                    f"the nearest remaining value {lam[bad.argmax()]:.6g} lies nearer an eigenvalue "
+                    f"outside the cluster; the Jordan structure is too ill-conditioned "
+                    f"for the requested tolerance"
+                )
             x = np.linalg.svd(T[:, i:, i:] - lam[:, None, None] * _eye(n - i))[2][:, -1].conj()
             # H = I - 2 w w* / |w|^2 with w = x + phase(x_0) e_0: no cancellation
             w = x.copy()
@@ -236,8 +232,6 @@ def _cluster_projections(A: np.ndarray, eigs: np.ndarray, sets: list[list[int]])
         P[:, :s, s:] = Y.reshape(len(items), n - s, s).transpose(0, 2, 1)
         for k, proj in zip(items, Q @ P @ Q.conj().transpose(0, 2, 1)):
             out[k] = proj
-    if errors:
-        raise errors[min(errors)]
     return out
 
 

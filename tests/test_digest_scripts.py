@@ -12,6 +12,7 @@ registers."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -133,18 +134,26 @@ def test_stage_times_pairs_a_tree_with_itself(script, monkeypatch, tmp_path, cap
     assert [line.split()[0] for line in lines[2:-1]] == [*stages.STAGES, "total"]
 
 
-def test_stage_times_marks_a_tree_with_uncommitted_sources_dirty(script, tmp_path):
-    tree_info = script("stage_times").tree_info
+def test_tree_identity_marks_a_tree_with_uncommitted_sources_dirty(script, tmp_path):
+    # the identity bench_trajectory, stage_times and workers_scaling record
+    tree_identity = script("tree_identity").tree_identity
     src = tmp_path / "src" / "cmjsim"
     shutil.copytree(ROOT / "src" / "cmjsim", src, ignore=shutil.ignore_patterns("__pycache__"))
+    export = tree_identity(tmp_path)  # no checkout yet: a plain export has no commit
+    assert export["commit"] is None
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
     for args in (["init", "-q"], ["add", "src"], ["commit", "-q", "-m", "tree"]):
         subprocess.run(git + args, cwd=tmp_path, check=True, capture_output=True)
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, capture_output=True, text=True).stdout.strip()
-    clean = tree_info(tmp_path)
-    assert clean["commit"] == head
+    clean = tree_identity(tmp_path)
+    assert clean == {**export, "commit": head}
+    # the benchmark's own hash of the same sources
+    provenance = load_repo_module("perfbench/run.py").provenance
+    args = argparse.Namespace(workload=None, seed=0, seconds=0, trace=0)
+    assert tree_identity(ROOT)["source_sha256"] == provenance(args)["source_sha256"] == clean["source_sha256"]
+    assert clean["src_lines"] == sum(len(p.read_text().splitlines()) for p in src.glob("*.py"))
     with open(src / "constants.py", "a") as fh:
         fh.write("# an uncommitted line\n")
-    dirty = tree_info(tmp_path)
+    dirty = tree_identity(tmp_path)
     assert dirty["commit"] == head + "+dirty"
     assert dirty["source_sha256"] != clean["source_sha256"] and dirty["src_lines"] == clean["src_lines"] + 1

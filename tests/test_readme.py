@@ -49,3 +49,10 @@ def test_readme_command_line_prints_one_json_report(line, tmp_path, capsys):
     if argv[0] == "simulate":  # the report is the batch summary; --out is the CSV
         assert report["csv"] == argv[argv.index("--out") + 1]
         assert Path(report["csv"]).read_text().startswith("index,")
+
+
+def test_readme_states_the_source_line_count():
+    # "Per-model costs" states the lines in src/cmjsim/*.py
+    stated = re.findall(r"`src/cmjsim` is\s+([\d,]+) lines", README.read_text())
+    src = README.parent / "src" / "cmjsim"
+    assert stated == [f"{sum(len(p.read_bytes().splitlines()) for p in src.glob('*.py')):,}"]

@@ -230,7 +230,7 @@ def test_workers_capped_at_usable_cpus(monkeypatch, mirror):
     ``os.cpu_count()`` where the OS has none.  A fake pool runs the tasks in
     this process and records ``max_workers``; no process starts, and every
     count gives the serial bits."""
-    started = []
+    started, spans = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -243,6 +243,8 @@ def test_workers_capped_at_usable_cpus(monkeypatch, mirror):
             return False
 
         def map(self, fn, tasks):
+            tasks = list(tasks)
+            spans.append([(lo, hi) for _, _, lo, hi in tasks])
             return map(fn, tasks)
 
     def columns(batch):
@@ -258,6 +260,14 @@ def test_workers_capped_at_usable_cpus(monkeypatch, mirror):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     batches.append(run_batch(mirror.model, mirror.phi, workers=64, **kw))
     assert started == [2, 4, 3]  # one usable CPU runs in-process
+    # a task is one chunk of min(_CHUNK, blocks // workers) blocks, so every
+    # worker gets one; the tasks cover the blocks in order
+    for workers, tasks in zip(started, spans):
+        size = min(simulator._CHUNK, 20 // workers)
+        assert len(tasks) >= workers
+        assert [hi - lo for lo, hi in tasks[:-1]] == [size] * (len(tasks) - 1)
+        assert 0 < tasks[-1][1] - tasks[-1][0] <= size <= simulator._CHUNK
+        assert [b for lo, hi in tasks for b in range(lo, hi)] == list(range(20))
     ref = columns(batches[0])
     for batch in batches[1:]:
         assert [c.tobytes() for c in columns(batch)] == [c.tobytes() for c in ref]
@@ -386,7 +396,7 @@ def test_normalization_cases():
     assert normalization(8, "ii", 1, 4.0) == 4.0 ** (8 / 2.0) * 8.0**1.5
 
 
-def _no_simulation(plan, rngs):
+def _no_simulation(task):
     raise AssertionError("a block was simulated")
 
 
@@ -602,6 +612,18 @@ def _oracle_case(case, request):
         n, N = 6, 10
         phi1 = make_phi1(s.S, np.array([1.0]), model=s.model, k_min=n - N + 1)
         return 0, s.model, phi1, n, N, None, s.S, None, simulator.OVERFLOW_CAP
+    if case == "shared_reads":
+        # the ancestor is of type 2, so the cells at ages 5 and 6 on types 1
+        # and 3 read generation 0, where every block has no individual of
+        # their type; the coeff rows read generation 4 three times and 5 twice
+        phi = _mixed_laws_phi()
+        empty = NoiseLaw((0.5, 0.5), (1.0, -1.0))
+        first = dataclasses.replace(
+            phi, coeff={**phi.coeff, 2: np.array([1.0, 0.0, -0.5])},
+            noise={**phi.noise, (5, 0): empty, (6, 2): empty},
+        )
+        second = Characteristic(3, coeff={1: np.array([-1.0, 2.0, 0.25])})
+        return 4_099, _mixed_laws_model(), [first, second], 6, 7, [5, 6], None, None, simulator.OVERFLOW_CAP
     return 4_099, _mixed_laws_model(), _mixed_laws_phi(), 6, 7, [5, 6], None, None, simulator.OVERFLOW_CAP
 
 
@@ -620,19 +642,22 @@ def _assert_equals_oracle(case, R, request, workers=1):
 
 
 @pytest.mark.parametrize("R", CHUNK_RS)
-@pytest.mark.parametrize("case", ["mirror", "capped", "mixed", "overflow", "phi1_gap"])
+@pytest.mark.parametrize("case", ["mirror", "capped", "mixed", "overflow", "phi1_gap", "shared_reads"])
 def test_chunks_equal_the_per_block_oracle(case, R, request):
     """Every column has the bits of the batch simulated block by block with
-    one multinomial call per type."""
+    one multinomial call per type present, and a noise draw only in a block
+    that holds the cell's type."""
     batch, cells = _assert_equals_oracle(case, R, request)
     if case in ("capped", "overflow") and R >= BLOCK:
         assert 0 < batch.aborted[:BLOCK].sum() < BLOCK
-    if case == "mixed":
+    if case in ("mixed", "shared_reads"):
         assert cells["noise"][(0, 6, 1, 2)].any()
+    if case == "shared_reads":
+        assert not cells["noise"][(0, 5, 5, 0)].any() and not cells["noise"][(0, 6, 6, 2)].any()
 
 
 @pytest.mark.parametrize("R", [1797, 9 * BLOCK + 7])
-@pytest.mark.parametrize("case", ["mirror", "capped"])
+@pytest.mark.parametrize("case", ["mirror", "capped", "shared_reads"])
 def test_chunks_in_a_pool_equal_the_per_block_oracle(case, R, request):
     _assert_equals_oracle(case, R, request, workers=2)
 
