@@ -3,7 +3,7 @@
     python3 scripts/cli_digest.py [--tree DIR]
 
 Runs ``cmjsim.cli.main`` in-process on every preset for ``analyze``,
-``constants``, ``star-check``, and ``verify`` (with ``--emit-hist``) and
+``constants``, and ``verify`` (with ``--emit-hist``) and
 ``simulate`` at ``--workers 1`` and ``2``, each with ``--out`` in a fresh
 directory.  Every preset is at most three blocks, which two workers run
 in-process, so ``simulate`` also runs at both worker counts on a scenario
@@ -41,21 +41,18 @@ v = 1e150 the variance fits but the square of its row's norm does not
 model whose mean matrix has an exact zero row, each column a
 Bernoulli-rounded law as the presets build them, under a labelling whose
 projections ``spectral_decompose`` refuses: ``analyze``, ``constants`` and
-``simulate`` refuse with that cause, ``verify`` refuses the model as not
-positively regular, and ``star-check``, which reads no spectral data, runs
-(``deflation_refused``).  Two more are ``single_type_binary`` at
-``run.n: 2100``, where r_n = 2^1050 and the star row R(1025) = 2^1024 leave
-float64: ``verify`` and ``simulate`` refuse the r_t and ``star-check`` the
-row, each with exit 2, while ``analyze`` and ``constants`` run
-(``single_type_binary@n2100``), and at ``run.n: 1000``, where those values
-fit but every replicate outgrows the overflow guard: ``verify`` and
-``simulate`` refuse the abort rate and ``star-check`` a run with no
-replicate left to check, each with exit 2 (``single_type_binary@n1000``).
+``simulate`` refuse with that cause, and ``verify`` refuses the model as not
+positively regular (``deflation_refused``).  Two more are
+``single_type_binary`` at ``run.n: 2100``, where r_n = 2^1050 leaves
+float64: ``verify`` and ``simulate`` refuse the r_t, each with exit 2, while
+``analyze`` and ``constants`` run (``single_type_binary@n2100``), and at
+``run.n: 1000``, where r_n fits but every replicate outgrows the overflow
+guard: ``verify`` and ``simulate`` refuse the abort rate, each with exit 2
+(``single_type_binary@n1000``).
 The last two reach refusal causes no other line does: ``two_type_mirror``
 counted by a base table at age -1500 with no requested case, where
 pi1 A^k pi1 is not representable in float64 at k = 513, which
-``constants``, ``verify`` and ``simulate`` refuse, and a star row leaves
-float64, which ``star-check`` refuses, while ``analyze`` runs
+``constants``, ``verify`` and ``simulate`` refuse, while ``analyze`` runs
 (``two_type_mirror+far_age``); and ``cross_feed`` at 80 replicates with
 ``run.case: ii``, whose ``verify`` refuses the requested case
 (``cross_feed+case_ii``).  The last file is written as it is, since the
@@ -92,7 +89,6 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = (
     ("analyze", ()),
     ("constants", ()),
-    ("star-check", ()),
     ("verify", ("--workers", "1")),
     ("verify", ("--workers", "2")),
     ("simulate", ("--workers", "1")),

@@ -6,7 +6,6 @@ Subcommands::
     constants   print every limit constant with its error certificate
     simulate    run a replicate batch and write per-replicate CSV
     verify      run the full statistical acceptance battery (PASS/FAIL)
-    star-check  pathwise recentering identity for the star transform
 
 Each subcommand adds its blocks to one report, and ``main`` alone writes it:
 to ``--out`` first (``simulate``: its ``--out`` is the CSV), then ``verify``'s
@@ -36,13 +35,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .characteristics import (
-    Characteristic,
-    NoiseLaw,
-    expected_process,
-    make_phi1,
-    star_transform,
-)
+from .characteristics import Characteristic, NoiseLaw, make_phi1
 from .constants import TheoreticalConstants, compute_constants
 from .model import build_model, validate_assumptions
 from .presets import PRESETS, preset
@@ -115,7 +108,7 @@ def build_characteristic(scn: Scenario, model, S) -> tuple[Characteristic, np.nd
     """Characteristic named by the scenario, built from the exact values
     :func:`check_characteristic` parses, plus its row for ``kind: indicator``
     (None otherwise), which only the benchmark reads.  Only ``kesten_stigum``
-    reads the spectral data ``S``; the others take None."""
+    reads ``S``.  The pipeline forms ``S`` first, so its refusals come first."""
     kind = scn.characteristic["kind"]
     row, base, coeff, cells = check_characteristic(scn.characteristic, model.J)[1]
     row = None if row is None else np.array(row, dtype=float)
@@ -190,13 +183,11 @@ class _Pipeline:
 
     @cached_property
     def characteristic(self) -> Characteristic:
-        S = self.S if self.scn.characteristic["kind"] == "kesten_stigum" else None
-        return build_characteristic(self.scn, self.model, S)[0]
+        return build_characteristic(self.scn, self.model, self.S)[0]
 
     @cached_property
     def const(self) -> TheoreticalConstants:
-        S = self.S  # a spectral refusal comes before the characteristic's
-        return compute_constants(self.characteristic, S, self.model)
+        return compute_constants(self.characteristic, self.S, self.model)
 
     def batch(self):
         scn, const = self.scn, self.const
@@ -260,30 +251,6 @@ def _cmd_verify(run: _Pipeline) -> int:
     return EXIT_OK if verified.passed else EXIT_STAT_FAIL
 
 
-def _cmd_star_check(run: _Pipeline) -> int:
-    model, phi, n = run.model, run.characteristic, run.scn.n
-    if not phi.is_deterministic:
-        raise ScenarioError("characteristic.kind: star-check needs a deterministic characteristic")
-    reps = min(run.scn.run["replicates"], 64)
-    run.report.update(replicates=reps, time=n)
-    star = star_transform(phi, model, n)
-    ez = complex(expected_process(phi, model, n))
-    batch = run_batch(model, [phi, star], n, run.scn.N, reps, run.scn.run["seed"], ns=[n])
-    keep = ~batch.aborted
-    if not keep.any():  # a maximum over no replicate would PASS having checked nothing
-        raise RuntimeError(f"all {reps} replicates were aborted at the overflow guard; none was checked")
-    resid = np.abs(batch.zphi[(1, n)][keep] - (batch.zphi[(0, n)][keep] - ez)) / (1.0 + abs(ez))
-    worst, tol = float(resid.max()), 1e-8
-    run.report.update(
-        expected_process=ez,
-        max_relative_residual=worst,
-        tolerance=tol,
-        window=[min(star.coeff, default=0), max(star.coeff, default=0)],
-        verdict="PASS" if worst <= tol else "FAIL",
-    )
-    return EXIT_OK if worst <= tol else EXIT_STAT_FAIL
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -293,7 +260,6 @@ _COMMANDS = {
     "constants": ("limit constants with error certificates", _cmd_constants),
     "simulate": ("replicate batch -> CSV", _cmd_simulate),
     "verify": ("statistical acceptance battery", _cmd_verify),
-    "star-check": ("pathwise recentering identity", _cmd_star_check),
 }
 
 

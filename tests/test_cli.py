@@ -68,7 +68,13 @@ def test_no_arguments_is_usage_error(capsys):
 def test_help_exits_cleanly(capsys):
     rc, out, _ = run_cli(["--help"], capsys)
     assert rc == EXIT_OK
-    assert "analyze" in out and "star-check" in out
+    assert "{analyze,constants,simulate,verify}" in out
+
+
+def test_a_removed_subcommand_is_a_usage_error(capsys):
+    rc, out, err = run_cli(["star-check", "--scenario", "asym_leak"], capsys)
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "invalid choice" in err and "star-check" in err
 
 
 def test_unknown_scenario_names_the_presets(capsys):
@@ -165,7 +171,7 @@ def test_a_noise_variance_outside_float64_is_a_named_constants_error(tmp_path, c
 
 
 @pytest.mark.parametrize("command, code", [
-    ("analyze", EXIT_OK), ("verify", EXIT_USAGE), ("simulate", EXIT_USAGE), ("star-check", EXIT_USAGE),
+    ("analyze", EXIT_OK), ("verify", EXIT_USAGE), ("simulate", EXIT_USAGE),
 ])
 def test_a_noise_variance_outside_float64_stops_each_command_that_reads_it(command, code, tmp_path, capsys):
     path = _asym_leak_noise(tmp_path, 1e200)
@@ -532,12 +538,11 @@ R_T_OUTSIDE_FLOAT64 = "error: normalization r_t at t = 2100 lies outside float64
     ("analyze", EXIT_OK, ""),
     ("constants", EXIT_OK, ""),
     ("simulate", EXIT_ASSUMPTION, R_T_OUTSIDE_FLOAT64),
-    ("star-check", EXIT_ASSUMPTION, "error: star transform row at age 1025 lies outside float64 range\n"),
 ])
 def test_large_n_refusals_name_their_cause(command, code, err_text, tmp_path, capsys):
-    # single_type_binary at n = 2100: r_n = 2^1050 and the star row R(1025) = 2^1024
-    # leave float64, and no command warns on the way.  err_text is the cause
-    # as stderr once read; a refusal now gives it as its reason, on stdout
+    # single_type_binary at n = 2100: r_n = 2^1050 leaves float64, and no
+    # command warns on the way.  err_text is the cause as stderr once read;
+    # a refusal now gives it as its reason, on stdout
     d = preset("single_type_binary").to_dict()
     d["run"]["n"] = 2100
     path = write_yaml(tmp_path, "large_n.yaml", d)
@@ -635,17 +640,14 @@ def _bernoulli_offspring(mean_rows) -> dict:
     [(ZERO_MATRIX, [1, 0]), (NILPOTENT, [1, 0]), (_bernoulli_offspring(DEFLATION_REFUSED), [1, 0, 0, 0])],
     ids=["zero", "nilpotent", "deflation-refused"],
 )
-def test_star_check_reads_no_spectral_data(offspring, row, tmp_path, capsys):
+def test_a_spectral_refusal_leaves_no_spectral_block(offspring, row, tmp_path, capsys):
     d = {"schema": 1, "model": {"types": len(row), "initial_type": 1, "offspring": offspring},
          "characteristic": {"kind": "indicator", "row": row}, "run": {"n": 4}}
     path = write_yaml(tmp_path, "m.yaml", d)
-    rc, out, _ = run_cli(["analyze", "--scenario", path], capsys)
+    rc, out, err = run_cli(["analyze", "--scenario", path], capsys)
     rep = strict_json(out)
-    assert rc == EXIT_ASSUMPTION and rep["verdict"] == "REFUSED" and "spectral" not in rep
-    rc, out, err = run_cli(["star-check", "--scenario", path], capsys)
-    assert rc == EXIT_OK and not err
-    rep = strict_json(out)
-    assert rep["verdict"] == "PASS" and rep["max_relative_residual"] == 0.0
+    assert rc == EXIT_ASSUMPTION and not err
+    assert rep["verdict"] == "REFUSED" and "spectral" not in rep
 
 
 def test_verify_refuses_before_simulating_when_assumptions_fail(capsys):
@@ -727,59 +729,6 @@ def test_each_report_block_is_its_result_objects_fields(name, capsys):
 
 
 # ---------------------------------------------------------------------------
-# star-check
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("name", ["asym_leak", "two_type_mirror"])
-def test_star_check_pathwise_identity(name, capsys):
-    rc, out, _ = run_cli(["star-check", "--scenario", name], capsys)
-    assert rc == EXIT_OK
-    rep = strict_json(out)
-    assert rep["verdict"] == "PASS"
-    assert rep["max_relative_residual"] <= rep["tolerance"]
-
-
-@pytest.mark.parametrize("name", PRESETS)
-def test_star_check_reports_only_the_identity_it_checks(name, capsys):
-    rep = strict_json(run_cli(["star-check", "--scenario", name], capsys)[1])
-    assert set(rep) == {
-        "replicates", "time", "expected_process", "max_relative_residual", "tolerance", "window", "verdict"
-    }
-
-
-def test_star_check_refuses_when_every_replicate_is_aborted(tmp_path, capsys):
-    # single_type_binary at n = 1000: r_t and the star rows fit float64, but
-    # the population reaches ~2^1000 and every replicate outgrows the overflow
-    # guard, so no residual is left to check
-    d = preset("single_type_binary").to_dict()
-    d["run"]["n"] = 1000
-    path = write_yaml(tmp_path, "n1000.yaml", d)
-    rc, out, err = run_cli(["star-check", "--scenario", path, "--out", str(tmp_path / "s.json")], capsys)
-    assert rc == EXIT_ASSUMPTION and not err
-    rep = strict_json(out)
-    assert rep == strict_json((tmp_path / "s.json").read_text())
-    assert rep == {
-        "replicates": 64,
-        "time": 1000,
-        "verdict": "REFUSED",
-        "reason": "all 64 replicates were aborted at the overflow guard; none was checked",
-    }
-
-
-def test_star_check_rejects_noisy_characteristic(tmp_path, capsys):
-    d = preset("cross_feed").to_dict()
-    d["characteristic"] = {
-        "kind": "custom",
-        "base": {0: ["1", "0"]},
-        "noise": [{"age": 0, "type": 1, "probs": ["1/2", "1/2"], "values": ["-1", "1"]}],
-    }
-    path = write_yaml(tmp_path, "noisy.yaml", d)
-    rc, _, err = run_cli(["star-check", "--scenario", path], capsys)
-    assert rc == EXIT_USAGE
-    assert "deterministic" in err
-
-
-# ---------------------------------------------------------------------------
 # the kesten_stigum and table kinds, which no preset uses
 # ---------------------------------------------------------------------------
 
@@ -799,17 +748,13 @@ def _kind_scenario(tmp_path, kind) -> str:
 
 
 @pytest.mark.parametrize("kind, command, code", [
-    *(("kesten_stigum", c, EXIT_OK) for c in ("analyze", "constants", "simulate", "verify")),
-    ("kesten_stigum", "star-check", EXIT_USAGE),
-    *(("table", c, EXIT_OK) for c in ("analyze", "constants", "simulate", "verify", "star-check")),
+    *((kind, c, EXIT_OK) for kind in ("kesten_stigum", "table") for c in cli._COMMANDS),
 ])
 def test_characteristic_kinds_without_a_preset_run_through_the_cli(kind, command, code, tmp_path, capsys):
     """Exit codes at each preset's own seed."""
     argv = [command, "--scenario", _kind_scenario(tmp_path, kind), "--out", str(tmp_path / "out")]
     rc, _, err = run_cli(argv, capsys)
     assert rc == code, err
-    if code == EXIT_USAGE:
-        assert "needs a deterministic characteristic" in err
 
 
 def test_kesten_stigum_characteristic_spans_the_window(tmp_path):
@@ -923,15 +868,11 @@ REFUSALS = [
     ("deflation_refused", "constants", DEFLATION_CAUSE),
     ("deflation_refused", "verify", "standing assumptions fail: not positively regular"),
     ("deflation_refused", "simulate", DEFLATION_CAUSE),
-    ("single_type_binary@n2100", "star-check", "star transform row at age 1025 lies outside float64 range"),
     ("single_type_binary@n2100", "verify", R_T_CAUSE),
     ("single_type_binary@n2100", "simulate", R_T_CAUSE),
-    ("single_type_binary@n1000", "star-check",
-     "all 64 replicates were aborted at the overflow guard; none was checked"),
     ("single_type_binary@n1000", "verify", "abort rate 100.0% exceeds 10%; results unusable"),
     ("single_type_binary@n1000", "simulate", "abort rate 100.0% exceeds 10%"),
     ("two_type_mirror+far_age", "constants", FAR_AGE_CAUSE),
-    ("two_type_mirror+far_age", "star-check", "star transform row at age -475 lies outside float64 range"),
     ("two_type_mirror+far_age", "verify", FAR_AGE_CAUSE),
     ("two_type_mirror+far_age", "simulate", FAR_AGE_CAUSE),
     ("cross_feed+case_ii", "verify",

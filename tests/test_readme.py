@@ -1,6 +1,7 @@
 """README's ``## Library`` example runs as printed, and the claims its
 comments state hold; each ``cmjsim`` line of its ``## Command line`` block
-exits 0 and prints one strict-JSON report."""
+exits 0 and prints one strict-JSON report, and those lines name exactly the
+CLI's subcommands."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from cmjsim import cli
 from cmjsim.cli import EXIT_OK, main
 from test_cli import strict_json
 
@@ -49,6 +51,13 @@ def test_readme_command_line_prints_one_json_report(line, tmp_path, capsys):
     if argv[0] == "simulate":  # the report is the batch summary; --out is the CSV
         assert report["csv"] == argv[argv.index("--out") + 1]
         assert Path(report["csv"]).read_text().startswith("index,")
+
+
+def test_the_docs_name_exactly_the_subcommands():
+    # README's command-line block and cli.py's module docstring
+    listed = cli.__doc__.split("Subcommands::\n\n", 1)[1].split("\n\n", 1)[0]
+    assert [line.split()[0] for line in listed.splitlines()] == list(cli._COMMANDS)
+    assert [line.split()[1] for line in _command_lines()] == list(cli._COMMANDS)
 
 
 def test_readme_states_the_source_line_count():

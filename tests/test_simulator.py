@@ -16,14 +16,19 @@ from cmjsim import (
     compute_constants,
     make_phi1,
     make_indicator_characteristic,
+    preset,
     run_batch,
     run_replicate,
+    spectral_decompose,
     star_transform,
 )
-from cmjsim import simulator
+from cmjsim import cli, simulator
 from cmjsim.characteristics import Characteristic, NoiseLaw
+from cmjsim.presets import PRESETS
 from cmjsim.simulator import BLOCK, normalization, step_generation
 from cmjsim.spectral import projected_power
+
+from conftest import load_repo_module
 
 from oracles import (
     batch_from_rows,
@@ -384,6 +389,48 @@ def test_statistic_assembly_matches_fields(single_type):
         expect = (rep.zphi[(0, n)].real - mart) / S.rho ** (n / 2)
         assert rep.T[(0, n)].real == pytest.approx(expect, rel=1e-12)
         assert rep.w_hat == pytest.approx(float(S.v @ zf) * S.rho ** (-N), rel=1e-12)
+
+
+def _psi(phi, S, model, x1, t, N):
+    """Psi_t = Phi - (x1 pi1) 1{age 0} - x1 phi1 over ages [t - N + 1, 0],
+    from Phi's tables and ``make_phi1``, with no noise cell."""
+    base = dict(phi.base)
+    base[0] = base.get(0, 0) - x1 @ S.pi1
+    coeff = dict(phi.coeff)
+    for k, row in make_phi1(S, x1, model=model, k_min=t - N + 1).coeff.items():
+        coeff[k] = coeff.get(k, 0) - row
+    return Characteristic(J=model.J, base=base, coeff=coeff, label="psi")
+
+
+@pytest.mark.parametrize("name", [*PRESETS, "asym_leak_custom"])
+def test_statistic_is_the_counted_process_of_psi(name):
+    """r_t T = Z_t^{Psi_t} - x2 pi2 A^t pi2 z0 at t = n, path by path, at the
+    scenario's own n, N, R and seed.  Psi has no noise cell: its noise sum is
+    Z^Phi - Z^{Phi without noise}, counted in the same batch, where a
+    characteristic without noise cells draws nothing."""
+    if name in PRESETS:
+        scn = preset(name)
+    else:
+        scn = load_repo_module("perfbench/calibration.py").asym_leak_custom()
+    model = build_model(scn.model)
+    S = spectral_decompose(model.A)
+    phi = cli.build_characteristic(scn, model, S)[0]
+    c = compute_constants(phi, S, model)
+    n, N = scn.n, scn.N
+    quiet = dataclasses.replace(phi, noise={})
+    batch = run_batch(model, [phi, quiet, _psi(phi, S, model, c.x1, n, N)], n, N,
+                      scn.run["replicates"], scn.run["seed"], S=S, constants=c, ns=[n])
+    keep = ~batch.aborted
+    assert keep.any()
+    zf = batch.z_final[keep].astype(complex)
+    z_phi = batch.zphi[(0, n)][keep]
+    mart = zf @ (c.x1 @ projected_power(S, 1, n - N))
+    critical = complex(c.x2 @ (projected_power(S, 2, n) @ model.z0()))
+    r_n = normalization(n, c.case, c.l_star, S.rho)
+    noise = z_phi - batch.zphi[(1, n)][keep]
+    lhs = batch.zphi[(2, n)][keep] + noise - critical
+    scale = 1.0 + np.abs(z_phi) + np.abs(mart) + abs(critical)
+    assert np.all(np.abs(lhs - r_n * batch.T[(0, n)][keep]) <= 1e-6 * scale)
 
 
 def test_normalization_cases():
