@@ -7,18 +7,17 @@ Subcommands::
     simulate    run a replicate batch and write per-replicate CSV
     verify      run the full statistical acceptance battery (PASS/FAIL)
 
-Each subcommand adds its blocks to one report, and ``main`` alone writes it:
-to ``--out`` first (``simulate``: its ``--out`` is the CSV), then ``verify``'s
-``--emit-hist``, then as the one JSON document on stdout.  Exit codes: 0
-success / statistical PASS; 1 usage or schema error, or an output that cannot
-be written, or one file named by both ``--out`` and ``--emit-hist``, named
-on stderr, with nothing on stdout and none of the run's files left; 2 a
-refusal; 3 statistical FAIL.  Every subcommand refuses in one
-form: the report formed so far, with ``verdict: REFUSED`` and
-a ``reason`` naming the cause (failed assumptions, no Perron root,
-uncertifiable constants, a case mismatch, an unusable run, a value outside
-float64).  ``analyze`` and ``constants`` on a model that fails its
-assumptions write their whole report and exit 2.
+Each subcommand adds its blocks to one report and its files to one list, and
+``main`` alone writes them, in order: ``--out`` (``simulate``'s CSV), then
+``--emit-hist``, then the report as one JSON document on stdout.  Exit codes: 0
+success / statistical PASS; 1 a usage or schema error, an output that cannot be
+written, or one file named by both ``--out`` and ``--emit-hist``, named on
+stderr, with nothing on stdout and none of the run's files left; 2 a refusal; 3
+statistical FAIL.  Every subcommand refuses in one form: the report formed so
+far, with ``verdict: REFUSED`` and a ``reason`` naming the cause (failed
+assumptions, no Perron root, uncertifiable constants, a case mismatch, an
+unusable run, a value outside float64).  ``analyze`` and ``constants`` on a
+model that fails its assumptions write their whole report and exit 2.
 """
 
 from __future__ import annotations
@@ -64,8 +63,6 @@ def _fields(obj, drop=()) -> dict:
 def _to_jsonable(x):
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         x = _fields(x)
-    if isinstance(x, np.generic):
-        x = x.item()
     if x is None or isinstance(x, (bool, int, float, str)):
         return x
     if isinstance(x, complex):
@@ -81,12 +78,6 @@ def _to_jsonable(x):
 
 def _dumps(x) -> str:
     return json.dumps(_to_jsonable(x), indent=2, sort_keys=True)
-
-
-def _write(path: str, write) -> None:
-    """Make the directory of the output file ``path``, then ``write(path)``."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    write(path)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +145,9 @@ class _Pipeline:
 
     Each stage runs on first use, so a subcommand runs only the stages it
     reads, in that order.  ``report`` holds the blocks a subcommand has
-    formed so far; a subcommand refuses by raising, and ``main`` writes them,
-    then each (path, text) in ``files``."""
+    formed so far and ``files`` a ``(path, write)`` pair per file; a
+    subcommand refuses by raising.  ``main`` writes every file, ``--out`` (or
+    ``simulate``'s CSV) then ``--emit-hist``, then the report on stdout."""
 
     def __init__(self, args):
         self.args = args
@@ -213,7 +205,7 @@ def _cmd_constants(run: _Pipeline) -> int:
 def _cmd_simulate(run: _Pipeline) -> int:
     batch = run.batch()
     out = run.args.out or os.path.join(run.scn.output["dir"], "simulate.csv")
-    _write(out, lambda path: batch.to_csv(path, t=run.scn.n))
+    run.files.append((out, lambda p: batch.to_csv(p, t=run.scn.n)))
     run.report.update(batch.summary(), csv=out)
     if batch.abort_rate > ABORT_RATE_MAX:
         raise RuntimeError(f"abort rate {batch.abort_rate:.1%} exceeds {ABORT_RATE_MAX:.0%}")
@@ -247,7 +239,7 @@ def _cmd_verify(run: _Pipeline) -> int:
             "mean": float(vals.mean()) if vals.size else None,
             "var": float(vals.var(ddof=1)) if vals.size > 1 else None,
         }
-        run.files.append((run.args.emit_hist, _dumps(hist) + "\n"))
+        run.files.append((run.args.emit_hist, lambda p: Path(p).write_text(_dumps(hist) + "\n")))
     return EXIT_OK if verified.passed else EXIT_STAT_FAIL
 
 
@@ -299,14 +291,15 @@ def main(argv=None) -> int:
         except (ArithmeticError, RuntimeError) as exc:  # a refusal: the report so far, and its cause
             run.report.update(verdict="REFUSED", reason=str(exc))
             code = EXIT_ASSUMPTION
-        # the one write of the report: --out first, then the other files, and
-        # stdout last, so a failed write leaves no output of this run behind
+        # the run's one write: --out (or simulate's CSV) first, then --emit-hist,
+        # and stdout last, so a failed write leaves no output of this run behind
         text = _dumps(run.report)
         if args.out and args.command != "simulate":  # simulate's --out is its CSV
-            run.files.insert(0, (args.out, text + "\n"))
-        for i, (path, body) in enumerate(run.files):
+            run.files.insert(0, (args.out, lambda p: Path(p).write_text(text + "\n")))
+        for i, (path, write) in enumerate(run.files):
             try:
-                _write(path, lambda p: Path(p).write_text(body))
+                os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+                write(path)
             except OSError:
                 for done, _ in run.files[:i]:
                     os.remove(done)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .constants import TheoreticalConstants
+from .scenario import _RUN_DEFAULTS
 from .spectral import SpectralData, power_scaled
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
 MIN_SAMPLE = 50
 KS_MAX_TERMS = 100
 KS_P_MIN = 0.01
-W_MIN_DEFAULT = 1e-3
+W_MIN_DEFAULT = _RUN_DEFAULTS["w_min"]  # a scenario's run.w_min when it names none
 ABORT_RATE_MAX = 0.10
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile, Phi^{-1}(0.995)
 BOOTSTRAP_B = 500

@@ -8,9 +8,11 @@ the call that forms ``compute_sigma2``'s B rows, which its per-model count
 batch API after each timed batch, so one batch per case must complete, and
 its contract checks write CSVs through ``to_csv``, so every check must
 pass.  Its constants sweep and the verify workload's set-up call the
-library directly, not through the tracer, so one round of each must run.
-A renamed function or a changed batch API would otherwise surface only when
-the benchmark runs."""
+library directly, not through the tracer, so one round of each must run,
+and its verify workload judges every invocation of ``cmjsim verify``, so
+one round of it must be judged right.  A renamed function, a changed batch
+API or a report the judge refuses would otherwise surface only when the
+benchmark runs."""
 
 from __future__ import annotations
 
@@ -78,3 +80,20 @@ def test_verify_cli_setup_runs_on_every_preset():
     # unpacks cli.build_characteristic as (phi, row) and passes the row, when
     # there is one, to compute_constants
     load_repo_module("perfbench/verify_cli.py").setup(0)
+
+
+def test_a_verify_cli_round_through_main_is_never_wrong(capsys):
+    # the check that decides the workload's ok_share and outputs_incorrect, on
+    # one round of every stratum (the two-worker ones too), run in-process
+    from cmjsim import cli
+
+    verify_cli = load_repo_module("perfbench/verify_cli.py")
+    stream = verify_cli.inputs(0)
+    ops = []
+    for preset, workers, seed in (next(stream) for _ in verify_cli.ROUND):
+        code = cli.main(verify_cli.argv_for(preset, workers, seed))
+        captured = capsys.readouterr()
+        ops.append(verify_cli.judge(code, captured.out, captured.err, 0.0, preset, workers, seed))
+    assert [op.stratum for op in ops] == [f"{p}@w{w}" for p, w in verify_cli.ROUND]
+    for op in ops:
+        assert op.status in ("completed", "refused") and not op.wrong, (op.stratum, op.kind, op.detail)

@@ -19,7 +19,6 @@ import os
 import subprocess
 import sys
 import warnings
-from fractions import Fraction
 
 import pytest
 import yaml
@@ -28,7 +27,7 @@ from cmjsim import (
     AssumptionReport, TheoreticalConstants, VerificationReport, build_model, cli, spectral_decompose
 )
 from cmjsim.cli import EXIT_ASSUMPTION, EXIT_OK, EXIT_STAT_FAIL, EXIT_USAGE, main
-from cmjsim.presets import PRESETS, _bernoulli_column, preset
+from cmjsim.presets import PRESETS, preset
 from cmjsim.scenario import load_scenario, save_scenario, scenario_from_dict
 from cmjsim.spectral import EigenCluster
 
@@ -53,6 +52,23 @@ def strict_json(text: str):
 def write_yaml(tmp_path, name, payload) -> str:
     path = tmp_path / name
     path.write_text(yaml.safe_dump(payload))
+    return str(path)
+
+
+def _digest_doc(name: str, monkeypatch) -> dict:
+    """The scenario document ``scripts/cli_digest.py`` derives under ``name``."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends to it
+    cli_digest = load_repo_module("scripts/cli_digest.py")
+    return dict(cli_digest._derived(preset))[name]
+
+
+def _digest_scenario(name: str, tmp_path, monkeypatch) -> str:
+    """A preset's name, or the path of the scenario file ``scripts/cli_digest.py``
+    derives under ``name``."""
+    if name in PRESETS:
+        return name
+    path = tmp_path / f"{name}.yaml"
+    save_scenario(scenario_from_dict(_digest_doc(name, monkeypatch)), path)
     return str(path)
 
 
@@ -191,10 +207,11 @@ def test_a_noise_variance_whose_square_overflows_gets_finite_assumption_sums(tmp
 
 
 def _too_large_for_a_float(d, where):
-    if where == "offspring":
-        d["model"]["offspring"][1][0]["p"] = "1e400"
-    elif where == "row":
-        d["characteristic"]["row"][0] = "1e400"
+    huge = 10**400 if where.endswith("_int") else "1e400"  # an int, or a string parsed as a rational
+    if where.startswith("offspring"):
+        d["model"]["offspring"][1][0]["p"] = huge
+    elif where.startswith("row"):
+        d["characteristic"]["row"][0] = huge
     else:
         d["characteristic"] = {
             "kind": "custom",
@@ -205,7 +222,9 @@ def _too_large_for_a_float(d, where):
 
 @pytest.mark.parametrize("where, key", [("offspring", "model.offspring.1.0.p"),
                                         ("row", "characteristic.row[0]"),
-                                        ("noise", "characteristic.noise[0].probs[0]")])
+                                        ("noise", "characteristic.noise[0].probs[0]"),
+                                        ("offspring_int", "model.offspring.1.0.p"),
+                                        ("row_int", "characteristic.row[0]")])
 def test_numbers_too_large_for_a_float_name_their_key(where, key, tmp_path, capsys):
     d = preset("cross_feed").to_dict()
     _too_large_for_a_float(d, where)
@@ -450,17 +469,8 @@ def test_verify_refuses_a_run_with_too_few_survivors(tmp_path, capsys):
     assert rep["reason"] == "only 1 usable survivors; need 50"
 
 
-EXTINCT = {
-    "schema": 1,
-    "model": {"types": 1, "initial_type": 1,
-              "offspring": {1: [{"p": "1/2", "counts": [0]}, {"p": "1/2", "counts": [4]}]}},
-    "characteristic": {"kind": "table", "base": {}},
-    "run": {"n": 6, "delta": 2, "replicates": 3, "seed": 1, "trajectory": [4, 6]},
-}
-
-
-def test_verify_refuses_a_degenerate_run_with_no_survivor(tmp_path, capsys):
-    path = write_yaml(tmp_path, "extinct.yaml", EXTINCT)
+def test_verify_refuses_a_degenerate_run_with_no_survivor(tmp_path, monkeypatch, capsys):
+    path = _digest_scenario("extinct@11", tmp_path, monkeypatch)
     rc, out, _ = run_cli(["verify", "--scenario", path, "--seed", "11"], capsys)
     assert rc == EXIT_ASSUMPTION
     assert "NaN" not in out
@@ -481,33 +491,10 @@ def test_verify_checks_decay_on_a_degenerate_run_with_survivors(tmp_path, capsys
     assert rep["verification"]["case"] == "degenerate" and rep["verification"]["decay"]["passed"]
 
 
-# rho / s1^2 = 0.9984: a tail of about 10^4 terms above 1e-14
-UNCERTIFIED = {
-    "schema": 1,
-    "model": {"types": 2, "initial_type": 1, "offspring": {
-        1: [{"p": "37/100", "counts": [5, 2]}, {"p": "1/2", "counts": [4, 2]},
-            {"p": "13/100", "counts": [4, 1]}],
-        2: [{"p": "37/100", "counts": [2, 5]}, {"p": "1/2", "counts": [2, 4]},
-            {"p": "13/100", "counts": [1, 4]}]}},
-    "characteristic": {"kind": "indicator", "row": ["1", "-1"]},
-    "run": {"n": 6, "delta": 4, "replicates": 300, "seed": 5},
-}
-
-
-# two_type_mirror counted at age -1500: x1 needs pi1 A^1500 pi1, and 4^1500
-# is far outside float64
-FAR_AGE = {"kind": "table", "base": {-1500: ["1", "-1"]}}
-
-
-def _far_age_scenario(tmp_path) -> str:
-    d = preset("two_type_mirror").to_dict()
-    d["characteristic"] = FAR_AGE
-    del d["run"]["case"]
-    return write_yaml(tmp_path, "far_age.yaml", d)
-
-
-def test_verify_refuses_constants_that_cannot_be_certified(tmp_path, capsys):
-    path = _far_age_scenario(tmp_path)
+def test_verify_refuses_constants_that_cannot_be_certified(tmp_path, monkeypatch, capsys):
+    # two_type_mirror counted at age -1500: x1 needs pi1 A^1500 pi1, and 4^1500
+    # is far outside float64
+    path = _digest_scenario("two_type_mirror+far_age", tmp_path, monkeypatch)
     assert run_cli(["analyze", "--scenario", path], capsys)[0] == EXIT_OK
     rc, out, err = run_cli(["verify", "--scenario", path, "--out", str(tmp_path / "r.json")], capsys)
     assert rc == EXIT_ASSUMPTION and not err
@@ -518,8 +505,8 @@ def test_verify_refuses_constants_that_cannot_be_certified(tmp_path, capsys):
     assert rep["reason"] == "pi1 A^k pi1 is not representable in float64 at k=513"
 
 
-def test_constants_reports_the_stages_before_a_constants_error(tmp_path, capsys):
-    path = _far_age_scenario(tmp_path)
+def test_constants_reports_the_stages_before_a_constants_error(tmp_path, monkeypatch, capsys):
+    path = _digest_scenario("two_type_mirror+far_age", tmp_path, monkeypatch)
     analyzed = strict_json(run_cli(["analyze", "--scenario", path], capsys)[1])
     rc, out, err = run_cli(["constants", "--scenario", path, "--out", str(tmp_path / "c.json")], capsys)
     assert rc == EXIT_ASSUMPTION and not err
@@ -580,10 +567,10 @@ def test_verify_keeps_a_table_past_the_horizon_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: table: table reaches age -30 at time 16")
 
 
-def test_uncertified_tail_model_now_certifies(tmp_path, capsys):
+def test_uncertified_tail_model_now_certifies(tmp_path, monkeypatch, capsys):
     # rho / s1^2 = 0.9984 and |a|_M^2 / (lambda2^2 - rho) = 0.5 / 0.01 = 50:
     # the descending tail runs to k ~ -10^4, which a truncated sum refused
-    path = write_yaml(tmp_path, "uncertified.yaml", UNCERTIFIED)
+    path = _digest_scenario("uncertified_tail", tmp_path, monkeypatch)
     rc, out, err = run_cli(["constants", "--scenario", path], capsys)
     assert rc == EXIT_OK and not err
     const = strict_json(out)["constants"]
@@ -591,23 +578,19 @@ def test_uncertified_tail_model_now_certifies(tmp_path, capsys):
     assert abs(const["sigma_star2"] - 50.0) <= const["sigma_star2_error"] < 1e-9
 
 
-ZERO_MATRIX = {1: [{"p": 1, "counts": [0, 0]}], 2: [{"p": 1, "counts": [0, 0]}]}
-NILPOTENT = {1: [{"p": "1/2", "counts": [0, 2]}, {"p": "1/2", "counts": [0, 0]}],
-             2: [{"p": 1, "counts": [0, 0]}]}
-
-
+# two-type models whose mean matrix is zero or nilpotent, counted by the row
+# [1, 0] at run.n 4
 @pytest.mark.parametrize(
-    "offspring, cause",
-    [(ZERO_MATRIX, "A is the zero matrix"), (NILPOTENT, "A is nilpotent")],
+    "name, cause",
+    [("zero_matrix", "A is the zero matrix"), ("nilpotent", "A is nilpotent")],
     ids=["zero", "nilpotent"],
 )
 @pytest.mark.parametrize("command", ["analyze", "constants", "simulate"])
 def test_a_mean_matrix_without_perron_root_is_an_assumption_failure(
-    offspring, cause, command, tmp_path, capsys
+    name, cause, command, tmp_path, monkeypatch, capsys
 ):
-    d = {"schema": 1, "model": {"types": 2, "initial_type": 1, "offspring": offspring},
-         "characteristic": {"kind": "indicator", "row": [1, 0]}, "run": {"n": 4}}
-    argv = [command, "--scenario", write_yaml(tmp_path, "m.yaml", d), "--out", str(tmp_path / "r")]
+    path = _digest_scenario(name, tmp_path, monkeypatch)
+    argv = [command, "--scenario", path, "--out", str(tmp_path / "r")]
     rc, out, err = run_cli(argv, capsys)
     assert rc == EXIT_ASSUMPTION and not err
     rep = strict_json(out)
@@ -620,29 +603,16 @@ def test_a_mean_matrix_without_perron_root_is_an_assumption_failure(
         assert rep == strict_json((tmp_path / "r").read_text()) and rep["assumptions"]["all_ok"] is False
 
 
-# [[0,1.191,3.274,0.252],[0,0,0,0],[0.001,0,0,3.607],[0,2.65,2.518,0]] with
-# types 1 and 2 swapped, each column Bernoulli-rounded as the presets build it:
-# spectral_decompose refuses its projections
-DEFLATION_REFUSED = (("0", "0", "0", "0"), ("1.191", "0", "3.274", "0.252"),
-                     ("0", "0.001", "0", "3.607"), ("2.65", "0", "2.518", "0"))
-
-
-def _bernoulli_offspring(mean_rows) -> dict:
-    offspring = {}
-    for j in range(len(mean_rows)):
-        means = [Fraction(row[j]) for row in mean_rows]
-        offspring[j + 1] = _bernoulli_column([int(x) for x in means], [x - int(x) for x in means])
-    return offspring
-
-
+# deflation_refused: a four-type mean matrix, each column Bernoulli-rounded as
+# the presets build it, whose projections spectral_decompose refuses; each
+# model is counted here by its first type
 @pytest.mark.parametrize(
-    "offspring, row",
-    [(ZERO_MATRIX, [1, 0]), (NILPOTENT, [1, 0]), (_bernoulli_offspring(DEFLATION_REFUSED), [1, 0, 0, 0])],
+    "name, row",
+    [("zero_matrix", [1, 0]), ("nilpotent", [1, 0]), ("deflation_refused", [1, 0, 0, 0])],
     ids=["zero", "nilpotent", "deflation-refused"],
 )
-def test_a_spectral_refusal_leaves_no_spectral_block(offspring, row, tmp_path, capsys):
-    d = {"schema": 1, "model": {"types": len(row), "initial_type": 1, "offspring": offspring},
-         "characteristic": {"kind": "indicator", "row": row}, "run": {"n": 4}}
+def test_a_spectral_refusal_leaves_no_spectral_block(name, row, tmp_path, monkeypatch, capsys):
+    d = {**_digest_doc(name, monkeypatch), "characteristic": {"kind": "indicator", "row": row}}
     path = write_yaml(tmp_path, "m.yaml", d)
     rc, out, err = run_cli(["analyze", "--scenario", path], capsys)
     rep = strict_json(out)
@@ -879,18 +849,6 @@ REFUSALS = [
      "requested case 'ii' but the model/characteristic pair is case 'i' (no polynomial index present)"),
     ("wild", "simulate", "abort rate 51.7% exceeds 10%"),
 ]
-
-
-def _digest_scenario(name: str, tmp_path, monkeypatch) -> str:
-    """A preset's name, or the path of the scenario file ``scripts/cli_digest.py``
-    derives under ``name``."""
-    if name in PRESETS:
-        return name
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends to it
-    cli_digest = load_repo_module("scripts/cli_digest.py")
-    path = tmp_path / f"{name}.yaml"
-    save_scenario(scenario_from_dict(dict(cli_digest._derived(preset))[name]), path)
-    return str(path)
 
 
 @pytest.mark.parametrize("name, command, reason", REFUSALS, ids=[f"{n}-{c}" for n, c, _ in REFUSALS])
