@@ -4,11 +4,13 @@
 
 Runs ``cmjsim.cli.main`` in-process on every preset for ``analyze``,
 ``constants``, and ``verify`` (with ``--emit-hist``) and
-``simulate`` at ``--workers 1`` and ``2``, each with ``--out`` in a fresh
-directory.  Every preset is at most three blocks, which two workers run
-in-process, so ``simulate`` also runs at both worker counts on a scenario
-file of ``asym_leak`` with ``run.replicates: 1100``: five blocks, which two
-workers run in the process pool (lines named ``asym_leak@1100``).
+``simulate`` at ``--workers 1`` and ``2``, each in a fresh directory, which
+holds ``verify``'s histogram and ``simulate``'s CSV (its ``--out``; no other
+command takes ``--out``, as every report goes to stdout only).  Every preset
+is at most three blocks, which two workers run in-process, so ``simulate``
+also runs at both worker counts on a scenario file of ``asym_leak`` with
+``run.replicates: 1100``: five blocks, which two workers run in the process
+pool (lines named ``asym_leak@1100``).
 
 Every preset counts an indicator with R >= 50, so the same runs also go
 over scenario files derived from presets that reach what no preset does:
@@ -139,8 +141,9 @@ def _run(main, scenario: str, command: str, extra: tuple) -> tuple[str, int]:
     scenario file."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        target = out / ("report.csv" if command == "simulate" else "report.json")
-        argv = [command, "--scenario", scenario, *extra, "--out", str(target)]
+        argv = [command, "--scenario", scenario, *extra]
+        if command == "simulate":
+            argv += ["--out", str(out / "report.csv")]
         if command == "verify":
             argv += ["--emit-hist", str(out / "hist.json")]
         stdout, stderr = io.StringIO(), io.StringIO()

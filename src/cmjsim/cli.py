@@ -7,17 +7,16 @@ Subcommands::
     simulate    run a replicate batch and write per-replicate CSV
     verify      run the full statistical acceptance battery (PASS/FAIL)
 
-Each subcommand adds its blocks to one report and its files to one list, and
-``main`` alone writes them, in order: ``--out`` (``simulate``'s CSV), then
-``--emit-hist``, then the report as one JSON document on stdout.  Exit codes: 0
-success / statistical PASS; 1 a usage or schema error, an output that cannot be
-written, or one file named by both ``--out`` and ``--emit-hist``, named on
-stderr, with nothing on stdout and none of the run's files left; 2 a refusal; 3
-statistical FAIL.  Every subcommand refuses in one form: the report formed so
-far, with ``verdict: REFUSED`` and a ``reason`` naming the cause (failed
-assumptions, no Perron root, uncertifiable constants, a case mismatch, an
-unusable run, a value outside float64).  ``analyze`` and ``constants`` on a
-model that fails its assumptions write their whole report and exit 2.
+Each subcommand adds its blocks to one report and names at most one file
+(``simulate``'s CSV or ``verify``'s ``--emit-hist``); ``main`` writes that file,
+then the report, as one JSON document, on stdout.  Exit codes: 0 success /
+statistical PASS; 1 a usage or schema error or an unwritable output, named on
+stderr, with nothing on stdout; 2 a refusal; 3 statistical FAIL.  Every
+subcommand refuses in one form: the report so far, with ``verdict: REFUSED``
+and a ``reason`` naming the cause (failed assumptions, no Perron root,
+uncertifiable constants, a case mismatch, an unusable run, a value outside
+float64).  ``analyze`` and ``constants`` on a model that fails its assumptions
+write their whole report and exit 2.
 """
 
 from __future__ import annotations
@@ -145,14 +144,14 @@ class _Pipeline:
 
     Each stage runs on first use, so a subcommand runs only the stages it
     reads, in that order.  ``report`` holds the blocks a subcommand has
-    formed so far and ``files`` a ``(path, write)`` pair per file; a
-    subcommand refuses by raising.  ``main`` writes every file, ``--out`` (or
-    ``simulate``'s CSV) then ``--emit-hist``, then the report on stdout."""
+    formed so far and ``file`` the run's one ``(path, write)`` pair, if any
+    (``simulate``'s CSV or ``verify``'s ``--emit-hist``); a subcommand
+    refuses by raising.  ``main`` writes the file, then the report on stdout."""
 
     def __init__(self, args):
         self.args = args
         self.report = {}
-        self.files = []
+        self.file = None
 
     @cached_property
     def scn(self) -> Scenario:
@@ -205,7 +204,7 @@ def _cmd_constants(run: _Pipeline) -> int:
 def _cmd_simulate(run: _Pipeline) -> int:
     batch = run.batch()
     out = run.args.out or os.path.join(run.scn.output["dir"], "simulate.csv")
-    run.files.append((out, lambda p: batch.to_csv(p, t=run.scn.n)))
+    run.file = (out, lambda p: batch.to_csv(p, t=run.scn.n))
     run.report.update(batch.summary(), csv=out)
     if batch.abort_rate > ABORT_RATE_MAX:
         raise RuntimeError(f"abort rate {batch.abort_rate:.1%} exceeds {ABORT_RATE_MAX:.0%}")
@@ -239,7 +238,7 @@ def _cmd_verify(run: _Pipeline) -> int:
             "mean": float(vals.mean()) if vals.size else None,
             "var": float(vals.var(ddof=1)) if vals.size > 1 else None,
         }
-        run.files.append((run.args.emit_hist, lambda p: Path(p).write_text(_dumps(hist) + "\n")))
+        run.file = (run.args.emit_hist, lambda p: Path(p).write_text(_dumps(hist) + "\n"))
     return EXIT_OK if verified.passed else EXIT_STAT_FAIL
 
 
@@ -267,11 +266,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--scenario", required=True, help="scenario YAML path or preset name")
         sp.add_argument("--seed", type=int, default=None, help="override run.seed")
         sp.add_argument("--workers", type=int, default=None, help="override run.workers")
-        sp.add_argument("--out", default=None, help="also write the JSON report/CSV here")
+        if name == "simulate":
+            sp.add_argument("--out", default=None, help="write the CSV here")
         if name == "verify":
-            sp.add_argument(
-                "--emit-hist", default=None, help="write a histogram of the studentized statistic"
-            )
+            sp.add_argument("--emit-hist", default=None, help="write a histogram of the studentized statistic")
     return parser
 
 
@@ -283,27 +281,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     run = _Pipeline(args)
     try:
-        hist = getattr(args, "emit_hist", None)
-        if args.out and hist and os.path.realpath(args.out) == os.path.realpath(hist):
-            raise ValueError(f"--out and --emit-hist name one file: {hist!r}")
         try:
             code = _COMMANDS[args.command][1](run)
         except (ArithmeticError, RuntimeError) as exc:  # a refusal: the report so far, and its cause
             run.report.update(verdict="REFUSED", reason=str(exc))
             code = EXIT_ASSUMPTION
-        # the run's one write: --out (or simulate's CSV) first, then --emit-hist,
-        # and stdout last, so a failed write leaves no output of this run behind
+        # the run's one file first and stdout last, so a failed write prints nothing
         text = _dumps(run.report)
-        if args.out and args.command != "simulate":  # simulate's --out is its CSV
-            run.files.insert(0, (args.out, lambda p: Path(p).write_text(text + "\n")))
-        for i, (path, write) in enumerate(run.files):
-            try:
-                os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-                write(path)
-            except OSError:
-                for done, _ in run.files[:i]:
-                    os.remove(done)
-                raise
+        if run.file:
+            path, write = run.file
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            write(path)
         print(text)
         return code
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError

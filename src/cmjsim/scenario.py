@@ -267,7 +267,7 @@ def _canon_run(raw, path="run") -> dict:
             val = raw[key]
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 _fail(f"{path}.{key}", f"expected a number, got {val!r}")
-            if not (0 < float(val) < 1):
+            if not 0 < val < 1:  # on the value as given: an int may lie beyond float64
                 _fail(f"{path}.{key}", f"must lie in (0, 1), got {val}")
             out[key] = float(val)
     if raw.get("trajectory") is not None:
@@ -353,8 +353,17 @@ def scenario_from_dict(data) -> Scenario:
 def loads_scenario(text: str) -> Scenario:
     import yaml  # here, not at module level: a preset run never reads YAML
 
+    class Loader(yaml.SafeLoader):  # a key given twice is an error, not read with its last value
+        def construct_mapping(self, node, deep=False):
+            mapping, seen = super().construct_mapping(node, deep), set()  # refuses an unhashable key
+            for k, _ in node.value:
+                if (key := self.construct_object(k)) in seen:
+                    raise ScenarioError(f"scenario: key {key!r} is given twice (line {k.start_mark.line + 1})")
+                seen.add(key)
+            return mapping
+
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=Loader)
     except (yaml.YAMLError, RecursionError) as exc:  # a nesting too deep for the composer
         raise ScenarioError(f"scenario: invalid YAML ({exc})") from exc
     return scenario_from_dict(data)
