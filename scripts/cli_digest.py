@@ -2,11 +2,10 @@
 
     python3 scripts/cli_digest.py [--tree DIR]
 
-Runs ``cmjsim.cli.main`` in-process on every preset for ``analyze``,
-``constants``, and ``verify`` (with ``--emit-hist``) and
-``simulate`` at ``--workers 1`` and ``2``, each in a fresh directory, which
-holds ``verify``'s histogram and ``simulate``'s CSV (its ``--out``; no other
-command takes ``--out``, as every report goes to stdout only).  Every preset
+Runs ``cmjsim.cli.main`` in-process on every preset for ``analyze`` and
+``constants``, and for ``verify`` and ``simulate`` at ``--workers 1`` and
+``2``, each in a fresh directory, which holds ``simulate``'s CSV (its
+``--out``), the only file a run writes: every report goes to stdout only.  Every preset
 is at most three blocks, which two workers run in-process, so ``simulate``
 also runs at both worker counts on a scenario file of ``asym_leak`` with
 ``run.replicates: 1100``: five blocks, which two workers run in the process
@@ -144,8 +143,6 @@ def _run(main, scenario: str, command: str, extra: tuple) -> tuple[str, int]:
         argv = [command, "--scenario", scenario, *extra]
         if command == "simulate":
             argv += ["--out", str(out / "report.csv")]
-        if command == "verify":
-            argv += ["--emit-hist", str(out / "hist.json")]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             # a filter change empties the warning registry: each run prints

@@ -7,16 +7,16 @@ Subcommands::
     simulate    run a replicate batch and write per-replicate CSV
     verify      run the full statistical acceptance battery (PASS/FAIL)
 
-Each subcommand adds its blocks to one report and names at most one file
-(``simulate``'s CSV or ``verify``'s ``--emit-hist``); ``main`` writes that file,
-then the report, as one JSON document, on stdout.  Exit codes: 0 success /
-statistical PASS; 1 a usage or schema error or an unwritable output, named on
-stderr, with nothing on stdout; 2 a refusal; 3 statistical FAIL.  Every
-subcommand refuses in one form: the report so far, with ``verdict: REFUSED``
-and a ``reason`` naming the cause (failed assumptions, no Perron root,
-uncertifiable constants, a case mismatch, an unusable run, a value outside
-float64).  ``analyze`` and ``constants`` on a model that fails its assumptions
-write their whole report and exit 2.
+Each subcommand adds its blocks to one report, and ``simulate`` names the one
+file a run can write, its CSV; ``main`` writes that file, then the report, as
+one JSON document, on stdout.  Exit codes: 0 success / statistical PASS; 1 a
+usage or schema error or an unwritable output, named on stderr, with nothing
+on stdout; 2 a refusal; 3 statistical FAIL.  Every subcommand refuses in one
+form: the report so far, with ``verdict: REFUSED`` and a ``reason`` naming
+the cause (failed assumptions, no Perron root, uncertifiable constants, a case
+mismatch, an unusable run, a value outside float64).  ``analyze`` and
+``constants`` on a model that fails its assumptions write their whole report
+and exit 2.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from functools import cached_property
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -40,7 +38,7 @@ from .presets import PRESETS, preset
 from .scenario import Scenario, ScenarioError, _canon_run, check_characteristic, load_scenario
 from .simulator import run_batch
 from .spectral import spectral_decompose
-from .stats import ABORT_RATE_MAX, lln_check, studentized, verify_dichotomy
+from .stats import ABORT_RATE_MAX, lln_check, verify_dichotomy
 
 __all__ = ["main", "build_characteristic"]
 
@@ -144,9 +142,9 @@ class _Pipeline:
 
     Each stage runs on first use, so a subcommand runs only the stages it
     reads, in that order.  ``report`` holds the blocks a subcommand has
-    formed so far and ``file`` the run's one ``(path, write)`` pair, if any
-    (``simulate``'s CSV or ``verify``'s ``--emit-hist``); a subcommand
-    refuses by raising.  ``main`` writes the file, then the report on stdout."""
+    formed so far and ``file`` the run's one ``(path, write)`` pair, which
+    only ``simulate`` sets, for its CSV; a subcommand refuses by raising.
+    ``main`` writes the file, then the report on stdout."""
 
     def __init__(self, args):
         self.args = args
@@ -203,7 +201,7 @@ def _cmd_constants(run: _Pipeline) -> int:
 
 def _cmd_simulate(run: _Pipeline) -> int:
     batch = run.batch()
-    out = run.args.out or os.path.join(run.scn.output["dir"], "simulate.csv")
+    out = run.args.out if run.args.out is not None else os.path.join(run.scn.output["dir"], "simulate.csv")
     run.file = (out, lambda p: batch.to_csv(p, t=run.scn.n))
     run.report.update(batch.summary(), csv=out)
     if batch.abort_rate > ABORT_RATE_MAX:
@@ -228,17 +226,6 @@ def _cmd_verify(run: _Pipeline) -> int:
     report["verification"] = verified.to_dict()
     report["lln"] = lln_check(batch, run.characteristic, run.model, run.S, w_min=w_min)
     report["verdict"] = "PASS" if verified.passed else "FAIL"
-    if run.args.emit_hist:
-        eps, _ = studentized(batch, const, t=scn.n, w_min=w_min)
-        vals = eps.real
-        counts, edges = np.histogram(vals, bins=max(10, int(math.sqrt(max(vals.size, 1)) * 2)))
-        hist = {
-            "bin_edges": edges,
-            "counts": counts,
-            "mean": float(vals.mean()) if vals.size else None,
-            "var": float(vals.var(ddof=1)) if vals.size > 1 else None,
-        }
-        run.file = (run.args.emit_hist, lambda p: Path(p).write_text(_dumps(hist) + "\n"))
     return EXIT_OK if verified.passed else EXIT_STAT_FAIL
 
 
@@ -268,8 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=None, help="override run.workers")
         if name == "simulate":
             sp.add_argument("--out", default=None, help="write the CSV here")
-        if name == "verify":
-            sp.add_argument("--emit-hist", default=None, help="write a histogram of the studentized statistic")
     return parser
 
 
@@ -286,7 +271,7 @@ def main(argv=None) -> int:
         except (ArithmeticError, RuntimeError) as exc:  # a refusal: the report so far, and its cause
             run.report.update(verdict="REFUSED", reason=str(exc))
             code = EXIT_ASSUMPTION
-        # the run's one file first and stdout last, so a failed write prints nothing
+        # simulate's CSV first and stdout last, so a failed write prints nothing
         text = _dumps(run.report)
         if run.file:
             path, write = run.file

@@ -364,7 +364,11 @@ def loads_scenario(text: str) -> Scenario:
 
     try:
         data = yaml.load(text, Loader=Loader)
-    except (yaml.YAMLError, RecursionError) as exc:  # a nesting too deep for the composer
+    except ScenarioError:
+        raise
+    # a nesting too deep for the composer, or a value PyYAML's constructors refuse
+    # (an integer past Python's digit limit, a date such as 2024-13-01)
+    except (yaml.YAMLError, RecursionError, ValueError) as exc:
         raise ScenarioError(f"scenario: invalid YAML ({exc})") from exc
     return scenario_from_dict(data)
 

@@ -98,17 +98,12 @@ def test_a_removed_subcommand_is_a_usage_error(capsys):
     assert "invalid choice" in err and "star-check" in err
 
 
-ONE_FILE_RUNS = [
-    ["analyze"], ["constants"], ["simulate", "--out", "runs/batch.csv"], ["verify"],
-    ["verify", "--emit-hist", "runs/hist.json"],
-]
+ONE_FILE_RUNS = [["analyze"], ["constants"], ["simulate", "--out", "runs/batch.csv"], ["verify"]]
 
 
-@pytest.mark.parametrize(
-    "argv", ONE_FILE_RUNS, ids=["analyze", "constants", "simulate", "verify", "verify-emit-hist"]
-)
+@pytest.mark.parametrize("argv", ONE_FILE_RUNS, ids=["analyze", "constants", "simulate", "verify"])
 def test_a_run_writes_at_most_its_one_file(argv, tmp_path, monkeypatch, capsys):
-    # a report goes only to stdout; simulate's CSV and verify's histogram are the only files
+    # a report goes only to stdout; simulate's CSV is the only file a run writes
     monkeypatch.chdir(tmp_path)
     rc, out, err = run_cli([argv[0], "--scenario", "two_type_mirror", *argv[1:]], capsys)
     assert rc == EXIT_OK and not err and strict_json(out)
@@ -116,12 +111,14 @@ def test_a_run_writes_at_most_its_one_file(argv, tmp_path, monkeypatch, capsys):
     assert written == argv[2:]
 
 
-@pytest.mark.parametrize("command", ["analyze", "constants", "verify"])
-def test_a_report_command_has_no_out_option(command, tmp_path, capsys):
+@pytest.mark.parametrize("command, option", [
+    ("analyze", "--out"), ("constants", "--out"), ("verify", "--out"), ("verify", "--emit-hist"),
+], ids=["analyze", "constants", "verify", "verify-emit-hist"])
+def test_a_report_command_has_no_out_option(command, option, tmp_path, capsys):
     target = tmp_path / "r.json"
-    rc, out, err = run_cli([command, "--scenario", "two_type_mirror", "--out", str(target)], capsys)
+    rc, out, err = run_cli([command, "--scenario", "two_type_mirror", option, str(target)], capsys)
     assert (rc, out) == (EXIT_USAGE, "")
-    assert "unrecognized arguments: --out" in err
+    assert f"unrecognized arguments: {option}" in err
     assert not target.exists()
 
 
@@ -185,11 +182,7 @@ def test_a_key_given_twice_is_a_schema_error(before, repeated, key, tmp_path, ca
     assert err == f"error: scenario: key {key} is given twice (line {text[:at].count(chr(10)) + 1})\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--scenario", "{dir}"],
-    ["simulate", "--scenario", "two_type_mirror", "--out", "{dir}"],
-    ["verify", "--scenario", "two_type_mirror", "--emit-hist", "{dir}"],
-], ids=["verify-scenario", "simulate-out", "verify-emit-hist"])
+@pytest.mark.parametrize("argv", [["verify", "--scenario", "{dir}"]], ids=["verify-scenario"])
 def test_a_directory_where_a_file_belongs_is_a_usage_error(argv, tmp_path, capsys):
     rc, _, err = run_cli([arg.format(dir=tmp_path) for arg in argv], capsys)
     assert rc == EXIT_USAGE
@@ -683,18 +676,6 @@ def test_assumption_refusal_names_each_failed_assumption(name, reason, capsys):
     assert rep["reason"] == reason
 
 
-def test_verify_emit_hist_writes_histogram(tmp_path, capsys):
-    hist_path = tmp_path / "hist.json"
-    rc, out, _ = run_cli(
-        ["verify", "--scenario", "cross_feed", "--emit-hist", str(hist_path)], capsys
-    )
-    assert rc == EXIT_OK
-    hist = strict_json(hist_path.read_text())
-    assert len(hist["bin_edges"]) == len(hist["counts"]) + 1
-    assert sum(hist["counts"]) == strict_json(out)["verification"]["sample_size"]
-    assert abs(hist["mean"]) < 0.5 and 0.5 < hist["var"] < 2.0
-
-
 def test_verify_stat_fail_exit_code_on_unlucky_seed(capsys, monkeypatch):
     # an unlucky seed lands the correlation gate outside its 99% band: the
     # designed ~1% false alarm, reported as FAIL not error.  The verifier's
@@ -906,43 +887,54 @@ def test_every_refusal_is_its_report_so_far_with_its_reason(
 
 
 # (command, cause): a schema error (ids: the command alone), simulate's --out
-# naming a directory, an --emit-hist naming one after a PASS, and a scenario
-# nested deeper than the YAML parser recurses
+# naming a directory or the empty path, and a scenario file PyYAML cannot read
 USAGE_ERRORS = [
     *((c, "schema") for c in cli._COMMANDS),
     ("simulate", "out_dir"),
-    ("verify", "hist_dir"),
+    ("simulate", "empty_out"),
     *((c, "deep") for c in cli._COMMANDS),
+    ("analyze", "long_int"),
+    ("analyze", "bad_date"),
 ]
+# each unreadable file's text and how its message goes on: nested deeper than
+# the parser recurses, an integer past Python's digit limit, a month 13
+BAD_YAML = {
+    "deep": ("[" * 5000 + "]" * 5000, "maximum recursion depth exceeded"),
+    "long_int": ("run: {replicates: " + "1" * 5001 + "}\n", "Exceeds the limit"),
+    "bad_date": ("run: {seed: 2024-13-01}\n", "month must be in 1..12)\n"),
+}
 
 
 @pytest.mark.parametrize("command, cause", USAGE_ERRORS,
                          ids=[c if cause == "schema" else f"{c}-{cause}" for c, cause in USAGE_ERRORS])
-def test_a_usage_error_prints_no_report(command, cause, tmp_path, capsys):
-    target, hist = tmp_path / "r", tmp_path / "h"
-    argv = [command, *out_args(command, target)]
+def test_a_usage_error_prints_no_report(command, cause, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where a scenario's relative output.dir would go
+    target = tmp_path / "r"
+    argv = [command, *out_args(command, "" if cause == "empty_out" else target)]
     if cause == "schema":
         d = preset("cross_feed").to_dict()
         d["run"]["replicates"] = 0
         argv += ["--scenario", write_yaml(tmp_path, "bad.yaml", d)]
         want = "error: run.replicates: must be >= 1, got 0\n"
-    elif cause == "deep":
-        (tmp_path / "deep.yaml").write_text("[" * 5000 + "]" * 5000)
-        argv += ["--scenario", str(tmp_path / "deep.yaml")]
-        want = "error: scenario: invalid YAML (maximum recursion depth exceeded"
+    elif cause in BAD_YAML:
+        text, cause_text = BAD_YAML[cause]
+        (tmp_path / "bad.yaml").write_text(text)
+        argv += ["--scenario", str(tmp_path / "bad.yaml")]
+        want = f"error: scenario: invalid YAML ({cause_text}"
+    elif cause == "out_dir":
+        target.mkdir()
+        argv += ["--scenario", "cross_feed_deterministic"]
+        want = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{target}'\n"
     else:
-        directory = hist if cause == "hist_dir" else target
-        directory.mkdir()
-        argv += ["--scenario", "cross_feed_deterministic" if cause == "out_dir" else "two_type_mirror"]
-        argv += [] if cause == "out_dir" else ["--emit-hist", str(hist)]
-        want = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{directory}'\n"
+        argv += ["--scenario", "cross_feed_deterministic"]
+        want = f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''\n"
     rc, out, err = run_cli(argv, capsys)
     assert (rc, out) == (EXIT_USAGE, "")
-    # only the deep file's message goes on with the RecursionError's own text
-    assert err.startswith(want) if cause == "deep" else err == want, err
-    made = {"out_dir": target, "hist_dir": hist}.get(cause)
-    for path in (target, hist):  # no file written, and the directory made on purpose left empty
-        assert not any(path.iterdir()) if path == made else not path.exists(), path
+    # only an unreadable file's message goes on with PyYAML's or Python's own text
+    assert err.startswith(want) if cause in BAD_YAML else err == want, err
+    # nothing written, no output.dir made, and the directory made on purpose left empty
+    left = {"out_dir": ["r"], "empty_out": []}.get(cause, ["bad.yaml"])
+    assert sorted(p.name for p in tmp_path.rglob("*")) == left
 
 
 # ---------------------------------------------------------------------------
