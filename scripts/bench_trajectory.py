@@ -19,8 +19,12 @@ same machine.
 ``BENCH_<workload>.json`` and pairs the points labelled ``parent`` and
 ``change`` that share a seed, among those measuring the sources of the
 last point of each label.  For each end-to-end metric of ``BENCHMARK.json``
-it prints both medians, the parent's quartiles (``statistics.quantiles``)
-and the pairs in which the change is better.
+it prints both medians, the parent's quartiles (``statistics.quantiles``),
+the pairs in which the change is better and a verdict against the metric's
+``bound``: ``worse`` when the change median is worse than the parent's by
+more than the bound (a share of the parent median); else ``unresolved``
+when the parent's quartile gap exceeds that share, unless every change run
+beats every parent run; else ``held``.  A gain is judged by the wins alone.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ def summarize(points: list, end_to_end: list) -> str:
         f"change {change['source_sha256'][:12]} (src_lines {change['src_lines']}), seeds "
         f"{min(c['seed'] for _, c in pairs)}-{max(c['seed'] for _, c in pairs)}",
         f"{'metric':<12} {'parent median':>14} {'parent q1':>11} {'parent q3':>11} "
-        f"{'change median':>14} {'change wins':>12}",
+        f"{'change median':>14} {'change wins':>12} {'verdict':>10}",
     ]
     for metric in end_to_end:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -92,9 +96,18 @@ def summarize(points: list, end_to_end: list) -> str:
         b = [c["metrics"][name] for _, c in pairs]
         q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (a[0], None, a[0])
         wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+        med_a, med_b = statistics.median(a), statistics.median(b)
+        margin = metric["bound"] * abs(med_a)
+        sweep = min(sign * y for y in b) > max(sign * x for x in a)  # every change run beats every parent run
+        if sign * (med_b - med_a) < -margin:
+            verdict = "worse"
+        elif q3 - q1 > margin and not sweep:
+            verdict = "unresolved"
+        else:
+            verdict = "held"
         lines.append(
-            f"{name:<12} {statistics.median(a):>14.4g} {q1:>11.4g} {q3:>11.4g} "
-            f"{statistics.median(b):>14.4g} {f'{wins}/{len(pairs)}':>12}"
+            f"{name:<12} {med_a:>14.4g} {q1:>11.4g} {q3:>11.4g} "
+            f"{med_b:>14.4g} {f'{wins}/{len(pairs)}':>12} {verdict:>10}"
         )
     return "\n".join(lines)
 

@@ -160,7 +160,7 @@ def _plan(model, phis, n, N, ns) -> _Plan:
         for (k, j), law in sorted(phi.noise.items())
         if k <= t
     )
-    largest_litter = max(1, int(model.padded_laws[1].sum(axis=2).max()))
+    largest_litter = max(1, *(sum(map(int, c)) for law in model.laws for c in law.counts))
     return _Plan(model, phis, ns, N, OVERFLOW_CAP // largest_litter, noise)
 
 

@@ -1,75 +1,27 @@
-"""Shared fixtures: each preset's model/spectral/constants built once per
-session, and the loader of the repository's benchmark and script files."""
+"""Shared fixtures: each preset taken once per session through the CLI's own
+pipeline, ``cli._Pipeline``, and the loader of the repository's benchmark and
+script files."""
 
 from __future__ import annotations
 
+import argparse
+import functools
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from cmjsim import (
-    build_model,
-    compute_constants,
-    make_indicator_characteristic,
-    preset,
-    spectral_decompose,
-    validate_assumptions,
-)
-from cmjsim.scenario import check_characteristic
+from cmjsim.cli import _Pipeline
 
 
-class PresetBundle:
-    """Lazily-built (scenario, model, spectral, constants) for one preset."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.scenario = preset(name)
-        self.model = build_model(self.scenario.model)
-        self._S = None
-        self._constants = None
-        self._report = None
-
-    @property
-    def S(self):
-        if self._S is None:
-            self._S = spectral_decompose(self.model.A)
-        return self._S
-
-    @property
-    def report(self):
-        if self._report is None:
-            self._report = validate_assumptions(self.model)
-        return self._report
-
-    @property
-    def row(self) -> np.ndarray:
-        row = check_characteristic(self.scenario.characteristic, self.model.J)[1][0]
-        if row is None:
-            raise ValueError(f"{self.name} has no single defining row")
-        return np.asarray(row, dtype=float)
-
-    @property
-    def phi(self):
-        return make_indicator_characteristic(self.row)
-
-    @property
-    def constants(self):
-        if self._constants is None:
-            self._constants = compute_constants(self.phi, self.S, self.model)
-        return self._constants
-
-
-_BUNDLES: dict[str, PresetBundle] = {}
-
-
-def bundle(name: str) -> PresetBundle:
-    if name not in _BUNDLES:
-        _BUNDLES[name] = PresetBundle(name)
-    return _BUNDLES[name]
+@functools.cache
+def bundle(name: str) -> _Pipeline:
+    """The preset ``name`` as ``cmjsim`` runs it; each stage (``scn``,
+    ``model``, ``assumptions``, ``S``, ``characteristic``, ``const``) is formed
+    on first read and kept for the session."""
+    return _Pipeline(argparse.Namespace(scenario=name, seed=None, workers=None))
 
 
 @pytest.fixture(scope="session")

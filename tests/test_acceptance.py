@@ -25,6 +25,7 @@ from cmjsim import (
     star_transform,
 )
 from cmjsim.characteristics import Characteristic, expected_process
+from cmjsim.cli import build_characteristic
 from cmjsim.simulator import BLOCK
 from cmjsim.spectral import projected_power
 from cmjsim.stats import (
@@ -175,11 +176,11 @@ def test_a04_w_hat_mean_matches_left_eigenvector(single_type, mirror):
         model, S = b.model, b.S
         i0 = int(np.argmax(model.z0))
         target = float(S.v[i0].real)
-        batch = run_batch(model, b.phi, 4, N, R, SEED + 300 + off, S=S)
+        batch = run_batch(model, b.characteristic, 4, N, R, SEED + 300 + off, S=S)
         ws = np.array([r.w_hat for r in batch.replicates], dtype=float)
         se = float(ws.std(ddof=1)) / math.sqrt(R)
         ok = ok and abs(ws.mean() - target) <= 4.0 * se + 1e-12
-        details.append(f"{b.name}: mean {ws.mean():.4f} vs {target:.4f} (4se={4 * se:.4f})")
+        details.append(f"{b.args.scenario}: mean {ws.mean():.4f} vs {target:.4f} (4se={4 * se:.4f})")
     record(
         "A04",
         "mean of W_hat equals v at the starting type",
@@ -196,7 +197,7 @@ def test_a04_w_hat_mean_matches_left_eigenvector(single_type, mirror):
 
 def test_a05_lln_median_ratio(single_type):
     t0 = time.perf_counter()
-    model, S, phi = single_type.model, single_type.S, single_type.phi
+    model, S, phi = single_type.model, single_type.S, single_type.characteristic
     n, N, R = 20, 26, 400
     batch = run_batch(model, phi, n, N, R, SEED + 400, S=S, ns=[n])
     # limit constant: sum_k rho^{-k} E phi(k) . u == 1 for the age-0 indicator
@@ -223,11 +224,11 @@ def test_a06_case_i_clt(single_type):
     t0 = time.perf_counter()
     b = single_type
     model, S = b.model, b.S
-    const = b.constants
+    const = b.const
     assert const.case == "i"
     assert const.sigma2 == pytest.approx(0.5, abs=1e-12)  # derived, not fitted
     n, N, R = 12, 18, 2_000
-    batch = run_batch(model, b.phi, n, N, R, SEED + 500, S=S, constants=const, ns=[n])
+    batch = run_batch(model, b.characteristic, n, N, R, SEED + 500, S=S, constants=const, ns=[n])
     eps, ws = studentized(batch, const, t=n, w_min=1e-3)
     eps = np.asarray([e.real for e in eps])
     ws = np.asarray(ws, dtype=float)
@@ -262,7 +263,7 @@ def test_a07_case_ii_clt(mirror):
     t0 = time.perf_counter()
     b = mirror
     model, S = b.model, b.S
-    const = b.constants
+    const = b.const
     assert const.case == "ii" and const.l_star == 0
     # sigma_0^2 = 2 is forced by the exact identities Var[aZ_n] = n 4^n and
     # E W_hat = 1/2: the studentized variance sigma_0^2 * v_1 must equal the
@@ -276,7 +277,7 @@ def test_a07_case_ii_clt(mirror):
     )
     n, N, R = 14, 20, 2_000
     ns = [8, 10, 12, 14]
-    batch = run_batch(model, b.phi, n, N, R, SEED + 600, S=S, constants=const, ns=ns)
+    batch = run_batch(model, b.characteristic, n, N, R, SEED + 600, S=S, constants=const, ns=ns)
     # direct route, straight from the raw counted values
     a_z = np.asarray([r.zphi[(0, n)].real for r in batch.replicates])
     ws = np.asarray([r.w_hat for r in batch.replicates], dtype=float)
@@ -314,7 +315,7 @@ def test_a08_dual_route_variance_agreement():
     worst = 0.0
     for name in names:
         bnd = bundle(name)
-        row = bnd.row
+        _, row = build_characteristic(bnd.scn, bnd.model, bnd.S)
         const = compute_constants(row, bnd.S, bnd.model)  # fresh, not cached
         assert const.sigma_star2 is not None, name
         rel = abs(const.sigma_star2 - const.sigma2) / max(1.0, abs(const.sigma2))
@@ -342,19 +343,20 @@ def test_a09_sigma_l_oracle_agreement(mirror, jordan):
     #     rational recursion, within 3 bootstrap standard errors.
     for off, (b, n, N, R) in enumerate(((mirror, 12, 12, 2_000), (jordan, 10, 10, 2_000))):
         model = b.model
-        batch = run_batch(model, b.phi, n, N, R, SEED + 700 + off, ns=[n])
+        row = build_characteristic(b.scn, model, b.S)[1]
+        batch = run_batch(model, b.characteristic, n, N, R, SEED + 700 + off, ns=[n])
         sample = np.asarray([r.zphi[(0, n)].real for r in batch.replicates])
         v_mc = float(sample.var(ddof=1))
-        v_exact = float(exact_linear_variance(model, [int(x) for x in b.row], n))
+        v_exact = float(exact_linear_variance(model, [int(x) for x in row], n))
         se = bootstrap_variance_se(sample)
         ok = ok and abs(v_mc - v_exact) <= 3.0 * se
-        details.append(f"{b.name}: |mc-exact|/3se={abs(v_mc - v_exact) / (3 * se):.2f}")
+        details.append(f"{b.args.scenario}: |mc-exact|/3se={abs(v_mc - v_exact) / (3 * se):.2f}")
 
     # (b) growth-exponent identification: the slope of log(Var / rho^n) in
     #     log n equals 2 l* + 1, picking out the polynomial index.
     for b, expect_l in ((mirror, 0), (jordan, 1)):
-        model, const = b.model, b.constants
-        a = [int(x) for x in b.row]
+        model, const = b.model, b.const
+        a = [int(x) for x in build_characteristic(b.scn, model, b.S)[1]]
         rho = Fraction(4)
         ns_fit = list(range(10, 21, 2))
         means, seconds = exact_moment_tables(model, max(ns_fit))
@@ -370,20 +372,20 @@ def test_a09_sigma_l_oracle_agreement(mirror, jordan):
             xs.append(math.log(n))
         slope = float(np.polyfit(xs, ys, 1)[0])
         ok = ok and abs(slope - (2 * expect_l + 1)) < 0.25 and const.l_star == expect_l
-        details.append(f"{b.name}: slope {slope:.3f} ~ {2 * expect_l + 1}, l*={const.l_star}")
+        details.append(f"{b.args.scenario}: slope {slope:.3f} ~ {2 * expect_l + 1}, l*={const.l_star}")
 
     # (c) the identified prefactor: exact Var / (n^{2l*+1} rho^n) approaches
     #     sigma_{l*}^2 * v at the starting type (equality for the mirror).
     mirror_ratio = float(
         exact_linear_variance(mirror.model, [1, -1], 12) / (12 * Fraction(4) ** 12)
     )
-    target_m = mirror.constants.sigma_l[0] * float(mirror.S.v[0].real)
+    target_m = mirror.const.sigma_l[0] * float(mirror.S.v[0].real)
     ok = ok and abs(mirror_ratio - target_m) <= 1e-12
     jn = 24
     jordan_ratio = float(
         exact_linear_variance(jordan.model, [1, -1, 0], jn) / (jn**3 * Fraction(4) ** jn)
     )
-    target_j = jordan.constants.sigma_l[1] * float(jordan.S.v[0].real)
+    target_j = jordan.const.sigma_l[1] * float(jordan.S.v[0].real)
     ok = ok and abs(jordan_ratio - target_j) <= 0.5 * target_j
     details.append(
         f"prefactors: mirror {mirror_ratio:.4f}={target_m:.4f}, "
@@ -414,7 +416,7 @@ def test_a10_deterministic_csv_across_workers(tmp_path, jordan):
     blobs = []
     for workers in (1, 4):
         batch = run_batch(
-            model, jordan.phi, 8, 12, R, SEED + 900, S=S, ns=[6, 8], workers=workers
+            model, jordan.characteristic, 8, 12, R, SEED + 900, S=S, ns=[6, 8], workers=workers
         )
         path = tmp_path / f"w{workers}.csv"
         batch.to_csv(path, t=8)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from cmjsim import build_model, compute_constants, spectral_decompose, validate_assumptions
+from cmjsim.cli import build_characteristic
 from cmjsim.presets import PRESETS, _bernoulli_column
 
 from conftest import bundle
@@ -59,7 +60,7 @@ def _assert_within(value, exact, error) -> None:
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
 def test_closed_forms_lie_within_the_certificates(name):
-    c = bundle(name).constants
+    c = bundle(name).const
     _assert_within(c.sigma2, CLOSED_FORMS[name], c.sigma2_error)
     if c.sigma_star2 is not None:
         _assert_within(c.sigma_star2, CLOSED_FORMS[name], c.sigma_star2_error)
@@ -192,7 +193,7 @@ def _simple_spectrum(model) -> bool:
 def _oracle_cases():
     for name in ("single_type_binary", "three_scale_symmetric", "cross_feed", "cyclic_three", "asym_leak"):
         b = bundle(name)
-        yield name, b.model, b.row, b.constants
+        yield name, b.model, build_characteristic(b.scn, b.model, b.S)[1], b.const
     model, S, c = _uncertified_tail()
     yield "uncertified_tail", model, np.array([1.0, -1.0]), c
     population = [case for case in _population(seed=5, count=40) if _simple_spectrum(case[0])]

@@ -30,6 +30,7 @@ from cmjsim.characteristics import (
     assumption_sums,
     expected_process,
 )
+from cmjsim.cli import build_characteristic
 from cmjsim.model import mixing_covariance
 from cmjsim.spectral import _EPS, _fro, m_norm2, projected_power, stein_tail, tail_sum
 
@@ -146,7 +147,8 @@ def test_moment_table_is_formed_once_and_not_pickled(asym_leak, monkeypatch):
     calls = []
     real = NoiseLaw.variance
     monkeypatch.setattr(NoiseLaw, "variance", lambda law: calls.append(law) or real(law))
-    phi = Characteristic(2, base={0: asym_leak.row}, coeff={1: [1.0, 2.0]}, noise={(0, 0): law, (2, 1): law})
+    row = build_characteristic(asym_leak.scn, asym_leak.model, asym_leak.S)[1]
+    phi = Characteristic(2, base={0: row}, coeff={1: [1.0, 2.0]}, noise={(0, 0): law, (2, 1): law})
     compute_constants(phi, asym_leak.S, asym_leak.model)
     assert len(calls) == 2  # one table, one variance per noise cell, for every reader
     assert phi.moments() is phi.moments() and len(calls) == 2
@@ -333,7 +335,8 @@ def test_gap_characteristic_zero_row_short_circuits(cross_feed):
     assert type(phi1) is Characteristic and phi1.label == "phi1"
     # a pi1 for the sub-aligned row is zero up to rounding dust; whatever
     # survives is far below the truncation threshold after one term
-    dusty = make_phi1(S, cross_feed.row @ S.pi1, model=cross_feed.model)
+    row = build_characteristic(cross_feed.scn, cross_feed.model, S)[1]
+    dusty = make_phi1(S, row @ S.pi1, model=cross_feed.model)
     assert all(float(np.linalg.norm(r)) < 1e-12 for r in dusty.coeff.values())
 
 
@@ -377,7 +380,7 @@ def test_the_mass_stopped_phi1_table_misses_exactly_its_remaining_mass():
 
 
 def test_mean_zero_characteristics_have_zero_expected_process(mirror):
-    star = star_transform(make_indicator_characteristic(mirror.row), mirror.model, 40)
+    star = star_transform(mirror.characteristic, mirror.model, 40)
     for n in (0, 3, 7):
         assert expected_process(star, mirror.model, n) == 0
 
@@ -390,19 +393,17 @@ def test_expected_process_matches_exact_recursion(name):
 
     b = bundle(name)
     model = b.model
+    row = build_characteristic(b.scn, model, b.S)[1]
     means, _ = exact_moment_tables(model, 8)
-    phi = Characteristic(
-        model.J,
-        base={0: b.row, 2: 0.5 * b.row},
-    )
+    phi = Characteristic(model.J, base={0: row, 2: 0.5 * row})
     for n in (2, 5, 8):
-        expect = complex(sum(b.row[i] * float(means[n][i]) for i in range(model.J)))
-        expect += complex(sum(0.5 * b.row[i] * float(means[n - 2][i]) for i in range(model.J)))
+        expect = complex(sum(row[i] * float(means[n][i]) for i in range(model.J)))
+        expect += complex(sum(0.5 * row[i] * float(means[n - 2][i]) for i in range(model.J)))
         assert expected_process(phi, model, n) == pytest.approx(expect, rel=1e-12)
 
 
 def test_assumption_sums_are_finite_and_positive(mirror):
-    sums = assumption_sums(mirror.phi, mirror.S, mirror.model)
+    sums = assumption_sums(mirror.characteristic, mirror.S, mirror.model)
     assert np.isfinite(sums["mean_weighted_sum"]) and sums["mean_weighted_sum"] > 0
     assert sums["variance_weighted_sum"] == 0.0  # indicators carry no randomness
 

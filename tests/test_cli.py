@@ -129,15 +129,6 @@ def test_unknown_scenario_names_the_presets(capsys):
     assert "cross_feed" in err  # the message lists what *would* work
 
 
-def test_schema_error_names_the_offending_key(tmp_path, capsys):
-    d = preset("cross_feed").to_dict()
-    d["run"]["replicates"] = 0
-    path = write_yaml(tmp_path, "bad.yaml", d)
-    rc, _, err = run_cli(["analyze", "--scenario", path], capsys)
-    assert rc == EXIT_USAGE
-    assert "run.replicates" in err
-
-
 @pytest.mark.parametrize("output", [5, "out"])
 def test_non_mapping_output_section_is_a_schema_error(output, tmp_path, capsys):
     d = preset("cross_feed").to_dict()
@@ -158,14 +149,6 @@ def test_trajectory_past_the_horizon_is_a_schema_error(tmp_path, capsys):
         assert err == "error: run.trajectory[1]: must be <= n + delta = 12, got 30\n"
 
 
-def test_unparseable_yaml_is_usage_error(tmp_path, capsys):
-    path = tmp_path / "broken.yaml"
-    path.write_text("model: [unclosed\n")
-    rc, _, err = run_cli(["analyze", "--scenario", str(path)], capsys)
-    assert rc == EXIT_USAGE
-    assert "error:" in err
-
-
 # a second run.n as run's last entry, and a second offspring law for type 1
 # as offspring's last entry, each written just before the next section
 @pytest.mark.parametrize("before, repeated, key", [
@@ -180,13 +163,6 @@ def test_a_key_given_twice_is_a_schema_error(before, repeated, key, tmp_path, ca
     rc, out, err = run_cli(["simulate", "--scenario", str(path)], capsys)
     assert (rc, out) == (EXIT_USAGE, "")
     assert err == f"error: scenario: key {key} is given twice (line {text[:at].count(chr(10)) + 1})\n"
-
-
-@pytest.mark.parametrize("argv", [["verify", "--scenario", "{dir}"]], ids=["verify-scenario"])
-def test_a_directory_where_a_file_belongs_is_a_usage_error(argv, tmp_path, capsys):
-    rc, _, err = run_cli([arg.format(dir=tmp_path) for arg in argv], capsys)
-    assert rc == EXIT_USAGE
-    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 @pytest.mark.parametrize("probs", [["-1/2", "3/2"], ["1/2", "2/5"]])
@@ -887,19 +863,24 @@ def test_every_refusal_is_its_report_so_far_with_its_reason(
 
 
 # (command, cause): a schema error (ids: the command alone), simulate's --out
-# naming a directory or the empty path, and a scenario file PyYAML cannot read
+# naming a directory or the empty path, --scenario naming a directory, and a
+# scenario file PyYAML cannot read; every command loads the scenario first
 USAGE_ERRORS = [
     *((c, "schema") for c in cli._COMMANDS),
     ("simulate", "out_dir"),
     ("simulate", "empty_out"),
-    *((c, "deep") for c in cli._COMMANDS),
+    ("verify", "scenario_dir"),
+    ("analyze", "deep"),
+    ("analyze", "unclosed"),
     ("analyze", "long_int"),
     ("analyze", "bad_date"),
 ]
 # each unreadable file's text and how its message goes on: nested deeper than
-# the parser recurses, an integer past Python's digit limit, a month 13
+# the parser recurses, a flow sequence left open, an integer past Python's
+# digit limit, a month 13
 BAD_YAML = {
     "deep": ("[" * 5000 + "]" * 5000, "maximum recursion depth exceeded"),
+    "unclosed": ("model: [unclosed\n", "while parsing a flow sequence"),
     "long_int": ("run: {replicates: " + "1" * 5001 + "}\n", "Exceeds the limit"),
     "bad_date": ("run: {seed: 2024-13-01}\n", "month must be in 1..12)\n"),
 }
@@ -921,9 +902,9 @@ def test_a_usage_error_prints_no_report(command, cause, tmp_path, monkeypatch, c
         (tmp_path / "bad.yaml").write_text(text)
         argv += ["--scenario", str(tmp_path / "bad.yaml")]
         want = f"error: scenario: invalid YAML ({cause_text}"
-    elif cause == "out_dir":
+    elif cause in ("out_dir", "scenario_dir"):
         target.mkdir()
-        argv += ["--scenario", "cross_feed_deterministic"]
+        argv += ["--scenario", str(target) if cause == "scenario_dir" else "cross_feed_deterministic"]
         want = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{target}'\n"
     else:
         argv += ["--scenario", "cross_feed_deterministic"]
@@ -933,7 +914,7 @@ def test_a_usage_error_prints_no_report(command, cause, tmp_path, monkeypatch, c
     # only an unreadable file's message goes on with PyYAML's or Python's own text
     assert err.startswith(want) if cause in BAD_YAML else err == want, err
     # nothing written, no output.dir made, and the directory made on purpose left empty
-    left = {"out_dir": ["r"], "empty_out": []}.get(cause, ["bad.yaml"])
+    left = {"out_dir": ["r"], "scenario_dir": ["r"], "empty_out": []}.get(cause, ["bad.yaml"])
     assert sorted(p.name for p in tmp_path.rglob("*")) == left
 
 

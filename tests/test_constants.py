@@ -41,7 +41,7 @@ from oracles import eager_b_table, exact_linear_variance, per_cell_sigma2
 
 
 def test_one_type_case_one_constants(single_type):
-    c = single_type.constants
+    c = single_type.const
     assert c.case == "i"
     assert c.l_star is None
     assert c.sigma2 == pytest.approx(0.5, abs=1e-12)
@@ -55,7 +55,7 @@ def test_one_type_case_one_constants(single_type):
 
 
 def test_mirror_case_two_constants(mirror):
-    c = mirror.constants
+    c = mirror.const
     assert c.case == "ii"
     assert c.l_star == 0
     assert c.sigma_l[0] == pytest.approx(2.0, abs=1e-10)
@@ -69,7 +69,7 @@ def test_mirror_case_two_constants(mirror):
 
 
 def test_jordan_block_ladder(jordan):
-    c = jordan.constants
+    c = jordan.const
     assert c.case == "ii"
     assert c.l_star == 1
     assert c.sigma_l[0] == pytest.approx(3 / 4, abs=1e-9)
@@ -89,7 +89,7 @@ def test_jordan_block_ladder(jordan):
     ],
 )
 def test_case_one_frozen_variances(name, value):
-    c = bundle(name).constants
+    c = bundle(name).const
     assert c.case == "i"
     assert c.sigma2 == pytest.approx(value, rel=1e-9)
     assert c.sigma_star2 == pytest.approx(value, rel=1e-9)
@@ -99,7 +99,7 @@ def test_case_one_frozen_variances(name, value):
 def test_cyclic_three_dual_route_regression(cyclic):
     # period-3 mean matrix: the variance series has exact zeros interleaved
     # on a stride; both routes must skip past them rather than stop early
-    c = cyclic.constants
+    c = cyclic.const
     assert c.sigma2 == pytest.approx(0.304220582701120, abs=1e-9)
     assert c.sigma_star2 == pytest.approx(c.sigma2, rel=1e-9)
 
@@ -113,7 +113,7 @@ def test_dual_routes_agree_on_all_eligible_presets():
         "three_scale_symmetric",
         "cyclic_three",
     ):
-        c = bundle(name).constants
+        c = bundle(name).const
         assert c.sigma_star2 is not None, name
         assert abs(c.sigma_star2 - c.sigma2) <= 1e-6 * max(1.0, abs(c.sigma2)), name
 
@@ -137,7 +137,7 @@ def test_a_row_its_indicator_and_its_age0_table_take_one_road(name):
     # the route to sigma*^2 is decided from the characteristic alone, so each
     # form of one age-0 row gives the same constants, the zero row included
     b = bundle(name)
-    for row in (b.row, np.zeros(b.model.J)):
+    for row in (build_characteristic(b.scn, b.model, b.S)[1], np.zeros(b.model.J)):
         forms = (row, make_indicator_characteristic(row), Characteristic(J=b.model.J, base={0: row}, label="table"))
         consts = [compute_constants(form, b.S, b.model) for form in forms]
         assert all(_bits(c) == _bits(consts[0]) for c in consts[1:])
@@ -151,7 +151,7 @@ def test_a_row_its_indicator_and_its_age0_table_take_one_road(name):
 
 def test_x_rows_are_projections_for_indicators(asym_leak):
     S = asym_leak.S
-    a = asym_leak.row
+    a = build_characteristic(asym_leak.scn, asym_leak.model, S)[1]
     x1, x2 = compute_x1_x2(make_indicator_characteristic(a).mean_table(), S)
     assert np.allclose(x1, a @ S.pi1, atol=1e-12)
     assert np.allclose(x2, a @ S.pi2, atol=1e-12)
@@ -170,7 +170,7 @@ def test_x_rows_shift_with_age(mirror):
 
 def test_centering_rows_single_type(single_type):
     S = single_type.S
-    mt = single_type.phi.mean_table()
+    mt = single_type.characteristic.mean_table()
     # no sub part: B vanishes for k >= 1; B(k) = -2^{k-1} for k <= 0
     assert np.allclose(compute_B(mt, S, [1, 2, 5])[0], 0.0, atol=1e-14)
     ks = [0, -1, -3]
@@ -180,8 +180,7 @@ def test_centering_rows_single_type(single_type):
 
 def test_centering_rows_pure_leak(asym_leak):
     S = asym_leak.S
-    phi = asym_leak.phi
-    a = asym_leak.row
+    phi, a = build_characteristic(asym_leak.scn, asym_leak.model, S)
     # a pi1 = 0 here, so the descending branch vanishes and the ascending
     # branch rides the sub eigenvalue 1: B(k) = a for every k >= 1
     for k in (1, 2, 6):
@@ -206,7 +205,7 @@ def test_l_star_picks_highest_live_rung():
 
 
 def test_sigma_l_table_length(jordan):
-    table = compute_sigma_l(np.asarray(jordan.constants.x2), jordan.S, jordan.model)
+    table = compute_sigma_l(np.asarray(jordan.const.x2), jordan.S, jordan.model)
     assert len(table) == jordan.model.J + 1
     assert table[2] == pytest.approx(0.0, abs=1e-12)
 
@@ -217,7 +216,7 @@ def test_sigma_l_table_length(jordan):
 def test_sigma2_error_certificate_honest(asym_leak):
     # the closed-form tails against a plain sum of 601 terms, each row B(k)
     # formed on its own; the terms past |k| = 300 are below 1e-100
-    S, model, phi = asym_leak.S, asym_leak.model, asym_leak.phi
+    S, model, phi = asym_leak.S, asym_leak.model, asym_leak.characteristic
     value, err, _ = compute_sigma2(phi, S, model)
     assert 0 < err < 1e-12
     ks = np.arange(-300, 301)
@@ -235,7 +234,7 @@ def test_sigma_star_rejects_radius_aligned_rows(single_type):
 
 def test_sigma_star_matches_hand_sum_on_leak(asym_leak):
     S, model = asym_leak.S, asym_leak.model
-    a = asym_leak.row
+    a = build_characteristic(asym_leak.scn, model, S)[1]
     val, err = compute_sigma_star2(a, S, model)
     # B(k) = a for k >= 1; |a|_M^2 = sum_j u_j (a C_j a^T) = 4/3 + 2/3 = 2
     # sum_{k>=1} 4^{-k} * 2 = 2/3, descending branch zero
@@ -250,8 +249,8 @@ def test_sigma_star_matches_hand_sum_on_leak(asym_leak):
 @given(st.sampled_from([0.5, 2.0, -1.0, 3.0, -0.25]))
 def test_constants_scale_correctly(factor):
     b = bundle("asym_leak")
-    base = b.constants
-    scaled = compute_constants(b.phi.scaled(factor), b.S, b.model)
+    base = b.const
+    scaled = compute_constants(b.characteristic.scaled(factor), b.S, b.model)
     assert scaled.sigma2 == pytest.approx(factor**2 * base.sigma2, rel=1e-9)
     assert np.allclose(scaled.x1, factor * np.asarray(base.x1), atol=1e-10)
     assert np.allclose(scaled.x2, factor * np.asarray(base.x2), atol=1e-10)
@@ -261,7 +260,7 @@ def test_constants_scale_correctly(factor):
 
 def test_scaled_centering_rows(mirror):
     S = mirror.S
-    phi = mirror.phi
+    phi = mirror.characteristic
     ks = [-2, 0, 1, 3]
     b1 = compute_B(phi.mean_table(), S, ks)[0]
     b3 = compute_B(phi.scaled(3.0).mean_table(), S, ks)[0]
@@ -297,7 +296,7 @@ def test_case_two_variance_ladder_matches_recursion_asymptotics(jordan):
     # the exact recursion at moderate n shows the drift toward it
     model = jordan.model
     v1 = 1 / 3
-    target = jordan.constants.sigma_l[1] * v1
+    target = jordan.const.sigma_l[1] * v1
     vals = []
     for n in (10, 14, 18):
         var = exact_linear_variance(model, [1, -1, 0], n)
@@ -413,7 +412,7 @@ def _random_tables(S, count=100, seed=7):
 @pytest.mark.parametrize("name", preset_names())
 def test_mean_weighted_sum_equals_per_key_norms_on_presets(name):
     b = bundle(name)
-    phi, _ = build_characteristic(b.scenario, b.model, b.S)
+    phi = b.characteristic
     for table in (phi, *_random_tables(b.S)):
         assert assumption_sums(table, b.S, b.model)["mean_weighted_sum"] == _per_key_mean_sum(table, b.S)
 
@@ -512,8 +511,7 @@ def _assert_same_table(got, want) -> None:
 @pytest.mark.parametrize("name", preset_names())
 def test_b_table_equals_the_eager_build_on_presets(name):
     b = bundle(name)
-    phi, _ = build_characteristic(b.scenario, b.model, b.S)
-    c = compute_constants(phi, b.S, b.model)
+    phi, c = b.characteristic, b.const
     _assert_same_table(c.B_table, eager_b_table(phi, b.S, b.model))
     assert c.B_window == (min(c.B_table), max(c.B_table))
 

@@ -92,7 +92,8 @@ def test_cli_digest_registers_each_age0_form_on_one_road(script, tmp_path):
 
 def test_bench_summary_pairs_the_last_sources_by_seed(script):
     # a stale parent source and an unlabelled point are left out; a seed met
-    # twice counts once, at its later point; ties are not wins
+    # twice counts once, at its later point; ties are not wins; the verdict
+    # weighs the medians and the parent's quartile gap against the bound
     bench = script("bench_trajectory")
 
     def point(label, source, seed, rate):
@@ -111,10 +112,22 @@ def test_bench_summary_pairs_the_last_sources_by_seed(script):
     assert [(p["seed"], p["metrics"]["items_per_s"], c["metrics"]["items_per_s"]) for p, c in pairs] == [
         (1, 10.0, 13.0), (2, 11.0, 9.0), (3, 20.0, 20.0)
     ]
-    table = bench.summarize(points, [{"name": "items_per_s", "better": "higher"}]).splitlines()
-    assert table[0].startswith("3 pairs: parent p")
-    assert table[-1].split() == ["items_per_s", "11", "10", "20", "13", "1/3"]
+
     assert bench.summarize(points[:2], []) == "no parent/change pairs"
+
+    def summary(points, better="higher", bound=0.25):
+        return bench.summarize(points, [{"name": "items_per_s", "better": better, "bound": bound}]).splitlines()
+
+    table = summary(points)
+    assert table[0].startswith("3 pairs: parent p")
+    assert table[-1].split() == ["items_per_s", "11", "10", "20", "13", "1/3", "unresolved"]
+    # the parent's quartile gap, 10, is within 1.0 x its median; 13 is worse by more than 0.1 x 11
+    assert summary(points, bound=1.0)[-1].split()[-1] == "held"
+    assert summary(points, "lower", 0.1)[-1].split()[-1] == "worse"
+    # a gap past the bound is resolved when every change run beats every parent run
+    sweep = [point("parent", "p", seed, float(seed)) for seed in (1, 5, 9)]
+    sweep += [point("change", "c", seed, 10.0) for seed in (1, 5, 9)]
+    assert summary(sweep)[-1].split()[-1] == "held"
 
 
 def test_stage_times_pairs_a_tree_with_itself(script, monkeypatch, tmp_path, capsys):

@@ -22,12 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmjsim import build_model, compute_constants, compute_sigma2, make_indicator_characteristic, spectral_decompose
+from cmjsim.cli import build_characteristic
 from cmjsim.constants import L_STAR_TOL
 from cmjsim.presets import PRESETS
 
 from conftest import bundle
 
-PRIMITIVE = tuple(name for name in PRESETS if bundle(name).report.positively_regular)
+PRIMITIVE = tuple(name for name in PRESETS if bundle(name).assumptions.positively_regular)
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
 
@@ -42,7 +43,7 @@ def _preset_row(draw):
     b = bundle(draw(st.sampled_from(PRIMITIVE)))
     kind = draw(st.sampled_from(("own", "integer", "orthogonal")))
     if kind == "own":
-        return b, b.row
+        return b, build_characteristic(b.scn, b.model, b.S)[1]
     row = draw(_int_row(b.model.J))
     if kind == "orthogonal":
         u, v = b.S.u, b.S.v
@@ -77,7 +78,7 @@ def _within(a: float, b: float, bound: float) -> bool:
 def test_relabelling_the_types_permutes_every_constant(case, data):
     b, row = case
     perm = data.draw(st.permutations(range(b.model.J)))
-    model = build_model(_relabel(b.scenario.model, perm))
+    model = build_model(_relabel(b.scn.model, perm))
     S = spectral_decompose(model.A)
     moved_row = np.empty_like(row)
     moved_row[perm] = row

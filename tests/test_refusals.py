@@ -41,7 +41,7 @@ def _lln_limit_outside_float64():
 def _star_row_outside_float64():
     # single_type_binary's mean is 2, so the star row of the age-0 indicator is R(k) = 2^(k-1)
     b = bundle("single_type_binary")
-    star_transform(b.phi, b.model, 2100)
+    star_transform(b.characteristic, b.model, 2100)
 
 
 def _weird_kind():

@@ -176,7 +176,7 @@ def test_overflow_aborts_part_of_a_block(single_type, monkeypatch):
 
 
 def test_replayed_states_match_final_count(single_type):
-    model, phi = single_type.model, single_type.phi
+    model, phi = single_type.model, single_type.characteristic
     plan = simulator._plan(model, phi, 9, 9, None)
     _assert_replicate_equals_oracle(run_replicate(model, phi, n=9, N=9, seed=7), plan, 7)
     columns = per_block_columns(plan, 7, 1, None, None)
@@ -201,7 +201,7 @@ def test_martingale_gap_identity_pathwise(single_type):
 
 def test_batch_results_independent_of_worker_count(mirror):
     model, S = mirror.model, mirror.S
-    phi = mirror.phi
+    phi = mirror.characteristic
     kw = dict(n=8, N=10, R=24, master_seed=99_997, S=S, ns=[6, 8])
     batches = [run_batch(model, phi, workers=w, **kw) for w in (1, 2, 4)]
     ref = batches[0]
@@ -218,12 +218,12 @@ def test_csv_identical_across_workers_over_many_blocks(tmp_path, mirror):
     """Workers split whole blocks: eight blocks (the last one cut) run in a
     pool at two and four workers and give the in-process bytes."""
     kw = dict(
-        n=8, N=10, R=7 * BLOCK + 5, master_seed=60_013, S=mirror.S, constants=mirror.constants
+        n=8, N=10, R=7 * BLOCK + 5, master_seed=60_013, S=mirror.S, constants=mirror.const
     )
     texts = []
     for w in (1, 2, 4):
         path = tmp_path / f"w{w}.csv"
-        run_batch(mirror.model, mirror.phi, workers=w, **kw).to_csv(path)
+        run_batch(mirror.model, mirror.characteristic, workers=w, **kw).to_csv(path)
         texts.append(path.read_bytes())
     assert texts[0].count(b"\n") == 1 + kw["R"]
     assert texts[1] == texts[0] and texts[2] == texts[0]
@@ -256,14 +256,14 @@ def test_workers_capped_at_usable_cpus(monkeypatch, mirror):
         return [batch.aborted, batch.z_final, batch.w_hat, *batch.zphi.values(), *batch.T.values()]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    kw = dict(n=8, N=10, R=20 * BLOCK, master_seed=28_028, S=mirror.S, constants=mirror.constants)
-    batches = [run_batch(mirror.model, mirror.phi, **kw)]
+    kw = dict(n=8, N=10, R=20 * BLOCK, master_seed=28_028, S=mirror.S, constants=mirror.const)
+    batches = [run_batch(mirror.model, mirror.characteristic, **kw)]
     for cpus, asked in (({0, 1}, 64), (set(range(8)), 4), ({0}, 64)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
-        batches.append(run_batch(mirror.model, mirror.phi, workers=asked, **kw))
+        batches.append(run_batch(mirror.model, mirror.characteristic, workers=asked, **kw))
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    batches.append(run_batch(mirror.model, mirror.phi, workers=64, **kw))
+    batches.append(run_batch(mirror.model, mirror.characteristic, workers=64, **kw))
     assert started == [2, 4, 3]  # one usable CPU runs in-process
     # a task is one chunk of min(_CHUNK, blocks // workers) blocks, so every
     # worker gets one; the tasks cover the blocks in order
@@ -281,8 +281,8 @@ def test_workers_capped_at_usable_cpus(monkeypatch, mirror):
 @pytest.mark.parametrize("R", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 def test_batch_prefix_stability_across_block_boundaries(mirror, R):
     kw = dict(n=6, N=8, master_seed=4_243, S=mirror.S)
-    large = run_batch(mirror.model, mirror.phi, R=3 * BLOCK, **kw)
-    small = run_batch(mirror.model, mirror.phi, R=R, **kw)
+    large = run_batch(mirror.model, mirror.characteristic, R=3 * BLOCK, **kw)
+    small = run_batch(mirror.model, mirror.characteristic, R=R, **kw)
     assert [r.index for r in small.replicates] == list(range(R))
     for r_s, r_l in zip(small.replicates, large.replicates):
         assert r_s.zphi == r_l.zphi and r_s.w_hat == r_l.w_hat
@@ -292,7 +292,7 @@ def test_batch_prefix_stability_across_block_boundaries(mirror, R):
 def test_batch_prefix_stability(mirror):
     """Replicate k depends only on (master seed, k), not on the batch size."""
     model = mirror.model
-    phi = mirror.phi
+    phi = mirror.characteristic
     small = run_batch(model, phi, n=6, N=8, R=3, master_seed=4_242)
     large = run_batch(model, phi, n=6, N=8, R=9, master_seed=4_242)
     for r_s, r_l in zip(small.replicates, large.replicates):
@@ -307,10 +307,10 @@ def test_statistic_and_martingale_estimate_are_prefix_stable(name, R, request):
     on whole blocks and then cut, since a one-row product rounds
     differently."""
     b = request.getfixturevalue(name)
-    scn = b.scenario
-    kw = dict(S=b.S, constants=b.constants, ns=scn.times)
-    large = run_batch(b.model, b.phi, scn.n, scn.N, 2 * BLOCK, 7, **kw)
-    small = run_batch(b.model, b.phi, scn.n, scn.N, R, 7, **kw)
+    scn = b.scn
+    kw = dict(S=b.S, constants=b.const, ns=scn.times)
+    large = run_batch(b.model, b.characteristic, scn.n, scn.N, 2 * BLOCK, 7, **kw)
+    small = run_batch(b.model, b.characteristic, scn.n, scn.N, R, 7, **kw)
     assert small.w_hat.tobytes() == large.w_hat[:R].tobytes()
     assert small.T.keys() == large.T.keys() == {(0, t) for t in scn.times}
     for key, col in small.T.items():
@@ -321,10 +321,10 @@ def test_statistic_and_martingale_estimate_are_prefix_stable(name, R, request):
 @pytest.mark.parametrize("name", ["three_scale", "asym_leak"])
 def test_replicate_is_replicate_0_of_the_batch(name, seed, request):
     b = request.getfixturevalue(name)
-    scn = b.scenario
-    kw = dict(S=b.S, constants=b.constants, ns=scn.times)
-    rep = run_replicate(b.model, b.phi, scn.n, scn.N, seed, **kw)
-    row = run_batch(b.model, b.phi, scn.n, scn.N, 300, seed, **kw).replicates[0]
+    scn = b.scn
+    kw = dict(S=b.S, constants=b.const, ns=scn.times)
+    rep = run_replicate(b.model, b.characteristic, scn.n, scn.N, seed, **kw)
+    row = run_batch(b.model, b.characteristic, scn.n, scn.N, 300, seed, **kw).replicates[0]
     for field in dataclasses.fields(rep):
         got, want = getattr(rep, field.name), getattr(row, field.name)
         if isinstance(want, np.ndarray):
@@ -349,8 +349,9 @@ def test_window_validation_names_the_characteristic(mirror):
 
 def test_a_zero_horizon_counts_generation_zero(mirror):
     # an empty coeff table reads no offspring, so N = 0 leaves it nothing to need
-    rep = run_replicate(mirror.model, mirror.phi, n=0, N=0, seed=0)
-    assert rep.zphi[(0, 0)] == complex(mirror.row @ mirror.model.z0())
+    rep = run_replicate(mirror.model, mirror.characteristic, n=0, N=0, seed=0)
+    row = cli.build_characteristic(mirror.scn, mirror.model, mirror.S)[1]
+    assert rep.zphi[(0, 0)] == complex(row @ mirror.model.z0())
 
 
 def test_window_validation_boundaries(mirror):
@@ -364,15 +365,25 @@ def test_window_validation_boundaries(mirror):
 
 def test_overflow_aborts_cleanly(mirror, monkeypatch):
     monkeypatch.setattr(simulator, "OVERFLOW_CAP", 10_000)
-    rep = run_replicate(mirror.model, mirror.phi, n=20, N=20, seed=1)
+    rep = run_replicate(mirror.model, mirror.characteristic, n=20, N=20, seed=1)
     assert rep.aborted and rep.z_final is None and rep.zphi == {}
-    batch = run_batch(mirror.model, mirror.phi, n=20, N=20, R=8, master_seed=5)
+    batch = run_batch(mirror.model, mirror.characteristic, n=20, N=20, R=8, master_seed=5)
     assert batch.abort_rate == 1.0
+
+
+def test_overflow_guard_sums_a_litter_past_int64_exactly():
+    # a litter of 2 * 2^62 wraps an int64 sum to -2^63; summed exactly, it sets
+    # the cap to 0, so no replicate draws a population past int64, read as extinct
+    big = 2**62
+    laws = {j: [{"p": "1", "counts": [big, big]}] for j in (1, 2)}
+    model = build_model({"types": 2, "initial_type": 1, "offspring": laws})
+    batch = run_batch(model, [make_indicator_characteristic([1.0, 0.0])], 3, 3, 4, 1)
+    assert all(r.aborted for r in batch.replicates) and batch.abort_rate == 1.0
 
 
 def test_batch_mean_martingale_estimate(single_type, mirror):
     for b, v0 in ((single_type, 1.0), (mirror, 0.5)):
-        batch = run_batch(b.model, b.phi, n=10, N=10, R=400, master_seed=31_007, S=b.S)
+        batch = run_batch(b.model, b.characteristic, n=10, N=10, R=400, master_seed=31_007, S=b.S)
         ws = np.array([r.w_hat for r in batch.replicates])
         se = ws.std(ddof=1) / np.sqrt(len(ws))
         # the mirror's total population is deterministic, so se can be exactly 0
@@ -380,9 +391,9 @@ def test_batch_mean_martingale_estimate(single_type, mirror):
 
 
 def test_statistic_assembly_matches_fields(single_type):
-    model, S, c = single_type.model, single_type.S, single_type.constants
+    model, S, c = single_type.model, single_type.S, single_type.const
     n, N = 8, 12
-    batch = run_batch(model, single_type.phi, n=n, N=N, R=20, master_seed=11, S=S, constants=c)
+    batch = run_batch(model, single_type.characteristic, n=n, N=N, R=20, master_seed=11, S=S, constants=c)
     for rep in batch.replicates:
         zf = rep.z_final.astype(float)
         mart = float((np.asarray(c.x1) @ (projected_power(S, 1, n - N) @ zf.astype(complex))).real)
@@ -457,13 +468,13 @@ def test_a_refused_r_t_is_refused_before_any_block(preset_fixture, n, N, ns, err
     b = request.getfixturevalue(preset_fixture)
     monkeypatch.setattr(simulator, "_simulate_chunk", _no_simulation)
     with pytest.raises(error) as err:
-        run_batch(b.model, b.phi, n=n, N=N, R=8, master_seed=1, S=b.S, constants=b.constants, ns=ns)
+        run_batch(b.model, b.characteristic, n=n, N=N, R=8, master_seed=1, S=b.S, constants=b.const, ns=ns)
     assert type(err.value) is error and str(err.value) == message
 
 
 def test_survivor_filter_and_summary(single_type):
     batch = run_batch(
-        single_type.model, single_type.phi, n=6, N=6, R=200, master_seed=17, S=single_type.S
+        single_type.model, single_type.characteristic, n=6, N=6, R=200, master_seed=17, S=single_type.S
     )
     kept = batch.usable(w_min=1e-3)
     assert kept.any() and (batch.w_hat[kept] > 1e-3).all()
@@ -476,8 +487,8 @@ def test_survivor_filter_and_summary(single_type):
 
 
 def test_csv_output_is_stable(tmp_path, single_type):
-    model, S, c = single_type.model, single_type.S, single_type.constants
-    batch = run_batch(model, single_type.phi, n=6, N=8, R=10, master_seed=23, S=S, constants=c)
+    model, S, c = single_type.model, single_type.S, single_type.const
+    batch = run_batch(model, single_type.characteristic, n=6, N=8, R=10, master_seed=23, S=S, constants=c)
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     batch.to_csv(p1)
@@ -491,7 +502,7 @@ def test_csv_output_is_stable(tmp_path, single_type):
 
 def test_csv_without_constants_writes_nan_statistic(tmp_path, single_type):
     batch = run_batch(
-        single_type.model, single_type.phi, n=6, N=8, R=12, master_seed=29, S=single_type.S
+        single_type.model, single_type.characteristic, n=6, N=8, R=12, master_seed=29, S=single_type.S
     )
     assert batch.T == {}
     path = tmp_path / "no_constants.csv"
@@ -502,9 +513,9 @@ def test_csv_without_constants_writes_nan_statistic(tmp_path, single_type):
 
 
 def test_aborted_rows_hold_nan_in_every_float_column(tmp_path, single_type, monkeypatch):
-    model, S, c = single_type.model, single_type.S, single_type.constants
+    model, S, c = single_type.model, single_type.S, single_type.const
     monkeypatch.setattr(simulator, "OVERFLOW_CAP", 600)
-    batch = run_batch(model, single_type.phi, n=8, N=9, R=BLOCK, master_seed=77, S=S, constants=c)
+    batch = run_batch(model, single_type.characteristic, n=8, N=9, R=BLOCK, master_seed=77, S=S, constants=c)
     aborted = batch.aborted
     assert aborted.any() and not aborted.all()
     for col in (*batch.zphi.values(), *batch.T.values()):
@@ -520,9 +531,9 @@ def test_aborted_rows_hold_nan_in_every_float_column(tmp_path, single_type, monk
 
 def test_statistic_exists_for_characteristic_0_only(mirror):
     """The constants are characteristic 0's, so only its T is formed."""
-    phis = [mirror.phi, _mirror_replay_phis(mirror)[1]]
+    phis = [mirror.characteristic, _mirror_replay_phis(mirror)[1]]
     batch = run_batch(
-        mirror.model, phis, n=8, N=10, R=4, master_seed=5, S=mirror.S, constants=mirror.constants,
+        mirror.model, phis, n=8, N=10, R=4, master_seed=5, S=mirror.S, constants=mirror.const,
         ns=[4, 8],
     )
     assert set(batch.zphi) == {(0, 4), (0, 8), (1, 4), (1, 8)}
@@ -532,24 +543,24 @@ def test_statistic_exists_for_characteristic_0_only(mirror):
 @pytest.mark.parametrize("R", [-1, -BLOCK, -BLOCK - 1])
 def test_negative_replicate_count_is_refused(mirror, R):
     with pytest.raises(ValueError, match="R must be >= 0"):
-        run_batch(mirror.model, mirror.phi, n=8, N=10, R=R, master_seed=0)
+        run_batch(mirror.model, mirror.characteristic, n=8, N=10, R=R, master_seed=0)
 
 
 def test_zero_replicates_give_an_empty_batch(mirror):
-    batch = run_batch(mirror.model, mirror.phi, n=8, N=10, R=0, master_seed=0)
+    batch = run_batch(mirror.model, mirror.characteristic, n=8, N=10, R=0, master_seed=0)
     assert batch.aborted.shape == (0,) and batch.z_final.shape == (0, 2)
 
 
 def test_multiple_observation_times(mirror):
-    rep = run_replicate(mirror.model, mirror.phi, n=8, N=10, seed=6, ns=[4, 6, 8])
+    rep = run_replicate(mirror.model, mirror.characteristic, n=8, N=10, seed=6, ns=[4, 6, 8])
     assert {(0, 4), (0, 6), (0, 8)} == set(rep.zphi)
 
 
 def test_requested_times_must_fit_horizon(mirror):
     with pytest.raises(ValueError):
-        run_replicate(mirror.model, mirror.phi, n=12, N=10, seed=0)
+        run_replicate(mirror.model, mirror.characteristic, n=12, N=10, seed=0)
     with pytest.raises(ValueError):
-        run_replicate(mirror.model, mirror.phi, n=8, N=10, seed=0, ns=[-1, 8])
+        run_replicate(mirror.model, mirror.characteristic, n=8, N=10, seed=0, ns=[-1, 8])
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +654,12 @@ def _oracle_case(case, request):
     """``(seed, model, phis, n, N, ns, S, constants, overflow cap)``."""
     if case == "mirror":
         m = request.getfixturevalue("mirror")
-        return 31_337, m.model, _mirror_replay_phis(m), 8, 10, [4, 8], m.S, m.constants, simulator.OVERFLOW_CAP
+        return 31_337, m.model, _mirror_replay_phis(m), 8, 10, [4, 8], m.S, m.const, simulator.OVERFLOW_CAP
     if case == "capped":
         # litters of 1 or 3, so some replicates pass 1500 // 3 individuals
         # before generation 10: the cap aborts about half of each block
         s = request.getfixturevalue("single_type")
-        return 31_337, s.model, _capped_phi(), 8, 10, None, s.S, s.constants, 1500
+        return 31_337, s.model, _capped_phi(), 8, 10, None, s.S, s.const, 1500
     if case == "overflow":
         # the inputs of test_overflow_aborts_part_of_a_block
         s = request.getfixturevalue("single_type")
@@ -712,15 +723,15 @@ def test_chunks_in_a_pool_equal_the_per_block_oracle(case, R, request):
 def test_plan_pickle_does_not_carry_the_spectral_cache(asym_leak):
     """Every pool task pickles the plan; filling the spectral data's cache of
     projected powers and tail blocks must not make that pickle grow."""
-    b, scn = asym_leak, asym_leak.scenario
+    b, scn = asym_leak, asym_leak.scn
     S = dataclasses.replace(b.S, _cache={})
 
     def pickled_plan() -> int:
-        plan = simulator._plan(b.model, b.phi, scn.n, scn.N, None)
+        plan = simulator._plan(b.model, b.characteristic, scn.n, scn.N, None)
         return len(pickle.dumps(plan))
 
     before = pickled_plan()
-    compute_constants(b.phi, S, b.model)
+    compute_constants(b.characteristic, S, b.model)
     assert S._cache
     assert pickled_plan() == before
 
@@ -728,10 +739,10 @@ def test_plan_pickle_does_not_carry_the_spectral_cache(asym_leak):
 def test_chunk_cap_bounds_batch_memory(mirror):
     """A worker steps at most ``_CHUNK`` blocks at once: a 20,000-replicate
     batch peaks at ~3.4 MB here, and at ~17 MB stepped as one chunk."""
-    S, constants, scn = mirror.S, mirror.constants, mirror.scenario
+    S, constants, scn = mirror.S, mirror.const, mirror.scn
     tracemalloc.start()
     try:
-        run_batch(mirror.model, mirror.phi, scn.n, scn.N, 20_000, 5, S=S, constants=constants)
+        run_batch(mirror.model, mirror.characteristic, scn.n, scn.N, 20_000, 5, S=S, constants=constants)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

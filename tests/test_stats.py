@@ -3,7 +3,6 @@ pre-registered verifier on synthetic batches with known ground truth."""
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import math
 import tracemalloc
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from cmjsim import build_model, cli, make_phi1, run_batch, simulator, spectral_decompose, stats, verify_dichotomy
+from cmjsim import build_model, make_phi1, run_batch, simulator, spectral_decompose, stats, verify_dichotomy
 from cmjsim.characteristics import Characteristic, NoiseLaw, make_indicator_characteristic
 from cmjsim.presets import PRESETS, _bernoulli_column
 from cmjsim.simulator import BLOCK, ReplicateResult
@@ -238,7 +237,7 @@ def test_sort_percentile_equals_np_percentile():
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_lln_check_on_presets_equals_np_median(name, monkeypatch):
-    run = cli._Pipeline(argparse.Namespace(scenario=name, seed=None, workers=1))
+    run = bundle(name)
     batch = run.batch()
     args = (batch, run.characteristic, run.model, run.S)
     ours = lln_check(*args, w_min=run.scn.run["w_min"])
@@ -319,7 +318,7 @@ def synth_batch(
 
 
 def test_studentized_unwinds_the_scale(single_type):
-    c = single_type.constants
+    c = single_type.const
     batch = synth_batch(sigma2=c.sigma_case2, m=80, seed=3)
     eps, ws = studentized(batch, c, t=10, w_min=1e-3)
     assert eps.shape == ws.shape == (80,)
@@ -336,21 +335,21 @@ def test_columnar_studentized_equals_row_reference(request, monkeypatch, preset_
     b = request.getfixturevalue(preset_fixture)
     monkeypatch.setattr(simulator, "OVERFLOW_CAP", cap)
     batch = run_batch(
-        b.model, b.phi, n=8, N=10, R=BLOCK + 40, master_seed=5_309, S=b.S,
-        constants=b.constants, ns=[6, 8],
+        b.model, b.characteristic, n=8, N=10, R=BLOCK + 40, master_seed=5_309, S=b.S,
+        constants=b.const, ns=[6, 8],
     )
     w_min = float(np.nanquantile(batch.w_hat, 0.2))
     assert batch.aborted.any() and not batch.aborted.all()
     assert (batch.usable() & ~batch.usable(w_min)).any()
     for t in (6, 8):
-        eps, ws = studentized(batch, b.constants, t=t, w_min=w_min)
-        ref_eps, ref_ws = reference_studentized(batch, b.constants, phi_index=0, t=t, w_min=w_min)
+        eps, ws = studentized(batch, b.const, t=t, w_min=w_min)
+        ref_eps, ref_ws = reference_studentized(batch, b.const, phi_index=0, t=t, w_min=w_min)
         assert eps.size and eps.tobytes() == ref_eps.tobytes()
         assert ws.tobytes() == ref_ws.tobytes()
 
 
 def test_verifier_passes_well_specified_batches(single_type):
-    c, S = single_type.constants, single_type.S
+    c, S = single_type.const, single_type.S
     passes = 0
     for seed in range(20):
         batch = synth_batch(sigma2=c.sigma_case2, m=400, seed=100 + seed)
@@ -361,7 +360,7 @@ def test_verifier_passes_well_specified_batches(single_type):
 
 
 def test_verifier_rejects_wrong_variance(single_type):
-    c, S = single_type.constants, single_type.S
+    c, S = single_type.const, single_type.S
     batch = synth_batch(sigma2=c.sigma_case2, m=600, seed=9, var_factor=2.0)
     rep = verify_dichotomy(batch, c, S)
     assert not rep.passed
@@ -369,7 +368,7 @@ def test_verifier_rejects_wrong_variance(single_type):
 
 
 def test_verifier_rejects_mean_shift(single_type):
-    c, S = single_type.constants, single_type.S
+    c, S = single_type.const, single_type.S
     batch = synth_batch(sigma2=c.sigma_case2, m=600, seed=10, mean_shift=0.3)
     rep = verify_dichotomy(batch, c, S)
     assert not rep.passed
@@ -377,7 +376,7 @@ def test_verifier_rejects_mean_shift(single_type):
 
 
 def test_verifier_rejects_w_dependence(single_type):
-    c, S = single_type.constants, single_type.S
+    c, S = single_type.const, single_type.S
     batch = synth_batch(sigma2=c.sigma_case2, m=800, seed=11, corr_with_w=0.9)
     rep = verify_dichotomy(batch, c, S)
     assert not rep.passed
@@ -385,23 +384,23 @@ def test_verifier_rejects_w_dependence(single_type):
 
 
 def test_verifier_needs_enough_survivors(single_type):
-    c, S = single_type.constants, single_type.S
+    c, S = single_type.const, single_type.S
     batch = synth_batch(sigma2=c.sigma_case2, m=30, seed=12)
     with pytest.raises(ValueError, match="usable survivors; need 50"):
         verify_dichotomy(batch, c, S)
 
 
 def test_verifier_validates_requested_case(single_type, mirror):
-    c, S = single_type.constants, single_type.S
+    c, S = single_type.const, single_type.S
     batch = synth_batch(sigma2=c.sigma_case2, m=100, seed=13)
     with pytest.raises(ValueError):
         verify_dichotomy(batch, c, S, requested_case="ii")
     with pytest.raises(ValueError):
-        verify_dichotomy(batch, mirror.constants, mirror.S, requested_case="i")
+        verify_dichotomy(batch, mirror.const, mirror.S, requested_case="i")
 
 
 def test_verifier_refuses_high_abort_rate(single_type):
-    c, S = single_type.constants, single_type.S
+    c, S = single_type.const, single_type.S
     batch = synth_batch(sigma2=c.sigma_case2, m=100, seed=14, aborted=20)
     with pytest.raises(RuntimeError):
         verify_dichotomy(batch, c, S)
@@ -416,7 +415,7 @@ def test_flatness_check_flags_trends():
 
 
 def test_verifier_fails_a_case_ii_batch_whose_variances_are_not_flat(mirror):
-    c, S = mirror.constants, mirror.S
+    c, S = mirror.const, mirror.S
     # right at the checked time n = 8, growing after it
     batch = synth_batch(n=8, ns=(8, 10, 12, 14), sigma2=c.sigma_case2, m=400, seed=16, var_trend=0.6)
     rep = verify_dichotomy(batch, c, S)
@@ -425,7 +424,7 @@ def test_verifier_fails_a_case_ii_batch_whose_variances_are_not_flat(mirror):
 
 
 def test_verifier_records_the_flatness_bootstrap_it_ran(mirror):
-    c, S = mirror.constants, mirror.S
+    c, S = mirror.const, mirror.S
     batch = synth_batch(n=8, ns=(8, 10, 12), sigma2=c.sigma_case2, m=400, seed=17)
     flat = verify_dichotomy(batch, c, S).flatness
     assert (flat["B"], flat["seed"]) == (400, stats.BOOTSTRAP_SEED)
@@ -434,9 +433,9 @@ def test_verifier_records_the_flatness_bootstrap_it_ran(mirror):
 
 def test_resampling_defaults_are_the_bootstraps_verify_runs(jordan):
     # a caller gets the bootstraps verify runs: B and the seed are module constants
-    c, S, run = jordan.constants, jordan.S, jordan.scenario.run
+    c, S, run = jordan.const, jordan.S, jordan.scn.run
     n = run["n"]
-    batch = run_batch(jordan.model, jordan.phi, n, n + run["delta"], run["replicates"], run["seed"],
+    batch = run_batch(jordan.model, jordan.characteristic, n, n + run["delta"], run["replicates"], run["seed"],
                       S=S, constants=c, ns=run["trajectory"])
     report = verify_dichotomy(batch, c, S)
     eps, _ = studentized(batch, c, t=n, w_min=W_MIN_DEFAULT)
@@ -459,12 +458,12 @@ def test_flatness_check_without_a_time_left_fails_with_no_mean():
 
 def test_studentized_at_a_time_the_batch_does_not_hold_is_empty(single_type):
     batch = synth_batch(ns=(10,), m=80, seed=21)
-    eps, ws = studentized(batch, single_type.constants, t=12, w_min=1e-3)
+    eps, ws = studentized(batch, single_type.const, t=12, w_min=1e-3)
     assert eps.shape == ws.shape == (0,)
 
 
 def test_degenerate_scale_uses_decay_branch(degenerate):
-    c = degenerate.constants
+    c = degenerate.const
     assert c.case == "degenerate"
     ns = (4, 8, 12)  # 2^{-t} drops below the 5%-of-first-value gate by t=12
     reps = []
@@ -495,7 +494,7 @@ def test_degenerate_scale_uses_decay_branch(degenerate):
 
 
 def test_complex_statistics_gate_on_scaled_real_part(single_type):
-    c, S = single_type.constants, single_type.S
+    c, S = single_type.const, single_type.S
     rng = np.random.default_rng(17)
     sigma = math.sqrt(c.sigma_case2)
     reps = []
@@ -521,27 +520,27 @@ def test_complex_statistics_gate_on_scaled_real_part(single_type):
 
 def test_lln_ratio_mode(single_type):
     batch = run_batch(
-        single_type.model, single_type.phi, n=12, N=16, R=80,
+        single_type.model, single_type.characteristic, n=12, N=16, R=80,
         master_seed=61_003, S=single_type.S,
     )
-    out = lln_check(batch, single_type.phi, single_type.model, single_type.S)
+    out = lln_check(batch, single_type.characteristic, single_type.model, single_type.S)
     assert out["mode"] == "ratio"
     assert out["passed"], out
 
 
 def test_lln_vanishing_mode(cross_feed):
     batch = run_batch(
-        cross_feed.model, cross_feed.phi, n=14, N=18, R=60,
+        cross_feed.model, cross_feed.characteristic, n=14, N=18, R=60,
         master_seed=61_004, S=cross_feed.S,
     )
-    out = lln_check(batch, cross_feed.phi, cross_feed.model, cross_feed.S)
+    out = lln_check(batch, cross_feed.characteristic, cross_feed.model, cross_feed.S)
     assert out["mode"] == "vanishing"
     assert out["passed"], out
 
 
 def test_lln_check_without_a_usable_row_is_empty(single_type):
     batch = synth_batch(m=60, seed=18, w_kind="one")  # W_hat = 1 in every row
-    out = lln_check(batch, single_type.phi, single_type.model, single_type.S, w_min=2.0)
+    out = lln_check(batch, single_type.characteristic, single_type.model, single_type.S, w_min=2.0)
     assert out["m"] == 0 and out["mode"] == "empty" and out["passed"] is False
 
 
@@ -601,7 +600,7 @@ def test_lln_weighted_sums_equal_the_per_age_loop(name):
     # random multi-age tables: base rows, coeff rows (real or complex) and a noise cell
     b = bundle(name)
     J, rng = b.model.J, np.random.default_rng(sum(map(ord, name)))
-    batch = run_batch(b.model, b.phi, n=4, N=6, R=16, master_seed=1, S=b.S)
+    batch = run_batch(b.model, b.characteristic, n=4, N=6, R=16, master_seed=1, S=b.S)
     for _ in range(20):
         ages = rng.choice(np.arange(-40, 41), size=int(rng.integers(1, 12)), replace=False).tolist()
         rows = [rng.normal(size=J) + 1j * rng.normal(size=J) * rng.integers(0, 2) for _ in ages]
