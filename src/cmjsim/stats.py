@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -60,6 +61,9 @@ FLAT_Q = 100 * (1 - 0.99) / 2  # lower percentile of the 99% flatness CIs; not 0
 # and trim thresholds, so they reuse heap pages; blocks of 1 << 15 values
 # fault ~1,500 fresh pages per call inside a batch loop
 _BLOCK_ITEMS = 16_000
+# the leading index rows of (BOOTSTRAP_SEED, m) kept across calls: at most
+# this many bytes of whole rows, for one key
+_INDEX_BYTES = 1 << 20
 
 
 def normal_cdf(x: float) -> float:
@@ -100,32 +104,99 @@ def ks_test(sample) -> tuple[float, float]:
     m = sample.shape[0]
     if m < MIN_SAMPLE:
         raise ValueError(f"KS test needs at least {MIN_SAMPLE} points, got {m}")
+    if not np.isfinite(sample).all():
+        raise ValueError("KS test needs finite values")
     D = ks_statistic(sample)
     return D, ks_pvalue(D, m)
 
 
 def bootstrap_variance_se(sample) -> float:
     """Standard error of the sample variance by nonparametric bootstrap:
-    ``BOOTSTRAP_B`` resamples drawn from ``BOOTSTRAP_SEED``."""
-    rng = np.random.Generator(np.random.PCG64(BOOTSTRAP_SEED))
-    return float(_resampled_variances(np.asarray(sample, dtype=float), rng, BOOTSTRAP_B).std(ddof=1))
+    ``BOOTSTRAP_B`` resamples, index rows ``[0, BOOTSTRAP_B)`` of the
+    ``BOOTSTRAP_SEED`` stream."""
+    xs = np.asarray(sample, dtype=float)
+    m = xs.shape[0]
+    if m < 2:
+        raise ValueError(f"bootstrap variance needs at least 2 values, got {m}")
+    (boot,) = _resampled_variances(m, [(xs, 0, BOOTSTRAP_B)])
+    return float(boot.std(ddof=1))
 
 
-def _resampled_variances(xs: np.ndarray, rng: np.random.Generator, B: int) -> np.ndarray:
-    """Sample variances (ddof=1) of B resamples of ``xs`` with replacement.
+class _IndexStream:
+    """Rows of ``integers(0, m, size=(rows, m))`` from ``PCG64(seed)``: the
+    leading ``kept`` rows in a read-only buffer of whole rows (``uint16``, or
+    ``uint32`` above m = 65,536; at most ``_INDEX_BYTES``), and the generator
+    state just after them, from which every later row is drawn."""
 
-    The rows are drawn and reduced a block at a time, yet the result has the
-    bits of one ``(B, m)`` index matrix: PCG64 keeps its spare 32-bit half in
-    the generator's state, so bounded draws below 2**32 do not depend on how
+    def __init__(self, seed: int, m: int):
+        self.key = (seed, m)
+        dtype = np.dtype(np.uint16 if m <= 1 << 16 else np.uint32)
+        self._buf = np.empty((_INDEX_BYTES // (m * dtype.itemsize), m), dtype)
+        self.rows = self._buf.view()
+        self.rows.flags.writeable = False
+        self.kept = 0
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.state = self.rng.bit_generator.state
+
+    def blocks(self, hi: int, step: int):
+        """``(a, rows a..a+len-1)`` over rows ``[0, hi)``, in ``intp`` blocks
+        of at most ``step`` rows: kept rows are copied, later ones drawn from
+        the saved state, and kept while the buffer has room."""
+        m, cap = self.key[1], self.rows.shape[0]
+        buf = np.empty((min(step, hi), m), np.intp)
+        if hi > self.kept:
+            self.rng.bit_generator.state = self.state
+        a = 0
+        while a < hi:
+            if a < self.kept:
+                b = min(a + step, hi, self.kept)
+                block = buf[: b - a]
+                block[...] = self.rows[a:b]
+            else:
+                # a drawn block stops at the buffer's end, so the state saved
+                # is the one just after the last kept row
+                b = min(a + step, hi, cap if a < cap else hi)
+                block = self.rng.integers(0, m, size=(b - a, m))
+                if a < cap:
+                    self._buf[a:b] = block
+                    self.kept, self.state = b, self.rng.bit_generator.state
+            yield a, block
+            a = b
+
+
+_stream: _IndexStream | None = None
+_stream_lock = threading.Lock()  # one caller at a time walks the stream and its generator
+
+
+def _resampled_variances(m: int, reads) -> list[np.ndarray]:
+    """Sample variances (ddof=1) of resamples with replacement: for each
+    ``(xs, lo, hi)`` of ``reads`` (each ``xs`` of length m), the variance of
+    ``xs[row]`` for index rows lo..hi-1 of the ``BOOTSTRAP_SEED`` stream at m.
+
+    The stream's rows are those of one ``(hi, m)`` draw from
+    ``PCG64(BOOTSTRAP_SEED)``.  They are walked once from row 0 for all
+    reads, a block at a time; the leading ones are kept for the next call
+    at the same ``(BOOTSTRAP_SEED, m)``, and the rest are drawn from the
+    generator state saved after them.  The bits are those of the one draw: PCG64 keeps its
+    spare 32-bit half in the generator's state, ``bit_generator.state``
+    carries that half, so bounded draws below 2**32 do not depend on how
     they are split, and ``var(axis=1)`` reduces each row on its own.
     """
-    m = xs.shape[0]
-    rows = max(1, _BLOCK_ITEMS // m)
-    out = np.empty(B)
-    for lo in range(0, B, rows):
-        hi = min(lo + rows, B)
-        out[lo:hi] = xs[rng.integers(0, m, size=(hi - lo, m))].var(axis=1, ddof=1)
-    return out
+    global _stream
+    if any(xs.shape[0] != m for xs, _, _ in reads):
+        raise ValueError(f"every resampled sample must have {m} values")
+    outs = [np.empty(hi - lo) for _, lo, hi in reads]
+    with _stream_lock:
+        if _stream is None or _stream.key != (BOOTSTRAP_SEED, m):
+            _stream = None  # the old key's rows go before the new ones are kept
+            _stream = _IndexStream(BOOTSTRAP_SEED, m)
+        for a, block in _stream.blocks(max(hi for _, _, hi in reads), max(1, _BLOCK_ITEMS // m)):
+            b = a + block.shape[0]
+            for (xs, r_lo, r_hi), out in zip(reads, outs):
+                s, e = max(a, r_lo), min(b, r_hi)
+                if s < e:
+                    out[s - r_lo : e - r_lo] = xs[block[s - a : e - a]].var(axis=1, ddof=1)
+    return outs
 
 
 def fisher_corr_z(x, y) -> tuple[float, float, float]:
@@ -135,6 +206,8 @@ def fisher_corr_z(x, y) -> tuple[float, float, float]:
     m = x.shape[0]
     if m < 4:
         raise ValueError("correlation test needs at least 4 points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("correlation test needs finite values")
     z_crit = Z_99 / math.sqrt(m - 3)
     sx = x.std(ddof=0)
     sy = y.std(ddof=0)
@@ -368,23 +441,25 @@ def lln_check(
 def flatness_check(batch, *, w_min: float = W_MIN_DEFAULT) -> dict:
     """Bootstrap CIs of Var[T_t] per requested time must all cover their
     precision-weighted mean: under the correct normalization the profile is
-    flat in t.  Each time resamples ``FLAT_B`` times, all from one generator
-    seeded with ``BOOTSTRAP_SEED``."""
-    rng = np.random.Generator(np.random.PCG64(BOOTSTRAP_SEED))
-    rows = []
+    flat in t.  The k-th time with at least 10 values resamples ``FLAT_B``
+    times, index rows ``[k FLAT_B, (k+1) FLAT_B)`` of the ``BOOTSTRAP_SEED``
+    stream."""
+    cols = []
     for t in batch.ns:
         vals = _usable_column(batch, batch.T, t, w_min)[0].real
-        if vals.shape[0] < 10:
-            continue
-        boot = _resampled_variances(vals, rng, FLAT_B)
-        rows.append(
-            {
-                "t": int(t),
-                "var": float(vals.var(ddof=1)),
-                "ci": [_percentile(boot, FLAT_Q), _percentile(boot, 100 - FLAT_Q)],
-                "se": float(boot.std(ddof=1)),
-            }
-        )
+        if vals.shape[0] >= 10:
+            cols.append((int(t), vals))
+    reads = [(vals, k * FLAT_B, (k + 1) * FLAT_B) for k, (_, vals) in enumerate(cols)]
+    boots = _resampled_variances(cols[0][1].shape[0], reads) if cols else []
+    rows = [
+        {
+            "t": t,
+            "var": float(vals.var(ddof=1)),
+            "ci": [_percentile(boot, FLAT_Q), _percentile(boot, 100 - FLAT_Q)],
+            "se": float(boot.std(ddof=1)),
+        }
+        for (t, vals), boot in zip(cols, boots)
+    ]
     out = {"rows": rows, "B": FLAT_B, "seed": BOOTSTRAP_SEED}
     if not rows:
         return {**out, "passed": False, "weighted_mean": None}

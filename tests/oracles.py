@@ -249,8 +249,9 @@ def per_point_ks_statistic(sample) -> float:
 
 def one_shot_resampled_variances(xs: np.ndarray, rng: np.random.Generator, B: int) -> np.ndarray:
     """Sample variances (ddof=1) of B resamples of ``xs``, drawn as one
-    ``(B, m)`` index matrix: the form the blocked kernel
-    ``cmjsim.stats._resampled_variances`` must equal bit for bit."""
+    ``(B, m)`` index matrix: rows lo..hi-1 of ``cmjsim.stats._resampled_variances``,
+    kept or drawn a block at a time, must equal rows lo..hi-1 of this one
+    with ``B = hi``, bit for bit."""
     m = xs.shape[0]
     return xs[rng.integers(0, m, size=(B, m))].var(axis=1, ddof=1)
 

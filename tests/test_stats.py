@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -92,6 +94,18 @@ def test_ks_test_needs_fifty_points():
         ks_test(np.zeros(49))
 
 
+@pytest.mark.parametrize(
+    "gate",
+    [lambda: ks_test([math.nan] * 60), lambda: fisher_corr_z([math.nan] * 10, range(10))],
+    ids=["ks_test", "fisher_corr_z"],
+)
+def test_gates_refuse_non_finite_values(gate):
+    # a NaN correlation used to clamp to r = 0.999999999, and a NaN KS sample
+    # to D = nan with p = 0
+    with pytest.raises(ValueError, match="finite values"):
+        gate()
+
+
 def test_ks_matches_scipy_on_random_samples():
     rng = np.random.default_rng(808)
     for _ in range(10):
@@ -128,7 +142,13 @@ def test_bootstrap_variance_se_scale(monkeypatch):
     assert bootstrap_variance_se(xs) == se  # seeded determinism
 
 
-# -- the blocked resample against the one-shot (B, m) draw ----------------------
+@pytest.mark.parametrize("sample", [[], [1.0]], ids=["empty", "one"])
+def test_bootstrap_variance_se_needs_two_values(sample):
+    with pytest.raises(ValueError, match=f"at least 2 values, got {len(sample)}"):
+        bootstrap_variance_se(sample)
+
+
+# -- the kept, blocked resample stream against the one-shot (B, m) draw --------
 
 # around one row per block (16,000 values) and around 2**15
 _SIZES = (50, 51, 999, 1000, 1001, 15999, 16000, 16001, 32767, 32768, 32769, 70001)
@@ -154,22 +174,89 @@ def test_bootstrap_variance_se_equals_one_shot_oracle(m, B, monkeypatch):
     assert bootstrap_variance_se(xs) == ref
 
 
+def _kept_rows(m: int) -> int:
+    """Whole index rows of m values that fit the kept stream."""
+    return stats._INDEX_BYTES // (m * (2 if m <= 1 << 16 else 4))
+
+
+def _row(m: int, r) -> int:
+    """Row r, or for ``("kept", d)`` the row d past the kept stream's end."""
+    return r if isinstance(r, int) else _kept_rows(m) + r[1]
+
+
+K = "kept"
+
+
 @pytest.mark.parametrize(
     "draws",
     [
-        ((1000, 500), (51, 7), (32769, 7)),
-        ((999, 400), (999, 400), (999, 400)),
-        ((70001, 2), (50, 500), (1001, 500)),
-        ((32767, 7), (32768, 2), (1000, 400)),
-        ((16000, 7), (15999, 2), (16001, 7)),
+        # (m, lo, hi): warm reads of one m, then cold ones; at m = 1000 the
+        # kept 524 rows end mid-block (16 rows a block)
+        ((1000, 0, 500), (1000, 0, 400), (1000, 400, 800), (1000, 0, 800), (51, 0, 7), (32769, 0, 7)),
+        ((999, 0, 3), (999, (K, -1), (K, 2)), (999, 0, 400), (999, 400, 800)),
+        ((70001, 0, 2), (50, 0, 500), (1001, 0, 500), (1001, (K, -2), (K, 1)), (70001, 1, 5)),
+        ((32767, 0, 7), (32768, 0, 2), (32768, (K, -1), (K, 3)), (65536, 0, (K, 1)), (65537, (K, -1), (K, 2))),
+        ((16000, 0, 7), (15999, 0, (K, 3)), (15999, (K, -1), (K, 1)), (16001, 0, 7), (16001, 3, (K, 5))),
     ],
 )
-def test_sequential_resamples_from_one_generator_equal_one_shot_oracle(draws):
-    ours, ref = _pcg(77_201), _pcg(77_201)
-    for m, B in draws:
+def test_sequential_resamples_from_one_generator_equal_one_shot_oracle(draws, monkeypatch):
+    # rows [lo, hi) of the stream are rows lo..hi-1 of one (hi, m) draw, cold
+    # or warm, across the kept/drawn boundary, and with odd m * rows, where
+    # the generator's spare 32-bit half carries over
+    monkeypatch.setattr(stats, "_stream", None)
+    monkeypatch.setattr(stats, "BOOTSTRAP_SEED", 77_201)
+    for m, lo, hi in draws:
+        lo, hi = _row(m, lo), _row(m, hi)
         xs = np.random.default_rng(m).standard_normal(m)
-        got = _resampled_variances(xs, ours, B)
-        assert got.tobytes() == one_shot_resampled_variances(xs, ref, B).tobytes()
+        warm = stats._stream is not None and stats._stream.key == (77_201, m)
+        before = stats._stream.kept if warm else 0
+        (got,) = _resampled_variances(m, [(xs, lo, hi)])
+        ref = one_shot_resampled_variances(xs, _pcg(77_201), hi)[lo:]
+        assert got.tobytes() == ref.tobytes(), (m, lo, hi)
+        kept = stats._stream.kept
+        assert kept == min(max(before, hi), _kept_rows(m))
+        draw = _pcg(77_201).integers(0, m, size=(kept, m))
+        assert np.array_equal(stats._stream.rows[:kept], draw), (m, lo, hi)
+
+
+def test_kept_stream_is_read_under_its_own_seed_only(monkeypatch):
+    # one m under two seeds: a call never reads the other seed's kept rows
+    monkeypatch.setattr(stats, "_stream", None)
+    xs = np.random.default_rng(3).standard_normal(1000)
+    for seed in (5, 6, 5):
+        monkeypatch.setattr(stats, "BOOTSTRAP_SEED", seed)
+        (got,) = _resampled_variances(1000, [(xs, 0, 30)])
+        assert got.tobytes() == one_shot_resampled_variances(xs, _pcg(seed), 30).tobytes()
+    with pytest.raises(ValueError, match="1000 values"):
+        _resampled_variances(1000, [(xs, 0, 3), (xs[:999], 3, 6)])
+
+
+def test_threads_sharing_the_kept_stream_read_their_own_rows(monkeypatch):
+    # more threads than cores, alternating two m, switching every microsecond:
+    # a lost update to the stream or its generator would move some result
+    monkeypatch.setattr(stats, "_stream", None)
+    samples = {m: np.random.default_rng(m).standard_normal(m) for m in (999, 1000)}
+    refs = {m: one_shot_resampled_variances(xs, _pcg(stats.BOOTSTRAP_SEED), 600) for m, xs in samples.items()}
+    bad = []
+
+    def work(k):
+        for i in range(12):
+            m = (999, 1000)[(k + i) % 2]
+            (got,) = _resampled_variances(m, [(samples[m], 0, 600)])
+            bad.extend([] if got.tobytes() == refs[m].tobytes() else [(k, i)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert bad == []
 
 
 @pytest.mark.parametrize("m", [50, 51, 999, 1000, 1001])
@@ -191,16 +278,26 @@ def test_flatness_check_equals_one_shot_oracle(m, B, monkeypatch):
         assert row["ci"] == [float(np.percentile(boot, lo_q)), float(np.percentile(boot, 100 - lo_q))]
 
 
-def test_bootstrap_resamples_in_cache_sized_blocks():
-    xs = np.random.default_rng(8).standard_normal(1000)
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        bootstrap_variance_se(xs)  # BOOTSTRAP_B = 500
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one (500, 1000) draw makes four 4 MB temporaries and peaks at ~12 MB
-    assert peak < 1 << 20, peak
+
+
+def test_bootstrap_resamples_in_cache_sized_blocks(monkeypatch):
+    monkeypatch.setattr(stats, "_stream", None)
+    xs = np.random.default_rng(8).standard_normal(1000)
+    cold = _traced_peak(lambda: bootstrap_variance_se(xs))  # BOOTSTRAP_B = 500
+    kept = stats._stream.rows.nbytes
+    assert kept <= stats._INDEX_BYTES, kept
+    # one (500, 1000) draw makes four 4 MB temporaries and peaks at ~12 MB;
+    # besides the kept rows, a call allocates under 1 MiB, cold or warm
+    assert cold - kept < 1 << 20, (cold, kept)
+    warm = _traced_peak(lambda: bootstrap_variance_se(xs))
+    assert warm < 1 << 20, warm
 
 
 # -- the sort-based median ----------------------------------------------------
