@@ -277,7 +277,7 @@ def assumption_sums(phi: Characteristic, S: SpectralData, model: BranchingModel)
             # |E phi(k)| row by row as np.linalg.norm forms it: vecdot makes the same
             # strided dot call per row, so the sum equals a per-key norm bit for bit
             mean = _row_norms(means, np.sqrt(np.vecdot(means.real, means.real) + np.vecdot(means.imag, means.imag)))
-        sums["mean_weighted_sum"] = float(np.sum(power_scaled(mean, S.rho, ks) + power_scaled(mean, S.theta, ks)))
+            sums["mean_weighted_sum"] = float(np.sum(power_scaled(mean, S.rho, ks) + power_scaled(mean, S.theta, ks)))
     if not phi.is_deterministic:
         var = power_scaled(noise_var, S.rho, ks) if phi.noise else np.zeros(noise_var.shape)
         if phi.coeff:

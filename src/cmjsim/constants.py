@@ -203,7 +203,8 @@ def compute_sigma_star2(a: np.ndarray, S: SpectralData, model: BranchingModel) -
     Perron component does not vanish."""
     a = np.asarray(a, dtype=complex).reshape(-1)
     au = complex(a @ S.u.astype(complex))
-    scale = max(1.0, float(np.linalg.norm(a)) * float(np.linalg.norm(S.u)))
+    # |a| by hypot, as np.linalg.norm squares a row like [1e300] to inf
+    scale = max(1.0, float(np.hypot.reduce(np.abs(a))) * float(np.linalg.norm(S.u)))
     if abs(au) > 1e-10 * scale:
         raise ValueError(
             f"sigma_star2 requires a Perron-orthogonal row (|a.u| = {abs(au):.3e})"

@@ -9,7 +9,7 @@ then applies fixed, pre-registered checks:
   alternating partial sums oscillate, so the last two are averaged, which is
   exact in the limit and keeps p monotone);
 * first/second-moment bands sized by the sample: |mean| < 3/sqrt(m),
-  |var - 1| < 5 bootstrap standard errors;
+  |var - 1| < 5 bootstrap standard errors, in closed form;
 * independence of the squared statistic from the martingale estimate via the
   Fisher z transform of their correlation (99% two-sided).
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -50,20 +49,8 @@ KS_P_MIN = 0.01
 W_MIN_DEFAULT = _RUN_DEFAULTS["w_min"]  # a scenario's run.w_min when it names none
 ABORT_RATE_MAX = 0.10
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile, Phi^{-1}(0.995)
-BOOTSTRAP_B = 500
-BOOTSTRAP_SEED = 2024_017
-FLAT_B = 400  # flatness bootstrap resamples per time
 LLN_BAND = (0.95, 1.05)
 LLN_ZERO_TOL = 0.05
-FLAT_Q = 100 * (1 - 0.99) / 2  # lower percentile of the 99% flatness CIs; not 0.5's bits
-# resampled values drawn and reduced per block: the block's index, gather and
-# deviation arrays (8 bytes a value) stay under 128 KiB, glibc's default mmap
-# and trim thresholds, so they reuse heap pages; blocks of 1 << 15 values
-# fault ~1,500 fresh pages per call inside a batch loop
-_BLOCK_ITEMS = 16_000
-# the leading index rows of (BOOTSTRAP_SEED, m) kept across calls: at most
-# this many bytes of whole rows, for one key
-_INDEX_BYTES = 1 << 20
 
 
 def normal_cdf(x: float) -> float:
@@ -111,92 +98,25 @@ def ks_test(sample) -> tuple[float, float]:
 
 
 def bootstrap_variance_se(sample) -> float:
-    """Standard error of the sample variance by nonparametric bootstrap:
-    ``BOOTSTRAP_B`` resamples, index rows ``[0, BOOTSTRAP_B)`` of the
-    ``BOOTSTRAP_SEED`` stream."""
+    """Standard error of the sample variance under resampling with
+    replacement, the B = infinity limit of its bootstrap (Cramer 1946,
+    27.4): sqrt(m4/m - m2^2 (m - 3)/(m (m - 1))), from the sample's central
+    moments m2 and m4 (divisor m).  It is summed as
+    ``mean((d^2 - m2)^2)/m + 2 m2^2/(m (m - 1))``, the same value with no
+    term that cancels, over deviations d scaled by a power of two to below
+    1: exact, so d^4 cannot overflow where the sample variance is finite."""
     xs = np.asarray(sample, dtype=float)
     m = xs.shape[0]
     if m < 2:
         raise ValueError(f"bootstrap variance needs at least 2 values, got {m}")
-    (boot,) = _resampled_variances(m, [(xs, 0, BOOTSTRAP_B)])
-    return float(boot.std(ddof=1))
-
-
-class _IndexStream:
-    """Rows of ``integers(0, m, size=(rows, m))`` from ``PCG64(seed)``: the
-    leading ``kept`` rows in a read-only buffer of whole rows (``uint16``, or
-    ``uint32`` above m = 65,536; at most ``_INDEX_BYTES``), and the generator
-    state just after them, from which every later row is drawn."""
-
-    def __init__(self, seed: int, m: int):
-        self.key = (seed, m)
-        dtype = np.dtype(np.uint16 if m <= 1 << 16 else np.uint32)
-        self._buf = np.empty((_INDEX_BYTES // (m * dtype.itemsize), m), dtype)
-        self.rows = self._buf.view()
-        self.rows.flags.writeable = False
-        self.kept = 0
-        self.rng = np.random.Generator(np.random.PCG64(seed))
-        self.state = self.rng.bit_generator.state
-
-    def blocks(self, hi: int, step: int):
-        """``(a, rows a..a+len-1)`` over rows ``[0, hi)``, in ``intp`` blocks
-        of at most ``step`` rows: kept rows are copied, later ones drawn from
-        the saved state, and kept while the buffer has room."""
-        m, cap = self.key[1], self.rows.shape[0]
-        buf = np.empty((min(step, hi), m), np.intp)
-        if hi > self.kept:
-            self.rng.bit_generator.state = self.state
-        a = 0
-        while a < hi:
-            if a < self.kept:
-                b = min(a + step, hi, self.kept)
-                block = buf[: b - a]
-                block[...] = self.rows[a:b]
-            else:
-                # a drawn block stops at the buffer's end, so the state saved
-                # is the one just after the last kept row
-                b = min(a + step, hi, cap if a < cap else hi)
-                block = self.rng.integers(0, m, size=(b - a, m))
-                if a < cap:
-                    self._buf[a:b] = block
-                    self.kept, self.state = b, self.rng.bit_generator.state
-            yield a, block
-            a = b
-
-
-_stream: _IndexStream | None = None
-_stream_lock = threading.Lock()  # one caller at a time walks the stream and its generator
-
-
-def _resampled_variances(m: int, reads) -> list[np.ndarray]:
-    """Sample variances (ddof=1) of resamples with replacement: for each
-    ``(xs, lo, hi)`` of ``reads`` (each ``xs`` of length m), the variance of
-    ``xs[row]`` for index rows lo..hi-1 of the ``BOOTSTRAP_SEED`` stream at m.
-
-    The stream's rows are those of one ``(hi, m)`` draw from
-    ``PCG64(BOOTSTRAP_SEED)``.  They are walked once from row 0 for all
-    reads, a block at a time; the leading ones are kept for the next call
-    at the same ``(BOOTSTRAP_SEED, m)``, and the rest are drawn from the
-    generator state saved after them.  The bits are those of the one draw: PCG64 keeps its
-    spare 32-bit half in the generator's state, ``bit_generator.state``
-    carries that half, so bounded draws below 2**32 do not depend on how
-    they are split, and ``var(axis=1)`` reduces each row on its own.
-    """
-    global _stream
-    if any(xs.shape[0] != m for xs, _, _ in reads):
-        raise ValueError(f"every resampled sample must have {m} values")
-    outs = [np.empty(hi - lo) for _, lo, hi in reads]
-    with _stream_lock:
-        if _stream is None or _stream.key != (BOOTSTRAP_SEED, m):
-            _stream = None  # the old key's rows go before the new ones are kept
-            _stream = _IndexStream(BOOTSTRAP_SEED, m)
-        for a, block in _stream.blocks(max(hi for _, _, hi in reads), max(1, _BLOCK_ITEMS // m)):
-            b = a + block.shape[0]
-            for (xs, r_lo, r_hi), out in zip(reads, outs):
-                s, e = max(a, r_lo), min(b, r_hi)
-                if s < e:
-                    out[s - r_lo : e - r_lo] = xs[block[s - a : e - a]].var(axis=1, ddof=1)
-    return outs
+    d = xs - xs[0]  # a constant sample deviates by exactly 0
+    d -= d.mean()
+    e = math.frexp(float(np.max(np.abs(d))))[1]
+    d2 = np.square(np.ldexp(d, -e))
+    m2 = float(d2.mean())
+    var = float(np.square(d2 - m2).mean()) / m + 2.0 * m2 * m2 / (m * (m - 1))
+    with np.errstate(over="ignore"):  # inf only where the sample variance is too
+        return float(np.ldexp(math.sqrt(var), 2 * e))
 
 
 def fisher_corr_z(x, y) -> tuple[float, float, float]:
@@ -337,8 +257,7 @@ def verify_dichotomy(
         ("var_tol", var_tol, var_dev < var_tol, f"|var-1| {var_dev:.4g} >= {var_tol:.4g}"),
         ("corr_z_crit", z_crit, covers, f"corr(eps^2, W_hat) z {corr_z:.4g} >= {z_crit:.4g}"),
     )
-    thresholds = {"w_min": w_min, "min_sample": MIN_SAMPLE, "bootstrap_B": BOOTSTRAP_B,
-                  "bootstrap_seed": BOOTSTRAP_SEED, **{key: value for key, value, _, _ in gates}}
+    thresholds = {"w_min": w_min, "min_sample": MIN_SAMPLE, **{key: value for key, value, _, _ in gates}}
     reasons = [reason for _, _, passed, reason in gates if not passed]
 
     flatness = None
@@ -439,35 +358,23 @@ def lln_check(
 
 
 def flatness_check(batch, *, w_min: float = W_MIN_DEFAULT) -> dict:
-    """Bootstrap CIs of Var[T_t] per requested time must all cover their
-    precision-weighted mean: under the correct normalization the profile is
-    flat in t.  The k-th time with at least 10 values resamples ``FLAT_B``
-    times, index rows ``[k FLAT_B, (k+1) FLAT_B)`` of the ``BOOTSTRAP_SEED``
-    stream."""
-    cols = []
+    """Per requested time with at least 10 values, the 99% CI
+    var +- Z_99 se of Var[T_t], with se from ``bootstrap_variance_se``, must
+    cover the precision-weighted mean of the variances: under the correct
+    normalization the profile is flat in t."""
+    rows = []
     for t in batch.ns:
         vals = _usable_column(batch, batch.T, t, w_min)[0].real
         if vals.shape[0] >= 10:
-            cols.append((int(t), vals))
-    reads = [(vals, k * FLAT_B, (k + 1) * FLAT_B) for k, (_, vals) in enumerate(cols)]
-    boots = _resampled_variances(cols[0][1].shape[0], reads) if cols else []
-    rows = [
-        {
-            "t": t,
-            "var": float(vals.var(ddof=1)),
-            "ci": [_percentile(boot, FLAT_Q), _percentile(boot, 100 - FLAT_Q)],
-            "se": float(boot.std(ddof=1)),
-        }
-        for (t, vals), boot in zip(cols, boots)
-    ]
-    out = {"rows": rows, "B": FLAT_B, "seed": BOOTSTRAP_SEED}
+            var, se = float(vals.var(ddof=1)), bootstrap_variance_se(vals)
+            rows.append({"t": int(t), "var": var, "ci": [var - Z_99 * se, var + Z_99 * se], "se": se})
     if not rows:
-        return {**out, "passed": False, "weighted_mean": None}
+        return {"rows": rows, "weighted_mean": None, "passed": False}
     weights = np.array([1.0 / max(r["se"], 1e-12) ** 2 for r in rows])
     values = np.array([r["var"] for r in rows])
     wmean = float((weights * values).sum() / weights.sum())
     passed = all(r["ci"][0] <= wmean <= r["ci"][1] for r in rows)
-    return {**out, "weighted_mean": wmean, "passed": bool(passed)}
+    return {"rows": rows, "weighted_mean": wmean, "passed": bool(passed)}
 
 
 def _median(xs: np.ndarray) -> float:
@@ -479,18 +386,6 @@ def _median(xs: np.ndarray) -> float:
     # +0.0, so an all -0.0 middle gives +0.0)
     mid = s[k : k + 1] if s.shape[0] % 2 else s[k - 1 : k + 1]
     return float("nan") if np.isnan(s[-1]) else float(mid.mean())
-
-
-def _percentile(xs: np.ndarray, q: float) -> float:
-    """``np.percentile(xs, q)`` of a 1-d array of finite floats, by sorting
-    and without its ``numpy.ma`` import: numpy's "linear" rule, interpolated
-    from the nearer end as its ``_lerp`` rounds it."""
-    s = np.sort(xs)
-    vi = (s.shape[0] - 1) * (q / 100)
-    i = math.floor(vi)
-    gamma = vi - i
-    a, b = float(s[i]), float(s[min(i + 1, s.shape[0] - 1)])
-    return a + (b - a) * gamma if gamma < 0.5 else b - (b - a) * (1 - gamma)
 
 
 def _real_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:

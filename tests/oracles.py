@@ -3,8 +3,9 @@
 Everything in this module is deliberately written the *slow, obvious* way:
 exact rational first/second moment recursions, per-individual replay of the
 multinomial cells that the block-by-block simulator below records, a
-reference KS tail from scipy, the one-shot bootstrap resample that the
-blocked one must equal, the
+reference KS tail from scipy, the one-shot Monte Carlo bootstrap, the
+bootstrap variance of a sample variance over every resample and its closed
+form in exact rationals, the
 replicate-by-replicate studentization that the columnar one must equal,
 LAPACK's ordered-Schur spectral projector that the deflation one must equal,
 the one-set deflation and norm-probed Jordan index that the stacked
@@ -249,11 +250,42 @@ def per_point_ks_statistic(sample) -> float:
 
 def one_shot_resampled_variances(xs: np.ndarray, rng: np.random.Generator, B: int) -> np.ndarray:
     """Sample variances (ddof=1) of B resamples of ``xs``, drawn as one
-    ``(B, m)`` index matrix: rows lo..hi-1 of ``cmjsim.stats._resampled_variances``,
-    kept or drawn a block at a time, must equal rows lo..hi-1 of this one
-    with ``B = hi``, bit for bit."""
+    ``(B, m)`` index matrix: the Monte Carlo bootstrap whose B = infinity
+    limit ``cmjsim.stats.bootstrap_variance_se`` computes in closed form."""
     m = xs.shape[0]
     return xs[rng.integers(0, m, size=(B, m))].var(axis=1, ddof=1)
+
+
+def enumerated_bootstrap_variance(sample) -> Fraction:
+    """Var* of the sample variance (ddof=1) over all m**m equally likely
+    resamples with replacement of ``sample``, in exact rationals.  Each
+    multiset of indices is taken once, weighted by the number of ordered
+    resamples that draw it; the weights add up to m**m."""
+    xs = [Fraction(x) for x in sample]
+    m = len(xs)
+    n = total = total2 = 0
+    for idx in itertools.combinations_with_replacement(range(m), m):
+        count = math.factorial(m)
+        for k in set(idx):
+            count //= math.factorial(idx.count(k))
+        r = [xs[i] for i in idx]
+        mean = sum(r, Fraction(0)) / m
+        s2 = sum((x - mean) ** 2 for x in r) / (m - 1)
+        n, total, total2 = n + count, total + count * s2, total2 + count * s2 * s2
+    assert n == m**m
+    return Fraction(total2, n) - Fraction(total, n) ** 2
+
+
+def cramer_bootstrap_variance(sample) -> Fraction:
+    """m4/m - m2^2 (m - 3)/(m (m - 1)) in exact rationals, with m2 and m4 the
+    central moments (divisor m) of ``sample``: the variance of a sample
+    variance (ddof=1) of m draws from a law with those moments."""
+    xs = [Fraction(x) for x in sample]
+    m = len(xs)
+    mu = sum(xs, Fraction(0)) / m
+    m2 = sum((x - mu) ** 2 for x in xs) / m
+    m4 = sum((x - mu) ** 4 for x in xs) / m
+    return m4 / m - m2 * m2 * (m - 3) / (m * (m - 1))
 
 
 def reference_studentized(batch, constants, *, phi_index: int, t: int, w_min: float):

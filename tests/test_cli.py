@@ -15,6 +15,7 @@ to see which modules a run imports.  Exit-code contract under test:
 import dataclasses
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from cmjsim.cli import EXIT_ASSUMPTION, EXIT_OK, EXIT_STAT_FAIL, EXIT_USAGE, mai
 from cmjsim.presets import PRESETS, preset
 from cmjsim.scenario import load_scenario, save_scenario, scenario_from_dict
 from cmjsim.spectral import EigenCluster
+from cmjsim.stats import Z_99
 
 from conftest import load_repo_module
 
@@ -220,6 +222,24 @@ def test_a_noise_variance_whose_square_overflows_gets_finite_assumption_sums(tmp
     assert rc == EXIT_OK and not err
     sums = strict_json(out)["constants"]["notes"]["assumption_sums"]
     assert sums["variance_weighted_sum"] == pytest.approx(2.5e299, rel=1e-15)
+
+
+def test_a_mean_weighted_sum_outside_float64_is_reported_without_a_warning(tmp_path, capsys):
+    # a one-type law of always one child (rho = theta = 1) counted by base
+    # rows 1e308 and -2: the sum of the rho- and theta-weighted norms
+    # overflows, and once warned on stderr before the report
+    d = {"schema": 1, "model": {"types": 1, "initial_type": 1, "offspring": {1: [{"p": "1", "counts": [1]}]}},
+         "characteristic": {"kind": "custom", "base": {0: ["1e308"], 4: ["-2"]}},
+         "run": {"n": 4, "replicates": 60, "seed": 1}}
+    path = write_yaml(tmp_path, "huge_mean.yaml", d)
+    runs = []
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            runs.append(run_cli(["constants", "--scenario", path], capsys))
+    (rc, out, err), ignored = runs
+    assert (rc, err) == (EXIT_ASSUMPTION, "") and runs[0] == ignored
+    assert json.loads(out)["constants"]["notes"]["assumption_sums"]["mean_weighted_sum"] == math.inf
 
 
 def _too_large_for_a_float(d, where):
@@ -736,8 +756,11 @@ def test_verify_reports_the_flatness_bootstrap_it_ran(capsys):
     # jordan_critical is case ii over several times: its flatness gate runs
     _, out, _ = run_cli(["verify", "--scenario", "jordan_critical"], capsys)
     v = strict_json(out)["verification"]
-    assert v["thresholds"]["bootstrap_B"] == 500  # the variance gate's bootstrap
-    assert (v["flatness"]["B"], v["flatness"]["seed"]) == (400, v["thresholds"]["bootstrap_seed"])
+    # both bootstraps are in closed form: no resample count or seed to report
+    assert not {"bootstrap_B", "bootstrap_seed"} & set(v["thresholds"])
+    assert set(v["flatness"]) == {"rows", "weighted_mean", "passed"} and v["flatness"]["passed"]
+    for row in v["flatness"]["rows"]:
+        assert row["ci"] == [row["var"] - Z_99 * row["se"], row["var"] + Z_99 * row["se"]]
 
 
 @pytest.mark.parametrize("trajectory, delta", [([16], 6), ([16], 12), ([14, 15], 30)])

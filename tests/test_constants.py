@@ -232,6 +232,14 @@ def test_sigma_star_rejects_radius_aligned_rows(single_type):
         compute_sigma_star2(np.array([1.0]), single_type.S, single_type.model)
 
 
+def test_sigma_star_rejects_a_radius_aligned_row_whose_square_overflows(single_type, recwarn):
+    # |a|^2 of [1e300] leaves float64: a tolerance scaled by it once passed
+    # the row on, to (inf, nan) with an overflow warning
+    with pytest.raises(ValueError, match="requires a Perron-orthogonal row"):
+        compute_sigma_star2(np.array([1e300]), single_type.S, single_type.model)
+    assert not recwarn.list
+
+
 def test_sigma_star_matches_hand_sum_on_leak(asym_leak):
     S, model = asym_leak.S, asym_leak.model
     a = build_characteristic(asym_leak.scn, model, S)[1]

@@ -5,14 +5,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
-import threading
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
+import scipy.stats
 
 from cmjsim import build_model, make_phi1, run_batch, simulator, spectral_decompose, stats, verify_dichotomy
 from cmjsim.characteristics import Characteristic, NoiseLaw, make_indicator_characteristic
@@ -21,9 +19,7 @@ from cmjsim.simulator import BLOCK, ReplicateResult
 from cmjsim.stats import (
     W_MIN_DEFAULT,
     _median,
-    _percentile,
     _real_quotient,
-    _resampled_variances,
     bootstrap_variance_se,
     fisher_corr_z,
     flatness_check,
@@ -38,6 +34,8 @@ from cmjsim.stats import (
 from conftest import bundle
 from oracles import (
     batch_from_rows,
+    cramer_bootstrap_variance,
+    enumerated_bootstrap_variance,
     one_shot_resampled_variances,
     per_point_ks_statistic,
     reference_ks_pvalue,
@@ -131,15 +129,12 @@ def test_ks_detects_wrong_distribution():
     assert p < 1e-6
 
 
-def test_bootstrap_variance_se_scale(monkeypatch):
+def test_bootstrap_variance_se_scale():
     rng = np.random.default_rng(5_150)
     xs = rng.normal(size=500)
-    assert stats.BOOTSTRAP_B == 500
-    monkeypatch.setattr(stats, "BOOTSTRAP_SEED", 11)
     se = bootstrap_variance_se(xs)
     # asymptotically sqrt(2/m) for the unit normal
     assert 0.6 * math.sqrt(2 / 500) < se < 1.6 * math.sqrt(2 / 500)
-    assert bootstrap_variance_se(xs) == se  # seeded determinism
 
 
 @pytest.mark.parametrize("sample", [[], [1.0]], ids=["empty", "one"])
@@ -148,9 +143,58 @@ def test_bootstrap_variance_se_needs_two_values(sample):
         bootstrap_variance_se(sample)
 
 
-# -- the kept, blocked resample stream against the one-shot (B, m) draw --------
+# -- the closed form against every resample, and against exact moments --------
 
-# around one row per block (16,000 values) and around 2**15
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_bootstrap_variance_se_equals_the_enumerated_bootstrap(m):
+    rng = np.random.default_rng(60 + m)
+    samples = [rng.standard_normal(m), 1e6 + rng.standard_t(3, m), rng.integers(-2, 3, m).astype(float)]
+    for xs in samples:
+        exact = enumerated_bootstrap_variance(xs)
+        # the enumeration is Cramer's closed form exactly ...
+        assert exact == cramer_bootstrap_variance(xs)
+        if exact:
+            # ... and the float se is its square root to 1e-15 relative
+            assert abs(Fraction(bootstrap_variance_se(xs)) ** 2 - exact) <= Fraction(2e-15) * exact, xs
+        else:
+            assert bootstrap_variance_se(xs) == 0.0
+
+
+@pytest.mark.parametrize("m", [50, 1000, 16001])
+@pytest.mark.parametrize("kind", ["normal", "two_point", "offset_t3", "offset_two_point"])
+def test_bootstrap_variance_se_equals_the_exact_closed_form(kind, m):
+    # two-point samples have m4 ~ m2^2, where m4/m - m2^2 (m-3)/(m(m-1))
+    # summed in floats loses up to ~1e-10 at these m
+    rng = np.random.default_rng(m)
+    xs = {
+        "normal": rng.standard_normal(m),
+        "two_point": rng.choice([-1.0, 1.0], m),
+        "offset_t3": 1e6 + rng.standard_t(3, m),
+        "offset_two_point": 1e3 + 0.1 * rng.choice([-1.0, 1.0], m),
+    }[kind]
+    exact = cramer_bootstrap_variance(xs)
+    assert abs(Fraction(bootstrap_variance_se(xs)) ** 2 - exact) <= Fraction(1e-13) * exact
+
+
+def test_bootstrap_variance_se_scales_by_powers_of_two_exactly():
+    # d^4 of this sample times 2**400 is ~1e482: squared twice unscaled it
+    # overflows while the sample variance (~1e241) does not
+    xs = np.random.default_rng(70).standard_normal(1000)
+    se = bootstrap_variance_se(xs)
+    assert bootstrap_variance_se(xs * 2.0**400) == se * 2.0**800
+    assert bootstrap_variance_se(xs * 2.0**-400) == se * 2.0**-800
+    assert bootstrap_variance_se(xs * 1e100) == pytest.approx(se * 1e200, rel=1e-14)
+
+
+@pytest.mark.parametrize("value", [0.1, 5.0, -1e300])
+def test_bootstrap_variance_se_of_a_constant_sample_is_zero(value):
+    assert bootstrap_variance_se([value] * 7) == 0.0
+
+
+# -- the closed form as the limit of the one-shot (B, m) Monte Carlo ----------
+
+# around one row per 16,000 values and around 2**15
 _SIZES = (50, 51, 999, 1000, 1001, 15999, 16000, 16001, 32767, 32768, 32769, 70001)
 _REPLICATES = (2, 7, 400, 500)
 # the one-shot oracle holds four (B, m) temporaries, so pairs above 2**20
@@ -162,142 +206,39 @@ def _pcg(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _within_monte_carlo_spread(se: float, boot: np.ndarray) -> bool:
+    """The closed form se**2 is the mean of the Monte Carlo's variance of B
+    resampled variances: (B - 1) s_B**2 / se**2 lies inside the two-sided
+    1e-6 band of chi-square with B - 1 degrees of freedom."""
+    B = boot.shape[0]
+    ratio = (B - 1) * float(boot.var(ddof=1)) / se**2
+    return scipy.stats.chi2.ppf(1e-6, B - 1) < ratio < scipy.stats.chi2.isf(1e-6, B - 1)
+
+
 @pytest.mark.parametrize(
     "m,B", [(m, B) for m in _SIZES for B in _REPLICATES if m * B <= _ORACLE_ITEMS]
 )
-def test_bootstrap_variance_se_equals_one_shot_oracle(m, B, monkeypatch):
+def test_bootstrap_variance_se_equals_one_shot_oracle(m, B):
     xs = np.random.default_rng(m + B).standard_normal(m)
-    seed = 7 * m + B
-    ref = float(one_shot_resampled_variances(xs, _pcg(seed), B).std(ddof=1))
-    monkeypatch.setattr(stats, "BOOTSTRAP_B", B)
-    monkeypatch.setattr(stats, "BOOTSTRAP_SEED", seed)
-    assert bootstrap_variance_se(xs) == ref
-
-
-def _kept_rows(m: int) -> int:
-    """Whole index rows of m values that fit the kept stream."""
-    return stats._INDEX_BYTES // (m * (2 if m <= 1 << 16 else 4))
-
-
-def _row(m: int, r) -> int:
-    """Row r, or for ``("kept", d)`` the row d past the kept stream's end."""
-    return r if isinstance(r, int) else _kept_rows(m) + r[1]
-
-
-K = "kept"
-
-
-@pytest.mark.parametrize(
-    "draws",
-    [
-        # (m, lo, hi): warm reads of one m, then cold ones; at m = 1000 the
-        # kept 524 rows end mid-block (16 rows a block)
-        ((1000, 0, 500), (1000, 0, 400), (1000, 400, 800), (1000, 0, 800), (51, 0, 7), (32769, 0, 7)),
-        ((999, 0, 3), (999, (K, -1), (K, 2)), (999, 0, 400), (999, 400, 800)),
-        ((70001, 0, 2), (50, 0, 500), (1001, 0, 500), (1001, (K, -2), (K, 1)), (70001, 1, 5)),
-        ((32767, 0, 7), (32768, 0, 2), (32768, (K, -1), (K, 3)), (65536, 0, (K, 1)), (65537, (K, -1), (K, 2))),
-        ((16000, 0, 7), (15999, 0, (K, 3)), (15999, (K, -1), (K, 1)), (16001, 0, 7), (16001, 3, (K, 5))),
-    ],
-)
-def test_sequential_resamples_from_one_generator_equal_one_shot_oracle(draws, monkeypatch):
-    # rows [lo, hi) of the stream are rows lo..hi-1 of one (hi, m) draw, cold
-    # or warm, across the kept/drawn boundary, and with odd m * rows, where
-    # the generator's spare 32-bit half carries over
-    monkeypatch.setattr(stats, "_stream", None)
-    monkeypatch.setattr(stats, "BOOTSTRAP_SEED", 77_201)
-    for m, lo, hi in draws:
-        lo, hi = _row(m, lo), _row(m, hi)
-        xs = np.random.default_rng(m).standard_normal(m)
-        warm = stats._stream is not None and stats._stream.key == (77_201, m)
-        before = stats._stream.kept if warm else 0
-        (got,) = _resampled_variances(m, [(xs, lo, hi)])
-        ref = one_shot_resampled_variances(xs, _pcg(77_201), hi)[lo:]
-        assert got.tobytes() == ref.tobytes(), (m, lo, hi)
-        kept = stats._stream.kept
-        assert kept == min(max(before, hi), _kept_rows(m))
-        draw = _pcg(77_201).integers(0, m, size=(kept, m))
-        assert np.array_equal(stats._stream.rows[:kept], draw), (m, lo, hi)
-
-
-def test_kept_stream_is_read_under_its_own_seed_only(monkeypatch):
-    # one m under two seeds: a call never reads the other seed's kept rows
-    monkeypatch.setattr(stats, "_stream", None)
-    xs = np.random.default_rng(3).standard_normal(1000)
-    for seed in (5, 6, 5):
-        monkeypatch.setattr(stats, "BOOTSTRAP_SEED", seed)
-        (got,) = _resampled_variances(1000, [(xs, 0, 30)])
-        assert got.tobytes() == one_shot_resampled_variances(xs, _pcg(seed), 30).tobytes()
-    with pytest.raises(ValueError, match="1000 values"):
-        _resampled_variances(1000, [(xs, 0, 3), (xs[:999], 3, 6)])
-
-
-def test_threads_sharing_the_kept_stream_read_their_own_rows(monkeypatch):
-    # more threads than cores, alternating two m, switching every microsecond:
-    # a lost update to the stream or its generator would move some result
-    monkeypatch.setattr(stats, "_stream", None)
-    samples = {m: np.random.default_rng(m).standard_normal(m) for m in (999, 1000)}
-    refs = {m: one_shot_resampled_variances(xs, _pcg(stats.BOOTSTRAP_SEED), 600) for m, xs in samples.items()}
-    bad = []
-
-    def work(k):
-        for i in range(12):
-            m = (999, 1000)[(k + i) % 2]
-            (got,) = _resampled_variances(m, [(samples[m], 0, 600)])
-            bad.extend([] if got.tobytes() == refs[m].tobytes() else [(k, i)])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert bad == []
+    se = bootstrap_variance_se(xs)
+    exact = cramer_bootstrap_variance(xs)
+    assert abs(Fraction(se) ** 2 - exact) <= Fraction(1e-13) * exact
+    assert _within_monte_carlo_spread(se, one_shot_resampled_variances(xs, _pcg(7 * m + B), B))
 
 
 @pytest.mark.parametrize("m", [50, 51, 999, 1000, 1001])
 @pytest.mark.parametrize("B", _REPLICATES)
-def test_flatness_check_equals_one_shot_oracle(m, B, monkeypatch):
+def test_flatness_check_equals_one_shot_oracle(m, B):
     ns = (8, 10, 12)
     batch = synth_batch(ns=ns, m=m, seed=m)
-    monkeypatch.setattr(stats, "FLAT_B", B)
-    monkeypatch.setattr(stats, "BOOTSTRAP_SEED", 41)
     out = flatness_check(batch)
-    assert (out["B"], out["seed"]) == (B, 41)
     assert [r["t"] for r in out["rows"]] == list(ns)
     rng = _pcg(41)
-    lo_q = 100 * (1 - 0.99) / 2
     for row, t in zip(out["rows"], ns):
         vals = batch.T[(0, t)][batch.usable(W_MIN_DEFAULT)].real
-        boot = one_shot_resampled_variances(vals, rng, B)
-        assert row["se"] == float(boot.std(ddof=1))
-        assert row["ci"] == [float(np.percentile(boot, lo_q)), float(np.percentile(boot, 100 - lo_q))]
-
-
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_bootstrap_resamples_in_cache_sized_blocks(monkeypatch):
-    monkeypatch.setattr(stats, "_stream", None)
-    xs = np.random.default_rng(8).standard_normal(1000)
-    cold = _traced_peak(lambda: bootstrap_variance_se(xs))  # BOOTSTRAP_B = 500
-    kept = stats._stream.rows.nbytes
-    assert kept <= stats._INDEX_BYTES, kept
-    # one (500, 1000) draw makes four 4 MB temporaries and peaks at ~12 MB;
-    # besides the kept rows, a call allocates under 1 MiB, cold or warm
-    assert cold - kept < 1 << 20, (cold, kept)
-    warm = _traced_peak(lambda: bootstrap_variance_se(xs))
-    assert warm < 1 << 20, warm
+        var, se = float(vals.var(ddof=1)), bootstrap_variance_se(vals)
+        assert row == {"t": t, "var": var, "ci": [var - stats.Z_99 * se, var + stats.Z_99 * se], "se": se}
+        assert _within_monte_carlo_spread(se, one_shot_resampled_variances(vals, rng, B))
 
 
 # -- the sort-based median ----------------------------------------------------
@@ -318,18 +259,6 @@ def test_sort_median_equals_np_median():
     for xs in cases:
         assert _same_float(_median(xs), float(np.median(xs))), xs
     assert math.isnan(_median(with_nan)) and math.isnan(_median(even_nan))
-
-
-def test_sort_percentile_equals_np_percentile():
-    # positive arrays, as bootstrap variances are: np.percentile orders by
-    # partition, so on ties of +0.0 and -0.0 it may pick the other zero
-    rng = np.random.default_rng(47)
-    lo_q = 100 * (1 - 0.99) / 2
-    for i in range(3000):
-        m = int(rng.integers(1, 700))
-        xs = (rng.exponential(size=m), rng.integers(1, 6, size=m).astype(float))[i % 2]
-        for q in (lo_q, 100 - lo_q, 0.0, 50.0, 100.0, float(rng.uniform(0, 100))):
-            assert _same_float(_percentile(xs, q), float(np.percentile(xs, q))), (m, q)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -524,12 +453,13 @@ def test_verifier_records_the_flatness_bootstrap_it_ran(mirror):
     c, S = mirror.const, mirror.S
     batch = synth_batch(n=8, ns=(8, 10, 12), sigma2=c.sigma_case2, m=400, seed=17)
     flat = verify_dichotomy(batch, c, S).flatness
-    assert (flat["B"], flat["seed"]) == (400, stats.BOOTSTRAP_SEED)
+    # the closed form has no resample count or seed to record
+    assert list(flat) == ["rows", "weighted_mean", "passed"]
     assert flat == flatness_check(batch, w_min=W_MIN_DEFAULT)
 
 
 def test_resampling_defaults_are_the_bootstraps_verify_runs(jordan):
-    # a caller gets the bootstraps verify runs: B and the seed are module constants
+    # a caller gets the standard errors verify computes: they take no B or seed
     c, S, run = jordan.const, jordan.S, jordan.scn.run
     n = run["n"]
     batch = run_batch(jordan.model, jordan.characteristic, n, n + run["delta"], run["replicates"], run["seed"],
