@@ -119,30 +119,25 @@ class Characteristic:
                 raise ValueError(f"noise[{key}]: expected a NoiseLaw")
             nz[(int(k), int(j))] = law
         object.__setattr__(self, "noise", nz)
+        ages = tuple(sorted(set(self.base) | set(self.coeff) | {k for (k, _) in self.noise}))
+        mean = np.zeros((len(ages), self.J), dtype=complex)
+        for k, row in self.base.items():
+            mean[bisect_left(ages, k)] += row
+        noise_var = np.zeros((len(ages), self.J))
+        for (k, j), law in self.noise.items():
+            i = bisect_left(ages, k)
+            mean[i, j] += law.mean()
+            noise_var[i, j] += law.variance()
+        mean.flags.writeable = noise_var.flags.writeable = False
+        object.__setattr__(self, "_moments", (ages, mean, noise_var))
 
     # -- window bookkeeping and exact moments -------------------------------
     def moments(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
         """``(ages, mean, noise_var)``: every age any table names, ascending;
         E phi(k) per age as read-only rows (the coeff part is centered by
         design); and each noise cell's variance E|X - EX|^2 per age and type.
-        Formed on the first call and kept, but not pickled."""
-        if "_moments" not in self.__dict__:
-            ages = tuple(sorted(set(self.base) | set(self.coeff) | {k for (k, _) in self.noise}))
-            mean = np.zeros((len(ages), self.J), dtype=complex)
-            for k, row in self.base.items():
-                mean[bisect_left(ages, k)] += row
-            noise_var = np.zeros((len(ages), self.J))
-            for (k, j), law in self.noise.items():
-                i = bisect_left(ages, k)
-                mean[i, j] += law.mean()
-                noise_var[i, j] += law.variance()
-            mean.flags.writeable = noise_var.flags.writeable = False
-            self.__dict__["_moments"] = (ages, mean, noise_var)
-        return self.__dict__["_moments"]
-
-    def __getstate__(self) -> dict:
-        # a pool task pickles the tables, not the moments formed from them
-        return {k: v for k, v in self.__dict__.items() if k != "_moments"}
+        Formed when the characteristic is built."""
+        return self._moments
 
     @property
     def is_deterministic(self) -> bool:

@@ -15,6 +15,7 @@ then applies fixed, pre-registered checks:
 
 Degenerate-scale runs switch to a decay check, and polynomial-case runs add
 a flatness check of the per-time variances under the case-ii normalization.
+Every gate refuses too few or non-finite values by a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -86,15 +87,20 @@ def ks_pvalue(D: float, m: int) -> float:
     return float(min(1.0, max(0.0, p)))
 
 
+def _sample(values, need: int, what: str) -> np.ndarray:
+    """``values`` as floats; a ValueError names ``what`` for fewer than ``need`` or any not finite."""
+    xs = np.asarray(values, dtype=float)
+    if xs.shape[0] < need:
+        raise ValueError(f"{what} needs at least {need} values, got {xs.shape[0]}")
+    if not np.isfinite(xs).all():
+        raise ValueError(f"{what} needs finite values")
+    return xs
+
+
 def ks_test(sample) -> tuple[float, float]:
-    sample = np.asarray(sample, dtype=float)
-    m = sample.shape[0]
-    if m < MIN_SAMPLE:
-        raise ValueError(f"KS test needs at least {MIN_SAMPLE} points, got {m}")
-    if not np.isfinite(sample).all():
-        raise ValueError("KS test needs finite values")
+    sample = _sample(sample, MIN_SAMPLE, "KS test")
     D = ks_statistic(sample)
-    return D, ks_pvalue(D, m)
+    return D, ks_pvalue(D, sample.shape[0])
 
 
 def bootstrap_variance_se(sample) -> float:
@@ -105,10 +111,8 @@ def bootstrap_variance_se(sample) -> float:
     ``mean((d^2 - m2)^2)/m + 2 m2^2/(m (m - 1))``, the same value with no
     term that cancels, over deviations d scaled by a power of two to below
     1: exact, so d^4 cannot overflow where the sample variance is finite."""
-    xs = np.asarray(sample, dtype=float)
+    xs = _sample(sample, 2, "bootstrap variance")
     m = xs.shape[0]
-    if m < 2:
-        raise ValueError(f"bootstrap variance needs at least 2 values, got {m}")
     d = xs - xs[0]  # a constant sample deviates by exactly 0
     d -= d.mean()
     e = math.frexp(float(np.max(np.abs(d))))[1]
@@ -121,13 +125,10 @@ def bootstrap_variance_se(sample) -> float:
 
 def fisher_corr_z(x, y) -> tuple[float, float, float]:
     """(r, |z|, z_crit) for the 99% two-sided Fisher test of zero correlation."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    if len(x) != len(y):
+        raise ValueError(f"correlation test needs samples of equal length, got {len(x)} and {len(y)}")
+    x, y = _sample(x, 4, "correlation test"), _sample(y, 4, "correlation test")
     m = x.shape[0]
-    if m < 4:
-        raise ValueError("correlation test needs at least 4 points")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("correlation test needs finite values")
     z_crit = Z_99 / math.sqrt(m - 3)
     sx = x.std(ddof=0)
     sy = y.std(ddof=0)
@@ -220,7 +221,9 @@ def verify_dichotomy(
     eps_c, ws = studentized(batch, constants, t=t, w_min=w_min)
     m = eps_c.shape[0]
 
-    if case == "degenerate" and batch.usable().any():
+    if case == "degenerate":
+        if not batch.usable().any():  # the decay check needs one survivor
+            raise ValueError(f"only {m} usable survivors; need 1")
         decay = _decay_check(batch)
         passed = decay["passed"]
         reasons = () if passed else ("degenerate scale: |T| did not decay",)
@@ -230,9 +233,8 @@ def verify_dichotomy(
             details={"t": t, "abort_rate": batch.abort_rate},
         )
 
-    need = 1 if case == "degenerate" else MIN_SAMPLE  # the decay check needs one survivor
-    if m < need:
-        raise ValueError(f"only {m} usable survivors; need {need}")
+    if m < MIN_SAMPLE:
+        raise ValueError(f"only {m} usable survivors; need {MIN_SAMPLE}")
 
     is_real = bool(np.max(np.abs(eps_c.imag)) < 1e-9 * max(1.0, float(np.max(np.abs(eps_c)))))
     eps = eps_c.real if is_real else eps_c.real * math.sqrt(2.0)

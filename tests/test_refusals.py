@@ -63,7 +63,15 @@ def _weird_kind():
             ValueError, "offspring law: probs and counts length mismatch",
         ),
         (lambda: ks_statistic([]), ValueError, "empty sample"),
-        (lambda: fisher_corr_z([1, 2, 3], [3, 1, 2]), ValueError, "correlation test needs at least 4 points"),
+        (lambda: fisher_corr_z([1, 2, 3], [3, 1, 2]), ValueError, "correlation test needs at least 4 values, got 3"),
+        (  # a constant x would otherwise read as no correlation
+            lambda: fisher_corr_z([1, 1, 1, 1], [1, 2, 3]),
+            ValueError, "correlation test needs samples of equal length, got 4 and 3",
+        ),
+        (
+            lambda: fisher_corr_z([1, 2, 3, 4, 5], [2, 1, 4, 3]),
+            ValueError, "correlation test needs samples of equal length, got 5 and 4",
+        ),
         (
             lambda: spectral_decompose(build_model(preset("asym_leak").model).A).step(3, -1),
             ValueError, "the sub-critical part of A need not be invertible",

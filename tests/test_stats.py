@@ -92,15 +92,21 @@ def test_ks_test_needs_fifty_points():
         ks_test(np.zeros(49))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "gate",
-    [lambda: ks_test([math.nan] * 60), lambda: fisher_corr_z([math.nan] * 10, range(10))],
-    ids=["ks_test", "fisher_corr_z"],
+    [
+        lambda: ks_test([math.nan] * 60),
+        lambda: fisher_corr_z([math.nan] * 10, range(10)),
+        lambda: bootstrap_variance_se([1.0, math.inf, 2.0]),
+    ],
+    ids=["ks_test", "fisher_corr_z", "bootstrap_variance_se"],
 )
 def test_gates_refuse_non_finite_values(gate):
-    # a NaN correlation used to clamp to r = 0.999999999, and a NaN KS sample
-    # to D = nan with p = 0
-    with pytest.raises(ValueError, match="finite values"):
+    # a NaN correlation used to clamp to r = 0.999999999, a NaN KS sample to
+    # D = nan with p = 0, and an infinite value gave a nan standard error
+    # after numpy's RuntimeWarning
+    with pytest.raises(ValueError, match="needs finite values"):
         gate()
 
 
