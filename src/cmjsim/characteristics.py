@@ -30,7 +30,7 @@ import numpy as np
 
 from .model import BranchingModel, mixing_covariance
 from .scenario import PROB_TOL
-from .spectral import SpectralData, _eye, m_norm2, power_scaled, projected_power, stein_tail, unscaled
+from .spectral import _TINY, SpectralData, _eye, m_norm2, power_scaled, projected_power, stein_tail
 
 PHI1_MASS = 1e-14  # make_phi1 stops where the remaining mass falls to this
 _MAX_ROWS = 10_000
@@ -131,6 +131,10 @@ class Characteristic:
         mean.flags.writeable = noise_var.flags.writeable = False
         object.__setattr__(self, "_moments", (ages, mean, noise_var))
 
+    def __reduce__(self):
+        # a copy is built by the constructor, so its tables are read-only as well
+        return Characteristic, (self.J, self.base, self.coeff, self.noise, self.label)
+
     # -- window bookkeeping and exact moments -------------------------------
     def moments(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
         """``(ages, mean, noise_var)``: every age any table names, ascending;
@@ -217,8 +221,8 @@ def make_phi1(
     ``w_k X w_k^H`` of ``spectral.stein_tail``, is at most ``PHI1_MASS``; a
     table that does not reach it within 10,000 rows is refused with a bare
     ``ArithmeticError``.  ``k_min`` forces the window ``[k_min, 0]`` instead.
-    Either table ends early at a row outside float64's normal range
-    (``spectral.unscaled``).
+    Either table ends early, at its first row ``rho^{k/2} w T^{-k}`` that is
+    not finite or, nonzero, falls below float64's smallest normal number.
     """
     x1 = np.asarray(x1, dtype=complex).reshape(-1)
     J = x1.shape[0]
@@ -230,20 +234,24 @@ def make_phi1(
     step = S.step(1, -1) * S.sqrt_rho
     limit = _MAX_ROWS if k_min is None else max(0, 1 - k_min)
     block, blocks, masses = _eye(J, complex)[None], [], []
-    while sum(map(len, blocks)) <= limit:
-        blocks.append(w @ block)
-        masses.append(m_norm2(X, blocks[-1]))
-        if k_min is None and masses[-1][-1] <= PHI1_MASS:  # the remaining mass only falls
-            break
-        w = blocks[-1][-1] @ step
-        if len(block) < _MAX_BLOCK:
-            block = np.concatenate([block, block @ (block[-1] @ step)])
+    with np.errstate(over="ignore", invalid="ignore"):  # a mass past float64 range never stops the table
+        while sum(map(len, blocks)) <= limit:
+            blocks.append(w @ block)
+            masses.append(m_norm2(X, blocks[-1]))
+            if k_min is None and masses[-1][-1] <= PHI1_MASS:  # the remaining mass only falls
+                break
+            w = blocks[-1][-1] @ step
+            if len(block) < _MAX_BLOCK:
+                block = np.concatenate([block, block @ (block[-1] @ step)])
     scaled, mass = np.concatenate(blocks), np.concatenate(masses)
     end = limit if k_min is not None else int(np.argmax(mass <= PHI1_MASS))
     if k_min is None and not (mass[end] <= PHI1_MASS and end <= _MAX_ROWS):
         raise ArithmeticError(f"phi1 tail does not fall to mass {PHI1_MASS} within {_MAX_ROWS} rows")
-    rows = unscaled(S, scaled[:end], -np.arange(end))
-    end = next((m for m, row in enumerate(rows) if row is None), end)  # a row past float64 ends it
+    rows = power_scaled(scaled[:end], S.rho, np.arange(end) / 2)
+    # a row not finite, or nonzero below the least normal number (digits lost), ends the table
+    subnormal = scaled[:end].any(axis=1) & (np.abs(rows).max(axis=1, initial=0.0) < _TINY)
+    past = subnormal | ~np.isfinite(rows).all(axis=1)
+    end = int(np.argmax(np.append(past, True)))
     coeff = {-m: row for m, row in enumerate(rows[:end])}
     return Characteristic(J=J, coeff=coeff, label="phi1")
 

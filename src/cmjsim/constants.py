@@ -168,18 +168,19 @@ def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) 
     # a coeff row is data, rounded once when scaled
     rel = (S.J + 3 + hi - lo) * _EPS + max(S.residuals.values())
     row_delta = rel * size
-    if phi.coeff:
-        coeff[[k - lo + 1 for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
-        row_delta += 2 * _EPS * np.linalg.norm(coeff, axis=1)
-    if phi.noise:
-        # u-weighted row sums in type order: a per-cell sum's bits where the cells are in that order
-        noise[[k - lo + 1 for k in ages]] = sum(float(S.u[j]) * noise_var[:, j] for j in range(S.J))
-        noise = power_scaled(noise, S.rho, ks)
-    rows = power_scaled(B + coeff, S.rho, ks / 2)
-    delta = power_scaled(row_delta, S.rho, ks / 2)
-    up, up_error = tail_sum(S, M, rows[-1], 1, float(delta[-1]))
-    down, down_error = tail_sum(S, M, rows[0], -1, float(delta[0]))
-    parts = [*(m_norm2(M, rows) + noise)[1:-1].tolist(), up, down]
+    with np.errstate(over="ignore", invalid="ignore"):  # a part past float64 range is refused below
+        if phi.coeff:
+            coeff[[k - lo + 1 for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
+            row_delta += 2 * _EPS * np.linalg.norm(coeff, axis=1)
+        if phi.noise:
+            # u-weighted row sums in type order: a per-cell sum's bits where the cells are in that order
+            noise[[k - lo + 1 for k in ages]] = sum(float(S.u[j]) * noise_var[:, j] for j in range(S.J))
+            noise = power_scaled(noise, S.rho, ks)
+        rows = power_scaled(B + coeff, S.rho, ks / 2)
+        delta = power_scaled(row_delta, S.rho, ks / 2)
+        up, up_error = tail_sum(S, M, rows[-1], 1, float(delta[-1]))
+        down, down_error = tail_sum(S, M, rows[0], -1, float(delta[0]))
+        parts = [*(m_norm2(M, rows) + noise)[1:-1].tolist(), up, down]
     if not all(map(math.isfinite, parts)):
         raise ArithmeticError("sigma2 lies outside float64 range")
     norms = np.linalg.norm(rows[1:-1], axis=1)

@@ -61,7 +61,6 @@ __all__ = [
     "spectral_decompose",
     "projected_power",
     "power_scaled",
-    "unscaled",
     "m_norm2",
     "stein_tail",
     "tail_sum",
@@ -466,20 +465,6 @@ def power_scaled(x, base: float, e) -> np.ndarray:
         scale = np.maximum(peak, _TINY)
         via_log = np.where(peak > 0, x / scale * np.exp(np.log(scale) - e_rows * log_base), 0.0)
         return np.where(far, via_log, x * weight)
-
-
-def unscaled(S: SpectralData, W: np.ndarray, ks) -> list:
-    """The rows ``rho^{k/2} W[i]`` behind rows scaled by ``rho^{-k/2}``, with
-    None where a row lies outside float64's normal range: it overflows, or a
-    nonzero row falls below the smallest normal number, where it has lost
-    digits or underflowed to zero."""
-    R = power_scaled(W, S.rho, -np.asarray(ks) / 2)
-    normal = np.abs(R).max(axis=1, initial=0.0) >= _TINY
-    ok = np.all(np.isfinite(R), axis=1) & (normal | ~np.any(W != 0, axis=1))
-    rows = list(R)
-    for i in np.flatnonzero(~ok).tolist():
-        rows[i] = None
-    return rows
 
 
 def m_norm2(M: np.ndarray, w: np.ndarray):

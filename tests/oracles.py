@@ -686,17 +686,6 @@ def per_term_power_scaled(x, base: float, e) -> np.ndarray:
     return np.array(out).reshape(x.shape)
 
 
-def per_term_unscaled(rho: float, W, ks) -> list:
-    """``rho^{k/2} W[i]`` row by row, None where the row overflows or a
-    nonzero row falls below the smallest normal float64."""
-    tiny = np.finfo(float).tiny
-    out = []
-    for w, r in zip(W, per_term_power_scaled(W, rho, -np.asarray(ks) / 2)):
-        fits = bool(np.all(np.isfinite(r))) and (bool(np.max(np.abs(r)) >= tiny) or not np.any(w != 0))
-        out.append(r if fits else None)
-    return out
-
-
 def reference_mean_table(phi: Characteristic) -> dict:
     """``E phi(k)`` at every age any table names (coeff ages included), nonzero rows
     only, keyed in increasing age."""

@@ -152,9 +152,15 @@ def test_moment_table_is_formed_once_and_pickled_with_the_tables(asym_leak, monk
     compute_constants(phi, asym_leak.S, asym_leak.model)
     assert len(calls) == 2  # one table, one variance per noise cell, for every reader
     assert phi.moments() is phi.moments() and len(calls) == 2
-    clone = pickle.loads(pickle.dumps(phi))  # the table travels with the characteristic
-    assert len(calls) == 2 and clone.moments()[0] == phi.moments()[0]
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(clone.moments()[1:], phi.moments()[1:]))
+    clone = pickle.loads(pickle.dumps(phi))  # built again by the constructor, as in a pool task
+
+    def tables(c):
+        return [*c.base.values(), *c.coeff.values(), *c.moments()[1:]]
+
+    assert (list(clone.base), list(clone.coeff)) == (list(phi.base), list(phi.coeff))
+    assert clone.moments()[0] == phi.moments()[0]
+    assert not any(a.flags.writeable for a in tables(clone))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(tables(clone), tables(phi), strict=True))
 
 
 def test_frozen_rows_are_read_only_copies_and_a_bad_row_names_its_key():

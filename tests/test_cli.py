@@ -242,6 +242,27 @@ def test_a_mean_weighted_sum_outside_float64_is_reported_without_a_warning(tmp_p
     assert json.loads(out)["constants"]["notes"]["assumption_sums"]["mean_weighted_sum"] == math.inf
 
 
+@pytest.mark.parametrize("characteristic", [
+    {"kind": "kesten_stigum", "row": [1e308, -1e308]},
+    {"kind": "kesten_stigum", "row": [1e300, -1e300]},
+    {"kind": "table", "base": {0: [1e308, -1e308]}},
+    {"kind": "custom", "base": {0: [1, 0]}, "coeff": {1: [1e308, 1e308]}},
+], ids=["phi1-1e308", "phi1-1e300", "table", "custom-coeff"])
+@pytest.mark.parametrize("command", ["constants", "verify", "simulate"])
+def test_a_sigma2_outside_float64_is_refused_without_a_warning(command, characteristic, tmp_path, capsys):
+    # each once warned on stderr from a mass, a row norm or |row|_M^2 that
+    # overflowed before the refusal
+    d = preset("asym_leak").to_dict()
+    d["characteristic"] = characteristic
+    d["run"] = {"n": 6, "delta": 4, "replicates": 60, "seed": 3}
+    path = write_yaml(tmp_path, "huge_row.yaml", d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli([command, "--scenario", path, *out_args(command, tmp_path / "out.csv")], capsys)
+    assert (rc, err) == (EXIT_ASSUMPTION, "")
+    assert json.loads(out)["reason"] == "sigma2 lies outside float64 range"
+
+
 def _too_large_for_a_float(d, where):
     huge = 10**400 if where.endswith("_int") else "1e400"  # an int, or a string parsed as a rational
     if where.startswith(("w_min", "eps_tail")):

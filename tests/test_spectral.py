@@ -596,23 +596,6 @@ def test_power_scaled_takes_a_subnormal_complex_row_as_the_real_one():
     assert cplx.tobytes() == oracles.per_term_power_scaled(x + 0j, 1.5, e).tobytes()
 
 
-def test_unscaled_matches_per_term_rows(cross_feed):
-    S = cross_feed.S  # rho = 3: its half powers are not exact
-    rng = np.random.default_rng(5)
-    ks = np.arange(-2500, 2501)
-    W = rng.standard_normal((ks.size, S.J)) * 10.0 ** rng.integers(-300, 300, (ks.size, 1)) + 0j
-    W[::11] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # rows past float64 range are dropped
-        got = spectral.unscaled(S, W, ks)
-        want = oracles.per_term_unscaled(S.rho, W, ks)
-    dropped = [g is None for g in got]
-    assert dropped == [w is None for w in want]
-    assert 0 < sum(dropped) < len(dropped)
-    for g, w in zip(got, want):
-        if g is not None:
-            assert g.tobytes() == w.tobytes()
-
-
 def test_a_power_outside_float64_is_refused_without_a_warning(mirror):
     S = dataclasses.replace(mirror.S, _cache={})
     with warnings.catch_warnings(record=True) as caught:
