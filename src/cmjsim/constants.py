@@ -13,14 +13,12 @@ enumerated column covariances:
 * ``sigma2`` — the case-i variance, a two-sided series: a finite window
   summed term by term, and two geometric tails (ratio rho/min|super|^2
   below, max|sub|^2/rho above, over the eigenvalue moduli of A) each
-  summed in closed form by one Stein solve (``spectral.stein_tail``).  Its
-  error bound adds the Stein residual of each tail, the window sum's
-  roundoff, and the formation error of every row, so it bounds the real
-  error, roundoff included.
+  summed in closed form by one Stein solve (``spectral.stein_tail``).  One
+  function, ``_series``, sums it and bounds its whole error, roundoff included.
 * ``sigma_star2`` — the same quantity reached through the direct row-power
-  route: two closed-form tails on its own first rows, kept as an
-  independent construction so the two paths can be compared rather than
-  collapsed.
+  route: its own first rows and an empty window in the same ``_series``,
+  kept as an independent construction so the two paths can be compared
+  rather than collapsed.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import numpy as np
 
 from .characteristics import Characteristic, assumption_sums, make_indicator_characteristic
 from .model import BranchingModel, mixing_covariance
-from .spectral import SpectralData, _eye, _fro, m_norm2, power_scaled, projected_power, tail_sum
+from .spectral import SpectralData, _eye, _fro, m_norm2, power_scaled, projected_power, stein_tail
 
 __all__ = [
     "TheoreticalConstants",
@@ -95,15 +93,19 @@ def compute_sigma_l(x2: np.ndarray, S: SpectralData, model: BranchingModel) -> t
     x2 = np.asarray(x2, dtype=complex).reshape(-1)
     M = mixing_covariance(model, S.u)
     totals = [0.0] * (S.J + 1)
-    for cl in S.clusters:
-        if cl.label != "critical":
-            continue
-        row = x2 @ cl.projection
-        shifted = S.A - cl.eigenvalue * _eye(S.J)
-        for l in range(S.J + 1):
-            totals[l] += float(m_norm2(M, row))
-            row = row @ shifted @ cl.projection
-    return tuple(S.rho ** (-(l + 1)) / ((2 * l + 1) * factorial(l) ** 2) * t for l, t in enumerate(totals))
+    with np.errstate(over="ignore", invalid="ignore"):  # a ladder past float64 range is refused below
+        for cl in S.clusters:
+            if cl.label != "critical":
+                continue
+            row = x2 @ cl.projection
+            shifted = S.A - cl.eigenvalue * _eye(S.J)
+            for l in range(S.J + 1):
+                totals[l] += float(m_norm2(M, row))
+                row = row @ shifted @ cl.projection
+    sigma_l = tuple(S.rho ** (-(l + 1)) / ((2 * l + 1) * factorial(l) ** 2) * t for l, t in enumerate(totals))
+    if not all(map(math.isfinite, sigma_l)):
+        raise ArithmeticError("sigma_l lies outside float64 range")
+    return sigma_l
 
 
 def find_l_star(sigma_l: tuple[float, ...]) -> int | None:
@@ -137,6 +139,37 @@ def compute_B(mt: dict, S: SpectralData, ks) -> tuple[np.ndarray, np.ndarray]:
     return rows, size
 
 
+def _rel(S: SpectralData, span: int) -> float:
+    """A series row's formation error relative to its terms' size, over ``span + 1`` power steps."""
+    return (S.J + 3 + span) * _EPS + max(S.residuals.values())
+
+
+def _series(S: SpectralData, M: np.ndarray, rows: np.ndarray, delta: np.ndarray, noise, what: str):
+    """``(value, error)`` of a series of ``|R(k)|_M^2`` over rows scaled by
+    ``rho^{-k/2}``: ``rows[1:-1]`` is the window, each row b adding
+    ``|b|_M^2`` plus its ``noise``, and ``rows[0]`` and ``rows[-1]`` start the
+    descending and ascending tails, each the closed form ``w X w^H``
+    (``spectral.stein_tail``); the parts are summed with ``math.fsum``.  With
+    ``delta`` each row's formation error in norm, ``error`` bounds the whole
+    error: the sum's roundoff ``n eps sum |part|``, ``(2 |b| + delta) delta
+    |Q|_2`` for every row b (Q = M in the window, the tail's X at a first
+    row), and each tail's Stein term ``|w E w^H|``.  A sum outside float64
+    range raises ``ArithmeticError`` naming ``what``."""
+    window = rows[1:-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a part past float64 range is refused below
+        (X_up, E_up, x_up), (X_down, E_down, x_down) = stein_tail(S, M, 1), stein_tail(S, M, -1)
+        ends = ((rows[-1], X_up, E_up), (rows[0], X_down, E_down))
+        parts = [*(m_norm2(M, window) + noise).tolist(), *(float(m_norm2(X, w)) for w, X, _ in ends)]
+        if not math.isfinite(sum(map(abs, parts))):
+            raise ArithmeticError(f"{what} lies outside float64 range")
+        m_norm = float(np.linalg.svd(M, compute_uv=False)[0]) if len(window) else 0.0  # |M|_2
+        q_norm = np.array([x_down, *[m_norm] * len(window), x_up])
+        row_error = float(np.sum((2.0 * np.linalg.norm(rows, axis=1) + delta) * delta * q_norm))
+        tail_error = sum(abs(float(m_norm2(E, w))) for w, _, E in ends)
+        error = len(parts) * _EPS * math.fsum(map(abs, parts)) + row_error + tail_error
+    return math.fsum(parts), error
+
+
 def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) -> tuple[float, float, dict]:
     """Case-i variance sigma^2 = sum_k rho^{-k} u-weighted Var[phi(k) + psi(k)],
     where psi(k) = B(k) . (own column - its mean) recenters the counted
@@ -145,30 +178,20 @@ def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) 
 
     ``B`` is evaluated directly on the window where its piecewise projector
     changes, ``min(min age, 0) <= k <= max(max age + 1, 1)`` widened to the
-    coeff and noise keys, and the window's terms are summed with
-    ``math.fsum``.  Beyond it ``B(k+1) = B(k) pi3 A pi3`` and
-    ``B(k-1) = B(k) pi1 A1^{-1} pi1``, so each tail is the closed form
-    ``spectral.tail_sum`` from its first row.  ``error`` bounds the whole
-    error in three parts: each tail's Stein residual term; the window sum's
-    roundoff ``n eps sum |term|``; and ``(2 |b| delta + delta^2) |M|_2`` for
-    each window row b (``|X|_2`` for each first row), where delta is the
-    row's formation roundoff plus the decomposition's largest residual,
-    both relative to the size of its terms (``compute_B``)."""
+    coeff and noise keys.  Beyond it ``B(k+1) = B(k) pi3 A pi3`` and
+    ``B(k-1) = B(k) pi1 A1^{-1} pi1``: each tail is one closed form from its
+    first row, and ``_series`` sums and certifies the window and both tails,
+    with each row's delta taken relative to the size of its terms (``compute_B``)."""
     ages, _, noise_var = phi.moments()
     mt = phi.mean_table()
-    M = mixing_covariance(model, S.u)
-
     keys = {0, 1, *ages, *(k + 1 for k in mt)}
     lo, hi = min(keys), max(keys)
     ks = np.arange(lo - 1, hi + 2)  # the window and the first row of each tail
     B, size = compute_B(mt, S, range(lo - 1, hi + 2))
     coeff = np.zeros((len(ks), S.J), dtype=complex)
     noise = np.zeros(len(ks))
-    # |l| <= hi - lo + 1 steps of restricted powers went into each B row;
-    # a coeff row is data, rounded once when scaled
-    rel = (S.J + 3 + hi - lo) * _EPS + max(S.residuals.values())
-    row_delta = rel * size
-    with np.errstate(over="ignore", invalid="ignore"):  # a part past float64 range is refused below
+    row_delta = _rel(S, hi - lo) * size
+    with np.errstate(over="ignore", invalid="ignore"):  # a part past float64 range is refused in _series
         if phi.coeff:
             coeff[[k - lo + 1 for k in phi.coeff]] = np.reshape(list(phi.coeff.values()), (-1, S.J))
             row_delta += 2 * _EPS * np.linalg.norm(coeff, axis=1)
@@ -178,16 +201,8 @@ def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) 
             noise = power_scaled(noise, S.rho, ks)
         rows = power_scaled(B + coeff, S.rho, ks / 2)
         delta = power_scaled(row_delta, S.rho, ks / 2)
-        up, up_error = tail_sum(S, M, rows[-1], 1, float(delta[-1]))
-        down, down_error = tail_sum(S, M, rows[0], -1, float(delta[0]))
-        parts = [*(m_norm2(M, rows) + noise)[1:-1].tolist(), up, down]
-    if not all(map(math.isfinite, parts)):
-        raise ArithmeticError("sigma2 lies outside float64 range")
-    norms = np.linalg.norm(rows[1:-1], axis=1)
-    m_norm = float(np.linalg.svd(M, compute_uv=False)[0])  # |M|_2
-    row_error = float(np.sum((2.0 * norms + delta[1:-1]) * delta[1:-1])) * m_norm
-    error = len(parts) * _EPS * math.fsum(map(abs, parts)) + row_error + up_error + down_error
-    return math.fsum(parts), error, dict(zip(ks[1:-1].tolist(), B[1:-1]))
+    sigma2 = _series(S, mixing_covariance(model, S.u), rows, delta, noise[1:-1], "sigma2")
+    return (*sigma2, dict(zip(ks[1:-1].tolist(), B[1:-1])))
 
 
 def compute_sigma_star2(a: np.ndarray, S: SpectralData, model: BranchingModel) -> tuple[float, float]:
@@ -197,26 +212,21 @@ def compute_sigma_star2(a: np.ndarray, S: SpectralData, model: BranchingModel) -
                  + sum_{k<=0} rho^{-k} |a A1^{k-1} pi1|_M^2,
 
     with M = sum_j u_j Cov L^(j) and |w|_M^2 = w M w^H.  Each sum is one
-    closed-form tail (``spectral.tail_sum``) from its own first row,
-    ``a pi3 / sqrt(rho)`` (k = 1) or ``a pi1 A1^{-1}`` (k = 0), with no mean
-    table and no ``B``; the error adds the two tails' bounds, whose
-    row-error delta is taken as in ``compute_sigma2``.  Rejects rows whose
-    Perron component does not vanish."""
+    closed-form tail from its own first row, ``a pi1 A1^{-1}`` (k = 0) or
+    ``a pi3 / sqrt(rho)`` (k = 1), with no mean table and no ``B``: a series
+    with an empty window for ``_series``, its row delta taken as in
+    ``compute_sigma2``.  Rejects rows whose Perron component does not vanish."""
     a = np.asarray(a, dtype=complex).reshape(-1)
-    au = complex(a @ S.u.astype(complex))
-    # |a| by hypot, as np.linalg.norm squares a row like [1e300] to inf
-    scale = max(1.0, float(np.hypot.reduce(np.abs(a))) * float(np.linalg.norm(S.u)))
-    if abs(au) > 1e-10 * scale:
-        raise ValueError(
-            f"sigma_star2 requires a Perron-orthogonal row (|a.u| = {abs(au):.3e})"
-        )
-    M = mixing_covariance(model, S.u)
-    rel = (S.J + 3) * _EPS + max(S.residuals.values())
-    (up, up_error), (down, down_error) = (
-        tail_sum(S, M, a @ P, sign, rel * _fro(a) * _fro(P))
-        for P, sign in ((S.pi3 / S.sqrt_rho, 1), (projected_power(S, 1, -1), -1))
-    )
-    return up + down, up_error + down_error + 2 * _EPS * (abs(up) + abs(down))
+    with np.errstate(over="ignore", invalid="ignore"):  # a row past float64 range is refused in _series
+        au = complex(a @ S.u.astype(complex))
+        # |a| by hypot, as np.linalg.norm squares a row like [1e300] to inf
+        scale = max(1.0, float(np.hypot.reduce(np.abs(a))) * float(np.linalg.norm(S.u)))
+        if abs(au) > 1e-10 * scale:
+            raise ValueError(f"sigma_star2 requires a Perron-orthogonal row (|a.u| = {abs(au):.3e})")
+        firsts = (projected_power(S, 1, -1), S.pi3 / S.sqrt_rho)
+        rows = np.array([a @ P for P in firsts])
+        delta = _rel(S, 0) * _fro(a) * np.array([_fro(P) for P in firsts])
+    return _series(S, mixing_covariance(model, S.u), rows, delta, 0.0, "sigma_star2")
 
 
 def compute_constants(

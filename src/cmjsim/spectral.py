@@ -41,9 +41,8 @@ finite window each tail steps its row scaled by ``rho^{-k/2}`` with one fixed
 matrix T, ``rho^{-1/2} pi3 A pi3`` (ascending) or ``rho^{1/2} pi1 A1^{-1} pi1``
 (descending), of spectral radius below one.  So a whole tail is the closed
 form ``w X w^H`` with X solving the Stein equation ``X = M + T X T^H``
-(``stein_tail``), and its error bound comes from the residual of the solve
-(``tail_sum``).  Neither ``rho^{-k}`` nor an unscaled row is formed, and no
-tail is truncated.
+(``stein_tail``), whose error bound comes from the residual of the solve.
+Neither ``rho^{-k}`` nor an unscaled row is formed, and no tail is truncated.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ __all__ = [
     "power_scaled",
     "m_norm2",
     "stein_tail",
-    "tail_sum",
     "DEFAULT_TOL",
 ]
 
@@ -545,12 +543,3 @@ def _stein_solve(S: SpectralData, M: np.ndarray, signs: tuple) -> dict:
     x_norms = np.linalg.svd(np.array([X for X, _ in tails]), compute_uv=False)[:, 0]
     return {sign: (X, E, float(x_norm)) for sign, (X, E), x_norm in zip(signs, tails, x_norms)}
 
-
-def tail_sum(S: SpectralData, M: np.ndarray, w: np.ndarray, sign: int, delta: float) -> tuple[float, float]:
-    """``(value, error)`` of the tail ``sum_{j>=0} |w T^j|_M^2 = w X w^H``
-    (``stein_tail``) from a first row w formed within ``delta`` (in norm) of
-    its exact value: the error is ``|w E w^H|`` plus the row-error term
-    ``(2 |w| delta + delta^2) |X|_2``."""
-    X, E, x_norm = stein_tail(S, M, sign)
-    row_error = (2.0 * _fro(w) * delta + delta * delta) * x_norm
-    return float(m_norm2(X, w)), abs(float(m_norm2(E, w))) + row_error

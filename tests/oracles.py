@@ -26,8 +26,9 @@ which reuse the library's restricted powers and tails because only the
 noise sum and the order of the build differ,
 the terms of T in ``per_block_columns``, because only where T is formed
 differs, the tail steps and Frobenius norm of ``per_sign_stein_tail``,
-because only the stacking of the two signs' solves differs, and the closed
-tail of ``phi1_remaining_mass``, because only the row it starts from is new.
+because only the stacking of the two signs' solves differs, and
+``closed_tail``, the one-tail closed form that ``phi1_remaining_mass`` and
+the untruncated phi1 sigma^2 read, because only the row it starts from is new.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from cmjsim.spectral import (
     power_scaled,
     projected_power,
     stein_tail,
-    tail_sum,
 )
 
 
@@ -778,10 +778,19 @@ def per_cell_sigma2(phi: Characteristic, S, model: BranchingModel):
     return math.fsum([*terms, up, down]), dict(zip(ks[1:-1].tolist(), B[1:-1]))
 
 
+def closed_tail(S, M: np.ndarray, w: np.ndarray, sign: int, delta: float) -> tuple[float, float]:
+    """``(value, error)`` of one series tail ``sum_{j>=0} |w T^j|_M^2 = w X w^H``
+    (``stein_tail``) from a first row w formed within ``delta`` (in norm) of
+    its exact value: the error is ``|w E w^H|`` plus the row-error term
+    ``(2 |w| + delta) delta |X|_2`` that ``compute_sigma2`` charges a first row."""
+    X, E, x_norm = stein_tail(S, M, sign)
+    return float(m_norm2(X, w)), abs(float(m_norm2(E, w))) + (2.0 * _fro(w) + delta) * delta * x_norm
+
+
 def phi1_remaining_mass(S, model: BranchingModel, x1, phi1: Characteristic) -> tuple[float, float]:
     """``(value, error)`` of the mass ``sum_{j >= end} |w T^j|_M^2`` that the
     untruncated ``make_phi1(S, x1, model)`` table ``phi1`` leaves past its
-    last row, age ``1 - end``: the closed form ``tail_sum`` from the row
+    last row, age ``1 - end``: the closed form ``closed_tail`` from the row
     ``w T^end``, with ``w = x1 pi1 A1^{-1}`` and ``T = rho^{1/2} pi1 A1^{-1} pi1``,
     stepped one row at a time.  The row's delta follows ``compute_sigma2``:
     ``(J + 3 + end) eps`` plus the largest residual, relative to the largest
@@ -794,4 +803,4 @@ def phi1_remaining_mass(S, model: BranchingModel, x1, phi1: Characteristic) -> t
         w = w @ step
         size = max(size, _fro(w))
     delta = ((S.J + 3 + end) * _EPS + max(S.residuals.values())) * size
-    return tail_sum(S, mixing_covariance(model, S.u), w, -1, delta)
+    return closed_tail(S, mixing_covariance(model, S.u), w, -1, delta)

@@ -32,10 +32,11 @@ from cmjsim.characteristics import (
 )
 from cmjsim.cli import build_characteristic
 from cmjsim.model import mixing_covariance
-from cmjsim.spectral import _EPS, _fro, m_norm2, projected_power, stein_tail, tail_sum
+from cmjsim.spectral import _EPS, _fro, m_norm2, projected_power, stein_tail
 
 from conftest import load_repo_module
 from oracles import (
+    closed_tail,
     exact_mean_matrix,
     exact_moment_tables,
     phi1_remaining_mass,
@@ -373,7 +374,7 @@ def test_the_mass_stopped_phi1_table_misses_exactly_its_remaining_mass():
         table = compute_constants(phi1, S, model)
         w = x1 @ projected_power(S, 1, -1)
         delta = ((S.J + 4) * _EPS + max(S.residuals.values())) * _fro(w)
-        full, full_error = tail_sum(S, mixing_covariance(model, S.u), w, -1, delta)
+        full, full_error = closed_tail(S, mixing_covariance(model, S.u), w, -1, delta)
         rest, rest_error = phi1_remaining_mass(S, model, x1, phi1)
         gap = full - table.sigma2
         assert abs(gap - rest) <= full_error + table.sigma2_error + rest_error, (seed, i)

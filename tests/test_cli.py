@@ -263,6 +263,38 @@ def test_a_sigma2_outside_float64_is_refused_without_a_warning(command, characte
     assert json.loads(out)["reason"] == "sigma2 lies outside float64 range"
 
 
+@pytest.mark.parametrize("command", ["constants", "verify", "simulate"])
+def test_a_sigma_l_outside_float64_is_refused_without_a_warning(command, tmp_path, capsys):
+    # sigma_l of this row is of order 1e600: it was once reported as
+    # Infinity, after an overflow warning, and verify refused its KS test
+    d = preset("two_type_mirror").to_dict()
+    d["characteristic"] = {"kind": "table", "base": {0: [1e300, -1e300]}}
+    path = write_yaml(tmp_path, "huge_sigma_l.yaml", d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli([command, "--scenario", path, *out_args(command, tmp_path / "out.csv")], capsys)
+    assert (rc, err) == (EXIT_ASSUMPTION, "")
+    assert json.loads(out)["reason"] == "sigma_l lies outside float64 range"
+
+
+@pytest.mark.parametrize("name, characteristic, code", [
+    ("two_type_mirror", {"kind": "kesten_stigum", "row": [1e308, 1e308]}, EXIT_OK),
+    ("cross_feed_deterministic", {"kind": "table", "base": {0: [1.7e308, 1.7e308]}}, EXIT_ASSUMPTION),
+], ids=["row-norms", "perron-check"])
+def test_constants_with_a_certificate_past_float64_print_no_warning(name, characteristic, code, tmp_path, capsys):
+    # each once warned from sigma2's row-error norms, and the second also
+    # from sigma_star2's Perron check; the non-finite certificates stay
+    d = preset(name).to_dict()
+    d["characteristic"] = characteristic
+    path = write_yaml(tmp_path, "huge_row.yaml", d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(["constants", "--scenario", path], capsys)
+    assert (rc, err) == (code, "")
+    c = json.loads(out)["constants"]
+    assert c["sigma2"] == 0.0 and not math.isfinite(c["sigma2_error"])
+
+
 def _too_large_for_a_float(d, where):
     huge = 10**400 if where.endswith("_int") else "1e400"  # an int, or a string parsed as a rational
     if where.startswith(("w_min", "eps_tail")):

@@ -240,6 +240,15 @@ def test_sigma_star_rejects_a_radius_aligned_row_whose_square_overflows(single_t
     assert not recwarn.list
 
 
+def test_sigma_star_refuses_a_sum_outside_float64(cross_feed, recwarn):
+    # [5e299, -5e299] is Perron-orthogonal on cross_feed, and its tails are
+    # of order 1e599: they once came back as (inf, nan) with overflow warnings
+    with pytest.raises(ArithmeticError) as err:
+        compute_sigma_star2(np.array([5e299, -5e299]), cross_feed.S, cross_feed.model)
+    assert str(err.value) == "sigma_star2 lies outside float64 range"
+    assert not recwarn.list
+
+
 def test_sigma_star_matches_hand_sum_on_leak(asym_leak):
     S, model = asym_leak.S, asym_leak.model
     a = build_characteristic(asym_leak.scn, model, S)[1]
