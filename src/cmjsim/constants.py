@@ -154,20 +154,21 @@ def _series(S: SpectralData, M: np.ndarray, rows: np.ndarray, delta: np.ndarray,
     error: the sum's roundoff ``n eps sum |part|``, ``(2 |b| + delta) delta
     |Q|_2`` for every row b (Q = M in the window, the tail's X at a first
     row), and each tail's Stein term ``|w E w^H|``.  A sum outside float64
-    range raises ``ArithmeticError`` naming ``what``."""
+    range raises ``ArithmeticError`` naming ``what``; the callers run it
+    under ``np.errstate``, so a part past that range warns nothing."""
     window = rows[1:-1]
-    with np.errstate(over="ignore", invalid="ignore"):  # a part past float64 range is refused below
-        (X_up, E_up, x_up), (X_down, E_down, x_down) = stein_tail(S, M, 1), stein_tail(S, M, -1)
-        ends = ((rows[-1], X_up, E_up), (rows[0], X_down, E_down))
-        parts = [*(m_norm2(M, window) + noise).tolist(), *(float(m_norm2(X, w)) for w, X, _ in ends)]
-        if not math.isfinite(sum(map(abs, parts))):
-            raise ArithmeticError(f"{what} lies outside float64 range")
-        m_norm = float(np.linalg.svd(M, compute_uv=False)[0]) if len(window) else 0.0  # |M|_2
-        q_norm = np.array([x_down, *[m_norm] * len(window), x_up])
-        row_error = float(np.sum((2.0 * np.linalg.norm(rows, axis=1) + delta) * delta * q_norm))
-        tail_error = sum(abs(float(m_norm2(E, w))) for w, _, E in ends)
-        error = len(parts) * _EPS * math.fsum(map(abs, parts)) + row_error + tail_error
-    return math.fsum(parts), error
+    (X_up, E_up, x_up), (X_down, E_down, x_down) = stein_tail(S, M, 1), stein_tail(S, M, -1)
+    ends = ((rows[-1], X_up, E_up), (rows[0], X_down, E_down))
+    parts = (m_norm2(M, window) + noise).tolist() if len(window) else []
+    parts += [float(m_norm2(X, w)) for w, X, _ in ends]
+    if not math.isfinite(sum(map(abs, parts))):
+        raise ArithmeticError(f"{what} lies outside float64 range")
+    m_norm = float(np.linalg.svd(M, compute_uv=False)[0]) if len(window) else 0.0  # |M|_2
+    q_norm = [x_down, *[m_norm] * len(window), x_up]
+    terms = zip(np.linalg.norm(rows, axis=1).tolist(), np.asarray(delta).tolist(), q_norm)
+    row_error = sum((2.0 * b + d) * d * q for b, d, q in terms)
+    tail_error = sum(abs(float(m_norm2(E, w))) for w, _, E in ends)
+    return math.fsum(parts), len(parts) * _EPS * math.fsum(map(abs, parts)) + row_error + tail_error
 
 
 def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) -> tuple[float, float, dict]:
@@ -201,7 +202,7 @@ def compute_sigma2(phi: Characteristic, S: SpectralData, model: BranchingModel) 
             noise = power_scaled(noise, S.rho, ks)
         rows = power_scaled(B + coeff, S.rho, ks / 2)
         delta = power_scaled(row_delta, S.rho, ks / 2)
-    sigma2 = _series(S, mixing_covariance(model, S.u), rows, delta, noise[1:-1], "sigma2")
+        sigma2 = _series(S, mixing_covariance(model, S.u), rows, delta, noise[1:-1], "sigma2")
     return (*sigma2, dict(zip(ks[1:-1].tolist(), B[1:-1])))
 
 
@@ -224,9 +225,8 @@ def compute_sigma_star2(a: np.ndarray, S: SpectralData, model: BranchingModel) -
         if abs(au) > 1e-10 * scale:
             raise ValueError(f"sigma_star2 requires a Perron-orthogonal row (|a.u| = {abs(au):.3e})")
         firsts = (projected_power(S, 1, -1), S.pi3 / S.sqrt_rho)
-        rows = np.array([a @ P for P in firsts])
-        delta = _rel(S, 0) * _fro(a) * np.array([_fro(P) for P in firsts])
-    return _series(S, mixing_covariance(model, S.u), rows, delta, 0.0, "sigma_star2")
+        rows, delta = [a @ P for P in firsts], [_rel(S, 0) * _fro(a) * _fro(P) for P in firsts]
+        return _series(S, mixing_covariance(model, S.u), rows, delta, 0.0, "sigma_star2")
 
 
 def compute_constants(
